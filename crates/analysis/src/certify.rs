@@ -823,7 +823,7 @@ pub fn certify_trace_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use micco_core::{plan_schedule, MiccoScheduler, RoundRobinScheduler};
+    use micco_core::{MiccoScheduler, RoundRobinScheduler, Session};
     use micco_gpusim::SimMachine;
     use micco_obs::{Recorder, SpanObserver};
     use micco_workload::WorkloadSpec;
@@ -864,7 +864,10 @@ mod tests {
     fn clean_sim_run_certifies_clean() {
         let stream = stream(7);
         let cfg = MachineConfig::mi100_like(3);
-        let plan = plan_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+        let plan = Session::new(cfg)
+            .plan(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap()
+            .into_plan();
         let events = run_sim(&plan, &stream, &cfg, None);
         let ccfg = CertifyConfig {
             transfers: TransferStrictness::Strict,
@@ -883,12 +886,13 @@ mod tests {
         let stream = stream(7);
         let cfg = MachineConfig::mi100_like(4);
         let topo = LinkTopology::nvlink(4, 2);
-        let plan = plan_schedule(
-            &mut MiccoScheduler::new(micco_core::ReuseBounds::new(0, 2, 0)),
-            &stream,
-            &cfg,
-        )
-        .unwrap();
+        let plan = Session::new(cfg)
+            .plan(
+                &mut MiccoScheduler::new(micco_core::ReuseBounds::new(0, 2, 0)),
+                &stream,
+            )
+            .unwrap()
+            .into_plan();
         let events = run_sim(&plan, &stream, &cfg, Some(&topo));
         let ccfg = CertifyConfig {
             transfers: TransferStrictness::Strict,
@@ -914,7 +918,10 @@ mod tests {
     fn dag_shape_is_reported() {
         let stream = stream(3);
         let cfg = MachineConfig::mi100_like(2);
-        let plan = plan_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+        let plan = Session::new(cfg)
+            .plan(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap()
+            .into_plan();
         let stages: Vec<PlacedStage> = plan
             .stages
             .iter()
@@ -941,7 +948,10 @@ mod tests {
     fn dropped_compute_span_is_e006() {
         let stream = stream(7);
         let cfg = MachineConfig::mi100_like(3);
-        let plan = plan_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+        let plan = Session::new(cfg)
+            .plan(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap()
+            .into_plan();
         let mut events = run_sim(&plan, &stream, &cfg, None);
         let idx = events
             .iter()
@@ -956,7 +966,10 @@ mod tests {
     fn forged_compute_span_is_e006() {
         let stream = stream(7);
         let cfg = MachineConfig::mi100_like(3);
-        let plan = plan_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+        let plan = Session::new(cfg)
+            .plan(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap()
+            .into_plan();
         let mut events = run_sim(&plan, &stream, &cfg, None);
         events.push(TraceEvent::Span {
             pid: 0,
@@ -979,7 +992,10 @@ mod tests {
     fn reordered_compute_span_is_flagged() {
         let stream = stream(7);
         let cfg = MachineConfig::mi100_like(3);
-        let plan = plan_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+        let plan = Session::new(cfg)
+            .plan(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap()
+            .into_plan();
         let mut events = run_sim(&plan, &stream, &cfg, None);
         // Drag a late compute span back to time zero: it now overlaps
         // earlier work on its device and leaks across stage barriers.
@@ -1002,7 +1018,10 @@ mod tests {
     fn early_compute_before_copy_is_w205() {
         let stream = stream(7);
         let cfg = MachineConfig::mi100_like(3);
-        let plan = plan_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+        let plan = Session::new(cfg)
+            .plan(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap()
+            .into_plan();
         let mut events = run_sim(&plan, &stream, &cfg, None);
         // Find an annotated copy span and pull its task's compute start
         // into the middle of the transfer.
@@ -1050,12 +1069,13 @@ mod tests {
     fn forged_transfer_and_missing_transfer_are_e006() {
         let stream = stream(7);
         let cfg = MachineConfig::mi100_like(3);
-        let plan = plan_schedule(
-            &mut MiccoScheduler::new(micco_core::ReuseBounds::new(0, 2, 0)),
-            &stream,
-            &cfg,
-        )
-        .unwrap();
+        let plan = Session::new(cfg)
+            .plan(
+                &mut MiccoScheduler::new(micco_core::ReuseBounds::new(0, 2, 0)),
+                &stream,
+            )
+            .unwrap()
+            .into_plan();
         let events = run_sim(&plan, &stream, &cfg, None);
         let flow_at = events
             .iter()
@@ -1102,7 +1122,10 @@ mod tests {
     fn steal_flow_yields_provenance_and_explains_device() {
         let stream = stream(7);
         let cfg = MachineConfig::mi100_like(2);
-        let plan = plan_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+        let plan = Session::new(cfg)
+            .plan(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap()
+            .into_plan();
         let mut events = run_sim(&plan, &stream, &cfg, None);
         // Move one task's compute span to the other device, with and
         // without a steal flow explaining the move.
@@ -1172,7 +1195,10 @@ mod tests {
     fn fingerprint_gate_blocks_certification() {
         let stream = stream(7);
         let cfg = MachineConfig::mi100_like(2);
-        let mut plan = plan_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+        let mut plan = Session::new(cfg)
+            .plan(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap()
+            .into_plan();
         plan.fingerprint ^= 1;
         let r = certify_trace(&plan, &stream, &cfg, &[]);
         assert!(r.has(Code::FingerprintMismatch));
@@ -1183,7 +1209,10 @@ mod tests {
     fn empty_trace_on_lenient_config_reports_missing_compute_only() {
         let stream = stream(7);
         let cfg = MachineConfig::mi100_like(2);
-        let plan = plan_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+        let plan = Session::new(cfg)
+            .plan(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap()
+            .into_plan();
         let r = certify_trace(&plan, &stream, &cfg, &[]);
         let total: usize = stream.vectors.iter().map(|v| v.tasks.len()).sum();
         assert_eq!(r.with_code(Code::TracePlanDivergence).len(), total);

@@ -2,7 +2,7 @@
 //! invariants.
 //!
 //! The semantic pass drives the same [`ShadowMachine`] state-transition
-//! function that `micco_core::plan_schedule` used to decide the plan, so
+//! function that `micco_core::Session::plan` used to decide the plan, so
 //! the residency and occupancy state the checks observe at step *k* is
 //! bit-for-bit the state the scheduler saw when it made decision *k*. The
 //! reuse/balance rules mirror Alg. 1's candidate construction exactly —
@@ -741,7 +741,7 @@ fn check_reuse_rules(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use micco_core::{plan_schedule, MiccoScheduler, RoundRobinScheduler};
+    use micco_core::{MiccoScheduler, RoundRobinScheduler, Session};
     use micco_workload::{TaskId, TensorDesc, WorkloadSpec};
 
     const MB: u64 = 1 << 20;
@@ -788,13 +788,14 @@ mod tests {
             .generate();
         let cfg = MachineConfig::mi100_like(3);
         for plan in [
-            plan_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap(),
-            plan_schedule(
-                &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-                &stream,
-                &cfg,
-            )
-            .unwrap(),
+            Session::new(cfg)
+                .plan(&mut RoundRobinScheduler::new(), &stream)
+                .unwrap()
+                .into_plan(),
+            Session::new(cfg)
+                .plan(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
+                .unwrap()
+                .into_plan(),
         ] {
             let r = analyze_plan(&plan, &stream, &cfg);
             assert!(
@@ -919,7 +920,10 @@ mod tests {
     fn structural_mismatches_are_typed() {
         let stream = WorkloadSpec::new(4, 32).with_vectors(2).generate();
         let cfg = MachineConfig::mi100_like(2);
-        let plan = plan_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+        let plan = Session::new(cfg)
+            .plan(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap()
+            .into_plan();
 
         let mut fp = plan.clone();
         fp.fingerprint ^= 1;
@@ -958,7 +962,10 @@ mod tests {
             .with_seed(3)
             .generate();
         let cfg = MachineConfig::mi100_like(2);
-        let mut plan = plan_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+        let mut plan = Session::new(cfg)
+            .plan(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap()
+            .into_plan();
         plan.stages[1].assignments[2].gpu = GpuId(77);
         let r = analyze_plan(&plan, &stream, &cfg);
         let d = &r.with_code(Code::AssignmentOutOfRange)[0];
@@ -1066,7 +1073,10 @@ mod tests {
             .with_seed(7)
             .generate();
         let cfg = MachineConfig::mi100_like(3);
-        let plan = plan_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+        let plan = Session::new(cfg)
+            .plan(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap()
+            .into_plan();
         assert!(!analyze_plan(&plan, &stream, &cfg).has(Code::DegradedPlacement));
         let repaired = micco_core::repair_plan(&plan, &[GpuId(1)]).unwrap();
         let r = analyze_plan(&repaired, &stream, &cfg);

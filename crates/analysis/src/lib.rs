@@ -29,13 +29,16 @@
 //!
 //! ```
 //! use micco_analysis::{analyze_plan, Code, Severity};
-//! use micco_core::{plan_schedule, RoundRobinScheduler};
+//! use micco_core::{RoundRobinScheduler, Session};
 //! use micco_gpusim::MachineConfig;
 //! use micco_workload::WorkloadSpec;
 //!
 //! let stream = WorkloadSpec::new(8, 64).with_vectors(2).generate();
 //! let cfg = MachineConfig::mi100_like(2);
-//! let mut plan = plan_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+//! let mut plan = Session::new(cfg)
+//!     .plan(&mut RoundRobinScheduler::new(), &stream)
+//!     .unwrap()
+//!     .into_plan();
 //! assert!(!analyze_plan(&plan, &stream, &cfg).denies(Severity::Warning));
 //!
 //! // corrupt the plan: the analyzer pins the exact assignment

@@ -12,7 +12,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use micco_core::{run_schedule, MiccoScheduler, ReuseBounds};
+use micco_core::{MiccoScheduler, ReuseBounds, Session};
 use micco_gpusim::{CostModel, EvictionPolicy, MachineConfig};
 use micco_workload::{RepeatDistribution, TensorPairStream, WorkloadSpec};
 
@@ -83,7 +83,7 @@ fn bench_per_pattern_bounds(c: &mut Criterion) {
         g.bench_function(name, |b| {
             b.iter(|| {
                 let mut s = MiccoScheduler::new(bounds);
-                let r = run_schedule(&mut s, &stream, &cfg).unwrap();
+                let r = Session::new(cfg).run(&mut s, &stream).unwrap();
                 black_box(r.elapsed_secs())
             });
         });
@@ -103,7 +103,7 @@ fn bench_d2d_source_charge(c: &mut Criterion) {
         g.bench_function(name, |b| {
             b.iter(|| {
                 let mut s = MiccoScheduler::new(ReuseBounds::new(0, 2, 0));
-                let r = run_schedule(&mut s, &stream, &cfg).unwrap();
+                let r = Session::new(cfg).run(&mut s, &stream).unwrap();
                 black_box(r.elapsed_secs())
             });
         });

@@ -16,7 +16,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use micco_core::{run_schedule, MiccoScheduler, ReuseBounds};
+use micco_core::{MiccoScheduler, ReuseBounds, Session};
 use micco_exec::{execute_assignments, ExecOptions, TensorShape, TensorStore};
 use micco_gpusim::MachineConfig;
 use micco_workload::WorkloadSpec;
@@ -35,13 +35,10 @@ fn bench_exec_scaling(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(1));
     let opts = ExecOptions::default();
     for workers in [1usize, 2, 4] {
-        let assignments = run_schedule(
-            &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-            &stream,
-            &MachineConfig::mi100_like(workers),
-        )
-        .expect("fits")
-        .assignments;
+        let assignments = Session::new(MachineConfig::mi100_like(workers))
+            .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
+            .expect("fits")
+            .assignments;
         g.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, &w| {
             b.iter(|| {
                 let store = TensorStore::new(shape.batch, shape.dim, 3);

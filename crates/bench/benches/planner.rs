@@ -1,5 +1,5 @@
-//! Planner throughput micro-benchmarks: end-to-end `plan_schedule_in`
-//! (decide-only, arena-reusing) at 10⁴–10⁵ tasks on 8–64 simulated GPUs,
+//! Planner throughput micro-benchmarks: end-to-end `Session::plan`
+//! (decide-only) at 10⁴–10⁵ tasks on 8–64 simulated GPUs,
 //! plus plan validation and static-analysis (lint) throughput over the
 //! decided plan. The 10⁶-task point lives in `src/bin/bench_planner.rs`
 //! (too heavy for the default criterion loop; run it via
@@ -14,9 +14,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use micco_core::{
-    plan_schedule_in, plan_schedule_with, DriverOptions, MiccoScheduler, PlanArena, ReuseBounds,
-};
+use micco_core::{MiccoScheduler, ReuseBounds, Session};
 use micco_gpusim::MachineConfig;
 use micco_workload::{RepeatDistribution, TensorPairStream, WorkloadSpec};
 
@@ -44,24 +42,15 @@ fn bench_plan_throughput(c: &mut Criterion) {
     for tasks in [10_000usize, 100_000] {
         let stream = stream_of(tasks);
         for gpus in [8usize, 64] {
-            let cfg = MachineConfig::mi100_like(gpus);
+            let session = Session::new(MachineConfig::mi100_like(gpus));
             group.throughput(Throughput::Elements(stream.total_tasks() as u64));
             group.bench_function(
                 BenchmarkId::new(format!("plan/{tasks}tasks"), format!("{gpus}gpus")),
                 |b| {
-                    let mut arena =
-                        PlanArena::with_capacity(stream.total_tasks(), stream.vectors.len());
                     b.iter(|| {
                         let mut sched = MiccoScheduler::new(ReuseBounds::new(0, 2, 0));
-                        let plan = plan_schedule_in(
-                            &mut sched,
-                            black_box(&stream),
-                            &cfg,
-                            DriverOptions::default(),
-                            &mut arena,
-                        )
-                        .unwrap();
-                        black_box(plan.fingerprint)
+                        let planned = session.plan(&mut sched, black_box(&stream)).unwrap();
+                        black_box(planned.plan().fingerprint)
                     })
                 },
             );
@@ -74,7 +63,10 @@ fn bench_validate_and_lint(c: &mut Criterion) {
     let stream = stream_of(10_000);
     let cfg = MachineConfig::mi100_like(8);
     let mut sched = MiccoScheduler::new(ReuseBounds::new(0, 2, 0));
-    let plan = plan_schedule_with(&mut sched, &stream, &cfg, DriverOptions::default()).unwrap();
+    let plan = Session::new(cfg)
+        .plan(&mut sched, &stream)
+        .unwrap()
+        .into_plan();
 
     let mut group = quick(c);
     group.throughput(Throughput::Elements(stream.total_tasks() as u64));

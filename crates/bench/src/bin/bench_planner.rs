@@ -1,7 +1,7 @@
 //! Planner throughput benchmark with a machine-readable report.
 //!
 //! Plans the same workload twice — once with the fast planner
-//! (`plan_schedule_in`: interned IDs, SoA shadow state, arena-allocated
+//! (`Session::plan`: interned IDs, SoA shadow state, arena-allocated
 //! plan) and once with the retained seed reference (`plan_schedule_seed`,
 //! the frozen map-based machine) — asserts the two plans are
 //! **byte-identical**, and writes `BENCH_planner.json` with tasks/sec for
@@ -17,8 +17,8 @@
 use std::time::Instant;
 
 use micco_core::{
-    plan_schedule_in, plan_schedule_seed, DriverOptions, MiccoScheduler, PlanArena, ReuseBounds,
-    SchedulePlan, Scheduler,
+    plan_schedule_seed, DriverOptions, MiccoScheduler, ReuseBounds, SchedulePlan, Scheduler,
+    Session,
 };
 use micco_gpusim::MachineConfig;
 use micco_workload::{RepeatDistribution, TensorPairStream, WorkloadSpec};
@@ -117,13 +117,14 @@ fn main() {
     let mk = || MiccoScheduler::new(ReuseBounds::new(0, 2, 0));
 
     // Warm-up pass (touches the allocator and page cache), then the
-    // measured fast pass reusing the warm arena — the steady-state shape.
-    let mut arena = PlanArena::with_capacity(total, stream.vectors.len());
-    let mut warm = mk();
-    plan_schedule_in(&mut warm, &stream, &cfg, opts, &mut arena).expect("warm-up plans");
+    // measured fast pass — the steady-state shape.
+    let session = Session::new(cfg).with_options(opts);
+    session.plan(&mut mk(), &stream).expect("warm-up plans");
     let (fast_plan, fast_secs) = time_plan(|| {
-        let mut sched = mk();
-        plan_schedule_in(&mut sched, &stream, &cfg, opts, &mut arena).expect("fast path plans")
+        session
+            .plan(&mut mk(), &stream)
+            .expect("fast path plans")
+            .into_plan()
     });
     let fast_rate = total as f64 / fast_secs;
     eprintln!("fast: {fast_secs:.3}s ({fast_rate:.0} tasks/sec)");

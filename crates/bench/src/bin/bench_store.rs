@@ -156,14 +156,14 @@ fn main() {
         let mut cache = DurablePlanCache::open(&plan_dir).expect("plan store opens");
         let mut sched = MiccoScheduler::new(ReuseBounds::new(0, 2, 0));
         cache
-            .plan_for(&mut sched, &stream, &cfg, DriverOptions::default())
+            .plan_for_with_topology(&mut sched, &stream, &cfg, DriverOptions::default(), None)
             .expect("cold plan");
         assert_eq!(cache.misses(), 1);
     }
     let mut cache = DurablePlanCache::open(&plan_dir).expect("plan store reopens");
     let mut sched = MiccoScheduler::new(ReuseBounds::new(0, 2, 0));
     cache
-        .plan_for(&mut sched, &stream, &cfg, DriverOptions::default())
+        .plan_for_with_topology(&mut sched, &stream, &cfg, DriverOptions::default(), None)
         .expect("warm plan");
     let warm_log_hit = cache.log_hits() == 1 && cache.misses() == 0;
     assert!(warm_log_hit, "warm restart must serve from the log");

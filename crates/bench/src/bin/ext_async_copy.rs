@@ -17,8 +17,7 @@ use micco_bench::{
     distributions, markdown_table, run, standard_stream, DEFAULT_GPUS, DEFAULT_TENSOR_SIZE,
 };
 use micco_core::{
-    run_schedule_with, DriverOptions, GrouteScheduler, MiccoScheduler, ReuseBounds,
-    RoundRobinScheduler,
+    DriverOptions, GrouteScheduler, MiccoScheduler, ReuseBounds, RoundRobinScheduler, Session,
 };
 use micco_exec::{execute_assignments, ExecOptions, TensorShape, TensorStore};
 use micco_gpusim::{CostModel, MachineConfig};
@@ -52,13 +51,10 @@ fn overlap_makespan_study() {
                 .with_prefetch_tasks(1),
         ),
     ] {
-        let r = run_schedule_with(
-            &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-            &stream,
-            &cfg,
-            opts,
-        )
-        .expect("workload fits");
+        let r = Session::new(cfg)
+            .with_options(opts)
+            .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
+            .expect("workload fits");
         rows.push((label, r));
     }
     let header = [
@@ -107,13 +103,10 @@ fn checksum_validation() {
         .generate();
     let mut reference = None;
     for workers in [1usize, 2, 4] {
-        let report = run_schedule_with(
-            &mut RoundRobinScheduler::new(),
-            &stream,
-            &MachineConfig::mi100_like(workers),
-            DriverOptions::default().with_overlap(),
-        )
-        .expect("workload fits");
+        let report = Session::new(MachineConfig::mi100_like(workers))
+            .overlap(true)
+            .run(&mut RoundRobinScheduler::new(), &stream)
+            .expect("workload fits");
         for opts in [
             ExecOptions::default(),
             ExecOptions::default().with_steal(),

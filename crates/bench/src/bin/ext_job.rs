@@ -8,7 +8,7 @@
 //! where the savings come from.
 
 use micco_bench::markdown_table;
-use micco_core::{mapping_histogram, run_schedule, MiccoScheduler, ReuseBounds};
+use micco_core::{mapping_histogram, MiccoScheduler, ReuseBounds, Session};
 use micco_gpusim::MachineConfig;
 use micco_redstar::{al_rhopi, build_correlator, build_job, f0d2, f0d4, PresetScale};
 
@@ -27,7 +27,9 @@ fn main() {
     for spec in &specs {
         let program = build_correlator(spec);
         let mut micco = MiccoScheduler::new(ReuseBounds::new(0, 2, 0));
-        let r = run_schedule(&mut micco, &program.stream, &cfg).expect("fits");
+        let r = Session::new(cfg)
+            .run(&mut micco, &program.stream)
+            .expect("fits");
         separate_steps += program.unique_steps;
         separate_secs += r.elapsed_secs();
         let hist = mapping_histogram(&program.stream, &r.assignments, &cfg);
@@ -41,7 +43,9 @@ fn main() {
     }
     let job = build_job(&specs);
     let mut micco = MiccoScheduler::new(ReuseBounds::new(0, 2, 0));
-    let rj = run_schedule(&mut micco, &job.stream, &cfg).expect("fits");
+    let rj = Session::new(cfg)
+        .run(&mut micco, &job.stream)
+        .expect("fits");
     let hist = mapping_histogram(&job.stream, &rj.assignments, &cfg);
     rows.push(vec![
         format!("JOB: {}", job.name),

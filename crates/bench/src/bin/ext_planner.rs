@@ -9,7 +9,7 @@
 //! streams.
 
 use micco_bench::markdown_table;
-use micco_core::{run_schedule, MiccoScheduler, ReuseBounds};
+use micco_core::{MiccoScheduler, ReuseBounds, Session};
 use micco_gpusim::MachineConfig;
 use micco_redstar::{al_rhopi, build_correlator, build_correlator_shared, f0d2, f0d4, PresetScale};
 
@@ -23,7 +23,8 @@ fn main() {
         let shared = build_correlator_shared(&spec);
         let time = |p: &micco_redstar::CorrelatorProgram| {
             let mut s = MiccoScheduler::new(ReuseBounds::new(0, 2, 0));
-            run_schedule(&mut s, &p.stream, &cfg)
+            Session::new(cfg)
+                .run(&mut s, &p.stream)
                 .expect("fits")
                 .elapsed_secs()
         };

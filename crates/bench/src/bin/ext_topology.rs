@@ -17,8 +17,8 @@
 
 use micco_bench::report::emit;
 use micco_core::{
-    execute_plan_with_topology, plan_schedule_with_topology, CodaScheduler, DriverOptions,
-    GrouteScheduler, MiccoScheduler, ReuseBounds, RoundRobinScheduler, Scheduler,
+    execute_plan, CodaScheduler, DriverOptions, GrouteScheduler, MiccoScheduler, ReuseBounds,
+    RoundRobinScheduler, Scheduler, Session,
 };
 use micco_gpusim::{LinkSpec, LinkTopology, MachineConfig, SimMachine};
 use micco_workload::{RepeatDistribution, TensorPairStream, WorkloadSpec};
@@ -66,11 +66,16 @@ fn measure(
     opts: DriverOptions,
     mode: &'static str,
 ) -> Point {
-    let plan =
-        plan_schedule_with_topology(sched, stream, cfg, opts, Some(topo)).expect("sweep plans");
+    let plan = Session::new(*cfg)
+        .with_options(opts)
+        .with_topology(topo.clone())
+        .plan(sched, stream)
+        .expect("sweep plans")
+        .into_plan();
+    // replay on a machine we own, to read its cross-island counters
     let mut machine = SimMachine::new(opts.apply(cfg));
-    let report =
-        execute_plan_with_topology(&plan, stream, &mut machine, opts, Some(topo)).expect("replays");
+    machine.set_topology(Some(topo.clone()));
+    let report = execute_plan(&plan, stream, &mut machine).expect("replays");
     let (transfers, bytes) = machine.cross_island_traffic();
     Point {
         island: topo.island_size(),

@@ -12,7 +12,7 @@
 use micco_bench::{
     distributions, standard_stream, trained_model, DEFAULT_GPUS, DEFAULT_TENSOR_SIZE,
 };
-use micco_core::{run_schedule_with, DriverOptions, MiccoScheduler};
+use micco_core::{MiccoScheduler, Session};
 use micco_gpusim::MachineConfig;
 
 fn main() {
@@ -26,13 +26,10 @@ fn main() {
         let stream = standard_stream(64, DEFAULT_TENSOR_SIZE, 0.5, dist, 29);
         let mut sched = MiccoScheduler::with_provider(model.clone());
         // overhead timing is opt-in since the decide/execute split
-        let report = run_schedule_with(
-            &mut sched,
-            &stream,
-            &cfg,
-            DriverOptions::default().with_measure_overhead(),
-        )
-        .expect("workload fits");
+        let report = Session::new(cfg)
+            .measure_overhead(true)
+            .run(&mut sched, &stream)
+            .expect("workload fits");
         let overhead_ms = report.scheduling_overhead_secs * 1e3;
         let total_ms = report.elapsed_secs() * 1e3;
         rows.push(vec![

@@ -10,7 +10,7 @@
 //! cross-diagram sharing) at reproduction scale; the claim under test is
 //! that MICCO's gains carry from synthetic streams to Redstar-shaped ones.
 
-use micco_core::{run_schedule, GrouteScheduler, MiccoScheduler, ReuseBounds};
+use micco_core::{GrouteScheduler, MiccoScheduler, ReuseBounds, Session};
 use micco_gpusim::MachineConfig;
 use micco_redstar::{al_rhopi, build_correlator, f0d2, f0d4, PresetScale};
 
@@ -29,12 +29,15 @@ fn main() {
         // Size memory to the per-vector peak so the large correlators run
         // under pressure, as the paper's 4.6 TB jobs do on 8×32 GB.
         let cfg_run = cfg.with_oversubscription(program.stream.peak_vector_bytes() * 2, 1.0);
-        let groute =
-            run_schedule(&mut GrouteScheduler::new(), &program.stream, &cfg_run).expect("fits");
+        let groute = Session::new(cfg_run)
+            .run(&mut GrouteScheduler::new(), &program.stream)
+            .expect("fits");
         // MICCO with the small-bounds setting that Fig. 8 favours; real
         // Redstar deployments would use the regression model identically.
         let mut micco = MiccoScheduler::new(ReuseBounds::new(0, 2, 0));
-        let m = run_schedule(&mut micco, &program.stream, &cfg_run).expect("fits");
+        let m = Session::new(cfg_run)
+            .run(&mut micco, &program.stream)
+            .expect("fits");
         let speedup = groute.elapsed_secs() / m.elapsed_secs();
         rows.push(vec![
             spec.name.clone(),

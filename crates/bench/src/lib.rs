@@ -27,7 +27,7 @@ pub mod report;
 
 use micco_core::model::RegressionBounds;
 use micco_core::tuner::{build_training_set, TrainingConfig};
-use micco_core::{MiccoScheduler, ReuseBounds, ScheduleReport, Scheduler};
+use micco_core::{MiccoScheduler, ReuseBounds, ScheduleReport, Scheduler, Session};
 use micco_gpusim::MachineConfig;
 use micco_workload::{RepeatDistribution, TensorPairStream, WorkloadSpec};
 
@@ -84,13 +84,10 @@ impl From<&ScheduleReport> for RunPoint {
 /// Scheduling-overhead timing is opted in (it is off by default since the
 /// plan-IR split) so [`RunPoint::overhead_secs`] stays meaningful.
 pub fn run(s: &mut dyn Scheduler, stream: &TensorPairStream, cfg: &MachineConfig) -> RunPoint {
-    let report = micco_core::run_schedule_with(
-        s,
-        stream,
-        cfg,
-        micco_core::DriverOptions::default().with_measure_overhead(),
-    )
-    .expect("experiment workload must fit the machine");
+    let report = Session::new(*cfg)
+        .with_options(micco_core::DriverOptions::default().with_measure_overhead())
+        .run(s, stream)
+        .expect("experiment workload must fit the machine");
     RunPoint::from(&report)
 }
 

@@ -76,6 +76,15 @@ impl Args {
         Ok(args)
     }
 
+    /// Every `--key` given, with whether it carried a value (`--key value`)
+    /// or stood bare (`--flag`).
+    pub fn given(&self) -> impl Iterator<Item = (&str, bool)> {
+        self.options
+            .keys()
+            .map(|k| (k.as_str(), true))
+            .chain(self.flags.iter().map(|f| (f.as_str(), false)))
+    }
+
     /// Whether `--name` was given as a bare flag.
     pub fn flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
@@ -135,8 +144,8 @@ mod tests {
 
     #[test]
     fn subcommand_options_flags() {
-        let a = parse("synthetic --rate 0.5 --trace --gpus 8").unwrap();
-        assert_eq!(a.command.as_deref(), Some("synthetic"));
+        let a = parse("run --rate 0.5 --trace --gpus 8").unwrap();
+        assert_eq!(a.command.as_deref(), Some("run"));
         assert_eq!(a.get("rate"), Some("0.5"));
         assert!(a.flag("trace"));
         assert!(!a.flag("verbose"));
@@ -186,6 +195,14 @@ mod tests {
             parse("store stats stray"),
             Err(ArgError::UnexpectedPositional(_))
         ));
+    }
+
+    #[test]
+    fn given_lists_options_and_flags() {
+        let a = parse("run --gpus 2 --steal").unwrap();
+        let mut given: Vec<(&str, bool)> = a.given().collect();
+        given.sort_unstable();
+        assert_eq!(given, vec![("gpus", true), ("steal", false)]);
     }
 
     #[test]

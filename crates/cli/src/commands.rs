@@ -1,4 +1,11 @@
 //! Subcommand implementations.
+//!
+//! One grammar: every command that builds a workload, machine or
+//! scheduler reads one [`SessionConfig`] — from `--config FILE` or from
+//! the flags that mirror its keys — and plans through [`Session`].
+
+use std::sync::Arc;
+use std::time::Duration;
 
 use micco_analysis::{
     analyze_plan_with_topology, certify_trace_with, AnalysisConfig, CertifyConfig, Code, Report,
@@ -10,20 +17,18 @@ use micco_cluster::{
 use micco_core::model::RegressionBounds;
 use micco_core::tuner::{build_training_set, TrainingConfig};
 use micco_core::{
-    execute_plan, plan_schedule_with_topology, run_schedule, run_schedule_with, DriverOptions,
-    DurablePlanCache, GrouteScheduler, MiccoScheduler, PlanCache, RetryPolicy, ReuseBounds,
-    RoundRobinScheduler, SchedulePlan, ScheduleReport, Scheduler, Session, SessionConfig,
+    DurablePlanCache, GrouteScheduler, MiccoScheduler, PlanCache, Planned, RetryPolicy,
+    ReuseBounds, RoundRobinScheduler, SchedulePlan, ScheduleReport, Scheduler, Session,
+    SessionConfig,
 };
-use micco_exec::{
-    execute_assignments, execute_plan as execute_plan_real, ExecOptions, FaultPlan, TensorStore,
-};
-use micco_gpusim::{CostModel, LinkTopology, MachineConfig, SimMachine};
+use micco_exec::{execute_plan as execute_plan_real, ExecOptions, TensorStore};
+use micco_gpusim::{CostModel, MachineConfig};
 use micco_load::{run_open_loop, TenantLoad};
 use micco_obs::{parse_trace_text, Recorder};
 use micco_redstar::{al_rhopi, build_correlator, f0d2, f0d4, kk_pipi, nucleon_pipi, PresetScale};
 use micco_serve::{Priority, ServeConfig, Service, TenantSpec};
 use micco_store::PlanStore;
-use micco_workload::{DataCharacteristics, RepeatDistribution, TensorPairStream, WorkloadSpec};
+use micco_workload::{DataCharacteristics, TensorPairStream};
 
 use crate::args::Args;
 
@@ -31,78 +36,59 @@ use crate::args::Args;
 pub const USAGE: &str = "\
 usage: micco <command> [options]
 
-commands:
-  synthetic   run one scheduler on a synthetic workload
-              --vector-size N --tensor-size N --rate F --dist uniform|gaussian|zipf
-              --vectors N --gpus N --seed N --scheduler micco|groute|rr
-              --bounds A,B,C --oversub F --overlap (alias --async-copy)
-              --prefetch-tasks K --mappings
-  run         synthetic run through the Session API, with optional telemetry
-              (same options as synthetic); --trace-out FILE records spans
-              and metrics and writes Perfetto-loadable JSON;
-              --trace-raw FILE writes the lossless micco-trace v1 text
-              (the format `certify` reads back);
-              --topology FILE|SPEC routes transfers over typed links and
-              --topology-aware lets the scheduler penalize far candidates;
-              --store DIR decides through a durable write-ahead-logged
-              plan cache — a warm restart replays the plan from the log
-              without invoking the scheduler
-  redstar     run a Table VI correlator preset
-              --preset al_rhopi|f0d2|f0d4|nucleon_pipi|kk_pipi --scale paper|ci --gpus N
-  sweep       compare MICCO vs Groute across one parameter
-              --param rate|tensor-size|vector-size|gpus|oversub --values a,b,c
-  train       train the reuse-bound regression model and show predictions
-              --samples N --seed N
-  cluster     multi-node run (flat vs hierarchical)
-              --nodes N --gpus-per-node N --vectors N
-  compare     run every scheduler on one synthetic workload
-              (same options as synthetic, plus --mappings)
-  exec        actually compute a synthetic workload on worker threads
-              --vector-size N --tensor-size N --batch N --workers N --seed N
-              --steal (reuse-aware work stealing) --prefetch (warm operands)
-              --inject-faults SPEC (deterministic chaos: kernel:T[*N],
-              timeout:T[*N], lose:G@S, flake:G@S, comma-separated)
-              --retry MAX[,DELAY_US] (per-task retry budget with backoff)
-              --trace-out FILE (wall-clock Perfetto trace of the run)
-              --trace-raw FILE (lossless micco-trace v1 text)
+commands that read a request take the SessionConfig flags listed below,
+or --config FILE in their place:
+  run         decide and simulate the request through the Session API
+              --trace-out FILE records spans and metrics as Perfetto-
+              loadable JSON; --trace-raw FILE writes the lossless
+              micco-trace v1 text (the format `certify` reads back);
+              --mappings prints the Fig. 4 mapping histogram; with
+              --store DIR the decision goes through a durable
+              write-ahead-logged plan cache, and a warm restart replays the
+              plan from the log without invoking the scheduler
   plan        decide a schedule without executing and write the plan IR
-              --out FILE plus the synthetic options (workload + scheduler);
-              --lint runs the static verifier on the freshly decided plan;
-              --topology FILE|SPEC plans against routed transfer costs and
-              --topology-aware steers placement off cross-island fetches;
-              --store DIR write-through-appends the decided plan to a
-              crash-safe log (re-running the same request serves it back)
+              --out FILE; --lint runs the static verifier on the freshly
+              decided plan (--format/--deny/--thrash-window as in lint);
+              with --store DIR the decided plan is appended to a crash-safe
+              log (re-running the same request serves it back)
   lint        statically verify a plan against the rebuilt workload
               --plan FILE --format text|json|sarif --deny error|warn|info
-              --mem-mib N (shrink device memory) --thrash-window N
-              --topology FILE|SPEC (adds the W204 cross-island route check)
-              plus the workload options; exits non-zero when any finding
-              reaches the --deny threshold (default: error); --deny also
-              takes specific codes, comma-separated with levels
-              (e.g. --deny error,MICCO-W205)
+              --mem-mib N (shrink device memory) --thrash-window N; exits
+              non-zero when any finding reaches the --deny threshold
+              (default: error); --deny also takes specific codes,
+              comma-separated with levels (e.g. --deny error,MICCO-W205);
+              a --topology adds the W204 cross-island route check
   certify     prove an executed trace is a linearization of its plan
-              --plan FILE --trace FILE (micco-trace v1 text as written
-              by --trace-raw) --transfers auto|strict|lenient --eps-us F
-              --topology FILE|SPEC (adds per-hop link-route checks)
-              plus the workload and --format/--deny options of lint
-  execute     execute a previously written plan on a rebuilt workload
+              --plan FILE --trace FILE (micco-trace v1 text as written by
+              --trace-raw) --transfers auto|strict|lenient --eps-us F plus
+              the --format/--deny options of lint; a --topology adds
+              per-hop link-route checks
+  execute     execute a previously written plan on the rebuilt workload
               --plan FILE --backend sim|real; sim replays on the simulator,
-              real computes kernels (--batch N --tensor-size N --seed N
-              must match the workload; --steal/--prefetch and
-              --inject-faults/--retry as in exec); --trace-out FILE writes
-              Perfetto JSON for either backend and --trace-raw FILE the
-              lossless micco-trace v1 text `certify` consumes; without
-              --plan, --store DIR fetches the plan from a durable store
-              (key rebuilt from the workload/scheduler/topology flags)
+              real computes kernels on one worker per planned GPU;
+              --trace-out FILE writes Perfetto JSON for either backend and
+              --trace-raw FILE the lossless micco-trace v1 text; without
+              --plan, --store DIR fetches the plan the same request keyed
   replay      re-execute a plan several times and verify determinism
-              --plan FILE --times N plus the workload options; --store DIR
-              fetches the plan from a durable store when --plan is absent
-  trace       run a workload and write a trace timeline
-              --out FILE plus the synthetic options; without --plan the
-              legacy chrome://tracing array is written, with --plan FILE
-              the plan is replayed through the Session API and a Perfetto
-              JSON (spans + metrics) is written instead; --topology adds
-              per-link utilization lanes to the Perfetto export
+              --plan FILE (or --store DIR) --times N
+  exec        decide the request and compute its kernels on one worker
+              thread per GPU (plan, then execute --backend real);
+              --trace-out FILE / --trace-raw FILE as in execute
+  compare     run every scheduler on the request; --mappings
+  sweep       the configured scheduler against Groute across one parameter
+              --param rate|tensor-size|vector-size|gpus|oversub --values a,b,c
+  redstar     a Table VI correlator preset on the configured machine
+              --preset al_rhopi|f0d2|f0d4|nucleon_pipi|kk_pipi --scale paper|ci
+  cluster     multi-node run (flat vs hierarchical) of the configured
+              workload and bounds: --nodes N --gpus-per-node N
+  load        open-loop load generator against a running daemon; every job
+              submits the request (its seed also seeds the arrival clocks)
+              --addr HOST:PORT --duration SECS --drain SECS --jobs-per-sec F
+              --tenants NAME[:PRIORITY[:RATE]],... (per-tenant Poisson
+              arrival rates; RATE defaults to --jobs-per-sec); prints
+              per-tenant p50/p99 latency and jobs/sec
+
+other commands:
   serve       run the multi-tenant scheduling daemon (JSON over HTTP)
               --addr HOST:PORT (default 127.0.0.1:7070, port 0 = ephemeral)
               --pool-gpus N --max-queue N --mem-headroom F
@@ -118,13 +104,8 @@ commands:
               config is a SessionConfig document (the same schema
               --config reads); GET /v1/jobs[/ID[/result]];
               POST /v1/jobs/ID/cancel; GET /metrics; GET /healthz
-  load        open-loop load generator against a running daemon
-              --addr HOST:PORT --duration SECS --drain SECS
-              --jobs-per-sec F --seed N
-              --tenants NAME[:PRIORITY[:RATE]],... (per-tenant Poisson
-              arrival rates; RATE defaults to --jobs-per-sec)
-              plus the workload/--config options to shape each job;
-              prints per-tenant p50/p99 latency and jobs/sec
+  train       train the reuse-bound regression model and show predictions
+              --samples N --seed N
   store       inspect and maintain a durable plan store
               store stats --dir DIR    recover + print shape and counters
               store verify --dir DIR   read-only integrity scan: reports
@@ -136,152 +117,193 @@ commands:
                                        fragment and delete dead files
   info        print the default cost model and platform assumptions
 
-common synthetic options also accept --save FILE / --load FILE to persist
-or replay the exact workload (text format, see micco_workload::serialize);
-plan/execute/replay validate the plan's workload fingerprint before running
+SessionConfig flags (each mirrors a key of the --config JSON document, the
+schema `serve` accepts in submission bodies, so a request exercised on the
+CLI submits to the daemon unchanged and keys the durable store identically):
+  workload    --vector-size N --tensor-size N --rate F
+              --dist uniform|gaussian|zipf --vectors N --seed N --batch N
+              --dims A,B,...
+  machine     --gpus N --oversub F
+  scheduler   --scheduler micco|micco-naive|groute|coda|rr --bounds A,B,C
+  driver      --overlap (alias --async-copy) --prefetch-tasks K
+              --topology FILE|SPEC --topology-aware
+  resilience  --inject-faults SPEC (deterministic chaos: kernel:T[*N],
+              timeout:T[*N], lose:G@S, flake:G@S, comma-separated)
+              --retry MAX[,DELAY_US] (per-task retry budget with backoff)
+  store       --store DIR
+  executor    --steal (reuse-aware work stealing) --prefetch (warm operands)
 
-run/plan/execute/replay/load also take --config FILE: a SessionConfig JSON
-document carrying every workload/machine/scheduler/resilience knob in one
-place — the exact schema `serve` accepts in submission bodies, so a config
-exercised on the CLI submits to the daemon unchanged (and both key the
-durable store identically)
+A flag the command does not read is an error, and so is a SessionConfig
+flag given beside --config. Commands that read a plan take the GPU count
+from the plan. Commands that rebuild a workload also take --save FILE /
+--load FILE to persist or replay the exact workload (text format, see
+micco_workload::serialize); plan consumers validate the plan's workload
+fingerprint before running.
 
 --topology takes a file path or an inline spec; 'flat' (the default) keeps
 the uniform device-to-device cost model. Spec grammar:
   nvlink{gpus:N, island:K, node:M, nv:BW@LAT, pcie:BW@LAT, ib:BW@LAT}
 with BW in GiB/s and LAT in µs; island/node/link tiers are optional
-(defaults: island=node=gpus, nv:200@1, pcie:16@3, ib:23@30)";
+(defaults: island=node=gpus, nv:200@1, pcie:16@3, ib:23@30); the
+topology's GPU count must equal the request's";
+
+/// SessionConfig flags that take a value (space-separated).
+const CONFIG_VALUES: &str = "vector-size tensor-size rate dist vectors seed batch dims gpus \
+                             oversub scheduler bounds prefetch-tasks topology inject-faults \
+                             retry store";
+
+/// SessionConfig flags that stand bare.
+const CONFIG_SWITCHES: &str = "overlap async-copy topology-aware steal prefetch";
+
+/// A subcommand: its handler, whether it reads a [`SessionConfig`], and
+/// the flags it reads besides SessionConfig's — space-separated, those
+/// taking a value and bare switches.
+struct Grammar {
+    run: fn(&Args) -> Result<(), String>,
+    config: bool,
+    values: &'static str,
+    switches: &'static str,
+}
+
+fn grammar(name: &str) -> Option<Grammar> {
+    let g = |run, config, values, switches| Grammar {
+        run,
+        config,
+        values,
+        switches,
+    };
+    Some(match name {
+        "run" => g(run_cmd, true, "load save trace-out trace-raw", "mappings"),
+        "plan" => g(
+            plan,
+            true,
+            "load save out format deny thrash-window",
+            "lint",
+        ),
+        "lint" => g(
+            lint,
+            true,
+            "load save plan format deny mem-mib thrash-window",
+            "",
+        ),
+        "certify" => g(
+            certify,
+            true,
+            "load save plan trace transfers eps-us format deny",
+            "",
+        ),
+        "execute" => g(
+            execute,
+            true,
+            "load save plan backend trace-out trace-raw",
+            "",
+        ),
+        "replay" => g(replay, true, "load save plan times", ""),
+        "exec" => g(exec, true, "load save trace-out trace-raw", ""),
+        "compare" => g(compare, true, "load save", "mappings"),
+        "sweep" => g(sweep, true, "param values", ""),
+        "redstar" => g(redstar, true, "preset scale", ""),
+        "cluster" => g(cluster, true, "load save nodes gpus-per-node", ""),
+        "load" => g(
+            load_cmd,
+            true,
+            "addr duration drain jobs-per-sec tenants",
+            "",
+        ),
+        "serve" => g(
+            serve_cmd,
+            false,
+            "addr pool-gpus max-queue mem-headroom time-scale store tenants \
+             default-priority default-weight max-runtime-secs",
+            "",
+        ),
+        "train" => g(train, false, "samples seed", ""),
+        "store" => g(store_cmd, false, "dir store", "strict"),
+        "info" => g(info, false, "", ""),
+        _ => return None,
+    })
+}
+
+/// Whether the space-separated `list` names `key`.
+fn lists(list: &str, key: &str) -> bool {
+    list.split_whitespace().any(|k| k == key)
+}
 
 /// Dispatch a parsed command line.
 pub fn dispatch(args: &Args) -> Result<(), String> {
+    let name = args.command.as_deref().ok_or("no command given")?;
+    let grammar = grammar(name).ok_or_else(|| format!("unknown command '{name}'"))?;
     // only `store` takes a sub-action (`store stats` etc.)
     if let Some(sub) = &args.subaction {
-        if args.command.as_deref() != Some("store") {
+        if name != "store" {
             return Err(format!("unexpected argument '{sub}'"));
         }
     }
-    match args.command.as_deref() {
-        Some("synthetic") => synthetic(args),
-        Some("run") => run_session(args),
-        Some("redstar") => redstar(args),
-        Some("sweep") => sweep(args),
-        Some("train") => train(args),
-        Some("cluster") => cluster(args),
-        Some("compare") => compare(args),
-        Some("exec") => exec(args),
-        Some("plan") => plan(args),
-        Some("lint") => lint(args),
-        Some("certify") => certify(args),
-        Some("execute") => execute(args),
-        Some("replay") => replay(args),
-        Some("trace") => trace(args),
-        Some("serve") => serve_cmd(args),
-        Some("load") => load_cmd(args),
-        Some("store") => store_cmd(args),
-        Some("info") => {
-            info();
-            Ok(())
+    check_flags(args, &grammar)?;
+    (grammar.run)(args)
+}
+
+/// Reject every flag `grammar` does not read, a value-taking flag given
+/// bare (or a switch given a value), and a SessionConfig flag given
+/// beside `--config` — each error names the flag.
+fn check_flags(args: &Args, grammar: &Grammar) -> Result<(), String> {
+    let beside_file = grammar.config && args.get("config").is_some();
+    for (key, has_value) in args.given() {
+        let (takes_value, config_key) =
+            if lists(grammar.values, key) || (grammar.config && key == "config") {
+                (true, false)
+            } else if lists(grammar.switches, key) {
+                (false, false)
+            } else if grammar.config && lists(CONFIG_VALUES, key) {
+                (true, true)
+            } else if grammar.config && lists(CONFIG_SWITCHES, key) {
+                (false, true)
+            } else {
+                return Err(format!("unknown flag --{key}"));
+            };
+        if config_key && beside_file {
+            return Err(format!(
+                "--{key} cannot be combined with --config: set it in the config file"
+            ));
         }
-        Some(other) => Err(format!("unknown command '{other}'")),
-        None => Err("no command given".to_owned()),
+        if takes_value && !has_value {
+            return Err(format!("--{key} needs a value"));
+        }
+        if !takes_value && has_value {
+            return Err(format!("--{key} takes no value"));
+        }
     }
+    Ok(())
 }
 
-fn parse_dist(s: &str) -> Result<RepeatDistribution, String> {
-    match s {
-        "uniform" => Ok(RepeatDistribution::Uniform),
-        "gaussian" => Ok(RepeatDistribution::Gaussian),
-        "zipf" => Ok(RepeatDistribution::Zipf),
-        other => Err(format!(
-            "unknown distribution '{other}' (uniform|gaussian|zipf)"
-        )),
-    }
-}
-
-fn parse_bounds(args: &Args) -> Result<ReuseBounds, String> {
-    let list = args
-        .parse_list_or("bounds", vec![0usize, 2, 0])
-        .map_err(|e| e.to_string())?;
-    if list.len() != 3 {
-        return Err("--bounds needs exactly three comma-separated integers".into());
-    }
-    Ok(ReuseBounds::new(list[0], list[1], list[2]))
-}
-
-fn build_scheduler(args: &Args) -> Result<Box<dyn Scheduler>, String> {
-    match args.str_or("scheduler", "micco").as_str() {
-        "micco" => Ok(Box::new(MiccoScheduler::new(parse_bounds(args)?))),
-        "micco-naive" => Ok(Box::new(MiccoScheduler::naive())),
-        "groute" => Ok(Box::new(GrouteScheduler::new())),
-        "coda" => Ok(Box::new(micco_core::CodaScheduler::new())),
-        "rr" | "round-robin" => Ok(Box::new(RoundRobinScheduler::new())),
-        other => Err(format!(
-            "unknown scheduler '{other}' (micco|micco-naive|groute|coda|rr)"
-        )),
-    }
-}
-
-fn machine_for(args: &Args, stream: &TensorPairStream) -> Result<MachineConfig, String> {
-    let gpus: usize = args.parse_or("gpus", 8).map_err(|e| e.to_string())?;
-    machine_with_gpus(args, stream, gpus)
-}
-
-/// [`machine_for`] with the device count fixed by the caller (plans carry
-/// their own).
-fn machine_with_gpus(
+/// The one config grammar: fold the command line into a validated
+/// [`SessionConfig`]. With `--config FILE` the file is the whole request
+/// (the same JSON schema `serve` accepts in submission bodies); otherwise
+/// every flag mirrors into the struct, so both spellings drive identical
+/// machinery and key the durable plan store identically. `plan_gpus`,
+/// when given, replaces the device count before validation: commands
+/// that read a plan take it from the plan.
+fn session_config_from_args(
     args: &Args,
-    stream: &TensorPairStream,
-    gpus: usize,
-) -> Result<MachineConfig, String> {
-    let mut cfg = MachineConfig::mi100_like(gpus);
-    // `--overlap` is the pipelined-execution spelling; `--async-copy` is
-    // kept as the original alias
-    if args.flag("async-copy") || args.flag("overlap") {
-        cfg = cfg.with_cost(cfg.cost.with_async_copy());
+    plan_gpus: Option<usize>,
+) -> Result<SessionConfig, String> {
+    let mut cfg = match args.get("config") {
+        Some(path) => {
+            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+            SessionConfig::parse(&text).map_err(|e| format!("{path}: {e}"))?
+        }
+        None => config_from_flags(args)?,
+    };
+    if let Some(gpus) = plan_gpus {
+        cfg.gpus = gpus;
     }
-    let prefetch: usize = args
-        .parse_or("prefetch-tasks", 0)
-        .map_err(|e| e.to_string())?;
-    if prefetch > 0 {
-        cfg = cfg.with_cost(cfg.cost.with_prefetch_tasks(prefetch));
-    }
-    let oversub: f64 = args.parse_or("oversub", 0.0).map_err(|e| e.to_string())?;
-    if oversub > 0.0 {
-        cfg = cfg.with_oversubscription(stream.unique_bytes(), oversub);
-    }
+    cfg.validate().map_err(|e| e.to_string())?;
     Ok(cfg)
 }
 
-/// [`DriverOptions`] mirroring the machine flags. The [`Session`] applies
-/// its own options to the machine config, so overlap/prefetch must travel
-/// here too — otherwise the defaults would reset them.
-fn driver_options(args: &Args) -> Result<DriverOptions, String> {
-    let mut opts = DriverOptions::default().with_measure_overhead();
-    if args.flag("async-copy") || args.flag("overlap") {
-        opts = opts.with_overlap();
-    }
-    let prefetch: usize = args
-        .parse_or("prefetch-tasks", 0)
-        .map_err(|e| e.to_string())?;
-    if prefetch > 0 {
-        opts = opts.with_prefetch_tasks(prefetch);
-    }
-    if args.flag("topology-aware") {
-        opts = opts.with_topology_aware();
-    }
-    Ok(opts)
-}
-
-/// The one config grammar: fold the command line into a [`SessionConfig`].
-/// With `--config FILE` the file is the whole story (the same JSON schema
-/// `serve` accepts in submission bodies); otherwise every individual flag
-/// mirrors into the struct, so both spellings drive identical machinery —
-/// and key the durable plan store identically.
-fn session_config_from_args(args: &Args) -> Result<SessionConfig, String> {
-    if let Some(path) = args.get("config") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        return SessionConfig::parse(&text).map_err(|e| e.to_string());
-    }
+/// [`SessionConfig`] from its mirrored flags, defaults elsewhere
+/// (validated by the caller).
+fn config_from_flags(args: &Args) -> Result<SessionConfig, String> {
     let mut cfg = SessionConfig::default();
     cfg.vector_size = args
         .parse_or("vector-size", cfg.vector_size)
@@ -313,6 +335,8 @@ fn session_config_from_args(args: &Args) -> Result<SessionConfig, String> {
         return Err("--bounds needs exactly three comma-separated integers".into());
     }
     cfg.bounds = [bounds[0], bounds[1], bounds[2]];
+    // `--overlap` is the pipelined-execution spelling; `--async-copy` is
+    // kept as the original alias
     cfg.overlap = args.flag("overlap") || args.flag("async-copy");
     cfg.prefetch_tasks = args
         .parse_or("prefetch-tasks", cfg.prefetch_tasks)
@@ -358,12 +382,11 @@ fn session_config_from_args(args: &Args) -> Result<SessionConfig, String> {
     }
     cfg.steal = args.flag("steal");
     cfg.prefetch = args.flag("prefetch");
-    cfg.validate().map_err(|e| e.to_string())?;
     Ok(cfg)
 }
 
-/// The workload for a config-driven command, honouring `--load FILE` /
-/// `--save FILE` exactly as [`synthetic_stream`] does.
+/// The workload of the request: `--load FILE` when given, else the
+/// config's synthetic stream (written to `--save FILE` when asked).
 fn stream_for(args: &Args, cfg: &SessionConfig) -> Result<TensorPairStream, String> {
     if let Some(path) = args.get("load") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -378,6 +401,45 @@ fn stream_for(args: &Args, cfg: &SessionConfig) -> Result<TensorPairStream, Stri
     Ok(stream)
 }
 
+/// The request of a command that needs no plan: its config, workload and
+/// session.
+fn request(args: &Args) -> Result<(SessionConfig, TensorPairStream, Session), String> {
+    let cfg = session_config_from_args(args, None)?;
+    let stream = stream_for(args, &cfg)?;
+    let session = cfg.session(&stream).map_err(|e| e.to_string())?;
+    Ok((cfg, stream, session))
+}
+
+/// The request of a command that consumes a plan: `--plan FILE` when
+/// given (its GPU count applied to the config), else the plan the same
+/// request keyed into the durable store named by `--store DIR`.
+fn planned_request(
+    args: &Args,
+) -> Result<(SessionConfig, TensorPairStream, Session, SchedulePlan), String> {
+    let file_plan = match args.get("plan") {
+        Some(_) => Some(load_plan(args)?),
+        None => None,
+    };
+    let cfg = session_config_from_args(args, file_plan.as_ref().map(|p| p.num_gpus))?;
+    let stream = stream_for(args, &cfg)?;
+    let session = cfg.session(&stream).map_err(|e| e.to_string())?;
+    let plan = match (file_plan, &cfg.store) {
+        (Some(plan), _) => plan,
+        (None, Some(dir)) => fetch_plan_from_store(&cfg, &session, dir, &stream)?,
+        (None, None) => return Err("this command needs --plan FILE or --store DIR".to_owned()),
+    };
+    Ok((cfg, stream, session, plan))
+}
+
+/// Read a plan written by [`plan`] from `--plan FILE`.
+fn load_plan(args: &Args) -> Result<SchedulePlan, String> {
+    let path = args
+        .get("plan")
+        .ok_or_else(|| "this command needs --plan FILE".to_owned())?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    SchedulePlan::from_text(&text).map_err(|e| format!("{path}: {e}"))
+}
+
 /// Open the durable plan cache at `dir`, surfacing anything recovery had
 /// to repair or quarantine on the way in.
 fn open_store(dir: &str) -> Result<DurablePlanCache, String> {
@@ -389,29 +451,25 @@ fn open_store(dir: &str) -> Result<DurablePlanCache, String> {
     Ok(cache)
 }
 
-/// Decide — or durably re-serve — the plan for the request described by
-/// `scfg` through the store at `dir`, reporting where it came from. The
-/// key is built from the config's planning-relevant fields only, so the
-/// CLI and the `serve` daemon warm-start each other's stores.
-fn plan_via_store(
-    scfg: &SessionConfig,
-    dir: &str,
+/// Decide the request's plan with `session`, or durably re-serve it from
+/// the store the config names, reporting where it came from. The CLI and
+/// the `serve` daemon key plans the same way, so each warm-starts the
+/// other's store.
+fn decide(
+    cfg: &SessionConfig,
+    session: &Session,
     stream: &TensorPairStream,
-) -> Result<SchedulePlan, String> {
-    let cfg = scfg.machine(stream);
-    let topology = scfg.link_topology().map_err(|e| e.to_string())?;
+) -> Result<Planned, String> {
+    let mut sched = cfg.build_scheduler().map_err(|e| e.to_string())?;
+    let Some(dir) = &cfg.store else {
+        return session
+            .plan(sched.as_mut(), stream)
+            .map_err(|e| e.to_string());
+    };
     let mut cache = open_store(dir)?;
-    let mut sched = scfg.build_scheduler().map_err(|e| e.to_string())?;
-    let plan = cache
-        .plan_for_with_topology(
-            sched.as_mut(),
-            stream,
-            &cfg,
-            scfg.plan_options(),
-            topology.as_ref(),
-        )
-        .map_err(|e| e.to_string())?
-        .clone();
+    let planned = session
+        .plan_with_cache(&mut cache, sched.as_mut(), stream)
+        .map_err(|e| e.to_string())?;
     let source = if cache.log_hits() > 0 {
         "replayed from log (scheduler not invoked)"
     } else {
@@ -422,32 +480,31 @@ fn plan_via_store(
         cache.store().len(),
         cache.rejected(),
     );
-    Ok(plan)
+    Ok(planned)
 }
 
 /// Fetch a previously decided plan from the store at `dir` without ever
-/// planning: the key is rebuilt from the same config `plan --store` keyed
-/// it under, so the command line must describe the same request.
+/// planning: the key is rebuilt from the same request `plan --store`
+/// keyed it under, so the command line must describe the same request.
 fn fetch_plan_from_store(
-    scfg: &SessionConfig,
+    cfg: &SessionConfig,
+    session: &Session,
     dir: &str,
     stream: &TensorPairStream,
 ) -> Result<SchedulePlan, String> {
-    let cfg = scfg.machine(stream);
-    let topology = scfg.link_topology().map_err(|e| e.to_string())?;
-    let sched = scfg.build_scheduler().map_err(|e| e.to_string())?;
+    let sched = cfg.build_scheduler().map_err(|e| e.to_string())?;
     let key = PlanCache::key_for_with_topology(
         sched.as_ref(),
         stream,
-        &cfg,
-        scfg.plan_options(),
-        topology.as_ref(),
+        session.config(),
+        *session.options(),
+        session.topology(),
     );
     let mut cache = open_store(dir)?;
     let plan = cache.lookup(key).cloned().ok_or_else(|| {
         format!(
             "no plan for this request in {dir} ({} live plan(s), {} rejected) — \
-             decide one first: micco plan --store {dir} <same workload flags>",
+             decide one first: micco plan --store {dir} <same request flags>",
             cache.store().len(),
             cache.rejected(),
         )
@@ -456,106 +513,32 @@ fn fetch_plan_from_store(
     Ok(plan)
 }
 
-/// `micco store <stats|verify|compact> --dir DIR`: inspect and maintain
-/// a durable plan store outside any planning command.
-fn store_cmd(args: &Args) -> Result<(), String> {
-    let dir = args
-        .get("dir")
-        .or_else(|| args.get("store"))
-        .ok_or_else(|| "store needs --dir DIR (or --store DIR)".to_owned())?;
-    match args.subaction.as_deref() {
-        None | Some("stats") => {
-            let store = PlanStore::open(dir).map_err(|e| e.to_string())?;
-            let s = store.stats();
-            println!(
-                "store {dir}: {} live record(s) in {} fragment(s), {} bytes on disk",
-                s.live_records, s.fragments, s.disk_bytes
-            );
-            match s.snapshot {
-                Some(seq) => println!("  snapshot watermark: seq {seq}"),
-                None => println!("  snapshot watermark: none"),
-            }
-            println!("  next fragment seq: {}", s.next_seq);
-            println!("  recovery: {}", s.recovery);
-            Ok(())
-        }
-        Some("verify") => {
-            let report = PlanStore::verify_dir(dir).map_err(|e| e.to_string())?;
-            println!("{report}");
-            if report.is_clean() {
-                println!(
-                    "store {dir}: clean ({} record(s) verified)",
-                    report.records()
-                );
-                Ok(())
-            } else if args.flag("strict") {
-                Err(format!("store {dir}: integrity findings (see above)"))
-            } else {
-                println!(
-                    "store {dir}: integrity findings — reopening recovers the clean \
-                     prefix; `micco store compact --dir {dir}` then drops the damage"
-                );
-                Ok(())
-            }
-        }
-        Some("compact") => {
-            let mut store = PlanStore::open(dir).map_err(|e| e.to_string())?;
-            let r = store.compact().map_err(|e| e.to_string())?;
-            println!(
-                "store {dir}: folded {} fragment(s) into a snapshot of {} live record(s); \
-                 removed {} file(s), reclaimed {} bytes",
-                r.folded_fragments, r.live_records, r.removed_files, r.reclaimed_bytes
-            );
-            Ok(())
-        }
-        Some(other) => Err(format!(
-            "unknown store action '{other}' (stats|verify|compact)"
-        )),
-    }
-}
-
-/// Parse `--topology FILE|SPEC` into a link topology. The value is read
-/// as a file when one exists at that path, otherwise parsed directly as a
-/// `nvlink{…}` spec; the literal `flat` (or an absent flag) means uniform
-/// device-to-device cost, exactly as before this option existed.
-fn parse_topology(args: &Args) -> Result<Option<LinkTopology>, String> {
-    let Some(value) = args.get("topology") else {
-        return Ok(None);
-    };
-    if value == "flat" {
-        return Ok(None);
-    }
-    let spec = if std::path::Path::new(value).is_file() {
-        std::fs::read_to_string(value).map_err(|e| format!("{value}: {e}"))?
-    } else {
-        value.to_owned()
-    };
-    LinkTopology::parse(spec.trim())
-        .map(Some)
-        .map_err(|e| format!("--topology: {e}"))
-}
-
 /// Fresh recorder when `--trace-out FILE` or `--trace-raw FILE` was
 /// given, `None` otherwise.
-fn trace_recorder(args: &Args) -> Option<std::sync::Arc<Recorder>> {
+fn trace_recorder(args: &Args) -> Option<Arc<Recorder>> {
     (args.get("trace-out").is_some() || args.get("trace-raw").is_some()).then(Recorder::shared)
 }
 
-/// Write the recorder's timeline as Perfetto-loadable JSON to `path`.
-fn write_perfetto(recorder: &Recorder, path: &str) -> Result<(), String> {
-    std::fs::write(path, recorder.to_perfetto_json()).map_err(|e| format!("{path}: {e}"))?;
-    println!(
-        "wrote {} trace event(s) to {path} (open in Perfetto / chrome://tracing)",
-        recorder.len()
-    );
-    Ok(())
+/// `session` recording into `recorder`, when there is one.
+fn traced(session: Session, recorder: &Option<Arc<Recorder>>) -> Session {
+    match recorder {
+        Some(r) => session.trace(r.clone()).metrics(r.metrics()),
+        None => session,
+    }
 }
 
 /// Honour `--trace-out FILE` (Perfetto JSON) and `--trace-raw FILE`
 /// (lossless `micco-trace v1` text, the input format of `certify`).
-fn write_trace_files(recorder: &Recorder, args: &Args) -> Result<(), String> {
+fn write_trace_files(recorder: &Option<Arc<Recorder>>, args: &Args) -> Result<(), String> {
+    let Some(recorder) = recorder else {
+        return Ok(());
+    };
     if let Some(path) = args.get("trace-out") {
-        write_perfetto(recorder, path)?;
+        std::fs::write(path, recorder.to_perfetto_json()).map_err(|e| format!("{path}: {e}"))?;
+        println!(
+            "wrote {} trace event(s) to {path} (open in Perfetto / chrome://tracing)",
+            recorder.len()
+        );
     }
     if let Some(path) = args.get("trace-raw") {
         std::fs::write(path, recorder.to_trace_text()).map_err(|e| format!("{path}: {e}"))?;
@@ -567,41 +550,21 @@ fn write_trace_files(recorder: &Recorder, args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `micco run`: the synthetic pipeline through the [`Session`] API, with
-/// optional end-to-end telemetry (`--trace-out FILE`).
-fn run_session(args: &Args) -> Result<(), String> {
-    let scfg = session_config_from_args(args)?;
-    let stream = stream_for(args, &scfg)?;
-    // with --store, the decision step goes through the durable cache (a
-    // warm restart replays the logged plan without invoking the
-    // scheduler); the session then executes the plan either way
-    let stored_plan = match &scfg.store {
-        Some(dir) => Some(plan_via_store(&scfg, dir, &stream)?),
-        None => None,
-    };
-    let mut session = scfg.session(&stream).map_err(|e| e.to_string())?;
+/// `micco run`: decide and simulate the request through the [`Session`]
+/// API, with optional end-to-end telemetry.
+fn run_cmd(args: &Args) -> Result<(), String> {
+    let (cfg, stream, session) = request(args)?;
     let recorder = trace_recorder(args);
-    if let Some(r) = &recorder {
-        session = session.trace(r.clone()).metrics(r.metrics());
-    }
-    let report = match &stored_plan {
-        Some(plan) => session.replay(plan, &stream).map_err(|e| e.to_string())?,
-        None => {
-            let mut sched = scfg.build_scheduler().map_err(|e| e.to_string())?;
-            session
-                .run(sched.as_mut(), &stream)
-                .map_err(|e| e.to_string())?
-        }
-    };
+    let session = traced(session, &recorder);
+    let report = decide(&cfg, &session, &stream)?
+        .execute(&stream)
+        .map_err(|e| e.to_string())?;
     print_report(&report);
     if args.flag("mappings") {
         let hist = micco_core::mapping_histogram(&stream, &report.assignments, session.config());
         println!("  Fig. 4 mappings: {hist}");
     }
-    if let Some(r) = &recorder {
-        write_trace_files(r, args)?;
-    }
-    Ok(())
+    write_trace_files(&recorder, args)
 }
 
 fn print_report(r: &ScheduleReport) {
@@ -627,76 +590,290 @@ fn print_report(r: &ScheduleReport) {
     );
 }
 
-/// Build (or load) the synthetic workload described by the common options,
-/// honouring `--load FILE` / `--save FILE`.
-fn synthetic_stream(args: &Args) -> Result<TensorPairStream, String> {
-    if let Some(path) = args.get("load") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        return micco_workload::from_text(&text).map_err(|e| e.to_string());
-    }
-    let mut spec = WorkloadSpec::new(
-        args.parse_or("vector-size", 64)
-            .map_err(|e| e.to_string())?,
-        args.parse_or("tensor-size", 384)
-            .map_err(|e| e.to_string())?,
-    )
-    .with_repeat_rate(args.parse_or("rate", 0.5).map_err(|e| e.to_string())?)
-    .with_distribution(parse_dist(&args.str_or("dist", "uniform"))?)
-    .with_vectors(args.parse_or("vectors", 10).map_err(|e| e.to_string())?)
-    .with_seed(args.parse_or("seed", 0).map_err(|e| e.to_string())?)
-    .with_batch(args.parse_or("batch", 4).map_err(|e| e.to_string())?);
-    if let Some(dims) = args.get("dims") {
-        let dims: Vec<usize> = dims
-            .split(',')
-            .map(|d| {
-                d.trim()
-                    .parse()
-                    .map_err(|_| format!("bad --dims entry '{d}'"))
-            })
-            .collect::<Result<_, _>>()?;
-        spec = spec.with_dim_choices(dims);
-    }
-    let stream = spec.generate();
-    if let Some(path) = args.get("save") {
-        std::fs::write(path, micco_workload::to_text(&stream))
-            .map_err(|e| format!("{path}: {e}"))?;
-        println!("saved workload to {path}");
-    }
-    Ok(stream)
-}
-
-fn synthetic(args: &Args) -> Result<(), String> {
-    let stream = synthetic_stream(args)?;
-
-    let cfg = machine_for(args, &stream)?;
+/// Decide a schedule without executing it: write the plan IR to `--out`.
+fn plan(args: &Args) -> Result<(), String> {
+    let (cfg, stream, session) = request(args)?;
+    let plan = decide(&cfg, &session, &stream)?.into_plan();
+    let out = args.str_or("out", "micco-plan.txt");
+    std::fs::write(&out, plan.to_text()).map_err(|e| format!("{out}: {e}"))?;
     println!(
-        "workload: {} vectors × {} pairs, {:.1} GFLOP, working set {:.1} MiB; machine: {} GPUs × {:.1} GiB{}",
-        stream.vectors.len(),
-        stream.vectors.first().map(|v| v.len()).unwrap_or(0),
-        stream.total_flops() as f64 / 1e9,
-        stream.unique_bytes() as f64 / (1 << 20) as f64,
-        cfg.num_gpus,
-        cfg.mem_bytes as f64 / (1u64 << 30) as f64,
-        if cfg.cost.async_copy { ", async copy" } else { "" },
+        "plan: {} | {} stages, {} tasks on {} GPUs | fingerprint {:#018x}",
+        plan.scheduler,
+        plan.stages.len(),
+        plan.total_tasks(),
+        plan.num_gpus,
+        plan.fingerprint,
     );
-    let mut sched = build_scheduler(args)?;
-    // the report prints a scheduling-overhead column, so opt into timing
-    let report = run_schedule_with(
-        sched.as_mut(),
-        &stream,
-        &cfg,
-        DriverOptions::default().with_measure_overhead(),
-    )
-    .map_err(|e| e.to_string())?;
-    print_report(&report);
-    if args.flag("mappings") {
-        let hist = micco_core::mapping_histogram(&stream, &report.assignments, &cfg);
-        println!("  Fig. 4 mappings: {hist}");
+    println!(
+        "decide overhead {:.3} ms; wrote {out}",
+        plan.overhead_secs * 1e3
+    );
+    if args.flag("lint") {
+        let report = analyze_plan_with_topology(
+            &plan,
+            &stream,
+            session.config(),
+            &analysis_config(args)?,
+            session.topology(),
+        );
+        emit_report(&report, args, &out)?;
     }
     Ok(())
 }
 
+/// Statically verify a plan file against the rebuilt workload: replay it
+/// through the abstract interpreter and report diagnostics without
+/// spending any (simulated) GPU time.
+fn lint(args: &Args) -> Result<(), String> {
+    let path = args.get("plan").ok_or("lint needs --plan FILE")?;
+    let (_, stream, session, plan) = planned_request(args)?;
+    let mut machine = *session.config();
+    let mem_mib: u64 = args.parse_or("mem-mib", 0).map_err(|e| e.to_string())?;
+    if mem_mib > 0 {
+        machine = machine.with_mem_bytes(mem_mib << 20);
+    }
+    let report = analyze_plan_with_topology(
+        &plan,
+        &stream,
+        &machine,
+        &analysis_config(args)?,
+        session.topology(),
+    );
+    emit_report(&report, args, path)
+}
+
+/// Prove an executed trace is a linearization of its plan: rebuild the
+/// dependence DAG by symbolic replay, ingest the `micco-trace v1` text
+/// from `--trace FILE`, and report every happens-before violation through
+/// the same `--format`/`--deny` pipeline as `lint`.
+fn certify(args: &Args) -> Result<(), String> {
+    args.get("plan").ok_or("certify needs --plan FILE")?;
+    let trace_path = args
+        .get("trace")
+        .ok_or("certify needs --trace FILE (micco-trace v1 text, written by --trace-raw)")?;
+    let text = std::fs::read_to_string(trace_path).map_err(|e| format!("{trace_path}: {e}"))?;
+    let events = parse_trace_text(&text).map_err(|e| format!("{trace_path}: {e}"))?;
+    let (_, stream, session, plan) = planned_request(args)?;
+    let report = certify_trace_with(
+        &plan,
+        &stream,
+        session.config(),
+        &certify_config(args)?,
+        session.topology(),
+        &events,
+    );
+    emit_report(&report, args, trace_path)
+}
+
+/// Execute a previously decided plan on the rebuilt workload, on the
+/// simulator (`--backend sim`, the default) or with real kernels
+/// (`--backend real`).
+fn execute(args: &Args) -> Result<(), String> {
+    let (cfg, stream, session, plan) = planned_request(args)?;
+    let recorder = trace_recorder(args);
+    match args.str_or("backend", "sim").as_str() {
+        "sim" => {
+            let report = traced(session, &recorder)
+                .replay(&plan, &stream)
+                .map_err(|e| e.to_string())?;
+            print_report(&report);
+        }
+        "real" => compute(&cfg, &stream, &plan, &recorder)?,
+        other => return Err(format!("unknown backend '{other}' (sim|real)")),
+    }
+    write_trace_files(&recorder, args)
+}
+
+/// Replay a plan `--times N` times on fresh simulators and verify the
+/// outcome is identical on every run (plans are deterministic artifacts).
+fn replay(args: &Args) -> Result<(), String> {
+    let (_, stream, session, plan) = planned_request(args)?;
+    let times: usize = args.parse_or("times", 3).map_err(|e| e.to_string())?;
+    if times == 0 {
+        return Err("--times must be at least 1".into());
+    }
+    let mut reference: Option<ScheduleReport> = None;
+    for _ in 0..times {
+        let report = session.replay(&plan, &stream).map_err(|e| e.to_string())?;
+        match &reference {
+            None => reference = Some(report),
+            Some(r) => {
+                if report.assignments != r.assignments || report.elapsed_secs() != r.elapsed_secs()
+                {
+                    return Err("replay diverged between runs".into());
+                }
+            }
+        }
+    }
+    let r = reference.expect("times >= 1");
+    println!(
+        "replayed {} × {} tasks: {:.0} GFLOPS | elapsed {:.3} ms | identical on all {times} runs",
+        times,
+        r.assignments.len(),
+        r.gflops(),
+        r.elapsed_secs() * 1e3
+    );
+    Ok(())
+}
+
+/// `micco exec`: decide the request, then compute its kernels on one
+/// worker thread per GPU — `plan` and `execute --backend real` in one step.
+fn exec(args: &Args) -> Result<(), String> {
+    let (cfg, stream, session) = request(args)?;
+    let plan = decide(&cfg, &session, &stream)?.into_plan();
+    let recorder = trace_recorder(args);
+    compute(&cfg, &stream, &plan, &recorder)?;
+    write_trace_files(&recorder, args)
+}
+
+/// Compute `plan`'s kernels with the real executor on one worker per
+/// planned GPU, under the config's tensor shape, seed, stealing,
+/// prefetching, retry budget and injected faults.
+fn compute(
+    cfg: &SessionConfig,
+    stream: &TensorPairStream,
+    plan: &SchedulePlan,
+    recorder: &Option<Arc<Recorder>>,
+) -> Result<(), String> {
+    let faults = cfg.fault_plan().map_err(|e| e.to_string())?;
+    let mut opts = ExecOptions::default().with_faults(faults.clone());
+    if cfg.steal {
+        opts = opts.with_steal();
+    }
+    if cfg.prefetch {
+        opts = opts.with_prefetch();
+    }
+    if let Some(r) = cfg.retry {
+        opts = opts.retry(r.max_attempts, Duration::from_micros(r.delay_us));
+    }
+    if let Some(r) = recorder {
+        opts = opts.with_trace(r.clone());
+    }
+    let store = TensorStore::new(cfg.batch, cfg.tensor_size, cfg.seed);
+    let out = execute_plan_real(stream, plan, &store, &opts).map_err(|e| e.to_string())?;
+    println!(
+        "{}: computed {} kernels on {} threads in {:.1} ms",
+        plan.scheduler,
+        out.kernels,
+        plan.num_gpus,
+        out.wall_secs * 1e3
+    );
+    println!("tasks per worker (assigned): {:?}", out.per_worker_tasks);
+    if opts.steal {
+        println!(
+            "tasks per worker (executed): {:?} ({} stolen)",
+            out.per_worker_executed, out.steals
+        );
+    }
+    if faults.fault_count() > 0 {
+        println!(
+            "chaos: {} fault(s) injected | {} hit | {} retries | {} worker(s) lost",
+            faults.fault_count(),
+            out.faults,
+            out.retries,
+            out.lost_workers
+        );
+    }
+    println!("checksum: {}", out.checksum);
+    Ok(())
+}
+
+/// Run every scheduler on the request.
+fn compare(args: &Args) -> Result<(), String> {
+    let (cfg, stream, session) = request(args)?;
+    let mut contenders: Vec<Box<dyn Scheduler>> = vec![
+        Box::new(RoundRobinScheduler::new()),
+        Box::new(GrouteScheduler::new()),
+        Box::new(micco_core::CodaScheduler::new()),
+        Box::new(MiccoScheduler::naive()),
+        Box::new(MiccoScheduler::new(ReuseBounds::from(cfg.bounds))),
+    ];
+    let mut baseline = None;
+    for s in contenders.iter_mut() {
+        let r = session
+            .run(s.as_mut(), &stream)
+            .map_err(|e| e.to_string())?;
+        let speedup = match &baseline {
+            None => {
+                baseline = Some(r.elapsed_secs());
+                1.0
+            }
+            Some(b) => b / r.elapsed_secs(),
+        };
+        print!(
+            "{:<24} {:>9.0} GFLOPS  {:>7.2}x vs rr",
+            r.scheduler,
+            r.gflops(),
+            speedup
+        );
+        if args.flag("mappings") {
+            let hist = micco_core::mapping_histogram(&stream, &r.assignments, session.config());
+            print!("  | {hist}");
+        }
+        println!();
+    }
+    Ok(())
+}
+
+/// The configured scheduler against Groute, one request per `--values`
+/// entry of `--param`.
+fn sweep(args: &Args) -> Result<(), String> {
+    let base = session_config_from_args(args, None)?;
+    let param = args.str_or("param", "rate");
+    let values: Vec<f64> = args
+        .parse_list_or(
+            "values",
+            match param.as_str() {
+                "rate" => vec![0.25, 0.5, 0.75, 1.0],
+                "tensor-size" => vec![128.0, 256.0, 384.0, 768.0],
+                "vector-size" => vec![8.0, 16.0, 32.0, 64.0],
+                "gpus" => vec![1.0, 2.0, 4.0, 8.0],
+                "oversub" => vec![1.25, 1.5, 1.75, 2.0],
+                other => return Err(format!("unknown sweep param '{other}'")),
+            },
+        )
+        .map_err(|e| e.to_string())?;
+
+    println!(
+        "{:<12} {:>12} {:>12} {:>10}",
+        param, "Groute GF", "MICCO GF", "speedup"
+    );
+    for v in values {
+        let mut cfg = base.clone();
+        match param.as_str() {
+            "rate" => cfg.rate = v,
+            "tensor-size" => cfg.tensor_size = v as usize,
+            "vector-size" => cfg.vector_size = v as usize,
+            "gpus" => cfg.gpus = v as usize,
+            "oversub" => cfg.oversub = v,
+            _ => unreachable!("validated above"),
+        }
+        cfg.validate()
+            .map_err(|e| format!("--param {param} {v}: {e}"))?;
+        let stream = cfg.stream().map_err(|e| e.to_string())?;
+        let session = cfg.session(&stream).map_err(|e| e.to_string())?;
+        let g = session
+            .run(&mut GrouteScheduler::new(), &stream)
+            .map_err(|e| e.to_string())?;
+        let mut sched = cfg.build_scheduler().map_err(|e| e.to_string())?;
+        let m = session
+            .run(sched.as_mut(), &stream)
+            .map_err(|e| e.to_string())?;
+        println!(
+            "{:<12} {:>12.0} {:>12.0} {:>9.2}x",
+            v,
+            g.gflops(),
+            m.gflops(),
+            m.speedup_over(&g)
+        );
+    }
+    Ok(())
+}
+
+/// A Table VI correlator preset: Groute against the configured scheduler
+/// on the configured machine.
 fn redstar(args: &Args) -> Result<(), String> {
+    let cfg = session_config_from_args(args, None)?;
     let scale = match args.str_or("scale", "ci").as_str() {
         "paper" => PresetScale::Paper,
         "ci" => PresetScale::Ci,
@@ -725,70 +902,52 @@ fn redstar(args: &Args) -> Result<(), String> {
         program.stream.vectors.len(),
         program.working_set_bytes as f64 / (1u64 << 30) as f64,
     );
-    let cfg = machine_for(args, &program.stream)?;
-    let opts = DriverOptions::default().with_measure_overhead();
-    let groute = run_schedule_with(&mut GrouteScheduler::new(), &program.stream, &cfg, opts)
+    let session = cfg.session(&program.stream).map_err(|e| e.to_string())?;
+    let groute = session
+        .run(&mut GrouteScheduler::new(), &program.stream)
         .map_err(|e| e.to_string())?;
-    let mut micco = MiccoScheduler::new(parse_bounds(args)?);
-    let m =
-        run_schedule_with(&mut micco, &program.stream, &cfg, opts).map_err(|e| e.to_string())?;
+    let mut sched = cfg.build_scheduler().map_err(|e| e.to_string())?;
+    let m = session
+        .run(sched.as_mut(), &program.stream)
+        .map_err(|e| e.to_string())?;
     print_report(&groute);
     print_report(&m);
-    println!("speedup MICCO/Groute: {:.2}x", m.speedup_over(&groute));
+    println!(
+        "speedup {}/Groute: {:.2}x",
+        m.scheduler,
+        m.speedup_over(&groute)
+    );
     Ok(())
 }
 
-fn sweep(args: &Args) -> Result<(), String> {
-    let param = args.str_or("param", "rate");
-    let gpus: usize = args.parse_or("gpus", 8).map_err(|e| e.to_string())?;
-    let bounds = parse_bounds(args)?;
-    let values: Vec<f64> = args
-        .parse_list_or(
-            "values",
-            match param.as_str() {
-                "rate" => vec![0.25, 0.5, 0.75, 1.0],
-                "tensor-size" => vec![128.0, 256.0, 384.0, 768.0],
-                "vector-size" => vec![8.0, 16.0, 32.0, 64.0],
-                "gpus" => vec![1.0, 2.0, 4.0, 8.0],
-                "oversub" => vec![1.25, 1.5, 1.75, 2.0],
-                other => return Err(format!("unknown sweep param '{other}'")),
-            },
-        )
+/// Multi-node run of the configured workload: flat against hierarchical
+/// scheduling (with the configured reuse bounds inside each node).
+fn cluster(args: &Args) -> Result<(), String> {
+    let cfg = session_config_from_args(args, None)?;
+    let stream = stream_for(args, &cfg)?;
+    let nodes: usize = args.parse_or("nodes", 2).map_err(|e| e.to_string())?;
+    let gpus: usize = args
+        .parse_or("gpus-per-node", 4)
         .map_err(|e| e.to_string())?;
-
-    println!(
-        "{:<12} {:>12} {:>12} {:>10}",
-        param, "Groute GF", "MICCO GF", "speedup"
-    );
-    for v in values {
-        let mut spec = WorkloadSpec::new(64, 384)
-            .with_repeat_rate(0.5)
-            .with_vectors(8);
-        let mut cfg = MachineConfig::mi100_like(gpus);
-        match param.as_str() {
-            "rate" => spec = spec.with_repeat_rate(v),
-            "tensor-size" => spec.tensor_dim = v as usize,
-            "vector-size" => spec.vector_size = v as usize,
-            "gpus" => cfg = MachineConfig::mi100_like(v as usize),
-            "oversub" => {}
-            _ => unreachable!("validated above"),
-        }
-        let stream = spec.generate();
-        if param == "oversub" {
-            cfg = cfg.with_oversubscription(stream.unique_bytes(), v);
-        }
-        let g =
-            run_schedule(&mut GrouteScheduler::new(), &stream, &cfg).map_err(|e| e.to_string())?;
-        let mut micco = MiccoScheduler::new(bounds);
-        let m = run_schedule(&mut micco, &stream, &cfg).map_err(|e| e.to_string())?;
+    let cluster = ClusterConfig::mi100_cluster(nodes, gpus);
+    let flat = run_cluster_schedule(&mut FlatClusterScheduler::new(), &stream, &cluster)
+        .map_err(|e| e.to_string())?;
+    let mut hier = HierarchicalScheduler::new(nodes, 16, ReuseBounds::from(cfg.bounds));
+    let h = run_cluster_schedule(&mut hier, &stream, &cluster).map_err(|e| e.to_string())?;
+    for r in [&flat, &h] {
         println!(
-            "{:<12} {:>12.0} {:>12.0} {:>9.2}x",
-            v,
-            g.gflops(),
-            m.gflops(),
-            m.speedup_over(&g)
+            "{}: {:.0} GFLOPS | elapsed {:.3} ms | network transfers {} ({:.1} MiB)",
+            r.scheduler,
+            r.gflops(),
+            r.elapsed_secs * 1e3,
+            r.inter_transfers,
+            r.inter_bytes as f64 / (1 << 20) as f64
         );
     }
+    println!(
+        "hierarchical speedup: {:.2}x",
+        flat.elapsed_secs / h.elapsed_secs
+    );
     Ok(())
 }
 
@@ -820,224 +979,6 @@ fn train(args: &Args) -> Result<(), String> {
                 model.predict(&c).to_string()
             );
         }
-    }
-    Ok(())
-}
-
-fn cluster(args: &Args) -> Result<(), String> {
-    let nodes: usize = args.parse_or("nodes", 2).map_err(|e| e.to_string())?;
-    let gpus: usize = args
-        .parse_or("gpus-per-node", 4)
-        .map_err(|e| e.to_string())?;
-    let vectors: usize = args.parse_or("vectors", 8).map_err(|e| e.to_string())?;
-    let stream = WorkloadSpec::new(64, 384)
-        .with_repeat_rate(0.5)
-        .with_vectors(vectors)
-        .with_seed(args.parse_or("seed", 0).map_err(|e| e.to_string())?)
-        .generate();
-    let cfg = ClusterConfig::mi100_cluster(nodes, gpus);
-    let flat = run_cluster_schedule(&mut FlatClusterScheduler::new(), &stream, &cfg)
-        .map_err(|e| e.to_string())?;
-    let mut hier = HierarchicalScheduler::new(nodes, 16, parse_bounds(args)?);
-    let h = run_cluster_schedule(&mut hier, &stream, &cfg).map_err(|e| e.to_string())?;
-    for r in [&flat, &h] {
-        println!(
-            "{}: {:.0} GFLOPS | elapsed {:.3} ms | network transfers {} ({:.1} MiB)",
-            r.scheduler,
-            r.gflops(),
-            r.elapsed_secs * 1e3,
-            r.inter_transfers,
-            r.inter_bytes as f64 / (1 << 20) as f64
-        );
-    }
-    println!(
-        "hierarchical speedup: {:.2}x",
-        flat.elapsed_secs / h.elapsed_secs
-    );
-    Ok(())
-}
-
-fn compare(args: &Args) -> Result<(), String> {
-    let stream = synthetic_stream(args)?;
-    let cfg = machine_for(args, &stream)?;
-    let mut contenders: Vec<Box<dyn Scheduler>> = vec![
-        Box::new(RoundRobinScheduler::new()),
-        Box::new(GrouteScheduler::new()),
-        Box::new(micco_core::CodaScheduler::new()),
-        Box::new(MiccoScheduler::naive()),
-        Box::new(MiccoScheduler::new(parse_bounds(args)?)),
-    ];
-    let mut baseline = None;
-    for s in contenders.iter_mut() {
-        let r = run_schedule(s.as_mut(), &stream, &cfg).map_err(|e| e.to_string())?;
-        let speedup = match &baseline {
-            None => {
-                baseline = Some(r.elapsed_secs());
-                1.0
-            }
-            Some(b) => b / r.elapsed_secs(),
-        };
-        print!(
-            "{:<24} {:>9.0} GFLOPS  {:>7.2}x vs rr",
-            r.scheduler,
-            r.gflops(),
-            speedup
-        );
-        if args.flag("mappings") {
-            let hist = micco_core::mapping_histogram(&stream, &r.assignments, &cfg);
-            print!("  | {hist}");
-        }
-        println!();
-    }
-    Ok(())
-}
-
-/// Parse `--inject-faults SPEC` into a deterministic [`FaultPlan`]
-/// (empty plan when the flag is absent).
-fn parse_faults(args: &Args) -> Result<FaultPlan, String> {
-    match args.get("inject-faults") {
-        Some(spec) => FaultPlan::parse(spec).map_err(|e| format!("--inject-faults: {e}")),
-        None => Ok(FaultPlan::none()),
-    }
-}
-
-/// Apply `--retry MAX[,DELAY_US]` to the execution options.
-fn apply_retry(args: &Args, opts: ExecOptions) -> Result<ExecOptions, String> {
-    let Some(spec) = args.get("retry") else {
-        return Ok(opts);
-    };
-    let mut parts = spec.splitn(2, ',');
-    let max: u32 = parts
-        .next()
-        .unwrap_or_default()
-        .trim()
-        .parse()
-        .map_err(|_| format!("--retry: bad attempt count in '{spec}'"))?;
-    let delay_us: u64 = match parts.next() {
-        Some(d) => d
-            .trim()
-            .parse()
-            .map_err(|_| format!("--retry: bad delay in '{spec}'"))?,
-        None => 0,
-    };
-    Ok(opts.retry(max, std::time::Duration::from_micros(delay_us)))
-}
-
-/// Print the chaos section of an execution report when faults were injected.
-fn print_chaos(faults: &FaultPlan, out: &micco_exec::ExecOutcome) {
-    if faults.fault_count() == 0 {
-        return;
-    }
-    println!(
-        "chaos: {} fault(s) injected | {} hit | {} retries | {} worker(s) lost",
-        faults.fault_count(),
-        out.faults,
-        out.retries,
-        out.lost_workers
-    );
-}
-
-fn exec(args: &Args) -> Result<(), String> {
-    let batch: usize = args.parse_or("batch", 4).map_err(|e| e.to_string())?;
-    let dim: usize = args
-        .parse_or("tensor-size", 96)
-        .map_err(|e| e.to_string())?;
-    let workers: usize = args.parse_or("workers", 4).map_err(|e| e.to_string())?;
-    let stream = WorkloadSpec::new(
-        args.parse_or("vector-size", 16)
-            .map_err(|e| e.to_string())?,
-        dim,
-    )
-    .with_batch(batch)
-    .with_repeat_rate(args.parse_or("rate", 0.5).map_err(|e| e.to_string())?)
-    .with_vectors(args.parse_or("vectors", 4).map_err(|e| e.to_string())?)
-    .with_seed(args.parse_or("seed", 0).map_err(|e| e.to_string())?)
-    .generate();
-    let cfg = MachineConfig::mi100_like(workers);
-    let mut sched = build_scheduler(args)?;
-    let report = run_schedule(sched.as_mut(), &stream, &cfg).map_err(|e| e.to_string())?;
-    let mut opts = ExecOptions::default();
-    if args.flag("steal") {
-        opts = opts.with_steal();
-    }
-    if args.flag("prefetch") {
-        opts = opts.with_prefetch();
-    }
-    opts = apply_retry(args, opts)?;
-    let faults = parse_faults(args)?;
-    opts = opts.with_faults(faults.clone());
-    let recorder = trace_recorder(args);
-    if let Some(r) = &recorder {
-        opts = opts.with_trace(r.clone());
-    }
-    let seed: u64 = args.parse_or("seed", 0).map_err(|e| e.to_string())?;
-    let store = TensorStore::new(batch, dim, seed);
-    let out = execute_assignments(&stream, &report.assignments, workers, &store, &opts)
-        .map_err(|e| e.to_string())?;
-    println!(
-        "{}: computed {} kernels on {workers} threads in {:.1} ms (simulated {:.3} ms)",
-        report.scheduler,
-        out.kernels,
-        out.wall_secs * 1e3,
-        report.elapsed_secs() * 1e3
-    );
-    println!("tasks per worker (assigned): {:?}", out.per_worker_tasks);
-    if opts.steal {
-        println!(
-            "tasks per worker (executed): {:?} ({} stolen)",
-            out.per_worker_executed, out.steals
-        );
-    }
-    print_chaos(&faults, &out);
-    println!("checksum: {}", out.checksum);
-    if let Some(r) = &recorder {
-        write_trace_files(r, args)?;
-    }
-    Ok(())
-}
-
-/// Decide a schedule without executing it: write the plan IR to `--out`.
-fn plan(args: &Args) -> Result<(), String> {
-    let scfg = session_config_from_args(args)?;
-    let stream = stream_for(args, &scfg)?;
-    let cfg = scfg.machine(&stream);
-    let topology = scfg.link_topology().map_err(|e| e.to_string())?;
-    let plan = if let Some(dir) = &scfg.store {
-        plan_via_store(&scfg, dir, &stream)?
-    } else {
-        let mut sched = scfg.build_scheduler().map_err(|e| e.to_string())?;
-        plan_schedule_with_topology(
-            sched.as_mut(),
-            &stream,
-            &cfg,
-            scfg.plan_options(),
-            topology.as_ref(),
-        )
-        .map_err(|e| e.to_string())?
-    };
-    let out = args.str_or("out", "micco-plan.txt");
-    std::fs::write(&out, plan.to_text()).map_err(|e| format!("{out}: {e}"))?;
-    println!(
-        "plan: {} | {} stages, {} tasks on {} GPUs | fingerprint {:#018x}",
-        plan.scheduler,
-        plan.stages.len(),
-        plan.total_tasks(),
-        plan.num_gpus,
-        plan.fingerprint,
-    );
-    println!(
-        "decide overhead {:.3} ms; wrote {out}",
-        plan.overhead_secs * 1e3
-    );
-    if args.flag("lint") {
-        let report = analyze_plan_with_topology(
-            &plan,
-            &stream,
-            &cfg,
-            &analysis_config(args)?,
-            topology.as_ref(),
-        );
-        emit_report(&report, args, &out)?;
     }
     Ok(())
 }
@@ -1109,32 +1050,6 @@ fn emit_report(report: &Report, args: &Args, artifact: &str) -> Result<(), Strin
     Ok(())
 }
 
-/// Statically verify a plan file against the rebuilt workload: replay it
-/// through the abstract interpreter and report diagnostics without
-/// spending any (simulated) GPU time.
-fn lint(args: &Args) -> Result<(), String> {
-    let path = args
-        .get("plan")
-        .ok_or_else(|| "lint needs --plan FILE".to_owned())?
-        .to_owned();
-    let plan = load_plan(args)?;
-    let stream = synthetic_stream(args)?;
-    let mut cfg = machine_with_gpus(args, &stream, plan.num_gpus)?;
-    let mem_mib: u64 = args.parse_or("mem-mib", 0).map_err(|e| e.to_string())?;
-    if mem_mib > 0 {
-        cfg = cfg.with_mem_bytes(mem_mib << 20);
-    }
-    let topology = parse_topology(args)?;
-    let report = analyze_plan_with_topology(
-        &plan,
-        &stream,
-        &cfg,
-        &analysis_config(args)?,
-        topology.as_ref(),
-    );
-    emit_report(&report, args, &path)
-}
-
 /// Parse the certifier tunables (`--eps-us`, `--transfers`).
 fn certify_config(args: &Args) -> Result<CertifyConfig, String> {
     let defaults = CertifyConfig::default();
@@ -1157,194 +1072,62 @@ fn certify_config(args: &Args) -> Result<CertifyConfig, String> {
     })
 }
 
-/// Prove an executed trace is a linearization of its plan: rebuild the
-/// dependence DAG by symbolic replay, ingest the `micco-trace v1` text
-/// from `--trace FILE`, and report every happens-before violation through
-/// the same `--format`/`--deny` pipeline as `lint`.
-fn certify(args: &Args) -> Result<(), String> {
-    let plan = load_plan(args)?;
-    let trace_path = args
-        .get("trace")
-        .ok_or_else(|| {
-            "certify needs --trace FILE (micco-trace v1 text, written by --trace-raw)".to_owned()
-        })?
-        .to_owned();
-    let text = std::fs::read_to_string(&trace_path).map_err(|e| format!("{trace_path}: {e}"))?;
-    let events = parse_trace_text(&text).map_err(|e| format!("{trace_path}: {e}"))?;
-    let stream = synthetic_stream(args)?;
-    let cfg = machine_with_gpus(args, &stream, plan.num_gpus)?;
-    let topology = parse_topology(args)?;
-    let report = certify_trace_with(
-        &plan,
-        &stream,
-        &cfg,
-        &certify_config(args)?,
-        topology.as_ref(),
-        &events,
-    );
-    emit_report(&report, args, &trace_path)
-}
-
-/// The plan for `execute`/`replay`: `--plan FILE` when given, else the
-/// durable store named by `--store DIR` (keyed by the same request the
-/// workload/scheduler flags describe).
-fn plan_from_file_or_store(
-    args: &Args,
-    scfg: &SessionConfig,
-    stream: &TensorPairStream,
-) -> Result<SchedulePlan, String> {
-    if args.get("plan").is_some() {
-        load_plan(args)
-    } else if let Some(dir) = &scfg.store {
-        fetch_plan_from_store(scfg, dir, stream)
-    } else {
-        Err("this command needs --plan FILE or --store DIR".to_owned())
-    }
-}
-
-/// Read a plan written by [`plan`] from `--plan FILE`.
-fn load_plan(args: &Args) -> Result<SchedulePlan, String> {
-    let path = args
-        .get("plan")
-        .ok_or_else(|| "this command needs --plan FILE".to_owned())?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    SchedulePlan::from_text(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-/// Execute a previously decided plan on the rebuilt workload, on the
-/// simulator (`--backend sim`, the default) or with real kernels
-/// (`--backend real`).
-fn execute(args: &Args) -> Result<(), String> {
-    let mut scfg = session_config_from_args(args)?;
-    let stream = stream_for(args, &scfg)?;
-    let plan = plan_from_file_or_store(args, &scfg, &stream)?;
-    let recorder = trace_recorder(args);
-    match args.str_or("backend", "sim").as_str() {
-        "sim" => {
-            // the plan carries its own device count; the store key above
-            // used the gpus as typed, so only adjust afterwards
-            scfg.gpus = plan.num_gpus;
-            let mut session = scfg.session(&stream).map_err(|e| e.to_string())?;
-            if let Some(r) = &recorder {
-                session = session.trace(r.clone()).metrics(r.metrics());
-            }
-            let report = session.replay(&plan, &stream).map_err(|e| e.to_string())?;
-            print_report(&report);
-        }
-        "real" => {
-            let batch: usize = args.parse_or("batch", 4).map_err(|e| e.to_string())?;
-            let dim: usize = args
-                .parse_or("tensor-size", 384)
-                .map_err(|e| e.to_string())?;
-            let seed: u64 = args.parse_or("seed", 0).map_err(|e| e.to_string())?;
-            let mut opts = ExecOptions::default();
-            if args.flag("steal") {
-                opts = opts.with_steal();
-            }
-            if args.flag("prefetch") {
-                opts = opts.with_prefetch();
-            }
-            opts = apply_retry(args, opts)?;
-            let faults = parse_faults(args)?;
-            opts = opts.with_faults(faults.clone());
-            if let Some(r) = &recorder {
-                opts = opts.with_trace(r.clone());
-            }
-            let store = TensorStore::new(batch, dim, seed);
-            let out =
-                execute_plan_real(&stream, &plan, &store, &opts).map_err(|e| e.to_string())?;
+/// `micco store <stats|verify|compact> --dir DIR`: inspect and maintain
+/// a durable plan store outside any planning command.
+fn store_cmd(args: &Args) -> Result<(), String> {
+    let dir = args
+        .get("dir")
+        .or_else(|| args.get("store"))
+        .ok_or_else(|| "store needs --dir DIR (or --store DIR)".to_owned())?;
+    match args.subaction.as_deref() {
+        None | Some("stats") => {
+            let store = PlanStore::open(dir).map_err(|e| e.to_string())?;
+            let s = store.stats();
             println!(
-                "{}: computed {} kernels on {} threads in {:.1} ms",
-                plan.scheduler,
-                out.kernels,
-                plan.num_gpus,
-                out.wall_secs * 1e3
+                "store {dir}: {} live record(s) in {} fragment(s), {} bytes on disk",
+                s.live_records, s.fragments, s.disk_bytes
             );
-            println!("tasks per worker (assigned): {:?}", out.per_worker_tasks);
-            print_chaos(&faults, &out);
-            println!("checksum: {}", out.checksum);
+            match s.snapshot {
+                Some(seq) => println!("  snapshot watermark: seq {seq}"),
+                None => println!("  snapshot watermark: none"),
+            }
+            println!("  next fragment seq: {}", s.next_seq);
+            println!("  recovery: {}", s.recovery);
+            Ok(())
         }
-        other => return Err(format!("unknown backend '{other}' (sim|real)")),
-    }
-    if let Some(r) = &recorder {
-        write_trace_files(r, args)?;
-    }
-    Ok(())
-}
-
-/// Replay a plan `--times N` times on fresh simulators and verify the
-/// outcome is identical on every run (plans are deterministic artifacts).
-fn replay(args: &Args) -> Result<(), String> {
-    let mut scfg = session_config_from_args(args)?;
-    let stream = stream_for(args, &scfg)?;
-    let plan = plan_from_file_or_store(args, &scfg, &stream)?;
-    let times: usize = args.parse_or("times", 3).map_err(|e| e.to_string())?;
-    if times == 0 {
-        return Err("--times must be at least 1".into());
-    }
-    scfg.gpus = plan.num_gpus;
-    let cfg = scfg.machine(&stream);
-    let mut reference: Option<ScheduleReport> = None;
-    for _ in 0..times {
-        let mut machine = SimMachine::new(cfg);
-        let report = execute_plan(&plan, &stream, &mut machine).map_err(|e| e.to_string())?;
-        match &reference {
-            None => reference = Some(report),
-            Some(r) => {
-                if report.assignments != r.assignments || report.elapsed_secs() != r.elapsed_secs()
-                {
-                    return Err("replay diverged between runs".into());
-                }
+        Some("verify") => {
+            let report = PlanStore::verify_dir(dir).map_err(|e| e.to_string())?;
+            println!("{report}");
+            if report.is_clean() {
+                println!(
+                    "store {dir}: clean ({} record(s) verified)",
+                    report.records()
+                );
+                Ok(())
+            } else if args.flag("strict") {
+                Err(format!("store {dir}: integrity findings (see above)"))
+            } else {
+                println!(
+                    "store {dir}: integrity findings — reopening recovers the clean \
+                     prefix; `micco store compact --dir {dir}` then drops the damage"
+                );
+                Ok(())
             }
         }
-    }
-    let r = reference.expect("times >= 1");
-    println!(
-        "replayed {} × {} tasks: {:.0} GFLOPS | elapsed {:.3} ms | identical on all {times} runs",
-        times,
-        r.assignments.len(),
-        r.gflops(),
-        r.elapsed_secs() * 1e3
-    );
-    Ok(())
-}
-
-fn trace(args: &Args) -> Result<(), String> {
-    let out_path = args.str_or("out", "micco-trace.json");
-    let stream = synthetic_stream(args)?;
-    // with --plan, replay the plan file through the Session telemetry path
-    // and emit Perfetto JSON (spans + metrics) instead of the legacy array
-    if args.get("plan").is_some() {
-        let plan = load_plan(args)?;
-        let cfg = machine_with_gpus(args, &stream, plan.num_gpus)?;
-        let recorder = Recorder::shared();
-        let mut session = Session::new(cfg)
-            .with_options(driver_options(args)?)
-            .trace(recorder.clone())
-            .metrics(recorder.metrics());
-        if let Some(topo) = parse_topology(args)? {
-            session = session.with_topology(topo);
+        Some("compact") => {
+            let mut store = PlanStore::open(dir).map_err(|e| e.to_string())?;
+            let r = store.compact().map_err(|e| e.to_string())?;
+            println!(
+                "store {dir}: folded {} fragment(s) into a snapshot of {} live record(s); \
+                 removed {} file(s), reclaimed {} bytes",
+                r.folded_fragments, r.live_records, r.removed_files, r.reclaimed_bytes
+            );
+            Ok(())
         }
-        let report = session.replay(&plan, &stream).map_err(|e| e.to_string())?;
-        print_report(&report);
-        return write_perfetto(&recorder, &out_path);
+        Some(other) => Err(format!(
+            "unknown store action '{other}' (stats|verify|compact)"
+        )),
     }
-    let cfg = machine_for(args, &stream)?;
-    let mut machine = SimMachine::new(cfg);
-    machine.set_topology(parse_topology(args)?);
-    machine.enable_trace();
-    let mut sched = build_scheduler(args)?;
-    let report = micco_core::driver::run_schedule_on(sched.as_mut(), &stream, &mut machine)
-        .map_err(|e| e.to_string())?;
-    let json = machine.trace().expect("enabled above").to_chrome_json();
-    std::fs::write(&out_path, json).map_err(|e| format!("{out_path}: {e}"))?;
-    println!(
-        "{}: {:.0} GFLOPS; wrote {} events to {out_path} (open in chrome://tracing)",
-        report.scheduler,
-        report.gflops(),
-        machine.trace().expect("enabled").events().len()
-    );
-    Ok(())
 }
 
 /// `micco serve`: the multi-tenant scheduling daemon. Binds the HTTP
@@ -1395,21 +1178,22 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
          GET /metrics | GET /healthz"
     );
     if max_runtime > 0 {
-        std::thread::sleep(std::time::Duration::from_secs(max_runtime));
+        std::thread::sleep(Duration::from_secs(max_runtime));
         println!("max runtime reached; draining and shutting down");
         service.shutdown();
     } else {
         // park forever; ^C tears the process down
         loop {
-            std::thread::sleep(std::time::Duration::from_secs(3600));
+            std::thread::sleep(Duration::from_secs(3600));
         }
     }
     Ok(())
 }
 
-/// `micco load`: open-loop load generator. Each tenant submits jobs on
-/// its own Poisson clock for `--duration`, the run drains, and the
-/// per-tenant latency distribution is printed.
+/// `micco load`: open-loop load generator. Each tenant submits the
+/// request on its own Poisson clock (seeded by the request's seed) for
+/// `--duration`, the run drains, and the per-tenant latency distribution
+/// is printed.
 fn load_cmd(args: &Args) -> Result<(), String> {
     let addr: std::net::SocketAddr = args
         .str_or("addr", "127.0.0.1:7070")
@@ -1420,11 +1204,10 @@ fn load_cmd(args: &Args) -> Result<(), String> {
     let default_rate: f64 = args
         .parse_or("jobs-per-sec", 4.0)
         .map_err(|e| e.to_string())?;
-    let seed: u64 = args.parse_or("seed", 1).map_err(|e| e.to_string())?;
     if duration <= 0.0 || default_rate <= 0.0 {
         return Err("--duration and --jobs-per-sec must be positive".into());
     }
-    let job_config = session_config_from_args(args)?;
+    let job_config = session_config_from_args(args, None)?;
     let mut tenants = Vec::new();
     // NAME[:PRIORITY[:RATE]] — the priority travels with each submission,
     // the rate overrides --jobs-per-sec for that tenant
@@ -1462,9 +1245,9 @@ fn load_cmd(args: &Args) -> Result<(), String> {
     let report = run_open_loop(
         addr,
         &tenants,
-        std::time::Duration::from_secs_f64(duration),
-        std::time::Duration::from_secs_f64(drain),
-        seed,
+        Duration::from_secs_f64(duration),
+        Duration::from_secs_f64(drain),
+        job_config.seed,
     )?;
     println!(
         "{:<12} {:>6} {:>6} {:>6} {:>6} {:>6} {:>9} {:>9} {:>8}",
@@ -1492,7 +1275,7 @@ fn load_cmd(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn info() {
+fn info(_: &Args) -> Result<(), String> {
     let c = CostModel::mi100_like();
     println!("MICCO reproduction — simulated platform defaults");
     println!(
@@ -1519,6 +1302,7 @@ fn info() {
     println!("  eviction policy   : LRU (FIFO / largest-first available)");
     println!();
     println!("{USAGE}");
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1531,29 +1315,29 @@ mod tests {
     }
 
     #[test]
-    fn synthetic_runs() {
-        run("synthetic --vector-size 8 --tensor-size 64 --vectors 2 --gpus 2").unwrap();
+    fn run_runs() {
+        run("run --vector-size 8 --tensor-size 64 --vectors 2 --gpus 2").unwrap();
     }
 
     #[test]
-    fn synthetic_with_all_schedulers() {
-        for s in ["micco", "micco-naive", "groute", "rr"] {
+    fn run_with_all_schedulers() {
+        for s in ["micco", "micco-naive", "groute", "coda", "rr"] {
             run(&format!(
-                "synthetic --vector-size 4 --tensor-size 32 --vectors 1 --gpus 2 --scheduler {s}"
+                "run --vector-size 4 --tensor-size 32 --vectors 1 --gpus 2 --scheduler {s}"
             ))
             .unwrap();
         }
     }
 
     #[test]
-    fn synthetic_oversub_and_async() {
-        run("synthetic --vector-size 8 --tensor-size 64 --vectors 2 --gpus 2 --oversub 1.5 --async-copy")
+    fn run_oversub_and_async() {
+        run("run --vector-size 8 --tensor-size 64 --vectors 2 --gpus 2 --oversub 1.5 --async-copy")
             .unwrap();
     }
 
     #[test]
-    fn synthetic_overlap_and_prefetch_window() {
-        run("synthetic --vector-size 8 --tensor-size 64 --vectors 2 --gpus 2 --overlap --prefetch-tasks 2")
+    fn run_overlap_and_prefetch_window() {
+        run("run --vector-size 8 --tensor-size 64 --vectors 2 --gpus 2 --overlap --prefetch-tasks 2")
             .unwrap();
     }
 
@@ -1564,7 +1348,12 @@ mod tests {
 
     #[test]
     fn sweep_runs() {
-        run("sweep --param rate --values 0.25,0.75 --gpus 2").unwrap();
+        run("sweep --param rate --values 0.25,0.75 --gpus 2 --vector-size 8 --tensor-size 64 --vectors 2")
+            .unwrap();
+        run("sweep --param gpus --values 1,2 --vector-size 8 --tensor-size 64 --vectors 2")
+            .unwrap();
+        // a swept value the request cannot take is rejected, not clamped
+        assert!(run("sweep --param rate --values 1.5 --vector-size 8 --vectors 1").is_err());
     }
 
     #[test]
@@ -1575,6 +1364,8 @@ mod tests {
     #[test]
     fn cluster_runs() {
         run("cluster --nodes 2 --gpus-per-node 2 --vectors 2").unwrap();
+        run("cluster --nodes 2 --gpus-per-node 2 --vector-size 8 --tensor-size 64 --vectors 2 --bounds 1,1,1")
+            .unwrap();
     }
 
     #[test]
@@ -1588,18 +1379,18 @@ mod tests {
     }
 
     #[test]
-    fn synthetic_with_mappings() {
-        run("synthetic --vector-size 4 --tensor-size 32 --vectors 2 --gpus 2 --mappings").unwrap();
+    fn run_with_mappings() {
+        run("run --vector-size 4 --tensor-size 32 --vectors 2 --gpus 2 --mappings").unwrap();
     }
 
     #[test]
     fn exec_runs_small() {
-        run("exec --vector-size 4 --tensor-size 16 --vectors 2 --workers 2").unwrap();
+        run("exec --vector-size 4 --tensor-size 16 --vectors 2 --gpus 2").unwrap();
     }
 
     #[test]
     fn exec_with_stealing_and_prefetch() {
-        run("exec --vector-size 4 --tensor-size 16 --vectors 2 --workers 2 --steal --prefetch")
+        run("exec --vector-size 4 --tensor-size 16 --vectors 2 --gpus 2 --steal --prefetch")
             .unwrap();
     }
 
@@ -1607,27 +1398,30 @@ mod tests {
     fn exec_with_fault_injection_and_retry() {
         // transient kernel fault on task 0 survives a 3-attempt budget
         run(
-            "exec --vector-size 4 --tensor-size 16 --vectors 2 --workers 2 \
+            "exec --vector-size 4 --tensor-size 16 --vectors 2 --gpus 2 \
              --inject-faults kernel:0 --retry 3",
         )
         .unwrap();
         // permanent loss of gpu 1 at stage 1: survivors drain its queues
         run(
-            "exec --vector-size 4 --tensor-size 16 --vectors 2 --workers 2 \
+            "exec --vector-size 4 --tensor-size 16 --vectors 2 --gpus 2 \
              --inject-faults lose:1@1 --retry 2,10",
         )
         .unwrap();
         // without a retry budget a kernel fault fails the run
         let err = run(
-            "exec --vector-size 4 --tensor-size 16 --vectors 2 --workers 2 \
+            "exec --vector-size 4 --tensor-size 16 --vectors 2 --gpus 2 \
              --inject-faults kernel:0",
         )
         .unwrap_err();
         assert!(err.contains("failed"), "{err}");
         // malformed specs are rejected up front
-        assert!(run("exec --workers 2 --inject-faults bogus:0").is_err());
-        assert!(run("exec --workers 2 --retry many").is_err());
-        assert!(run("exec --workers 2 --retry 3,slow").is_err());
+        assert!(run("exec --gpus 2 --inject-faults bogus:0").is_err());
+        assert!(run("exec --gpus 2 --retry many").is_err());
+        assert!(run("exec --gpus 2 --retry 3,slow").is_err());
+        // the worker count is the request's GPU count; --workers is gone
+        let err = run("exec --vector-size 4 --tensor-size 16 --vectors 2 --workers 2").unwrap_err();
+        assert!(err.contains("--workers"), "{err}");
     }
 
     #[test]
@@ -1874,19 +1668,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_writes_json() {
-        let out = std::env::temp_dir().join(format!("micco-cli-trace-{}.json", std::process::id()));
-        run(&format!(
-            "trace --vector-size 4 --tensor-size 32 --vectors 1 --gpus 2 --out {}",
-            out.display()
-        ))
-        .unwrap();
-        let text = std::fs::read_to_string(&out).unwrap();
-        assert!(text.starts_with('['));
-        let _ = std::fs::remove_file(out);
-    }
-
-    #[test]
     fn run_with_trace_out_writes_perfetto_json() {
         let out = std::env::temp_dir().join(format!("micco-cli-run-{}.json", std::process::id()));
         run(&format!(
@@ -1905,31 +1686,11 @@ mod tests {
     }
 
     #[test]
-    fn trace_with_plan_writes_perfetto_json() {
-        let dir = std::env::temp_dir();
-        let plan_path = dir.join(format!("micco-cli-tp-plan-{}.txt", std::process::id()));
-        let out = dir.join(format!("micco-cli-tp-{}.json", std::process::id()));
-        let wl = "--vector-size 4 --tensor-size 16 --vectors 2 --seed 3";
-        run(&format!("plan {wl} --gpus 2 --out {}", plan_path.display())).unwrap();
-        run(&format!(
-            "trace {wl} --plan {} --out {}",
-            plan_path.display(),
-            out.display()
-        ))
-        .unwrap();
-        let text = std::fs::read_to_string(&out).unwrap();
-        assert!(text.starts_with('{'));
-        assert!(text.contains("traceEvents"));
-        let _ = std::fs::remove_file(plan_path);
-        let _ = std::fs::remove_file(out);
-    }
-
-    #[test]
     fn exec_and_execute_accept_trace_out() {
         let dir = std::env::temp_dir();
         let exec_out = dir.join(format!("micco-cli-exec-tr-{}.json", std::process::id()));
         run(&format!(
-            "exec --vector-size 4 --tensor-size 16 --vectors 2 --workers 2 --trace-out {}",
+            "exec --vector-size 4 --tensor-size 16 --vectors 2 --gpus 2 --trace-out {}",
             exec_out.display()
         ))
         .unwrap();
@@ -1990,9 +1751,9 @@ mod tests {
             topo_path.display()
         ))
         .unwrap();
-        // trace replays the plan and exports link lanes
+        // execute replays the plan and exports link lanes
         run(&format!(
-            "trace {wl} --plan {} --topology {} --out {}",
+            "execute {wl} --plan {} --topology {} --trace-out {}",
             plan_path.display(),
             topo_path.display(),
             trace_path.display()
@@ -2012,29 +1773,34 @@ mod tests {
     fn save_and_load_roundtrip() {
         let path = std::env::temp_dir().join(format!("micco-cli-wl-{}.txt", std::process::id()));
         run(&format!(
-            "synthetic --vector-size 4 --tensor-size 32 --vectors 2 --gpus 2 --save {}",
+            "run --vector-size 4 --tensor-size 32 --vectors 2 --gpus 2 --save {}",
             path.display()
         ))
         .unwrap();
-        run(&format!("synthetic --gpus 2 --load {}", path.display())).unwrap();
+        run(&format!("run --gpus 2 --load {}", path.display())).unwrap();
         let _ = std::fs::remove_file(path);
     }
 
     #[test]
     fn heterogeneous_dims_flag() {
-        run("synthetic --vector-size 4 --vectors 3 --gpus 2 --dims 32,64").unwrap();
-        assert!(run("synthetic --dims 32,x --gpus 2").is_err());
+        run("run --vector-size 4 --vectors 3 --gpus 2 --dims 32,64").unwrap();
+        assert!(run("run --dims 32,x --gpus 2").is_err());
     }
 
     #[test]
     fn errors_are_reported() {
         assert!(run("bogus").is_err());
-        assert!(run("synthetic --dist sideways").is_err());
-        assert!(run("synthetic --scheduler alien").is_err());
+        assert!(run("run --dist sideways").is_err());
+        assert!(run("run --scheduler alien").is_err());
         assert!(run("redstar --preset nope").is_err());
         assert!(run("sweep --param nope").is_err());
-        assert!(run("synthetic --bounds 1,2").is_err());
+        assert!(run("run --bounds 1,2").is_err());
         assert!(dispatch(&Args::default()).is_err());
+        // the duplicate subcommands are gone: `run` and `execute` cover them
+        for gone in ["synthetic", "trace"] {
+            let err = run(&format!("{gone} --gpus 2")).unwrap_err();
+            assert!(err.contains("unknown command"), "{err}");
+        }
     }
 
     fn store_dir(name: &str) -> std::path::PathBuf {
@@ -2071,12 +1837,10 @@ mod tests {
                 .map(String::from),
         )
         .unwrap();
-        let scfg = session_config_from_args(&args).unwrap();
-        let stream = stream_for(&args, &scfg).unwrap();
-        let cfg = scfg.machine(&stream);
+        let (scfg, stream, session) = request(&args).unwrap();
         let mut sched = scfg.build_scheduler().unwrap();
-        cache
-            .plan_for_with_topology(sched.as_mut(), &stream, &cfg, scfg.plan_options(), None)
+        session
+            .plan_with_cache(&mut cache, sched.as_mut(), &stream)
             .unwrap();
         assert_eq!((cache.log_hits(), cache.misses()), (1, 0));
         let _ = std::fs::remove_dir_all(&dir);
@@ -2127,7 +1891,7 @@ mod tests {
                 .map(String::from),
         )
         .unwrap();
-        let from_flags = session_config_from_args(&flags).unwrap();
+        let from_flags = session_config_from_args(&flags, None).unwrap();
         let doc = from_flags.to_json();
         let path = std::env::temp_dir().join(format!("micco-cli-cfg-{}.json", std::process::id()));
         std::fs::write(&path, &doc).unwrap();
@@ -2137,19 +1901,16 @@ mod tests {
                 .map(String::from),
         )
         .unwrap();
-        let from_file = session_config_from_args(&by_file).unwrap();
+        let from_file = session_config_from_args(&by_file, None).unwrap();
         assert_eq!(from_flags, from_file);
         let stream = from_flags.stream().unwrap();
         let plan_of = |scfg: &SessionConfig| {
             let mut sched = scfg.build_scheduler().unwrap();
-            plan_schedule_with_topology(
-                sched.as_mut(),
-                &stream,
-                &scfg.machine(&stream),
-                scfg.plan_options(),
-                scfg.link_topology().unwrap().as_ref(),
-            )
-            .unwrap()
+            scfg.session(&stream)
+                .unwrap()
+                .plan(sched.as_mut(), &stream)
+                .unwrap()
+                .into_plan()
         };
         let (plan_a, plan_b) = (plan_of(&from_flags), plan_of(&from_file));
         // overhead_secs is wall clock; the decision itself must match
@@ -2169,7 +1930,7 @@ mod tests {
                 .map(String::from),
         )
         .unwrap();
-        let cfg = session_config_from_args(&args).unwrap();
+        let cfg = session_config_from_args(&args, None).unwrap();
         assert_eq!(cfg.faults.as_deref(), Some("kernel:0*2"));
         assert_eq!(
             cfg.retry,
@@ -2189,6 +1950,52 @@ mod tests {
         ] {
             assert!(run(bad).is_err(), "{bad} should fail");
         }
+    }
+
+    #[test]
+    fn unknown_and_misplaced_flags_are_errors_that_name_the_flag() {
+        // a typo is an error, never a silent run of the default workload
+        let err = run("run --vector-szie 4 --tensor-size 16 --vectors 2 --gpus 2").unwrap_err();
+        assert!(err.contains("--vector-szie"), "{err}");
+        // the config file is the whole request: a flag beside it is an error
+        let path =
+            std::env::temp_dir().join(format!("micco-cli-beside-{}.json", std::process::id()));
+        std::fs::write(
+            &path,
+            r#"{"vector_size": 4, "tensor_size": 16, "vectors": 2, "gpus": 2}"#,
+        )
+        .unwrap();
+        let err = run(&format!("run --config {} --gpus 7", path.display())).unwrap_err();
+        assert!(err.contains("--gpus") && err.contains("--config"), "{err}");
+        run(&format!("run --config {}", path.display())).unwrap();
+        // workload files still combine with a config document
+        run(&format!(
+            "compare --config {} --save /dev/null",
+            path.display()
+        ))
+        .unwrap();
+        let _ = std::fs::remove_file(&path);
+        // values and switches are checked: a value-taking flag given bare
+        // no longer falls back to its default, a switch takes no value
+        let err = run("run --vector-size 4 --vectors 2 --gpus").unwrap_err();
+        assert!(err.contains("--gpus needs a value"), "{err}");
+        let err = run("run --vector-size 4 --vectors 2 --steal 3").unwrap_err();
+        assert!(err.contains("--steal takes no value"), "{err}");
+        // each command reads its own flags only
+        let err = run("replay --out x.txt").unwrap_err();
+        assert!(err.contains("--out"), "{err}");
+        let err = run("train --samples 3 --gpus 2").unwrap_err();
+        assert!(err.contains("--gpus"), "{err}");
+        let err = run("info --verbose").unwrap_err();
+        assert!(err.contains("--verbose"), "{err}");
+    }
+
+    #[test]
+    fn topology_gpu_mismatch_is_an_error_not_a_panic() {
+        let err = run("run --vector-size 4 --tensor-size 16 --vectors 2 --gpus 4 \
+             --topology nvlink{gpus:8,island:4}")
+        .unwrap_err();
+        assert!(err.contains("covers 8 GPUs"), "{err}");
     }
 
     #[test]

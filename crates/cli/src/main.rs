@@ -1,14 +1,22 @@
 //! `micco` — command-line driver for the MICCO reproduction.
 //!
+//! Every command that builds a request reads one `SessionConfig`, spelled
+//! as flags or as a `--config FILE` JSON document (the body `micco serve`
+//! accepts), and plans through `Session`:
+//!
 //! ```text
-//! micco synthetic --vector-size 64 --tensor-size 384 --rate 0.5 \
-//!       --dist gaussian --vectors 10 --gpus 8 --scheduler micco --bounds 0,2,0
-//! micco redstar  --preset al_rhopi --scale ci --gpus 8
-//! micco sweep    --param rate --values 0.25,0.5,0.75,1.0 --gpus 8
-//! micco train    --samples 40 --seed 7
-//! micco cluster  --nodes 2 --gpus-per-node 4
+//! micco run     --vector-size 64 --tensor-size 384 --rate 0.5 \
+//!               --dist gaussian --vectors 10 --gpus 8 --scheduler micco --bounds 0,2,0
+//! micco plan    --config request.json --out plan.txt
+//! micco execute --config request.json --plan plan.txt --backend real
+//! micco redstar --preset al_rhopi --scale ci --gpus 8
+//! micco sweep   --param rate --values 0.25,0.5,0.75,1.0 --gpus 8
+//! micco train   --samples 40 --seed 7
+//! micco cluster --nodes 2 --gpus-per-node 4
 //! micco info
 //! ```
+//!
+//! A flag the command does not read is an error that names it.
 
 mod args;
 mod commands;

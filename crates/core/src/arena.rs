@@ -13,40 +13,18 @@ use crate::bounds::ReuseBounds;
 use crate::driver::Assignment;
 use crate::plan::{PlanStage, SchedulePlan};
 
-/// Reusable backing store for plan assembly (see module docs).
-///
-/// # Examples
-///
-/// ```
-/// use micco_core::{plan_schedule_in, DriverOptions, PlanArena, RoundRobinScheduler};
-/// use micco_gpusim::MachineConfig;
-/// use micco_workload::WorkloadSpec;
-///
-/// let stream = WorkloadSpec::new(8, 64).with_vectors(2).generate();
-/// let cfg = MachineConfig::mi100_like(2);
-/// let mut arena = PlanArena::new();
-/// let opts = DriverOptions::default();
-/// let a = plan_schedule_in(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, &mut arena)
-///     .unwrap();
-/// // replanning reuses the arena's buffers instead of reallocating
-/// let b = plan_schedule_in(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, &mut arena)
-///     .unwrap();
-/// assert_eq!(a, b);
-/// ```
+/// Reusable backing store for plan assembly (see module docs). Used by
+/// the planning loop only: [`crate::Session::plan`] sizes a fresh one per
+/// plan, and [`crate::PlanCache`] keeps one across misses.
 #[derive(Debug, Clone, Default)]
-pub struct PlanArena {
+pub(crate) struct PlanArena {
     assignments: Vec<Assignment>,
     stages: Vec<(Option<ReuseBounds>, u32)>,
 }
 
 impl PlanArena {
-    /// An empty arena.
-    pub fn new() -> Self {
-        PlanArena::default()
-    }
-
     /// An arena pre-sized for `tasks` assignments over `stages` stages.
-    pub fn with_capacity(tasks: usize, stages: usize) -> Self {
+    pub(crate) fn with_capacity(tasks: usize, stages: usize) -> Self {
         PlanArena {
             assignments: Vec::with_capacity(tasks),
             stages: Vec::with_capacity(stages),
@@ -54,19 +32,9 @@ impl PlanArena {
     }
 
     /// Drop the previous plan's contents, keeping the backing buffers.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.assignments.clear();
         self.stages.clear();
-    }
-
-    /// Assignments recorded since the last [`Self::reset`].
-    pub fn len(&self) -> usize {
-        self.assignments.len()
-    }
-
-    /// True when nothing has been recorded since the last reset.
-    pub fn is_empty(&self) -> bool {
-        self.assignments.is_empty()
     }
 
     /// Append one placement to the current (open) stage.
@@ -129,7 +97,7 @@ mod tests {
 
     #[test]
     fn stages_are_carved_in_order() {
-        let mut arena = PlanArena::new();
+        let mut arena = PlanArena::default();
         arena.push(a(0, 1));
         arena.push(a(1, 0));
         arena.close_stage(Some(ReuseBounds::new(0, 2, 0)));
@@ -152,9 +120,10 @@ mod tests {
             arena.push(a(i, 0));
         }
         arena.close_stage(None);
-        assert_eq!(arena.len(), 10);
+        assert_eq!(arena.assignments.len(), 10);
         arena.reset();
-        assert!(arena.is_empty());
+        assert!(arena.assignments.is_empty() && arena.stages.is_empty());
+        assert!(arena.assignments.capacity() >= 16);
         let plan = arena.to_plan("t".to_owned(), 1, 0, 0.0);
         assert!(plan.stages.is_empty());
     }

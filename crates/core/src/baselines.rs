@@ -126,7 +126,7 @@ impl Scheduler for RoundRobinScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::run_schedule;
+    use crate::session::Session;
     use micco_gpusim::MachineConfig;
     use micco_workload::WorkloadSpec;
 
@@ -136,12 +136,9 @@ mod tests {
             .with_repeat_rate(0.0)
             .with_vectors(2)
             .generate();
-        let r = run_schedule(
-            &mut GrouteScheduler::new(),
-            &stream,
-            &MachineConfig::mi100_like(4),
-        )
-        .unwrap();
+        let r = Session::new(MachineConfig::mi100_like(4))
+            .run(&mut GrouteScheduler::new(), &stream)
+            .unwrap();
         // with homogeneous tasks and no reuse, busy times should be near equal
         assert!(
             r.stats.imbalance() < 1.1,
@@ -153,12 +150,9 @@ mod tests {
     #[test]
     fn groute_uses_all_devices() {
         let stream = WorkloadSpec::new(16, 64).with_vectors(1).generate();
-        let r = run_schedule(
-            &mut GrouteScheduler::new(),
-            &stream,
-            &MachineConfig::mi100_like(8),
-        )
-        .unwrap();
+        let r = Session::new(MachineConfig::mi100_like(8))
+            .run(&mut GrouteScheduler::new(), &stream)
+            .unwrap();
         let mut used: Vec<usize> = r.assignments.iter().map(|a| a.gpu.0).collect();
         used.sort_unstable();
         used.dedup();
@@ -168,12 +162,9 @@ mod tests {
     #[test]
     fn round_robin_cycles() {
         let stream = WorkloadSpec::new(6, 64).with_vectors(1).generate();
-        let r = run_schedule(
-            &mut RoundRobinScheduler::new(),
-            &stream,
-            &MachineConfig::mi100_like(3),
-        )
-        .unwrap();
+        let r = Session::new(MachineConfig::mi100_like(3))
+            .run(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap();
         let gpus: Vec<usize> = r.assignments.iter().map(|a| a.gpu.0).collect();
         assert_eq!(gpus, vec![0, 1, 2, 0, 1, 2]);
     }
@@ -194,8 +185,12 @@ mod tests {
             .with_vectors(3)
             .generate();
         let cfg = MachineConfig::mi100_like(4);
-        let r1 = run_schedule(&mut CodaScheduler::new(), &stream, &cfg).unwrap();
-        let r2 = run_schedule(&mut CodaScheduler::new(), &stream, &cfg).unwrap();
+        let r1 = Session::new(cfg)
+            .run(&mut CodaScheduler::new(), &stream)
+            .unwrap();
+        let r2 = Session::new(cfg)
+            .run(&mut CodaScheduler::new(), &stream)
+            .unwrap();
         assert_eq!(r1.assignments, r2.assignments);
         // tasks sharing the same larger operand land together
         use std::collections::HashMap;
@@ -221,7 +216,9 @@ mod tests {
             .with_vectors(4)
             .generate();
         let cfg = MachineConfig::mi100_like(4);
-        let coda = run_schedule(&mut CodaScheduler::new(), &stream, &cfg).unwrap();
+        let coda = Session::new(cfg)
+            .run(&mut CodaScheduler::new(), &stream)
+            .unwrap();
         assert!(coda.stats.total_reuse_hits() > 0);
     }
 }

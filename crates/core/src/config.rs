@@ -344,8 +344,17 @@ impl SessionConfig {
         }
         // scheduler + bounds check by construction
         self.build_scheduler()?;
-        // topology / faults specs must parse
-        self.link_topology()?;
+        // topology / faults specs must parse, and a topology must cover
+        // exactly the configured devices (the simulators assert on it)
+        if let Some(topo) = self.link_topology()? {
+            if topo.num_gpus() != self.gpus {
+                return Err(ConfigError(format!(
+                    "'topology' covers {} GPUs but 'gpus' is {}",
+                    topo.num_gpus(),
+                    self.gpus
+                )));
+            }
+        }
         self.fault_plan()?;
         if let Some(r) = &self.retry {
             if r.max_attempts == 0 {
@@ -417,8 +426,9 @@ impl SessionConfig {
         }
     }
 
-    /// Execution-side driver options (overlap / prefetch / overhead /
-    /// topology-awareness).
+    /// The driver options the config's [`Session`] plans and replays under
+    /// (overlap / prefetch / overhead / topology-awareness) — and so what
+    /// its durable-store keys mix in.
     pub fn driver_options(&self) -> DriverOptions {
         let mut opts = DriverOptions::default().with_measure_overhead();
         if self.overlap {
@@ -427,19 +437,6 @@ impl SessionConfig {
         if self.prefetch_tasks > 0 {
             opts = opts.with_prefetch_tasks(self.prefetch_tasks);
         }
-        if self.topology_aware {
-            opts = opts.with_topology_aware();
-        }
-        opts
-    }
-
-    /// The canonical options plans are *keyed* with in a durable store —
-    /// execution-side flags (overlap, prefetch) do not change the decided
-    /// IR, so they stay out of the key. Identical to the CLI's
-    /// `plan --store` keying, so plans decided there warm-start the
-    /// daemon and vice versa.
-    pub fn plan_options(&self) -> DriverOptions {
-        let mut opts = DriverOptions::default().with_measure_overhead();
         if self.topology_aware {
             opts = opts.with_topology_aware();
         }
@@ -649,6 +646,23 @@ mod tests {
         cfg.topology = Some("nvlink{gpus: 8, island: 4}".into());
         let topo = cfg.link_topology().unwrap().expect("parses");
         assert_eq!(topo.num_gpus(), 8);
+    }
+
+    #[test]
+    fn topology_must_cover_the_configured_gpus() {
+        // a mismatch must stop at validation: past it, the simulators
+        // assert that the topology and the machine agree
+        let err = SessionConfig::parse(r#"{"gpus": 4, "topology": "nvlink{gpus:8, island:4}"}"#)
+            .unwrap_err();
+        assert!(err.to_string().contains("covers 8 GPUs"), "{err}");
+        let mut cfg = SessionConfig {
+            gpus: 4,
+            topology: Some("nvlink{gpus:8, island:4}".into()),
+            ..SessionConfig::default()
+        };
+        assert!(cfg.validate().is_err());
+        cfg.gpus = 8;
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]

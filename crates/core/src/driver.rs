@@ -1,13 +1,12 @@
 //! The scheduling driver, split into *decide* and *execute*.
 //!
-//! [`plan_schedule`] runs the scheduler against a lightweight
+//! [`crate::Session::plan`] runs the scheduler against a lightweight
 //! [`ShadowMachine`] (full scheduler-visible state, no statistics) and
 //! produces a [`SchedulePlan`]; [`execute_plan`] replays a validated plan
-//! on a [`SimMachine`] and reports achieved performance. [`run_schedule`]
-//! and [`run_schedule_with`] are thin compositions of the two with
-//! unchanged signatures — and, because the shadow and the simulator share
-//! one state-transition function, unchanged results. The interleaved
-//! [`run_schedule_on`] remains for warm machines and tracing.
+//! on a [`SimMachine`] and reports achieved performance. Because the
+//! shadow and the simulator share one state-transition function, the
+//! split reproduces the interleaved [`run_schedule_on`] exactly; that
+//! path remains for warm machines and as the conformance reference.
 
 use std::time::Instant;
 
@@ -96,7 +95,8 @@ impl From<PlanError> for ScheduleError {
     }
 }
 
-/// Outcome of [`run_schedule`].
+/// Outcome of a scheduled run ([`crate::Session::run`],
+/// [`execute_plan`] or [`run_schedule_on`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleReport {
     /// Scheduler name.
@@ -110,8 +110,9 @@ pub struct ScheduleReport {
     /// Real wall-clock seconds spent replaying the plan on the simulator
     /// (the cost of the execute phase itself, not the simulated time).
     /// Measured only when [`DriverOptions::measure_overhead`] is set and
-    /// the run goes through [`execute_plan_with`] (or [`run_schedule_with`],
-    /// which forwards its options); `0.0` otherwise.
+    /// the run goes through [`crate::Session::replay`] (which
+    /// [`crate::Session::run`] and [`crate::Planned::execute`] use);
+    /// `0.0` otherwise.
     pub execution_overhead_secs: f64,
     /// Every placement decision, in task order.
     pub assignments: Vec<Assignment>,
@@ -183,7 +184,7 @@ pub struct DriverOptions {
     /// fetches route over slow cross-island/cross-node links. Off by
     /// default (the pinned flat behaviour); has no effect unless a
     /// [`LinkTopology`] is actually threaded into the run (e.g. via
-    /// [`plan_schedule_with_topology`]).
+    /// [`crate::Session::with_topology`]).
     pub topology_aware: bool,
 }
 
@@ -223,69 +224,18 @@ impl DriverOptions {
     }
 }
 
-/// Decide a schedule without simulating: run `scheduler` over `stream`
-/// against a [`ShadowMachine`] built from `config` and capture every
-/// placement into a [`SchedulePlan`].
+/// The planning loop behind [`crate::Session::plan`] and the plan cache:
+/// run `scheduler` over `stream` against a [`ShadowMachine`] built from
+/// `config` (with `options` applied and `topology` routed) and capture
+/// every placement into a [`SchedulePlan`], assembled in `arena`.
 ///
 /// The shadow tracks exactly the state schedulers can observe through
 /// [`MachineView`] — residency, occupancy, evictions, stage load — so the
-/// decisions are identical to what the interleaved driver would make, at a
-/// fraction of the cost (no statistics, no trace, no attribution).
-pub fn plan_schedule(
-    scheduler: &mut dyn Scheduler,
-    stream: &TensorPairStream,
-    config: &MachineConfig,
-) -> Result<SchedulePlan, ScheduleError> {
-    plan_schedule_with(scheduler, stream, config, DriverOptions::default())
-}
-
-/// [`plan_schedule`] with [`DriverOptions`] layered onto the cost model
-/// (overlap changes timing, which changes what load-aware schedulers see).
-pub fn plan_schedule_with(
-    scheduler: &mut dyn Scheduler,
-    stream: &TensorPairStream,
-    config: &MachineConfig,
-    options: DriverOptions,
-) -> Result<SchedulePlan, ScheduleError> {
-    let mut arena = PlanArena::with_capacity(stream.total_tasks(), stream.vectors.len());
-    plan_schedule_in(scheduler, stream, config, options, &mut arena)
-}
-
-/// [`plan_schedule_with`] writing its working set into a caller-provided
-/// [`PlanArena`] — the allocation-amortised entry point for callers that
-/// plan repeatedly (the plan cache, the benches). The arena is reset on
-/// entry and left populated on return, ready for the next pass; the
-/// returned plan is identical to what [`plan_schedule_with`] produces.
-pub fn plan_schedule_in(
-    scheduler: &mut dyn Scheduler,
-    stream: &TensorPairStream,
-    config: &MachineConfig,
-    options: DriverOptions,
-    arena: &mut PlanArena,
-) -> Result<SchedulePlan, ScheduleError> {
-    plan_schedule_in_with_topology(scheduler, stream, config, options, arena, None)
-}
-
-/// [`plan_schedule_with`] deciding against a [`LinkTopology`]-carrying
-/// shadow: peer transfers are routed and charged per hop, so load-aware
-/// schedulers see the (slower) cross-island reality, and schedulers that
-/// honour [`Scheduler::set_topology_aware`] additionally penalize
-/// candidates that would pull operands over slow links. Passing `None`
-/// is exactly [`plan_schedule_with`].
-pub fn plan_schedule_with_topology(
-    scheduler: &mut dyn Scheduler,
-    stream: &TensorPairStream,
-    config: &MachineConfig,
-    options: DriverOptions,
-    topology: Option<&LinkTopology>,
-) -> Result<SchedulePlan, ScheduleError> {
-    let mut arena = PlanArena::with_capacity(stream.total_tasks(), stream.vectors.len());
-    plan_schedule_in_with_topology(scheduler, stream, config, options, &mut arena, topology)
-}
-
-/// [`plan_schedule_in`] with an optional [`LinkTopology`] — the arena
-/// variant every other planning entry point funnels through.
-pub fn plan_schedule_in_with_topology(
+/// decisions are identical to what the interleaved [`run_schedule_on`]
+/// would make, at a fraction of the cost (no statistics, no trace, no
+/// attribution). The arena is reset on entry and left populated on
+/// return, ready for the next pass.
+pub(crate) fn plan_in(
     scheduler: &mut dyn Scheduler,
     stream: &TensorPairStream,
     config: &MachineConfig,
@@ -337,27 +287,15 @@ pub fn plan_schedule_in_with_topology(
 /// a barrier between stages. The plan is checked against the stream and
 /// the machine first ([`SchedulePlan::validate_for`]); a plan decided for
 /// a different workload or device count is a typed error, not a panic.
+///
+/// [`crate::Session::replay`] runs this on a simulator it builds; call it
+/// directly to replay on a machine you own and read its state afterwards
+/// (e.g. [`SimMachine::cross_island_traffic`]).
 pub fn execute_plan(
     plan: &SchedulePlan,
     stream: &TensorPairStream,
     machine: &mut SimMachine,
 ) -> Result<ScheduleReport, ScheduleError> {
-    execute_plan_with(plan, stream, machine, DriverOptions::default())
-}
-
-/// [`execute_plan`] honouring [`DriverOptions`]: with `measure_overhead`
-/// set, the wall-clock cost of the execute phase is captured into
-/// [`ScheduleReport::execution_overhead_secs`], so plan-time and exec-time
-/// overhead are reported consistently. (Historically `measure_overhead`
-/// was silently ignored on the plan-replay path.) Timing never changes the
-/// simulated outcome — a test pins that.
-pub fn execute_plan_with(
-    plan: &SchedulePlan,
-    stream: &TensorPairStream,
-    machine: &mut SimMachine,
-    options: DriverOptions,
-) -> Result<ScheduleReport, ScheduleError> {
-    let t0 = options.measure_overhead.then(Instant::now);
     plan.validate_for(stream, MachineView::num_gpus(machine))?;
     let mut assignments = Vec::with_capacity(plan.total_tasks());
     for (vector, stage) in stream.vectors.iter().zip(&plan.stages) {
@@ -376,88 +314,9 @@ pub fn execute_plan_with(
         scheduler: plan.scheduler.clone(),
         stats: machine.stats().clone(),
         scheduling_overhead_secs: plan.overhead_secs,
-        execution_overhead_secs: t0.map_or(0.0, |t| t.elapsed().as_secs_f64()),
+        execution_overhead_secs: 0.0,
         assignments,
     })
-}
-
-/// [`execute_plan_with`] on a machine armed with `topology` (the machine's
-/// existing topology is replaced — cleared when `None` — so planned and
-/// executed routes stay bit-identical when both phases receive the same
-/// topology).
-pub fn execute_plan_with_topology(
-    plan: &SchedulePlan,
-    stream: &TensorPairStream,
-    machine: &mut SimMachine,
-    options: DriverOptions,
-    topology: Option<&LinkTopology>,
-) -> Result<ScheduleReport, ScheduleError> {
-    machine.set_topology(topology.cloned());
-    execute_plan_with(plan, stream, machine, options)
-}
-
-/// Run `scheduler` over `stream` on a fresh machine built from `config`.
-///
-/// Since the decide/execute split this is a composition of
-/// [`plan_schedule`] and [`execute_plan`]; assignments and statistics are
-/// identical to the historical interleaved driver (a conformance test
-/// enforces it for every scheduler).
-pub fn run_schedule(
-    scheduler: &mut dyn Scheduler,
-    stream: &TensorPairStream,
-    config: &MachineConfig,
-) -> Result<ScheduleReport, ScheduleError> {
-    run_schedule_with(scheduler, stream, config, DriverOptions::default())
-}
-
-/// [`run_schedule`] with [`DriverOptions`] layered onto the machine's cost
-/// model — the entry point for overlap experiments.
-///
-/// # Examples
-///
-/// ```
-/// use micco_core::{run_schedule_with, DriverOptions, RoundRobinScheduler};
-/// use micco_gpusim::MachineConfig;
-/// use micco_workload::WorkloadSpec;
-///
-/// let stream = WorkloadSpec::new(8, 64).with_vectors(2).generate();
-/// let cfg = MachineConfig::mi100_like(2);
-/// let sync = run_schedule_with(
-///     &mut RoundRobinScheduler::new(), &stream, &cfg, DriverOptions::default(),
-/// ).unwrap();
-/// let overlapped = run_schedule_with(
-///     &mut RoundRobinScheduler::new(), &stream, &cfg, DriverOptions::default().with_overlap(),
-/// ).unwrap();
-/// // overlapping copies with compute never slows the simulated run down
-/// assert!(overlapped.elapsed_secs() <= sync.elapsed_secs());
-/// ```
-pub fn run_schedule_with(
-    scheduler: &mut dyn Scheduler,
-    stream: &TensorPairStream,
-    config: &MachineConfig,
-    options: DriverOptions,
-) -> Result<ScheduleReport, ScheduleError> {
-    let cfg = options.apply(config);
-    let plan = plan_schedule_with(scheduler, stream, &cfg, options)?;
-    let mut machine = SimMachine::new(cfg);
-    execute_plan_with(&plan, stream, &mut machine, options)
-}
-
-/// [`run_schedule_with`] with both phases routed over `topology`: the plan
-/// is decided against a topology-carrying shadow and replayed on a
-/// topology-carrying simulator, so the executed transfer paths are exactly
-/// the planned ones. `None` is exactly [`run_schedule_with`].
-pub fn run_schedule_with_topology(
-    scheduler: &mut dyn Scheduler,
-    stream: &TensorPairStream,
-    config: &MachineConfig,
-    options: DriverOptions,
-    topology: Option<&LinkTopology>,
-) -> Result<ScheduleReport, ScheduleError> {
-    let cfg = options.apply(config);
-    let plan = plan_schedule_with_topology(scheduler, stream, &cfg, options, topology)?;
-    let mut machine = SimMachine::new(cfg);
-    execute_plan_with_topology(&plan, stream, &mut machine, options, topology)
 }
 
 /// Run `scheduler` over `stream` on an existing machine (lets callers enable
@@ -497,7 +356,14 @@ pub fn run_schedule_on(
 mod tests {
     use super::*;
     use crate::baselines::RoundRobinScheduler;
+    use crate::session::Session;
     use micco_workload::WorkloadSpec;
+
+    fn run_rr(stream: &TensorPairStream, cfg: MachineConfig) -> ScheduleReport {
+        Session::new(cfg)
+            .run(&mut RoundRobinScheduler::new(), stream)
+            .unwrap()
+    }
 
     #[test]
     fn round_robin_runs_and_reports() {
@@ -505,8 +371,7 @@ mod tests {
             .with_vectors(3)
             .with_seed(1)
             .generate();
-        let mut s = RoundRobinScheduler::new();
-        let report = run_schedule(&mut s, &stream, &MachineConfig::mi100_like(4)).unwrap();
+        let report = run_rr(&stream, MachineConfig::mi100_like(4));
         assert_eq!(report.assignments.len(), stream.total_tasks());
         assert_eq!(report.stats.total_tasks() as usize, stream.total_tasks());
         assert!(report.gflops() > 0.0);
@@ -524,8 +389,9 @@ mod tests {
         let stream = WorkloadSpec::new(4, 512).with_vectors(1).generate();
         // device memory smaller than one task's working set
         let cfg = MachineConfig::mi100_like(1).with_mem_bytes(1024);
-        let mut s = RoundRobinScheduler::new();
-        let err = run_schedule(&mut s, &stream, &cfg).unwrap_err();
+        let err = Session::new(cfg)
+            .run(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap_err();
         assert!(matches!(err, ScheduleError::Exec { .. }));
         assert!(err.to_string().contains("failed"));
     }
@@ -533,8 +399,7 @@ mod tests {
     #[test]
     fn speedup_is_ratio_of_elapsed() {
         let stream = WorkloadSpec::new(8, 64).with_vectors(2).generate();
-        let cfg = MachineConfig::mi100_like(2);
-        let a = run_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+        let a = run_rr(&stream, MachineConfig::mi100_like(2));
         let b = a.clone();
         assert!((a.speedup_over(&b) - 1.0).abs() < 1e-12);
     }
@@ -542,8 +407,7 @@ mod tests {
     #[test]
     fn empty_stream_is_a_clean_noop() {
         let stream = micco_workload::TensorPairStream::default();
-        let cfg = MachineConfig::mi100_like(2);
-        let r = run_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+        let r = run_rr(&stream, MachineConfig::mi100_like(2));
         assert!(r.assignments.is_empty());
         assert_eq!(r.stats.total_tasks(), 0);
         assert_eq!(r.gflops(), 0.0);
@@ -553,8 +417,7 @@ mod tests {
     #[test]
     fn summary_and_display_agree() {
         let stream = WorkloadSpec::new(4, 64).with_vectors(1).generate();
-        let cfg = MachineConfig::mi100_like(2);
-        let r = run_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+        let r = run_rr(&stream, MachineConfig::mi100_like(2));
         assert_eq!(r.summary(), r.to_string());
         assert!(r.summary().contains("round-robin"));
         assert!(r.summary().contains("GFLOPS"));
@@ -580,19 +443,11 @@ mod tests {
             .with_seed(4)
             .generate();
         let cfg = MachineConfig::mi100_like(2);
-        let via_options = run_schedule_with(
-            &mut RoundRobinScheduler::new(),
-            &stream,
-            &cfg,
-            DriverOptions::default().with_overlap(),
-        )
-        .unwrap();
-        let via_cost = run_schedule(
-            &mut RoundRobinScheduler::new(),
-            &stream,
-            &cfg.with_cost(cfg.cost.with_async_copy()),
-        )
-        .unwrap();
+        let via_options = Session::new(cfg)
+            .overlap(true)
+            .run(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap();
+        let via_cost = run_rr(&stream, cfg.with_cost(cfg.cost.with_async_copy()));
         assert_eq!(via_options.stats, via_cost.stats);
         assert_eq!(via_options.assignments, via_cost.assignments);
     }
@@ -600,8 +455,7 @@ mod tests {
     #[test]
     fn stage_makespans_match_vector_count() {
         let stream = WorkloadSpec::new(4, 64).with_vectors(5).generate();
-        let cfg = MachineConfig::mi100_like(2);
-        let r = run_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+        let r = run_rr(&stream, MachineConfig::mi100_like(2));
         assert_eq!(r.stats.stage_makespans.len(), 5);
     }
 
@@ -609,16 +463,13 @@ mod tests {
     fn overhead_zero_unless_opted_in() {
         let stream = WorkloadSpec::new(8, 64).with_vectors(2).generate();
         let cfg = MachineConfig::mi100_like(2);
-        let silent = run_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+        let silent = run_rr(&stream, cfg);
         assert_eq!(silent.scheduling_overhead_secs, 0.0);
         assert_eq!(silent.execution_overhead_secs, 0.0);
-        let measured = run_schedule_with(
-            &mut RoundRobinScheduler::new(),
-            &stream,
-            &cfg,
-            DriverOptions::default().with_measure_overhead(),
-        )
-        .unwrap();
+        let measured = Session::new(cfg)
+            .measure_overhead(true)
+            .run(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap();
         assert!(measured.scheduling_overhead_secs > 0.0);
         // timing never changes the decisions or the simulated outcome
         assert_eq!(silent.assignments, measured.assignments);
@@ -629,18 +480,16 @@ mod tests {
     fn execute_phase_overhead_is_measured_when_opted_in() {
         let stream = WorkloadSpec::new(8, 64).with_vectors(2).generate();
         let cfg = MachineConfig::mi100_like(2);
-        let plan = plan_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+        let plan = Session::new(cfg)
+            .plan(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap()
+            .into_plan();
 
-        // the plan-replay path honours measure_overhead (it used to be
-        // silently dropped here)
-        let mut machine = SimMachine::new(cfg);
-        let timed = execute_plan_with(
-            &plan,
-            &stream,
-            &mut machine,
-            DriverOptions::default().with_measure_overhead(),
-        )
-        .unwrap();
+        // the plan-replay path honours measure_overhead
+        let timed = Session::new(cfg)
+            .measure_overhead(true)
+            .replay(&plan, &stream)
+            .unwrap();
         assert!(timed.execution_overhead_secs > 0.0);
 
         // and measurement never perturbs the simulated outcome
@@ -651,14 +500,11 @@ mod tests {
         assert_eq!(silent.assignments, timed.assignments);
         assert!(timed.total_overhead_secs() >= timed.execution_overhead_secs);
 
-        // composed runs forward the options to the execute phase
-        let composed = run_schedule_with(
-            &mut RoundRobinScheduler::new(),
-            &stream,
-            &cfg,
-            DriverOptions::default().with_measure_overhead(),
-        )
-        .unwrap();
+        // decide-and-execute runs forward the options to the execute phase
+        let composed = Session::new(cfg)
+            .measure_overhead(true)
+            .run(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap();
         assert!(composed.execution_overhead_secs > 0.0);
     }
 
@@ -669,7 +515,7 @@ mod tests {
             .with_seed(9)
             .generate();
         let cfg = MachineConfig::mi100_like(3);
-        let composed = run_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+        let composed = run_rr(&stream, cfg);
         let mut machine = SimMachine::new(cfg);
         let interleaved =
             run_schedule_on(&mut RoundRobinScheduler::new(), &stream, &mut machine).unwrap();
@@ -681,7 +527,10 @@ mod tests {
     fn execute_plan_rejects_mismatched_stream() {
         let stream = WorkloadSpec::new(8, 64).with_vectors(2).generate();
         let cfg = MachineConfig::mi100_like(2);
-        let plan = plan_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+        let plan = Session::new(cfg)
+            .plan(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap()
+            .into_plan();
         let other = WorkloadSpec::new(8, 64)
             .with_vectors(2)
             .with_seed(99)

@@ -24,14 +24,17 @@
 //!   policies;
 //! * [`GrouteScheduler`] — the earliest-available-device baseline the paper
 //!   compares against (reuse-oblivious load balancing);
-//! * [`run_schedule`] — the driver interleaving scheduling with simulated
-//!   execution, measuring both achieved GFLOPS and scheduling overhead;
+//! * [`Session`] — the one entry point that plans a stream (Alg. 1 + 2
+//!   against a shadow machine) and replays the plan on the simulator,
+//!   measuring both achieved GFLOPS and scheduling overhead; a
+//!   [`SessionConfig`] builds one from the same JSON/flag grammar the CLI
+//!   and the `micco serve` daemon read;
 //! * [`tuner`] — grid search over reuse-bound settings (ground truth for the
 //!   regression model) and the Fig. 8 candidate set;
 //! * [`model::RegressionBounds`] — the pre-trained random-forest provider
 //!   that predicts per-vector optimal bounds from data characteristics.
 
-pub mod arena;
+mod arena;
 pub mod baselines;
 pub mod bounds;
 pub mod config;
@@ -48,15 +51,12 @@ pub mod state;
 pub mod store;
 pub mod tuner;
 
-pub use arena::PlanArena;
 pub use baselines::{CodaScheduler, GrouteScheduler, RoundRobinScheduler};
 pub use bounds::{BoundsProvider, FixedBounds, ReuseBounds};
 pub use config::{ConfigError, RetryPolicy, SessionConfig, CONFIG_KEYS};
 pub use driver::{
-    execute_plan, execute_plan_with, execute_plan_with_topology, plan_schedule, plan_schedule_in,
-    plan_schedule_in_with_topology, plan_schedule_with, plan_schedule_with_topology, run_schedule,
-    run_schedule_on, run_schedule_with, run_schedule_with_topology, Assignment, DriverOptions,
-    ScheduleError, ScheduleReport, Scheduler,
+    execute_plan, run_schedule_on, Assignment, DriverOptions, ScheduleError, ScheduleReport,
+    Scheduler,
 };
 pub use mapping::{mapping_histogram, Mapping, MappingHistogram};
 pub use micco::MiccoScheduler;

@@ -196,7 +196,7 @@ pub fn mapping_histogram(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::run_schedule;
+    use crate::session::Session;
     use crate::{GrouteScheduler, MiccoScheduler, ReuseBounds};
     use micco_gpusim::{MachineConfig, SimMachine};
     use micco_workload::{TaskId, TensorDesc, TensorId, WorkloadSpec};
@@ -274,13 +274,12 @@ mod tests {
             .with_vectors(5)
             .generate();
         let cfg = MachineConfig::mi100_like(4);
-        let micco = run_schedule(
-            &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-            &stream,
-            &cfg,
-        )
-        .unwrap();
-        let groute = run_schedule(&mut GrouteScheduler::new(), &stream, &cfg).unwrap();
+        let micco = Session::new(cfg)
+            .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
+            .unwrap();
+        let groute = Session::new(cfg)
+            .run(&mut GrouteScheduler::new(), &stream)
+            .unwrap();
         let hm = mapping_histogram(&stream, &micco.assignments, &cfg);
         let hg = mapping_histogram(&stream, &groute.assignments, &cfg);
         assert_eq!(hm.total() as usize, stream.total_tasks());

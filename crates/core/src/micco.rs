@@ -50,18 +50,16 @@ struct AssignScratch {
 /// # Examples
 ///
 /// ```
-/// use micco_core::{run_schedule, GrouteScheduler, MiccoScheduler, ReuseBounds};
+/// use micco_core::{GrouteScheduler, MiccoScheduler, ReuseBounds, Session};
 /// use micco_gpusim::MachineConfig;
 /// use micco_workload::WorkloadSpec;
 ///
 /// let stream = WorkloadSpec::new(32, 256).with_repeat_rate(0.75).with_vectors(6).generate();
-/// let machine = MachineConfig::mi100_like(4);
-/// let micco = run_schedule(
-///     &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-///     &stream,
-///     &machine,
-/// ).unwrap();
-/// let groute = run_schedule(&mut GrouteScheduler::new(), &stream, &machine).unwrap();
+/// let session = Session::new(MachineConfig::mi100_like(4));
+/// let micco = session
+///     .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
+///     .unwrap();
+/// let groute = session.run(&mut GrouteScheduler::new(), &stream).unwrap();
 /// // reuse-aware placement finds strictly more resident operands
 /// assert!(micco.stats.total_reuse_hits() >= groute.stats.total_reuse_hits());
 /// ```
@@ -281,7 +279,8 @@ impl<P: BoundsProvider> Scheduler for MiccoScheduler<P> {
 mod tests {
     use super::*;
     use crate::baselines::GrouteScheduler;
-    use crate::driver::{run_schedule, run_schedule_on};
+    use crate::driver::run_schedule_on;
+    use crate::session::Session;
     use micco_gpusim::{MachineConfig, SimMachine};
     use micco_workload::{RepeatDistribution, TaskId, TensorDesc, TensorPairStream, WorkloadSpec};
 
@@ -403,7 +402,7 @@ mod tests {
         let cfg = MachineConfig::mi100_like(4);
         let run = |seed| {
             let mut s = MiccoScheduler::new(ReuseBounds::new(0, 2, 0)).with_seed(seed);
-            run_schedule(&mut s, &stream, &cfg).unwrap().assignments
+            Session::new(cfg).run(&mut s, &stream).unwrap().assignments
         };
         assert_eq!(run(1), run(1));
     }
@@ -417,13 +416,12 @@ mod tests {
             .with_seed(3)
             .generate();
         let cfg = MachineConfig::mi100_like(8);
-        let micco = run_schedule(
-            &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-            &stream,
-            &cfg,
-        )
-        .unwrap();
-        let groute = run_schedule(&mut GrouteScheduler::new(), &stream, &cfg).unwrap();
+        let micco = Session::new(cfg)
+            .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
+            .unwrap();
+        let groute = Session::new(cfg)
+            .run(&mut GrouteScheduler::new(), &stream)
+            .unwrap();
         let speedup = micco.speedup_over(&groute);
         assert!(
             speedup > 1.05,
@@ -448,7 +446,9 @@ mod tests {
             .with_vectors(2)
             .generate();
         let cfg = MachineConfig::mi100_like(2);
-        let r = run_schedule(&mut MiccoScheduler::naive(), &stream, &cfg).unwrap();
+        let r = Session::new(cfg)
+            .run(&mut MiccoScheduler::naive(), &stream)
+            .unwrap();
         assert_eq!(r.assignments.len(), stream.total_tasks());
     }
 

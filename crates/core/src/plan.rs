@@ -1,8 +1,8 @@
 //! The schedule-plan IR: a durable, validated placement artifact.
 //!
-//! A [`SchedulePlan`] is what [`crate::plan_schedule`] produces and what
-//! [`crate::execute_plan`] (and the real executor in `micco-exec`, and the
-//! cluster driver) consume: per-stage assignment vectors, the scheduler
+//! A [`SchedulePlan`] is what [`crate::Session::plan`] produces and what
+//! [`crate::Session::replay`] (and the real executor in `micco-exec`, and
+//! the cluster driver) consume: per-stage assignment vectors, the scheduler
 //! name and reuse bounds that produced them, and a content-hash
 //! **fingerprint** of the workload the plan was decided for. Splitting
 //! decide from execute makes the plan cacheable (hadron nodes repeat
@@ -34,9 +34,7 @@ use micco_workload::{FastIdMap, TaskId, TensorPairStream};
 
 use crate::arena::PlanArena;
 use crate::bounds::ReuseBounds;
-use crate::driver::{
-    plan_schedule_in_with_topology, Assignment, DriverOptions, ScheduleError, Scheduler,
-};
+use crate::driver::{plan_in, Assignment, DriverOptions, ScheduleError, Scheduler};
 
 /// Plan format version written by [`SchedulePlan::to_text`].
 pub const PLAN_VERSION: u32 = 1;
@@ -60,13 +58,15 @@ pub struct PlanStage {
 /// # Examples
 ///
 /// ```
-/// use micco_core::{plan_schedule, RoundRobinScheduler, SchedulePlan};
+/// use micco_core::{RoundRobinScheduler, SchedulePlan, Session};
 /// use micco_gpusim::MachineConfig;
 /// use micco_workload::WorkloadSpec;
 ///
 /// let stream = WorkloadSpec::new(8, 64).with_vectors(2).generate();
-/// let cfg = MachineConfig::mi100_like(2);
-/// let plan = plan_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+/// let plan = Session::new(MachineConfig::mi100_like(2))
+///     .plan(&mut RoundRobinScheduler::new(), &stream)
+///     .unwrap()
+///     .into_plan();
 /// // round-trips through the text format exactly
 /// let back = SchedulePlan::from_text(&plan.to_text()).unwrap();
 /// assert_eq!(plan, back);
@@ -289,16 +289,15 @@ impl std::error::Error for RepairError {}
 /// # Examples
 ///
 /// ```
-/// use micco_core::{plan_schedule, repair_plan, RoundRobinScheduler};
+/// use micco_core::{repair_plan, RoundRobinScheduler, Session};
 /// use micco_gpusim::{GpuId, MachineConfig};
 /// use micco_workload::WorkloadSpec;
 ///
 /// let stream = WorkloadSpec::new(8, 64).with_vectors(2).generate();
-/// let plan = plan_schedule(
-///     &mut RoundRobinScheduler::new(),
-///     &stream,
-///     &MachineConfig::mi100_like(3),
-/// ).unwrap();
+/// let plan = Session::new(MachineConfig::mi100_like(3))
+///     .plan(&mut RoundRobinScheduler::new(), &stream)
+///     .unwrap()
+///     .into_plan();
 /// let repaired = repair_plan(&plan, &[GpuId(1)]).unwrap();
 /// assert!(repaired.validate(&stream).is_ok());
 /// assert!(repaired.scheduler.ends_with("+repair(lost=1)"));
@@ -649,8 +648,8 @@ impl std::fmt::Write for Fnv {
     }
 }
 
-/// Opaque cache key identifying a `(scheduler, stream, config, options)`
-/// planning request (see [`PlanCache::key_for`]).
+/// Opaque cache key identifying a `(scheduler, stream, config, options,
+/// topology)` planning request (see [`PlanCache::key_for_with_topology`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey(u64);
 
@@ -698,8 +697,11 @@ impl PlanKey {
 /// let cfg = MachineConfig::mi100_like(2);
 /// let mut cache = PlanCache::new();
 /// let opts = Default::default();
-/// cache.plan_for(&mut RoundRobinScheduler::new(), &stream, &cfg, opts).unwrap();
-/// cache.plan_for(&mut RoundRobinScheduler::new(), &stream, &cfg, opts).unwrap();
+/// for _ in 0..2 {
+///     cache
+///         .plan_for_with_topology(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
+///         .unwrap();
+/// }
 /// assert_eq!((cache.misses(), cache.hits()), (1, 1));
 /// ```
 #[derive(Default)]
@@ -716,29 +718,16 @@ impl PlanCache {
         PlanCache::default()
     }
 
-    /// The plan for `(scheduler, stream, config, options)` — served from
-    /// cache when the same combination was planned before (the scheduler
-    /// is not invoked at all on a hit), decided via
-    /// [`crate::plan_schedule_in`] against the cache's reusable arena
-    /// otherwise. The hit path performs **zero heap allocations** (a test
-    /// with a counting allocator pins this): the key is accumulated
-    /// through [`Scheduler::write_name`] rather than a `name()` `String`,
-    /// and the plan is looked up once by its interned 64-bit key.
-    pub fn plan_for(
-        &mut self,
-        scheduler: &mut dyn Scheduler,
-        stream: &TensorPairStream,
-        config: &MachineConfig,
-        options: DriverOptions,
-    ) -> Result<&SchedulePlan, ScheduleError> {
-        self.plan_for_with_topology(scheduler, stream, config, options, None)
-    }
-
-    /// [`Self::plan_for`] deciding against a topology-carrying shadow
-    /// (see [`crate::plan_schedule_with_topology`]). The key mixes the
-    /// topology spec only when one is present, so flat requests keep the
-    /// exact keys [`Self::plan_for`] has always produced and the two entry
-    /// points share one cache safely.
+    /// The plan for `(scheduler, stream, config, options, topology)` —
+    /// served from cache when the same request was planned before (the
+    /// scheduler is not invoked at all on a hit), decided by the planning
+    /// loop behind [`crate::Session::plan`] against the cache's reusable
+    /// arena otherwise. With a topology the plan is decided against a
+    /// topology-carrying shadow. The hit path performs **zero heap
+    /// allocations** (a test with a counting allocator pins this): the key
+    /// is accumulated through [`Scheduler::write_name`] rather than a
+    /// `name()` `String`, and the plan is looked up once by its interned
+    /// 64-bit key.
     pub fn plan_for_with_topology(
         &mut self,
         scheduler: &mut dyn Scheduler,
@@ -757,7 +746,7 @@ impl PlanCache {
                 Ok(entry.into_mut())
             }
             std::collections::hash_map::Entry::Vacant(entry) => {
-                let plan = plan_schedule_in_with_topology(
+                let plan = plan_in(
                     scheduler,
                     stream,
                     config,
@@ -771,15 +760,18 @@ impl PlanCache {
         }
     }
 
-    /// The cache key [`Self::plan_for`] would use for this request —
-    /// exposed so callers can probe with [`Self::get`] without planning.
-    /// Allocation-free for schedulers with an allocation-free
-    /// [`Scheduler::write_name`] (all schedulers in this crate).
-    pub fn key_for(
+    /// The cache key [`Self::plan_for_with_topology`] would use for this
+    /// request — exposed so callers can probe with [`Self::get`] without
+    /// planning. Allocation-free for schedulers with an allocation-free
+    /// [`Scheduler::write_name`] (all schedulers in this crate). The
+    /// topology spec (and the `topology_aware` knob) is mixed in only when
+    /// a topology is present, so flat keys are byte-stable.
+    pub fn key_for_with_topology(
         scheduler: &dyn Scheduler,
         stream: &TensorPairStream,
         config: &MachineConfig,
         options: DriverOptions,
+        topology: Option<&LinkTopology>,
     ) -> PlanKey {
         let mut h = Fnv::new();
         h.mix(stream.fingerprint());
@@ -807,26 +799,9 @@ impl PlanCache {
             // hit the cached plan and reported a zero overhead
             h.mix(1);
         }
-        PlanKey(h.0)
-    }
-
-    /// The cache key [`Self::plan_for_with_topology`] would use. With
-    /// `topology: None` this is exactly [`Self::key_for`] — the topology
-    /// spec (and the `topology_aware` knob) is mixed in only when a
-    /// topology is actually present, so flat keys are byte-stable across
-    /// this refactor.
-    pub fn key_for_with_topology(
-        scheduler: &dyn Scheduler,
-        stream: &TensorPairStream,
-        config: &MachineConfig,
-        options: DriverOptions,
-        topology: Option<&LinkTopology>,
-    ) -> PlanKey {
-        let PlanKey(flat) = Self::key_for(scheduler, stream, config, options);
         let Some(topo) = topology else {
-            return PlanKey(flat);
+            return PlanKey(h.0);
         };
-        let mut h = Fnv(flat);
         h.mix(options.topology_aware as u64);
         for byte in topo.to_spec().bytes() {
             h.mix_byte(byte);
@@ -846,8 +821,8 @@ impl PlanCache {
     }
 
     /// Insert an externally decided plan under `key` (hydration from a
-    /// durable store). Counter-neutral; a later [`Self::plan_for`] for the
-    /// same request is a hit.
+    /// durable store). Counter-neutral; a later
+    /// [`Self::plan_for_with_topology`] for the same request is a hit.
     pub fn insert(&mut self, key: PlanKey, plan: SchedulePlan) {
         self.plans.insert(key.0, plan);
     }
@@ -877,7 +852,7 @@ impl PlanCache {
 mod tests {
     use super::*;
     use crate::baselines::RoundRobinScheduler;
-    use crate::driver::plan_schedule;
+    use crate::session::Session;
     use micco_workload::WorkloadSpec;
 
     fn plan_fixture() -> (TensorPairStream, SchedulePlan) {
@@ -885,8 +860,10 @@ mod tests {
             .with_vectors(3)
             .with_seed(5)
             .generate();
-        let cfg = MachineConfig::mi100_like(3);
-        let plan = plan_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+        let plan = Session::new(MachineConfig::mi100_like(3))
+            .plan(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap()
+            .into_plan();
         (stream, plan)
     }
 
@@ -1116,26 +1093,26 @@ mod tests {
         let plain = DriverOptions::default();
         let measuring = DriverOptions::default().with_measure_overhead();
 
-        let unmeasured = cache.plan_for(&mut sched, &stream, &cfg, plain).unwrap();
-        assert_eq!(unmeasured.overhead_secs, 0.0);
+        let mut plan_for = |cache: &mut PlanCache, opts| {
+            cache
+                .plan_for_with_topology(&mut sched, &stream, &cfg, opts, None)
+                .unwrap()
+                .overhead_secs
+        };
+        let unmeasured = plan_for(&mut cache, plain);
+        assert_eq!(unmeasured, 0.0);
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
 
-        let measured = cache
-            .plan_for(&mut sched, &stream, &cfg, measuring)
-            .unwrap();
+        let measured = plan_for(&mut cache, measuring);
         assert!(
-            measured.overhead_secs > 0.0,
+            measured > 0.0,
             "a measuring request must plan fresh and carry a real overhead"
         );
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
 
         // both variants are now cached; repeats hit their own entry
-        let again = cache
-            .plan_for(&mut sched, &stream, &cfg, measuring)
-            .unwrap();
-        assert!(again.overhead_secs > 0.0);
-        let again = cache.plan_for(&mut sched, &stream, &cfg, plain).unwrap();
-        assert_eq!(again.overhead_secs, 0.0);
+        assert!(plan_for(&mut cache, measuring) > 0.0);
+        assert_eq!(plan_for(&mut cache, plain), 0.0);
         assert_eq!((cache.hits(), cache.misses()), (2, 2));
     }
 
@@ -1155,11 +1132,12 @@ mod tests {
     fn plan_key_raw_roundtrip_and_node_qualification() {
         let (stream, _) = plan_fixture();
         let cfg = MachineConfig::mi100_like(3);
-        let key = PlanCache::key_for(
+        let key = PlanCache::key_for_with_topology(
             &RoundRobinScheduler::new(),
             &stream,
             &cfg,
             DriverOptions::default(),
+            None,
         );
         assert_eq!(PlanKey::from_raw(key.raw()), key);
         let a = key.with_node("node-a");

@@ -1,7 +1,7 @@
 //! The retained *reference* planner: a frozen, map-based copy of the
 //! original decide-phase machine.
 //!
-//! The optimized planner ([`crate::plan_schedule_with`]) interns tensor
+//! The optimized planner ([`crate::Session::plan`]) interns tensor
 //! ids, keeps residency in bit-packed SoA vectors, and reuses scratch
 //! buffers across tasks. Every one of those transformations is claimed to
 //! be *decision-equivalent*: the same scheduler over the same stream must
@@ -384,8 +384,8 @@ impl MachineView for RefShadow {
 }
 
 /// Plan `stream` with `scheduler` against the *frozen seed machine* —
-/// the reference the optimized [`crate::plan_schedule_with`] must match
-/// byte for byte.
+/// the reference the optimized [`crate::Session::plan`] must match byte
+/// for byte.
 ///
 /// Always reports `overhead_secs: 0.0` (`measure_overhead` is ignored;
 /// compare plans produced without it, as the equivalence tests do).
@@ -431,7 +431,7 @@ pub fn plan_schedule_seed(
 mod tests {
     use super::*;
     use crate::baselines::RoundRobinScheduler;
-    use crate::driver::plan_schedule_with;
+    use crate::session::Session;
     use micco_workload::WorkloadSpec;
 
     #[test]
@@ -443,8 +443,11 @@ mod tests {
             .generate();
         let cfg = MachineConfig::mi100_like(3);
         let opts = DriverOptions::default();
-        let fast =
-            plan_schedule_with(&mut RoundRobinScheduler::new(), &stream, &cfg, opts).unwrap();
+        let fast = Session::new(cfg)
+            .with_options(opts)
+            .plan(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap()
+            .into_plan();
         let slow =
             plan_schedule_seed(&mut RoundRobinScheduler::new(), &stream, &cfg, opts).unwrap();
         assert_eq!(fast, slow);

@@ -29,7 +29,7 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use micco_gpusim::{FaultPlan, LinkTopology, MachineConfig, SimMachine};
 use micco_obs::{
@@ -37,9 +37,9 @@ use micco_obs::{
 };
 use micco_workload::TensorPairStream;
 
+use crate::arena::PlanArena;
 use crate::driver::{
-    execute_plan_with_topology, plan_schedule_with_topology, DriverOptions, ScheduleError,
-    ScheduleReport, Scheduler,
+    execute_plan, plan_in, DriverOptions, ScheduleError, ScheduleReport, Scheduler,
 };
 use crate::plan::SchedulePlan;
 use crate::store::{DurableError, DurablePlanCache, DurableStats};
@@ -220,11 +220,13 @@ impl Session {
         scheduler: &mut dyn Scheduler,
         stream: &TensorPairStream,
     ) -> Result<Planned, ScheduleError> {
-        let plan = plan_schedule_with_topology(
+        let mut arena = PlanArena::with_capacity(stream.total_tasks(), stream.vectors.len());
+        let plan = plan_in(
             scheduler,
             stream,
             &self.config,
             self.options,
+            &mut arena,
             self.topology.as_ref(),
         )?;
         Ok(Planned {
@@ -297,28 +299,29 @@ impl Session {
     /// Replay an externally decided plan (e.g. one deserialized with
     /// [`SchedulePlan::from_text`]) under this session's machine, options
     /// and telemetry — the plan-file counterpart of [`Session::run`].
+    /// With [`Session::measure_overhead`] on, the wall clock of the replay
+    /// is reported as [`ScheduleReport::execution_overhead_secs`]; timing
+    /// never changes the simulated outcome.
     pub fn replay(
         &self,
         plan: &SchedulePlan,
         stream: &TensorPairStream,
     ) -> Result<ScheduleReport, ScheduleError> {
         let mut machine = self.machine();
-        let report = execute_plan_with_topology(
-            plan,
-            stream,
-            &mut machine,
-            self.options,
-            self.topology.as_ref(),
-        )?;
+        let t0 = self.options.measure_overhead.then(Instant::now);
+        let mut report = execute_plan(plan, stream, &mut machine)?;
+        report.execution_overhead_secs = t0.map_or(0.0, |t| t.elapsed().as_secs_f64());
         self.record_run_span(plan, &report);
         Ok(report)
     }
 
-    /// Fresh simulator for this session, with the telemetry observer
-    /// attached when a sink is configured.
+    /// Fresh simulator for this session: options applied, topology routed,
+    /// faults armed, and the telemetry observer attached when a sink is
+    /// configured.
     fn machine(&self) -> SimMachine {
         let cfg = self.options.apply(&self.config);
         let mut machine = SimMachine::new(cfg);
+        machine.set_topology(self.topology.clone());
         if let Some(faults) = &self.faults {
             machine.set_faults(faults.clone());
         }
@@ -399,7 +402,7 @@ mod tests {
     use super::*;
     use crate::baselines::RoundRobinScheduler;
     use crate::bounds::ReuseBounds;
-    use crate::driver::run_schedule_with;
+    use crate::driver::run_schedule_on;
     use crate::micco::MiccoScheduler;
     use micco_obs::{reconcile_with_stats, Recorder};
     use micco_workload::WorkloadSpec;
@@ -419,11 +422,10 @@ mod tests {
         let opts = DriverOptions::default()
             .with_overlap()
             .with_prefetch_tasks(2);
-        let classic = run_schedule_with(
+        let classic = run_schedule_on(
             &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
             &stream,
-            &cfg,
-            opts,
+            &mut SimMachine::new(opts.apply(&cfg)),
         )
         .expect("fits");
         let via_session = Session::new(cfg)

@@ -94,32 +94,32 @@ pub struct DurableStats {
 
 /// A [`PlanCache`] with write-through persistence to a [`PlanStore`].
 ///
-/// Every plan decided through [`DurablePlanCache::plan_for`] is appended
-/// to the write-ahead log before being returned; reopening the same
+/// Every plan decided through [`DurablePlanCache::plan_for_with_topology`]
+/// (which [`crate::Session::plan_with_cache`] calls) is appended to the
+/// write-ahead log before being returned; reopening the same
 /// directory warm-starts the cache, so repeated runs of the same workload
 /// skip the scheduler entirely (the log-hit counter proves it).
 ///
 /// # Examples
 ///
 /// ```
-/// use micco_core::{DurablePlanCache, DriverOptions, RoundRobinScheduler};
+/// use micco_core::{DurablePlanCache, RoundRobinScheduler, Session};
 /// use micco_gpusim::MachineConfig;
 /// use micco_workload::WorkloadSpec;
 ///
 /// let dir = std::env::temp_dir().join(format!("micco-durable-doc-{}", std::process::id()));
 /// # std::fs::remove_dir_all(&dir).ok();
 /// let stream = WorkloadSpec::new(8, 64).with_vectors(2).generate();
-/// let cfg = MachineConfig::mi100_like(2);
-/// let opts = DriverOptions::default();
+/// let session = Session::new(MachineConfig::mi100_like(2));
 ///
 /// let mut cache = DurablePlanCache::open(&dir)?;
-/// cache.plan_for(&mut RoundRobinScheduler::new(), &stream, &cfg, opts)?;
+/// session.plan_with_cache(&mut cache, &mut RoundRobinScheduler::new(), &stream)?;
 /// assert_eq!(cache.misses(), 1);
 /// drop(cache);
 ///
 /// // warm restart: served from the log, scheduler not invoked
 /// let mut cache = DurablePlanCache::open(&dir)?;
-/// cache.plan_for(&mut RoundRobinScheduler::new(), &stream, &cfg, opts)?;
+/// session.plan_with_cache(&mut cache, &mut RoundRobinScheduler::new(), &stream)?;
 /// assert_eq!((cache.log_hits(), cache.misses()), (1, 0));
 /// # std::fs::remove_dir_all(&dir).ok();
 /// # Ok::<(), micco_core::DurableError>(())
@@ -169,21 +169,10 @@ impl DurablePlanCache {
         }
     }
 
-    /// The plan for `(scheduler, stream, config, options)` — from memory,
-    /// else from the log (parsed and byte-verified), else freshly decided
-    /// and durably appended before this call returns.
-    pub fn plan_for(
-        &mut self,
-        scheduler: &mut dyn Scheduler,
-        stream: &TensorPairStream,
-        config: &MachineConfig,
-        options: DriverOptions,
-    ) -> Result<&SchedulePlan, DurableError> {
-        self.plan_for_with_topology(scheduler, stream, config, options, None)
-    }
-
-    /// [`Self::plan_for`] deciding against a topology-carrying shadow —
-    /// same key discipline as [`PlanCache::plan_for_with_topology`].
+    /// The plan for `(scheduler, stream, config, options, topology)` —
+    /// from memory, else from the log (parsed and byte-verified), else
+    /// freshly decided and durably appended before this call returns. Keys
+    /// follow [`PlanCache::key_for_with_topology`].
     pub fn plan_for_with_topology(
         &mut self,
         scheduler: &mut dyn Scheduler,
@@ -347,7 +336,7 @@ mod tests {
         let first = {
             let mut cache = DurablePlanCache::open(&dir).unwrap();
             let plan = cache
-                .plan_for(&mut RoundRobinScheduler::new(), &stream, &cfg, opts)
+                .plan_for_with_topology(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
                 .unwrap()
                 .clone();
             assert_eq!(
@@ -356,7 +345,7 @@ mod tests {
             );
             // second request in the same process: memory hit
             cache
-                .plan_for(&mut RoundRobinScheduler::new(), &stream, &cfg, opts)
+                .plan_for_with_topology(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
                 .unwrap();
             assert_eq!(cache.mem_hits(), 1);
             plan
@@ -364,7 +353,7 @@ mod tests {
         // warm restart: log hit, and the replayed plan is bit-identical
         let mut cache = DurablePlanCache::open(&dir).unwrap();
         let replayed = cache
-            .plan_for(&mut RoundRobinScheduler::new(), &stream, &cfg, opts)
+            .plan_for_with_topology(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
             .unwrap();
         assert_eq!(replayed.to_text(), first.to_text());
         assert_eq!(replayed.digest(), first.digest());
@@ -374,7 +363,7 @@ mod tests {
         );
         // and the promotion sticks: next request is a memory hit
         cache
-            .plan_for(&mut RoundRobinScheduler::new(), &stream, &cfg, opts)
+            .plan_for_with_topology(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
             .unwrap();
         assert_eq!(cache.mem_hits(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -385,11 +374,17 @@ mod tests {
         let dir = tmp_dir("tamper");
         let (stream, cfg) = fixture();
         let opts = DriverOptions::default();
-        let key = PlanCache::key_for(&RoundRobinScheduler::new(), &stream, &cfg, opts);
+        let key = PlanCache::key_for_with_topology(
+            &RoundRobinScheduler::new(),
+            &stream,
+            &cfg,
+            opts,
+            None,
+        );
         {
             let mut cache = DurablePlanCache::open(&dir).unwrap();
             cache
-                .plan_for(&mut RoundRobinScheduler::new(), &stream, &cfg, opts)
+                .plan_for_with_topology(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
                 .unwrap();
         }
         // store a record that parses but is NOT the canonical serialisation
@@ -403,7 +398,7 @@ mod tests {
         }
         let mut cache = DurablePlanCache::open(&dir).unwrap();
         let plan = cache
-            .plan_for(&mut RoundRobinScheduler::new(), &stream, &cfg, opts)
+            .plan_for_with_topology(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
             .unwrap();
         assert_eq!(plan.validate(&stream), Ok(()));
         assert_eq!(cache.rejected(), 1, "non-canonical record must be rejected");
@@ -417,11 +412,17 @@ mod tests {
         let dir = tmp_dir("nodes");
         let (stream, cfg) = fixture();
         let opts = DriverOptions::default();
-        let base = PlanCache::key_for(&RoundRobinScheduler::new(), &stream, &cfg, opts);
+        let base = PlanCache::key_for_with_topology(
+            &RoundRobinScheduler::new(),
+            &stream,
+            &cfg,
+            opts,
+            None,
+        );
         {
             let mut cache = DurablePlanCache::open(&dir).unwrap();
             let plan = cache
-                .plan_for(&mut RoundRobinScheduler::new(), &stream, &cfg, opts)
+                .plan_for_with_topology(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
                 .unwrap()
                 .clone();
             cache.persist(base.with_node("node0"), &plan).unwrap();
@@ -444,10 +445,16 @@ mod tests {
         {
             let mut cache = DurablePlanCache::open(&dir).unwrap();
             cache
-                .plan_for(&mut RoundRobinScheduler::new(), &stream, &cfg, opts)
+                .plan_for_with_topology(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
                 .unwrap();
             cache
-                .plan_for(&mut RoundRobinScheduler::new(), &stream, &cfg, measuring)
+                .plan_for_with_topology(
+                    &mut RoundRobinScheduler::new(),
+                    &stream,
+                    &cfg,
+                    measuring,
+                    None,
+                )
                 .unwrap();
             let report = cache.compact().unwrap();
             assert_eq!(report.live_records, 2);
@@ -455,10 +462,16 @@ mod tests {
         }
         let mut cache = DurablePlanCache::open(&dir).unwrap();
         cache
-            .plan_for(&mut RoundRobinScheduler::new(), &stream, &cfg, opts)
+            .plan_for_with_topology(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
             .unwrap();
         cache
-            .plan_for(&mut RoundRobinScheduler::new(), &stream, &cfg, measuring)
+            .plan_for_with_topology(
+                &mut RoundRobinScheduler::new(),
+                &stream,
+                &cfg,
+                measuring,
+                None,
+            )
             .unwrap();
         let stats = cache.stats();
         assert_eq!((stats.log_hits, stats.misses), (2, 0));

@@ -10,8 +10,8 @@ use micco_gpusim::MachineConfig;
 use micco_workload::{DataCharacteristics, RepeatDistribution, TensorPairStream, WorkloadSpec};
 
 use crate::bounds::ReuseBounds;
-use crate::driver::run_schedule;
 use crate::micco::MiccoScheduler;
+use crate::session::Session;
 
 /// The thirteen reuse-bound settings measured in Fig. 8 (values 0–2).
 pub const FIG8_BOUND_SETTINGS: [[usize; 3]; 13] = [
@@ -51,7 +51,7 @@ pub fn evaluate_bounds(
     bounds: ReuseBounds,
 ) -> f64 {
     let mut s = MiccoScheduler::new(bounds);
-    match run_schedule(&mut s, stream, config) {
+    match Session::new(*config).run(&mut s, stream) {
         Ok(report) => report.gflops(),
         // A setting that drives the machine out of memory scores zero.
         Err(_) => 0.0,
@@ -392,7 +392,7 @@ mod tests {
     #[test]
     fn regularized_search_survives_degenerate_scores() {
         // a machine too small for any setting: every candidate scores 0.0
-        // (run_schedule errors out-of-memory) — the search must pick the
+        // (the run errors out-of-memory) — the search must pick the
         // smallest setting instead of panicking on an emptied filter
         let streams = vec![WorkloadSpec::new(16, 128)
             .with_repeat_rate(0.5)

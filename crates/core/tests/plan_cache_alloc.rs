@@ -1,9 +1,10 @@
 //! Allocation accounting for the plan cache hit path.
 //!
 //! This test binary installs a counting `#[global_allocator]` and asserts
-//! that once a plan is cached, `PlanCache::plan_for` performs **zero** heap
-//! allocations: the key is hashed borrow-wise (no `String` name, no owned
-//! key struct) and the lookup hits the interned `FastIdMap` directly.
+//! that once a plan is cached, `PlanCache::plan_for_with_topology` performs
+//! **zero** heap allocations: the key is hashed borrow-wise (no `String`
+//! name, no owned key struct) and the lookup hits the interned `FastIdMap`
+//! directly.
 //!
 //! Kept in its own integration-test binary because a global allocator is
 //! process-wide.
@@ -61,20 +62,20 @@ fn assert_hit_path_allocates_zero(mut sched: Box<dyn Scheduler>, label: &str) {
     let mut cache = PlanCache::new();
     // Miss: plans and stores (allocates freely — not under test).
     let digest = cache
-        .plan_for(&mut *sched, &stream, &cfg, opts)
+        .plan_for_with_topology(&mut *sched, &stream, &cfg, opts, None)
         .expect("plans")
         .digest();
     assert_eq!(cache.misses(), 1);
 
     // Warm a second round so any lazy one-time setup is done.
     let _ = cache
-        .plan_for(&mut *sched, &stream, &cfg, opts)
+        .plan_for_with_topology(&mut *sched, &stream, &cfg, opts, None)
         .expect("plans");
     assert_eq!(cache.hits(), 1);
 
     let before = alloc_count();
     let hit = cache
-        .plan_for(&mut *sched, &stream, &cfg, opts)
+        .plan_for_with_topology(&mut *sched, &stream, &cfg, opts, None)
         .expect("plans");
     // Snapshot the counter before digest(): serializing the plan for the
     // comparison below allocates, the lookup itself must not.

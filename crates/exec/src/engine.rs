@@ -283,17 +283,15 @@ pub struct ExecOutcome {
 /// # Examples
 ///
 /// ```
-/// use micco_core::{run_schedule, MiccoScheduler, ReuseBounds};
+/// use micco_core::{MiccoScheduler, ReuseBounds, Session};
 /// use micco_exec::{execute_assignments, ExecOptions, TensorStore};
 /// use micco_gpusim::MachineConfig;
 /// use micco_workload::WorkloadSpec;
 ///
 /// let stream = WorkloadSpec::new(4, 8).with_batch(2).with_vectors(2).generate();
-/// let report = run_schedule(
-///     &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-///     &stream,
-///     &MachineConfig::mi100_like(2),
-/// ).unwrap();
+/// let report = Session::new(MachineConfig::mi100_like(2))
+///     .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
+///     .unwrap();
 /// let store = TensorStore::new(2, 8, 7);
 /// let out = execute_assignments(&stream, &report.assignments, 2, &store, &ExecOptions::default())
 ///     .unwrap();
@@ -342,17 +340,16 @@ pub fn execute_assignments(
 /// # Examples
 ///
 /// ```
-/// use micco_core::{plan_schedule, MiccoScheduler, ReuseBounds};
+/// use micco_core::{MiccoScheduler, ReuseBounds, Session};
 /// use micco_exec::{execute_plan, ExecOptions, TensorStore};
 /// use micco_gpusim::MachineConfig;
 /// use micco_workload::WorkloadSpec;
 ///
 /// let stream = WorkloadSpec::new(4, 8).with_batch(2).with_vectors(2).generate();
-/// let plan = plan_schedule(
-///     &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-///     &stream,
-///     &MachineConfig::mi100_like(2),
-/// ).unwrap();
+/// let plan = Session::new(MachineConfig::mi100_like(2))
+///     .plan(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
+///     .unwrap()
+///     .into_plan();
 /// let store = TensorStore::new(2, 8, 7);
 /// let out = execute_plan(&stream, &plan, &store, &ExecOptions::default()).unwrap();
 /// assert_eq!(out.kernels, stream.total_tasks());
@@ -1040,7 +1037,7 @@ fn split_by_buckets<'a>(
 mod tests {
     use super::*;
     use micco_core::{
-        run_schedule, GrouteScheduler, MiccoScheduler, ReuseBounds, RoundRobinScheduler, Scheduler,
+        GrouteScheduler, MiccoScheduler, ReuseBounds, RoundRobinScheduler, Scheduler, Session,
     };
     use micco_gpusim::MachineConfig;
     use micco_obs::Recorder;
@@ -1076,7 +1073,8 @@ mod tests {
         stream: &TensorPairStream,
         gpus: usize,
     ) -> Vec<Assignment> {
-        run_schedule(s, stream, &MachineConfig::mi100_like(gpus))
+        Session::new(MachineConfig::mi100_like(gpus))
+            .run(s, stream)
             .expect("fits")
             .assignments
     }
@@ -1561,23 +1559,17 @@ mod tests {
 
     #[test]
     fn plan_path_matches_slice_path() {
-        use micco_core::{plan_schedule, run_schedule};
         use micco_gpusim::MachineConfig;
 
         let stream = stream();
         let cfg = MachineConfig::mi100_like(3);
-        let report = run_schedule(
-            &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-            &stream,
-            &cfg,
-        )
-        .unwrap();
-        let plan = plan_schedule(
-            &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-            &stream,
-            &cfg,
-        )
-        .unwrap();
+        let report = Session::new(cfg)
+            .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
+            .unwrap();
+        let plan = Session::new(cfg)
+            .plan(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
+            .unwrap()
+            .into_plan();
         let via_slices = exec(&stream, &report.assignments, 3, 5, &ExecOptions::default()).unwrap();
         let via_plan = execute_plan(&stream, &plan, &store(5), &ExecOptions::default()).unwrap();
         assert_eq!(via_plan.checksum, via_slices.checksum);
@@ -1587,16 +1579,14 @@ mod tests {
 
     #[test]
     fn stale_plan_is_rejected_before_any_kernel_runs() {
-        use micco_core::{plan_schedule, PlanError};
+        use micco_core::PlanError;
         use micco_gpusim::MachineConfig;
 
         let stream = stream();
-        let plan = plan_schedule(
-            &mut RoundRobinScheduler::new(),
-            &stream,
-            &MachineConfig::mi100_like(2),
-        )
-        .unwrap();
+        let plan = Session::new(MachineConfig::mi100_like(2))
+            .plan(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap()
+            .into_plan();
         // mutate the workload after planning: the fingerprint catches it
         let mut drifted = stream.clone();
         drifted.vectors[0].tasks[0].flops += 1;
@@ -1609,12 +1599,14 @@ mod tests {
 
     #[test]
     fn canonical_entry_points_agree_bit_for_bit() {
-        use micco_core::plan_schedule;
         use micco_gpusim::MachineConfig;
 
         let stream = stream();
         let cfg = MachineConfig::mi100_like(3);
-        let plan = plan_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+        let plan = Session::new(cfg)
+            .plan(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap()
+            .into_plan();
         let assignments = plan.flat_assignments();
         let faults = FaultPlan::none().with_kernel_fault(stream.vectors[0].tasks[0].id.0, 1);
 

@@ -1,12 +1,13 @@
 //! The simulated multi-GPU machine.
 //!
 //! [`SimMachine`] executes contraction tasks on per-device serial timelines.
-//! The driver (in `micco-core::run_schedule`) interleaves scheduling and
-//! execution: for every task the scheduler picks a device given the current
-//! [`MachineView`], then [`SimMachine::execute`] applies the placement —
-//! staging missing operands (host→device, or device→device when a peer holds
-//! a copy), allocating the output, evicting under pressure, and advancing
-//! that device's clock by the memory-operation and kernel times.
+//! `micco_core::Session` replays decided plans on it (the interleaved
+//! reference driver instead asks the scheduler for each device given the
+//! current [`MachineView`]), and [`SimMachine::execute`] applies each
+//! placement — staging missing operands (host→device, or device→device
+//! when a peer holds a copy), allocating the output, evicting under
+//! pressure, and advancing that device's clock by the memory-operation and
+//! kernel times.
 //!
 //! Stage vectors are separated by [`SimMachine::barrier`], which aligns all
 //! device clocks to the stage makespan (stages are sequential in the

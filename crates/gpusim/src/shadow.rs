@@ -4,7 +4,7 @@
 //! through [`MachineView`] — per-device residency (with evictions), memory
 //! occupancy, stage load, and the dual compute/DMA clocks — but keeps no
 //! statistics, no event trace and no per-stage attribution. It is the
-//! substrate `micco_core::plan_schedule` drives to *decide* a schedule
+//! substrate `micco_core::Session::plan` drives to *decide* a schedule
 //! without paying for a full simulation.
 //!
 //! [`crate::SimMachine`] is a thin observing wrapper over this type: it

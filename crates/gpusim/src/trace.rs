@@ -136,98 +136,6 @@ impl Trace {
     pub fn clear(&mut self) {
         self.events.clear();
     }
-
-    /// Export the log as Chrome trace-event JSON (load in
-    /// `chrome://tracing` or Perfetto). Events are rendered as instant
-    /// events on one row per device, in log order; kernels carry their
-    /// duration as an argument. Written by hand — the format is five keys
-    /// per record and does not warrant a serialisation dependency.
-    pub fn to_chrome_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        let mut records = Vec::with_capacity(self.events.len());
-        // Synthesise a monotone timestamp from the log position; the
-        // simulator's real timestamps are per-device and overlap, which
-        // instant events cannot express faithfully anyway.
-        for (i, e) in self.events.iter().enumerate() {
-            let ts = i as u64;
-            let (name, pid, args) = match e {
-                Event::H2d { gpu, tensor, bytes } => (
-                    format!("h2d t{}", tensor.0),
-                    gpu.0,
-                    format!("\"bytes\":{bytes}"),
-                ),
-                Event::D2d { src, dst, tensor, bytes } => (
-                    format!("d2d t{} {}→{}", tensor.0, src.0, dst.0),
-                    dst.0,
-                    format!("\"bytes\":{bytes},\"src\":{}", src.0),
-                ),
-                Event::Evict { gpu, tensor, writeback } => (
-                    format!("evict t{}", tensor.0),
-                    gpu.0,
-                    format!("\"writeback\":{writeback}"),
-                ),
-                Event::ReuseHit { gpu, tensor } => {
-                    (format!("reuse t{}", tensor.0), gpu.0, String::new())
-                }
-                Event::Kernel { gpu, task, secs } => (
-                    format!("kernel task{}", task.0),
-                    gpu.0,
-                    format!("\"secs\":{secs}"),
-                ),
-                Event::Barrier { stage, makespan } => (
-                    format!("barrier stage{stage}"),
-                    usize::MAX,
-                    format!("\"makespan\":{makespan}"),
-                ),
-                Event::StageBreakdown {
-                    gpu,
-                    stage,
-                    copy_secs,
-                    compute_secs,
-                    overlap_secs,
-                    idle_secs,
-                } => (
-                    format!("stage{stage} breakdown"),
-                    gpu.0,
-                    format!(
-                        "\"copy_secs\":{copy_secs},\"compute_secs\":{compute_secs},\"overlap_secs\":{overlap_secs},\"idle_secs\":{idle_secs}"
-                    ),
-                ),
-                Event::Fault { gpu, task, kind } => (
-                    format!("fault task{} {}", task.0, kind.as_str()),
-                    gpu.0,
-                    format!("\"kind\":\"{}\"", kind.as_str()),
-                ),
-                Event::Retry { gpu, task, attempt } => (
-                    format!("retry task{}", task.0),
-                    gpu.0,
-                    format!("\"attempt\":{attempt}"),
-                ),
-                Event::DeviceLost {
-                    gpu,
-                    stage,
-                    permanent,
-                } => (
-                    format!("device lost gpu{}", gpu.0),
-                    gpu.0,
-                    format!("\"stage\":{stage},\"permanent\":{permanent}"),
-                ),
-            };
-            let args = if args.is_empty() {
-                String::new()
-            } else {
-                format!(",\"args\":{{{args}}}")
-            };
-            records.push(format!(
-                "{{\"name\":\"{}\",\"ph\":\"i\",\"ts\":{ts},\"pid\":0,\"tid\":{}{args}}}",
-                esc(&name),
-                if pid == usize::MAX { 9999 } else { pid },
-            ));
-        }
-        format!("[{}]", records.join(","))
-    }
 }
 
 #[cfg(test)]
@@ -249,49 +157,5 @@ mod tests {
         assert_eq!(t.count(|e| matches!(e, Event::ReuseHit { .. })), 1);
         t.clear();
         assert!(t.events().is_empty());
-    }
-
-    #[test]
-    fn chrome_json_is_wellformed_enough() {
-        let mut t = Trace::default();
-        t.push(Event::H2d {
-            gpu: GpuId(0),
-            tensor: TensorId(1),
-            bytes: 64,
-        });
-        t.push(Event::D2d {
-            src: GpuId(0),
-            dst: GpuId(1),
-            tensor: TensorId(1),
-            bytes: 64,
-        });
-        t.push(Event::Evict {
-            gpu: GpuId(1),
-            tensor: TensorId(1),
-            writeback: true,
-        });
-        t.push(Event::Kernel {
-            gpu: GpuId(1),
-            task: micco_workload::TaskId(5),
-            secs: 0.25,
-        });
-        t.push(Event::Barrier {
-            stage: 0,
-            makespan: 1.5,
-        });
-        let json = t.to_chrome_json();
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert_eq!(json.matches("\"ph\":\"i\"").count(), 5);
-        assert!(json.contains("\"bytes\":64"));
-        assert!(json.contains("\"writeback\":true"));
-        assert!(json.contains("kernel task5"));
-        assert!(json.contains("\"makespan\":1.5"));
-        // balanced braces (cheap sanity without a JSON parser)
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn chrome_json_empty_trace() {
-        assert_eq!(Trace::default().to_chrome_json(), "[]");
     }
 }

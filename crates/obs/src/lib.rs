@@ -67,82 +67,3 @@ pub use perfetto::{reconcile_with_stats, span_track_totals, to_perfetto_json};
 pub use sink::{NullSink, Recorder, TraceSink};
 pub use span::{FlowPoint, TraceEvent, Track, CONTROL_PID, LINK_PID_BASE};
 pub use textio::{parse_trace_text, write_trace_text, TraceTextError, TRACE_TEXT_HEADER};
-
-use micco_gpusim::{Event, Trace};
-
-/// Lossy import of a legacy [`micco_gpusim::Trace`] event log: renders the
-/// untimed event stream as control-track instants (one synthetic
-/// microsecond apart, mirroring `Trace::to_chrome_json`'s ordering
-/// semantics). Prefer attaching a [`SpanObserver`] for properly timed
-/// spans; this exists so pre-telemetry traces remain viewable through the
-/// same exporter.
-pub fn import_trace(trace: &Trace, sink: &dyn TraceSink) {
-    for (i, e) in trace.events().iter().enumerate() {
-        let ts_us = i as f64;
-        let (pid, name) = match e {
-            Event::H2d { gpu, tensor, bytes } => {
-                (gpu.0 as u32, format!("h2d t{} ({bytes} B)", tensor.0))
-            }
-            Event::D2d {
-                src, dst, tensor, ..
-            } => (src.0 as u32, format!("d2d t{} -> {dst}", tensor.0)),
-            Event::Evict { gpu, tensor, .. } => (gpu.0 as u32, format!("evict t{}", tensor.0)),
-            Event::ReuseHit { gpu, tensor } => (gpu.0 as u32, format!("reuse t{}", tensor.0)),
-            Event::Kernel { gpu, task, secs } => (
-                gpu.0 as u32,
-                format!("kernel task {} ({secs:.3e} s)", task.0),
-            ),
-            Event::Barrier { stage, makespan } => (
-                CONTROL_PID,
-                format!("barrier stage {stage} ({makespan:.3e} s)"),
-            ),
-            Event::StageBreakdown { gpu, stage, .. } => {
-                (gpu.0 as u32, format!("stage {stage} breakdown"))
-            }
-            Event::Fault { gpu, task, kind } => {
-                (gpu.0 as u32, format!("fault task {} ({kind:?})", task.0))
-            }
-            Event::Retry { gpu, task, attempt } => (
-                gpu.0 as u32,
-                format!("retry task {} (attempt {attempt})", task.0),
-            ),
-            Event::DeviceLost { gpu, stage, .. } => {
-                (gpu.0 as u32, format!("device lost (stage {stage})"))
-            }
-        };
-        sink.record(TraceEvent::Instant {
-            pid,
-            track: Track::Control,
-            name,
-            ts_us,
-            args: Vec::new(),
-        });
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use micco_gpusim::{GpuId, MachineConfig, SimMachine};
-    use micco_workload::WorkloadSpec;
-
-    #[test]
-    fn legacy_trace_imports_as_instants() {
-        let stream = WorkloadSpec::new(6, 32)
-            .with_vectors(1)
-            .with_seed(2)
-            .generate();
-        let mut machine = SimMachine::new(MachineConfig::mi100_like(2));
-        machine.enable_trace();
-        for (i, t) in stream.vectors[0].tasks.iter().enumerate() {
-            machine.execute(t, GpuId(i % 2)).unwrap();
-        }
-        machine.barrier();
-        let recorder = Recorder::new();
-        let trace = machine.trace().expect("trace enabled");
-        import_trace(trace, &recorder);
-        assert_eq!(recorder.len(), trace.events().len());
-        let json = recorder.to_perfetto_json();
-        assert!(json.contains("\"ph\":\"i\""));
-    }
-}

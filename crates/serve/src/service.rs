@@ -856,6 +856,37 @@ mod tests {
     }
 
     #[test]
+    fn topology_gpu_mismatch_is_a_bad_request_and_the_pool_stays_whole() {
+        // admitted, such a job would panic its planning thread and never
+        // hand its GPUs back
+        let s = start(ServeConfig {
+            pool_gpus: 8,
+            ..ServeConfig::default()
+        });
+        let mismatched = SessionConfig {
+            topology: Some("nvlink{gpus:8, island:4}".into()),
+            ..tiny_config(4)
+        };
+        let err = s.submit("acme", None, mismatched).unwrap_err();
+        assert_eq!(err.status(), 400);
+        assert!(err.to_string().contains("topology"), "{err}");
+        let snap = s.metrics().snapshot();
+        assert_eq!(snap.counter("serve.submitted"), 0);
+        assert_eq!(snap.gauge("serve.free_gpus"), 8.0);
+        // the pool still serves a well-formed job on every device
+        let ok = SessionConfig {
+            topology: Some("nvlink{gpus:8, island:4}".into()),
+            ..tiny_config(8)
+        };
+        let id = s.submit("acme", None, ok).expect("admitted");
+        let job = s.wait_job(id, Duration::from_secs(30)).expect("finishes");
+        assert_eq!(job.state, JobState::Done);
+        assert!(s.wait_idle(Duration::from_secs(30)));
+        assert_eq!(s.metrics().snapshot().gauge("serve.free_gpus"), 8.0);
+        s.begin_shutdown();
+    }
+
+    #[test]
     fn warm_start_through_the_shared_store() {
         let dir = std::env::temp_dir().join(format!(
             "micco-serve-store-{}-{:?}",

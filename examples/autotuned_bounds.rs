@@ -58,7 +58,10 @@ fn main() {
             .with_seed(5)
             .generate();
         let gf = |s: &mut dyn micco::sched::Scheduler| {
-            run_schedule(s, &stream, &machine).expect("fits").gflops()
+            Session::new(machine)
+                .run(s, &stream)
+                .expect("fits")
+                .gflops()
         };
         println!(
             "{:<28} {:>12.0} {:>12.0} {:>12.0}",

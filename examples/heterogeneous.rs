@@ -28,13 +28,12 @@ fn main() {
     println!("{}\n", StreamStats::measure(&stream));
 
     let cfg = MachineConfig::mi100_like(8);
-    let groute = run_schedule(&mut GrouteScheduler::new(), &stream, &cfg).expect("fits");
-    let micco = run_schedule(
-        &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-        &stream,
-        &cfg,
-    )
-    .expect("fits");
+    let groute = Session::new(cfg)
+        .run(&mut GrouteScheduler::new(), &stream)
+        .expect("fits");
+    let micco = Session::new(cfg)
+        .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
+        .expect("fits");
     println!("{groute}");
     println!("{micco}");
     println!("speedup: {:.2}x\n", micco.speedup_over(&groute));

@@ -1,16 +1,15 @@
 //! Memory-oversubscription scenario: the workload's working set exceeds
 //! aggregate device memory, so evictions are unavoidable and the
 //! memory-eviction-sensitive policy earns its keep. Also demonstrates the
-//! event trace and eviction-policy ablation.
+//! eviction-policy ablation.
 //!
 //! Run with:
 //! ```text
 //! cargo run --release --example oversubscribed
 //! ```
 
-use micco::gpusim::{EvictionPolicy, SimMachine};
+use micco::gpusim::EvictionPolicy;
 use micco::prelude::*;
-use micco::sched::driver::run_schedule_on;
 use micco::sched::GrouteScheduler;
 
 fn main() {
@@ -41,17 +40,11 @@ fn main() {
         ("micco + FIFO", EvictionPolicy::Fifo, true),
         ("micco + largest-first", EvictionPolicy::LargestFirst, true),
     ] {
-        let cfg = base.with_eviction(policy);
-        let mut machine = SimMachine::new(cfg);
-        machine.enable_trace();
+        let session = Session::new(base.with_eviction(policy));
         let report = if micco {
-            run_schedule_on(
-                &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-                &stream,
-                &mut machine,
-            )
+            session.run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
         } else {
-            run_schedule_on(&mut GrouteScheduler::new(), &stream, &mut machine)
+            session.run(&mut GrouteScheduler::new(), &stream)
         }
         .expect("fits with eviction");
         if !micco {

@@ -42,7 +42,9 @@ fn main() {
     ];
     let opts = ExecOptions::default();
     for s in schedulers.iter_mut() {
-        let report = run_schedule(s.as_mut(), &stream, &machine).expect("fits");
+        let report = Session::new(machine)
+            .run(s.as_mut(), &stream)
+            .expect("fits");
         let store = TensorStore::new(shape.batch, shape.dim, 2026);
         let out = execute_assignments(&stream, &report.assignments, workers, &store, &opts)
             .expect("schedule covers the stream");

@@ -32,17 +32,18 @@ fn main() {
     let machine = MachineConfig::mi100_like(8);
 
     // Baseline: earliest-available-device (Groute-like).
-    let groute = run_schedule(&mut GrouteScheduler::new(), &workload, &machine)
+    let groute = Session::new(machine)
+        .run(&mut GrouteScheduler::new(), &workload)
         .expect("workload fits the machine");
 
     // MICCO with a fixed reuse-bound setting (0,2,0) — the kind of value
     // the regression model would emit for this workload.
-    let micco = run_schedule(
-        &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-        &workload,
-        &machine,
-    )
-    .expect("workload fits the machine");
+    let micco = Session::new(machine)
+        .run(
+            &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
+            &workload,
+        )
+        .expect("workload fits the machine");
 
     println!(
         "\n{:<22} {:>10} {:>12} {:>8} {:>8} {:>10}",

@@ -45,14 +45,15 @@ fn main() {
 
     // Schedule on the simulated node.
     let machine = MachineConfig::mi100_like(8);
-    let groute =
-        run_schedule(&mut GrouteScheduler::new(), &program.stream, &machine).expect("fits");
-    let micco = run_schedule(
-        &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-        &program.stream,
-        &machine,
-    )
-    .expect("fits");
+    let groute = Session::new(machine)
+        .run(&mut GrouteScheduler::new(), &program.stream)
+        .expect("fits");
+    let micco = Session::new(machine)
+        .run(
+            &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
+            &program.stream,
+        )
+        .expect("fits");
     println!(
         "\nscheduling: groute {:.0} GFLOPS | micco {:.0} GFLOPS | speedup {:.2}x",
         groute.gflops(),

@@ -36,15 +36,15 @@
 //! let workload = spec.generate();
 //!
 //! // an 8-GPU machine and the MICCO scheduler with fixed reuse bounds
-//! let machine = MachineConfig::mi100_like(8);
-//! let report = run_schedule(
-//!     &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-//!     &workload,
-//!     &machine,
-//! )
-//! .expect("workload fits the machine");
+//! let report = Session::new(MachineConfig::mi100_like(8))
+//!     .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &workload)
+//!     .expect("workload fits the machine");
 //! assert!(report.gflops() > 0.0);
 //! ```
+//!
+//! [`sched::Session`] is the one way to plan: `run` is `plan` followed by
+//! `execute`, and a [`sched::SessionConfig`] builds the same session from
+//! the JSON document (or CLI flags) that `micco` and `micco serve` read.
 //!
 //! ## Decide once, execute later
 //!
@@ -56,12 +56,14 @@
 //! use micco::prelude::*;
 //!
 //! let workload = WorkloadSpec::new(8, 64).with_vectors(2).with_seed(1).generate();
-//! let cfg = MachineConfig::mi100_like(2);
-//! let plan = plan_schedule(&mut RoundRobinScheduler::new(), &workload, &cfg)
-//!     .expect("workload fits");
+//! let session = Session::new(MachineConfig::mi100_like(2));
+//! let plan = session
+//!     .plan(&mut RoundRobinScheduler::new(), &workload)
+//!     .expect("workload fits")
+//!     .into_plan();
 //! let restored = SchedulePlan::from_text(&plan.to_text()).expect("round-trips");
-//! let mut machine = SimMachine::new(cfg);
-//! let report = execute_plan(&restored, &workload, &mut machine)
+//! let report = session
+//!     .replay(&restored, &workload)
 //!     .expect("plan matches this workload");
 //! assert_eq!(report.assignments.len(), plan.total_tasks());
 //! ```
@@ -108,11 +110,9 @@ pub mod prelude {
         Code as LintCode, Report as LintReport, Severity as LintSeverity,
     };
     pub use micco_core::{
-        execute_plan, execute_plan_with, plan_schedule, plan_schedule_with,
-        plan_schedule_with_topology, run_schedule, run_schedule_with, run_schedule_with_topology,
-        Assignment, DriverOptions, DurablePlanCache, GrouteScheduler, MiccoScheduler, PlanCache,
-        Planned, ReuseBounds, RoundRobinScheduler, SchedulePlan, ScheduleReport, Scheduler,
-        Session,
+        execute_plan, Assignment, DriverOptions, DurablePlanCache, GrouteScheduler, MiccoScheduler,
+        PlanCache, Planned, ReuseBounds, RoundRobinScheduler, SchedulePlan, ScheduleReport,
+        Scheduler, Session, SessionConfig,
     };
     pub use micco_gpusim::{
         CostModel, DeviceView, LinkSpec, LinkTopology, MachineConfig, MachineState, ShadowMachine,

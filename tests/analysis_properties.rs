@@ -17,8 +17,8 @@ use proptest::prelude::*;
 use micco::analysis::{analyze_plan, Code, Severity};
 use micco::gpusim::{GpuId, MachineConfig};
 use micco::sched::{
-    plan_schedule, CodaScheduler, GrouteScheduler, MiccoScheduler, ReuseBounds,
-    RoundRobinScheduler, SchedulePlan, Scheduler,
+    CodaScheduler, GrouteScheduler, MiccoScheduler, ReuseBounds, RoundRobinScheduler, SchedulePlan,
+    Scheduler, Session,
 };
 use micco::workload::{RepeatDistribution, TaskId, WorkloadSpec};
 
@@ -74,7 +74,7 @@ proptest! {
         let stream = spec.generate();
         let cfg = MachineConfig::mi100_like(gpus);
         let mut sched = scheduler_for(which, bounds);
-        let plan = plan_schedule(sched.as_mut(), &stream, &cfg).expect("fits");
+        let plan = Session::new(cfg).plan(sched.as_mut(), &stream).expect("fits").into_plan();
         let report = analyze_plan(&plan, &stream, &cfg);
         prop_assert!(
             !report.denies(Severity::Warning),
@@ -97,7 +97,7 @@ proptest! {
         let stream = spec.generate();
         let cfg = MachineConfig::mi100_like(gpus);
         let mut sched = scheduler_for(which, (0, 2, 0));
-        let mut plan = plan_schedule(sched.as_mut(), &stream, &cfg).expect("fits");
+        let mut plan = Session::new(cfg).plan(sched.as_mut(), &stream).expect("fits").into_plan();
 
         let s = (pick as usize) % plan.stages.len();
         let i = (pick as usize / 7) % plan.stages[s].assignments.len();
@@ -155,7 +155,10 @@ fn capacity_violation_reports_e001_at_first_task() {
         .with_seed(3)
         .generate();
     let cfg = MachineConfig::mi100_like(2);
-    let plan = plan_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).expect("fits");
+    let plan = Session::new(cfg)
+        .plan(&mut RoundRobinScheduler::new(), &stream)
+        .expect("fits")
+        .into_plan();
     // shrink device memory below one task's working set for the lint pass
     let tiny = cfg.with_mem_bytes(1 << 20);
     let report = analyze_plan(&plan, &stream, &tiny);
@@ -183,12 +186,10 @@ fn pile_up_under_naive_bounds_reports_w101_and_w102() {
         .with_seed(11)
         .generate();
     let cfg = MachineConfig::mi100_like(2);
-    let mut plan = plan_schedule(
-        &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-        &stream,
-        &cfg,
-    )
-    .expect("fits");
+    let mut plan = Session::new(cfg)
+        .plan(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
+        .expect("fits")
+        .into_plan();
     for a in &mut plan.stages[0].assignments {
         a.gpu = GpuId(0);
     }

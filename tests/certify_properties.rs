@@ -17,8 +17,8 @@ use micco::exec::{ExecOptions, TensorStore};
 use micco::gpusim::{LinkTopology, MachineConfig};
 use micco::obs::{parse_trace_text, write_trace_text, FlowPoint, Recorder, TraceEvent, Track};
 use micco::sched::{
-    plan_schedule_with_topology, CodaScheduler, DriverOptions, GrouteScheduler, MiccoScheduler,
-    ReuseBounds, RoundRobinScheduler, SchedulePlan, Scheduler, Session,
+    CodaScheduler, GrouteScheduler, MiccoScheduler, ReuseBounds, RoundRobinScheduler, SchedulePlan,
+    Scheduler, Session,
 };
 use micco::workload::{TensorPairStream, WorkloadSpec};
 
@@ -63,8 +63,14 @@ fn plan_for(
     cfg: &MachineConfig,
     topo: Option<&LinkTopology>,
 ) -> SchedulePlan {
-    plan_schedule_with_topology(sched, stream, cfg, DriverOptions::default(), topo)
+    let mut session = Session::new(*cfg);
+    if let Some(t) = topo {
+        session = session.with_topology(t.clone());
+    }
+    session
+        .plan(sched, stream)
         .expect("workload fits")
+        .into_plan()
 }
 
 /// Replay `plan` on an instrumented simulator, optionally with routed

@@ -4,7 +4,7 @@
 //! either direction. Absolute GFLOPS may move; the ordering may not.
 
 use micco::gpusim::{CostModel, MachineConfig};
-use micco::sched::{run_schedule, GrouteScheduler, MiccoScheduler, ReuseBounds};
+use micco::sched::{GrouteScheduler, MiccoScheduler, ReuseBounds, Session};
 use micco::workload::{RepeatDistribution, WorkloadSpec};
 
 fn reference_stream() -> micco::workload::TensorPairStream {
@@ -19,13 +19,12 @@ fn reference_stream() -> micco::workload::TensorPairStream {
 fn compare(cost: CostModel) -> (f64, f64) {
     let cfg = MachineConfig::mi100_like(8).with_cost(cost);
     let stream = reference_stream();
-    let groute = run_schedule(&mut GrouteScheduler::new(), &stream, &cfg).expect("fits");
-    let micco = run_schedule(
-        &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-        &stream,
-        &cfg,
-    )
-    .expect("fits");
+    let groute = Session::new(cfg)
+        .run(&mut GrouteScheduler::new(), &stream)
+        .expect("fits");
+    let micco = Session::new(cfg)
+        .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
+        .expect("fits");
     (groute.elapsed_secs(), micco.elapsed_secs())
 }
 

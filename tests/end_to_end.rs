@@ -6,7 +6,7 @@ use micco::redstar::numeric::evaluate_plans;
 use micco::redstar::{al_rhopi, build_correlator, f0d2, PresetScale};
 use micco::sched::driver::run_schedule_on;
 use micco::sched::{
-    run_schedule, GrouteScheduler, MiccoScheduler, ReuseBounds, RoundRobinScheduler, Scheduler,
+    GrouteScheduler, MiccoScheduler, ReuseBounds, RoundRobinScheduler, Scheduler, Session,
 };
 
 fn schedulers() -> Vec<Box<dyn Scheduler>> {
@@ -24,7 +24,8 @@ fn every_scheduler_completes_a_redstar_program() {
     let program = build_correlator(&al_rhopi(PresetScale::Ci));
     let cfg = MachineConfig::mi100_like(4);
     for mut s in schedulers() {
-        let r = run_schedule(s.as_mut(), &program.stream, &cfg)
+        let r = Session::new(cfg)
+            .run(s.as_mut(), &program.stream)
             .unwrap_or_else(|e| panic!("{} failed: {e}", s.name()));
         assert_eq!(
             r.stats.total_tasks() as usize,
@@ -45,7 +46,9 @@ fn numeric_result_is_placement_invariant() {
     let program = build_correlator(&al_rhopi(PresetScale::Ci));
     let cfg = MachineConfig::mi100_like(3);
     for mut s in schedulers() {
-        run_schedule(s.as_mut(), &program.stream, &cfg).expect("fits");
+        Session::new(cfg)
+            .run(s.as_mut(), &program.stream)
+            .expect("fits");
     }
     let (v1, _) = evaluate_plans(&program.plans, 1234);
     let (v2, _) = evaluate_plans(&program.plans, 1234);
@@ -83,13 +86,15 @@ fn operand_sourcing_accounts_for_every_input() {
 fn micco_beats_groute_on_the_f0_system() {
     let program = build_correlator(&f0d2(PresetScale::Ci));
     let cfg = MachineConfig::mi100_like(8);
-    let groute = run_schedule(&mut GrouteScheduler::new(), &program.stream, &cfg).unwrap();
-    let micco = run_schedule(
-        &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-        &program.stream,
-        &cfg,
-    )
-    .unwrap();
+    let groute = Session::new(cfg)
+        .run(&mut GrouteScheduler::new(), &program.stream)
+        .unwrap();
+    let micco = Session::new(cfg)
+        .run(
+            &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
+            &program.stream,
+        )
+        .unwrap();
     assert!(
         micco.elapsed_secs() <= groute.elapsed_secs() * 1.02,
         "micco {} vs groute {}",
@@ -144,12 +149,9 @@ fn large_stream_scales() {
         .generate();
     let cfg = MachineConfig::mi100_like(8);
     let start = std::time::Instant::now();
-    let r = run_schedule(
-        &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-        &stream,
-        &cfg,
-    )
-    .expect("fits");
+    let r = Session::new(cfg)
+        .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
+        .expect("fits");
     assert_eq!(r.stats.total_tasks() as usize, stream.total_tasks());
     assert_eq!(
         r.stats.total_h2d() + r.stats.total_d2d() + r.stats.total_reuse_hits(),

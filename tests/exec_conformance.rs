@@ -9,8 +9,8 @@
 use micco::exec::{execute_assignments, ExecOptions, TensorShape, TensorStore};
 use micco::gpusim::MachineConfig;
 use micco::sched::{
-    run_schedule, run_schedule_with, DriverOptions, GrouteScheduler, MiccoScheduler, ReuseBounds,
-    RoundRobinScheduler, ScheduleReport, Scheduler,
+    DriverOptions, GrouteScheduler, MiccoScheduler, ReuseBounds, RoundRobinScheduler,
+    ScheduleReport, Scheduler, Session,
 };
 use micco::workload::{TensorPairStream, WorkloadSpec};
 
@@ -53,7 +53,9 @@ fn real_execution_matches_simulated_kernel_and_worker_counts() {
     let stream = stream();
     let cfg = MachineConfig::mi100_like(WORKERS);
     for mut s in schedulers() {
-        let report = run_schedule(s.as_mut(), &stream, &cfg).expect("workload fits");
+        let report = Session::new(cfg)
+            .run(s.as_mut(), &stream)
+            .expect("workload fits");
         let out = execute_assignments(
             &stream,
             &report.assignments,
@@ -87,7 +89,9 @@ fn checksum_is_independent_of_the_scheduler() {
     let cfg = MachineConfig::mi100_like(WORKERS);
     let mut checksums = Vec::new();
     for mut s in schedulers() {
-        let report = run_schedule(s.as_mut(), &stream, &cfg).expect("workload fits");
+        let report = Session::new(cfg)
+            .run(s.as_mut(), &stream)
+            .expect("workload fits");
         checksums.push((
             s.name(),
             execute_assignments(
@@ -114,22 +118,17 @@ fn checksum_is_independent_of_the_scheduler() {
 fn overlap_changes_timing_only_never_placements_or_physics() {
     let stream = stream();
     let cfg = MachineConfig::mi100_like(WORKERS);
-    let sync = run_schedule_with(
-        &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-        &stream,
-        &cfg,
-        DriverOptions::default(),
-    )
-    .expect("workload fits");
-    let overlapped = run_schedule_with(
-        &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-        &stream,
-        &cfg,
-        DriverOptions::default()
-            .with_overlap()
-            .with_prefetch_tasks(2),
-    )
-    .expect("workload fits");
+    let sync = Session::new(cfg)
+        .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
+        .expect("workload fits");
+    let overlapped = Session::new(cfg)
+        .with_options(
+            DriverOptions::default()
+                .with_overlap()
+                .with_prefetch_tasks(2),
+        )
+        .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
+        .expect("workload fits");
 
     // Overlap is a timing-model switch: identical placement decisions.
     assert_eq!(sync.assignments, overlapped.assignments);
@@ -149,12 +148,9 @@ fn overlap_changes_timing_only_never_placements_or_physics() {
 fn stealing_keeps_the_conformance_contract_intact() {
     let stream = stream();
     let cfg = MachineConfig::mi100_like(WORKERS);
-    let report = run_schedule(
-        &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-        &stream,
-        &cfg,
-    )
-    .expect("workload fits");
+    let report = Session::new(cfg)
+        .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
+        .expect("workload fits");
     let expected = assigned_counts(&report, WORKERS);
 
     let baseline = execute_assignments(
@@ -192,7 +188,9 @@ fn conformance_holds_across_worker_counts() {
     let mut checksums = Vec::new();
     for workers in [1usize, 2, 4, 6] {
         let cfg = MachineConfig::mi100_like(workers);
-        let report = run_schedule(&mut GrouteScheduler::new(), &stream, &cfg).expect("fits");
+        let report = Session::new(cfg)
+            .run(&mut GrouteScheduler::new(), &stream)
+            .expect("fits");
         let out = execute_assignments(
             &stream,
             &report.assignments,

@@ -26,13 +26,10 @@ fn async_copy_helps() {
             CostModel::mi100_like()
         };
         let cfg = MachineConfig::mi100_like(8).with_cost(cost);
-        run_schedule(
-            &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-            &stream,
-            &cfg,
-        )
-        .unwrap()
-        .elapsed_secs()
+        Session::new(cfg)
+            .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
+            .unwrap()
+            .elapsed_secs()
     };
     let sync = run(false);
     let overlapped = run(true);
@@ -117,13 +114,12 @@ fn micco_mapping_histogram_dominates() {
         .with_vectors(5)
         .generate();
     let cfg = MachineConfig::mi100_like(8);
-    let micco = run_schedule(
-        &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-        &stream,
-        &cfg,
-    )
-    .unwrap();
-    let groute = run_schedule(&mut GrouteScheduler::new(), &stream, &cfg).unwrap();
+    let micco = Session::new(cfg)
+        .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
+        .unwrap();
+    let groute = Session::new(cfg)
+        .run(&mut GrouteScheduler::new(), &stream)
+        .unwrap();
     let hm = mapping_histogram(&stream, &micco.assignments, &cfg);
     let hg = mapping_histogram(&stream, &groute.assignments, &cfg);
     assert!(hm.mean_memory_ops() < hg.mean_memory_ops());

@@ -17,8 +17,8 @@ use micco::exec::{execute_assignments, ExecOptions, FaultPlan, TensorShape, Tens
 use micco::gpusim::{GpuId, MachineConfig};
 use micco::obs::Recorder;
 use micco::sched::{
-    plan_schedule, repair_plan, run_schedule, CodaScheduler, GrouteScheduler, MiccoScheduler,
-    ReuseBounds, RoundRobinScheduler, Scheduler,
+    repair_plan, CodaScheduler, GrouteScheduler, MiccoScheduler, ReuseBounds, RoundRobinScheduler,
+    Scheduler, Session,
 };
 use micco::workload::{TensorPairStream, WorkloadSpec};
 
@@ -69,7 +69,7 @@ proptest! {
         let stream = stream(wl_seed);
         let cfg = MachineConfig::mi100_like(workers);
         let mut sched = scheduler(which);
-        let report = run_schedule(sched.as_mut(), &stream, &cfg).expect("fits");
+        let report = Session::new(cfg).run(sched.as_mut(), &stream).expect("fits");
 
         let clean = execute_assignments(
             &stream, &report.assignments, workers, &store(wl_seed), &ExecOptions::default(),
@@ -109,9 +109,9 @@ proptest! {
     ) {
         let stream = stream(wl_seed);
         let cfg = MachineConfig::mi100_like(workers);
-        let report = run_schedule(
-            &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream, &cfg,
-        ).expect("fits");
+        let report = Session::new(cfg)
+            .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
+            .expect("fits");
         let faults = FaultPlan::random(
             fault_seed, workers, stream.vectors.len(), stream.total_tasks() as u64,
         );
@@ -142,7 +142,7 @@ proptest! {
         let gpus = 3usize;
         let cfg = MachineConfig::mi100_like(gpus);
         let mut sched = scheduler(which);
-        let plan = plan_schedule(sched.as_mut(), &stream, &cfg).expect("fits");
+        let plan = Session::new(cfg).plan(sched.as_mut(), &stream).expect("fits").into_plan();
         // any non-empty proper subset of {0, 1, 2}
         let lost: Vec<GpuId> = (0..gpus).filter(|g| loss_mask & (1 << g) != 0)
             .map(GpuId).collect();
@@ -186,7 +186,7 @@ proptest! {
         let stream = stream(wl_seed);
         let cfg = MachineConfig::mi100_like(workers);
         let mut sched = scheduler(which);
-        let plan = plan_schedule(sched.as_mut(), &stream, &cfg).expect("fits");
+        let plan = Session::new(cfg).plan(sched.as_mut(), &stream).expect("fits").into_plan();
         let faults = FaultPlan::random(
             fault_seed, workers, stream.vectors.len(), stream.total_tasks() as u64,
         );
@@ -216,7 +216,9 @@ fn permanent_single_gpu_loss_is_recovered_exactly() {
     let stream = stream(77);
     let workers = 3;
     let cfg = MachineConfig::mi100_like(workers);
-    let report = run_schedule(&mut GrouteScheduler::new(), &stream, &cfg).expect("fits");
+    let report = Session::new(cfg)
+        .run(&mut GrouteScheduler::new(), &stream)
+        .expect("fits");
     let clean = execute_assignments(
         &stream,
         &report.assignments,

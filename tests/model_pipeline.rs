@@ -6,7 +6,7 @@ use micco::sched::model::RegressionBounds;
 use micco::sched::tuner::{
     build_training_set, candidate_bound_values, stream_features, TrainingConfig,
 };
-use micco::sched::{run_schedule, MiccoScheduler};
+use micco::sched::{MiccoScheduler, Session};
 use micco::workload::{RepeatDistribution, WorkloadSpec};
 
 fn tiny_training() -> Vec<micco::sched::tuner::TuneSample> {
@@ -41,8 +41,9 @@ fn trained_model_schedules_successfully() {
         .with_vectors(4)
         .generate();
     let cfg = MachineConfig::mi100_like(4);
-    let report =
-        run_schedule(&mut MiccoScheduler::with_provider(model), &stream, &cfg).expect("fits");
+    let report = Session::new(cfg)
+        .run(&mut MiccoScheduler::with_provider(model), &stream)
+        .expect("fits");
     assert_eq!(report.assignments.len(), stream.total_tasks());
     assert!(report.scheduler.contains("regression"));
 }

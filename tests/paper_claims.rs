@@ -27,11 +27,14 @@ fn mini_stream(vs: usize, rate: f64, dist: RepeatDistribution, seed: u64) -> Ten
 /// too slow, so this takes the best of two representative fixed settings —
 /// a strict *underestimate* of what the adaptive model achieves.
 fn micco_vs_groute(stream: &TensorPairStream, cfg: &MachineConfig) -> f64 {
-    let groute = run_schedule(&mut GrouteScheduler::new(), stream, cfg).unwrap();
+    let groute = Session::new(*cfg)
+        .run(&mut GrouteScheduler::new(), stream)
+        .unwrap();
     let best = [ReuseBounds::naive(), ReuseBounds::new(0, 2, 0)]
         .into_iter()
         .map(|b| {
-            run_schedule(&mut MiccoScheduler::new(b), stream, cfg)
+            Session::new(*cfg)
+                .run(&mut MiccoScheduler::new(b), stream)
                 .unwrap()
                 .elapsed_secs()
         })
@@ -94,7 +97,9 @@ fn fig10_tensor_size_orderings() {
             .with_vectors(6)
             .with_seed(19)
             .generate();
-        let groute = run_schedule(&mut GrouteScheduler::new(), &stream, &cfg).unwrap();
+        let groute = Session::new(cfg)
+            .run(&mut GrouteScheduler::new(), &stream)
+            .unwrap();
         assert!(
             groute.gflops() > prev_gflops,
             "GFLOPS must grow with tensor size"
@@ -111,12 +116,9 @@ fn fig11_oversubscription_orderings() {
     let mut prev = f64::MAX;
     for rate in [1.25, 2.0] {
         let cfg = MachineConfig::mi100_like(8).with_oversubscription(stream.unique_bytes(), rate);
-        let micco = run_schedule(
-            &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-            &stream,
-            &cfg,
-        )
-        .unwrap();
+        let micco = Session::new(cfg)
+            .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
+            .unwrap();
         assert!(micco.gflops() < prev, "GFLOPS must fall with pressure");
         prev = micco.gflops();
         assert!(micco_vs_groute(&stream, &cfg) > 1.0, "oversub {rate}");
@@ -154,12 +156,9 @@ fn tab4_forest_beats_linear() {
 fn tab5_overhead_is_small() {
     let stream = mini_stream(64, 0.5, RepeatDistribution::Uniform, 29);
     let cfg = MachineConfig::mi100_like(8);
-    let r = run_schedule(
-        &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-        &stream,
-        &cfg,
-    )
-    .unwrap();
+    let r = Session::new(cfg)
+        .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
+        .unwrap();
     assert!(
         r.scheduling_overhead_secs < r.elapsed_secs() * 0.25,
         "overhead {:.6}s vs total {:.6}s",

@@ -8,9 +8,7 @@ use proptest::prelude::*;
 
 use micco::exec::{execute_assignments, ExecOptions, TensorShape, TensorStore};
 use micco::gpusim::MachineConfig;
-use micco::sched::{
-    run_schedule_with, DriverOptions, GrouteScheduler, MiccoScheduler, ReuseBounds,
-};
+use micco::sched::{DriverOptions, GrouteScheduler, MiccoScheduler, ReuseBounds, Session};
 use micco::workload::{RepeatDistribution, WorkloadSpec};
 
 const SHAPE: TensorShape = TensorShape { batch: 2, dim: 8 };
@@ -53,10 +51,9 @@ proptest! {
     ) {
         let stream = spec.generate();
         let cfg = MachineConfig::mi100_like(workers);
-        let report = run_schedule_with(
-            &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-            &stream, &cfg, DriverOptions::default(),
-        ).expect("fits");
+        let report = Session::new(cfg)
+            .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
+            .expect("fits");
         for opts in [ExecOptions::default(), ExecOptions::default().with_steal().with_prefetch()] {
             let a = execute_assignments(&stream, &report.assignments, workers, &store(), &opts)
                 .expect("valid schedule");
@@ -83,22 +80,21 @@ proptest! {
         let cfg = MachineConfig::mi100_like(3);
         let opts = DriverOptions::default().with_overlap().with_prefetch_tasks(prefetch);
 
-        let rr_sync = run_schedule_with(
-            &mut micco::sched::RoundRobinScheduler::new(), &stream, &cfg,
-            DriverOptions::default(),
-        ).expect("fits");
-        let rr_over = run_schedule_with(
-            &mut micco::sched::RoundRobinScheduler::new(), &stream, &cfg, opts,
-        ).expect("fits");
+        let rr_sync = Session::new(cfg)
+            .run(&mut micco::sched::RoundRobinScheduler::new(), &stream)
+            .expect("fits");
+        let rr_over = Session::new(cfg)
+            .with_options(opts)
+            .run(&mut micco::sched::RoundRobinScheduler::new(), &stream)
+            .expect("fits");
         prop_assert_eq!(&rr_sync.assignments, &rr_over.assignments);
         prop_assert!(rr_over.elapsed_secs() <= rr_sync.elapsed_secs() + 1e-12);
 
-        let g_sync = run_schedule_with(
-            &mut GrouteScheduler::new(), &stream, &cfg, DriverOptions::default(),
-        ).expect("fits");
-        let g_over = run_schedule_with(
-            &mut GrouteScheduler::new(), &stream, &cfg, opts,
-        ).expect("fits");
+        let g_sync = Session::new(cfg).run(&mut GrouteScheduler::new(), &stream).expect("fits");
+        let g_over = Session::new(cfg)
+            .with_options(opts)
+            .run(&mut GrouteScheduler::new(), &stream)
+            .expect("fits");
         let exec_opts = ExecOptions::default();
         let a = execute_assignments(&stream, &g_sync.assignments, 3, &store(), &exec_opts)
             .expect("valid schedule");
@@ -118,10 +114,9 @@ proptest! {
     ) {
         let stream = spec.generate();
         let cfg = MachineConfig::mi100_like(workers);
-        let report = run_schedule_with(
-            &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-            &stream, &cfg, DriverOptions::default(),
-        ).expect("fits");
+        let report = Session::new(cfg)
+            .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
+            .expect("fits");
         let stolen = execute_assignments(
             &stream, &report.assignments, workers, &store(),
             &ExecOptions::default().with_steal())
@@ -151,7 +146,7 @@ proptest! {
         let cfg = MachineConfig::mi100_like(3);
         let mut opts = DriverOptions::default().with_prefetch_tasks(prefetch);
         if overlap { opts = opts.with_overlap(); }
-        let r = run_schedule_with(&mut GrouteScheduler::new(), &stream, &cfg, opts)
+        let r = Session::new(cfg).with_options(opts).run(&mut GrouteScheduler::new(), &stream)
             .expect("fits");
         for g in &r.stats.per_gpu {
             prop_assert!(g.overlap_secs >= 0.0);

@@ -1,7 +1,7 @@
 //! Conformance and caching contracts of the `SchedulePlan` IR.
 //!
 //! The decide/execute split is only sound if it is invisible: for every
-//! scheduler, `plan_schedule` + `execute_plan` must reproduce the
+//! scheduler, `Session::plan` + `Session::replay` must reproduce the
 //! interleaved driver's assignments and per-GPU statistics **bit for
 //! bit** — same placements, same simulated timings, same eviction counts.
 //! The plan cache must likewise be invisible except for cost: a hit
@@ -10,8 +10,8 @@
 
 use micco::gpusim::{GpuId, MachineConfig, MachineView, SimMachine};
 use micco::sched::{
-    execute_plan, plan_schedule, run_schedule, run_schedule_on, CodaScheduler, DriverOptions,
-    GrouteScheduler, MiccoScheduler, PlanCache, ReuseBounds, RoundRobinScheduler, Scheduler,
+    execute_plan, run_schedule_on, CodaScheduler, DriverOptions, GrouteScheduler, MiccoScheduler,
+    PlanCache, ReuseBounds, RoundRobinScheduler, Scheduler, Session,
 };
 use micco::workload::{
     ContractionTask, RepeatDistribution, TensorPairStream, Vector, WorkloadSpec,
@@ -52,11 +52,19 @@ fn plan_then_execute_matches_interleaved_bit_for_bit() {
         let interleaved = run_schedule_on(&mut *fresh(), &stream, &mut machine)
             .unwrap_or_else(|e| panic!("{name}: interleaved run failed: {e}"));
 
-        let plan = plan_schedule(&mut *fresh(), &stream, &cfg)
-            .unwrap_or_else(|e| panic!("{name}: planning failed: {e}"));
-        let mut machine = SimMachine::new(cfg);
-        let replayed = execute_plan(&plan, &stream, &mut machine)
+        let session = Session::new(cfg);
+        let plan = session
+            .plan(&mut *fresh(), &stream)
+            .unwrap_or_else(|e| panic!("{name}: planning failed: {e}"))
+            .into_plan();
+        let replayed = session
+            .replay(&plan, &stream)
             .unwrap_or_else(|e| panic!("{name}: replay failed: {e}"));
+        // replaying on a caller-owned machine takes the same path
+        let mut machine = SimMachine::new(cfg);
+        let on_machine = execute_plan(&plan, &stream, &mut machine)
+            .unwrap_or_else(|e| panic!("{name}: replay failed: {e}"));
+        assert_eq!(on_machine.stats, replayed.stats, "{name}");
 
         assert_eq!(
             interleaved.assignments, replayed.assignments,
@@ -69,7 +77,7 @@ fn plan_then_execute_matches_interleaved_bit_for_bit() {
         );
 
         // The public composition takes the same path.
-        let composed = run_schedule(&mut *fresh(), &stream, &cfg).expect("fits");
+        let composed = Session::new(cfg).run(&mut *fresh(), &stream).expect("fits");
         assert_eq!(composed.assignments, replayed.assignments, "{name}");
         assert_eq!(composed.stats, replayed.stats, "{name}");
     }
@@ -109,14 +117,14 @@ fn cache_hit_serves_the_same_plan_with_zero_scheduler_invocations() {
     };
 
     let first = cache
-        .plan_for(&mut sched, &stream, &cfg, DriverOptions::default())
+        .plan_for_with_topology(&mut sched, &stream, &cfg, DriverOptions::default(), None)
         .expect("fits")
         .clone();
     assert_eq!(sched.assigns, stream.total_tasks());
     assert_eq!((cache.hits(), cache.misses()), (0, 1));
 
     let second = cache
-        .plan_for(&mut sched, &stream, &cfg, DriverOptions::default())
+        .plan_for_with_topology(&mut sched, &stream, &cfg, DriverOptions::default(), None)
         .expect("cached")
         .clone();
     assert_eq!(
@@ -136,7 +144,7 @@ fn any_stream_mutation_misses_the_cache() {
     let mut cache = PlanCache::new();
     let mut sched = RoundRobinScheduler::new();
     cache
-        .plan_for(&mut sched, &base, &cfg, DriverOptions::default())
+        .plan_for_with_topology(&mut sched, &base, &cfg, DriverOptions::default(), None)
         .expect("fits");
 
     // Cost mutation: one task got more expensive.
@@ -164,7 +172,7 @@ fn any_stream_mutation_misses_the_cache() {
             "{label} mutation must change the fingerprint"
         );
         cache
-            .plan_for(&mut sched, mutated, &cfg, DriverOptions::default())
+            .plan_for_with_topology(&mut sched, mutated, &cfg, DriverOptions::default(), None)
             .expect("fits");
     }
     assert_eq!(
@@ -177,17 +185,18 @@ fn any_stream_mutation_misses_the_cache() {
     // Different driver options also key separately (overlap changes what
     // load-aware schedulers observe)…
     cache
-        .plan_for(
+        .plan_for_with_topology(
             &mut sched,
             &base,
             &cfg,
             DriverOptions::default().with_overlap(),
+            None,
         )
         .expect("fits");
     assert_eq!(cache.misses(), 6);
     // …while the untouched original still hits.
     cache
-        .plan_for(&mut sched, &base, &cfg, DriverOptions::default())
+        .plan_for_with_topology(&mut sched, &base, &cfg, DriverOptions::default(), None)
         .expect("cached");
     assert_eq!(cache.hits(), 1);
 }

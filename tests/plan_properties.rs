@@ -8,8 +8,8 @@ use proptest::prelude::*;
 
 use micco::gpusim::MachineConfig;
 use micco::sched::{
-    plan_schedule, plan_schedule_with, CodaScheduler, DriverOptions, GrouteScheduler,
-    MiccoScheduler, ReuseBounds, RoundRobinScheduler, SchedulePlan, Scheduler,
+    CodaScheduler, DriverOptions, GrouteScheduler, MiccoScheduler, ReuseBounds,
+    RoundRobinScheduler, SchedulePlan, Scheduler, Session,
 };
 use micco::workload::{RepeatDistribution, WorkloadSpec};
 
@@ -69,7 +69,11 @@ proptest! {
         } else {
             DriverOptions::default()
         };
-        let plan = plan_schedule_with(&mut *sched, &stream, &cfg, opts).expect("fits");
+        let plan = Session::new(cfg)
+            .with_options(opts)
+            .plan(&mut *sched, &stream)
+            .expect("fits")
+            .into_plan();
 
         let text = plan.to_text();
         let restored = SchedulePlan::from_text(&text).expect("own output must parse");
@@ -92,8 +96,8 @@ proptest! {
         let other = spec.with_seed(seed).generate();
         prop_assume!(stream.fingerprint() != other.fingerprint());
         let cfg = MachineConfig::mi100_like(2);
-        let plan = plan_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg)
-            .expect("fits");
+        let plan = Session::new(cfg).plan(&mut RoundRobinScheduler::new(), &stream).expect("fits")
+            .into_plan();
         prop_assert!(plan.validate(&other).is_err());
     }
 }

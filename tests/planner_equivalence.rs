@@ -12,8 +12,8 @@ use proptest::prelude::*;
 
 use micco::gpusim::{EvictionPolicy, MachineConfig};
 use micco::sched::{
-    plan_schedule_seed, plan_schedule_with, CodaScheduler, DriverOptions, GrouteScheduler,
-    MiccoScheduler, ReuseBounds, RoundRobinScheduler, Scheduler,
+    plan_schedule_seed, CodaScheduler, DriverOptions, GrouteScheduler, MiccoScheduler, Planned,
+    ReuseBounds, RoundRobinScheduler, Scheduler, Session,
 };
 use micco::tensor::ContractionKind;
 use micco::workload::{
@@ -79,7 +79,10 @@ fn assert_paths_agree(
     let mut fast_sched = scheduler_for(which, bounds);
     let mut slow_sched = scheduler_for(which, bounds);
     let opts = DriverOptions::default(); // no overhead timing: both emit 0.0
-    let fast = plan_schedule_with(&mut *fast_sched, stream, cfg, opts);
+    let fast = Session::new(*cfg)
+        .with_options(opts)
+        .plan(&mut *fast_sched, stream)
+        .map(Planned::into_plan);
     let slow = plan_schedule_seed(&mut *slow_sched, stream, cfg, opts);
     // Collapse Ok plans to their serialized bytes and Err to the debug
     // repr: one comparison covers "same outcome" in every combination

@@ -9,8 +9,8 @@
 
 use micco::gpusim::{EvictionPolicy, LinkTopology, MachineConfig};
 use micco::sched::{
-    plan_schedule_with, plan_schedule_with_topology, CodaScheduler, DriverOptions, GrouteScheduler,
-    MiccoScheduler, ReuseBounds, RoundRobinScheduler, Scheduler,
+    CodaScheduler, DriverOptions, GrouteScheduler, MiccoScheduler, ReuseBounds,
+    RoundRobinScheduler, Scheduler, Session,
 };
 use micco::workload::{RepeatDistribution, WorkloadSpec};
 
@@ -60,8 +60,10 @@ fn golden_fingerprint_corpus_is_pinned() {
     lines.push_str("# <scheduler> <config> workload=<fingerprint> digest=<digest>\n");
     for (label, cfg) in &configs {
         for mut sched in schedulers() {
-            let plan = plan_schedule_with(&mut *sched, &stream, cfg, DriverOptions::default())
-                .expect("corpus workload plans cleanly");
+            let plan = Session::new(*cfg)
+                .plan(&mut *sched, &stream)
+                .expect("corpus workload plans cleanly")
+                .into_plan();
             lines.push_str(&format!(
                 "{} {} workload={:016x} digest={:016x}\n",
                 plan.scheduler,
@@ -86,8 +88,12 @@ fn golden_fingerprint_corpus_is_pinned() {
         ("aware", DriverOptions::default().with_topology_aware()),
     ] {
         for mut sched in schedulers() {
-            let plan = plan_schedule_with_topology(&mut *sched, &stream, &cfg8, opts, Some(&topo))
-                .expect("corpus workload plans cleanly under a topology");
+            let plan = Session::new(cfg8)
+                .with_options(opts)
+                .with_topology(topo.clone())
+                .plan(&mut *sched, &stream)
+                .expect("corpus workload plans cleanly under a topology")
+                .into_plan();
             lines.push_str(&format!(
                 "{} mi100x8-nvlink4-{} workload={:016x} digest={:016x}\n",
                 plan.scheduler,
@@ -122,14 +128,18 @@ fn corpus_digests_are_reproducible_within_a_process() {
     let cfg = MachineConfig::mi100_like(4);
     for _ in 0..2 {
         for mut sched in schedulers() {
-            let a = plan_schedule_with(&mut *sched, &stream, &cfg, DriverOptions::default())
-                .expect("plans");
+            let a = Session::new(cfg)
+                .plan(&mut *sched, &stream)
+                .expect("plans")
+                .into_plan();
             let mut again = schedulers()
                 .into_iter()
                 .find(|s| s.name() == a.scheduler)
                 .expect("same scheduler");
-            let b = plan_schedule_with(&mut *again, &stream, &cfg, DriverOptions::default())
-                .expect("plans");
+            let b = Session::new(cfg)
+                .plan(&mut *again, &stream)
+                .expect("plans")
+                .into_plan();
             assert_eq!(a.digest(), b.digest());
             assert_eq!(a.to_text(), b.to_text());
         }

@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use micco::analysis::analyze_plan;
 use micco::gpusim::MachineConfig;
-use micco::sched::{plan_schedule_with, DriverOptions, MiccoScheduler, ReuseBounds};
+use micco::sched::{MiccoScheduler, ReuseBounds, Session};
 use micco::workload::{RepeatDistribution, WorkloadSpec};
 
 fn budget_secs() -> u64 {
@@ -42,8 +42,10 @@ fn plans_a_million_tasks_on_64_gpus_within_budget() {
     let cfg = MachineConfig::mi100_like(64);
     let mut sched = MiccoScheduler::new(ReuseBounds::new(0, 2, 0));
     let plan_start = Instant::now();
-    let plan = plan_schedule_with(&mut sched, &stream, &cfg, DriverOptions::default())
-        .expect("million-task stream plans cleanly");
+    let plan = Session::new(cfg)
+        .plan(&mut sched, &stream)
+        .expect("million-task stream plans cleanly")
+        .into_plan();
     let elapsed = plan_start.elapsed();
     let budget = budget_secs();
     eprintln!(

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use micco::gpusim::{GpuId, MachineConfig, MachineView, SimMachine};
 use micco::sched::driver::run_schedule_on;
-use micco::sched::{run_schedule, GrouteScheduler, MiccoScheduler, ReuseBounds, Scheduler};
+use micco::sched::{GrouteScheduler, MiccoScheduler, ReuseBounds, Scheduler, Session};
 use micco::workload::{RepeatDistribution, WorkloadSpec};
 
 /// Strategy: a modest random workload spec.
@@ -51,7 +51,7 @@ proptest! {
         let stream = spec.generate();
         let cfg = MachineConfig::mi100_like(gpus);
         for mut s in all_schedulers() {
-            let r = run_schedule(s.as_mut(), &stream, &cfg).expect("plenty of memory");
+            let r = Session::new(cfg).run(s.as_mut(), &stream).expect("plenty of memory");
             prop_assert_eq!(r.assignments.len(), stream.total_tasks());
             for a in &r.assignments {
                 prop_assert!(a.gpu.0 < gpus, "{} assigned gpu {}", s.name(), a.gpu.0);
@@ -93,7 +93,7 @@ proptest! {
     fn elapsed_is_sum_of_stage_makespans(spec in spec_strategy()) {
         let stream = spec.generate();
         let cfg = MachineConfig::mi100_like(3);
-        let r = run_schedule(&mut GrouteScheduler::new(), &stream, &cfg).expect("fits");
+        let r = Session::new(cfg).run(&mut GrouteScheduler::new(), &stream).expect("fits");
         let sum: f64 = r.stats.stage_makespans.iter().sum();
         prop_assert!((r.elapsed_secs() - sum).abs() < 1e-9);
         prop_assert!(r.stats.stage_makespans.iter().all(|&m| m >= 0.0));
@@ -106,7 +106,7 @@ proptest! {
         let cfg = MachineConfig::mi100_like(4);
         let run_once = || {
             let mut s = MiccoScheduler::new(ReuseBounds::new(0, 2, 0)).with_seed(9);
-            run_schedule(&mut s, &stream, &cfg).expect("fits").assignments
+            Session::new(cfg).run(&mut s, &stream).expect("fits").assignments
         };
         prop_assert_eq!(run_once(), run_once());
     }
@@ -124,9 +124,8 @@ proptest! {
             .with_seed(seed)
             .generate();
         let cfg = MachineConfig::mi100_like(4);
-        let micco = run_schedule(
-            &mut MiccoScheduler::naive(), &stream, &cfg).expect("fits");
-        let groute = run_schedule(&mut GrouteScheduler::new(), &stream, &cfg).expect("fits");
+        let micco = Session::new(cfg).run(&mut MiccoScheduler::naive(), &stream).expect("fits");
+        let groute = Session::new(cfg).run(&mut GrouteScheduler::new(), &stream).expect("fits");
         prop_assert!(
             micco.elapsed_secs() <= groute.elapsed_secs() * 1.05,
             "micco {} vs groute {}", micco.elapsed_secs(), groute.elapsed_secs()
@@ -139,13 +138,10 @@ proptest! {
     fn larger_bounds_never_reduce_reuse(spec in spec_strategy()) {
         let stream = spec.generate();
         let cfg = MachineConfig::mi100_like(4);
-        let naive = run_schedule(&mut MiccoScheduler::naive(), &stream, &cfg).expect("fits");
-        let unbounded = run_schedule(
-            &mut MiccoScheduler::new(ReuseBounds::unbounded()),
-            &stream,
-            &cfg,
-        )
-        .expect("fits");
+        let naive = Session::new(cfg).run(&mut MiccoScheduler::naive(), &stream).expect("fits");
+        let unbounded = Session::new(cfg)
+            .run(&mut MiccoScheduler::new(ReuseBounds::unbounded()), &stream)
+            .expect("fits");
         prop_assert!(
             unbounded.stats.total_reuse_hits() + unbounded.stats.total_d2d()
                 >= naive.stats.total_reuse_hits(),

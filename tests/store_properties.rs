@@ -218,9 +218,11 @@ proptest! {
                     .with_seed(*seed)
                     .generate();
                 let mut sched = MiccoScheduler::new(ReuseBounds::new(0, 2, 0));
-                let key = PlanCache::key_for(&sched, &stream, &cfg, Default::default());
+                let key = PlanCache::key_for_with_topology(
+                    &sched, &stream, &cfg, Default::default(), None,
+                );
                 let plan = cache
-                    .plan_for(&mut sched, &stream, &cfg, Default::default())
+                    .plan_for_with_topology(&mut sched, &stream, &cfg, Default::default(), None)
                     .expect("planning succeeds")
                     .clone();
                 originals.push((key, stream, plan));
@@ -253,7 +255,7 @@ proptest! {
         for (key, stream, plan) in &originals {
             let mut sched = MiccoScheduler::new(ReuseBounds::new(0, 2, 0));
             let replanned = cache
-                .plan_for(&mut sched, stream, &cfg, Default::default())
+                .plan_for_with_topology(&mut sched, stream, &cfg, Default::default(), None)
                 .expect("replanning after damage succeeds");
             prop_assert_eq!(replanned.fingerprint, plan.fingerprint,
                 "replanned plan matches the original decision");

@@ -24,8 +24,7 @@ use micco::obs::{
     reconcile_with_stats, span_track_totals, Recorder, TraceEvent, Track, CONTROL_PID,
 };
 use micco::sched::{
-    run_schedule, MiccoScheduler, ReuseBounds, RoundRobinScheduler, SchedulePlan, ScheduleReport,
-    Session,
+    MiccoScheduler, ReuseBounds, RoundRobinScheduler, SchedulePlan, ScheduleReport, Session,
 };
 use micco::workload::WorkloadSpec;
 
@@ -143,12 +142,9 @@ fn real_exec_spans_reconcile_with_busy_secs() {
         .with_seed(9)
         .generate();
     let workers = 2;
-    let report = run_schedule(
-        &mut RoundRobinScheduler::new(),
-        &stream,
-        &MachineConfig::mi100_like(workers),
-    )
-    .expect("workload fits");
+    let report = Session::new(MachineConfig::mi100_like(workers))
+        .run(&mut RoundRobinScheduler::new(), &stream)
+        .expect("workload fits");
     let recorder = Recorder::shared();
     let store = TensorStore::new(SHAPE.batch, SHAPE.dim, 9);
     let opts = ExecOptions::default().with_trace(recorder.clone());
@@ -180,8 +176,9 @@ fn canonical_entry_points_checksum_match_across_the_unified_api() {
         .generate();
     let workers = 2;
     let cfg = MachineConfig::mi100_like(workers);
-    let report =
-        run_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).expect("workload fits");
+    let report = Session::new(cfg)
+        .run(&mut RoundRobinScheduler::new(), &stream)
+        .expect("workload fits");
     let store = TensorStore::new(SHAPE.batch, SHAPE.dim, 31);
 
     // the two canonical entries — assignment slice and plan IR — are one
@@ -207,8 +204,10 @@ fn canonical_entry_points_checksum_match_across_the_unified_api() {
         "work stealing changed the result"
     );
 
-    let plan = micco::sched::plan_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg)
-        .expect("plan decides");
+    let plan = Session::new(cfg)
+        .plan(&mut RoundRobinScheduler::new(), &stream)
+        .expect("plan decides")
+        .into_plan();
     let via_plan =
         execute_plan(&stream, &plan, &store, &ExecOptions::default()).expect("plan entry runs");
     assert_eq!(

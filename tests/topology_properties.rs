@@ -10,10 +10,9 @@ use micco::analysis::{analyze_plan_with, analyze_plan_with_topology, AnalysisCon
 use micco::analysis::{Code, Severity};
 use micco::gpusim::GpuId;
 use micco::gpusim::{LinkSpec, LinkTopology, MachineConfig, SimMachine};
-use micco::sched::{execute_plan_with_topology, repair_plan, repair_plan_with, SchedulePlan};
+use micco::sched::{execute_plan, repair_plan, repair_plan_with, SchedulePlan, Session};
 use micco::sched::{
-    plan_schedule_with_topology, run_schedule_with, run_schedule_with_topology, DriverOptions,
-    GrouteScheduler, MiccoScheduler, ReuseBounds, RoundRobinScheduler, Scheduler,
+    DriverOptions, GrouteScheduler, MiccoScheduler, ReuseBounds, RoundRobinScheduler, Scheduler,
 };
 use micco::workload::{RepeatDistribution, WorkloadSpec};
 
@@ -126,9 +125,11 @@ proptest! {
         let topo = LinkTopology::nvlink(gpus, gpus)
             .with_nvlink(LinkSpec::new(cfg.cost.d2d_gib_s, cfg.cost.transfer_latency_us));
         let opts = DriverOptions::default();
-        let flat = run_schedule_with(&mut *scheduler_for(which), &stream, &cfg, opts);
-        let routed = run_schedule_with_topology(
-            &mut *scheduler_for(which), &stream, &cfg, opts, Some(&topo));
+        let flat = Session::new(cfg).with_options(opts).run(&mut *scheduler_for(which), &stream);
+        let routed = Session::new(cfg)
+            .with_options(opts)
+            .with_topology(topo)
+            .run(&mut *scheduler_for(which), &stream);
         match (flat, routed) {
             (Ok(f), Ok(r)) => {
                 prop_assert_eq!(f.assignments, r.assignments);
@@ -155,11 +156,11 @@ proptest! {
         let cfg = MachineConfig::mi100_like(gpus);
         let topo = LinkTopology::nvlink(gpus, gpus)
             .with_nvlink(LinkSpec::new(gib_s, latency_us));
-        let opts = DriverOptions::default();
-        let Ok(plan) = plan_schedule_with_topology(
-            &mut *scheduler_for(which), &stream, &cfg, opts, Some(&topo)) else {
+        let session = Session::new(cfg).with_topology(topo.clone());
+        let Ok(planned) = session.plan(&mut *scheduler_for(which), &stream) else {
             return Ok(());
         };
+        let plan = planned.into_plan();
         let acfg = AnalysisConfig::default();
         let with_topo = analyze_plan_with_topology(&plan, &stream, &cfg, &acfg, Some(&topo));
         prop_assert!(!with_topo.has(Code::CrossIslandTransfer), "{}", with_topo.render_text());
@@ -184,15 +185,15 @@ proptest! {
         if aware {
             opts = opts.with_topology_aware();
         }
-        let Ok(plan) = plan_schedule_with_topology(
-            &mut *scheduler_for(which), &stream, &cfg, opts, Some(&topo)) else {
+        let session = Session::new(cfg).with_options(opts).with_topology(topo.clone());
+        let Ok(planned) = session.plan(&mut *scheduler_for(which), &stream) else {
             return Ok(());
         };
-        let one_shot = run_schedule_with_topology(
-            &mut *scheduler_for(which), &stream, &cfg, opts, Some(&topo)).expect("runs");
+        let plan = planned.into_plan();
+        let one_shot = session.run(&mut *scheduler_for(which), &stream).expect("runs");
         let mut machine = SimMachine::new(opts.apply(&cfg));
-        let report = micco::sched::execute_plan_with_topology(
-            &plan, &stream, &mut machine, opts, Some(&topo)).expect("replays");
+        machine.set_topology(Some(topo.clone()));
+        let report = execute_plan(&plan, &stream, &mut machine).expect("replays");
         prop_assert_eq!(&one_shot.assignments, &report.assignments);
         prop_assert_eq!(&one_shot.stats, &report.stats);
         prop_assert_eq!(
@@ -222,18 +223,17 @@ fn topology_near_repair_does_not_regress_cross_island_traffic() {
     let topo = LinkTopology::nvlink(8, 4);
     let cfg = MachineConfig::mi100_like(8);
     let opts = DriverOptions::default().with_topology_aware();
-    let plan = plan_schedule_with_topology(
-        &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-        &stream,
-        &cfg,
-        opts,
-        Some(&topo),
-    )
-    .expect("corpus plans cleanly");
+    let plan = Session::new(cfg)
+        .with_options(opts)
+        .with_topology(topo.clone())
+        .plan(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
+        .expect("corpus plans cleanly")
+        .into_plan();
 
     let cross_island = |p: &SchedulePlan| -> u64 {
         let mut machine = SimMachine::new(cfg);
-        execute_plan_with_topology(p, &stream, &mut machine, opts, Some(&topo)).expect("replays");
+        machine.set_topology(Some(topo.clone()));
+        execute_plan(p, &stream, &mut machine).expect("replays");
         machine.cross_island_traffic().0
     };
     let fault_free = cross_island(&plan);
