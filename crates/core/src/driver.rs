@@ -1,18 +1,21 @@
 //! The scheduling driver, split into *decide* and *execute*.
 //!
-//! [`crate::Session::plan`] runs the scheduler against a lightweight
-//! [`ShadowMachine`] (full scheduler-visible state, no statistics) and
-//! produces a [`SchedulePlan`]; [`execute_plan`] replays a validated plan
-//! on a [`SimMachine`] and reports achieved performance. Because the
-//! shadow and the simulator share one state-transition function, the
-//! split reproduces the interleaved [`run_schedule_on`] exactly; that
-//! path remains for warm machines and as the conformance reference.
+//! [`crate::Session::plan`] runs the scheduler against a [`SimMachine`]
+//! (the shadow's scheduler-visible state plus the statistics observer) and
+//! produces a [`SchedulePlan`] together with the [`ExecStats`] of running
+//! it, so a freshly decided plan never needs a second simulation pass.
+//! [`execute_plan`] replays a validated plan on a [`SimMachine`] and
+//! reports achieved performance; it serves plans that arrive without
+//! statistics (plan files, store records) and runs that must be observed
+//! or fault-injected. Because both passes step one state-transition
+//! function, the split reproduces the interleaved [`run_schedule_on`]
+//! exactly; that path remains for warm machines and as the conformance
+//! reference.
 
 use std::time::Instant;
 
 use micco_gpusim::{
-    ExecError, ExecStats, GpuId, LinkTopology, MachineConfig, MachineView, ShadowMachine,
-    SimMachine,
+    ExecError, ExecStats, GpuId, LinkTopology, MachineConfig, MachineView, SimMachine,
 };
 use micco_workload::{ContractionTask, TensorPairStream, Vector};
 
@@ -107,12 +110,15 @@ pub struct ScheduleReport {
     /// paper's "scheduling overhead" (Table V). Measured only when
     /// [`DriverOptions::measure_overhead`] is set; `0.0` otherwise.
     pub scheduling_overhead_secs: f64,
-    /// Real wall-clock seconds spent replaying the plan on the simulator
-    /// (the cost of the execute phase itself, not the simulated time).
-    /// Measured only when [`DriverOptions::measure_overhead`] is set and
-    /// the run goes through [`crate::Session::replay`] (which
-    /// [`crate::Session::run`] and [`crate::Planned::execute`] use);
-    /// `0.0` otherwise.
+    /// Real wall-clock seconds of the execute phase itself, not the
+    /// simulated time. For [`crate::Session::replay`] that is a full
+    /// replay on the simulator. For [`crate::Planned::execute`] (and so
+    /// [`crate::Session::run`]) it is what the call actually did: checking
+    /// the plan against the stream and returning the statistics the
+    /// planning pass carried, or a replay when the session injects faults,
+    /// records a trace, or the plan carries no statistics. Measured only
+    /// when [`DriverOptions::measure_overhead`] is set; `0.0` otherwise,
+    /// and always for [`execute_plan`] and [`run_schedule_on`].
     pub execution_overhead_secs: f64,
     /// Every placement decision, in task order.
     pub assignments: Vec<Assignment>,
@@ -225,16 +231,19 @@ impl DriverOptions {
 }
 
 /// The planning loop behind [`crate::Session::plan`] and the plan cache:
-/// run `scheduler` over `stream` against a [`ShadowMachine`] built from
-/// `config` (with `options` applied and `topology` routed) and capture
-/// every placement into a [`SchedulePlan`], assembled in `arena`.
+/// run `scheduler` over `stream` against a [`SimMachine`] built from
+/// `config` (with `options` applied and `topology` routed), capture every
+/// placement into a [`SchedulePlan`] assembled in `arena`, and return the
+/// plan with the statistics of the run it just decided.
 ///
-/// The shadow tracks exactly the state schedulers can observe through
-/// [`MachineView`] — residency, occupancy, evictions, stage load — so the
-/// decisions are identical to what the interleaved [`run_schedule_on`]
-/// would make, at a fraction of the cost (no statistics, no trace, no
-/// attribution). The arena is reset on entry and left populated on
-/// return, ready for the next pass.
+/// Schedulers are online: each pair is placed against the residency and
+/// load the previous placements produced, so deciding and simulating are
+/// one walk over the stream. The simulator is the shadow plus the
+/// statistics observer, the scheduler sees the same [`MachineView`]
+/// either way, and the returned
+/// [`ExecStats`] equal those of replaying the plan with [`execute_plan`]
+/// bit for bit. The arena is reset on entry and left populated on return,
+/// ready for the next pass.
 pub(crate) fn plan_in(
     scheduler: &mut dyn Scheduler,
     stream: &TensorPairStream,
@@ -242,29 +251,29 @@ pub(crate) fn plan_in(
     options: DriverOptions,
     arena: &mut PlanArena,
     topology: Option<&LinkTopology>,
-) -> Result<SchedulePlan, ScheduleError> {
+) -> Result<(SchedulePlan, ExecStats), ScheduleError> {
     let cfg = options.apply(config);
-    let mut shadow = ShadowMachine::new(cfg);
-    shadow.set_topology(topology.cloned());
+    let mut machine = SimMachine::new(cfg);
+    machine.set_topology(topology.cloned());
     scheduler.set_topology_aware(options.topology_aware && topology.is_some());
     // Pre-intern every tensor of the stream so the per-symbol SoA tables
     // are sized once instead of growing inside the hot loop.
-    shadow.reserve_stream(stream);
+    machine.reserve_stream(stream);
     arena.reset();
     let mut overhead = 0.0;
     for vector in &stream.vectors {
-        scheduler.begin_vector(vector, &shadow);
+        scheduler.begin_vector(vector, &machine);
         let bounds = scheduler.stage_bounds();
         for task in &vector.tasks {
             let gpu = if options.measure_overhead {
                 let t0 = Instant::now();
-                let gpu = scheduler.assign(task, &shadow);
+                let gpu = scheduler.assign(task, &machine);
                 overhead += t0.elapsed().as_secs_f64();
                 gpu
             } else {
-                scheduler.assign(task, &shadow)
+                scheduler.assign(task, &machine)
             };
-            shadow
+            machine
                 .execute(task, gpu)
                 .map_err(|source| ScheduleError::Exec {
                     task: task.id,
@@ -272,15 +281,35 @@ pub(crate) fn plan_in(
                 })?;
             arena.push(Assignment { task: task.id, gpu });
         }
-        shadow.barrier();
+        machine.barrier();
         arena.close_stage(bounds);
     }
-    Ok(arena.to_plan(
+    let plan = arena.to_plan(
         scheduler.name(),
         cfg.num_gpus,
         stream.fingerprint(),
         overhead,
-    ))
+    );
+    Ok((plan, machine.stats().clone()))
+}
+
+/// The statistics of `plan` on a fresh, unobserved and fault-free
+/// simulator for `config` (with `options` applied and `topology` routed) —
+/// what [`plan_in`] returns beside a plan it decides, computed for a plan
+/// that arrived without them. The plan is validated against `stream`,
+/// whose fingerprint the caller already computed.
+pub(crate) fn simulate(
+    plan: &SchedulePlan,
+    stream: &TensorPairStream,
+    fingerprint: u64,
+    config: &MachineConfig,
+    options: DriverOptions,
+    topology: Option<&LinkTopology>,
+) -> Result<ExecStats, ScheduleError> {
+    plan.validate_fingerprinted(stream, fingerprint, config.num_gpus)?;
+    let mut machine = SimMachine::new(options.apply(config));
+    machine.set_topology(topology.cloned());
+    Ok(replay_validated(plan, stream, &mut machine)?.stats)
 }
 
 /// Execute a validated plan on `machine`, one stage per stream vector with
@@ -297,6 +326,15 @@ pub fn execute_plan(
     machine: &mut SimMachine,
 ) -> Result<ScheduleReport, ScheduleError> {
     plan.validate_for(stream, MachineView::num_gpus(machine))?;
+    replay_validated(plan, stream, machine)
+}
+
+/// [`execute_plan`] past its validation.
+fn replay_validated(
+    plan: &SchedulePlan,
+    stream: &TensorPairStream,
+    machine: &mut SimMachine,
+) -> Result<ScheduleReport, ScheduleError> {
     let mut assignments = Vec::with_capacity(plan.total_tasks());
     for (vector, stage) in stream.vectors.iter().zip(&plan.stages) {
         for (task, a) in vector.tasks.iter().zip(&stage.assignments) {

@@ -29,7 +29,7 @@
 //! not understand with [`PlanFormatError::UnsupportedVersion`] rather than
 //! misreading them.
 
-use micco_gpusim::{GpuId, LinkTopology, MachineConfig};
+use micco_gpusim::{ExecStats, GpuId, LinkTopology, MachineConfig};
 use micco_workload::{FastIdMap, TaskId, TensorPairStream};
 
 use crate::arena::PlanArena;
@@ -409,7 +409,12 @@ impl SchedulePlan {
     /// fingerprint, one stage per vector, every task covered exactly once
     /// in order, every device within the plan's declared range.
     pub fn validate(&self, stream: &TensorPairStream) -> Result<(), PlanError> {
-        let fp = stream.fingerprint();
+        self.check_against(stream, stream.fingerprint())
+    }
+
+    /// [`Self::validate`] against a stream whose fingerprint `fp` the
+    /// caller already computed.
+    fn check_against(&self, stream: &TensorPairStream, fp: u64) -> Result<(), PlanError> {
         if self.fingerprint != fp {
             return Err(PlanError::FingerprintMismatch {
                 plan: self.fingerprint,
@@ -458,7 +463,18 @@ impl SchedulePlan {
         stream: &TensorPairStream,
         machine_gpus: usize,
     ) -> Result<(), PlanError> {
-        self.validate(stream)?;
+        self.validate_fingerprinted(stream, stream.fingerprint(), machine_gpus)
+    }
+
+    /// [`Self::validate_for`] against a stream whose fingerprint the
+    /// caller already computed (the plan cache hashed it for the key).
+    pub(crate) fn validate_fingerprinted(
+        &self,
+        stream: &TensorPairStream,
+        fingerprint: u64,
+        machine_gpus: usize,
+    ) -> Result<(), PlanError> {
+        self.check_against(stream, fingerprint)?;
         if self.num_gpus != machine_gpus {
             return Err(PlanError::DeviceCountMismatch {
                 plan: self.num_gpus,
@@ -686,6 +702,11 @@ impl PlanKey {
 /// task order, tensor footprints, vector boundaries — changes the
 /// fingerprint and misses.
 ///
+/// A plan the cache decided itself keeps the simulated statistics of its
+/// planning pass in the same entry (see [`crate::Session::plan_with_cache`]),
+/// so the statistics are dropped with their plan and never outlive it; a
+/// plan [`Self::insert`]ed from outside carries none.
+///
 /// # Examples
 ///
 /// ```
@@ -706,10 +727,17 @@ impl PlanKey {
 /// ```
 #[derive(Default)]
 pub struct PlanCache {
-    plans: FastIdMap<u64, SchedulePlan>,
+    plans: FastIdMap<u64, CachedPlan>,
     arena: PlanArena,
     hits: u64,
     misses: u64,
+}
+
+/// One [`PlanCache`] entry: a plan and, when known, the statistics of
+/// simulating it under the request its key describes.
+pub(crate) struct CachedPlan {
+    pub(crate) plan: SchedulePlan,
+    pub(crate) stats: Option<ExecStats>,
 }
 
 impl PlanCache {
@@ -723,7 +751,7 @@ impl PlanCache {
     /// scheduler is not invoked at all on a hit), decided by the planning
     /// loop behind [`crate::Session::plan`] against the cache's reusable
     /// arena otherwise. With a topology the plan is decided against a
-    /// topology-carrying shadow. The hit path performs **zero heap
+    /// topology-carrying simulator. The hit path performs **zero heap
     /// allocations** (a test with a counting allocator pins this): the key
     /// is accumulated through [`Scheduler::write_name`] rather than a
     /// `name()` `String`, and the plan is looked up once by its interned
@@ -737,6 +765,22 @@ impl PlanCache {
         topology: Option<&LinkTopology>,
     ) -> Result<&SchedulePlan, ScheduleError> {
         let key = Self::key_for_with_topology(scheduler, stream, config, options, topology);
+        self.cached_for(key, scheduler, stream, config, options, topology)
+            .map(|cached| &cached.plan)
+    }
+
+    /// The entry under `key`, planned into it on a miss (with the
+    /// planning pass's statistics). `key` must be the request's
+    /// [`Self::key_for_with_topology`].
+    pub(crate) fn cached_for(
+        &mut self,
+        key: PlanKey,
+        scheduler: &mut dyn Scheduler,
+        stream: &TensorPairStream,
+        config: &MachineConfig,
+        options: DriverOptions,
+        topology: Option<&LinkTopology>,
+    ) -> Result<&CachedPlan, ScheduleError> {
         // single probe: the entry is resolved once and either served or
         // filled in place (the old contains_key → insert → get danced
         // through the map three times)
@@ -746,7 +790,7 @@ impl PlanCache {
                 Ok(entry.into_mut())
             }
             std::collections::hash_map::Entry::Vacant(entry) => {
-                let plan = plan_in(
+                let (plan, stats) = plan_in(
                     scheduler,
                     stream,
                     config,
@@ -755,7 +799,10 @@ impl PlanCache {
                     topology,
                 )?;
                 self.misses += 1;
-                Ok(entry.insert(plan))
+                Ok(entry.insert(CachedPlan {
+                    plan,
+                    stats: Some(stats),
+                }))
             }
         }
     }
@@ -773,8 +820,20 @@ impl PlanCache {
         options: DriverOptions,
         topology: Option<&LinkTopology>,
     ) -> PlanKey {
+        Self::key_for_fingerprint(stream.fingerprint(), scheduler, config, options, topology)
+    }
+
+    /// [`Self::key_for_with_topology`] for a stream whose fingerprint the
+    /// caller already computed.
+    pub(crate) fn key_for_fingerprint(
+        fingerprint: u64,
+        scheduler: &dyn Scheduler,
+        config: &MachineConfig,
+        options: DriverOptions,
+        topology: Option<&LinkTopology>,
+    ) -> PlanKey {
         let mut h = Fnv::new();
-        h.mix(stream.fingerprint());
+        h.mix(fingerprint);
         scheduler
             .write_name(&mut h)
             .expect("hashing writer never fails");
@@ -812,7 +871,12 @@ impl PlanCache {
     /// The cached plan under `key`, if any. Never plans and never touches
     /// the hit/miss counters.
     pub fn get(&self, key: PlanKey) -> Option<&SchedulePlan> {
-        self.plans.get(&key.0)
+        self.plans.get(&key.0).map(|cached| &cached.plan)
+    }
+
+    /// The entry under `key`, if any. Counter-neutral.
+    pub(crate) fn get_mut(&mut self, key: PlanKey) -> Option<&mut CachedPlan> {
+        self.plans.get_mut(&key.0)
     }
 
     /// True when a plan is cached under `key`. Counter-neutral.
@@ -823,8 +887,10 @@ impl PlanCache {
     /// Insert an externally decided plan under `key` (hydration from a
     /// durable store). Counter-neutral; a later
     /// [`Self::plan_for_with_topology`] for the same request is a hit.
+    /// The entry carries no statistics: whatever the key held before —
+    /// plan and statistics alike — is replaced.
     pub fn insert(&mut self, key: PlanKey, plan: SchedulePlan) {
-        self.plans.insert(key.0, plan);
+        self.plans.insert(key.0, CachedPlan { plan, stats: None });
     }
 
     /// Cache hits so far.
@@ -1114,6 +1180,39 @@ mod tests {
         assert!(plan_for(&mut cache, measuring) > 0.0);
         assert_eq!(plan_for(&mut cache, plain), 0.0);
         assert_eq!((cache.hits(), cache.misses()), (2, 2));
+    }
+
+    #[test]
+    fn insert_replaces_a_plan_together_with_its_stats() {
+        let (stream, _) = plan_fixture();
+        let cfg = MachineConfig::mi100_like(3);
+        let opts = DriverOptions::default();
+        let mut cache = PlanCache::new();
+        let mut sched = RoundRobinScheduler::new();
+        let key = PlanCache::key_for_with_topology(&sched, &stream, &cfg, opts, None);
+        cache
+            .plan_for_with_topology(&mut sched, &stream, &cfg, opts, None)
+            .unwrap();
+        assert!(
+            cache.get_mut(key).unwrap().stats.is_some(),
+            "a decided plan keeps its planning pass's stats"
+        );
+        let other = Session::new(cfg)
+            .plan(
+                &mut crate::micco::MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
+                &stream,
+            )
+            .unwrap()
+            .into_plan();
+        cache.insert(key, other.clone());
+        let entry = cache.get_mut(key).unwrap();
+        assert_eq!(entry.plan, other);
+        assert!(entry.stats.is_none(), "the old plan's stats went with it");
+        // a hit serves the inserted plan, still without stats
+        cache
+            .plan_for_with_topology(&mut sched, &stream, &cfg, opts, None)
+            .unwrap();
+        assert!(cache.get_mut(key).unwrap().stats.is_none());
     }
 
     #[test]

@@ -23,15 +23,19 @@
 //! ```
 //!
 //! A [`Session`] is cheap to clone and immutable once built: `plan` hands a
-//! [`Planned`] run back, which replays on fresh simulators as many times as
-//! needed — each execution re-attaches the session's sink and emits the
-//! run-level span that parents the observer's stage and task spans.
+//! [`Planned`] run back, which can be executed as many times as needed.
+//! Planning already simulates the plan it decides, so the [`Planned`] run
+//! carries its statistics and executing it only checks the plan against
+//! the stream. A session with a fault plan or a trace sink replays
+//! instead, on a fresh simulator per execution that re-attaches the sink
+//! and emits the run-level span that parents the observer's stage and task
+//! spans.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use micco_gpusim::{FaultPlan, LinkTopology, MachineConfig, SimMachine};
+use micco_gpusim::{ExecStats, FaultPlan, LinkTopology, MachineConfig, SimMachine};
 use micco_obs::{
     MetricsRegistry, SpanObserver, TraceEvent, TraceSink, Track, CONTROL_PID, SECS_TO_US,
 };
@@ -112,7 +116,8 @@ impl Session {
     }
 
     /// Toggle wall-clock overhead measurement for both phases (decide-time
-    /// `Scheduler::assign` and execute-time plan replay).
+    /// `Scheduler::assign` and the execute phase, see
+    /// [`ScheduleReport::execution_overhead_secs`]).
     pub fn measure_overhead(mut self, on: bool) -> Self {
         self.options.measure_overhead = on;
         self
@@ -212,16 +217,18 @@ impl Session {
         self.store.as_deref()
     }
 
-    /// Decide a schedule for `stream` without executing it. The returned
-    /// [`Planned`] owns a clone of this session, so the fluent chain works
-    /// on temporaries and the plan can be executed repeatedly.
+    /// Decide a schedule for `stream`. The planning pass steps a simulator,
+    /// so the returned [`Planned`] carries the statistics of running the
+    /// plan as well ([`Planned::simulated_stats`]). It owns a clone of this
+    /// session, so the fluent chain works on temporaries and the plan can
+    /// be executed repeatedly.
     pub fn plan(
         &self,
         scheduler: &mut dyn Scheduler,
         stream: &TensorPairStream,
     ) -> Result<Planned, ScheduleError> {
         let mut arena = PlanArena::with_capacity(stream.total_tasks(), stream.vectors.len());
-        let plan = plan_in(
+        let (plan, stats) = plan_in(
             scheduler,
             stream,
             &self.config,
@@ -232,6 +239,7 @@ impl Session {
         Ok(Planned {
             session: self.clone(),
             plan,
+            stats: Some(stats),
         })
     }
 
@@ -265,25 +273,26 @@ impl Session {
 
     /// [`Session::plan`] against a caller-held [`DurablePlanCache`] — the
     /// long-running form used by `micco serve`, where one cache outlives
-    /// many sessions and its counters accumulate across jobs.
+    /// many sessions and its counters accumulate across jobs. The planned
+    /// run carries the statistics the cache keeps beside the plan, so a
+    /// served hit executes without simulating.
     pub fn plan_with_cache(
         &self,
         cache: &mut DurablePlanCache,
         scheduler: &mut dyn Scheduler,
         stream: &TensorPairStream,
     ) -> Result<Planned, DurableError> {
-        let plan = cache
-            .plan_for_with_topology(
-                scheduler,
-                stream,
-                &self.config,
-                self.options,
-                self.topology.as_ref(),
-            )?
-            .clone();
+        let cached = cache.cached_for(
+            scheduler,
+            stream,
+            &self.config,
+            self.options,
+            self.topology.as_ref(),
+        )?;
         Ok(Planned {
             session: self.clone(),
-            plan,
+            plan: cached.plan.clone(),
+            stats: cached.stats.clone(),
         })
     }
 
@@ -366,11 +375,14 @@ impl Session {
     }
 }
 
-/// A decided schedule bound to the [`Session`] that produced it.
+/// A decided schedule bound to the [`Session`] that produced it, with the
+/// simulated statistics of running it when the planning pass (or the plan
+/// cache) provided them.
 #[derive(Debug, Clone)]
 pub struct Planned {
     session: Session,
     plan: SchedulePlan,
+    stats: Option<ExecStats>,
 }
 
 impl Planned {
@@ -390,10 +402,42 @@ impl Planned {
         &self.session
     }
 
-    /// Replay the plan on a fresh simulator built from the session,
-    /// recording telemetry when the session carries a sink.
+    /// The statistics of simulating this plan under its session, without
+    /// faults or telemetry — carried from the planning pass or the plan
+    /// cache. `None` when they were not available; [`Self::execute`] then
+    /// replays.
+    pub fn simulated_stats(&self) -> Option<&ExecStats> {
+        self.stats.as_ref()
+    }
+
+    /// Execute the plan on `stream`. The plan is checked against the
+    /// stream and the session's device count first, exactly as a replay
+    /// checks it. When the plan carries its statistics and the session
+    /// neither injects faults nor records a trace, those statistics are
+    /// the result and nothing is simulated again; otherwise the plan is
+    /// replayed on a fresh simulator built from the session
+    /// ([`Session::replay`]), since a fault plan changes the simulated
+    /// outcome and a trace sink needs the replay's events.
     pub fn execute(&self, stream: &TensorPairStream) -> Result<ScheduleReport, ScheduleError> {
-        self.session.replay(&self.plan, stream)
+        let session = &self.session;
+        let Some(stats) = self
+            .stats
+            .as_ref()
+            .filter(|_| session.faults.is_none() && session.sink.is_none())
+        else {
+            return session.replay(&self.plan, stream);
+        };
+        let t0 = session.options.measure_overhead.then(Instant::now);
+        self.plan.validate_for(stream, session.config.num_gpus)?;
+        let mut report = ScheduleReport {
+            scheduler: self.plan.scheduler.clone(),
+            stats: stats.clone(),
+            scheduling_overhead_secs: self.plan.overhead_secs,
+            execution_overhead_secs: 0.0,
+            assignments: self.plan.flat_assignments(),
+        };
+        report.execution_overhead_secs = t0.map_or(0.0, |t| t.elapsed().as_secs_f64());
+        Ok(report)
     }
 }
 
@@ -527,14 +571,18 @@ mod tests {
         let clean = Session::new(cfg)
             .run(&mut RoundRobinScheduler::new(), &stream)
             .expect("fits");
-        // a kernel fault on task 0 slows that task but the run completes
+        // a kernel fault on task 0 slows that task but the run completes:
+        // the faulted session replays rather than serving the fault-free
+        // statistics its planning pass carried
         let faulted = Session::new(cfg)
             .with_faults(FaultPlan::none().with_kernel_fault(0, 1))
             .retry(3, Duration::from_micros(10))
             .run(&mut RoundRobinScheduler::new(), &stream)
             .expect("retries through");
         assert_eq!(clean.assignments, faulted.assignments);
-        assert!(faulted.elapsed_secs() >= clean.elapsed_secs());
+        assert_eq!(clean.stats.total_faults(), 0);
+        assert_eq!(faulted.stats.total_faults(), 1);
+        assert!(faulted.elapsed_secs() > clean.elapsed_secs());
         let session = Session::new(cfg).retry(5, Duration::from_micros(7));
         assert_eq!(session.retry_policy(), Some((5, Duration::from_micros(7))));
         assert!(session.faults().is_none());

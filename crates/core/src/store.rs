@@ -21,7 +21,13 @@
 //! ```
 //!
 //! Log hits promote the plan into memory, so a request pays the parse
-//! cost at most once per process lifetime.
+//! cost at most once per process lifetime. A fresh decision keeps the
+//! simulated statistics of its planning pass beside the plan in memory; a
+//! plan that reaches memory without them (promoted from the log, or
+//! [`DurablePlanCache::persist`]ed) is replayed once under the first
+//! request that asks for it, and the statistics are kept from then on.
+//! Statistics are never written to or read from the log: the record format
+//! is the plan text alone.
 
 use std::fmt;
 use std::path::Path;
@@ -29,8 +35,8 @@ use std::path::Path;
 use micco_gpusim::MachineConfig;
 use micco_workload::TensorPairStream;
 
-use crate::driver::{DriverOptions, ScheduleError, Scheduler};
-use crate::plan::{PlanCache, PlanKey, SchedulePlan};
+use crate::driver::{simulate, DriverOptions, ScheduleError, Scheduler};
+use crate::plan::{CachedPlan, PlanCache, PlanKey, SchedulePlan};
 use micco_store::{
     CompactReport, PlanStore, RecoveryReport, StoreError, StoreOptions, StoreStats, VerifyReport,
 };
@@ -172,7 +178,9 @@ impl DurablePlanCache {
     /// The plan for `(scheduler, stream, config, options, topology)` —
     /// from memory, else from the log (parsed and byte-verified), else
     /// freshly decided and durably appended before this call returns. Keys
-    /// follow [`PlanCache::key_for_with_topology`].
+    /// follow [`PlanCache::key_for_with_topology`]. A plan served without
+    /// simulated statistics in memory (a log hit, or a persisted plan) is
+    /// replayed once under this request so later hits carry them.
     pub fn plan_for_with_topology(
         &mut self,
         scheduler: &mut dyn Scheduler,
@@ -181,24 +189,47 @@ impl DurablePlanCache {
         options: DriverOptions,
         topology: Option<&micco_gpusim::LinkTopology>,
     ) -> Result<&SchedulePlan, DurableError> {
-        let key = PlanCache::key_for_with_topology(scheduler, stream, config, options, topology);
+        self.cached_for(scheduler, stream, config, options, topology)
+            .map(|cached| &cached.plan)
+    }
+
+    /// [`Self::plan_for_with_topology`] with the plan's simulated
+    /// statistics: those of the planning pass on a miss, and on a hit the
+    /// ones cached beside the plan — replayed once under this request
+    /// when the plan reached memory without them. A replay that fails (a
+    /// persisted plan that does not fit the request) caches nothing, so
+    /// executing the plan surfaces the error.
+    pub(crate) fn cached_for(
+        &mut self,
+        scheduler: &mut dyn Scheduler,
+        stream: &TensorPairStream,
+        config: &MachineConfig,
+        options: DriverOptions,
+        topology: Option<&micco_gpusim::LinkTopology>,
+    ) -> Result<&CachedPlan, DurableError> {
+        let fingerprint = stream.fingerprint();
+        let key = PlanCache::key_for_fingerprint(fingerprint, scheduler, config, options, topology);
         if self.cache.contains(key) {
             self.mem_hits += 1;
-            return Ok(self.cache.get(key).expect("contains() checked"));
-        }
-        if self.promote(key) {
+        } else if self.promote(key) {
             self.log_hits += 1;
-            return Ok(self.cache.get(key).expect("promoted from log"));
+        } else {
+            // genuine miss: decide through the inner cache (reusing its
+            // arena), then write through to the log before returning
+            let text = self
+                .cache
+                .cached_for(key, scheduler, stream, config, options, topology)?
+                .plan
+                .to_text();
+            self.misses += 1;
+            self.store.put(key.raw(), text.as_bytes())?;
         }
-        // genuine miss: decide through the inner cache (reusing its arena),
-        // then write through to the log before returning
-        let text = self
-            .cache
-            .plan_for_with_topology(scheduler, stream, config, options, topology)?
-            .to_text();
-        self.misses += 1;
-        self.store.put(key.raw(), text.as_bytes())?;
-        Ok(self.cache.get(key).expect("just planned"))
+        let cached = self.cache.get_mut(key).expect("served or just planned");
+        if cached.stats.is_none() {
+            cached.stats =
+                simulate(&cached.plan, stream, fingerprint, config, options, topology).ok();
+        }
+        Ok(cached)
     }
 
     /// The plan under `key` from memory or log, without ever planning.
@@ -311,6 +342,8 @@ impl DurablePlanCache {
 mod tests {
     use super::*;
     use crate::baselines::RoundRobinScheduler;
+    use crate::bounds::ReuseBounds;
+    use crate::micco::MiccoScheduler;
     use micco_workload::WorkloadSpec;
     use std::path::PathBuf;
 
@@ -433,6 +466,43 @@ mod tests {
         assert!(cache.lookup(base.with_node("node1")).is_some());
         assert!(cache.lookup(base.with_node("node2")).is_none());
         assert_eq!(cache.log_hits(), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn persist_over_a_decided_key_drops_the_old_plans_stats() {
+        let dir = tmp_dir("persist-stats");
+        let (stream, cfg) = fixture();
+        let opts = DriverOptions::default();
+        let key = PlanCache::key_for_with_topology(
+            &RoundRobinScheduler::new(),
+            &stream,
+            &cfg,
+            opts,
+            None,
+        );
+        let mut cache = DurablePlanCache::open(&dir).unwrap();
+        let old_stats = cache
+            .cached_for(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
+            .unwrap()
+            .stats
+            .clone()
+            .expect("a miss carries its planning pass's stats");
+        let other = crate::Session::new(cfg)
+            .plan(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
+            .unwrap()
+            .into_plan();
+        cache.persist(key, &other).unwrap();
+        assert!(cache.cache.get_mut(key).unwrap().stats.is_none());
+        // the next request replays the persisted plan once and keeps that
+        let served = cache
+            .cached_for(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
+            .unwrap();
+        assert_eq!(served.plan, other);
+        let replayed = crate::Session::new(cfg).replay(&other, &stream).unwrap();
+        assert_eq!(served.stats.as_ref(), Some(&replayed.stats));
+        assert_ne!(served.stats.as_ref(), Some(&old_stats));
+        assert_eq!((cache.misses(), cache.mem_hits()), (1, 1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,10 +1,11 @@
 //! The simulated multi-GPU machine.
 //!
 //! [`SimMachine`] executes contraction tasks on per-device serial timelines.
-//! `micco_core::Session` replays decided plans on it (the interleaved
-//! reference driver instead asks the scheduler for each device given the
-//! current [`MachineView`]), and [`SimMachine::execute`] applies each
-//! placement — staging missing operands (host→device, or device→device
+//! `micco_core::Session` plans against it — asking the scheduler for each
+//! device given the current [`MachineView`], so one pass yields both the
+//! plan and its statistics — and replays external plans on it.
+//! [`SimMachine::execute`] applies each placement — staging missing
+//! operands (host→device, or device→device
 //! when a peer holds a copy), allocating the output, evicting under
 //! pressure, and advancing that device's clock by the memory-operation and
 //! kernel times.
@@ -399,6 +400,13 @@ impl SimMachine {
     pub fn with_oracle(mut self, stream: &TensorPairStream) -> Self {
         self.shadow.set_oracle(stream);
         self
+    }
+
+    /// Pre-intern every tensor of `stream` (see
+    /// [`ShadowMachine::reserve_stream`]): an allocation hint that never
+    /// changes behaviour.
+    pub fn reserve_stream(&mut self, stream: &TensorPairStream) {
+        self.shadow.reserve_stream(stream);
     }
 
     /// Arm the machine with a fault-injection plan (empty by default).

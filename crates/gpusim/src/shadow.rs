@@ -4,8 +4,10 @@
 //! through [`MachineView`] — per-device residency (with evictions), memory
 //! occupancy, stage load, and the dual compute/DMA clocks — but keeps no
 //! statistics, no event trace and no per-stage attribution. It is the
-//! substrate `micco_core::Session::plan` drives to *decide* a schedule
-//! without paying for a full simulation.
+//! substrate the plan linter and certifier replay placements on, and the
+//! state under every [`crate::SimMachine`] — the machine
+//! `micco_core::Session::plan` decides against, so the planning pass also
+//! yields the run's statistics.
 //!
 //! [`crate::SimMachine`] is a thin observing wrapper over this type: it
 //! delegates every state transition here and layers statistics/tracing on

@@ -5,9 +5,10 @@
 //! runs next* (priority classes + weighted fair share, see
 //! [`crate::sched`]); each dispatched job then plans its own placement
 //! through the existing per-job [`micco_core::Session`] machinery —
-//! hitting the shared [`micco_core::DurablePlanCache`] for warm starts
-//! — and replays on a
-//! simulator sized to its GPU request. Running jobs hold GPUs out of the
+//! hitting the shared [`micco_core::DurablePlanCache`] for warm starts.
+//! Planning simulates the plan on a machine sized to the job's GPU
+//! request, so executing it returns that report without a second pass
+//! (jobs with injected faults replay). Running jobs hold GPUs out of the
 //! shared pool; `time_scale` optionally converts simulated seconds into
 //! wall-clock hold time so the pool exhibits real contention.
 
@@ -125,7 +126,9 @@ pub struct JobResult {
     pub warm: bool,
     /// Wall-clock planning time, milliseconds.
     pub plan_ms: f64,
-    /// Wall-clock execution (simulation) time, milliseconds.
+    /// Wall-clock execute time, milliseconds: checking the plan against
+    /// the stream and taking the report its planning pass carried, or a
+    /// full simulator replay for jobs with injected faults.
     pub exec_ms: f64,
 }
 
@@ -639,15 +642,6 @@ impl Scheduling {
                 }
             }
         }
-        if let Some(cache) = &self.cache {
-            let c = cache.lock().unwrap_or_else(PoisonError::into_inner);
-            self.metrics
-                .set_gauge("plan_cache.mem_hits", c.mem_hits() as f64);
-            self.metrics
-                .set_gauge("plan_cache.log_hits", c.log_hits() as f64);
-            self.metrics
-                .set_gauge("plan_cache.misses", c.misses() as f64);
-        }
         self.metrics
             .set_gauge("serve.free_gpus", pool.free_gpus as f64);
         self.metrics.set_gauge("serve.running", pool.running as f64);
@@ -680,11 +674,20 @@ impl Scheduling {
             Some(cache) => {
                 let mut cache = cache.lock().unwrap_or_else(PoisonError::into_inner);
                 let before = cache.mem_hits() + cache.log_hits();
-                match session.plan_with_cache(&mut cache, scheduler.as_mut(), &stream) {
-                    Ok(p) => {
-                        let warm = cache.mem_hits() + cache.log_hits() > before;
-                        (p, warm)
-                    }
+                let planned = session.plan_with_cache(&mut cache, scheduler.as_mut(), &stream);
+                let warm = cache.mem_hits() + cache.log_hits() > before;
+                // refreshed under the cache lock this job already holds:
+                // a finishing job must never wait for the cache mutex
+                // while it holds the pool lock
+                self.metrics
+                    .set_gauge("plan_cache.mem_hits", cache.mem_hits() as f64);
+                self.metrics
+                    .set_gauge("plan_cache.log_hits", cache.log_hits() as f64);
+                self.metrics
+                    .set_gauge("plan_cache.misses", cache.misses() as f64);
+                drop(cache);
+                match planned {
+                    Ok(p) => (p, warm),
                     Err(e) => return RunOutcome::Failed(e.to_string()),
                 }
             }
@@ -697,7 +700,8 @@ impl Scheduling {
         if cancel.load(Ordering::SeqCst) {
             return RunOutcome::Canceled;
         }
-        // execute on a fresh simulator
+        // execute: the plan carries the statistics of its planning pass,
+        // so this checks the plan against the stream and returns them
         let t_exec = Instant::now();
         let report = match planned.execute(&stream) {
             Ok(r) => r,
@@ -922,6 +926,63 @@ mod tests {
         let (_, log_hits, misses) = s2.cache_stats().unwrap();
         assert_eq!((log_hits, misses), (1, 0));
         s2.begin_shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_finishing_job_never_waits_for_the_plan_cache_mutex() {
+        // regression: the plan-cache gauges were refreshed when a job
+        // finished, under the pool lock, so a job finishing while another
+        // thread planned stalled every submit, wait and dispatch until the
+        // cache mutex came free
+        let dir = std::env::temp_dir().join(format!(
+            "micco-serve-gauges-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let sim_secs = tiny_config(2).run().expect("runs").elapsed_secs();
+        let s = start(ServeConfig {
+            pool_gpus: 2,
+            store: Some(dir.clone()),
+            // the job holds its GPUs for ~300 ms after planning
+            time_scale: 0.3 / sim_secs,
+            ..ServeConfig::default()
+        });
+        let id = s.submit("t", None, tiny_config(2)).expect("admitted");
+        let t0 = Instant::now();
+        while s.cache_stats() != Some((0, 0, 1)) {
+            assert!(t0.elapsed() < Duration::from_secs(10), "never planned");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // the job has planned: a helper takes the cache mutex and keeps it
+        // until told to let go, or for 10 s
+        let (let_go, told) = std::sync::mpsc::channel::<()>();
+        let (locked, is_locked) = std::sync::mpsc::channel::<()>();
+        let released = Arc::new(AtomicBool::new(false));
+        let helper = {
+            let s = Arc::clone(&s);
+            let released = Arc::clone(&released);
+            std::thread::spawn(move || {
+                let cache = s.cache.as_ref().expect("store-backed").lock();
+                let cache = cache.unwrap_or_else(PoisonError::into_inner);
+                locked.send(()).expect("test waits");
+                let _ = told.recv_timeout(Duration::from_secs(10));
+                released.store(true, Ordering::SeqCst);
+                drop(cache);
+            })
+        };
+        is_locked.recv().expect("helper locks");
+        let job = s.wait_job(id, Duration::from_secs(30)).expect("finishes");
+        let still_held = !released.load(Ordering::SeqCst);
+        let _ = let_go.send(());
+        helper.join().expect("helper exits");
+        assert_eq!(job.state, JobState::Done);
+        assert!(
+            still_held,
+            "the job finished only after the helper let go of the cache mutex"
+        );
+        s.begin_shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
