@@ -153,14 +153,14 @@ fn main() {
         .generate();
     let cfg = MachineConfig::mi100_like(4);
     {
-        let mut cache = DurablePlanCache::open(&plan_dir).expect("plan store opens");
+        let cache = DurablePlanCache::open(&plan_dir).expect("plan store opens");
         let mut sched = MiccoScheduler::new(ReuseBounds::new(0, 2, 0));
         cache
             .plan_for_with_topology(&mut sched, &stream, &cfg, DriverOptions::default(), None)
             .expect("cold plan");
         assert_eq!(cache.misses(), 1);
     }
-    let mut cache = DurablePlanCache::open(&plan_dir).expect("plan store reopens");
+    let cache = DurablePlanCache::open(&plan_dir).expect("plan store reopens");
     let mut sched = MiccoScheduler::new(ReuseBounds::new(0, 2, 0));
     cache
         .plan_for_with_topology(&mut sched, &stream, &cfg, DriverOptions::default(), None)

@@ -17,7 +17,7 @@ use micco_cluster::{
 use micco_core::model::RegressionBounds;
 use micco_core::tuner::{build_training_set, TrainingConfig};
 use micco_core::{
-    DurablePlanCache, GrouteScheduler, MiccoScheduler, PlanCache, Planned, RetryPolicy,
+    DurablePlanCache, GrouteScheduler, MiccoScheduler, PlanCache, PlanSource, Planned, RetryPolicy,
     ReuseBounds, RoundRobinScheduler, SchedulePlan, ScheduleReport, Scheduler, Session,
     SessionConfig,
 };
@@ -466,19 +466,18 @@ fn decide(
             .plan(sched.as_mut(), stream)
             .map_err(|e| e.to_string());
     };
-    let mut cache = open_store(dir)?;
+    let cache = open_store(dir)?;
     let planned = session
-        .plan_with_cache(&mut cache, sched.as_mut(), stream)
+        .plan_with_cache(&cache, sched.as_mut(), stream)
         .map_err(|e| e.to_string())?;
-    let source = if cache.log_hits() > 0 {
-        "replayed from log (scheduler not invoked)"
-    } else {
-        "freshly decided, appended to log"
+    let source = match planned.source() {
+        PlanSource::Decided => "freshly decided, appended to log",
+        PlanSource::Log | PlanSource::Memory => "replayed from log (scheduler not invoked)",
     };
+    let stats = cache.stats();
     println!(
         "store {dir}: {source} | {} live plan(s), {} rejected",
-        cache.store().len(),
-        cache.rejected(),
+        stats.store.live_records, stats.rejected,
     );
     Ok(planned)
 }
@@ -500,13 +499,13 @@ fn fetch_plan_from_store(
         *session.options(),
         session.topology(),
     );
-    let mut cache = open_store(dir)?;
-    let plan = cache.lookup(key).cloned().ok_or_else(|| {
+    let cache = open_store(dir)?;
+    let plan = cache.lookup(key).ok_or_else(|| {
+        let stats = cache.stats();
         format!(
             "no plan for this request in {dir} ({} live plan(s), {} rejected) — \
              decide one first: micco plan --store {dir} <same request flags>",
-            cache.store().len(),
-            cache.rejected(),
+            stats.store.live_records, stats.rejected,
         )
     })?;
     println!("store {dir}: plan replayed from log (scheduler not invoked)");
@@ -1830,7 +1829,7 @@ mod tests {
         ))
         .is_err());
         // the warm path really hit the log, not the scheduler
-        let mut cache = open_store(&d.to_string()).unwrap();
+        let cache = open_store(&d.to_string()).unwrap();
         let args = Args::parse(
             format!("plan {STORE_WL}")
                 .split_whitespace()
@@ -1840,7 +1839,7 @@ mod tests {
         let (scfg, stream, session) = request(&args).unwrap();
         let mut sched = scfg.build_scheduler().unwrap();
         session
-            .plan_with_cache(&mut cache, sched.as_mut(), &stream)
+            .plan_with_cache(&cache, sched.as_mut(), &stream)
             .unwrap();
         assert_eq!((cache.log_hits(), cache.misses()), (1, 0));
         let _ = std::fs::remove_dir_all(&dir);

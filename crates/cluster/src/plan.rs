@@ -487,7 +487,7 @@ pub const NODE_PLAN_VERSION: u32 = PLAN_VERSION;
 ///
 /// Propagates store write failures.
 pub fn persist_node_plans(
-    cache: &mut DurablePlanCache,
+    cache: &DurablePlanCache,
     base: PlanKey,
     plan: &ClusterPlan,
 ) -> Result<Vec<PlanKey>, DurableError> {
@@ -505,13 +505,13 @@ pub fn persist_node_plans(
 /// node's plan is absent (or was rejected by the cache's byte-equality
 /// verification) — a partial cluster plan is not servable.
 pub fn load_node_plans(
-    cache: &mut DurablePlanCache,
+    cache: &DurablePlanCache,
     base: PlanKey,
     num_nodes: usize,
 ) -> Option<Vec<SchedulePlan>> {
     let mut plans = Vec::with_capacity(num_nodes);
     for n in 0..num_nodes {
-        plans.push(cache.lookup(base.with_node(&format!("node{n}")))?.clone());
+        plans.push(cache.lookup(base.with_node(&format!("node{n}")))?);
     }
     Some(plans)
 }
@@ -768,15 +768,15 @@ mod tests {
         let base = PlanKey::from_raw(stream.fingerprint());
         let originals = plan.node_plans();
         {
-            let mut cache = DurablePlanCache::open(&dir).unwrap();
-            let keys = persist_node_plans(&mut cache, base, &plan).unwrap();
+            let cache = DurablePlanCache::open(&dir).unwrap();
+            let keys = persist_node_plans(&cache, base, &plan).unwrap();
             assert_eq!(keys.len(), cfg.nodes);
             assert_eq!(keys[0], base.with_node("node0"));
             assert_ne!(keys[0], keys[1], "node keys must not collide");
         }
         // warm restart: every projection replays bit-identically
-        let mut cache = DurablePlanCache::open(&dir).unwrap();
-        let loaded = load_node_plans(&mut cache, base, cfg.nodes).unwrap();
+        let cache = DurablePlanCache::open(&dir).unwrap();
+        let loaded = load_node_plans(&cache, base, cfg.nodes).unwrap();
         assert_eq!(loaded.len(), originals.len());
         for (l, o) in loaded.iter().zip(&originals) {
             assert_eq!(l, o);
@@ -784,7 +784,7 @@ mod tests {
         }
         assert_eq!(cache.log_hits() as usize, cfg.nodes);
         // a wider grid than was persisted is not servable
-        assert!(load_node_plans(&mut cache, base, cfg.nodes + 1).is_none());
+        assert!(load_node_plans(&cache, base, cfg.nodes + 1).is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -230,11 +230,13 @@ impl DriverOptions {
     }
 }
 
-/// The planning loop behind [`crate::Session::plan`] and the plan cache:
+/// The planning loop behind [`crate::Session::plan`] and the plan caches:
 /// run `scheduler` over `stream` against a [`SimMachine`] built from
 /// `config` (with `options` applied and `topology` routed), capture every
 /// placement into a [`SchedulePlan`] assembled in `arena`, and return the
-/// plan with the statistics of the run it just decided.
+/// plan with the statistics of the run it just decided. `fingerprint` is
+/// the stream's, which every caller has already computed for its key or
+/// its validation.
 ///
 /// Schedulers are online: each pair is placed against the residency and
 /// load the previous placements produced, so deciding and simulating are
@@ -247,6 +249,7 @@ impl DriverOptions {
 pub(crate) fn plan_in(
     scheduler: &mut dyn Scheduler,
     stream: &TensorPairStream,
+    fingerprint: u64,
     config: &MachineConfig,
     options: DriverOptions,
     arena: &mut PlanArena,
@@ -284,12 +287,7 @@ pub(crate) fn plan_in(
         machine.barrier();
         arena.close_stage(bounds);
     }
-    let plan = arena.to_plan(
-        scheduler.name(),
-        cfg.num_gpus,
-        stream.fingerprint(),
-        overhead,
-    );
+    let plan = arena.to_plan(scheduler.name(), cfg.num_gpus, fingerprint, overhead);
     Ok((plan, machine.stats().clone()))
 }
 

@@ -70,4 +70,4 @@ pub use reorder::{reorder_stream, reuse_clustered_order};
 pub use seedref::plan_schedule_seed;
 pub use session::{Planned, Session};
 pub use state::VectorState;
-pub use store::{DurableError, DurablePlanCache, DurableStats};
+pub use store::{DurableError, DurablePlanCache, DurableStats, PlanSource};

@@ -703,9 +703,11 @@ impl PlanKey {
 /// fingerprint and misses.
 ///
 /// A plan the cache decided itself keeps the simulated statistics of its
-/// planning pass in the same entry (see [`crate::Session::plan_with_cache`]),
-/// so the statistics are dropped with their plan and never outlive it; a
-/// plan [`Self::insert`]ed from outside carries none.
+/// planning pass in the same entry, so the statistics are dropped with
+/// their plan and never outlive it; a plan [`Self::insert`]ed from outside
+/// carries none. The cache is single-threaded (`&mut self`); requests
+/// that share a cache across threads go through
+/// [`crate::DurablePlanCache`], which plans outside its lock.
 ///
 /// # Examples
 ///
@@ -733,8 +735,9 @@ pub struct PlanCache {
     misses: u64,
 }
 
-/// One [`PlanCache`] entry: a plan and, when known, the statistics of
-/// simulating it under the request its key describes.
+/// One [`PlanCache`] or [`crate::DurablePlanCache`] entry: a plan and,
+/// when known, the statistics of simulating it under the request its key
+/// describes.
 pub(crate) struct CachedPlan {
     pub(crate) plan: SchedulePlan,
     pub(crate) stats: Option<ExecStats>,
@@ -764,45 +767,32 @@ impl PlanCache {
         options: DriverOptions,
         topology: Option<&LinkTopology>,
     ) -> Result<&SchedulePlan, ScheduleError> {
-        let key = Self::key_for_with_topology(scheduler, stream, config, options, topology);
-        self.cached_for(key, scheduler, stream, config, options, topology)
-            .map(|cached| &cached.plan)
-    }
-
-    /// The entry under `key`, planned into it on a miss (with the
-    /// planning pass's statistics). `key` must be the request's
-    /// [`Self::key_for_with_topology`].
-    pub(crate) fn cached_for(
-        &mut self,
-        key: PlanKey,
-        scheduler: &mut dyn Scheduler,
-        stream: &TensorPairStream,
-        config: &MachineConfig,
-        options: DriverOptions,
-        topology: Option<&LinkTopology>,
-    ) -> Result<&CachedPlan, ScheduleError> {
+        let fingerprint = stream.fingerprint();
+        let key = Self::key_for_fingerprint(fingerprint, scheduler, config, options, topology);
         // single probe: the entry is resolved once and either served or
         // filled in place (the old contains_key → insert → get danced
         // through the map three times)
         match self.plans.entry(key.0) {
             std::collections::hash_map::Entry::Occupied(entry) => {
                 self.hits += 1;
-                Ok(entry.into_mut())
+                Ok(&entry.into_mut().plan)
             }
             std::collections::hash_map::Entry::Vacant(entry) => {
                 let (plan, stats) = plan_in(
                     scheduler,
                     stream,
+                    fingerprint,
                     config,
                     options,
                     &mut self.arena,
                     topology,
                 )?;
                 self.misses += 1;
-                Ok(entry.insert(CachedPlan {
+                let cached = entry.insert(CachedPlan {
                     plan,
                     stats: Some(stats),
-                }))
+                });
+                Ok(&cached.plan)
             }
         }
     }
@@ -875,6 +865,7 @@ impl PlanCache {
     }
 
     /// The entry under `key`, if any. Counter-neutral.
+    #[cfg(test)]
     pub(crate) fn get_mut(&mut self, key: PlanKey) -> Option<&mut CachedPlan> {
         self.plans.get_mut(&key.0)
     }

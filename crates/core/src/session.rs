@@ -46,7 +46,7 @@ use crate::driver::{
     execute_plan, plan_in, DriverOptions, ScheduleError, ScheduleReport, Scheduler,
 };
 use crate::plan::SchedulePlan;
-use crate::store::{DurableError, DurablePlanCache, DurableStats};
+use crate::store::{DurableError, DurablePlanCache, DurableStats, PlanSource};
 
 /// A configured scheduling context: machine + driver options + telemetry.
 ///
@@ -231,6 +231,7 @@ impl Session {
         let (plan, stats) = plan_in(
             scheduler,
             stream,
+            stream.fingerprint(),
             &self.config,
             self.options,
             &mut arena,
@@ -240,6 +241,7 @@ impl Session {
             session: self.clone(),
             plan,
             stats: Some(stats),
+            source: PlanSource::Decided,
         })
     }
 
@@ -266,23 +268,26 @@ impl Session {
                 ),
             })
         })?;
-        let mut cache = DurablePlanCache::open(dir)?;
-        let planned = self.plan_with_cache(&mut cache, scheduler, stream)?;
+        let cache = DurablePlanCache::open(dir)?;
+        let planned = self.plan_with_cache(&cache, scheduler, stream)?;
         Ok((planned, cache.stats()))
     }
 
     /// [`Session::plan`] against a caller-held [`DurablePlanCache`] — the
     /// long-running form used by `micco serve`, where one cache outlives
-    /// many sessions and its counters accumulate across jobs. The planned
-    /// run carries the statistics the cache keeps beside the plan, so a
-    /// served hit executes without simulating.
+    /// many sessions and its counters accumulate across jobs. The cache is
+    /// shared by reference: concurrent calls plan different keys in
+    /// parallel, and calls for one key wait for its single decision. The
+    /// planned run carries the statistics the cache keeps beside the plan,
+    /// so a served hit executes without simulating, and
+    /// [`Planned::source`] tells which level of the cache answered.
     pub fn plan_with_cache(
         &self,
-        cache: &mut DurablePlanCache,
+        cache: &DurablePlanCache,
         scheduler: &mut dyn Scheduler,
         stream: &TensorPairStream,
     ) -> Result<Planned, DurableError> {
-        let cached = cache.cached_for(
+        let (cached, source) = cache.cached_for(
             scheduler,
             stream,
             &self.config,
@@ -293,6 +298,7 @@ impl Session {
             session: self.clone(),
             plan: cached.plan.clone(),
             stats: cached.stats.clone(),
+            source,
         })
     }
 
@@ -383,6 +389,7 @@ pub struct Planned {
     session: Session,
     plan: SchedulePlan,
     stats: Option<ExecStats>,
+    source: PlanSource,
 }
 
 impl Planned {
@@ -408,6 +415,13 @@ impl Planned {
     /// replays.
     pub fn simulated_stats(&self) -> Option<&ExecStats> {
         self.stats.as_ref()
+    }
+
+    /// Where this plan came from: [`PlanSource::Decided`] for
+    /// [`Session::plan`], and for [`Session::plan_with_cache`] the level of
+    /// the cache that answered this call.
+    pub fn source(&self) -> PlanSource {
+        self.source
     }
 
     /// Execute the plan on `stream`. The plan is checked against the

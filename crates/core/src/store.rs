@@ -1,5 +1,6 @@
-//! Durable plan cache: [`PlanCache`] with a crash-safe write-ahead log
-//! behind it (`micco-store`).
+//! Durable plan cache: an in-memory plan map with a crash-safe
+//! write-ahead log behind it (`micco-store`), shared by concurrent
+//! requests.
 //!
 //! The layering keeps each half simple:
 //!
@@ -16,8 +17,8 @@
 //! Three-level lookup, with counters distinguishing the levels:
 //!
 //! ```text
-//! request ──► memory (PlanCache) ──► log (PlanStore) ──► scheduler
-//!                 mem_hits()           log_hits()         misses()
+//! request ──► memory ──► log (PlanStore) ──► scheduler
+//!           mem_hits()     log_hits()         misses()
 //! ```
 //!
 //! Log hits promote the plan into memory, so a request pays the parse
@@ -28,14 +29,29 @@
 //! request that asks for it, and the statistics are kept from then on.
 //! Statistics are never written to or read from the log: the record format
 //! is the plan text alone.
+//!
+//! # Concurrency
+//!
+//! One mutex guards the plan map, the log handle, the counters and the set
+//! of keys in flight. It is held only to probe, to claim a key and to
+//! commit — never while a scheduler runs, a plan is serialised or parsed,
+//! or a simulator steps. A request with work to do for its key (decide
+//! it, promote its log record, or replay a report-less entry) claims the
+//! key, does the work unlocked, and locks again to append to the log and
+//! insert the entry in one critical section. Requests for a claimed key
+//! wait until its flight ends and probe again, so each key is decided
+//! once and logged once (single-flight). A flight that fails or panics
+//! releases its key, and a waiting request then does the work itself.
 
 use std::fmt;
 use std::path::Path;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use micco_gpusim::MachineConfig;
-use micco_workload::TensorPairStream;
+use micco_gpusim::{LinkTopology, MachineConfig};
+use micco_workload::{FastIdMap, FastIdSet, TensorPairStream};
 
-use crate::driver::{simulate, DriverOptions, ScheduleError, Scheduler};
+use crate::arena::PlanArena;
+use crate::driver::{plan_in, simulate, DriverOptions, ScheduleError, Scheduler};
 use crate::plan::{CachedPlan, PlanCache, PlanKey, SchedulePlan};
 use micco_store::{
     CompactReport, PlanStore, RecoveryReport, StoreError, StoreOptions, StoreStats, VerifyReport,
@@ -98,18 +114,47 @@ pub struct DurableStats {
     pub store: StoreStats,
 }
 
-/// A [`PlanCache`] with write-through persistence to a [`PlanStore`].
+/// Which level of a [`DurablePlanCache`] answered one request — the
+/// counter that request incremented.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanSource {
+    /// Served from memory, including a request that waited for a
+    /// concurrent request's decision of the same key to land.
+    Memory,
+    /// Parsed, byte-verified and promoted from the write-ahead log.
+    Log,
+    /// Decided by the scheduler for this request and appended to the log.
+    Decided,
+}
+
+/// A [`PlanCache`]-style plan map with write-through persistence to a
+/// [`PlanStore`], shared by concurrent requests.
 ///
 /// Every plan decided through [`DurablePlanCache::plan_for_with_topology`]
 /// (which [`crate::Session::plan_with_cache`] calls) is appended to the
-/// write-ahead log before being returned; reopening the same
+/// write-ahead log before any request receives it; reopening the same
 /// directory warm-starts the cache, so repeated runs of the same workload
 /// skip the scheduler entirely (the log-hit counter proves it).
+///
+/// # Thread safety
+///
+/// The cache is `Send + Sync` and every method takes `&self`: share one
+/// cache between threads by reference or behind an `Arc`, with no outer
+/// lock. Its one internal mutex is held only to probe, claim a key and
+/// commit, so requests for different keys decide their plans in
+/// parallel. Requests for the same key are single-flight: one runs the
+/// scheduler (or the log promotion, or the one replay of a report-less
+/// entry) while the others wait, and they are then served the landed
+/// entry as memory hits — each key is decided once and logged once. The
+/// log append and the memory insert happen in the same critical section,
+/// so memory and disk agree on the last writer of every key. A flight
+/// that returns an error or panics releases its key; a waiting request
+/// then runs the request itself.
 ///
 /// # Examples
 ///
 /// ```
-/// use micco_core::{DurablePlanCache, RoundRobinScheduler, Session};
+/// use micco_core::{DurablePlanCache, PlanSource, RoundRobinScheduler, Session};
 /// use micco_gpusim::MachineConfig;
 /// use micco_workload::WorkloadSpec;
 ///
@@ -118,25 +163,93 @@ pub struct DurableStats {
 /// let stream = WorkloadSpec::new(8, 64).with_vectors(2).generate();
 /// let session = Session::new(MachineConfig::mi100_like(2));
 ///
-/// let mut cache = DurablePlanCache::open(&dir)?;
-/// session.plan_with_cache(&mut cache, &mut RoundRobinScheduler::new(), &stream)?;
-/// assert_eq!(cache.misses(), 1);
+/// let cache = DurablePlanCache::open(&dir)?;
+/// let planned = session.plan_with_cache(&cache, &mut RoundRobinScheduler::new(), &stream)?;
+/// assert_eq!((planned.source(), cache.misses()), (PlanSource::Decided, 1));
 /// drop(cache);
 ///
 /// // warm restart: served from the log, scheduler not invoked
-/// let mut cache = DurablePlanCache::open(&dir)?;
-/// session.plan_with_cache(&mut cache, &mut RoundRobinScheduler::new(), &stream)?;
+/// let cache = DurablePlanCache::open(&dir)?;
+/// let planned = session.plan_with_cache(&cache, &mut RoundRobinScheduler::new(), &stream)?;
+/// assert_eq!(planned.source(), PlanSource::Log);
 /// assert_eq!((cache.log_hits(), cache.misses()), (1, 0));
 /// # std::fs::remove_dir_all(&dir).ok();
 /// # Ok::<(), micco_core::DurableError>(())
 /// ```
 pub struct DurablePlanCache {
-    cache: PlanCache,
+    inner: Mutex<Inner>,
+    /// Notified whenever a key's flight ends, landed or not.
+    landed: Condvar,
+    /// What the store's recovery found at open; fixed from then on.
+    recovery: RecoveryReport,
+}
+
+/// Everything the cache mutex guards.
+struct Inner {
+    plans: FastIdMap<u64, Arc<CachedPlan>>,
     store: PlanStore,
+    /// Keys whose decision, promotion or replay runs outside the lock.
+    in_flight: FastIdSet<u64>,
     mem_hits: u64,
     log_hits: u64,
     misses: u64,
     rejected: u64,
+}
+
+/// What one probe under the lock settled for a key.
+enum Probe<'a> {
+    /// A landed entry, already counted as a memory hit.
+    Hit(Arc<CachedPlan>),
+    /// The caller now owns the key's flight, starting from what it found.
+    Claimed(Flight<'a>, Found),
+}
+
+/// What a claimed key's flight starts from.
+enum Found {
+    /// A memory entry without its report, to replay.
+    Unreported(Arc<CachedPlan>),
+    /// The key's log record, to verify and promote.
+    Logged(Vec<u8>),
+    /// Neither: the scheduler decides.
+    Nothing,
+}
+
+/// A claimed key. Dropping it without landing — on an error or a panic —
+/// releases the key and wakes the requests waiting for it.
+struct Flight<'a> {
+    cache: &'a DurablePlanCache,
+    key: u64,
+    released: bool,
+}
+
+impl Flight<'_> {
+    /// Run `commit` under the cache lock and release the key in the same
+    /// critical section, then wake the waiters.
+    fn land<T>(mut self, commit: impl FnOnce(&mut Inner) -> T) -> T {
+        let mut inner = self.cache.lock();
+        let out = commit(&mut inner);
+        inner.in_flight.remove(&self.key);
+        self.released = true;
+        drop(inner);
+        self.cache.landed.notify_all();
+        out
+    }
+}
+
+impl Drop for Flight<'_> {
+    fn drop(&mut self) {
+        if !self.released {
+            self.cache.lock().in_flight.remove(&self.key);
+            self.cache.landed.notify_all();
+        }
+    }
+}
+
+/// The plan a log record holds, when the bytes are UTF-8, parse, and
+/// re-serialise to exactly the same bytes; `None` rejects the record.
+fn verified(bytes: &[u8]) -> Option<SchedulePlan> {
+    let plan = SchedulePlan::from_text(std::str::from_utf8(bytes).ok()?).ok()?;
+    (plan.to_text().as_bytes() == bytes).then_some(plan)
 }
 
 impl DurablePlanCache {
@@ -166,13 +279,25 @@ impl DurablePlanCache {
     /// Wrap an already opened [`PlanStore`].
     pub fn from_store(store: PlanStore) -> DurablePlanCache {
         DurablePlanCache {
-            cache: PlanCache::new(),
-            store,
-            mem_hits: 0,
-            log_hits: 0,
-            misses: 0,
-            rejected: 0,
+            recovery: *store.recovery(),
+            inner: Mutex::new(Inner {
+                plans: FastIdMap::default(),
+                store,
+                in_flight: FastIdSet::default(),
+                mem_hits: 0,
+                log_hits: 0,
+                misses: 0,
+                rejected: 0,
+            }),
+            landed: Condvar::new(),
         }
+    }
+
+    /// Lock the guarded state, recovering from a poisoned mutex: every
+    /// commit leaves the map, log and counters consistent before it can
+    /// panic, so a panicking request must not wedge the others.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The plan for `(scheduler, stream, config, options, topology)` —
@@ -182,125 +307,206 @@ impl DurablePlanCache {
     /// simulated statistics in memory (a log hit, or a persisted plan) is
     /// replayed once under this request so later hits carry them.
     pub fn plan_for_with_topology(
-        &mut self,
+        &self,
         scheduler: &mut dyn Scheduler,
         stream: &TensorPairStream,
         config: &MachineConfig,
         options: DriverOptions,
-        topology: Option<&micco_gpusim::LinkTopology>,
-    ) -> Result<&SchedulePlan, DurableError> {
+        topology: Option<&LinkTopology>,
+    ) -> Result<SchedulePlan, DurableError> {
         self.cached_for(scheduler, stream, config, options, topology)
-            .map(|cached| &cached.plan)
+            .map(|(cached, _)| cached.plan.clone())
     }
 
     /// [`Self::plan_for_with_topology`] with the plan's simulated
-    /// statistics: those of the planning pass on a miss, and on a hit the
-    /// ones cached beside the plan — replayed once under this request
-    /// when the plan reached memory without them. A replay that fails (a
-    /// persisted plan that does not fit the request) caches nothing, so
-    /// executing the plan surfaces the error.
+    /// statistics and the level that answered: on a miss the statistics
+    /// of the planning pass, and on a hit the ones cached beside the plan
+    /// — replayed once, by the key's flight, when the plan reached memory
+    /// without them. A replay that fails (a persisted plan that does not
+    /// fit the request) caches nothing, so executing the plan surfaces the
+    /// error.
     pub(crate) fn cached_for(
-        &mut self,
+        &self,
         scheduler: &mut dyn Scheduler,
         stream: &TensorPairStream,
         config: &MachineConfig,
         options: DriverOptions,
-        topology: Option<&micco_gpusim::LinkTopology>,
-    ) -> Result<&CachedPlan, DurableError> {
+        topology: Option<&LinkTopology>,
+    ) -> Result<(Arc<CachedPlan>, PlanSource), DurableError> {
         let fingerprint = stream.fingerprint();
         let key = PlanCache::key_for_fingerprint(fingerprint, scheduler, config, options, topology);
-        if self.cache.contains(key) {
-            self.mem_hits += 1;
-        } else if self.promote(key) {
-            self.log_hits += 1;
-        } else {
-            // genuine miss: decide through the inner cache (reusing its
-            // arena), then write through to the log before returning
-            let text = self
-                .cache
-                .cached_for(key, scheduler, stream, config, options, topology)?
-                .plan
-                .to_text();
-            self.misses += 1;
-            self.store.put(key.raw(), text.as_bytes())?;
+        let replay =
+            |plan: &SchedulePlan| simulate(plan, stream, fingerprint, config, options, topology);
+        let (flight, found) = match self.probe(key, true) {
+            Probe::Hit(cached) => return Ok((cached, PlanSource::Memory)),
+            Probe::Claimed(flight, found) => (flight, found),
+        };
+        match found {
+            Found::Unreported(old) => {
+                let cached = Arc::new(CachedPlan {
+                    plan: old.plan.clone(),
+                    stats: replay(&old.plan).ok(),
+                });
+                flight.land(|inner| {
+                    inner.mem_hits += 1;
+                    // the report belongs to the plan it was computed from:
+                    // a plan persisted over the key meanwhile keeps none
+                    if let Some(entry) = inner.plans.get_mut(&key.raw()) {
+                        if Arc::ptr_eq(entry, &old) {
+                            *entry = Arc::clone(&cached);
+                        }
+                    }
+                });
+                return Ok((cached, PlanSource::Memory));
+            }
+            Found::Logged(bytes) => match verified(&bytes) {
+                Some(plan) => {
+                    let stats = replay(&plan).ok();
+                    let cached = Arc::new(CachedPlan { plan, stats });
+                    flight.land(|inner| {
+                        inner.log_hits += 1;
+                        inner
+                            .plans
+                            .entry(key.raw())
+                            .or_insert_with(|| Arc::clone(&cached));
+                    });
+                    return Ok((cached, PlanSource::Log));
+                }
+                None => self.lock().rejected += 1,
+            },
+            Found::Nothing => {}
         }
-        let cached = self.cache.get_mut(key).expect("served or just planned");
-        if cached.stats.is_none() {
-            cached.stats =
-                simulate(&cached.plan, stream, fingerprint, config, options, topology).ok();
+        // genuine miss: decide on a fresh arena, serialise, then write
+        // through to the log in the critical section that publishes it
+        let (plan, stats) = {
+            let mut arena = PlanArena::with_capacity(stream.total_tasks(), stream.vectors.len());
+            plan_in(
+                scheduler,
+                stream,
+                fingerprint,
+                config,
+                options,
+                &mut arena,
+                topology,
+            )?
+        };
+        let text = plan.to_text();
+        let cached = Arc::new(CachedPlan {
+            plan,
+            stats: Some(stats),
+        });
+        flight.land(|inner| {
+            inner.misses += 1;
+            inner.store.put(key.raw(), text.as_bytes())?;
+            inner.plans.insert(key.raw(), Arc::clone(&cached));
+            Ok::<_, DurableError>(())
+        })?;
+        Ok((cached, PlanSource::Decided))
+    }
+
+    /// Probe `key` under the lock, waiting out any flight of it. A memory
+    /// entry is a hit, except that a `planning` caller (one that decides
+    /// on a miss and needs the report) takes only an entry carrying its
+    /// report. Otherwise the key is claimed for the caller, with what the
+    /// cache holds for it to work from.
+    fn probe(&self, key: PlanKey, planning: bool) -> Probe<'_> {
+        let key = key.raw();
+        let mut inner = self.lock();
+        loop {
+            if let Some(cached) = inner.plans.get(&key) {
+                if cached.stats.is_some() || !planning {
+                    let cached = Arc::clone(cached);
+                    inner.mem_hits += 1;
+                    return Probe::Hit(cached);
+                }
+            }
+            if !inner.in_flight.contains(&key) {
+                break;
+            }
+            inner = self
+                .landed
+                .wait(inner)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-        Ok(cached)
+        let found = match (inner.plans.get(&key), inner.store.get(key)) {
+            (Some(cached), _) => Found::Unreported(Arc::clone(cached)),
+            (None, Some(bytes)) => Found::Logged(bytes.to_vec()),
+            (None, None) => Found::Nothing,
+        };
+        inner.in_flight.insert(key);
+        let flight = Flight {
+            cache: self,
+            key,
+            released: false,
+        };
+        Probe::Claimed(flight, found)
     }
 
     /// The plan under `key` from memory or log, without ever planning.
-    /// Counts as a memory/log hit; `None` never touches the counters.
-    pub fn lookup(&mut self, key: PlanKey) -> Option<&SchedulePlan> {
-        if self.cache.contains(key) {
-            self.mem_hits += 1;
-            return self.cache.get(key);
-        }
-        if self.promote(key) {
-            self.log_hits += 1;
-            return self.cache.get(key);
-        }
-        None
+    /// Counts as a memory/log hit; `None` counts nothing, except a
+    /// rejected log record.
+    pub fn lookup(&self, key: PlanKey) -> Option<SchedulePlan> {
+        let (flight, found) = match self.probe(key, false) {
+            Probe::Hit(cached) => return Some(cached.plan.clone()),
+            Probe::Claimed(flight, found) => (flight, found),
+        };
+        let Found::Logged(bytes) = found else {
+            return None;
+        };
+        let Some(plan) = verified(&bytes) else {
+            flight.land(|inner| inner.rejected += 1);
+            return None;
+        };
+        let cached = Arc::new(CachedPlan {
+            plan: plan.clone(),
+            stats: None,
+        });
+        flight.land(|inner| {
+            inner.log_hits += 1;
+            inner.plans.entry(key.raw()).or_insert(cached);
+        });
+        Some(plan)
     }
 
     /// Durably persist an externally decided plan under `key` (e.g. a
     /// cluster node projection under a node-qualified key) and make it
-    /// servable from memory.
-    pub fn persist(&mut self, key: PlanKey, plan: &SchedulePlan) -> Result<(), DurableError> {
-        self.store.put(key.raw(), plan.to_text().as_bytes())?;
-        self.cache.insert(key, plan.clone());
+    /// servable from memory. Log and memory change in one critical
+    /// section, so the last writer of a key wins in both.
+    pub fn persist(&self, key: PlanKey, plan: &SchedulePlan) -> Result<(), DurableError> {
+        let text = plan.to_text();
+        let cached = Arc::new(CachedPlan {
+            plan: plan.clone(),
+            stats: None,
+        });
+        let mut inner = self.lock();
+        inner.store.put(key.raw(), text.as_bytes())?;
+        inner.plans.insert(key.raw(), cached);
         Ok(())
-    }
-
-    /// Pull `key` out of the log into memory, enforcing full byte
-    /// equality: the stored text must parse *and* re-serialise to the
-    /// identical bytes. Anything less is rejected (counted, never served).
-    fn promote(&mut self, key: PlanKey) -> bool {
-        let Some(bytes) = self.store.get(key.raw()) else {
-            return false;
-        };
-        let Ok(text) = std::str::from_utf8(bytes) else {
-            self.rejected += 1;
-            return false;
-        };
-        let Ok(plan) = SchedulePlan::from_text(text) else {
-            self.rejected += 1;
-            return false;
-        };
-        if plan.to_text().as_bytes() != bytes {
-            self.rejected += 1;
-            return false;
-        }
-        self.cache.insert(key, plan);
-        true
     }
 
     /// Requests served from the in-memory cache.
     pub fn mem_hits(&self) -> u64 {
-        self.mem_hits
+        self.lock().mem_hits
     }
 
     /// Requests served from the log (parse + byte-equality verified).
     pub fn log_hits(&self) -> u64 {
-        self.log_hits
+        self.lock().log_hits
     }
 
     /// Requests that invoked the scheduler.
     pub fn misses(&self) -> u64 {
-        self.misses
+        self.lock().misses
     }
 
     /// Log records rejected at serve time.
     pub fn rejected(&self) -> u64 {
-        self.rejected
+        self.lock().rejected
     }
 
     /// What the store's crash recovery found when this cache was opened.
     pub fn recovery(&self) -> &RecoveryReport {
-        self.store.recovery()
+        &self.recovery
     }
 
     /// Fold the log into a single snapshot fragment and GC dead files.
@@ -308,8 +514,8 @@ impl DurablePlanCache {
     /// # Errors
     ///
     /// Propagates store I/O errors.
-    pub fn compact(&mut self) -> Result<CompactReport, DurableError> {
-        Ok(self.store.compact()?)
+    pub fn compact(&self) -> Result<CompactReport, DurableError> {
+        Ok(self.lock().store.compact()?)
     }
 
     /// Read-only integrity scan of the underlying store.
@@ -318,23 +524,20 @@ impl DurablePlanCache {
     ///
     /// Propagates store I/O errors.
     pub fn verify(&self) -> Result<VerifyReport, DurableError> {
-        Ok(self.store.verify()?)
+        Ok(self.lock().store.verify()?)
     }
 
-    /// Counter snapshot plus the store's shape.
+    /// Counter snapshot plus the store's shape, taken in one critical
+    /// section.
     pub fn stats(&self) -> DurableStats {
+        let inner = self.lock();
         DurableStats {
-            mem_hits: self.mem_hits,
-            log_hits: self.log_hits,
-            misses: self.misses,
-            rejected: self.rejected,
-            store: self.store.stats(),
+            mem_hits: inner.mem_hits,
+            log_hits: inner.log_hits,
+            misses: inner.misses,
+            rejected: inner.rejected,
+            store: inner.store.stats(),
         }
-    }
-
-    /// The underlying store (read-only).
-    pub fn store(&self) -> &PlanStore {
-        &self.store
     }
 }
 
@@ -344,8 +547,13 @@ mod tests {
     use crate::baselines::RoundRobinScheduler;
     use crate::bounds::ReuseBounds;
     use crate::micco::MiccoScheduler;
-    use micco_workload::WorkloadSpec;
+    use crate::session::Session;
+    use micco_gpusim::{ExecError, GpuId, MachineView};
+    use micco_workload::{ContractionTask, Vector, WorkloadSpec};
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{mpsc, Barrier};
+    use std::time::Duration;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("micco-durable-{}-{name}", std::process::id()));
@@ -361,17 +569,62 @@ mod tests {
         (stream, MachineConfig::mi100_like(2))
     }
 
+    /// Runs once, in a scheduler's first `assign`: may block, panic, or
+    /// return a device to place the task on instead.
+    type Hook<'a> = Box<dyn FnOnce() -> Option<GpuId> + Send + 'a>;
+
+    /// Round-robin under its own name (so its requests share round-robin's
+    /// keys), with a hook in its first `assign` and a shared count of
+    /// `begin_vector` calls: one per stage of every scheduler run.
+    struct Hooked<'a> {
+        inner: RoundRobinScheduler,
+        hook: Option<Hook<'a>>,
+        begun: &'a AtomicUsize,
+    }
+
+    fn hooked<'a>(
+        begun: &'a AtomicUsize,
+        hook: impl FnOnce() -> Option<GpuId> + Send + 'a,
+    ) -> Hooked<'a> {
+        Hooked {
+            inner: RoundRobinScheduler::new(),
+            hook: Some(Box::new(hook)),
+            begun,
+        }
+    }
+
+    impl Scheduler for Hooked<'_> {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+
+        fn write_name(&self, out: &mut dyn std::fmt::Write) -> std::fmt::Result {
+            self.inner.write_name(out)
+        }
+
+        fn begin_vector(&mut self, vector: &Vector, view: &dyn MachineView) {
+            self.begun.fetch_add(1, Ordering::SeqCst);
+            self.inner.begin_vector(vector, view);
+        }
+
+        fn assign(&mut self, task: &ContractionTask, view: &dyn MachineView) -> GpuId {
+            match self.hook.take().and_then(|hook| hook()) {
+                Some(gpu) => gpu,
+                None => self.inner.assign(task, view),
+            }
+        }
+    }
+
     #[test]
     fn warm_restart_serves_from_log_without_scheduling() {
         let dir = tmp_dir("warm");
         let (stream, cfg) = fixture();
         let opts = DriverOptions::default();
         let first = {
-            let mut cache = DurablePlanCache::open(&dir).unwrap();
+            let cache = DurablePlanCache::open(&dir).unwrap();
             let plan = cache
                 .plan_for_with_topology(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
-                .unwrap()
-                .clone();
+                .unwrap();
             assert_eq!(
                 (cache.mem_hits(), cache.log_hits(), cache.misses()),
                 (0, 0, 1)
@@ -384,7 +637,7 @@ mod tests {
             plan
         };
         // warm restart: log hit, and the replayed plan is bit-identical
-        let mut cache = DurablePlanCache::open(&dir).unwrap();
+        let cache = DurablePlanCache::open(&dir).unwrap();
         let replayed = cache
             .plan_for_with_topology(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
             .unwrap();
@@ -415,7 +668,7 @@ mod tests {
             None,
         );
         {
-            let mut cache = DurablePlanCache::open(&dir).unwrap();
+            let cache = DurablePlanCache::open(&dir).unwrap();
             cache
                 .plan_for_with_topology(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
                 .unwrap();
@@ -429,7 +682,7 @@ mod tests {
                 .put(key.raw(), format!("{text}# sneaky\n").as_bytes())
                 .unwrap();
         }
-        let mut cache = DurablePlanCache::open(&dir).unwrap();
+        let cache = DurablePlanCache::open(&dir).unwrap();
         let plan = cache
             .plan_for_with_topology(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
             .unwrap();
@@ -453,15 +706,14 @@ mod tests {
             None,
         );
         {
-            let mut cache = DurablePlanCache::open(&dir).unwrap();
+            let cache = DurablePlanCache::open(&dir).unwrap();
             let plan = cache
                 .plan_for_with_topology(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
-                .unwrap()
-                .clone();
+                .unwrap();
             cache.persist(base.with_node("node0"), &plan).unwrap();
             cache.persist(base.with_node("node1"), &plan).unwrap();
         }
-        let mut cache = DurablePlanCache::open(&dir).unwrap();
+        let cache = DurablePlanCache::open(&dir).unwrap();
         assert!(cache.lookup(base.with_node("node0")).is_some());
         assert!(cache.lookup(base.with_node("node1")).is_some());
         assert!(cache.lookup(base.with_node("node2")).is_none());
@@ -481,10 +733,11 @@ mod tests {
             opts,
             None,
         );
-        let mut cache = DurablePlanCache::open(&dir).unwrap();
-        let old_stats = cache
+        let cache = DurablePlanCache::open(&dir).unwrap();
+        let (decided, _) = cache
             .cached_for(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
-            .unwrap()
+            .unwrap();
+        let old_stats = decided
             .stats
             .clone()
             .expect("a miss carries its planning pass's stats");
@@ -493,15 +746,17 @@ mod tests {
             .unwrap()
             .into_plan();
         cache.persist(key, &other).unwrap();
-        assert!(cache.cache.get_mut(key).unwrap().stats.is_none());
+        assert!(cache.lock().plans[&key.raw()].stats.is_none());
         // the next request replays the persisted plan once and keeps that
-        let served = cache
+        let (served, source) = cache
             .cached_for(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
             .unwrap();
         assert_eq!(served.plan, other);
+        assert_eq!(source, PlanSource::Memory);
         let replayed = crate::Session::new(cfg).replay(&other, &stream).unwrap();
         assert_eq!(served.stats.as_ref(), Some(&replayed.stats));
         assert_ne!(served.stats.as_ref(), Some(&old_stats));
+        assert!(Arc::ptr_eq(&cache.lock().plans[&key.raw()], &served));
         assert_eq!((cache.misses(), cache.mem_hits()), (1, 1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -513,7 +768,7 @@ mod tests {
         let opts = DriverOptions::default();
         let measuring = DriverOptions::default().with_measure_overhead();
         {
-            let mut cache = DurablePlanCache::open(&dir).unwrap();
+            let cache = DurablePlanCache::open(&dir).unwrap();
             cache
                 .plan_for_with_topology(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
                 .unwrap();
@@ -530,7 +785,7 @@ mod tests {
             assert_eq!(report.live_records, 2);
             assert!(cache.verify().unwrap().is_clean());
         }
-        let mut cache = DurablePlanCache::open(&dir).unwrap();
+        let cache = DurablePlanCache::open(&dir).unwrap();
         cache
             .plan_for_with_topology(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
             .unwrap();
@@ -548,6 +803,191 @@ mod tests {
         assert_eq!(stats.store.live_records, 2);
         assert!(stats.store.snapshot.is_some());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn misses_of_different_keys_plan_in_parallel() {
+        fn shared<T: Send + Sync>() {}
+        shared::<DurablePlanCache>();
+        let dir = tmp_dir("parallel");
+        let cfg = MachineConfig::mi100_like(2);
+        let cache = DurablePlanCache::open(&dir).unwrap();
+        let begun = AtomicUsize::new(0);
+        // each scheduler blocks in its first assign until the other one
+        // arrives there; with planning serialised behind one lock, neither
+        // would
+        let arrivals = (Mutex::new(0usize), Condvar::new());
+        let rendezvous = || {
+            let (count, arrived) = &arrivals;
+            let mut n = count.lock().unwrap();
+            *n += 1;
+            arrived.notify_all();
+            let (n, _) = arrived
+                .wait_timeout_while(n, Duration::from_secs(10), |n| *n < 2)
+                .unwrap();
+            *n >= 2
+        };
+        let met: Vec<bool> = std::thread::scope(|s| {
+            let threads: Vec<_> = [1u64, 2]
+                .into_iter()
+                .map(|seed| {
+                    let (cache, cfg, begun, rendezvous) = (&cache, &cfg, &begun, &rendezvous);
+                    s.spawn(move || {
+                        let met = AtomicUsize::new(0);
+                        let mut sched = hooked(begun, || {
+                            met.store(usize::from(rendezvous()), Ordering::SeqCst);
+                            None
+                        });
+                        let stream = WorkloadSpec::new(8, 48)
+                            .with_vectors(3)
+                            .with_seed(seed)
+                            .generate();
+                        cache
+                            .plan_for_with_topology(
+                                &mut sched,
+                                &stream,
+                                cfg,
+                                Default::default(),
+                                None,
+                            )
+                            .expect("plans");
+                        met.load(Ordering::SeqCst) == 1
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert_eq!(met, [true, true], "both schedulers ran at the same time");
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.store.appended), (2, 2));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn one_key_requested_at_once_is_decided_and_logged_once() {
+        let dir = tmp_dir("single-flight");
+        let (stream, cfg) = fixture();
+        let opts = DriverOptions::default();
+        let cache = DurablePlanCache::open(&dir).unwrap();
+        let begun = AtomicUsize::new(0);
+        let start = Barrier::new(4);
+        let served: Vec<(SchedulePlan, PlanSource)> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        // the deciding run lingers so the others arrive during it
+                        let mut sched = hooked(&begun, || {
+                            std::thread::sleep(Duration::from_millis(50));
+                            None
+                        });
+                        start.wait();
+                        let (cached, source) = cache
+                            .cached_for(&mut sched, &stream, &cfg, opts, None)
+                            .expect("served");
+                        (cached.plan.clone(), source)
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert_eq!(
+            begun.load(Ordering::SeqCst),
+            stream.vectors.len(),
+            "exactly one scheduler run"
+        );
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.misses, stats.mem_hits, stats.log_hits),
+            (1, 3, 0),
+            "the waiters are memory hits"
+        );
+        assert_eq!(stats.store.appended, 1, "exactly one WAL record");
+        let decided = Session::new(cfg)
+            .plan(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap()
+            .into_plan()
+            .to_text();
+        for (plan, _) in &served {
+            assert_eq!(plan.to_text(), decided);
+        }
+        let decisions = served
+            .iter()
+            .filter(|(_, source)| *source == PlanSource::Decided)
+            .count();
+        assert_eq!(decisions, 1);
+        drop(cache);
+        let reopened = DurablePlanCache::open(&dir).unwrap();
+        assert_eq!(reopened.recovery().records_loaded, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_flight_that_fails_or_panics_releases_its_key_to_a_waiter() {
+        for panics in [false, true] {
+            let dir = tmp_dir(if panics {
+                "flight-panic"
+            } else {
+                "flight-error"
+            });
+            let (stream, cfg) = fixture();
+            let opts = DriverOptions::default();
+            let cache = DurablePlanCache::open(&dir).unwrap();
+            let begun = AtomicUsize::new(0);
+            let (owner_in, owner_started) = mpsc::channel();
+            let (waiter_in, waiter_started) = mpsc::channel();
+            let (served, source) = std::thread::scope(|s| {
+                let owner = s.spawn(|| {
+                    let mut sched = hooked(&begun, move || {
+                        owner_in.send(()).unwrap();
+                        // give the waiter time to block on the claimed key
+                        waiter_started
+                            .recv_timeout(Duration::from_secs(10))
+                            .unwrap();
+                        std::thread::sleep(Duration::from_millis(50));
+                        assert!(!panics, "scheduler bug");
+                        Some(GpuId(99))
+                    });
+                    cache
+                        .cached_for(&mut sched, &stream, &cfg, opts, None)
+                        .map(|_| ())
+                });
+                owner_started.recv().unwrap();
+                let waiter = s.spawn(|| {
+                    waiter_in.send(()).unwrap();
+                    let mut sched = hooked(&begun, || None);
+                    cache.cached_for(&mut sched, &stream, &cfg, opts, None)
+                });
+                match owner.join() {
+                    Err(_) => assert!(panics),
+                    Ok(failed) => assert!(
+                        matches!(
+                            failed,
+                            Err(DurableError::Plan(ScheduleError::Exec {
+                                source: ExecError::BadGpu { .. },
+                                ..
+                            }))
+                        ),
+                        "{failed:?}"
+                    ),
+                }
+                waiter.join().unwrap().expect("the waiter plans itself")
+            });
+            assert_eq!(source, PlanSource::Decided);
+            let decided = Session::new(cfg)
+                .plan(&mut RoundRobinScheduler::new(), &stream)
+                .unwrap();
+            assert_eq!(&served.plan, decided.plan());
+            assert_eq!(served.stats.as_ref(), decided.simulated_stats());
+            assert_eq!((cache.misses(), cache.mem_hits()), (1, 0));
+            // the key is free again: later requests are served normally
+            let (hit, source) = cache
+                .cached_for(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
+                .unwrap();
+            assert!(Arc::ptr_eq(&hit, &served));
+            assert_eq!(source, PlanSource::Memory);
+            assert_eq!(cache.stats().store.appended, 1);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -6,6 +6,9 @@
 //! [`crate::sched`]); each dispatched job then plans its own placement
 //! through the existing per-job [`micco_core::Session`] machinery —
 //! hitting the shared [`micco_core::DurablePlanCache`] for warm starts.
+//! The cache locks itself only to probe and commit, so jobs that miss
+//! decide their plans in parallel, and jobs asking for the same plan wait
+//! for its one decision.
 //! Planning simulates the plan on a machine sized to the job's GPU
 //! request, so executing it returns that report without a second pass
 //! (jobs with injected faults replay). Running jobs hold GPUs out of the
@@ -18,7 +21,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use micco_core::{DurablePlanCache, SessionConfig};
+use micco_core::{DurablePlanCache, PlanSource, SessionConfig};
 use micco_obs::MetricsRegistry;
 
 use crate::sched::{
@@ -226,7 +229,7 @@ struct Pool {
 }
 
 /// The shared heart of the daemon: the job table and pool accounting
-/// behind one mutex, the plan cache behind another, and a metrics
+/// behind one mutex, the plan cache (which guards itself), and a metrics
 /// registry. HTTP handlers and executor threads all talk to this.
 pub struct Scheduling {
     config: ServeConfig,
@@ -235,7 +238,7 @@ pub struct Scheduling {
     dispatch_cv: Condvar,
     /// Signaled whenever a job reaches a terminal state.
     done_cv: Condvar,
-    cache: Option<Mutex<DurablePlanCache>>,
+    cache: Option<DurablePlanCache>,
     metrics: Arc<MetricsRegistry>,
 }
 
@@ -243,9 +246,7 @@ impl Scheduling {
     /// Build the shared state; opens the durable store when configured.
     pub fn new(config: ServeConfig) -> Result<Arc<Scheduling>, String> {
         let cache = match &config.store {
-            Some(dir) => Some(Mutex::new(
-                DurablePlanCache::open(dir).map_err(|e| format!("open store: {e}"))?,
-            )),
+            Some(dir) => Some(DurablePlanCache::open(dir).map_err(|e| format!("open store: {e}"))?),
             None => None,
         };
         let mut tenants = BTreeMap::new();
@@ -268,6 +269,11 @@ impl Scheduling {
         let metrics = Arc::new(MetricsRegistry::new());
         metrics.set_gauge("serve.pool_gpus", config.pool_gpus as f64);
         metrics.set_gauge("serve.free_gpus", config.pool_gpus as f64);
+        if cache.is_some() {
+            for source in [PlanSource::Memory, PlanSource::Log, PlanSource::Decided] {
+                metrics.set_gauge(plan_cache_gauge(source), 0.0);
+            }
+        }
         Ok(Arc::new(Scheduling {
             config,
             pool: Mutex::new(pool),
@@ -670,32 +676,25 @@ impl Scheduling {
         };
         // decide (through the shared durable cache when the daemon has one)
         let t_plan = Instant::now();
-        let (planned, warm) = match &self.cache {
-            Some(cache) => {
-                let mut cache = cache.lock().unwrap_or_else(PoisonError::into_inner);
-                let before = cache.mem_hits() + cache.log_hits();
-                let planned = session.plan_with_cache(&mut cache, scheduler.as_mut(), &stream);
-                let warm = cache.mem_hits() + cache.log_hits() > before;
-                // refreshed under the cache lock this job already holds:
-                // a finishing job must never wait for the cache mutex
-                // while it holds the pool lock
-                self.metrics
-                    .set_gauge("plan_cache.mem_hits", cache.mem_hits() as f64);
-                self.metrics
-                    .set_gauge("plan_cache.log_hits", cache.log_hits() as f64);
-                self.metrics
-                    .set_gauge("plan_cache.misses", cache.misses() as f64);
-                drop(cache);
-                match planned {
-                    Ok(p) => (p, warm),
-                    Err(e) => return RunOutcome::Failed(e.to_string()),
-                }
-            }
-            None => match session.plan(scheduler.as_mut(), &stream) {
-                Ok(p) => (p, false),
-                Err(e) => return RunOutcome::Failed(e.to_string()),
-            },
+        let planned = match &self.cache {
+            Some(cache) => session
+                .plan_with_cache(cache, scheduler.as_mut(), &stream)
+                .map_err(|e| e.to_string()),
+            None => session
+                .plan(scheduler.as_mut(), &stream)
+                .map_err(|e| e.to_string()),
         };
+        let planned = match planned {
+            Ok(p) => p,
+            Err(e) => return RunOutcome::Failed(e),
+        };
+        // this job's own lookup says which level answered it, however
+        // many other jobs' lookups overlapped it
+        let warm = planned.source() != PlanSource::Decided;
+        if self.cache.is_some() {
+            self.metrics
+                .add_gauge(plan_cache_gauge(planned.source()), 1.0);
+        }
         let plan_ms = t_plan.elapsed().as_secs_f64() * 1e3;
         if cancel.load(Ordering::SeqCst) {
             return RunOutcome::Canceled;
@@ -782,9 +781,18 @@ impl Scheduling {
     /// the daemon runs with a store.
     pub fn cache_stats(&self) -> Option<(u64, u64, u64)> {
         self.cache.as_ref().map(|c| {
-            let c = c.lock().unwrap_or_else(PoisonError::into_inner);
-            (c.mem_hits(), c.log_hits(), c.misses())
+            let stats = c.stats();
+            (stats.mem_hits, stats.log_hits, stats.misses)
         })
+    }
+}
+
+/// The `plan_cache.*` gauge counting the jobs `source` answered.
+fn plan_cache_gauge(source: PlanSource) -> &'static str {
+    match source {
+        PlanSource::Memory => "plan_cache.mem_hits",
+        PlanSource::Log => "plan_cache.log_hits",
+        PlanSource::Decided => "plan_cache.misses",
     }
 }
 
@@ -930,58 +938,58 @@ mod tests {
     }
 
     #[test]
-    fn a_finishing_job_never_waits_for_the_plan_cache_mutex() {
-        // regression: the plan-cache gauges were refreshed when a job
-        // finished, under the pool lock, so a job finishing while another
-        // thread planned stalled every submit, wait and dispatch until the
-        // cache mutex came free
+    fn a_job_never_waits_for_another_jobs_plan() {
+        // regression: one mutex around the whole plan-cache lookup made
+        // every store-backed job (and every cache_stats() call) wait for
+        // whichever job was planning, however small its own plan
         let dir = std::env::temp_dir().join(format!(
-            "micco-serve-gauges-{}-{:?}",
+            "micco-serve-parallel-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let sim_secs = tiny_config(2).run().expect("runs").elapsed_secs();
         let s = start(ServeConfig {
-            pool_gpus: 2,
+            pool_gpus: 8,
             store: Some(dir.clone()),
-            // the job holds its GPUs for ~300 ms after planning
-            time_scale: 0.3 / sim_secs,
             ..ServeConfig::default()
         });
-        let id = s.submit("t", None, tiny_config(2)).expect("admitted");
+        let big = SessionConfig {
+            vector_size: 256,
+            vectors: 160,
+            tensor_size: 64,
+            gpus: 4,
+            ..SessionConfig::default()
+        };
+        let big = s.submit("t", None, big).expect("admitted");
         let t0 = Instant::now();
-        while s.cache_stats() != Some((0, 0, 1)) {
-            assert!(t0.elapsed() < Duration::from_secs(10), "never planned");
+        while s.job(big).expect("known").state == JobState::Queued {
+            assert!(t0.elapsed() < Duration::from_secs(10), "never dispatched");
             std::thread::sleep(Duration::from_millis(1));
         }
-        // the job has planned: a helper takes the cache mutex and keeps it
-        // until told to let go, or for 10 s
-        let (let_go, told) = std::sync::mpsc::channel::<()>();
-        let (locked, is_locked) = std::sync::mpsc::channel::<()>();
-        let released = Arc::new(AtomicBool::new(false));
-        let helper = {
-            let s = Arc::clone(&s);
-            let released = Arc::clone(&released);
-            std::thread::spawn(move || {
-                let cache = s.cache.as_ref().expect("store-backed").lock();
-                let cache = cache.unwrap_or_else(PoisonError::into_inner);
-                locked.send(()).expect("test waits");
-                let _ = told.recv_timeout(Duration::from_secs(10));
-                released.store(true, Ordering::SeqCst);
-                drop(cache);
-            })
-        };
-        is_locked.recv().expect("helper locks");
-        let job = s.wait_job(id, Duration::from_secs(30)).expect("finishes");
-        let still_held = !released.load(Ordering::SeqCst);
-        let _ = let_go.send(());
-        helper.join().expect("helper exits");
-        assert_eq!(job.state, JobState::Done);
-        assert!(
-            still_held,
-            "the job finished only after the helper let go of the cache mutex"
+        std::thread::sleep(Duration::from_millis(50));
+        let small = s.submit("t", None, tiny_config(2)).expect("admitted");
+        let t_stats = Instant::now();
+        assert!(s.cache_stats().is_some());
+        let stats_ms = t_stats.elapsed().as_secs_f64() * 1e3;
+        let small = s
+            .wait_job(small, Duration::from_secs(60))
+            .expect("finishes");
+        let big = s.wait_job(big, Duration::from_secs(60)).expect("finishes");
+        assert_eq!(
+            (&small.state, &big.state),
+            (&JobState::Done, &JobState::Done)
         );
+        let big_plan_ms = big.result.expect("result").plan_ms;
+        let small_ms = small.total_ms.expect("timed");
+        assert!(
+            small_ms < big_plan_ms / 4.0,
+            "the small job took {small_ms:.1} ms beside a {big_plan_ms:.1} ms plan"
+        );
+        assert!(
+            stats_ms < big_plan_ms / 4.0,
+            "cache_stats() took {stats_ms:.1} ms beside a {big_plan_ms:.1} ms plan"
+        );
+        assert_eq!(s.cache_stats(), Some((0, 0, 2)));
         s.begin_shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

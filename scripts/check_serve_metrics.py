@@ -16,10 +16,16 @@ reached a terminal state — the snapshot must satisfy:
   - with --require-completed N: serve.completed >= N
   - with --require-warm: plan_cache.log_hits + plan_cache.mem_hits >= 1
     (the shared store served at least one plan without re-planning)
+  - with --expect-misses N: plan_cache.misses == N (the scheduler ran
+    exactly N times), and the plan cache closes over the completed jobs:
+    plan_cache.mem_hits + plan_cache.log_hits + plan_cache.misses ==
+    serve.completed (each job counts its own lookup once; this holds
+    only when no job failed or was canceled after planning)
 
 Usage:
   check_serve_metrics.py METRICS.txt [--tenant NAME ...]
                          [--require-completed N] [--require-warm]
+                         [--expect-misses N]
 
 Reads stdin when METRICS.txt is `-`. Exit status is non-zero on the
 first violation.
@@ -67,6 +73,7 @@ def main(argv):
     tenants = []
     require_completed = 0
     require_warm = False
+    expect_misses = None
     i = 1
     while i < len(argv):
         if argv[i] == "--tenant" and i + 1 < len(argv):
@@ -78,6 +85,9 @@ def main(argv):
         elif argv[i] == "--require-warm":
             require_warm = True
             i += 1
+        elif argv[i] == "--expect-misses" and i + 1 < len(argv):
+            expect_misses = int(argv[i + 1])
+            i += 2
         else:
             fail(f"unknown argument {argv[i]!r}")
 
@@ -130,6 +140,21 @@ def main(argv):
         )
         if warm < 1:
             fail("no warm starts: plan_cache.log_hits + mem_hits < 1")
+
+    if expect_misses is not None:
+        misses = get(values, "plan_cache.misses")
+        if misses != expect_misses:
+            fail(f"plan_cache.misses {misses:.0f} != expected {expect_misses}")
+        lookups = (
+            get(values, "plan_cache.mem_hits")
+            + get(values, "plan_cache.log_hits")
+            + misses
+        )
+        if lookups != completed:
+            fail(
+                f"plan cache does not close: mem_hits + log_hits + misses "
+                f"({lookups:.0f}) != serve.completed ({completed:.0f})"
+            )
 
     print(
         f"metrics ok: {submitted:.0f} submitted, {completed:.0f} completed, "

@@ -6,8 +6,9 @@
 # low-priority tenant declared, floods it with an open-loop mix via
 # `micco load` (every submission uses the same SessionConfig, so repeat
 # jobs must warm-start from the shared plan cache), then scrapes
-# /metrics and asserts the accounting closes, the pool drained, and at
-# least one plan was served without re-planning.
+# /metrics and asserts the accounting closes, the pool drained, at least
+# one plan was served without re-planning, and the plan cache decided
+# that one config exactly once (every other job was a hit).
 #
 # Usage:
 #   scripts/serve_e2e.sh [PORT]     # default 7071
@@ -58,7 +59,8 @@ cat serve-metrics.txt
 
 echo "== checking invariants =="
 python3 scripts/check_serve_metrics.py serve-metrics.txt \
-  --tenant prio --tenant flood --require-completed 1 --require-warm
+  --tenant prio --tenant flood --require-completed 1 --require-warm \
+  --expect-misses 1
 
 kill $SERVE_PID 2>/dev/null || true
 echo "ok: serve e2e"

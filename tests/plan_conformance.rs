@@ -18,8 +18,8 @@ use proptest::prelude::*;
 use micco::gpusim::{EvictionPolicy, GpuId, LinkTopology, MachineConfig, MachineView, SimMachine};
 use micco::sched::{
     execute_plan, run_schedule_on, CodaScheduler, DriverOptions, DurablePlanCache, GrouteScheduler,
-    MiccoScheduler, PlanCache, PlanError, ReuseBounds, RoundRobinScheduler, ScheduleError,
-    ScheduleReport, Scheduler, Session,
+    MiccoScheduler, PlanCache, PlanError, PlanSource, ReuseBounds, RoundRobinScheduler,
+    ScheduleError, ScheduleReport, Scheduler, Session,
 };
 use micco::workload::{
     ContractionTask, RepeatDistribution, TensorPairStream, Vector, WorkloadSpec,
@@ -295,7 +295,7 @@ proptest! {
             .with_seed(seed)
             .generate();
         let dir = temp_store_dir("one-pass");
-        let mut cache = DurablePlanCache::open(&dir).expect("store opens");
+        let cache = DurablePlanCache::open(&dir).expect("store opens");
         let mut carried = Vec::new();
         for session in sessions(&stream) {
             for (_, fresh) in scheduler_zoo() {
@@ -320,15 +320,17 @@ proptest! {
 
                 // durable cache: a miss carries the planning pass's report…
                 let miss = session
-                    .plan_with_cache(&mut cache, &mut *fresh(), &stream)
+                    .plan_with_cache(&cache, &mut *fresh(), &stream)
                     .expect("plans");
                 prop_assert_eq!(miss.plan(), planned.plan());
                 prop_assert_eq!(miss.simulated_stats(), Some(&stats));
+                prop_assert_eq!(miss.source(), PlanSource::Decided);
                 // …and so does a memory hit
                 let hit = session
-                    .plan_with_cache(&mut cache, &mut *fresh(), &stream)
+                    .plan_with_cache(&cache, &mut *fresh(), &stream)
                     .expect("hits");
                 prop_assert_eq!(hit.simulated_stats(), Some(&stats));
+                prop_assert_eq!(hit.source(), PlanSource::Memory);
                 carried.push((session.clone(), fresh, stats));
             }
         }
@@ -337,12 +339,13 @@ proptest! {
         drop(cache);
 
         // reopened: every request is a log hit carrying the same report
-        let mut cache = DurablePlanCache::open(&dir).expect("store reopens");
+        let cache = DurablePlanCache::open(&dir).expect("store reopens");
         for (session, fresh, stats) in &carried {
             let served = session
-                .plan_with_cache(&mut cache, &mut *fresh(), &stream)
+                .plan_with_cache(&cache, &mut *fresh(), &stream)
                 .expect("log hit");
             prop_assert_eq!(served.simulated_stats(), Some(stats));
+            prop_assert_eq!(served.source(), PlanSource::Log);
             prop_assert_eq!(&served.execute(&stream).expect("executes").stats, stats);
         }
         prop_assert_eq!((cache.log_hits(), cache.misses()), (decided, 0));
@@ -389,17 +392,17 @@ fn a_plan_persisted_under_the_wrong_key_fails_validation_and_returns_no_result()
     );
     let dir = temp_store_dir("wrong-key");
     for reopen in [false, true] {
-        let mut cache = DurablePlanCache::open(&dir).expect("store opens");
+        let cache = DurablePlanCache::open(&dir).expect("store opens");
         if !reopen {
             // a fresh decision first, so the key held a report before
             session
-                .plan_with_cache(&mut cache, &mut RoundRobinScheduler::new(), &a)
+                .plan_with_cache(&cache, &mut RoundRobinScheduler::new(), &a)
                 .expect("plans");
             cache.persist(key_a, &for_b).expect("persists");
         }
         // from memory, then (reopened) from the log
         let planned = session
-            .plan_with_cache(&mut cache, &mut RoundRobinScheduler::new(), &a)
+            .plan_with_cache(&cache, &mut RoundRobinScheduler::new(), &a)
             .expect("served");
         assert_eq!(planned.plan(), &for_b);
         assert_eq!(

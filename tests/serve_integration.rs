@@ -1,8 +1,9 @@
 //! End-to-end tests for the multi-tenant scheduling service: a running
 //! daemon driven over HTTP through the load-generator client, asserting
 //! the inter-job scheduling contract — weighted fair-share dispatch
-//! order, admission-queue priority preemption, cancel semantics, and
-//! warm restarts over a shared durable plan store.
+//! order, admission-queue priority preemption, cancel semantics, warm
+//! restarts over a shared durable plan store, and exact per-job plan-cache
+//! accounting while jobs plan concurrently.
 
 use std::time::Duration;
 
@@ -249,6 +250,74 @@ fn warm_restart_serves_cached_plans_without_replanning() {
         metrics.contains("plan_cache.log_hits 1"),
         "log hit exported: {metrics}"
     );
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+/// The value of `name` in a `/metrics` text snapshot.
+fn metric(text: &str, name: &str) -> f64 {
+    text.lines()
+        .filter_map(|line| line.trim().rsplit_once(' '))
+        .find(|(key, _)| *key == name)
+        .and_then(|(_, value)| value.parse().ok())
+        .expect("the metric is exported as a number")
+}
+
+#[test]
+fn overlapping_jobs_learn_warmth_from_their_own_lookup() {
+    let store = std::env::temp_dir().join(format!(
+        "micco-serve-overlap-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&store);
+    // the second config plans ~4x longer, so hits on the first land
+    // while the second is still being decided
+    let configs = [(1u64, 8), (2, 32)].map(|(seed, vectors)| SessionConfig {
+        vector_size: 128,
+        vectors,
+        seed,
+        ..job(2)
+    });
+    let sim_secs = configs[0].run().expect("runs").elapsed_secs();
+    // four 2-GPU jobs run at once, each holding its GPUs ~30 ms or more,
+    // so lookups of both configs overlap
+    let service = Service::start(
+        "127.0.0.1:0",
+        ServeConfig {
+            pool_gpus: 8,
+            store: Some(store.clone()),
+            time_scale: 0.03 / sim_secs,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let client = Client::new(service.addr());
+    let shared = service.scheduling().clone();
+    let ids: Vec<(usize, u64)> = (0..16)
+        .map(|i| (i % 2, client.submit("acme", None, &configs[i % 2]).unwrap()))
+        .collect();
+    let mut cold = [0; 2];
+    for (config, id) in &ids {
+        let rec = shared.wait_job(*id, Duration::from_secs(60)).unwrap();
+        assert_eq!(rec.state, JobState::Done);
+        if !rec.result.unwrap().warm {
+            cold[*config] += 1;
+        }
+    }
+    assert_eq!(cold, [1, 1], "exactly one job per config plans cold");
+
+    let jobs = ids.len() as f64;
+    let text = client.metrics().unwrap();
+    assert_eq!(metric(&text, "serve.completed"), jobs);
+    assert_eq!(metric(&text, "plan_cache.misses"), 2.0);
+    let lookups = metric(&text, "plan_cache.mem_hits")
+        + metric(&text, "plan_cache.log_hits")
+        + metric(&text, "plan_cache.misses");
+    assert_eq!(lookups, jobs, "one lookup per completed job: {text}");
+    let (mem_hits, log_hits, misses) = shared.cache_stats().unwrap();
+    assert_eq!(misses, 2);
+    assert_eq!((mem_hits + log_hits + misses) as f64, jobs);
     service.shutdown();
     let _ = std::fs::remove_dir_all(&store);
 }

@@ -211,7 +211,7 @@ proptest! {
         let cfg = MachineConfig::mi100_like(2);
         let mut originals = Vec::new();
         {
-            let mut cache = DurablePlanCache::open(&dir).expect("fresh store");
+            let cache = DurablePlanCache::open(&dir).expect("fresh store");
             for seed in &seeds {
                 let stream = WorkloadSpec::new(4, 32)
                     .with_vectors(1)
@@ -223,8 +223,7 @@ proptest! {
                 );
                 let plan = cache
                     .plan_for_with_topology(&mut sched, &stream, &cfg, Default::default(), None)
-                    .expect("planning succeeds")
-                    .clone();
+                    .expect("planning succeeds");
                 originals.push((key, stream, plan));
             }
         }
@@ -240,7 +239,7 @@ proptest! {
         bytes[idx] ^= 1 << bit;
         std::fs::write(&frag, &bytes).expect("rewrite fragment");
 
-        let mut cache = DurablePlanCache::open(&dir).expect("recovery never errors");
+        let cache = DurablePlanCache::open(&dir).expect("recovery never errors");
         for (key, _, plan) in &originals {
             // None means quarantined or rejected, which is correct for damage
             if let Some(served) = cache.lookup(*key) {
