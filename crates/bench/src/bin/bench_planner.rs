@@ -5,20 +5,24 @@
 //! plan) and once with the retained seed reference (`plan_schedule_seed`,
 //! the frozen map-based machine) — asserts the two plans are
 //! **byte-identical**, and writes `BENCH_planner.json` with tasks/sec for
-//! both paths, the speedup, and peak RSS.
+//! both paths, the speedup, the planning pass's eviction count, and peak
+//! RSS.
 //!
 //! Usage:
-//!   bench_planner [--tasks N] [--gpus G] [--out PATH] [--skip-seed]
+//!   bench_planner [--tasks N] [--gpus G] [--oversub F] [--out PATH] [--skip-seed]
 //!
 //! Defaults are the full acceptance point (1,000,000 tasks on 64 GPUs);
-//! CI smoke runs use `--tasks 20000 --gpus 8`. `--skip-seed` omits the
-//! slow reference pass (speedup is then reported as null).
+//! CI smoke runs use `--tasks 20000 --gpus 8`, once as is and once with
+//! `--oversub 2`. `--oversub F` sizes device memory so the stream's
+//! working set oversubscribes it `F`-fold, so both planners pick eviction
+//! victims (the seed reference by its frozen map scan); the default 0
+//! keeps the full 32 GiB per device. `--skip-seed` omits the slow
+//! reference pass (speedup is then reported as null).
 
 use std::time::Instant;
 
 use micco_core::{
-    plan_schedule_seed, DriverOptions, MiccoScheduler, ReuseBounds, SchedulePlan, Scheduler,
-    Session,
+    plan_schedule_seed, DriverOptions, MiccoScheduler, ReuseBounds, Scheduler, Session,
 };
 use micco_gpusim::MachineConfig;
 use micco_workload::{RepeatDistribution, TensorPairStream, WorkloadSpec};
@@ -26,13 +30,16 @@ use micco_workload::{RepeatDistribution, TensorPairStream, WorkloadSpec};
 struct Args {
     tasks: usize,
     gpus: usize,
+    oversub: f64,
     out: String,
     skip_seed: bool,
 }
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("bench_planner: {msg}");
-    eprintln!("usage: bench_planner [--tasks N] [--gpus G] [--out PATH] [--skip-seed]");
+    eprintln!(
+        "usage: bench_planner [--tasks N] [--gpus G] [--oversub F] [--out PATH] [--skip-seed]"
+    );
     std::process::exit(2)
 }
 
@@ -40,6 +47,7 @@ fn parse_args() -> Args {
     let mut args = Args {
         tasks: 1_000_000,
         gpus: 64,
+        oversub: 0.0,
         out: "BENCH_planner.json".to_string(),
         skip_seed: false,
     };
@@ -56,6 +64,13 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--tasks" => args.tasks = int("--tasks", value("--tasks")),
             "--gpus" => args.gpus = int("--gpus", value("--gpus")),
+            "--oversub" => {
+                let v = value("--oversub");
+                args.oversub = match v.parse::<f64>() {
+                    Ok(f) if f.is_finite() && f >= 0.0 => f,
+                    _ => usage_error(&format!("--oversub expects a rate >= 0, got {v}")),
+                };
+            }
             "--out" => args.out = value("--out"),
             "--skip-seed" => args.skip_seed = true,
             other => usage_error(&format!("unknown flag {other}")),
@@ -82,7 +97,7 @@ fn peak_rss_bytes() -> Option<u64> {
     Some(kib * 1024)
 }
 
-fn time_plan<F: FnOnce() -> SchedulePlan>(f: F) -> (SchedulePlan, f64) {
+fn time_plan<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
     let plan = f();
     (plan, start.elapsed().as_secs_f64())
@@ -100,9 +115,10 @@ fn json_f64(v: f64) -> String {
 fn main() {
     let args = parse_args();
     eprintln!(
-        "bench_planner: {} tasks on {} gpus{}",
+        "bench_planner: {} tasks on {} gpus, oversubscription {}{}",
         args.tasks,
         args.gpus,
+        args.oversub,
         if args.skip_seed {
             " (seed pass skipped)"
         } else {
@@ -112,7 +128,10 @@ fn main() {
 
     let stream = stream_of(args.tasks);
     let total = stream.total_tasks();
-    let cfg = MachineConfig::mi100_like(args.gpus);
+    let mut cfg = MachineConfig::mi100_like(args.gpus);
+    if args.oversub > 0.0 {
+        cfg = cfg.with_oversubscription(stream.unique_bytes(), args.oversub);
+    }
     let opts = DriverOptions::default();
     let mk = || MiccoScheduler::new(ReuseBounds::new(0, 2, 0));
 
@@ -120,14 +139,15 @@ fn main() {
     // measured fast pass — the steady-state shape.
     let session = Session::new(cfg).with_options(opts);
     session.plan(&mut mk(), &stream).expect("warm-up plans");
-    let (fast_plan, fast_secs) = time_plan(|| {
-        session
-            .plan(&mut mk(), &stream)
-            .expect("fast path plans")
-            .into_plan()
-    });
+    let (planned, fast_secs) =
+        time_plan(|| session.plan(&mut mk(), &stream).expect("fast path plans"));
+    let evictions = planned
+        .simulated_stats()
+        .expect("a planning pass carries its stats")
+        .total_evictions();
+    let fast_plan = planned.into_plan();
     let fast_rate = total as f64 / fast_secs;
-    eprintln!("fast: {fast_secs:.3}s ({fast_rate:.0} tasks/sec)");
+    eprintln!("fast: {fast_secs:.3}s ({fast_rate:.0} tasks/sec), {evictions} evictions");
 
     let seed = if args.skip_seed {
         None
@@ -163,9 +183,11 @@ fn main() {
             "  \"version\": 1,\n",
             "  \"tasks\": {tasks},\n",
             "  \"gpus\": {gpus},\n",
+            "  \"oversub\": {oversub},\n",
             "  \"stages\": {stages},\n",
             "  \"scheduler\": \"{sched}\",\n",
             "  \"digest\": \"{digest:016x}\",\n",
+            "  \"evictions\": {evictions},\n",
             "  \"fast_secs\": {fast_secs},\n",
             "  \"fast_tasks_per_sec\": {fast_rate},\n",
             "  \"seed_secs\": {seed_secs},\n",
@@ -176,9 +198,11 @@ fn main() {
         ),
         tasks = total,
         gpus = args.gpus,
+        oversub = json_f64(args.oversub),
         stages = stream.vectors.len(),
         sched = fast_plan.scheduler,
         digest = fast_plan.digest(),
+        evictions = evictions,
         fast_secs = json_f64(fast_secs),
         fast_rate = json_f64(fast_rate),
         seed_secs = seed.map_or("null".into(), json_f64),

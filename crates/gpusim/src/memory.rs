@@ -8,10 +8,14 @@
 //!
 //! Internally the resident set is a struct-of-arrays: parallel vectors of
 //! per-tensor fields kept dense by swap-removal, plus a fast-hash id→slot
-//! index. Victim selection scans the dense arrays linearly instead of
-//! walking a `HashMap`, and every tie-break includes the tensor id, so the
-//! chosen victim is a unique extremum — independent of slot order and
-//! bit-identical to the original map-based implementation.
+//! index. An intrusive doubly-linked list threads the slots in victim
+//! order — `last_use` order under LRU, `allocated_at` order otherwise —
+//! so LRU and FIFO victims are the first unpinned slot from its head, in
+//! O(1) per victim while at most a few tensors are pinned. LargestFirst
+//! and Clairvoyant scan the dense arrays for their extremum. The scan's
+//! keys end in the tensor id, so its victim is unique, independent of slot
+//! order and bit-identical to the original map-based implementation; in
+//! debug builds it checks every list victim too.
 
 use micco_workload::{FastIdMap, TensorId};
 
@@ -80,6 +84,9 @@ impl std::fmt::Display for AllocError {
 
 impl std::error::Error for AllocError {}
 
+/// End of the victim list (no slot).
+const NIL: u32 = u32::MAX;
+
 /// Memory state of one simulated device.
 ///
 /// Resident-tensor state lives in parallel dense vectors (one slot per
@@ -104,6 +111,15 @@ pub struct DeviceMemory {
     /// per-allocation evictable-capacity check (`used - pinned_bytes`) is
     /// O(1) instead of a scan over every resident tensor.
     pinned_bytes: u64,
+    /// Victim list links, one per slot. Every touch and allocation takes a
+    /// fresh clock tick, so appending at `tail` (or moving a slot there on
+    /// an LRU touch) keeps the list sorted by the scan's key.
+    prev: Vec<u32>,
+    next: Vec<u32>,
+    /// Oldest slot (first victim candidate), or [`NIL`] when empty.
+    head: u32,
+    /// Newest slot, or [`NIL`] when empty.
+    tail: u32,
     clock: u64,
 }
 
@@ -123,6 +139,10 @@ impl DeviceMemory {
             pinned: Vec::new(),
             provenance: Vec::new(),
             pinned_bytes: 0,
+            prev: Vec::new(),
+            next: Vec::new(),
+            head: NIL,
+            tail: NIL,
             clock: 0,
         }
     }
@@ -158,12 +178,16 @@ impl DeviceMemory {
         self.ids.iter().copied()
     }
 
-    /// Record a use of a resident tensor (refreshes LRU position). No-op if
-    /// absent.
+    /// Record a use of a resident tensor (refreshes LRU position). For an
+    /// absent id it only ticks the device clock, as the seed's did.
     pub fn touch(&mut self, id: TensorId) {
         self.clock += 1;
         if let Some(&s) = self.slot_of.get(&id) {
             self.last_use[s as usize] = self.clock;
+            if self.policy == EvictionPolicy::Lru && s != self.tail {
+                self.unlink(s);
+                self.link_tail(s);
+            }
         }
     }
 
@@ -246,6 +270,9 @@ impl DeviceMemory {
         self.next_use.push(u64::MAX);
         self.pinned.push(true);
         self.provenance.push(provenance);
+        self.prev.push(NIL);
+        self.next.push(NIL);
+        self.link_tail(slot);
         self.used += bytes;
         self.pinned_bytes += bytes;
         Ok(())
@@ -277,6 +304,7 @@ impl DeviceMemory {
             // filtered to unpinned slots
             self.pinned_bytes -= self.bytes[slot];
         }
+        self.unlink(slot as u32);
         self.slot_of.remove(&id);
         self.ids.swap_remove(slot);
         self.bytes.swap_remove(slot);
@@ -285,20 +313,81 @@ impl DeviceMemory {
         self.next_use.swap_remove(slot);
         self.pinned.swap_remove(slot);
         self.provenance.swap_remove(slot);
+        self.prev.swap_remove(slot);
+        self.next.swap_remove(slot);
         if slot < self.ids.len() {
-            // the former tail tensor now lives in `slot`
-            self.slot_of.insert(self.ids[slot], slot as u32);
+            // the former last slot's tensor now lives in `slot`: repoint
+            // its index entry and its list neighbours (none of which is
+            // the unlinked victim)
+            let s = slot as u32;
+            self.slot_of.insert(self.ids[slot], s);
+            match self.prev[slot] {
+                NIL => self.head = s,
+                p => self.next[p as usize] = s,
+            }
+            match self.next[slot] {
+                NIL => self.tail = s,
+                n => self.prev[n as usize] = s,
+            }
         }
         out
     }
 
-    /// Slot of the eviction victim under the active policy.
+    /// Append `slot` at the list tail (it must be unlinked).
+    fn link_tail(&mut self, slot: u32) {
+        let s = slot as usize;
+        self.prev[s] = self.tail;
+        self.next[s] = NIL;
+        match self.tail {
+            NIL => self.head = slot,
+            t => self.next[t as usize] = slot,
+        }
+        self.tail = slot;
+    }
+
+    /// Take `slot` out of the list, joining its neighbours.
+    fn unlink(&mut self, slot: u32) {
+        let s = slot as usize;
+        let (p, n) = (self.prev[s], self.next[s]);
+        match p {
+            NIL => self.head = n,
+            p => self.next[p as usize] = n,
+        }
+        match n {
+            NIL => self.tail = p,
+            n => self.prev[n as usize] = p,
+        }
+    }
+
+    /// Slot of the eviction victim under the active policy: the first
+    /// unpinned slot of the victim list for LRU and FIFO, the scan's
+    /// extremum otherwise.
+    fn pick_victim(&self) -> Option<usize> {
+        match self.policy {
+            EvictionPolicy::Lru | EvictionPolicy::Fifo => {
+                let mut s = self.head;
+                while s != NIL && self.pinned[s as usize] {
+                    s = self.next[s as usize];
+                }
+                let victim = (s != NIL).then_some(s as usize);
+                debug_assert_eq!(
+                    victim,
+                    self.scan_victim(),
+                    "victim list diverged from the scan"
+                );
+                victim
+            }
+            EvictionPolicy::LargestFirst | EvictionPolicy::Clairvoyant => self.scan_victim(),
+        }
+    }
+
+    /// The victim by a full scan of the resident slots.
     ///
     /// Every policy's key ends in the tensor id (or its complement), so the
     /// extremum is unique and the scan order over slots cannot change the
     /// outcome — this must match the original `HashMap`-iteration
     /// implementation victim-for-victim.
-    fn pick_victim(&self) -> Option<usize> {
+    fn scan_victim(&self) -> Option<usize> {
         let candidates = (0..self.ids.len()).filter(|&s| !self.pinned[s]);
 
         match self.policy {
@@ -395,12 +484,25 @@ mod tests {
 
     #[test]
     fn pinned_tensors_survive_pressure() {
-        let mut m = mem(100, EvictionPolicy::Lru);
-        m.allocate(tid(1), 50, Provenance::HostBacked).unwrap(); // stays pinned
-        alloc_unpinned(&mut m, 2, 40);
-        let ev = alloc_unpinned(&mut m, 3, 40);
-        assert_eq!(ev[0].id, tid(2), "pinned tensor 1 must not be evicted");
-        assert!(m.holds(tid(1)));
+        for policy in [
+            EvictionPolicy::Lru,
+            EvictionPolicy::Fifo,
+            EvictionPolicy::LargestFirst,
+            EvictionPolicy::Clairvoyant,
+        ] {
+            let mut m = mem(100, policy);
+            m.allocate(tid(1), 50, Provenance::HostBacked).unwrap(); // stays pinned
+            alloc_unpinned(&mut m, 2, 40);
+            let ev = alloc_unpinned(&mut m, 3, 40);
+            assert_eq!(
+                ev[0].id,
+                tid(2),
+                "{policy:?}: pinned tensor 1 must not be evicted"
+            );
+            assert!(m.holds(tid(1)));
+            // the pinned head stays linked; victims skip it
+            assert_eq!(victim_order(&m), [1, 3], "{policy:?}");
+        }
     }
 
     #[test]
@@ -624,6 +726,67 @@ mod tests {
         m.set_pinned(tid(3), false);
         assert!(m.allocate(tid(4), 100, Provenance::HostBacked).is_ok());
         assert_eq!(m.used(), 100);
+    }
+
+    /// Ids in victim-list order, head first, after checking the list:
+    /// every slot once, links mutually consistent, and keys strictly
+    /// increasing (`last_use` under LRU, `allocated_at` otherwise).
+    fn victim_order(m: &DeviceMemory) -> Vec<u64> {
+        let key = |s: usize| match m.policy {
+            EvictionPolicy::Lru => m.last_use[s],
+            _ => m.allocated_at[s],
+        };
+        let mut order = Vec::new();
+        let (mut prev, mut s) = (NIL, m.head);
+        while s != NIL {
+            assert!(order.len() < m.ids.len(), "cycle in the victim list");
+            assert_eq!(m.prev[s as usize], prev, "broken back link");
+            if prev != NIL {
+                assert!(key(prev as usize) < key(s as usize), "list out of order");
+            }
+            order.push(m.ids[s as usize].0);
+            (prev, s) = (s, m.next[s as usize]);
+        }
+        assert_eq!(m.tail, prev);
+        assert_eq!(order.len(), m.ids.len(), "slots missing from the list");
+        order
+    }
+
+    #[test]
+    fn victim_list_survives_removing_head_tail_middle_and_only_slot() {
+        for policy in [EvictionPolicy::Lru, EvictionPolicy::Fifo] {
+            let mut m = mem(1_000, policy);
+            for i in 1..=5 {
+                alloc_unpinned(&mut m, i, 10);
+            }
+            m.touch(tid(2));
+            m.touch(tid(42)); // absent: ticks the clock, links nothing
+            let mut expect = match policy {
+                EvictionPolicy::Lru => vec![1, 3, 4, 5, 2],
+                _ => vec![1, 2, 3, 4, 5],
+            };
+            assert_eq!(victim_order(&m), expect, "{policy:?}");
+            // the head, then the tail, then a middle slot; each removal
+            // swap-moves the last slot into the hole
+            for at in [0, 3, 1] {
+                let id = expect.remove(at);
+                assert!(m.discard(tid(id)));
+                assert_eq!(victim_order(&m), expect, "{policy:?} without {id}");
+            }
+            // an eviction takes the head
+            let ev = alloc_unpinned(&mut m, 6, 985);
+            assert_eq!(ev.iter().map(|e| e.id.0).collect::<Vec<_>>(), [expect[0]]);
+            expect = vec![expect[1], 6];
+            assert_eq!(victim_order(&m), expect, "{policy:?}");
+            // down to the only slot, then empty, then refilled
+            assert!(m.discard(tid(expect[0])));
+            assert_eq!(victim_order(&m), [6]);
+            assert!(m.discard(tid(6)));
+            assert_eq!((m.head, m.tail), (NIL, NIL));
+            assert!(victim_order(&m).is_empty());
+            alloc_unpinned(&mut m, 7, 10);
+            assert_eq!(victim_order(&m), [7]);
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Property-based tests of the device memory manager and the machine's
 //! conservation laws under random task sequences.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 
 use micco_gpusim::{
@@ -24,6 +26,13 @@ enum MemOp {
     Unpin {
         id: u64,
     },
+    Pin {
+        id: u64,
+    },
+    SetNextUse {
+        id: u64,
+        next_use: u64,
+    },
 }
 
 fn mem_op() -> impl Strategy<Value = MemOp> {
@@ -36,6 +45,9 @@ fn mem_op() -> impl Strategy<Value = MemOp> {
         (0u64..40).prop_map(|id| MemOp::Touch { id }),
         (0u64..40).prop_map(|id| MemOp::Discard { id }),
         (0u64..40).prop_map(|id| MemOp::Unpin { id }),
+        (0u64..40).prop_map(|id| MemOp::Pin { id }),
+        (0u64..40, prop_oneof![0u64..64, Just(u64::MAX)])
+            .prop_map(|(id, next_use)| MemOp::SetNextUse { id, next_use }),
     ]
 }
 
@@ -44,7 +56,114 @@ fn policy() -> impl Strategy<Value = EvictionPolicy> {
         Just(EvictionPolicy::Lru),
         Just(EvictionPolicy::Fifo),
         Just(EvictionPolicy::LargestFirst),
+        Just(EvictionPolicy::Clairvoyant),
     ]
+}
+
+/// One resident tensor of [`RefMemory`].
+struct RefEntry {
+    bytes: u64,
+    last_use: u64,
+    allocated_at: u64,
+    next_use: u64,
+    pinned: bool,
+    device_created: bool,
+}
+
+/// An independent model of [`DeviceMemory`]: residency in a map, and each
+/// victim found by a full scan with the policy's key tuple, ending in the
+/// tensor id so the extremum is unique.
+struct RefMemory {
+    capacity: u64,
+    used: u64,
+    policy: EvictionPolicy,
+    resident: HashMap<u64, RefEntry>,
+    clock: u64,
+}
+
+impl RefMemory {
+    fn new(capacity: u64, policy: EvictionPolicy) -> Self {
+        RefMemory {
+            capacity,
+            used: 0,
+            policy,
+            resident: HashMap::new(),
+            clock: 0,
+        }
+    }
+
+    fn touch(&mut self, id: u64) {
+        self.clock += 1;
+        if let Some(e) = self.resident.get_mut(&id) {
+            e.last_use = self.clock;
+        }
+    }
+
+    fn discard(&mut self, id: u64) -> bool {
+        match self.resident.remove(&id) {
+            Some(e) => {
+                self.used -= e.bytes;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// The evicted `(id, bytes, writeback)` triples, or `None` when the
+    /// tensor cannot fit even after evicting every unpinned tensor.
+    fn allocate(
+        &mut self,
+        id: u64,
+        bytes: u64,
+        device_created: bool,
+    ) -> Option<Vec<(u64, u64, bool)>> {
+        let evictable: u64 = self
+            .resident
+            .values()
+            .filter(|e| !e.pinned)
+            .map(|e| e.bytes)
+            .sum();
+        let free = self.capacity - self.used;
+        if bytes > free + evictable || bytes > self.capacity {
+            return None;
+        }
+        let mut evicted = Vec::new();
+        while self.capacity - self.used < bytes {
+            let victim = self.victim().expect("evictable bytes were sufficient");
+            let e = self.resident.remove(&victim).expect("victim is resident");
+            self.used -= e.bytes;
+            evicted.push((victim, e.bytes, e.device_created));
+        }
+        self.clock += 1;
+        self.resident.insert(
+            id,
+            RefEntry {
+                bytes,
+                last_use: self.clock,
+                allocated_at: self.clock,
+                next_use: u64::MAX,
+                pinned: true,
+                device_created,
+            },
+        );
+        self.used += bytes;
+        Some(evicted)
+    }
+
+    fn victim(&self) -> Option<u64> {
+        let unpinned = self.resident.iter().filter(|(_, e)| !e.pinned);
+        let victim = match self.policy {
+            EvictionPolicy::Lru => unpinned.min_by_key(|&(&id, e)| (e.last_use, id)),
+            EvictionPolicy::Fifo => unpinned.min_by_key(|&(&id, e)| (e.allocated_at, id)),
+            EvictionPolicy::LargestFirst => {
+                unpinned.max_by_key(|&(&id, e)| (e.bytes, u64::MAX - id))
+            }
+            EvictionPolicy::Clairvoyant => {
+                unpinned.max_by_key(|&(&id, e)| (e.next_use, u64::MAX - e.last_use, u64::MAX - id))
+            }
+        };
+        victim.map(|(&id, _)| id)
+    }
 }
 
 proptest! {
@@ -91,11 +210,68 @@ proptest! {
                     prop_assert_eq!(did, resident_bytes.remove(&id).is_some());
                 }
                 MemOp::Unpin { id } => m.set_pinned(TensorId(id), false),
+                MemOp::Pin { id } => m.set_pinned(TensorId(id), true),
+                MemOp::SetNextUse { id, next_use } => m.set_next_use(TensorId(id), next_use),
             }
             prop_assert!(m.used() <= m.capacity(), "over capacity");
             let expect: u64 = resident_bytes.values().sum();
             prop_assert_eq!(m.used(), expect, "byte accounting drifted");
             prop_assert_eq!(m.resident_count(), resident_bytes.len());
+        }
+    }
+
+    /// Every allocation evicts exactly the victims, in order, that the
+    /// reference model's full scan picks, under touches of absent ids,
+    /// pin churn, discards of pinned tensors and swap-removal.
+    #[test]
+    fn allocate_evicts_the_reference_victims(
+        ops in proptest::collection::vec(mem_op(), 1..200),
+        policy in policy(),
+        capacity in 50u64..200,
+    ) {
+        let mut m = DeviceMemory::new(capacity, policy);
+        let mut r = RefMemory::new(capacity, policy);
+        for op in ops {
+            match op {
+                MemOp::Alloc { id, bytes, device_created } => {
+                    if m.holds(TensorId(id)) {
+                        m.touch(TensorId(id));
+                        r.touch(id);
+                        continue;
+                    }
+                    let prov = if device_created {
+                        Provenance::DeviceCreated
+                    } else {
+                        Provenance::HostBacked
+                    };
+                    let got = m.allocate(TensorId(id), bytes, prov).ok().map(|ev| {
+                        ev.iter().map(|e| (e.id.0, e.bytes, e.writeback)).collect::<Vec<_>>()
+                    });
+                    prop_assert_eq!(got, r.allocate(id, bytes, device_created), "allocate {}", id);
+                }
+                MemOp::Touch { id } => {
+                    m.touch(TensorId(id));
+                    r.touch(id);
+                }
+                MemOp::Discard { id } => {
+                    prop_assert_eq!(m.discard(TensorId(id)), r.discard(id));
+                }
+                MemOp::Unpin { id } | MemOp::Pin { id } => {
+                    let pinned = matches!(op, MemOp::Pin { .. });
+                    m.set_pinned(TensorId(id), pinned);
+                    if let Some(e) = r.resident.get_mut(&id) {
+                        e.pinned = pinned;
+                    }
+                }
+                MemOp::SetNextUse { id, next_use } => {
+                    m.set_next_use(TensorId(id), next_use);
+                    if let Some(e) = r.resident.get_mut(&id) {
+                        e.next_use = next_use;
+                    }
+                }
+            }
+            prop_assert_eq!(m.used(), r.used);
+            prop_assert_eq!(m.resident_count(), r.resident.len());
         }
     }
 

@@ -227,4 +227,55 @@ mod tests {
 
         service.shutdown();
     }
+
+    #[test]
+    fn shutdown_cancels_queued_jobs_inside_the_job_closure() {
+        // one-slot pool: a job held for a few hundred ms runs while two
+        // more stay queued
+        let service = Service::start(
+            "127.0.0.1:0",
+            ServeConfig {
+                pool_gpus: 1,
+                time_scale: 1000.0,
+                ..ServeConfig::default()
+            },
+        )
+        .expect("start");
+        let shared = Arc::clone(service.scheduling());
+        let job = micco_core::SessionConfig {
+            vector_size: 6,
+            tensor_size: 32,
+            vectors: 2,
+            gpus: 1,
+            ..micco_core::SessionConfig::default()
+        };
+        let running = shared.submit("a", None, job.clone()).expect("admitted");
+        let t0 = std::time::Instant::now();
+        while shared.job(running).expect("known").state == JobState::Queued {
+            assert!(t0.elapsed() < Duration::from_secs(10), "never dispatched");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let queued = [
+            shared.submit("a", None, job.clone()).expect("admitted"),
+            shared.submit("b", None, job).expect("admitted"),
+        ];
+        service.shutdown();
+
+        for id in queued {
+            assert_eq!(shared.job(id).expect("known").state, JobState::Canceled);
+        }
+        assert!(shared.job(running).expect("known").state.is_terminal());
+        let snap = shared.metrics().snapshot();
+        assert_eq!(snap.counter("serve.submitted"), 3);
+        for scope in ["serve", "tenant.a", "tenant.b"] {
+            let n = |name: &str| snap.counter(&format!("{scope}.{name}"));
+            assert_eq!(
+                n("submitted"),
+                n("completed") + n("failed") + n("canceled") + n("preempted"),
+                "{scope} closure:\n{}",
+                snap.to_text()
+            );
+        }
+        assert_eq!(snap.gauge("serve.queue_depth"), 0.0);
+    }
 }

@@ -135,17 +135,19 @@ pub struct JobResult {
     pub exec_ms: f64,
 }
 
-/// One submitted job.
+/// One submitted job. The daemon keeps every record for its lifetime, so
+/// a record holds only what the job API serves and the dispatcher reads:
+/// the job's config moves into its executor at dispatch.
 #[derive(Debug, Clone)]
 pub struct JobRecord {
-    /// Job id (monotone, unique for the daemon's lifetime).
+    /// Job id (dense from 1, unique for the daemon's lifetime).
     pub id: u64,
     /// Owning tenant.
     pub tenant: String,
     /// Priority class the job was admitted with.
     pub priority: Priority,
-    /// The job's session config.
-    pub config: SessionConfig,
+    /// When the job was admitted.
+    pub submitted_at: Instant,
     /// Current lifecycle state.
     pub state: JobState,
     /// GPUs the job occupies while running.
@@ -214,18 +216,47 @@ impl std::fmt::Display for SubmitError {
     }
 }
 
+/// An admitted job waiting for dispatch; it owns its config until then.
+struct Queued {
+    id: u64,
+    config: SessionConfig,
+}
+
+/// A dispatched job, handed to its executor thread.
+struct Dispatched {
+    id: u64,
+    tenant: String,
+    gpus: usize,
+    config: SessionConfig,
+    cancel: Arc<AtomicBool>,
+}
+
 struct Pool {
-    jobs: BTreeMap<u64, JobRecord>,
-    queue: Vec<u64>,
+    /// Every admitted job, at index `id - 1`: ids are dense from 1 and
+    /// never reused.
+    jobs: Vec<JobRecord>,
+    queue: Vec<Queued>,
     tenants: BTreeMap<String, TenantState>,
     free_gpus: usize,
-    running: usize,
-    next_id: u64,
-    next_seq: u64,
+    /// The running jobs' cancel flags, each dropped as its job settles.
+    running: BTreeMap<u64, Arc<AtomicBool>>,
     next_dispatch: u64,
     shutdown: bool,
-    submitted_at: BTreeMap<u64, Instant>,
-    cancel_flags: BTreeMap<u64, Arc<AtomicBool>>,
+}
+
+impl Pool {
+    fn job(&self, id: u64) -> Option<&JobRecord> {
+        self.jobs.get(usize::try_from(id).ok()?.checked_sub(1)?)
+    }
+
+    fn job_mut(&mut self, id: u64) -> Option<&mut JobRecord> {
+        self.jobs.get_mut(usize::try_from(id).ok()?.checked_sub(1)?)
+    }
+}
+
+/// Milliseconds from `since` to `now`.
+fn ms_between(since: Instant, now: Instant) -> f64 {
+    now.duration_since(since).as_secs_f64() * 1e3
 }
 
 /// The shared heart of the daemon: the job table and pool accounting
@@ -254,17 +285,13 @@ impl Scheduling {
             tenants.insert(spec.name.clone(), TenantState::new(spec.clone()));
         }
         let pool = Pool {
-            jobs: BTreeMap::new(),
+            jobs: Vec::new(),
             queue: Vec::new(),
             tenants,
             free_gpus: config.pool_gpus,
-            running: 0,
-            next_id: 1,
-            next_seq: 0,
+            running: BTreeMap::new(),
             next_dispatch: 0,
             shutdown: false,
-            submitted_at: BTreeMap::new(),
-            cancel_flags: BTreeMap::new(),
         };
         let metrics = Arc::new(MetricsRegistry::new());
         metrics.set_gauge("serve.pool_gpus", config.pool_gpus as f64);
@@ -351,8 +378,8 @@ impl Scheduling {
             let queued: Vec<Candidate> = pool
                 .queue
                 .iter()
-                .map(|id| {
-                    let j = &pool.jobs[id];
+                .map(|q| {
+                    let j = pool.job(q.id).expect("queued jobs have records");
                     Candidate {
                         priority: j.priority,
                         vtime: 0.0,
@@ -363,16 +390,15 @@ impl Scheduling {
                 .collect();
             match admission_victim(&queued, priority) {
                 Some(idx) => {
-                    let victim = pool.queue.remove(idx);
+                    let victim = pool.queue.remove(idx).id;
                     let now = Instant::now();
-                    let submitted = pool.submitted_at.get(&victim).copied();
-                    if let Some(j) = pool.jobs.get_mut(&victim) {
+                    if let Some(j) = pool.job_mut(victim) {
                         j.state = JobState::Preempted;
                         j.error =
                             Some("preempted from the queue by a higher-priority submission".into());
-                        j.total_ms = submitted.map(|t| now.duration_since(t).as_secs_f64() * 1e3);
+                        j.total_ms = Some(ms_between(j.submitted_at, now));
                         self.metrics.inc("serve.preempted");
-                        self.tenant_metric(&j.tenant.clone(), "preempted");
+                        self.tenant_metric(&j.tenant, "preempted");
                     }
                     self.done_cv.notify_all();
                 }
@@ -387,10 +413,8 @@ impl Scheduling {
             }
         }
         // admit
-        let id = pool.next_id;
-        pool.next_id += 1;
-        let seq = pool.next_seq;
-        pool.next_seq += 1;
+        let seq = pool.jobs.len() as u64;
+        let id = seq + 1;
         if !pool.tenants.contains_key(tenant) {
             let mut spec = TenantSpec::new(tenant);
             spec.priority = self.config.default_priority;
@@ -409,28 +433,21 @@ impl Scheduling {
             }
             pool.tenants.insert(tenant.to_owned(), state);
         }
-        let gpus = config.gpus;
-        pool.jobs.insert(
+        pool.jobs.push(JobRecord {
             id,
-            JobRecord {
-                id,
-                tenant: tenant.to_owned(),
-                priority,
-                config,
-                state: JobState::Queued,
-                gpus,
-                seq,
-                dispatch_seq: None,
-                wait_ms: None,
-                total_ms: None,
-                result: None,
-                error: None,
-            },
-        );
-        pool.queue.push(id);
-        pool.submitted_at.insert(id, Instant::now());
-        pool.cancel_flags
-            .insert(id, Arc::new(AtomicBool::new(false)));
+            tenant: tenant.to_owned(),
+            priority,
+            submitted_at: Instant::now(),
+            state: JobState::Queued,
+            gpus: config.gpus,
+            seq,
+            dispatch_seq: None,
+            wait_ms: None,
+            total_ms: None,
+            result: None,
+            error: None,
+        });
+        pool.queue.push(Queued { id, config });
         self.metrics.inc("serve.submitted");
         self.tenant_metric(tenant, "submitted");
         self.metrics
@@ -442,12 +459,12 @@ impl Scheduling {
 
     /// A copy of the job record, if the id exists.
     pub fn job(&self, id: u64) -> Option<JobRecord> {
-        self.lock_pool().jobs.get(&id).cloned()
+        self.lock_pool().job(id).cloned()
     }
 
     /// Copies of all job records, in id order.
     pub fn jobs(&self) -> Vec<JobRecord> {
-        self.lock_pool().jobs.values().cloned().collect()
+        self.lock_pool().jobs.clone()
     }
 
     /// Cancel a job. Queued jobs cancel immediately; running jobs are
@@ -456,28 +473,26 @@ impl Scheduling {
     /// terminal.
     pub fn cancel(&self, id: u64) -> Result<JobState, String> {
         let mut pool = self.lock_pool();
-        let (state, tenant) = match pool.jobs.get(&id) {
-            Some(job) => (job.state.clone(), job.tenant.clone()),
-            None => return Err(format!("unknown job {id}")),
+        let Some(state) = pool.job(id).map(|j| j.state.clone()) else {
+            return Err(format!("unknown job {id}"));
         };
         match state {
             JobState::Queued => {
-                pool.queue.retain(|&q| q != id);
+                pool.queue.retain(|q| q.id != id);
                 let now = Instant::now();
-                let submitted = pool.submitted_at.get(&id).copied();
-                if let Some(j) = pool.jobs.get_mut(&id) {
+                if let Some(j) = pool.job_mut(id) {
                     j.state = JobState::Canceled;
-                    j.total_ms = submitted.map(|t| now.duration_since(t).as_secs_f64() * 1e3);
+                    j.total_ms = Some(ms_between(j.submitted_at, now));
+                    self.tenant_metric(&j.tenant, "canceled");
                 }
                 self.metrics.inc("serve.canceled");
-                self.tenant_metric(&tenant, "canceled");
                 self.metrics
                     .set_gauge("serve.queue_depth", pool.queue.len() as f64);
                 self.done_cv.notify_all();
                 Ok(JobState::Canceled)
             }
             JobState::Running => {
-                if let Some(flag) = pool.cancel_flags.get(&id) {
+                if let Some(flag) = pool.running.get(&id) {
                     flag.store(true, Ordering::SeqCst);
                 }
                 Ok(JobState::Running)
@@ -492,7 +507,7 @@ impl Scheduling {
         let deadline = Instant::now() + timeout;
         let mut pool = self.lock_pool();
         loop {
-            let busy = pool.jobs.values().any(|j| !j.state.is_terminal());
+            let busy = pool.jobs.iter().any(|j| !j.state.is_terminal());
             if !busy {
                 return true;
             }
@@ -514,7 +529,7 @@ impl Scheduling {
         let deadline = Instant::now() + timeout;
         let mut pool = self.lock_pool();
         loop {
-            match pool.jobs.get(&id) {
+            match pool.job(id) {
                 None => return None,
                 Some(j) if j.state.is_terminal() => return Some(j.clone()),
                 Some(_) => {}
@@ -563,13 +578,13 @@ impl Scheduling {
     }
 
     /// Pick and dequeue the next runnable job under the lock; marks it
-    /// Running and reserves its GPUs.
-    fn try_dispatch(&self, pool: &mut Pool) -> Option<JobRecord> {
+    /// Running, reserves its GPUs and arms its cancel flag.
+    fn try_dispatch(&self, pool: &mut Pool) -> Option<Dispatched> {
         let candidates: Vec<Candidate> = pool
             .queue
             .iter()
-            .map(|id| {
-                let j = &pool.jobs[id];
+            .map(|q| {
+                let j = pool.job(q.id).expect("queued jobs have records");
                 Candidate {
                     priority: j.priority,
                     vtime: pool.tenants.get(&j.tenant).map(|t| t.vtime).unwrap_or(0.0),
@@ -579,23 +594,27 @@ impl Scheduling {
             })
             .collect();
         let idx = pick_next(&candidates)?;
-        let id = pool.queue.remove(idx);
+        let Queued { id, config } = pool.queue.remove(idx);
         let dispatch_seq = pool.next_dispatch;
         pool.next_dispatch += 1;
         let now = Instant::now();
-        let submitted = pool.submitted_at.get(&id).copied();
-        let job = {
-            let j = pool.jobs.get_mut(&id)?;
-            j.state = JobState::Running;
-            j.dispatch_seq = Some(dispatch_seq);
-            j.wait_ms = submitted.map(|t| now.duration_since(t).as_secs_f64() * 1e3);
-            j.clone()
+        let j = pool.job_mut(id)?;
+        j.state = JobState::Running;
+        j.dispatch_seq = Some(dispatch_seq);
+        j.wait_ms = Some(ms_between(j.submitted_at, now));
+        let job = Dispatched {
+            id,
+            tenant: j.tenant.clone(),
+            gpus: j.gpus,
+            config,
+            cancel: Arc::new(AtomicBool::new(false)),
         };
+        pool.running.insert(id, Arc::clone(&job.cancel));
         pool.free_gpus -= job.gpus;
-        pool.running += 1;
         self.metrics
             .set_gauge("serve.free_gpus", pool.free_gpus as f64);
-        self.metrics.set_gauge("serve.running", pool.running as f64);
+        self.metrics
+            .set_gauge("serve.running", pool.running.len() as f64);
         self.metrics
             .set_gauge("serve.queue_depth", pool.queue.len() as f64);
         Some(job)
@@ -604,27 +623,20 @@ impl Scheduling {
     /// Run one dispatched job end to end: plan (through the shared
     /// durable cache when configured), execute on a fresh simulator,
     /// optionally hold the GPUs for scaled wall time, then release.
-    fn execute_job(self: &Arc<Self>, job: JobRecord) {
-        let cancel = self
-            .lock_pool()
-            .cancel_flags
-            .get(&job.id)
-            .cloned()
-            .unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
-        let outcome = self.run_job(&job, &cancel);
+    fn execute_job(self: &Arc<Self>, job: Dispatched) {
+        let outcome = self.run_job(&job.config, &job.cancel);
         let mut pool = self.lock_pool();
         pool.free_gpus += job.gpus;
-        pool.running -= 1;
+        pool.running.remove(&job.id);
         let now = Instant::now();
-        let submitted = pool.submitted_at.get(&job.id).copied();
         // fair share: charge simulated GPU-seconds to the tenant
         if let RunOutcome::Done(result) = &outcome {
             if let Some(t) = pool.tenants.get_mut(&job.tenant) {
                 t.charge(result.sim_elapsed_ms / 1e3 * job.gpus as f64);
             }
         }
-        if let Some(j) = pool.jobs.get_mut(&job.id) {
-            j.total_ms = submitted.map(|t| now.duration_since(t).as_secs_f64() * 1e3);
+        if let Some(j) = pool.job_mut(job.id) {
+            j.total_ms = Some(ms_between(j.submitted_at, now));
             match outcome {
                 RunOutcome::Done(result) => {
                     if result.warm {
@@ -650,18 +662,18 @@ impl Scheduling {
         }
         self.metrics
             .set_gauge("serve.free_gpus", pool.free_gpus as f64);
-        self.metrics.set_gauge("serve.running", pool.running as f64);
+        self.metrics
+            .set_gauge("serve.running", pool.running.len() as f64);
         drop(pool);
         self.dispatch_cv.notify_all();
         self.done_cv.notify_all();
     }
 
     /// Plan + execute, honouring the cancel flag at phase boundaries.
-    fn run_job(&self, job: &JobRecord, cancel: &AtomicBool) -> RunOutcome {
+    fn run_job(&self, cfg: &SessionConfig, cancel: &AtomicBool) -> RunOutcome {
         if cancel.load(Ordering::SeqCst) {
             return RunOutcome::Canceled;
         }
-        let cfg = &job.config;
         let stream = match cfg.stream() {
             Ok(s) => s,
             Err(e) => return RunOutcome::Failed(e.to_string()),
@@ -743,17 +755,20 @@ impl Scheduling {
     pub(crate) fn begin_shutdown(&self) {
         let mut pool = self.lock_pool();
         pool.shutdown = true;
-        // queued jobs will never run: cancel them
-        let queued: Vec<u64> = pool.queue.drain(..).collect();
+        // queued jobs will never run: cancel them, counted like any
+        // other cancel so the job closure still holds
+        let queued = std::mem::take(&mut pool.queue);
         let now = Instant::now();
-        for id in queued {
-            let submitted = pool.submitted_at.get(&id).copied();
-            if let Some(j) = pool.jobs.get_mut(&id) {
+        for q in queued {
+            if let Some(j) = pool.job_mut(q.id) {
                 j.state = JobState::Canceled;
                 j.error = Some("service shut down".into());
-                j.total_ms = submitted.map(|t| now.duration_since(t).as_secs_f64() * 1e3);
+                j.total_ms = Some(ms_between(j.submitted_at, now));
+                self.metrics.inc("serve.canceled");
+                self.tenant_metric(&j.tenant, "canceled");
             }
         }
+        self.metrics.set_gauge("serve.queue_depth", 0.0);
         drop(pool);
         self.dispatch_cv.notify_all();
         self.done_cv.notify_all();
@@ -763,7 +778,7 @@ impl Scheduling {
     pub(crate) fn drain_running(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut pool = self.lock_pool();
-        while pool.running > 0 {
+        while !pool.running.is_empty() {
             let now = Instant::now();
             if now >= deadline {
                 return false;

@@ -11,6 +11,10 @@
 #   scripts/bench_planner.sh --smoke         # CI point: 20k tasks, 8 GPUs
 #   scripts/bench_planner.sh --smoke --baseline OLD.json
 #                                            # also fail on >20% slowdown
+#   scripts/bench_planner.sh --smoke --oversub 2
+#                                            # CI's second point: memory
+#                                            # oversubscribed 2x, so both
+#                                            # planners evict
 #
 # Extra flags after the mode are forwarded to bench_planner.
 set -euo pipefail

@@ -8,8 +8,12 @@ Stdlib-only structural checks, dispatched on the report's `bench` field.
   bench               "planner"
   version             1
   tasks/gpus/stages   positive integers
+  oversub             finite number >= 0 (device memory oversubscription;
+                      0 or absent = none)
   scheduler           non-empty string
   digest              16 hex chars (the plan's FNV-1a content digest)
+  evictions           non-negative integer, or null or absent (reports
+                      from before the field existed)
   fast_secs           finite float > 0
   fast_tasks_per_sec  finite float > 0
   seed_secs           finite float > 0, or null (--skip-seed runs)
@@ -76,8 +80,8 @@ Stdlib-only structural checks, dispatched on the report's `bench` field.
 
 With `--compare BASELINE.json` the current report additionally fails if
 throughput dropped more than 20% below the baseline: planner reports
-gate fast_tasks_per_sec (same tasks/gpus point required), serve reports
-gate throughput_jobs_per_sec (same pool_gpus required).
+gate fast_tasks_per_sec (same tasks/gpus/oversub point required), serve
+reports gate throughput_jobs_per_sec (same pool_gpus required).
 
 Usage:
   check_bench_schema.py REPORT.json [REPORT2.json ...]
@@ -488,6 +492,18 @@ def check(path):
             f"'{key}' must be a positive integer, got {v!r}",
         )
 
+    oversub = report.setdefault("oversub", 0)
+    require(
+        isinstance(oversub, (int, float))
+        and not isinstance(oversub, bool)
+        and math.isfinite(oversub)
+        and oversub >= 0,
+        path,
+        f"'oversub' must be a finite number >= 0, got {oversub!r}",
+    )
+    if report.setdefault("evictions", None) is not None:
+        check_nonneg_int(report, path, "evictions")
+
     sched = report.get("scheduler")
     require(
         isinstance(sched, str) and sched,
@@ -568,7 +584,7 @@ def compare(current, cur_path, baseline, base_path):
         cur_path,
         "--compare only applies to planner or serve reports",
     )
-    for key in ("tasks", "gpus"):
+    for key in ("tasks", "gpus", "oversub"):
         require(
             current[key] == baseline[key],
             cur_path,
