@@ -3,7 +3,7 @@
 //! # micco-bench
 //!
 //! Experiment harnesses regenerating every table and figure of the paper's
-//! evaluation (Sec. V), plus Criterion micro-benchmarks and ablations.
+//! evaluation (Sec. V).
 //!
 //! Each `src/bin/*.rs` binary reproduces one exhibit and prints the same
 //! rows/series the paper reports:

@@ -35,7 +35,7 @@ impl ReuseBounds {
     }
 
     /// Effectively unlimited bounds — pure data-centric scheduling (used by
-    /// the ablation benches; equivalent to case ① of Fig. 2).
+    /// the `baselines_matrix` experiment; equivalent to case ① of Fig. 2).
     pub const fn unbounded() -> Self {
         ReuseBounds::new(usize::MAX / 2, usize::MAX / 2, usize::MAX / 2)
     }

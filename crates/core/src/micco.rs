@@ -521,7 +521,6 @@ mod tests {
         // run the same single-pair vector twice on one machine: the second
         // pass must classify as TwoRepeatedSame and stay on the same GPU
         let mut m = SimMachine::new(MachineConfig::mi100_like(4));
-        m.enable_trace();
         let stream = TensorPairStream::new(vec![
             vector_of(vec![task(1, 2, 100)]),
             vector_of(vec![task(1, 2, 101)]),

@@ -26,7 +26,7 @@ pub struct CostModel {
     pub evict_latency_us: f64,
     /// Whether device→device copies also occupy the source device's
     /// timeline (real peer DMA consumes source bandwidth). On by default;
-    /// an ablation bench flips it off.
+    /// the `cost_sensitivity` tests flip it off.
     pub d2d_charges_source: bool,
     /// Asynchronous data copy (the paper's future-work extension,
     /// Sec. VII): when on, each device has an independent DMA engine, so

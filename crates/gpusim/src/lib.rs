@@ -34,17 +34,11 @@ pub mod memory;
 pub mod shadow;
 pub mod stats;
 pub mod topology;
-pub mod trace;
 
 pub use cost::{CostModel, MachineConfig};
 pub use fault::{FaultKind, FaultPlan};
-pub use machine::{build_oracle, DeviceView, ExecError, GpuId, MachineView, SimMachine};
+pub use machine::{build_oracle, ExecError, GpuId, MachineView, SimMachine};
 pub use memory::{AllocError, DeviceMemory, Evicted, EvictionPolicy, Provenance};
 pub use shadow::{ExecObserver, NullObserver, ShadowMachine};
 pub use stats::{ExecStats, GpuStats};
 pub use topology::{Link, LinkClass, LinkSpec, LinkTopology};
-pub use trace::{Event, Trace};
-
-/// Convenience alias used across the scheduler crates: a read-only borrow of
-/// the machine mid-execution.
-pub type MachineState<'a> = &'a dyn MachineView;

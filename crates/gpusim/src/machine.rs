@@ -16,9 +16,10 @@
 //!
 //! Since the decide/execute split, the actual state-transition function
 //! lives in [`crate::shadow::ShadowMachine`]; `SimMachine` composes a
-//! shadow with the observational layer (statistics, event trace, per-stage
-//! attribution). Both the planning path and the simulation path therefore
-//! share one implementation and cannot drift apart.
+//! shadow with the observational layer: statistics, per-stage attribution,
+//! and every hook forwarded to an attached [`ExecObserver`]. Both the
+//! planning path and the simulation path therefore share one
+//! implementation and cannot drift apart.
 
 use micco_workload::{ContractionTask, TaskId, TensorId, TensorPairStream};
 
@@ -27,7 +28,6 @@ use crate::memory::AllocError;
 use crate::shadow::{intersect_secs, ExecObserver, ShadowMachine};
 use crate::stats::ExecStats;
 use crate::topology::LinkTopology;
-use crate::trace::{Event, Trace};
 
 pub use crate::shadow::build_oracle;
 
@@ -133,207 +133,53 @@ pub trait MachineView {
     }
 }
 
-/// The residency/occupancy queries schedulers actually use, distilled to
-/// four methods. Blanket-implemented for every [`MachineView`] — both
-/// [`SimMachine`] and [`ShadowMachine`] satisfy it, so code written against
-/// `DeviceView` runs unchanged on the full simulator and on the lightweight
-/// decide-phase shadow.
-pub trait DeviceView {
-    /// Number of devices.
-    fn num_gpus(&self) -> usize;
-    /// Whether tensor `t` is resident on device `g`.
-    fn is_resident(&self, g: GpuId, t: TensorId) -> bool;
-    /// Bytes still free on device `g`.
-    fn free_bytes(&self, g: GpuId) -> u64;
-    /// Current-stage load of device `g` in busy seconds.
-    fn device_load(&self, g: GpuId) -> f64;
-}
-
-impl<M: MachineView + ?Sized> DeviceView for M {
-    fn num_gpus(&self) -> usize {
-        MachineView::num_gpus(self)
-    }
-
-    fn is_resident(&self, g: GpuId, t: TensorId) -> bool {
-        self.holds(g, t)
-    }
-
-    fn free_bytes(&self, g: GpuId) -> u64 {
-        self.mem_capacity().saturating_sub(self.mem_used(g))
-    }
-
-    fn device_load(&self, g: GpuId) -> f64 {
-        self.stage_busy_secs(g)
-    }
-}
-
-/// The observer that turns shadow state transitions into statistics and
-/// trace events — the entire difference between planning and simulating.
+/// The statistics layer: counts every shadow state transition into
+/// [`ExecStats`], then forwards the hook to the externally attached
+/// observer, if there is one (see [`SimMachine::set_observer`]), so
+/// telemetry consumers see the exact hook sequence the stats are computed
+/// from. The counting is the entire difference between planning and
+/// simulating.
 struct StatsObserver<'a> {
     stats: &'a mut ExecStats,
-    trace: Option<&'a mut Trace>,
-}
-
-impl StatsObserver<'_> {
-    fn record(&mut self, e: Event) {
-        if let Some(t) = self.trace.as_deref_mut() {
-            t.push(e);
-        }
-    }
+    ext: Option<&'a mut Box<dyn ExecObserver + Send>>,
 }
 
 impl ExecObserver for StatsObserver<'_> {
     fn reuse_hit(&mut self, gpu: GpuId, tensor: TensorId) {
         self.stats.per_gpu[gpu.0].reuse_hits += 1;
-        self.record(Event::ReuseHit { gpu, tensor });
+        if let Some(ext) = &mut self.ext {
+            ext.reuse_hit(gpu, tensor);
+        }
     }
 
     fn alloc(&mut self, gpu: GpuId) {
         self.stats.per_gpu[gpu.0].allocs += 1;
+        if let Some(ext) = &mut self.ext {
+            ext.alloc(gpu);
+        }
     }
 
     fn h2d(&mut self, gpu: GpuId, tensor: TensorId, bytes: u64) {
         self.stats.per_gpu[gpu.0].h2d_count += 1;
         self.stats.per_gpu[gpu.0].h2d_bytes += bytes;
-        self.record(Event::H2d { gpu, tensor, bytes });
+        if let Some(ext) = &mut self.ext {
+            ext.h2d(gpu, tensor, bytes);
+        }
     }
 
     fn d2d(&mut self, src: GpuId, dst: GpuId, tensor: TensorId, bytes: u64) {
         self.stats.per_gpu[dst.0].d2d_count += 1;
         self.stats.per_gpu[dst.0].d2d_bytes += bytes;
-        self.record(Event::D2d {
-            src,
-            dst,
-            tensor,
-            bytes,
-        });
+        if let Some(ext) = &mut self.ext {
+            ext.d2d(src, dst, tensor, bytes);
+        }
     }
 
     fn source_charge(&mut self, src: GpuId, secs: f64) {
         self.stats.per_gpu[src.0].memory_secs += secs;
-    }
-
-    fn evict(&mut self, gpu: GpuId, tensor: TensorId, writeback: bool, bytes: u64) {
-        self.stats.per_gpu[gpu.0].evictions += 1;
-        if writeback {
-            self.stats.per_gpu[gpu.0].writeback_bytes += bytes;
+        if let Some(ext) = &mut self.ext {
+            ext.source_charge(src, secs);
         }
-        self.record(Event::Evict {
-            gpu,
-            tensor,
-            writeback,
-        });
-    }
-
-    fn kernel(&mut self, gpu: GpuId, task: TaskId, secs: f64) {
-        self.record(Event::Kernel { gpu, task, secs });
-    }
-
-    fn task_done(&mut self, gpu: GpuId, flops: u64, compute_secs: f64, mem_secs: f64) {
-        let s = &mut self.stats.per_gpu[gpu.0];
-        s.tasks += 1;
-        s.flops += flops;
-        s.compute_secs += compute_secs;
-        s.memory_secs += mem_secs;
-    }
-
-    fn fault(&mut self, gpu: GpuId, task: TaskId, kind: crate::fault::FaultKind) {
-        self.stats.per_gpu[gpu.0].faults += 1;
-        self.record(Event::Fault { gpu, task, kind });
-    }
-
-    fn retry(&mut self, gpu: GpuId, task: TaskId, attempt: u32) {
-        self.stats.per_gpu[gpu.0].retries += 1;
-        self.record(Event::Retry { gpu, task, attempt });
-    }
-
-    fn device_lost(&mut self, gpu: GpuId, stage: usize, permanent: bool) {
-        self.record(Event::DeviceLost {
-            gpu,
-            stage,
-            permanent,
-        });
-    }
-}
-
-/// Fans every observation out to the built-in statistics layer *and* an
-/// externally attached observer (see [`SimMachine::set_observer`]), so
-/// telemetry consumers see the exact same hook sequence the stats are
-/// computed from.
-struct TeeObserver<'a, 'b> {
-    stats: StatsObserver<'a>,
-    ext: &'b mut (dyn ExecObserver + Send),
-}
-
-impl ExecObserver for TeeObserver<'_, '_> {
-    fn reuse_hit(&mut self, gpu: GpuId, tensor: TensorId) {
-        self.stats.reuse_hit(gpu, tensor);
-        self.ext.reuse_hit(gpu, tensor);
-    }
-
-    fn alloc(&mut self, gpu: GpuId) {
-        self.stats.alloc(gpu);
-        self.ext.alloc(gpu);
-    }
-
-    fn h2d(&mut self, gpu: GpuId, tensor: TensorId, bytes: u64) {
-        self.stats.h2d(gpu, tensor, bytes);
-        self.ext.h2d(gpu, tensor, bytes);
-    }
-
-    fn d2d(&mut self, src: GpuId, dst: GpuId, tensor: TensorId, bytes: u64) {
-        self.stats.d2d(src, dst, tensor, bytes);
-        self.ext.d2d(src, dst, tensor, bytes);
-    }
-
-    fn source_charge(&mut self, src: GpuId, secs: f64) {
-        self.stats.source_charge(src, secs);
-        self.ext.source_charge(src, secs);
-    }
-
-    fn evict(&mut self, gpu: GpuId, tensor: TensorId, writeback: bool, bytes: u64) {
-        self.stats.evict(gpu, tensor, writeback, bytes);
-        self.ext.evict(gpu, tensor, writeback, bytes);
-    }
-
-    fn kernel(&mut self, gpu: GpuId, task: TaskId, secs: f64) {
-        self.stats.kernel(gpu, task, secs);
-        self.ext.kernel(gpu, task, secs);
-    }
-
-    fn task_done(&mut self, gpu: GpuId, flops: u64, compute_secs: f64, mem_secs: f64) {
-        self.stats.task_done(gpu, flops, compute_secs, mem_secs);
-        self.ext.task_done(gpu, flops, compute_secs, mem_secs);
-    }
-
-    fn fault(&mut self, gpu: GpuId, task: TaskId, kind: crate::fault::FaultKind) {
-        self.stats.fault(gpu, task, kind);
-        self.ext.fault(gpu, task, kind);
-    }
-
-    fn retry(&mut self, gpu: GpuId, task: TaskId, attempt: u32) {
-        self.stats.retry(gpu, task, attempt);
-        self.ext.retry(gpu, task, attempt);
-    }
-
-    fn device_lost(&mut self, gpu: GpuId, stage: usize, permanent: bool) {
-        self.stats.device_lost(gpu, stage, permanent);
-        self.ext.device_lost(gpu, stage, permanent);
-    }
-
-    fn copy_timed(&mut self, gpu: GpuId, start: f64, end: f64) {
-        self.stats.copy_timed(gpu, start, end);
-        self.ext.copy_timed(gpu, start, end);
-    }
-
-    fn kernel_timed(&mut self, gpu: GpuId, task: TaskId, start: f64, end: f64) {
-        self.stats.kernel_timed(gpu, task, start, end);
-        self.ext.kernel_timed(gpu, task, start, end);
-    }
-
-    fn stage_done(&mut self, stage: usize, start: f64, end: f64) {
-        self.stats.stage_done(stage, start, end);
-        self.ext.stage_done(stage, start, end);
     }
 
     fn link_hop(
@@ -346,8 +192,68 @@ impl ExecObserver for TeeObserver<'_, '_> {
         start: f64,
         end: f64,
     ) {
-        self.stats.link_hop(link, class, a, b, bytes, start, end);
-        self.ext.link_hop(link, class, a, b, bytes, start, end);
+        if let Some(ext) = &mut self.ext {
+            ext.link_hop(link, class, a, b, bytes, start, end);
+        }
+    }
+
+    fn evict(&mut self, gpu: GpuId, tensor: TensorId, writeback: bool, bytes: u64) {
+        self.stats.per_gpu[gpu.0].evictions += 1;
+        if writeback {
+            self.stats.per_gpu[gpu.0].writeback_bytes += bytes;
+        }
+        if let Some(ext) = &mut self.ext {
+            ext.evict(gpu, tensor, writeback, bytes);
+        }
+    }
+
+    fn kernel(&mut self, gpu: GpuId, task: TaskId, secs: f64) {
+        if let Some(ext) = &mut self.ext {
+            ext.kernel(gpu, task, secs);
+        }
+    }
+
+    fn task_done(&mut self, gpu: GpuId, flops: u64, compute_secs: f64, mem_secs: f64) {
+        let s = &mut self.stats.per_gpu[gpu.0];
+        s.tasks += 1;
+        s.flops += flops;
+        s.compute_secs += compute_secs;
+        s.memory_secs += mem_secs;
+        if let Some(ext) = &mut self.ext {
+            ext.task_done(gpu, flops, compute_secs, mem_secs);
+        }
+    }
+
+    fn fault(&mut self, gpu: GpuId, task: TaskId, kind: crate::fault::FaultKind) {
+        self.stats.per_gpu[gpu.0].faults += 1;
+        if let Some(ext) = &mut self.ext {
+            ext.fault(gpu, task, kind);
+        }
+    }
+
+    fn retry(&mut self, gpu: GpuId, task: TaskId, attempt: u32) {
+        self.stats.per_gpu[gpu.0].retries += 1;
+        if let Some(ext) = &mut self.ext {
+            ext.retry(gpu, task, attempt);
+        }
+    }
+
+    fn device_lost(&mut self, gpu: GpuId, stage: usize, permanent: bool) {
+        if let Some(ext) = &mut self.ext {
+            ext.device_lost(gpu, stage, permanent);
+        }
+    }
+
+    fn copy_timed(&mut self, gpu: GpuId, start: f64, end: f64) {
+        if let Some(ext) = &mut self.ext {
+            ext.copy_timed(gpu, start, end);
+        }
+    }
+
+    fn kernel_timed(&mut self, gpu: GpuId, task: TaskId, start: f64, end: f64) {
+        if let Some(ext) = &mut self.ext {
+            ext.kernel_timed(gpu, task, start, end);
+        }
     }
 }
 
@@ -377,7 +283,6 @@ impl ExecObserver for TeeObserver<'_, '_> {
 pub struct SimMachine {
     shadow: ShadowMachine,
     stats: ExecStats,
-    trace: Option<Trace>,
     stage_index: usize,
     observer: Option<Box<dyn ExecObserver + Send>>,
 }
@@ -388,7 +293,6 @@ impl SimMachine {
         SimMachine {
             shadow: ShadowMachine::new(config),
             stats: ExecStats::new(config.num_gpus),
-            trace: None,
             stage_index: 0,
             observer: None,
         }
@@ -477,49 +381,19 @@ impl SimMachine {
         self
     }
 
-    /// Detach and return the external observer, if one was attached.
-    pub fn take_observer(&mut self) -> Option<Box<dyn ExecObserver + Send>> {
-        self.observer.take()
-    }
-
-    /// Turn on event tracing (off by default).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Trace::default());
-    }
-
-    /// The event trace, if enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
-    }
-
     /// Statistics so far. `elapsed_secs` is complete only after the final
     /// [`Self::barrier`].
     pub fn stats(&self) -> &ExecStats {
         &self.stats
     }
 
-    fn record(&mut self, e: Event) {
-        if let Some(t) = &mut self.trace {
-            t.push(e);
-        }
-    }
-
     /// Execute `task` on device `gpu`, advancing its clock.
     pub fn execute(&mut self, task: &ContractionTask, gpu: GpuId) -> Result<(), ExecError> {
-        let stats = StatsObserver {
+        let mut obs = StatsObserver {
             stats: &mut self.stats,
-            trace: self.trace.as_mut(),
+            ext: self.observer.as_mut(),
         };
-        match self.observer.as_deref_mut() {
-            Some(ext) => {
-                let mut tee = TeeObserver { stats, ext };
-                self.shadow.execute_observed(task, gpu, &mut tee)
-            }
-            None => {
-                let mut stats = stats;
-                self.shadow.execute_observed(task, gpu, &mut stats)
-            }
-        }
+        self.shadow.execute_observed(task, gpu, &mut obs)
     }
 
     /// End the current stage: all device clocks advance to the stage
@@ -556,19 +430,7 @@ impl SimMachine {
             let idle_secs = (makespan - (copy_secs + compute_secs - overlap_secs)).max(0.0);
             self.stats.per_gpu[i].overlap_secs += overlap_secs;
             self.stats.per_gpu[i].idle_secs += idle_secs;
-            self.record(Event::StageBreakdown {
-                gpu: GpuId(i),
-                stage: self.stage_index,
-                copy_secs,
-                compute_secs,
-                overlap_secs,
-                idle_secs,
-            });
         }
-        self.record(Event::Barrier {
-            stage: self.stage_index,
-            makespan,
-        });
         if let Some(obs) = self.observer.as_deref_mut() {
             obs.stage_done(self.stage_index, start, end);
         }
@@ -660,6 +522,7 @@ mod tests {
     use crate::cost::CostModel;
     use crate::memory::EvictionPolicy;
     use micco_workload::{TaskId, TensorDesc};
+    use std::sync::{Arc, Mutex};
 
     /// Round-number cost model: 1 GFLOPS device, 1 GiB/s links, no latency.
     /// Source charging is off so per-device timings stay easy to hand-check;
@@ -705,9 +568,7 @@ mod tests {
             cost: unit_cost(),
             eviction: EvictionPolicy::Lru,
         };
-        let mut m = SimMachine::new(cfg);
-        m.enable_trace();
-        m
+        SimMachine::new(cfg)
     }
 
     const GIB: u64 = 1 << 30;
@@ -787,24 +648,24 @@ mod tests {
         assert_eq!(m.bytes_needed(GpuId(0), &t), 2 * GIB); // one input + output
     }
 
-    #[test]
-    fn device_view_blanket_impl_matches_machine_view() {
-        let mut m = machine(2, 3 * GIB);
-        m.execute(&task(0, 1, 2, 100, GIB, 0), GpuId(0)).unwrap();
-        let dv: &dyn MachineView = &m;
-        assert_eq!(DeviceView::num_gpus(dv), 2);
-        assert!(dv.is_resident(GpuId(0), TensorId(1)));
-        assert!(!dv.is_resident(GpuId(1), TensorId(1)));
-        assert_eq!(dv.free_bytes(GpuId(0)), 0);
-        assert_eq!(dv.free_bytes(GpuId(1)), 3 * GIB);
-        assert!(dv.device_load(GpuId(0)) > 0.0);
-        assert_eq!(dv.device_load(GpuId(1)), 0.0);
+    /// Attach an observer that records `(tensor, writeback)` per eviction.
+    fn observe_evictions(m: &mut SimMachine) -> Arc<Mutex<Vec<(TensorId, bool)>>> {
+        struct Evictions(Arc<Mutex<Vec<(TensorId, bool)>>>);
+        impl ExecObserver for Evictions {
+            fn evict(&mut self, _gpu: GpuId, tensor: TensorId, writeback: bool, _bytes: u64) {
+                self.0.lock().unwrap().push((tensor, writeback));
+            }
+        }
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        m.set_observer(Box::new(Evictions(seen.clone())));
+        seen
     }
 
     #[test]
-    fn eviction_charged_and_traced() {
+    fn eviction_charged_and_observed() {
         // memory for exactly 3 tensors of 1 GiB
         let mut m = machine(1, 3 * GIB);
+        let evictions = observe_evictions(&mut m);
         m.execute(&task(0, 1, 2, 100, GIB, 0), GpuId(0)).unwrap();
         // next task needs 2 new tensors + output = 3 GiB, only 0 free →
         // evicts 3 (LRU order: tensors 1, 2, then output 100)
@@ -812,23 +673,17 @@ mod tests {
         m.barrier();
         let s = m.stats();
         assert_eq!(s.per_gpu[0].evictions, 3);
-        let trace = m.trace().unwrap();
-        assert_eq!(trace.count(|e| matches!(e, Event::Evict { .. })), 3);
+        let evictions = evictions.lock().unwrap();
+        assert_eq!(evictions.len(), 3);
         // the evicted output (tensor 100) pays a write-back
-        assert!(trace.events().iter().any(|e| matches!(
-            e,
-            Event::Evict {
-                tensor: TensorId(100),
-                writeback: true,
-                ..
-            }
-        )));
+        assert!(evictions.contains(&(TensorId(100), true)));
         assert_eq!(s.per_gpu[0].writeback_bytes, GIB);
     }
 
     #[test]
     fn writeback_paid_once_per_tensor() {
         let mut m = machine(1, 3 * GIB);
+        let evictions = observe_evictions(&mut m);
         m.execute(&task(0, 1, 2, 100, GIB, 0), GpuId(0)).unwrap();
         m.execute(&task(1, 3, 100, 101, GIB, 0), GpuId(0)).unwrap(); // 100 reused
                                                                      // force 100 out, then back in, then out again
@@ -836,22 +691,12 @@ mod tests {
         m.execute(&task(3, 100, 6, 103, GIB, 0), GpuId(0)).unwrap();
         m.execute(&task(4, 7, 8, 104, GIB, 0), GpuId(0)).unwrap();
         m.barrier();
-        let wb: u64 = m
-            .trace()
+        let wb = evictions
+            .lock()
             .unwrap()
-            .events()
             .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    Event::Evict {
-                        tensor: TensorId(100),
-                        writeback: true,
-                        ..
-                    }
-                )
-            })
-            .count() as u64;
+            .filter(|&&e| e == (TensorId(100), true))
+            .count();
         assert_eq!(wb, 1, "tensor 100 must pay write-back exactly once");
     }
 
@@ -1294,38 +1139,31 @@ mod tests {
         }
     }
 
+    /// Per stage and per device, the `GpuStats` growth across the barrier
+    /// satisfies compute + memory − overlap + idle == the stage makespan.
     #[test]
-    fn stage_breakdown_events_reconstruct_makespans() {
-        let mut m = machine(2, 100 * GIB);
-        m.enable_trace();
-        m.execute(&task(0, 1, 2, 100, GIB, 1_000_000_000), GpuId(0))
-            .unwrap();
-        m.barrier();
-        m.execute(&task(1, 3, 4, 101, GIB, 0), GpuId(1)).unwrap();
-        m.barrier();
-        let trace = m.trace().unwrap();
-        let breakdowns: Vec<_> = trace
-            .events()
-            .iter()
-            .filter(|e| matches!(e, Event::StageBreakdown { .. }))
-            .collect();
-        assert_eq!(breakdowns.len(), 4, "one per device per stage");
-        for e in breakdowns {
-            if let Event::StageBreakdown {
-                stage,
-                copy_secs,
-                compute_secs,
-                overlap_secs,
-                idle_secs,
-                ..
-            } = e
-            {
-                let makespan = m.stats().stage_makespans[*stage];
-                let sum = copy_secs + compute_secs - overlap_secs + idle_secs;
-                assert!(
-                    (sum - makespan).abs() < 1e-9,
-                    "stage {stage}: {sum} vs {makespan}"
-                );
+    fn stage_breakdown_stats_reconstruct_makespans() {
+        for mut m in [machine(2, 100 * GIB), async_machine(2, 100 * GIB)] {
+            let stages = [
+                (task(0, 1, 2, 100, GIB, 1_000_000_000), GpuId(0)),
+                (task(1, 3, 4, 101, GIB, 0), GpuId(1)),
+            ];
+            let mut before = m.stats().per_gpu.clone();
+            for (stage, (t, gpu)) in stages.iter().enumerate() {
+                m.execute(t, *gpu).unwrap();
+                m.barrier();
+                let makespan = m.stats().stage_makespans[stage];
+                for (i, (now, was)) in m.stats().per_gpu.iter().zip(&before).enumerate() {
+                    let sum = (now.compute_secs - was.compute_secs)
+                        + (now.memory_secs - was.memory_secs)
+                        - (now.overlap_secs - was.overlap_secs)
+                        + (now.idle_secs - was.idle_secs);
+                    assert!(
+                        (sum - makespan).abs() < 1e-9,
+                        "stage {stage} gpu{i}: {sum} vs {makespan}"
+                    );
+                }
+                before = m.stats().per_gpu.clone();
             }
         }
     }
@@ -1366,8 +1204,6 @@ mod tests {
     /// it collects reconstruct the per-device copy/compute stats exactly.
     #[test]
     fn external_observer_timed_hooks_match_stats() {
-        use std::sync::{Arc, Mutex};
-
         #[derive(Default, Clone)]
         struct Collected {
             copy: Vec<(usize, f64, f64)>,
@@ -1467,5 +1303,142 @@ mod tests {
             (run(0) - run(2)).abs() < 1e-9,
             "sync mode has no DMA lookahead to bound"
         );
+    }
+
+    /// Every hook the statistics layer counts reaches an attached observer,
+    /// in the same number, and so do the hooks it only forwards.
+    #[test]
+    fn attached_observer_sees_every_hook_the_stats_count() {
+        use crate::fault::{FaultKind, FaultPlan};
+
+        #[derive(Default)]
+        struct Counts {
+            reuse_hit: u64,
+            alloc: u64,
+            h2d: u64,
+            d2d: u64,
+            source_charge: u64,
+            link_hop: u64,
+            evict: u64,
+            writeback_evict: u64,
+            kernel: u64,
+            kernel_timed: u64,
+            copy_timed: u64,
+            task_done: u64,
+            fault: u64,
+            retry: u64,
+            device_lost: u64,
+        }
+        struct Counter(Arc<Mutex<Counts>>);
+        impl ExecObserver for Counter {
+            fn reuse_hit(&mut self, _gpu: GpuId, _tensor: TensorId) {
+                self.0.lock().unwrap().reuse_hit += 1;
+            }
+            fn alloc(&mut self, _gpu: GpuId) {
+                self.0.lock().unwrap().alloc += 1;
+            }
+            fn h2d(&mut self, _gpu: GpuId, _tensor: TensorId, _bytes: u64) {
+                self.0.lock().unwrap().h2d += 1;
+            }
+            fn d2d(&mut self, _src: GpuId, _dst: GpuId, _tensor: TensorId, _bytes: u64) {
+                self.0.lock().unwrap().d2d += 1;
+            }
+            fn source_charge(&mut self, _src: GpuId, _secs: f64) {
+                self.0.lock().unwrap().source_charge += 1;
+            }
+            fn link_hop(
+                &mut self,
+                _link: usize,
+                _class: &'static str,
+                _a: usize,
+                _b: usize,
+                _bytes: u64,
+                _start: f64,
+                _end: f64,
+            ) {
+                self.0.lock().unwrap().link_hop += 1;
+            }
+            fn evict(&mut self, _gpu: GpuId, _tensor: TensorId, writeback: bool, _bytes: u64) {
+                let mut c = self.0.lock().unwrap();
+                c.evict += 1;
+                c.writeback_evict += u64::from(writeback);
+            }
+            fn kernel(&mut self, _gpu: GpuId, _task: TaskId, _secs: f64) {
+                self.0.lock().unwrap().kernel += 1;
+            }
+            fn kernel_timed(&mut self, _gpu: GpuId, _task: TaskId, _start: f64, _end: f64) {
+                self.0.lock().unwrap().kernel_timed += 1;
+            }
+            fn copy_timed(&mut self, _gpu: GpuId, _start: f64, _end: f64) {
+                self.0.lock().unwrap().copy_timed += 1;
+            }
+            fn task_done(&mut self, _gpu: GpuId, _flops: u64, _compute: f64, _mem: f64) {
+                self.0.lock().unwrap().task_done += 1;
+            }
+            fn fault(&mut self, _gpu: GpuId, _task: TaskId, _kind: FaultKind) {
+                self.0.lock().unwrap().fault += 1;
+            }
+            fn retry(&mut self, _gpu: GpuId, _task: TaskId, _attempt: u32) {
+                self.0.lock().unwrap().retry += 1;
+            }
+            fn device_lost(&mut self, _gpu: GpuId, _stage: usize, _permanent: bool) {
+                self.0.lock().unwrap().device_lost += 1;
+            }
+        }
+
+        let cfg = MachineConfig {
+            num_gpus: 4,
+            mem_bytes: 3 * GIB,
+            cost: CostModel {
+                d2d_charges_source: true,
+                ..unit_cost()
+            },
+            eviction: EvictionPolicy::Lru,
+        };
+        let faults = FaultPlan::none()
+            .with_kernel_fault(2, 2)
+            .with_transfer_timeout(1, 1)
+            .with_device_loss(3, 1, false);
+        let counts = Arc::new(Mutex::new(Counts::default()));
+        let mut m = SimMachine::new(cfg)
+            .with_topology(LinkTopology::nvlink(4, 2))
+            .with_faults(faults)
+            .with_observer(Box::new(Counter(counts.clone())));
+        // stage 0: gpu0 fills up; gpu2 pulls tensor 1 across islands (its
+        // staging times out once); gpu0 reuses both operands, evicts output
+        // 100 with a write-back, and its kernel fails twice
+        m.execute(&task(0, 1, 2, 100, GIB, 1_000_000_000), GpuId(0))
+            .unwrap();
+        m.execute(&task(1, 1, 3, 101, GIB, 1_000_000_000), GpuId(2))
+            .unwrap();
+        m.execute(&task(2, 1, 2, 102, GIB, 1_000_000_000), GpuId(0))
+            .unwrap();
+        m.barrier();
+        // stage 1: reuse on gpu2, a full turnover of gpu0, and gpu3 is down
+        m.execute(&task(3, 1, 3, 103, GIB, 1_000_000_000), GpuId(2))
+            .unwrap();
+        m.execute(&task(4, 4, 5, 104, GIB, 1_000_000_000), GpuId(0))
+            .unwrap();
+        let lost = m.execute(&task(5, 6, 7, 105, GIB, 0), GpuId(3));
+        assert!(matches!(lost, Err(ExecError::DeviceLost { .. })));
+        m.barrier();
+
+        let s = m.stats();
+        let c = counts.lock().unwrap();
+        assert_eq!(c.reuse_hit, s.total_reuse_hits());
+        assert_eq!(c.alloc, s.per_gpu.iter().map(|g| g.allocs).sum::<u64>());
+        assert_eq!(c.h2d, s.total_h2d());
+        assert_eq!(c.d2d, s.total_d2d());
+        assert_eq!(c.evict, s.total_evictions());
+        assert_eq!(c.task_done, s.total_tasks());
+        assert_eq!(c.kernel, s.total_tasks());
+        assert_eq!(c.kernel_timed, s.total_tasks());
+        assert_eq!(c.fault, s.total_faults());
+        assert_eq!(c.retry, s.total_retries());
+        assert!(c.source_charge > 0, "no source charge reached the observer");
+        assert!(c.link_hop > 0, "no link hop reached the observer");
+        assert!(c.copy_timed > 0, "no copy span reached the observer");
+        assert!(c.writeback_evict > 0, "no write-back eviction was observed");
+        assert_eq!((c.fault, c.retry, c.device_lost), (2, 3, 1));
     }
 }

@@ -3,19 +3,18 @@
 //! [`ShadowMachine`] advances exactly the state a scheduler can query
 //! through [`MachineView`] — per-device residency (with evictions), memory
 //! occupancy, stage load, and the dual compute/DMA clocks — but keeps no
-//! statistics, no event trace and no per-stage attribution. It is the
-//! substrate the plan linter and certifier replay placements on, and the
-//! state under every [`crate::SimMachine`] — the machine
-//! `micco_core::Session::plan` decides against, so the planning pass also
-//! yields the run's statistics.
+//! statistics and no per-stage attribution. It is the substrate the plan
+//! linter and certifier replay placements on, and the state under every
+//! [`crate::SimMachine`] — the machine `micco_core::Session::plan` decides
+//! against, so the planning pass also yields the run's statistics.
 //!
 //! [`crate::SimMachine`] is a thin observing wrapper over this type: it
-//! delegates every state transition here and layers statistics/tracing on
-//! top through the [`ExecObserver`] hooks. Sharing the transition function
-//! (rather than duplicating it) is what makes the planned and the
-//! interleaved paths agree bit-for-bit. The same hooks are public so
-//! offline tools (the `micco-analysis` plan linter) can replay placements
-//! and watch transfers/evictions without any stats machinery.
+//! delegates every state transition here and layers statistics (and any
+//! attached observer) on top through the [`ExecObserver`] hooks. Sharing
+//! the transition function (rather than duplicating it) is what makes the
+//! planned and the interleaved paths agree bit-for-bit. The same hooks are
+//! public so offline tools (the `micco-analysis` plan linter) can replay
+//! placements and watch transfers/evictions without any stats machinery.
 //!
 //! ## Interned residency index
 //!
@@ -43,9 +42,8 @@ use crate::memory::{DeviceMemory, Evicted, Provenance};
 use crate::topology::LinkTopology;
 
 /// Observation hooks called by [`ShadowMachine::execute_observed`] at the
-/// exact points the original interleaved simulator recorded statistics and
-/// trace events. All methods default to no-ops, so the pure decide path
-/// costs nothing.
+/// exact points the simulator counts its statistics. All methods default
+/// to no-ops, so the pure decide path costs nothing.
 ///
 /// This trait is public so pure consumers — the statistics layer inside
 /// this crate, but also offline tools like the `micco-analysis` plan

@@ -36,7 +36,8 @@ pub struct GpuStats {
     /// stalled on its own operands).
     pub idle_secs: f64,
     /// Injected faults that fired on this device (kernel faults and
-    /// transfer timeouts; device losses are trace events only).
+    /// transfer timeouts; device losses are not counted here and reach
+    /// only an attached [`crate::ExecObserver`]).
     pub faults: u64,
     /// Retried attempts after transient faults.
     pub retries: u64,

@@ -342,7 +342,6 @@ proptest! {
         const MB: u64 = 1 << 20;
         let cfg = MachineConfig::mi100_like(2).with_mem_bytes(10 * MB);
         let mut machine = SimMachine::new(cfg);
-        machine.enable_trace();
         for (i, (a, b)) in placements.into_iter().enumerate() {
             let t = ContractionTask {
                 id: TaskId(i as u64),

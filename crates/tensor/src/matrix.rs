@@ -147,10 +147,8 @@ pub(crate) fn matmul_into(a: &[Complex64], b: &[Complex64], out: &mut [Complex64
 }
 
 /// The straightforward `i, k, j` kernel (inner loop streams rows of `b` and
-/// `out`). Public for the `kernels` criterion bench; use [`Matrix::matmul`]
-/// in real code.
-#[doc(hidden)]
-pub fn gemm_naive(a: &[Complex64], b: &[Complex64], out: &mut [Complex64], n: usize) {
+/// `out`).
+fn gemm_naive(a: &[Complex64], b: &[Complex64], out: &mut [Complex64], n: usize) {
     for i in 0..n {
         let arow = &a[i * n..(i + 1) * n];
         let orow = &mut out[i * n..(i + 1) * n];
@@ -168,8 +166,7 @@ pub fn gemm_naive(a: &[Complex64], b: &[Complex64], out: &mut [Complex64], n: us
 /// `a`. Per output element the `k` order is still globally ascending, so
 /// results are bitwise identical to [`gemm_naive`] (floating-point addition
 /// order is preserved).
-#[doc(hidden)]
-pub fn gemm_blocked(a: &[Complex64], b: &[Complex64], out: &mut [Complex64], n: usize) {
+fn gemm_blocked(a: &[Complex64], b: &[Complex64], out: &mut [Complex64], n: usize) {
     const KB: usize = 16;
     let mut kk = 0;
     while kk < n {

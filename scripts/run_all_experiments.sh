@@ -50,7 +50,4 @@ for b in "${PAPER_BINS[@]}" "${EXT_BINS[@]}"; do
   cargo run --release -q -p micco-bench --bin "$b" | tee "results/$b.txt"
 done
 
-echo "== criterion micro/ablation benches =="
-cargo bench -p micco-bench
-
-echo "done; see results/ and target/criterion/"
+echo "done; see results/"

@@ -115,8 +115,7 @@ pub mod prelude {
         Scheduler, Session, SessionConfig,
     };
     pub use micco_gpusim::{
-        CostModel, DeviceView, LinkSpec, LinkTopology, MachineConfig, MachineState, ShadowMachine,
-        SimMachine,
+        CostModel, LinkSpec, LinkTopology, MachineConfig, ShadowMachine, SimMachine,
     };
     pub use micco_obs::{MetricsRegistry, Recorder, SpanObserver, TraceSink};
     pub use micco_workload::{RepeatDistribution, TensorPairStream, Vector, WorkloadSpec};

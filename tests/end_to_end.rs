@@ -1,13 +1,16 @@
 //! End-to-end integration: Redstar front end → staging → scheduling →
 //! simulated execution, and the numeric placement-invariance guarantee.
 
-use micco::gpusim::{Event, MachineConfig, SimMachine};
+use std::sync::{Arc, Mutex};
+
+use micco::gpusim::{ExecObserver, GpuId, MachineConfig, SimMachine};
 use micco::redstar::numeric::evaluate_plans;
 use micco::redstar::{al_rhopi, build_correlator, f0d2, PresetScale};
 use micco::sched::driver::run_schedule_on;
 use micco::sched::{
     GrouteScheduler, MiccoScheduler, ReuseBounds, RoundRobinScheduler, Scheduler, Session,
 };
+use micco::workload::{TaskId, TensorId};
 
 fn schedulers() -> Vec<Box<dyn Scheduler>> {
     vec![
@@ -56,20 +59,45 @@ fn numeric_result_is_placement_invariant() {
     assert!(v1.is_finite());
 }
 
+/// Counts of the operand-sourcing and kernel hooks an attached observer saw.
+#[derive(Default)]
+struct Sourcing {
+    h2d: usize,
+    d2d: usize,
+    reuse: usize,
+    kernels: usize,
+}
+
+struct SourcingCounter(Arc<Mutex<Sourcing>>);
+
+impl ExecObserver for SourcingCounter {
+    fn h2d(&mut self, _gpu: GpuId, _tensor: TensorId, _bytes: u64) {
+        self.0.lock().expect("counter lock").h2d += 1;
+    }
+    fn d2d(&mut self, _src: GpuId, _dst: GpuId, _tensor: TensorId, _bytes: u64) {
+        self.0.lock().expect("counter lock").d2d += 1;
+    }
+    fn reuse_hit(&mut self, _gpu: GpuId, _tensor: TensorId) {
+        self.0.lock().expect("counter lock").reuse += 1;
+    }
+    fn kernel(&mut self, _gpu: GpuId, _task: TaskId, _secs: f64) {
+        self.0.lock().expect("counter lock").kernels += 1;
+    }
+}
+
 #[test]
 fn operand_sourcing_accounts_for_every_input() {
     // Every task has two input operands; each is either a reuse hit, an
-    // h2d fetch, or a d2d copy. The trace must account for all of them.
+    // h2d fetch, or a d2d copy. The observed hooks must account for all
+    // of them.
     let program = build_correlator(&al_rhopi(PresetScale::Ci));
     let cfg = MachineConfig::mi100_like(4);
-    let mut machine = SimMachine::new(cfg);
-    machine.enable_trace();
+    let seen = Arc::new(Mutex::new(Sourcing::default()));
+    let mut machine = SimMachine::new(cfg).with_observer(Box::new(SourcingCounter(seen.clone())));
     let mut sched = MiccoScheduler::new(ReuseBounds::new(0, 2, 0));
     let report = run_schedule_on(&mut sched, &program.stream, &mut machine).expect("fits");
-    let trace = machine.trace().unwrap();
-    let h2d = trace.count(|e| matches!(e, Event::H2d { .. }));
-    let d2d = trace.count(|e| matches!(e, Event::D2d { .. }));
-    let reuse = trace.count(|e| matches!(e, Event::ReuseHit { .. }));
+    let seen = seen.lock().unwrap();
+    let (h2d, d2d, reuse) = (seen.h2d, seen.d2d, seen.reuse);
     assert_eq!(
         h2d + d2d + reuse,
         2 * program.stream.total_tasks(),
@@ -78,8 +106,7 @@ fn operand_sourcing_accounts_for_every_input() {
     assert_eq!(h2d as u64, report.stats.total_h2d());
     assert_eq!(d2d as u64, report.stats.total_d2d());
     assert_eq!(reuse as u64, report.stats.total_reuse_hits());
-    let kernels = trace.count(|e| matches!(e, Event::Kernel { .. }));
-    assert_eq!(kernels, program.stream.total_tasks());
+    assert_eq!(seen.kernels, program.stream.total_tasks());
 }
 
 #[test]
