@@ -751,18 +751,18 @@ pub fn certify_trace_with(
         );
         return report;
     }
-    if plan.stages.len() != stream.vectors.len() {
+    if plan.stages.len() != stream.vectors().len() {
         report.push(Diagnostic::new(
             Code::PlanStructureMismatch,
             format!(
                 "plan has {} stages, stream has {} vectors",
                 plan.stages.len(),
-                stream.vectors.len()
+                stream.vectors().len()
             ),
         ));
         return report;
     }
-    for (s, (stage, vector)) in plan.stages.iter().zip(&stream.vectors).enumerate() {
+    for (s, (stage, vector)) in plan.stages.iter().zip(stream.vectors()).enumerate() {
         if stage.assignments.len() != vector.tasks.len() {
             report.push(
                 Diagnostic::new(
@@ -799,7 +799,7 @@ pub fn certify_trace_with(
     let stages: Vec<PlacedStage> = plan
         .stages
         .iter()
-        .zip(&stream.vectors)
+        .zip(stream.vectors())
         .map(|(st, v)| PlacedStage {
             bounds: st.bounds,
             placements: v
@@ -851,7 +851,7 @@ mod tests {
         if let Some(t) = topology {
             machine.set_topology(Some(t.clone()));
         }
-        for (stage, vector) in plan.stages.iter().zip(&stream.vectors) {
+        for (stage, vector) in plan.stages.iter().zip(stream.vectors()) {
             for (a, t) in stage.assignments.iter().zip(&vector.tasks) {
                 machine.execute(t, a.gpu).expect("placement executes");
             }
@@ -925,7 +925,7 @@ mod tests {
         let stages: Vec<PlacedStage> = plan
             .stages
             .iter()
-            .zip(&stream.vectors)
+            .zip(stream.vectors())
             .map(|(st, v)| PlacedStage {
                 bounds: st.bounds,
                 placements: v
@@ -939,9 +939,9 @@ mod tests {
         let dag = plan_dag(&stages, &cfg, None);
         assert_eq!(
             dag.num_tasks(),
-            stream.vectors.iter().map(|v| v.tasks.len()).sum()
+            stream.vectors().iter().map(|v| v.tasks.len()).sum()
         );
-        assert_eq!(dag.barrier_edges(), stream.vectors.len() - 1);
+        assert_eq!(dag.barrier_edges(), stream.vectors().len() - 1);
     }
 
     #[test]
@@ -1214,7 +1214,7 @@ mod tests {
             .unwrap()
             .into_plan();
         let r = certify_trace(&plan, &stream, &cfg, &[]);
-        let total: usize = stream.vectors.iter().map(|v| v.tasks.len()).sum();
+        let total: usize = stream.vectors().iter().map(|v| v.tasks.len()).sum();
         assert_eq!(r.with_code(Code::TracePlanDivergence).len(), total);
     }
 }

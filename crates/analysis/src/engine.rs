@@ -151,24 +151,24 @@ pub fn analyze_plan_with_topology(
         );
         return report;
     }
-    if plan.stages.len() != stream.vectors.len() {
+    if plan.stages.len() != stream.vectors().len() {
         report.push(
             Diagnostic::new(
                 Code::PlanStructureMismatch,
                 format!(
                     "plan has {} stages, stream has {} vectors",
                     plan.stages.len(),
-                    stream.vectors.len()
+                    stream.vectors().len()
                 ),
             )
             .with("plan_stages", plan.stages.len())
-            .with("stream_vectors", stream.vectors.len()),
+            .with("stream_vectors", stream.vectors().len()),
         );
         return report;
     }
 
     let mut structural_ok = true;
-    for (s, (stage, vector)) in plan.stages.iter().zip(&stream.vectors).enumerate() {
+    for (s, (stage, vector)) in plan.stages.iter().zip(stream.vectors()).enumerate() {
         if stage.assignments.len() != vector.tasks.len() {
             report.push(
                 Diagnostic::new(
@@ -250,7 +250,7 @@ pub fn analyze_plan_with_topology(
     let stages: Vec<PlacedStage> = plan
         .stages
         .iter()
-        .zip(&stream.vectors)
+        .zip(stream.vectors())
         .map(|(st, v)| PlacedStage {
             bounds: st.bounds,
             placements: v

@@ -199,7 +199,7 @@ fn main() {
         tasks = total,
         gpus = args.gpus,
         oversub = json_f64(args.oversub),
-        stages = stream.vectors.len(),
+        stages = stream.vectors().len(),
         sched = fast_plan.scheduler,
         digest = fast_plan.digest(),
         evictions = evictions,

@@ -24,7 +24,7 @@ fn chained_stream(seed: u64) -> TensorPairStream {
         .with_vectors(8)
         .with_seed(seed)
         .generate();
-    let mut vectors = base.vectors.clone();
+    let mut vectors = base.into_vectors();
     for v in 1..vectors.len() {
         let prev_outs: Vec<_> = vectors[v - 1].tasks.iter().map(|t| t.out).collect();
         for (i, t) in vectors[v].tasks.iter_mut().enumerate() {

@@ -1,8 +1,9 @@
 //! Table V — Scheduling overhead.
 //!
-//! Wall-clock time spent inside MICCO's per-pair scheduling decision vs the
-//! total execution time, for a sum of ten vectors (vector size 64, tensor
-//! size 384, repeated rate 50 %).
+//! Wall-clock time spent inside MICCO's scheduling decisions — per-vector
+//! bound selection (characteristics and regression inference) plus the
+//! per-pair placement — vs the total execution time, for a sum of ten
+//! vectors (vector size 64, tensor size 384, repeated rate 50 %).
 //!
 //! Paper reference: 8.27 ms overhead / 4925.73 ms total (Uniform, 0.17 %…
 //! the paper quotes 5.4 % including model inference) and 8.52 / 1550.88 ms

@@ -179,7 +179,7 @@ mod tests {
         let a = standard_stream(8, 128, 0.5, RepeatDistribution::Uniform, 1);
         let b = standard_stream(8, 128, 0.5, RepeatDistribution::Uniform, 1);
         assert_eq!(a, b);
-        assert_eq!(a.vectors.len(), DEFAULT_VECTORS);
+        assert_eq!(a.vectors().len(), DEFAULT_VECTORS);
     }
 
     #[test]

@@ -898,7 +898,7 @@ fn redstar(args: &Args) -> Result<(), String> {
         program.total_steps,
         program.unique_steps,
         program.cse_savings() * 100.0,
-        program.stream.vectors.len(),
+        program.stream.vectors().len(),
         program.working_set_bytes as f64 / (1u64 << 30) as f64,
     );
     let session = cfg.session(&program.stream).map_err(|e| e.to_string())?;

@@ -107,18 +107,18 @@ pub fn analyze_cluster_plan_with(
             nodes: Vec::new(),
         };
     }
-    if plan.stages.len() != stream.vectors.len() {
+    if plan.stages.len() != stream.vectors().len() {
         cluster.push(
             Diagnostic::new(
                 Code::PlanStructureMismatch,
                 format!(
                     "cluster plan has {} stages, stream has {} vectors",
                     plan.stages.len(),
-                    stream.vectors.len()
+                    stream.vectors().len()
                 ),
             )
             .with("plan_stages", plan.stages.len())
-            .with("stream_vectors", stream.vectors.len()),
+            .with("stream_vectors", stream.vectors().len()),
         );
         return ClusterAnalysis {
             cluster,
@@ -127,7 +127,7 @@ pub fn analyze_cluster_plan_with(
     }
 
     let mut structural_ok = true;
-    for (s, (stage, vector)) in plan.stages.iter().zip(&stream.vectors).enumerate() {
+    for (s, (stage, vector)) in plan.stages.iter().zip(stream.vectors()).enumerate() {
         if stage.len() != vector.tasks.len() {
             cluster.push(
                 Diagnostic::new(
@@ -241,7 +241,7 @@ pub fn analyze_cluster_plan_with(
             let stages: Vec<PlacedStage> = plan
                 .stages
                 .iter()
-                .zip(&stream.vectors)
+                .zip(stream.vectors())
                 .map(|(stage, vector)| PlacedStage {
                     // Cluster plans record no reuse bounds; the node
                     // projection is linted for memory behaviour alone.

@@ -296,7 +296,7 @@ impl<M: NodeMachine> ClusterSim<M> {
     /// Validate a workload fits the per-node machines.
     pub fn fits(&self, stream: &TensorPairStream) -> bool {
         stream
-            .vectors
+            .vectors()
             .iter()
             .flat_map(|v| v.tasks.iter())
             .all(|t| t.a.bytes + t.b.bytes + t.out.bytes <= self.config.node.mem_bytes)

@@ -186,7 +186,7 @@ mod tests {
             .generate();
         // rewrite 1/2 of the inputs of vector v>0 to reference outputs of
         // vector v-1 (round-robin), creating cross-stage intermediates
-        let mut vectors = base.vectors.clone();
+        let mut vectors = base.into_vectors();
         for v in 1..vectors.len() {
             let prev_outs: Vec<_> = vectors[v - 1].tasks.iter().map(|t| t.out).collect();
             for (i, t) in vectors[v].tasks.iter_mut().enumerate() {

@@ -96,13 +96,13 @@ impl ClusterPlan {
                 stream: fp,
             });
         }
-        if self.stages.len() != stream.vectors.len() {
+        if self.stages.len() != stream.vectors().len() {
             return Err(ClusterPlanError::StageCountMismatch {
                 plan: self.stages.len(),
-                stream: stream.vectors.len(),
+                stream: stream.vectors().len(),
             });
         }
-        for (s, (stage, vector)) in self.stages.iter().zip(&stream.vectors).enumerate() {
+        for (s, (stage, vector)) in self.stages.iter().zip(stream.vectors()).enumerate() {
             if stage.len() != vector.len() {
                 return Err(ClusterPlanError::StageLenMismatch {
                     stage: s,
@@ -325,8 +325,8 @@ pub fn plan_cluster_schedule(
     config: &ClusterConfig,
 ) -> Result<ClusterPlan, ExecError> {
     let mut cluster = ShadowCluster::new(*config);
-    let mut stages = Vec::with_capacity(stream.vectors.len());
-    for vector in &stream.vectors {
+    let mut stages = Vec::with_capacity(stream.vectors().len());
+    for vector in stream.vectors() {
         scheduler.begin_vector(vector, &cluster);
         let mut stage = Vec::with_capacity(vector.len());
         for task in &vector.tasks {
@@ -366,7 +366,7 @@ pub fn execute_cluster_plan(
 ) -> Result<ClusterReport, ClusterError> {
     plan.validate_for(stream, config)?;
     let mut cluster = SimCluster::new(*config);
-    for (vector, stage) in stream.vectors.iter().zip(&plan.stages) {
+    for (vector, stage) in stream.vectors().iter().zip(&plan.stages) {
         for (task, a) in vector.tasks.iter().zip(stage) {
             cluster.execute(task, a.node, a.gpu)?;
         }
@@ -530,7 +530,7 @@ mod tests {
             .with_vectors(3)
             .with_seed(5)
             .generate();
-        let mut vectors = base.vectors.clone();
+        let mut vectors = base.into_vectors();
         for v in 1..vectors.len() {
             let prev: Vec<_> = vectors[v - 1].tasks.iter().map(|t| t.out).collect();
             for (i, t) in vectors[v].tasks.iter_mut().enumerate() {
@@ -591,7 +591,7 @@ mod tests {
         let total: usize = node_plans.iter().map(|p| p.total_tasks()).sum();
         assert_eq!(total, stream.total_tasks());
         for (n, p) in node_plans.iter().enumerate() {
-            assert_eq!(p.stages.len(), stream.vectors.len());
+            assert_eq!(p.stages.len(), stream.vectors().len());
             assert_eq!(p.num_gpus, cfg.node.num_gpus);
             assert!(p.scheduler.ends_with(&format!("@node{n}")));
             // the projection round-trips through the plan text format
@@ -607,8 +607,9 @@ mod tests {
         let plan = plan_cluster_schedule(&mut FlatClusterScheduler::new(), &stream, &cfg).unwrap();
         assert!(plan.validate_for(&stream, &cfg).is_ok());
 
-        let mut drifted = stream.clone();
-        drifted.vectors[0].tasks[0].flops += 1;
+        let mut vectors = stream.clone().into_vectors();
+        vectors[0].tasks[0].flops += 1;
+        let drifted = TensorPairStream::new(vectors);
         assert!(matches!(
             execute_cluster_plan(&plan, &drifted, &cfg),
             Err(ClusterError::Plan(

@@ -47,7 +47,7 @@ pub fn trace_cluster_plan(
             .with_pid_base((n * plan.gpus_per_node) as u32, &format!("node{n}/"))
             .without_stage_spans();
         let mut machine = SimMachine::new(config.node).with_observer(Box::new(obs));
-        for (vector, stage) in stream.vectors.iter().zip(&plan.stages) {
+        for (vector, stage) in stream.vectors().iter().zip(&plan.stages) {
             for (task, a) in vector.tasks.iter().zip(stage) {
                 if a.node.0 == n {
                     machine.execute(task, a.gpu)?;
@@ -121,7 +121,7 @@ pub fn certify_cluster_trace(
     let mut merged = Report::new();
     for n in 0..plan.num_nodes {
         let stages: Vec<PlacedStage> = stream
-            .vectors
+            .vectors()
             .iter()
             .zip(&plan.stages)
             .map(|(vector, stage)| PlacedStage {
@@ -205,7 +205,7 @@ mod tests {
                 )
             })
             .count();
-        assert_eq!(stage_spans, stream.vectors.len());
+        assert_eq!(stage_spans, stream.vectors().len());
         assert!(events.iter().any(|e| matches!(
             e,
             TraceEvent::Span { pid: CONTROL_PID, track: Track::Run, name, .. }

@@ -33,7 +33,7 @@ fn spec() -> impl Strategy<Value = WorkloadSpec> {
 }
 
 fn chained(stream: &TensorPairStream) -> TensorPairStream {
-    let mut vectors = stream.vectors.clone();
+    let mut vectors = stream.vectors().to_vec();
     for v in 1..vectors.len() {
         let prev: Vec<_> = vectors[v - 1].tasks.iter().map(|t| t.out).collect();
         for (i, t) in vectors[v].tasks.iter_mut().enumerate() {
@@ -92,7 +92,7 @@ proptest! {
         let cfg = ClusterConfig::mi100_cluster(nodes, gpus);
         let cluster = micco_cluster::SimCluster::new(cfg);
         let mut sched = HierarchicalScheduler::new(nodes, 4, ReuseBounds::naive());
-        for v in &stream.vectors {
+        for v in stream.vectors() {
             sched.begin_vector(v, &cluster);
             for t in &v.tasks {
                 let (n, g) = sched.assign(t, &cluster);

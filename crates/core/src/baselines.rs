@@ -196,7 +196,7 @@ mod tests {
         use std::collections::HashMap;
         let mut by_operand: HashMap<u64, Vec<usize>> = HashMap::new();
         for (v, a) in stream
-            .vectors
+            .vectors()
             .iter()
             .flat_map(|v| &v.tasks)
             .zip(&r1.assignments)

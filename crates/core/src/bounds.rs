@@ -1,7 +1,7 @@
 //! Reuse bounds (Table II) and the provider abstraction that feeds them to
 //! the scheduler per vector.
 
-use micco_workload::DataCharacteristics;
+use micco_workload::Vector;
 
 /// The three reuse bounds of Table II.
 ///
@@ -80,10 +80,14 @@ impl std::fmt::Display for ReuseBounds {
 ///
 /// MICCO-optimal plugs in the pre-trained regression model
 /// ([`crate::model::RegressionBounds`]); MICCO-naive and the Fig. 8 sweeps
-/// plug in [`FixedBounds`].
+/// plug in [`FixedBounds`]. The scheduler hands each provider the vector
+/// itself, once per vector and in stream order, so a provider that needs
+/// the vector's data characteristics measures them (and keeps whatever
+/// state the measurement carries across vectors), and one that does not
+/// never pays for them.
 pub trait BoundsProvider {
-    /// Bounds to use for a vector with the given measured characteristics.
-    fn bounds_for(&mut self, characteristics: &DataCharacteristics) -> ReuseBounds;
+    /// Bounds to use for `vector`, the next stage vector of the stream.
+    fn bounds_for(&mut self, vector: &Vector) -> ReuseBounds;
     /// Human-readable name for reports.
     fn name(&self) -> String;
     /// Write [`BoundsProvider::name`] into `out` without building a
@@ -93,12 +97,12 @@ pub trait BoundsProvider {
     }
 }
 
-/// A constant bounds setting.
+/// A constant bounds setting. It answers without looking at the vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FixedBounds(pub ReuseBounds);
 
 impl BoundsProvider for FixedBounds {
-    fn bounds_for(&mut self, _c: &DataCharacteristics) -> ReuseBounds {
+    fn bounds_for(&mut self, _vector: &Vector) -> ReuseBounds {
         self.0
     }
 
@@ -147,13 +151,13 @@ mod tests {
     #[test]
     fn fixed_provider_ignores_characteristics() {
         let mut p = FixedBounds(ReuseBounds::new(0, 2, 0));
-        let c = DataCharacteristics {
-            vector_size: 64,
-            tensor_bytes: 1e6,
-            repeated_rate: 0.5,
-            distribution_bias: 0.0,
-        };
-        assert_eq!(p.bounds_for(&c), ReuseBounds::new(0, 2, 0));
+        let stream = micco_workload::WorkloadSpec::new(16, 64)
+            .with_repeat_rate(0.5)
+            .with_vectors(3)
+            .generate();
+        for v in stream.vectors().iter().chain([&Vector::default()]) {
+            assert_eq!(p.bounds_for(v), ReuseBounds::new(0, 2, 0));
+        }
         assert!(p.name().contains("(0,2,0)"));
     }
 }

@@ -106,9 +106,12 @@ pub struct ScheduleReport {
     pub scheduler: String,
     /// Simulated execution statistics.
     pub stats: ExecStats,
-    /// Real wall-clock seconds spent inside `Scheduler::assign` — the
-    /// paper's "scheduling overhead" (Table V). Measured only when
-    /// [`DriverOptions::measure_overhead`] is set; `0.0` otherwise.
+    /// Real wall-clock seconds spent inside the scheduler while planning —
+    /// every `Scheduler::begin_vector` (bound selection: characteristics
+    /// and regression inference for MICCO-optimal) and every
+    /// `Scheduler::assign` — the paper's "scheduling overhead" (Table V).
+    /// Measured only when [`DriverOptions::measure_overhead`] is set;
+    /// `0.0` otherwise.
     pub scheduling_overhead_secs: f64,
     /// Real wall-clock seconds of the execute phase itself, not the
     /// simulated time. For [`crate::Session::replay`] that is a full
@@ -156,9 +159,9 @@ impl ScheduleReport {
         )
     }
 
-    /// Total measured driver overhead: decide-phase (`Scheduler::assign`
-    /// timing) plus execute-phase wall clock. Only meaningful when the run
-    /// opted into [`DriverOptions::measure_overhead`].
+    /// Total measured driver overhead: decide-phase (`begin_vector` and
+    /// `assign` timing) plus execute-phase wall clock. Only meaningful
+    /// when the run opted into [`DriverOptions::measure_overhead`].
     pub fn total_overhead_secs(&self) -> f64 {
         self.scheduling_overhead_secs + self.execution_overhead_secs
     }
@@ -180,11 +183,11 @@ pub struct DriverOptions {
     /// Staging-buffer depth bounding DMA lookahead (`0` = unbounded;
     /// only meaningful with `overlap`).
     pub prefetch_tasks: usize,
-    /// Time every `Scheduler::assign` call with a wall-clock pair and
-    /// report the total as `scheduling_overhead_secs`. Off by default:
-    /// the syscall pair per task inflates reported overhead for
-    /// sub-microsecond schedulers and adds noise to benchmarks that only
-    /// care about simulated time.
+    /// Time every `Scheduler::begin_vector` and `Scheduler::assign` call
+    /// with a wall-clock pair and report the total as
+    /// `scheduling_overhead_secs`. Off by default: the clock pair per task
+    /// inflates reported overhead for sub-microsecond schedulers and adds
+    /// noise to benchmarks that only care about simulated time.
     pub measure_overhead: bool,
     /// Let topology-capable schedulers penalize candidates whose operand
     /// fetches route over slow cross-island/cross-node links. Off by
@@ -234,9 +237,9 @@ impl DriverOptions {
 /// run `scheduler` over `stream` against a [`SimMachine`] built from
 /// `config` (with `options` applied and `topology` routed), capture every
 /// placement into a [`SchedulePlan`] assembled in `arena`, and return the
-/// plan with the statistics of the run it just decided. `fingerprint` is
-/// the stream's, which every caller has already computed for its key or
-/// its validation.
+/// plan with the statistics of the run it just decided. The plan carries
+/// the stream's fingerprint, which the stream computes here unless a plan
+/// cache already asked for it to build its key.
 ///
 /// Schedulers are online: each pair is placed against the residency and
 /// load the previous placements produced, so deciding and simulating are
@@ -249,7 +252,6 @@ impl DriverOptions {
 pub(crate) fn plan_in(
     scheduler: &mut dyn Scheduler,
     stream: &TensorPairStream,
-    fingerprint: u64,
     config: &MachineConfig,
     options: DriverOptions,
     arena: &mut PlanArena,
@@ -264,8 +266,16 @@ pub(crate) fn plan_in(
     machine.reserve_stream(stream);
     arena.reset();
     let mut overhead = 0.0;
-    for vector in &stream.vectors {
-        scheduler.begin_vector(vector, &machine);
+    for vector in stream.vectors() {
+        // bound selection (e.g. characteristics and regression inference)
+        // is scheduling work too, so it is timed with the assignments
+        if options.measure_overhead {
+            let t0 = Instant::now();
+            scheduler.begin_vector(vector, &machine);
+            overhead += t0.elapsed().as_secs_f64();
+        } else {
+            scheduler.begin_vector(vector, &machine);
+        }
         let bounds = scheduler.stage_bounds();
         for task in &vector.tasks {
             let gpu = if options.measure_overhead {
@@ -287,24 +297,28 @@ pub(crate) fn plan_in(
         machine.barrier();
         arena.close_stage(bounds);
     }
-    let plan = arena.to_plan(scheduler.name(), cfg.num_gpus, fingerprint, overhead);
+    let plan = arena.to_plan(
+        scheduler.name(),
+        cfg.num_gpus,
+        stream.fingerprint(),
+        overhead,
+    );
     Ok((plan, machine.stats().clone()))
 }
 
 /// The statistics of `plan` on a fresh, unobserved and fault-free
 /// simulator for `config` (with `options` applied and `topology` routed) —
 /// what [`plan_in`] returns beside a plan it decides, computed for a plan
-/// that arrived without them. The plan is validated against `stream`,
-/// whose fingerprint the caller already computed.
+/// that arrived without them. The plan is validated against `stream`
+/// first.
 pub(crate) fn simulate(
     plan: &SchedulePlan,
     stream: &TensorPairStream,
-    fingerprint: u64,
     config: &MachineConfig,
     options: DriverOptions,
     topology: Option<&LinkTopology>,
 ) -> Result<ExecStats, ScheduleError> {
-    plan.validate_fingerprinted(stream, fingerprint, config.num_gpus)?;
+    plan.validate_for(stream, config.num_gpus)?;
     let mut machine = SimMachine::new(options.apply(config));
     machine.set_topology(topology.cloned());
     Ok(replay_validated(plan, stream, &mut machine)?.stats)
@@ -334,7 +348,7 @@ fn replay_validated(
     machine: &mut SimMachine,
 ) -> Result<ScheduleReport, ScheduleError> {
     let mut assignments = Vec::with_capacity(plan.total_tasks());
-    for (vector, stage) in stream.vectors.iter().zip(&plan.stages) {
+    for (vector, stage) in stream.vectors().iter().zip(&plan.stages) {
         for (task, a) in vector.tasks.iter().zip(&stage.assignments) {
             machine
                 .execute(task, a.gpu)
@@ -365,7 +379,7 @@ pub fn run_schedule_on(
     machine: &mut SimMachine,
 ) -> Result<ScheduleReport, ScheduleError> {
     let mut assignments = Vec::with_capacity(stream.total_tasks());
-    for vector in &stream.vectors {
+    for vector in stream.vectors() {
         scheduler.begin_vector(vector, machine);
         for task in &vector.tasks {
             let gpu = scheduler.assign(task, machine);
@@ -510,6 +524,39 @@ mod tests {
         // timing never changes the decisions or the simulated outcome
         assert_eq!(silent.assignments, measured.assignments);
         assert_eq!(silent.stats, measured.stats);
+    }
+
+    /// A scheduler whose bound selection is slow: `begin_vector` sleeps.
+    struct SlowBounds(RoundRobinScheduler);
+
+    impl Scheduler for SlowBounds {
+        fn name(&self) -> String {
+            "slow-bounds".to_owned()
+        }
+
+        fn begin_vector(&mut self, vector: &Vector, view: &dyn MachineView) {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            self.0.begin_vector(vector, view);
+        }
+
+        fn assign(&mut self, task: &ContractionTask, view: &dyn MachineView) -> GpuId {
+            self.0.assign(task, view)
+        }
+    }
+
+    #[test]
+    fn scheduling_overhead_counts_bound_selection() {
+        let stream = WorkloadSpec::new(4, 64).with_vectors(3).generate();
+        let report = Session::new(MachineConfig::mi100_like(2))
+            .measure_overhead(true)
+            .run(&mut SlowBounds(RoundRobinScheduler::new()), &stream)
+            .unwrap();
+        // three vectors, each with 2 ms of begin_vector
+        assert!(
+            report.scheduling_overhead_secs >= 6e-3,
+            "overhead {}s",
+            report.scheduling_overhead_secs
+        );
     }
 
     #[test]

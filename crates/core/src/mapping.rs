@@ -179,7 +179,7 @@ pub fn mapping_histogram(
     let mut machine = micco_gpusim::SimMachine::new(*config);
     let mut hist = MappingHistogram::new();
     let mut idx = 0;
-    for vector in &stream.vectors {
+    for vector in stream.vectors() {
         for task in &vector.tasks {
             let gpu = assignments[idx].gpu;
             hist.record(Mapping::classify(task, gpu, &machine));

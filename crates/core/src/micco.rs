@@ -21,7 +21,7 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 
 use micco_gpusim::{GpuId, MachineView};
-use micco_workload::{ContractionTask, DataCharacteristics, FastIdSet, TensorId, Vector};
+use micco_workload::{ContractionTask, Vector};
 
 use crate::bounds::{BoundsProvider, FixedBounds, ReuseBounds};
 use crate::driver::Scheduler;
@@ -47,6 +47,11 @@ struct AssignScratch {
 /// * `MiccoScheduler::with_provider(model)` — per-vector bounds from the
 ///   regression model (the paper's MICCO-optimal).
 ///
+/// At each stage boundary the scheduler hands the vector to its
+/// [`BoundsProvider`] and uses the bounds it returns for that vector. The
+/// scheduler measures nothing itself: only a provider that reads data
+/// characteristics (the regression model) measures them.
+///
 /// # Examples
 ///
 /// ```
@@ -69,7 +74,6 @@ pub struct MiccoScheduler<P: BoundsProvider = FixedBounds> {
     state: VectorState,
     bounds: ReuseBounds,
     rng: StdRng,
-    seen: FastIdSet<TensorId>,
     scratch: AssignScratch,
     topology_aware: bool,
 }
@@ -94,7 +98,6 @@ impl<P: BoundsProvider> MiccoScheduler<P> {
             state: VectorState::default(),
             bounds: ReuseBounds::naive(),
             rng: StdRng::seed_from_u64(0x4d49_4343_4f00), // "MICCO"
-            seen: FastIdSet::default(),
             scratch: AssignScratch::default(),
             topology_aware: false,
         }
@@ -202,8 +205,7 @@ impl<P: BoundsProvider> Scheduler for MiccoScheduler<P> {
     }
 
     fn begin_vector(&mut self, vector: &Vector, view: &dyn MachineView) {
-        let characteristics = DataCharacteristics::measure(vector, &mut self.seen);
-        self.bounds = self.provider.bounds_for(&characteristics);
+        self.bounds = self.provider.bounds_for(vector);
         self.state.begin(vector, view.num_gpus());
     }
 
@@ -282,7 +284,9 @@ mod tests {
     use crate::driver::run_schedule_on;
     use crate::session::Session;
     use micco_gpusim::{MachineConfig, SimMachine};
-    use micco_workload::{RepeatDistribution, TaskId, TensorDesc, TensorPairStream, WorkloadSpec};
+    use micco_workload::{
+        RepeatDistribution, TaskId, TensorDesc, TensorId, TensorPairStream, WorkloadSpec,
+    };
 
     const MB: u64 = 1 << 20;
 

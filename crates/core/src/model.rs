@@ -8,7 +8,7 @@
 //! "negligible overhead" claim (Table V quantifies it).
 
 use micco_ml::{RandomForestRegressor, Regressor};
-use micco_workload::DataCharacteristics;
+use micco_workload::{DataCharacteristics, FastIdSet, TensorId, Vector};
 
 use crate::bounds::{BoundsProvider, ReuseBounds};
 use crate::tuner::TuneSample;
@@ -19,9 +19,17 @@ use crate::tuner::TuneSample;
 const BOUND_CAP: usize = 512;
 
 /// Pre-trained per-vector reuse-bound predictor.
+///
+/// As a [`BoundsProvider`] it measures each vector's
+/// [`DataCharacteristics`] against the tensors of the vectors it was
+/// asked about before, and predicts from them. Its measurement state
+/// travels with it, so clone the trained model once per scheduler.
 #[derive(Debug, Clone)]
 pub struct RegressionBounds {
     forests: [RandomForestRegressor; 3],
+    /// Tensors of every vector [`BoundsProvider::bounds_for`] has
+    /// measured so far; empty after [`Self::train`].
+    seen: FastIdSet<TensorId>,
 }
 
 impl RegressionBounds {
@@ -36,7 +44,10 @@ impl RegressionBounds {
             f.fit(&x, &y);
             f
         });
-        RegressionBounds { forests }
+        RegressionBounds {
+            forests,
+            seen: FastIdSet::default(),
+        }
     }
 
     /// Predict bounds for one set of characteristics.
@@ -51,8 +62,9 @@ impl RegressionBounds {
 }
 
 impl BoundsProvider for RegressionBounds {
-    fn bounds_for(&mut self, characteristics: &DataCharacteristics) -> ReuseBounds {
-        self.predict(characteristics)
+    fn bounds_for(&mut self, vector: &Vector) -> ReuseBounds {
+        let characteristics = DataCharacteristics::measure(vector, &mut self.seen);
+        self.predict(&characteristics)
     }
 
     fn name(&self) -> String {
@@ -124,8 +136,16 @@ mod tests {
     fn provider_name() {
         let mut m = RegressionBounds::train(&synthetic_samples(), 0);
         assert_eq!(BoundsProvider::name(&m), "regression");
-        let c = characteristics([32.0, 1e6, 0.9, 0.3]);
-        assert_eq!(m.bounds_for(&c), m.predict(&c));
+        let stream = micco_workload::WorkloadSpec::new(16, 64)
+            .with_repeat_rate(0.75)
+            .with_vectors(3)
+            .generate();
+        // the provider measures each vector against the ones before it
+        let mut seen = FastIdSet::default();
+        for v in stream.vectors() {
+            let c = DataCharacteristics::measure(v, &mut seen);
+            assert_eq!(m.bounds_for(v), m.predict(&c));
+        }
     }
 
     #[test]

@@ -82,8 +82,9 @@ pub struct SchedulePlan {
     /// [`TensorPairStream::fingerprint`] of the workload the plan was
     /// decided for.
     pub fingerprint: u64,
-    /// Wall-clock seconds spent inside `Scheduler::assign` while deciding
-    /// (0.0 unless planned with [`DriverOptions::measure_overhead`]).
+    /// Wall-clock seconds spent inside `Scheduler::begin_vector` and
+    /// `Scheduler::assign` while deciding (0.0 unless planned with
+    /// [`DriverOptions::measure_overhead`]).
     pub overhead_secs: f64,
     /// Per-stage assignments, one entry per stream vector.
     pub stages: Vec<PlanStage>,
@@ -407,27 +408,25 @@ impl SchedulePlan {
 
     /// Check the plan against the stream it is about to run on: matching
     /// fingerprint, one stage per vector, every task covered exactly once
-    /// in order, every device within the plan's declared range.
+    /// in order, every device within the plan's declared range. The
+    /// stream hashes itself at most once ([`TensorPairStream::fingerprint`]
+    /// caches the value), so validating a stream that was already keyed or
+    /// validated costs only the structural walk.
     pub fn validate(&self, stream: &TensorPairStream) -> Result<(), PlanError> {
-        self.check_against(stream, stream.fingerprint())
-    }
-
-    /// [`Self::validate`] against a stream whose fingerprint `fp` the
-    /// caller already computed.
-    fn check_against(&self, stream: &TensorPairStream, fp: u64) -> Result<(), PlanError> {
+        let fp = stream.fingerprint();
         if self.fingerprint != fp {
             return Err(PlanError::FingerprintMismatch {
                 plan: self.fingerprint,
                 stream: fp,
             });
         }
-        if self.stages.len() != stream.vectors.len() {
+        if self.stages.len() != stream.vectors().len() {
             return Err(PlanError::StageCountMismatch {
                 plan: self.stages.len(),
-                stream: stream.vectors.len(),
+                stream: stream.vectors().len(),
             });
         }
-        for (si, (stage, vector)) in self.stages.iter().zip(&stream.vectors).enumerate() {
+        for (si, (stage, vector)) in self.stages.iter().zip(stream.vectors()).enumerate() {
             if stage.assignments.len() != vector.tasks.len() {
                 return Err(PlanError::StageLenMismatch {
                     stage: si,
@@ -463,18 +462,7 @@ impl SchedulePlan {
         stream: &TensorPairStream,
         machine_gpus: usize,
     ) -> Result<(), PlanError> {
-        self.validate_fingerprinted(stream, stream.fingerprint(), machine_gpus)
-    }
-
-    /// [`Self::validate_for`] against a stream whose fingerprint the
-    /// caller already computed (the plan cache hashed it for the key).
-    pub(crate) fn validate_fingerprinted(
-        &self,
-        stream: &TensorPairStream,
-        fingerprint: u64,
-        machine_gpus: usize,
-    ) -> Result<(), PlanError> {
-        self.check_against(stream, fingerprint)?;
+        self.validate(stream)?;
         if self.num_gpus != machine_gpus {
             return Err(PlanError::DeviceCountMismatch {
                 plan: self.num_gpus,
@@ -767,8 +755,7 @@ impl PlanCache {
         options: DriverOptions,
         topology: Option<&LinkTopology>,
     ) -> Result<&SchedulePlan, ScheduleError> {
-        let fingerprint = stream.fingerprint();
-        let key = Self::key_for_fingerprint(fingerprint, scheduler, config, options, topology);
+        let key = Self::key_for_with_topology(scheduler, stream, config, options, topology);
         // single probe: the entry is resolved once and either served or
         // filled in place (the old contains_key → insert → get danced
         // through the map three times)
@@ -781,7 +768,6 @@ impl PlanCache {
                 let (plan, stats) = plan_in(
                     scheduler,
                     stream,
-                    fingerprint,
                     config,
                     options,
                     &mut self.arena,
@@ -810,20 +796,8 @@ impl PlanCache {
         options: DriverOptions,
         topology: Option<&LinkTopology>,
     ) -> PlanKey {
-        Self::key_for_fingerprint(stream.fingerprint(), scheduler, config, options, topology)
-    }
-
-    /// [`Self::key_for_with_topology`] for a stream whose fingerprint the
-    /// caller already computed.
-    pub(crate) fn key_for_fingerprint(
-        fingerprint: u64,
-        scheduler: &dyn Scheduler,
-        config: &MachineConfig,
-        options: DriverOptions,
-        topology: Option<&LinkTopology>,
-    ) -> PlanKey {
         let mut h = Fnv::new();
-        h.mix(fingerprint);
+        h.mix(stream.fingerprint());
         scheduler
             .write_name(&mut h)
             .expect("hashing writer never fails");
@@ -1016,8 +990,9 @@ mod tests {
         let (stream, plan) = plan_fixture();
         assert_eq!(plan.validate(&stream), Ok(()));
 
-        let mut other = stream.clone();
-        other.vectors[0].tasks[0].flops += 1;
+        let mut vectors = stream.clone().into_vectors();
+        vectors[0].tasks[0].flops += 1;
+        let other = TensorPairStream::new(vectors);
         assert!(matches!(
             plan.validate(&other),
             Err(PlanError::FingerprintMismatch { .. })

@@ -70,7 +70,7 @@ pub fn reorder_stream(
     order: impl Fn(&Vector) -> Vec<usize>,
 ) -> TensorPairStream {
     let vectors = stream
-        .vectors
+        .vectors()
         .iter()
         .map(|v| {
             let perm = order(v);
@@ -105,7 +105,7 @@ mod tests {
             .with_repeat_rate(0.7)
             .with_vectors(3)
             .generate();
-        for v in &stream.vectors {
+        for v in stream.vectors() {
             let mut order = reuse_clustered_order(v);
             order.sort_unstable();
             assert_eq!(order, (0..v.len()).collect::<Vec<_>>());
@@ -146,7 +146,7 @@ mod tests {
             .with_repeat_rate(0.8)
             .with_vectors(2)
             .generate();
-        for v in &stream.vectors {
+        for v in stream.vectors() {
             assert_eq!(reuse_clustered_order(v), reuse_clustered_order(v));
         }
     }
@@ -160,7 +160,7 @@ mod tests {
         let reordered = reorder_stream(&stream, reuse_clustered_order);
         assert_eq!(reordered.total_tasks(), stream.total_tasks());
         assert_eq!(reordered.total_flops(), stream.total_flops());
-        for (a, b) in stream.vectors.iter().zip(&reordered.vectors) {
+        for (a, b) in stream.vectors().iter().zip(reordered.vectors()) {
             let mut x: Vec<_> = a.tasks.iter().map(|t| t.id).collect();
             let mut y: Vec<_> = b.tasks.iter().map(|t| t.id).collect();
             x.sort_unstable();
@@ -194,8 +194,8 @@ mod tests {
             }
             dist as f64 / n.max(1) as f64
         };
-        let before = adjacency(&stream.vectors[1]);
-        let after = adjacency(&reorder_stream(&stream, reuse_clustered_order).vectors[1]);
+        let before = adjacency(&stream.vectors()[1]);
+        let after = adjacency(&reorder_stream(&stream, reuse_clustered_order).vectors()[1]);
         assert!(
             after < before,
             "mean reuse distance {after:.2} !< {before:.2}"

@@ -397,8 +397,8 @@ pub fn plan_schedule_seed(
 ) -> Result<SchedulePlan, ScheduleError> {
     let cfg = options.apply(config);
     let mut shadow = RefShadow::new(cfg);
-    let mut stages = Vec::with_capacity(stream.vectors.len());
-    for vector in &stream.vectors {
+    let mut stages = Vec::with_capacity(stream.vectors().len());
+    for vector in stream.vectors() {
         scheduler.begin_vector(vector, &shadow);
         let bounds = scheduler.stage_bounds();
         let mut assignments = Vec::with_capacity(vector.tasks.len());

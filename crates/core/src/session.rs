@@ -116,8 +116,8 @@ impl Session {
     }
 
     /// Toggle wall-clock overhead measurement for both phases (decide-time
-    /// `Scheduler::assign` and the execute phase, see
-    /// [`ScheduleReport::execution_overhead_secs`]).
+    /// `Scheduler::begin_vector` and `Scheduler::assign`, and the execute
+    /// phase, see [`ScheduleReport::execution_overhead_secs`]).
     pub fn measure_overhead(mut self, on: bool) -> Self {
         self.options.measure_overhead = on;
         self
@@ -227,11 +227,10 @@ impl Session {
         scheduler: &mut dyn Scheduler,
         stream: &TensorPairStream,
     ) -> Result<Planned, ScheduleError> {
-        let mut arena = PlanArena::with_capacity(stream.total_tasks(), stream.vectors.len());
+        let mut arena = PlanArena::with_capacity(stream.total_tasks(), stream.vectors().len());
         let (plan, stats) = plan_in(
             scheduler,
             stream,
-            stream.fingerprint(),
             &self.config,
             self.options,
             &mut arena,
@@ -426,7 +425,9 @@ impl Planned {
 
     /// Execute the plan on `stream`. The plan is checked against the
     /// stream and the session's device count first, exactly as a replay
-    /// checks it. When the plan carries its statistics and the session
+    /// checks it; the check reads the fingerprint the stream cached when
+    /// it was planned or keyed, so a served job hashes its stream once.
+    /// When the plan carries its statistics and the session
     /// neither injects faults nor records a trace, those statistics are
     /// the result and nothing is simulated again; otherwise the plan is
     /// replayed on a fresh simulator built from the session
@@ -506,7 +507,7 @@ mod tests {
         let b = planned.execute(&stream).expect("replays");
         assert_eq!(a.assignments, b.assignments);
         assert_eq!(a.stats, b.stats);
-        assert_eq!(planned.plan().stages.len(), stream.vectors.len());
+        assert_eq!(planned.plan().stages.len(), stream.vectors().len());
     }
 
     #[test]

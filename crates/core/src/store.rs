@@ -30,6 +30,12 @@
 //! Statistics are never written to or read from the log: the record format
 //! is the plan text alone.
 //!
+//! A request's key is built from the stream's fingerprint, which the
+//! stream computes on that first call and caches. The flight's replay and
+//! the served job's [`crate::Planned::execute`] validate the plan against
+//! the same stream and read the cached value, so a request hashes its
+//! stream once.
+//!
 //! # Concurrency
 //!
 //! One mutex guards the plan map, the log handle, the counters and the set
@@ -333,10 +339,8 @@ impl DurablePlanCache {
         options: DriverOptions,
         topology: Option<&LinkTopology>,
     ) -> Result<(Arc<CachedPlan>, PlanSource), DurableError> {
-        let fingerprint = stream.fingerprint();
-        let key = PlanCache::key_for_fingerprint(fingerprint, scheduler, config, options, topology);
-        let replay =
-            |plan: &SchedulePlan| simulate(plan, stream, fingerprint, config, options, topology);
+        let key = PlanCache::key_for_with_topology(scheduler, stream, config, options, topology);
+        let replay = |plan: &SchedulePlan| simulate(plan, stream, config, options, topology);
         let (flight, found) = match self.probe(key, true) {
             Probe::Hit(cached) => return Ok((cached, PlanSource::Memory)),
             Probe::Claimed(flight, found) => (flight, found),
@@ -379,16 +383,8 @@ impl DurablePlanCache {
         // genuine miss: decide on a fresh arena, serialise, then write
         // through to the log in the critical section that publishes it
         let (plan, stats) = {
-            let mut arena = PlanArena::with_capacity(stream.total_tasks(), stream.vectors.len());
-            plan_in(
-                scheduler,
-                stream,
-                fingerprint,
-                config,
-                options,
-                &mut arena,
-                topology,
-            )?
+            let mut arena = PlanArena::with_capacity(stream.total_tasks(), stream.vectors().len());
+            plan_in(scheduler, stream, config, options, &mut arena, topology)?
         };
         let text = plan.to_text();
         let cached = Arc::new(CachedPlan {
@@ -892,7 +888,7 @@ mod tests {
         });
         assert_eq!(
             begun.load(Ordering::SeqCst),
-            stream.vectors.len(),
+            stream.vectors().len(),
             "exactly one scheduler run"
         );
         let stats = cache.stats();

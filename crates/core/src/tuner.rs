@@ -4,10 +4,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use std::collections::HashSet;
-
 use micco_gpusim::MachineConfig;
-use micco_workload::{DataCharacteristics, RepeatDistribution, TensorPairStream, WorkloadSpec};
+use micco_workload::{
+    DataCharacteristics, FastIdSet, RepeatDistribution, TensorId, TensorPairStream, WorkloadSpec,
+};
 
 use crate::bounds::ReuseBounds;
 use crate::micco::MiccoScheduler;
@@ -169,7 +169,7 @@ pub fn optimal_bounds_full_range(
 ) -> (ReuseBounds, f64) {
     assert!(!streams.is_empty(), "no streams");
     let slots = streams[0]
-        .vectors
+        .vectors()
         .first()
         .map(|v| v.tensor_slots())
         .unwrap_or(0);
@@ -229,15 +229,15 @@ pub struct TuneSample {
 }
 
 /// Steady-state per-vector characteristics of a stream: the measured
-/// characteristics of the *last* vector (warm `seen` set). The scheduler's
-/// online inference measures exactly this kind of per-vector feature, so
-/// training on it keeps the train and inference feature distributions
-/// aligned (a stream-level mean would be diluted by the all-fresh first
-/// vector and push inference into extrapolation).
+/// characteristics of the *last* vector (warm `seen` set). The regression
+/// provider's online inference measures exactly this kind of per-vector
+/// feature, so training on it keeps the train and inference feature
+/// distributions aligned (a stream-level mean would be diluted by the
+/// all-fresh first vector and push inference into extrapolation).
 pub fn stream_features(stream: &TensorPairStream) -> [f64; 4] {
-    let mut seen: HashSet<micco_workload::TensorId> = HashSet::new();
+    let mut seen: FastIdSet<TensorId> = FastIdSet::default();
     let mut last = [0.0; 4];
-    for v in &stream.vectors {
+    for v in stream.vectors() {
         let c = DataCharacteristics::measure(v, &mut seen);
         last = c.features();
     }

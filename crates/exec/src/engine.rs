@@ -546,7 +546,7 @@ fn execute_unchecked(
     let mut traces: Vec<Complex64> = vec![Complex64::ZERO; stream.total_tasks()];
     let mut offset = 0usize;
 
-    for (stage, vector) in stream.vectors.iter().enumerate() {
+    for (stage, vector) in stream.vectors().iter().enumerate() {
         let stage_start_us = tele.as_ref().map(|t| t.now_us());
         let lost: Vec<bool> = (0..workers).map(|w| faults.is_lost(w, stage)).collect();
         if lost.iter().all(|&l| l) {
@@ -622,7 +622,7 @@ fn execute_unchecked(
     }
 
     let checksum = traces.iter().copied().sum();
-    let stages = stream.vectors.len();
+    let stages = stream.vectors().len();
     let lost_workers = (0..workers)
         .filter(|&w| faults.loss_of(w).is_some_and(|(s, _)| s < stages))
         .count();
@@ -1170,7 +1170,7 @@ mod tests {
             .generate();
         let reference = crate::store::TensorStore::new(SHAPE.batch, SHAPE.dim, 77);
         let mut expect = Complex64::ZERO;
-        for t in &stream.vectors[0].tasks {
+        for t in &stream.vectors()[0].tasks {
             let out = reference
                 .fetch(t.a.id)
                 .matmul(&reference.fetch(t.b.id))
@@ -1245,7 +1245,7 @@ mod tests {
         // (none at first, so stage 1 must not be stolen)
         let stream = stream();
         let assignments: Vec<Assignment> = stream
-            .vectors
+            .vectors()
             .iter()
             .flat_map(|v| v.tasks.iter())
             .map(|t| Assignment {
@@ -1272,7 +1272,7 @@ mod tests {
         );
         // worker 1 held nothing when stage 0 started, so every stage-0 task
         // stayed on worker 0 — reuse-aware stealing never moves cold tasks
-        let stage0 = stream.vectors[0].len();
+        let stage0 = stream.vectors()[0].len();
         assert!(out.per_worker_executed[0] >= stage0);
         // and the physics is unchanged
         let base = exec(&stream, &assignments, 2, 5, &ExecOptions::default()).unwrap();
@@ -1426,8 +1426,8 @@ mod tests {
         let stream = stream();
         let assignments = assignments_for(&mut RoundRobinScheduler::new(), &stream, 2);
         let clean = exec(&stream, &assignments, 2, 5, &ExecOptions::default()).unwrap();
-        let t0 = stream.vectors[0].tasks[0].id.0;
-        let t1 = stream.vectors[0].tasks[1].id.0;
+        let t0 = stream.vectors()[0].tasks[0].id.0;
+        let t1 = stream.vectors()[0].tasks[1].id.0;
         let faults = FaultPlan::none()
             .with_kernel_fault(t0, 2)
             .with_transfer_timeout(t1, 1);
@@ -1449,7 +1449,7 @@ mod tests {
     fn exhausted_retry_budget_is_worker_failed() {
         let stream = stream();
         let assignments = assignments_for(&mut RoundRobinScheduler::new(), &stream, 2);
-        let tid = stream.vectors[0].tasks[0].id.0;
+        let tid = stream.vectors()[0].tasks[0].id.0;
         let faults = FaultPlan::none().with_kernel_fault(tid, 3);
         // default options: no retry budget, first transient failure is final
         let err = exec(
@@ -1588,8 +1588,9 @@ mod tests {
             .unwrap()
             .into_plan();
         // mutate the workload after planning: the fingerprint catches it
-        let mut drifted = stream.clone();
-        drifted.vectors[0].tasks[0].flops += 1;
+        let mut vectors = stream.clone().into_vectors();
+        vectors[0].tasks[0].flops += 1;
+        let drifted = TensorPairStream::new(vectors);
         let err = execute_plan(&drifted, &plan, &store(5), &ExecOptions::default()).unwrap_err();
         assert!(matches!(
             err,
@@ -1608,7 +1609,7 @@ mod tests {
             .unwrap()
             .into_plan();
         let assignments = plan.flat_assignments();
-        let faults = FaultPlan::none().with_kernel_fault(stream.vectors[0].tasks[0].id.0, 1);
+        let faults = FaultPlan::none().with_kernel_fault(stream.vectors()[0].tasks[0].id.0, 1);
 
         // the two canonical entries — assignment slice vs plan IR — are
         // one engine: identical checksums for the same placement
@@ -1678,7 +1679,7 @@ mod tests {
                     if *pid == CONTROL_PID && *track == Track::Control)
             })
             .count();
-        assert_eq!(stage_spans, stream.vectors.len());
+        assert_eq!(stage_spans, stream.vectors().len());
         assert!(events.iter().any(|e| {
             matches!(e, TraceEvent::Span { pid, track, name, .. }
                 if *pid == CONTROL_PID && *track == Track::Run && name == "exec")
@@ -1697,7 +1698,7 @@ mod tests {
         let stream = stream();
         // lopsided: all work on worker 0, worker 1 helps via stealing
         let assignments: Vec<Assignment> = stream
-            .vectors
+            .vectors()
             .iter()
             .flat_map(|v| v.tasks.iter())
             .map(|t| Assignment {

@@ -928,7 +928,7 @@ mod tests {
             } else {
                 SimMachine::new(cfg)
             };
-            for v in &stream.vectors {
+            for v in stream.vectors() {
                 for t in &v.tasks {
                     m.execute(t, GpuId(0)).unwrap();
                 }

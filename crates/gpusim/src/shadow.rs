@@ -212,7 +212,7 @@ impl OracleCsr {
     fn build(stream: &TensorPairStream, interner: &TensorInterner) -> Self {
         let n = interner.len();
         let mut counts = vec![0u32; n + 1];
-        for v in &stream.vectors {
+        for v in stream.vectors() {
             for t in &v.tasks {
                 for id in [t.a.id, t.b.id] {
                     let s = interner.get(id).expect("stream tensor interned");
@@ -227,7 +227,7 @@ impl OracleCsr {
         let mut fill = starts.clone();
         let mut uses = vec![0u64; starts[n] as usize];
         let mut idx = 0u64;
-        for v in &stream.vectors {
+        for v in stream.vectors() {
             for t in &v.tasks {
                 for id in [t.a.id, t.b.id] {
                     let s = interner.get(id).expect("stream tensor interned").index();
@@ -991,7 +991,7 @@ impl MachineView for ShadowMachine {
 pub fn build_oracle(stream: &TensorPairStream) -> HashMap<TensorId, VecDeque<u64>> {
     let mut oracle: HashMap<TensorId, VecDeque<u64>> = HashMap::new();
     let mut idx = 0u64;
-    for v in &stream.vectors {
+    for v in stream.vectors() {
         for t in &v.tasks {
             oracle.entry(t.a.id).or_default().push_back(idx);
             oracle.entry(t.b.id).or_default().push_back(idx);
@@ -1043,7 +1043,7 @@ mod tests {
             let mut sim = SimMachine::new(cfg);
             let mut shadow = ShadowMachine::new(cfg);
             let mut i = 0usize;
-            for v in &stream.vectors {
+            for v in stream.vectors() {
                 for t in &v.tasks {
                     let gpu = GpuId(i % 3);
                     i += 1;
@@ -1125,7 +1125,7 @@ mod tests {
         };
         let mut sim = SimMachine::new(cfg).with_oracle(&stream);
         let mut shadow = ShadowMachine::new(cfg).with_oracle(&stream);
-        for t in &stream.vectors[0].tasks {
+        for t in &stream.vectors()[0].tasks {
             sim.execute(t, GpuId(0)).unwrap();
             shadow.execute(t, GpuId(0)).unwrap();
             assert_eq!(sim.mem_used(GpuId(0)), shadow.mem_used(GpuId(0)));
@@ -1146,7 +1146,7 @@ mod tests {
         let mut csr = OracleCsr::build(&stream, &interner);
         let mut reference = build_oracle(&stream);
         let mut now = 0u64;
-        for v in &stream.vectors {
+        for v in stream.vectors() {
             for t in &v.tasks {
                 for id in [t.a.id, t.b.id, t.out.id] {
                     let queue = reference.entry(id).or_default();
@@ -1180,7 +1180,7 @@ mod tests {
         let run = |faults: crate::fault::FaultPlan| {
             let mut m = ShadowMachine::new(cfg).with_faults(faults);
             let mut i = 0usize;
-            for v in &stream.vectors {
+            for v in stream.vectors() {
                 for t in &v.tasks {
                     m.execute(t, GpuId(i % 2)).unwrap();
                     i += 1;
@@ -1298,7 +1298,7 @@ mod tests {
             m.set_topology(topo);
             let mut i = 0usize;
             let mut times = Vec::new();
-            for v in &stream.vectors {
+            for v in stream.vectors() {
                 for t in &v.tasks {
                     m.execute(t, GpuId(i % 4)).unwrap();
                     i += 1;

@@ -199,8 +199,8 @@ mod tests {
         // chain of 4: 3 steps, strictly sequential levels
         assert_eq!(staged.total_steps, 3);
         assert_eq!(staged.unique_steps, 3);
-        assert_eq!(staged.stream.vectors.len(), 3);
-        assert!(staged.stream.vectors.iter().all(|v| v.len() == 1));
+        assert_eq!(staged.stream.vectors().len(), 3);
+        assert!(staged.stream.vectors().iter().all(|v| v.len() == 1));
         assert_eq!(staged.cse_savings(), 0.0);
     }
 
@@ -221,23 +221,23 @@ mod tests {
         assert_eq!(staged.total_steps, 4);
         assert_eq!(staged.unique_steps, 3); // 1⊗2 shared
                                             // stage 1 has the shared step; stage 2 the two finals
-        assert_eq!(staged.stream.vectors[0].len(), 1);
-        assert_eq!(staged.stream.vectors[1].len(), 2);
+        assert_eq!(staged.stream.vectors()[0].len(), 1);
+        assert_eq!(staged.stream.vectors()[1].len(), 2);
     }
 
     #[test]
     fn independent_graphs_parallelise_in_stage_one() {
         let mut intern = InternTable::new();
         let staged = build_stream(&[plan(&[1, 2]), plan(&[3, 4]), plan(&[5, 6])], &mut intern);
-        assert_eq!(staged.stream.vectors.len(), 1);
-        assert_eq!(staged.stream.vectors[0].len(), 3);
+        assert_eq!(staged.stream.vectors().len(), 1);
+        assert_eq!(staged.stream.vectors()[0].len(), 3);
     }
 
     #[test]
     fn final_step_output_is_scalar_sized() {
         let mut intern = InternTable::new();
         let staged = build_stream(&[plan(&[1, 2])], &mut intern);
-        let t = &staged.stream.vectors[0].tasks[0];
+        let t = &staged.stream.vectors()[0].tasks[0];
         assert_eq!(t.out.bytes, 2 * 16); // batch 2 × one complex
         assert_eq!(t.a.bytes, 2 * 8 * 8 * 16);
     }
@@ -246,8 +246,8 @@ mod tests {
     fn intermediate_feeds_next_stage() {
         let mut intern = InternTable::new();
         let staged = build_stream(&[plan(&[1, 2, 3])], &mut intern);
-        let first_out = staged.stream.vectors[0].tasks[0].out.id;
-        let second = &staged.stream.vectors[1].tasks[0];
+        let first_out = staged.stream.vectors()[0].tasks[0].out.id;
+        let second = &staged.stream.vectors()[1].tasks[0];
         assert!(second.a.id == first_out || second.b.id == first_out);
     }
 
@@ -271,7 +271,7 @@ mod tests {
         let staged = build_stream(&[plan(&[1, 2, 3, 4, 5])], &mut intern);
         let mut ids: Vec<u64> = staged
             .stream
-            .vectors
+            .vectors()
             .iter()
             .flat_map(|v| v.tasks.iter().map(|t| t.id.0))
             .collect();
@@ -285,7 +285,7 @@ mod tests {
     fn empty_input_yields_empty_program() {
         let mut intern = InternTable::new();
         let staged = build_stream(&[], &mut intern);
-        assert!(staged.stream.vectors.is_empty());
+        assert!(staged.stream.vectors().is_empty());
         assert_eq!(staged.cse_savings(), 0.0);
     }
 }

@@ -94,12 +94,12 @@ proptest! {
 
         // map: output tensor -> stage index
         let mut produced_at: HashMap<_, usize> = HashMap::new();
-        for (si, v) in staged.stream.vectors.iter().enumerate() {
+        for (si, v) in staged.stream.vectors().iter().enumerate() {
             for t in &v.tasks {
                 produced_at.insert(t.out.id, si);
             }
         }
-        for (si, v) in staged.stream.vectors.iter().enumerate() {
+        for (si, v) in staged.stream.vectors().iter().enumerate() {
             for t in &v.tasks {
                 for d in [t.a.id, t.b.id] {
                     if let Some(&pi) = produced_at.get(&d) {

@@ -37,7 +37,7 @@
 //! let mut machine = SimMachine::new(MachineConfig::mi100_like(2))
 //!     .with_observer(Box::new(obs));
 //! let mut i = 0usize;
-//! for v in &stream.vectors {
+//! for v in stream.vectors() {
 //!     for t in &v.tasks {
 //!         machine.execute(t, GpuId(i % 2)).unwrap();
 //!         i += 1;

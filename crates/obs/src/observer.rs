@@ -344,7 +344,7 @@ mod tests {
         let obs = SpanObserver::new(recorder.clone()).with_metrics(recorder.metrics());
         let mut machine = SimMachine::new(cfg).with_observer(Box::new(obs));
         let mut i = 0usize;
-        for v in &stream.vectors {
+        for v in stream.vectors() {
             for t in &v.tasks {
                 machine
                     .execute(t, GpuId(i % 2))
@@ -398,7 +398,7 @@ mod tests {
             .with_topology(LinkTopology::nvlink(4, 2))
             .with_observer(Box::new(obs));
         let mut i = 0usize;
-        for v in &stream.vectors {
+        for v in stream.vectors() {
             for t in &v.tasks {
                 machine.execute(t, GpuId(i % 4)).unwrap();
                 i += 1;

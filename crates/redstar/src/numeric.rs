@@ -204,10 +204,10 @@ mod tests {
         assert!(v.is_finite());
         assert_eq!(kernels, p.unique_steps);
         // baryon tasks carry n⁴ flops, mesons n³
-        let bar = p.stream.vectors[0].tasks[0].flops;
+        let bar = p.stream.vectors()[0].tasks[0].flops;
         let mes = build_correlator(&tiny_spec(ContractionKind::Meson))
             .stream
-            .vectors[0]
+            .vectors()[0]
             .tasks[0]
             .flops;
         assert_eq!(bar, mes * 6, "n⁴ vs n³ at dim 6");

@@ -275,7 +275,7 @@ mod tests {
         assert_eq!(p.graph_count, 4);
         assert!(p.total_steps > 0);
         assert!(p.unique_steps <= p.total_steps);
-        assert!(!p.stream.vectors.is_empty());
+        assert!(!p.stream.vectors().is_empty());
     }
 
     #[test]

@@ -195,7 +195,7 @@ mod tests {
         assert_eq!(spec.kind, micco_tensor::ContractionKind::Baryon);
         let p = build_correlator(&spec);
         assert!(p.graph_count > 0);
-        let t = &p.stream.vectors[0].tasks[0];
+        let t = &p.stream.vectors()[0].tasks[0];
         // baryon contraction flops = batch · n⁴ · 8
         assert_eq!(
             t.flops,

@@ -6,8 +6,9 @@
 //! (plus the set of tensors seen so far), exactly as the paper's step (1) in
 //! Fig. 6 describes — the scheduler never needs generator-side ground truth.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
+use crate::intern::{FastIdMap, FastIdSet};
 use crate::task::{TensorId, Vector};
 
 /// Measured data characteristics of one stage vector.
@@ -21,8 +22,9 @@ pub struct DataCharacteristics {
     /// Fraction of input tensor slots referencing an already-seen tensor.
     pub repeated_rate: f64,
     /// Bias of the repeated-data distribution in `[0, 1]`:
-    /// `1 − H/H_max` where `H` is the Shannon entropy of repeat-target
-    /// frequencies. Uniform reuse ⇒ near 0; a hot set (Gaussian) ⇒ near 1.
+    /// `1 − distinct_targets / total_repeats`, where a repeat target is a
+    /// tensor that a repeated input slot references. Uniform reuse ⇒ near
+    /// 0; a hot set (Gaussian) ⇒ near 1.
     pub distribution_bias: f64,
 }
 
@@ -39,7 +41,7 @@ impl DataCharacteristics {
     ) -> Self {
         let mut slots = 0usize;
         let mut repeats = 0usize;
-        let mut repeat_counts: HashMap<TensorId, usize> = HashMap::new();
+        let mut repeat_counts: FastIdMap<TensorId, usize> = FastIdMap::default();
         let mut bytes_sum: u128 = 0;
 
         for t in &vector.tasks {
@@ -54,7 +56,7 @@ impl DataCharacteristics {
         }
         // Within-vector repeats also count: a second appearance in the same
         // vector is just as reusable as one from a previous vector.
-        let mut local: HashSet<TensorId> = HashSet::new();
+        let mut local: FastIdSet<TensorId> = FastIdSet::default();
         for t in &vector.tasks {
             for d in [t.a, t.b] {
                 if !seen.contains(&d.id) && !local.insert(d.id) {
@@ -112,7 +114,7 @@ impl DataCharacteristics {
 /// the paper's Uniform and Gaussian (biased) repeated-data distributions
 /// cleanly, because the Gaussian funnels repeats onto a small hot set while
 /// the Uniform spreads them over the whole pool.
-fn bias_from_counts(counts: &HashMap<TensorId, usize>) -> f64 {
+fn bias_from_counts(counts: &FastIdMap<TensorId, usize>) -> f64 {
     let total: usize = counts.values().sum();
     if total == 0 {
         return 0.0;
@@ -141,7 +143,7 @@ mod tests {
 
     fn measure_stream(s: &TensorPairStream) -> Vec<DataCharacteristics> {
         let mut seen = HashSet::new();
-        s.vectors
+        s.vectors()
             .iter()
             .map(|v| DataCharacteristics::measure(v, &mut seen))
             .collect()

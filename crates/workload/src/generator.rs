@@ -56,7 +56,7 @@ impl std::fmt::Display for RepeatDistribution {
 ///     .with_vectors(4)
 ///     .with_seed(7)
 ///     .generate();
-/// assert_eq!(stream.vectors.len(), 4);
+/// assert_eq!(stream.vectors().len(), 4);
 /// assert_eq!(stream.total_tasks(), 64);
 /// // same spec ⇒ same stream, bit for bit
 /// assert_eq!(stream, WorkloadSpec::new(16, 384)
@@ -302,7 +302,7 @@ mod tests {
         let mut seen: HashSet<TensorId> = HashSet::new();
         let mut slots = 0usize;
         let mut repeats = 0usize;
-        for (vi, v) in stream.vectors.iter().enumerate() {
+        for (vi, v) in stream.vectors().iter().enumerate() {
             for t in &v.tasks {
                 for id in [t.a.id, t.b.id] {
                     let repeat = !seen.insert(id);
@@ -325,7 +325,7 @@ mod tests {
             .with_vectors(3)
             .generate();
         let mut ids: HashSet<TensorId> = HashSet::new();
-        for t in &s.vectors[0].tasks {
+        for t in &s.vectors()[0].tasks {
             ids.insert(t.a.id);
             ids.insert(t.b.id);
         }
@@ -343,8 +343,8 @@ mod tests {
     #[test]
     fn shape_matches_spec() {
         let s = WorkloadSpec::new(8, 64).with_vectors(5).generate();
-        assert_eq!(s.vectors.len(), 5);
-        for v in &s.vectors {
+        assert_eq!(s.vectors().len(), 5);
+        for v in s.vectors() {
             assert_eq!(v.len(), 8);
             for t in &v.tasks {
                 assert_eq!(t.a.bytes, 4 * 64 * 64 * 16);
@@ -361,7 +361,7 @@ mod tests {
         assert_eq!(measured_repeat_rate(&s), 0.0);
         // 3 vectors * 16 pairs * 2 slots distinct inputs
         let mut ids: HashSet<TensorId> = HashSet::new();
-        for v in &s.vectors {
+        for v in s.vectors() {
             for t in &v.tasks {
                 ids.insert(t.a.id);
                 ids.insert(t.b.id);
@@ -403,7 +403,7 @@ mod tests {
             .with_seed(3);
         let count_hot = |s: &TensorPairStream| {
             let mut counts: HashMap<TensorId, usize> = HashMap::new();
-            for v in &s.vectors {
+            for v in s.vectors() {
                 for t in &v.tasks {
                     *counts.entry(t.a.id).or_default() += 1;
                     *counts.entry(t.b.id).or_default() += 1;
@@ -436,7 +436,7 @@ mod tests {
             .with_vectors(4)
             .generate();
         let mut outs = HashSet::new();
-        for v in &s.vectors {
+        for v in s.vectors() {
             for t in &v.tasks {
                 assert!(outs.insert(t.out.id), "duplicate output id {:?}", t.out.id);
                 assert!(t.out.id.0 >= 1 << 40);
@@ -459,7 +459,7 @@ mod tests {
             .with_seed(3);
         let counts = |s: &TensorPairStream| {
             let mut c: HashMap<TensorId, usize> = HashMap::new();
-            for v in &s.vectors {
+            for v in s.vectors() {
                 for t in &v.tasks {
                     *c.entry(t.a.id).or_default() += 1;
                     *c.entry(t.b.id).or_default() += 1;
@@ -496,7 +496,7 @@ mod tests {
             .with_vectors(10)
             .with_seed(2)
             .generate();
-        let sizes: HashSet<usize> = s.vectors.iter().map(|v| v.len()).collect();
+        let sizes: HashSet<usize> = s.vectors().iter().map(|v| v.len()).collect();
         assert!(sizes.iter().all(|s| *s == 4 || *s == 16));
         assert_eq!(sizes.len(), 2, "both sizes should appear over 10 vectors");
     }
@@ -509,7 +509,7 @@ mod tests {
             .with_seed(3)
             .generate();
         let mut dims_seen = HashSet::new();
-        for v in &s.vectors {
+        for v in s.vectors() {
             // all tasks within a vector share one dim
             let bytes: HashSet<u64> = v.tasks.iter().map(|t| t.a.bytes).collect();
             assert_eq!(bytes.len(), 1, "mixed dims within a vector");
@@ -528,7 +528,7 @@ mod tests {
             .generate();
         // every tensor id must always appear with the same byte size
         let mut size_of: HashMap<TensorId, u64> = HashMap::new();
-        for v in &s.vectors {
+        for v in s.vectors() {
             for t in &v.tasks {
                 for d in [t.a, t.b] {
                     let prev = size_of.insert(d.id, d.bytes);

@@ -162,7 +162,7 @@ impl TensorInterner {
     /// Intern every tensor of `stream` (inputs and outputs) in stream
     /// order, so per-symbol state can be pre-sized before planning starts.
     pub fn intern_stream(&mut self, stream: &TensorPairStream) {
-        for v in &stream.vectors {
+        for v in stream.vectors() {
             for t in &v.tasks {
                 self.intern(t.a.id);
                 self.intern(t.b.id);

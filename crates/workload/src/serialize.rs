@@ -57,7 +57,7 @@ pub fn to_text(stream: &TensorPairStream) -> String {
     let mut out = String::with_capacity(64 + stream.total_tasks() * 48);
     out.push_str(HEADER);
     out.push('\n');
-    for v in &stream.vectors {
+    for v in stream.vectors() {
         out.push_str("vector\n");
         for t in &v.tasks {
             out.push_str(&format!(
@@ -160,7 +160,7 @@ mod tests {
         let text = format!("{HEADER}\n# a comment\n\nvector\ntask 0 1 10 2 10 3 10 99\n");
         let s = from_text(&text).unwrap();
         assert_eq!(s.total_tasks(), 1);
-        assert_eq!(s.vectors[0].tasks[0].flops, 99);
+        assert_eq!(s.vectors()[0].tasks[0].flops, 99);
     }
 
     #[test]

@@ -39,7 +39,7 @@ impl StreamStats {
     pub fn measure(stream: &TensorPairStream) -> Self {
         let mut uses: HashMap<TensorId, usize> = HashMap::new();
         let mut slots = 0usize;
-        for v in &stream.vectors {
+        for v in stream.vectors() {
             for t in &v.tasks {
                 for id in [t.a.id, t.b.id] {
                     *uses.entry(id).or_default() += 1;
@@ -50,7 +50,7 @@ impl StreamStats {
         let distinct = uses.len();
         let repeats = slots - distinct.min(slots);
         let max_uses = uses.values().copied().max().unwrap_or(0);
-        let per_stage: Vec<usize> = stream.vectors.iter().map(|v| v.len()).collect();
+        let per_stage: Vec<usize> = stream.vectors().iter().map(|v| v.len()).collect();
         let (min_t, max_t) = per_stage
             .iter()
             .fold((usize::MAX, 0), |(lo, hi), &n| (lo.min(n), hi.max(n)));
@@ -60,7 +60,7 @@ impl StreamStats {
             per_stage.iter().sum::<usize>() as f64 / per_stage.len() as f64
         };
         StreamStats {
-            stages: stream.vectors.len(),
+            stages: stream.vectors().len(),
             tasks: stream.total_tasks(),
             flops: stream.total_flops(),
             distinct_inputs: distinct,

@@ -1,5 +1,7 @@
 //! Core task vocabulary: tensors, contraction tasks, vectors, streams.
 
+use std::sync::OnceLock;
+
 use micco_tensor::{contraction_flops, tensor_bytes, ContractionKind};
 
 /// Globally unique identity of a tensor (an original hadron-node payload or
@@ -135,16 +137,56 @@ impl Vector {
 }
 
 /// A whole scheduling problem: an ordered sequence of stage vectors.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+///
+/// A stream is an immutable value. [`TensorPairStream::new`] is its only
+/// constructor, [`TensorPairStream::vectors`] reads it, and changing one
+/// means taking the vectors out with [`TensorPairStream::into_vectors`]
+/// and building a new stream. That is what lets a stream compute its
+/// [`TensorPairStream::fingerprint`] once, on first use, and keep it:
+/// nothing can change the tasks under a cached fingerprint.
+///
+/// ```compile_fail
+/// use micco_workload::{TensorPairStream, Vector};
+///
+/// let mut stream = TensorPairStream::default();
+/// stream.vectors.push(Vector::default()); // the vectors are private
+/// ```
+#[derive(Debug, Clone, Default)]
 pub struct TensorPairStream {
     /// Stage vectors, executed in order with a barrier between stages.
-    pub vectors: Vec<Vector>,
+    vectors: Vec<Vector>,
+    /// [`TensorPairStream::fingerprint`], once something has asked for it.
+    fingerprint: OnceLock<u64>,
 }
+
+/// Streams are equal when their vectors are: whether either one has
+/// computed its fingerprint yet does not matter.
+impl PartialEq for TensorPairStream {
+    fn eq(&self, other: &Self) -> bool {
+        self.vectors == other.vectors
+    }
+}
+
+impl Eq for TensorPairStream {}
 
 impl TensorPairStream {
     /// Build from vectors.
     pub fn new(vectors: Vec<Vector>) -> Self {
-        TensorPairStream { vectors }
+        TensorPairStream {
+            vectors,
+            fingerprint: OnceLock::new(),
+        }
+    }
+
+    /// The stage vectors, in execution order.
+    pub fn vectors(&self) -> &[Vector] {
+        &self.vectors
+    }
+
+    /// Take the stage vectors out, e.g. to build a changed stream with
+    /// [`TensorPairStream::new`].
+    pub fn into_vectors(self) -> Vec<Vector> {
+        self.vectors
     }
 
     /// Total tasks across all vectors.
@@ -186,32 +228,38 @@ impl TensorPairStream {
     /// the fingerprint; equal streams always fingerprint equal. Schedule
     /// plans carry this value so a plan can be checked against the stream
     /// it is replayed on, and plan caches key on it.
+    ///
+    /// The hash is computed on the first call and cached in the stream
+    /// (clones keep it), so every later call is a load. Streams that
+    /// nothing keys or validates never pay for it.
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut mix = |value: u64| {
-            for byte in value.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(FNV_PRIME);
+        *self.fingerprint.get_or_init(|| {
+            const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+            const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+            let mut h = FNV_OFFSET;
+            let mut mix = |value: u64| {
+                for byte in value.to_le_bytes() {
+                    h ^= byte as u64;
+                    h = h.wrapping_mul(FNV_PRIME);
+                }
+            };
+            for v in &self.vectors {
+                // a stage marker keeps [t0 | t1] distinct from [t0, t1]
+                mix(u64::MAX);
+                mix(v.tasks.len() as u64);
+                for t in &v.tasks {
+                    mix(t.id.0);
+                    mix(t.a.id.0);
+                    mix(t.a.bytes);
+                    mix(t.b.id.0);
+                    mix(t.b.bytes);
+                    mix(t.out.id.0);
+                    mix(t.out.bytes);
+                    mix(t.flops);
+                }
             }
-        };
-        for v in &self.vectors {
-            // a stage marker keeps [t0 | t1] distinct from [t0, t1]
-            mix(u64::MAX);
-            mix(v.tasks.len() as u64);
-            for t in &v.tasks {
-                mix(t.id.0);
-                mix(t.a.id.0);
-                mix(t.a.bytes);
-                mix(t.b.id.0);
-                mix(t.b.bytes);
-                mix(t.out.id.0);
-                mix(t.out.bytes);
-                mix(t.flops);
-            }
-        }
-        h
+            h
+        })
     }
 }
 
@@ -272,7 +320,7 @@ mod tests {
         let per = TensorDesc::new(TensorId(0), ContractionKind::Meson, 2, 4).bytes;
         // distinct ids: 1,2,3,100,101,102
         assert_eq!(s.unique_bytes(), 6 * per);
-        assert_eq!(s.peak_vector_bytes(), s.vectors[1].unique_bytes());
+        assert_eq!(s.peak_vector_bytes(), s.vectors()[1].unique_bytes());
         assert_eq!(s.total_flops(), 3 * 2 * 4u64.pow(3) * 8);
     }
 
@@ -293,24 +341,36 @@ mod tests {
         assert_eq!(base.fingerprint(), base.clone().fingerprint());
 
         // task order within a vector matters
-        let mut reordered = base.clone();
-        reordered.vectors[1].tasks.reverse();
-        assert_ne!(base.fingerprint(), reordered.fingerprint());
+        let mut reordered = base.clone().into_vectors();
+        reordered[1].tasks.reverse();
+        assert_ne!(
+            base.fingerprint(),
+            TensorPairStream::new(reordered).fingerprint()
+        );
 
         // moving a stage boundary matters even with identical task lists
         let flat = TensorPairStream::new(vec![Vector::new(
-            base.vectors.iter().flat_map(|v| v.tasks.clone()).collect(),
+            base.vectors()
+                .iter()
+                .flat_map(|v| v.tasks.clone())
+                .collect(),
         )]);
         assert_ne!(base.fingerprint(), flat.fingerprint());
 
         // any field change matters
-        let mut heavier = base.clone();
-        heavier.vectors[0].tasks[0].flops += 1;
-        assert_ne!(base.fingerprint(), heavier.fingerprint());
+        let mut heavier = base.clone().into_vectors();
+        heavier[0].tasks[0].flops += 1;
+        assert_ne!(
+            base.fingerprint(),
+            TensorPairStream::new(heavier).fingerprint()
+        );
 
         // trailing empty vectors are structurally different streams
-        let mut padded = base.clone();
-        padded.vectors.push(Vector::default());
-        assert_ne!(base.fingerprint(), padded.fingerprint());
+        let mut padded = base.clone().into_vectors();
+        padded.push(Vector::default());
+        assert_ne!(
+            base.fingerprint(),
+            TensorPairStream::new(padded).fingerprint()
+        );
     }
 }

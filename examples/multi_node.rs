@@ -22,7 +22,7 @@ fn chained_stream() -> TensorPairStream {
         .with_vectors(8)
         .with_seed(123)
         .generate();
-    let mut vectors = base.vectors.clone();
+    let mut vectors = base.into_vectors();
     for v in 1..vectors.len() {
         let prev: Vec<_> = vectors[v - 1].tasks.iter().map(|t| t.out).collect();
         for (i, t) in vectors[v].tasks.iter_mut().enumerate() {
@@ -38,7 +38,7 @@ fn main() {
     let stream = chained_stream();
     println!(
         "workload: {} stages, {} tasks, {:.1} GFLOP, chained intermediates\n",
-        stream.vectors.len(),
+        stream.vectors().len(),
         stream.total_tasks(),
         stream.total_flops() as f64 / 1e9
     );

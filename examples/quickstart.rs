@@ -23,7 +23,7 @@ fn main() {
 
     println!(
         "workload: {} stage vectors, {} contraction tasks, {:.1} GFLOP total",
-        workload.vectors.len(),
+        workload.vectors().len(),
         workload.total_tasks(),
         workload.total_flops() as f64 / 1e9,
     );

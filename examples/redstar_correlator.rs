@@ -38,7 +38,7 @@ fn main() {
     );
     println!(
         "staged stream: {} stages, {} tasks, working set {:.1} MiB",
-        program.stream.vectors.len(),
+        program.stream.vectors().len(),
         program.stream.total_tasks(),
         program.working_set_bytes as f64 / (1 << 20) as f64,
     );

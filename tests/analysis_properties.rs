@@ -165,7 +165,7 @@ fn capacity_violation_reports_e001_at_first_task() {
     let hits = report.with_code(Code::CapacityExceeded);
     assert!(!hits.is_empty(), "{}", report.render_text());
     assert_eq!((hits[0].stage, hits[0].index), (Some(0), Some(0)));
-    assert_eq!(hits[0].task, Some(stream.vectors[0].tasks[0].id));
+    assert_eq!(hits[0].task, Some(stream.vectors()[0].tasks[0].id));
     assert!(report.denies(Severity::Error));
     // both machine encodings carry the code and the coordinates
     let json = report.to_json();

@@ -127,7 +127,7 @@ fn assert_only(report: &Report, code: Code, what: &str) {
 /// The stage each task id belongs to (stage k holds vector k's tasks).
 fn stage_of(stream: &TensorPairStream, task: u64) -> Option<usize> {
     stream
-        .vectors
+        .vectors()
         .iter()
         .position(|v| v.tasks.iter().any(|t| t.id.0 == task))
 }

@@ -37,7 +37,10 @@ fn every_scheduler_completes_a_redstar_program() {
             s.name()
         );
         assert!(r.gflops() > 0.0, "{}", s.name());
-        assert_eq!(r.stats.stage_makespans.len(), program.stream.vectors.len());
+        assert_eq!(
+            r.stats.stage_makespans.len(),
+            program.stream.vectors().len()
+        );
     }
 }
 

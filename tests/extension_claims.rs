@@ -48,7 +48,7 @@ fn hierarchical_cluster_cuts_network_traffic() {
         .with_vectors(6)
         .with_seed(3)
         .generate();
-    let mut vectors = base.vectors.clone();
+    let mut vectors = base.into_vectors();
     for v in 1..vectors.len() {
         let prev: Vec<_> = vectors[v - 1].tasks.iter().map(|t| t.out).collect();
         for (i, t) in vectors[v].tasks.iter_mut().enumerate() {

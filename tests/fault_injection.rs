@@ -78,7 +78,7 @@ proptest! {
         // `random` caps permanent losses at workers-1, so a survivor is
         // guaranteed; transient faults stay within the retry budget.
         let faults = FaultPlan::random(
-            fault_seed, workers, stream.vectors.len(), stream.total_tasks() as u64,
+            fault_seed, workers, stream.vectors().len(), stream.total_tasks() as u64,
         );
         let chaotic = execute_assignments(
             &stream, &report.assignments, workers, &store(wl_seed),
@@ -91,7 +91,7 @@ proptest! {
         // `lost_workers` counts every loss (transient or permanent) that
         // fires within the run's stages
         let expected_losses = (0..workers)
-            .filter(|&w| faults.loss_of(w).is_some_and(|(s, _)| s < stream.vectors.len()))
+            .filter(|&w| faults.loss_of(w).is_some_and(|(s, _)| s < stream.vectors().len()))
             .count();
         prop_assert_eq!(chaotic.lost_workers, expected_losses, "losses must be accounted");
     }
@@ -113,7 +113,7 @@ proptest! {
             .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
             .expect("fits");
         let faults = FaultPlan::random(
-            fault_seed, workers, stream.vectors.len(), stream.total_tasks() as u64,
+            fault_seed, workers, stream.vectors().len(), stream.total_tasks() as u64,
         );
         let opts = chaos_opts().with_faults(faults.clone());
         let a = execute_assignments(
@@ -188,7 +188,7 @@ proptest! {
         let mut sched = scheduler(which);
         let plan = Session::new(cfg).plan(sched.as_mut(), &stream).expect("fits").into_plan();
         let faults = FaultPlan::random(
-            fault_seed, workers, stream.vectors.len(), stream.total_tasks() as u64,
+            fault_seed, workers, stream.vectors().len(), stream.total_tasks() as u64,
         );
         let recorder = Recorder::shared();
         let opts = chaos_opts().with_faults(faults).with_trace(recorder.clone());

@@ -7,7 +7,7 @@ use micco::sched::tuner::{
     build_training_set, candidate_bound_values, stream_features, TrainingConfig,
 };
 use micco::sched::{MiccoScheduler, Session};
-use micco::workload::{RepeatDistribution, WorkloadSpec};
+use micco::workload::{DataCharacteristics, RepeatDistribution, WorkloadSpec};
 
 fn tiny_training() -> Vec<micco::sched::tuner::TuneSample> {
     let tc = TrainingConfig {
@@ -46,6 +46,37 @@ fn trained_model_schedules_successfully() {
         .expect("fits");
     assert_eq!(report.assignments.len(), stream.total_tasks());
     assert!(report.scheduler.contains("regression"));
+}
+
+/// MICCO-optimal's bounds come from measuring each vector against every
+/// earlier one, in stream order, and predicting from that: the regression
+/// provider does the measuring, and a fresh clone of the trained model
+/// decides exactly what another fresh clone does.
+#[test]
+fn regression_bounds_follow_the_measured_characteristics() {
+    let model = RegressionBounds::train(&tiny_training(), 3);
+    let stream = WorkloadSpec::new(16, 128)
+        .with_repeat_rate(0.6)
+        .with_distribution(RepeatDistribution::Gaussian)
+        .with_vectors(6)
+        .with_seed(17)
+        .generate();
+    let session = Session::new(MachineConfig::mi100_like(4));
+    let plan = session
+        .plan(&mut MiccoScheduler::with_provider(model.clone()), &stream)
+        .expect("fits")
+        .into_plan();
+    assert_eq!(plan.stages.len(), stream.vectors().len());
+    let mut seen = std::collections::HashSet::new();
+    for (i, (stage, v)) in plan.stages.iter().zip(stream.vectors()).enumerate() {
+        let expected = model.predict(&DataCharacteristics::measure(v, &mut seen));
+        assert_eq!(stage.bounds, Some(expected), "stage {i}");
+    }
+    let again = session
+        .plan(&mut MiccoScheduler::with_provider(model.clone()), &stream)
+        .expect("fits")
+        .into_plan();
+    assert_eq!(plan.to_text(), again.to_text());
 }
 
 #[test]

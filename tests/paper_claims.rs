@@ -157,8 +157,11 @@ fn tab5_overhead_is_small() {
     let stream = mini_stream(64, 0.5, RepeatDistribution::Uniform, 29);
     let cfg = MachineConfig::mi100_like(8);
     let r = Session::new(cfg)
+        .measure_overhead(true)
         .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
         .unwrap();
+    // measured, not the 0.0 an unmeasured run reports
+    assert!(r.scheduling_overhead_secs > 0.0);
     assert!(
         r.scheduling_overhead_secs < r.elapsed_secs() * 0.25,
         "overhead {:.6}s vs total {:.6}s",

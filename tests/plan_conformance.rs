@@ -155,18 +155,22 @@ fn any_stream_mutation_misses_the_cache() {
         .plan_for_with_topology(&mut sched, &base, &cfg, DriverOptions::default(), None)
         .expect("fits");
 
+    // Each mutation rebuilds the stream from a changed copy of its vectors.
+    let mutate = |change: fn(&mut Vec<Vector>)| {
+        let mut vectors = base.clone().into_vectors();
+        change(&mut vectors);
+        TensorPairStream::new(vectors)
+    };
     // Cost mutation: one task got more expensive.
-    let mut costlier = base.clone();
-    costlier.vectors[0].tasks[0].flops += 1;
+    let costlier = mutate(|v| v[0].tasks[0].flops += 1);
     // Shape mutation: one input tensor grew by a byte.
-    let mut fatter = base.clone();
-    fatter.vectors[1].tasks[0].a.bytes += 1;
+    let fatter = mutate(|v| v[1].tasks[0].a.bytes += 1);
     // Order mutation: two tasks of a stage swapped.
-    let mut swapped = base.clone();
-    swapped.vectors[0].tasks.swap(0, 1);
+    let swapped = mutate(|v| v[0].tasks.swap(0, 1));
     // Structure mutation: the last stage lost a task.
-    let mut truncated = base.clone();
-    truncated.vectors.last_mut().unwrap().tasks.pop();
+    let truncated = mutate(|v| {
+        v.last_mut().unwrap().tasks.pop();
+    });
 
     for (label, mutated) in [
         ("flops", &costlier),
@@ -222,7 +226,7 @@ const POLICIES: [EvictionPolicy; 4] = [
 /// overlap, overlap with a 2-task staging window}.
 fn sessions(stream: &TensorPairStream) -> Vec<Session> {
     let worst = stream
-        .vectors
+        .vectors()
         .iter()
         .flat_map(|v| v.tasks.iter())
         .map(|t| t.a.bytes + t.b.bytes + t.out.bytes)

@@ -139,7 +139,7 @@ proptest! {
         // out): enough that no single task ever WontFits, tight enough
         // that residency churns.
         let worst = stream
-            .vectors
+            .vectors()
             .iter()
             .flat_map(|v| v.tasks.iter())
             .map(|t| t.a.bytes + t.b.bytes + t.out.bytes)

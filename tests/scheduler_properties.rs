@@ -71,7 +71,7 @@ proptest! {
         // Shrink memory to just above the largest single-task working set
         // so evictions fire constantly.
         let max_task_bytes = stream
-            .vectors
+            .vectors()
             .iter()
             .flat_map(|v| v.tasks.iter())
             .map(|t| t.a.bytes + t.b.bytes + t.out.bytes)
