@@ -1,9 +1,9 @@
 //! Planner throughput benchmark with a machine-readable report.
 //!
 //! Plans the same workload twice — once with the fast planner
-//! (`Session::plan`: interned IDs, SoA shadow state, arena-allocated
-//! plan) and once with the retained seed reference (`plan_schedule_seed`,
-//! the frozen map-based machine) — asserts the two plans are
+//! (`Session::plan`: interned IDs, SoA shadow state, holder bitsets) and
+//! once with the retained seed reference (`plan_schedule_seed`, the
+//! frozen map-based machine) — asserts the two plans are
 //! **byte-identical**, and writes `BENCH_planner.json` with tasks/sec for
 //! both paths, the speedup, the planning pass's eviction count, and peak
 //! RSS.
@@ -21,9 +21,7 @@
 
 use std::time::Instant;
 
-use micco_core::{
-    plan_schedule_seed, DriverOptions, MiccoScheduler, ReuseBounds, Scheduler, Session,
-};
+use micco_core::{plan_schedule_seed, MiccoScheduler, ReuseBounds, Scheduler, Session};
 use micco_gpusim::MachineConfig;
 use micco_workload::{RepeatDistribution, TensorPairStream, WorkloadSpec};
 
@@ -132,12 +130,11 @@ fn main() {
     if args.oversub > 0.0 {
         cfg = cfg.with_oversubscription(stream.unique_bytes(), args.oversub);
     }
-    let opts = DriverOptions::default();
     let mk = || MiccoScheduler::new(ReuseBounds::new(0, 2, 0));
 
     // Warm-up pass (touches the allocator and page cache), then the
     // measured fast pass — the steady-state shape.
-    let session = Session::new(cfg).with_options(opts);
+    let session = Session::new(cfg);
     session.plan(&mut mk(), &stream).expect("warm-up plans");
     let (planned, fast_secs) =
         time_plan(|| session.plan(&mut mk(), &stream).expect("fast path plans"));
@@ -154,7 +151,7 @@ fn main() {
     } else {
         let (seed_plan, seed_secs) = time_plan(|| {
             let mut sched = mk();
-            plan_schedule_seed(&mut sched as &mut dyn Scheduler, &stream, &cfg, opts)
+            plan_schedule_seed(&mut sched as &mut dyn Scheduler, &stream, &cfg)
                 .expect("seed path plans")
         });
         assert_eq!(

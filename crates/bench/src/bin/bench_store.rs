@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use micco_core::{DriverOptions, DurablePlanCache, MiccoScheduler, ReuseBounds};
+use micco_core::{DurablePlanCache, MiccoScheduler, ReuseBounds, Session};
 use micco_gpusim::MachineConfig;
 use micco_store::{PlanStore, StoreOptions};
 use micco_workload::WorkloadSpec;
@@ -151,19 +151,19 @@ fn main() {
         .with_vectors(2)
         .with_seed(7)
         .generate();
-    let cfg = MachineConfig::mi100_like(4);
+    let session = Session::new(MachineConfig::mi100_like(4));
     {
         let cache = DurablePlanCache::open(&plan_dir).expect("plan store opens");
         let mut sched = MiccoScheduler::new(ReuseBounds::new(0, 2, 0));
-        cache
-            .plan_for_with_topology(&mut sched, &stream, &cfg, DriverOptions::default(), None)
+        session
+            .plan_with_cache(&cache, &mut sched, &stream)
             .expect("cold plan");
         assert_eq!(cache.misses(), 1);
     }
     let cache = DurablePlanCache::open(&plan_dir).expect("plan store reopens");
     let mut sched = MiccoScheduler::new(ReuseBounds::new(0, 2, 0));
-    cache
-        .plan_for_with_topology(&mut sched, &stream, &cfg, DriverOptions::default(), None)
+    session
+        .plan_with_cache(&cache, &mut sched, &stream)
         .expect("warm plan");
     let warm_log_hit = cache.log_hits() == 1 && cache.misses() == 0;
     assert!(warm_log_hit, "warm restart must serve from the log");

@@ -16,9 +16,7 @@
 use micco_bench::{
     distributions, markdown_table, run, standard_stream, DEFAULT_GPUS, DEFAULT_TENSOR_SIZE,
 };
-use micco_core::{
-    DriverOptions, GrouteScheduler, MiccoScheduler, ReuseBounds, RoundRobinScheduler, Session,
-};
+use micco_core::{GrouteScheduler, MiccoScheduler, ReuseBounds, RoundRobinScheduler, Session};
 use micco_exec::{execute_assignments, ExecOptions, TensorShape, TensorStore};
 use micco_gpusim::{CostModel, MachineConfig};
 use micco_workload::{RepeatDistribution, WorkloadSpec};
@@ -32,27 +30,15 @@ fn overlap_makespan_study() {
     let stream = standard_stream(64, 768, 0.0, RepeatDistribution::Uniform, 17);
     let cfg = MachineConfig::mi100_like(DEFAULT_GPUS);
     let mut rows = Vec::new();
-    for (label, opts) in [
-        ("overlap off", DriverOptions::default()),
-        (
-            "overlap on (unbounded)",
-            DriverOptions::default().with_overlap(),
-        ),
-        (
-            "overlap on, 2 buffers",
-            DriverOptions::default()
-                .with_overlap()
-                .with_prefetch_tasks(2),
-        ),
-        (
-            "overlap on, 1 buffer",
-            DriverOptions::default()
-                .with_overlap()
-                .with_prefetch_tasks(1),
-        ),
+    for (label, overlap, prefetch_tasks) in [
+        ("overlap off", false, 0),
+        ("overlap on (unbounded)", true, 0),
+        ("overlap on, 2 buffers", true, 2),
+        ("overlap on, 1 buffer", true, 1),
     ] {
         let r = Session::new(cfg)
-            .with_options(opts)
+            .overlap(overlap)
+            .prefetch_tasks(prefetch_tasks)
             .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
             .expect("workload fits");
         rows.push((label, r));

@@ -73,7 +73,7 @@ fn measure(
         .expect("sweep plans")
         .into_plan();
     // replay on a machine we own, to read its cross-island counters
-    let mut machine = SimMachine::new(opts.apply(cfg));
+    let mut machine = SimMachine::new(*cfg);
     machine.set_topology(Some(topo.clone()));
     let report = execute_plan(&plan, stream, &mut machine).expect("replays");
     let (transfers, bytes) = machine.cross_island_traffic();

@@ -21,13 +21,14 @@ use std::fmt;
 
 use micco_gpusim::{FaultPlan, LinkTopology, MachineConfig};
 use micco_obs::json::{ObjBuilder, Value};
-use micco_workload::{RepeatDistribution, TensorPairStream, WorkloadSpec};
+use micco_workload::{ContractionTask, RepeatDistribution, TensorPairStream, WorkloadSpec};
 
 use crate::baselines::{CodaScheduler, GrouteScheduler, RoundRobinScheduler};
 use crate::bounds::ReuseBounds;
 use crate::driver::{DriverOptions, ScheduleReport, Scheduler};
 use crate::micco::MiccoScheduler;
 use crate::session::Session;
+use crate::store::DurablePlanCache;
 
 /// A retry policy for fault-tolerant execution: up to `max_attempts`
 /// tries per task with `delay_us` microseconds of backoff between them.
@@ -251,6 +252,12 @@ impl SessionConfig {
                     .get("max_attempts")
                     .and_then(Value::as_u64)
                     .ok_or_else(|| ConfigError("'retry.max_attempts' must be an integer".into()))?;
+                let max = u32::try_from(max).map_err(|_| {
+                    ConfigError(format!(
+                        "'retry.max_attempts' must be at most {}, got {max}",
+                        u32::MAX
+                    ))
+                })?;
                 let delay = match r.get("delay_us") {
                     None => 0,
                     Some(d) => d
@@ -258,7 +265,7 @@ impl SessionConfig {
                         .ok_or_else(|| ConfigError("'retry.delay_us' must be an integer".into()))?,
                 };
                 cfg.retry = Some(RetryPolicy {
-                    max_attempts: max as u32,
+                    max_attempts: max,
                     delay_us: delay,
                 });
             }
@@ -335,10 +342,17 @@ impl SessionConfig {
         if self.tensor_size == 0 {
             return Err(ConfigError("'tensor_size' must be at least 1".into()));
         }
+        if self.batch == 0 {
+            return Err(ConfigError("'batch' must be at least 1".into()));
+        }
+        if self.dims.contains(&0) {
+            return Err(ConfigError("'dims' entries must be at least 1".into()));
+        }
         if !(0.0..=1.0).contains(&self.rate) {
             return Err(ConfigError("'rate' must be in [0, 1]".into()));
         }
         self.distribution()?;
+        self.check_stream_totals()?;
         if self.oversub < 0.0 {
             return Err(ConfigError("'oversub' must be non-negative".into()));
         }
@@ -366,6 +380,29 @@ impl SessionConfig {
         Ok(())
     }
 
+    /// Reject a shape whose stream totals — flops, or bytes touched — do
+    /// not fit `u64`, for `tensor_size` and for every `dims` entry, using
+    /// the generator's own formulas: past this check, generating the
+    /// stream and summing its work cannot overflow.
+    fn check_stream_totals(&self) -> Result<(), ConfigError> {
+        let spec = self.workload()?;
+        let tasks = (self.vector_size as u64)
+            .checked_mul(self.vectors as u64)
+            .ok_or_else(|| ConfigError("'vector_size' * 'vectors' overflows u64".into()))?;
+        let sizes = std::iter::once(("tensor_size", self.tensor_size))
+            .chain(self.dims.iter().map(|&dim| ("dims", dim)));
+        for (key, dim) in sizes {
+            if ContractionTask::checked_totals(spec.kind, spec.batch, dim, tasks).is_none() {
+                return Err(ConfigError(format!(
+                    "'{key}' {dim}: the stream's total flops or bytes overflow u64 \
+                     ({tasks} tasks of batch {})",
+                    spec.batch
+                )));
+            }
+        }
+        Ok(())
+    }
+
     fn distribution(&self) -> Result<RepeatDistribution, ConfigError> {
         match self.dist.as_str() {
             "uniform" => Ok(RepeatDistribution::Uniform),
@@ -381,6 +418,11 @@ impl SessionConfig {
 
     /// Generate the synthetic workload this config describes.
     pub fn stream(&self) -> Result<TensorPairStream, ConfigError> {
+        Ok(self.workload()?.generate())
+    }
+
+    /// The generator spec behind [`Self::stream`].
+    fn workload(&self) -> Result<WorkloadSpec, ConfigError> {
         let mut spec = WorkloadSpec::new(self.vector_size, self.tensor_size)
             .with_repeat_rate(self.rate)
             .with_distribution(self.distribution()?)
@@ -390,10 +432,11 @@ impl SessionConfig {
         if !self.dims.is_empty() {
             spec = spec.with_dim_choices(self.dims.clone());
         }
-        Ok(spec.generate())
+        Ok(spec)
     }
 
-    /// The machine shape (needs the stream for oversubscription sizing).
+    /// The machine shape (needs the stream for oversubscription sizing),
+    /// with `overlap` and `prefetch_tasks` on its cost model.
     pub fn machine(&self, stream: &TensorPairStream) -> MachineConfig {
         let mut cfg = MachineConfig::mi100_like(self.gpus);
         if self.overlap {
@@ -426,21 +469,17 @@ impl SessionConfig {
         }
     }
 
-    /// The driver options the config's [`Session`] plans and replays under
-    /// (overlap / prefetch / overhead / topology-awareness) — and so what
-    /// its durable-store keys mix in.
+    /// The planning knobs the config's [`Session`] plans and replays
+    /// under: overhead timing (always on) and `topology_aware`. Its plan
+    /// keys mix them in beside [`Self::machine`], which carries `overlap`
+    /// and `prefetch_tasks`.
     pub fn driver_options(&self) -> DriverOptions {
-        let mut opts = DriverOptions::default().with_measure_overhead();
-        if self.overlap {
-            opts = opts.with_overlap();
-        }
-        if self.prefetch_tasks > 0 {
-            opts = opts.with_prefetch_tasks(self.prefetch_tasks);
-        }
+        let opts = DriverOptions::default().with_measure_overhead();
         if self.topology_aware {
-            opts = opts.with_topology_aware();
+            opts.with_topology_aware()
+        } else {
+            opts
         }
-        opts
     }
 
     /// The parsed link topology, `None` when flat.
@@ -461,8 +500,11 @@ impl SessionConfig {
         }
     }
 
-    /// Assemble the [`Session`] this config describes: machine + driver
-    /// options + topology + faults + retry + store, ready to plan or run.
+    /// Assemble the [`Session`] this config describes: machine + planning
+    /// knobs + topology + faults, ready to plan or run. The session holds
+    /// no store and no retry policy: [`Self::run`] plans through `store`,
+    /// and `retry` is for the real executor (the simulator models retries
+    /// through the fault plan).
     pub fn session(&self, stream: &TensorPairStream) -> Result<Session, ConfigError> {
         let mut session = Session::new(self.machine(stream)).with_options(self.driver_options());
         if let Some(topo) = self.link_topology()? {
@@ -472,28 +514,25 @@ impl SessionConfig {
         if faults.fault_count() > 0 {
             session = session.with_faults(faults);
         }
-        if let Some(r) = &self.retry {
-            session = session.retry(r.max_attempts, std::time::Duration::from_micros(r.delay_us));
-        }
-        if let Some(dir) = &self.store {
-            session = session.with_store(dir);
-        }
         Ok(session)
     }
 
     /// Decide and execute in one call — generates the stream, builds the
-    /// session and scheduler, plans (through the durable store when one
-    /// is configured) and replays.
+    /// session and scheduler, plans (through a [`DurablePlanCache`] opened
+    /// over `store` when one is configured, so a repeated request is
+    /// served from its log) and executes.
     pub fn run(&self) -> Result<ScheduleReport, ConfigError> {
         let stream = self.stream()?;
         let session = self.session(&stream)?;
         let mut scheduler = self.build_scheduler()?;
-        if self.store.is_some() {
-            let (planned, _stats) = session.plan_durable(scheduler.as_mut(), &stream)?;
-            Ok(planned.execute(&stream)?)
-        } else {
-            Ok(session.run(scheduler.as_mut(), &stream)?)
-        }
+        let planned = match &self.store {
+            Some(dir) => {
+                let cache = DurablePlanCache::open(dir)?;
+                session.plan_with_cache(&cache, scheduler.as_mut(), &stream)?
+            }
+            None => session.plan(scheduler.as_mut(), &stream)?,
+        };
+        Ok(planned.execute(&stream)?)
     }
 }
 
@@ -686,5 +725,173 @@ mod tests {
         // float is wall-clock and excluded from the comparison)
         assert_eq!(a.plan().stages, b.plan().stages);
         assert_eq!(a.plan().fingerprint, b.plan().fingerprint);
+    }
+
+    #[test]
+    fn a_store_backed_run_decides_once_then_replays_from_the_log() {
+        let dir = std::env::temp_dir().join(format!(
+            "micco-config-store-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = SessionConfig {
+            vector_size: 10,
+            tensor_size: 64,
+            vectors: 3,
+            seed: 11,
+            gpus: 2,
+            store: Some(dir.to_string_lossy().into_owned()),
+            ..SessionConfig::default()
+        };
+        let records = || {
+            let recovery = *DurablePlanCache::open(&dir).unwrap().recovery();
+            (recovery.records_loaded, recovery.records_superseded)
+        };
+        // cold: the scheduler decides and the plan is appended
+        let cold = cfg.run().expect("plans");
+        assert_eq!(records(), (1, 0));
+        // warm: served from the log, so nothing is appended and the plan
+        // keeps the scheduling overhead measured when it was decided
+        let warm = cfg.run().expect("replays");
+        assert_eq!(records(), (1, 0));
+        // the execute phase's wall clock is the one field that may differ
+        let untimed = |report: ScheduleReport| ScheduleReport {
+            execution_overhead_secs: 0.0,
+            ..report
+        };
+        assert!(cold.scheduling_overhead_secs > 0.0);
+        assert_eq!(untimed(cold), untimed(warm));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The plan-cache key of the request `cfg` describes, in hex.
+    fn key_hex(cfg: &SessionConfig) -> String {
+        let stream = cfg.stream().unwrap();
+        let session = cfg.session(&stream).unwrap();
+        let key = crate::plan::PlanCache::key_for_with_topology(
+            cfg.build_scheduler().unwrap().as_ref(),
+            &stream,
+            session.config(),
+            *session.options(),
+            session.topology(),
+        );
+        format!("{:016x}", key.raw())
+    }
+
+    #[test]
+    fn plan_cache_keys_built_from_configs_are_pinned() {
+        // every on-disk store is keyed by these bytes: a drift makes every
+        // stored plan unreachable
+        let cases = [
+            (SessionConfig::default(), "12015009cd6028de"),
+            (
+                SessionConfig {
+                    overlap: true,
+                    prefetch_tasks: 2,
+                    ..SessionConfig::default()
+                },
+                "7ee4cd8d4321b39e",
+            ),
+            (
+                SessionConfig {
+                    topology: Some("nvlink{gpus:8, island:4}".into()),
+                    topology_aware: true,
+                    ..SessionConfig::default()
+                },
+                "e78c6b2c08346dfa",
+            ),
+            (
+                SessionConfig {
+                    oversub: 2.0,
+                    ..SessionConfig::default()
+                },
+                "e30de2fa3df60342",
+            ),
+            (
+                SessionConfig {
+                    scheduler: "groute".into(),
+                    ..SessionConfig::default()
+                },
+                "7274ad98183d99cc",
+            ),
+        ];
+        let keys: Vec<String> = cases.iter().map(|(cfg, _)| key_hex(cfg)).collect();
+        let pinned: Vec<&str> = cases.iter().map(|&(_, key)| key).collect();
+        assert_eq!(keys, pinned);
+    }
+
+    /// The error `json` parses to; panics if it parses.
+    fn rejected(json: &str) -> String {
+        SessionConfig::parse(json).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn retry_counts_past_u32_are_rejected_not_wrapped() {
+        for max in [4_294_967_296u64, 4_294_967_297, 4_294_967_302] {
+            let err = rejected(&format!(r#"{{"retry": {{"max_attempts": {max}}}}}"#));
+            assert!(
+                err.contains("'retry.max_attempts' must be at most 4294967295"),
+                "{err}"
+            );
+        }
+        let cfg = SessionConfig::parse(r#"{"retry": {"max_attempts": 4294967295}}"#).unwrap();
+        assert_eq!(cfg.retry.map(|r| r.max_attempts), Some(u32::MAX));
+    }
+
+    #[test]
+    fn shapes_whose_stream_totals_overflow_are_rejected() {
+        // per-task flops already overflow: (2^53)^3
+        let err = rejected(r#"{"tensor_size": 9007199254740992}"#);
+        assert!(err.contains("'tensor_size'"), "{err}");
+        // the release build used to wrap this one to 0 GFLOPS
+        let err =
+            rejected(r#"{"tensor_size": 4294967296, "vectors": 1, "vector_size": 1, "gpus": 2}"#);
+        assert!(err.contains("'tensor_size'"), "{err}");
+        // every dims entry is checked, not just the first
+        let err = rejected(r#"{"dims": [64, 9007199254740992]}"#);
+        assert!(err.contains("'dims'"), "{err}");
+        // each task fits, the stream's total flops do not: 2^30 tasks of
+        // 2^47 flops
+        let err = rejected(r#"{"tensor_size": 16384, "vector_size": 1048576, "vectors": 1024}"#);
+        assert!(err.contains("'tensor_size'"), "{err}");
+        // the total flops fit (2^58 tasks of 32), the total bytes do not
+        let err = rejected(r#"{"tensor_size": 1, "vector_size": 536870912, "vectors": 536870912}"#);
+        assert!(err.contains("'tensor_size'"), "{err}");
+    }
+
+    #[test]
+    fn zero_batches_and_dims_are_rejected() {
+        let err = rejected(r#"{"batch": 0}"#);
+        assert!(err.contains("'batch'"), "{err}");
+        let err = rejected(r#"{"dims": [64, 0]}"#);
+        assert!(err.contains("'dims'"), "{err}");
+    }
+
+    #[test]
+    fn realistic_shapes_still_validate() {
+        assert_eq!(SessionConfig::default().validate(), Ok(()));
+        // the benchmark's job templates
+        for (vector_size, vectors, tensor_size, gpus) in
+            [(256, 20, 384, 8), (256, 80, 192, 4), (150, 2, 32, 2)]
+        {
+            let cfg = SessionConfig {
+                vector_size,
+                vectors,
+                tensor_size,
+                gpus,
+                ..SessionConfig::default()
+            };
+            assert_eq!(cfg.validate(), Ok(()));
+        }
+        // the largest per-task shape the daemon still answers with 413
+        let cfg = SessionConfig {
+            tensor_size: 1 << 14,
+            vector_size: 512,
+            vectors: 64,
+            gpus: 2,
+            ..SessionConfig::default()
+        };
+        assert_eq!(cfg.validate(), Ok(()));
     }
 }

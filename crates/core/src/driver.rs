@@ -11,6 +11,11 @@
 //! function, the split reproduces the interleaved [`run_schedule_on`]
 //! exactly; that path remains for warm machines and as the conformance
 //! reference.
+//!
+//! Every pass simulates the [`MachineConfig`] exactly as it is given,
+//! including the copy engine's overlap and staging window on its cost
+//! model. [`DriverOptions`] carry only the planning knobs that are not part
+//! of the machine.
 
 use std::time::Instant;
 
@@ -19,9 +24,8 @@ use micco_gpusim::{
 };
 use micco_workload::{ContractionTask, TensorPairStream, Vector};
 
-use crate::arena::PlanArena;
 use crate::bounds::ReuseBounds;
-use crate::plan::{PlanError, SchedulePlan};
+use crate::plan::{PlanError, PlanStage, SchedulePlan};
 
 /// An online multi-GPU scheduler.
 ///
@@ -33,9 +37,10 @@ pub trait Scheduler {
     /// Name for reports (e.g. `"micco(0,2,0)"`, `"groute"`).
     fn name(&self) -> String;
     /// Write [`Scheduler::name`] into `out` without building a `String`.
-    /// The default forwards to `name()`; hot callers (the plan cache's
-    /// key computation) rely on overrides being allocation-free, and every
-    /// scheduler in this crate provides one.
+    /// The default forwards to `name()`; the plan-cache key derivation
+    /// ([`crate::PlanCache::key_for_with_topology`], run on every
+    /// [`crate::DurablePlanCache`] request) relies on overrides being
+    /// allocation-free, and every scheduler in this crate provides one.
     fn write_name(&self, out: &mut dyn std::fmt::Write) -> std::fmt::Result {
         out.write_str(&self.name())
     }
@@ -173,16 +178,14 @@ impl std::fmt::Display for ScheduleReport {
     }
 }
 
-/// Execution-engine options applied on top of a [`MachineConfig`] —
-/// what the CLI's `--overlap`/`--prefetch-tasks` flags carry into the
-/// simulator.
+/// Planning knobs that are not part of the machine: overhead timing and
+/// topology-aware scoring. Copy/compute overlap and the DMA staging window
+/// belong to the machine's cost model
+/// ([`micco_gpusim::CostModel::async_copy`],
+/// [`micco_gpusim::CostModel::prefetch_tasks`]); [`crate::Session::overlap`]
+/// and [`crate::Session::prefetch_tasks`] set them there.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DriverOptions {
-    /// Enable the asynchronous copy engine (copy/compute overlap).
-    pub overlap: bool,
-    /// Staging-buffer depth bounding DMA lookahead (`0` = unbounded;
-    /// only meaningful with `overlap`).
-    pub prefetch_tasks: usize,
     /// Time every `Scheduler::begin_vector` and `Scheduler::assign` call
     /// with a wall-clock pair and report the total as
     /// `scheduling_overhead_secs`. Off by default: the clock pair per task
@@ -198,18 +201,6 @@ pub struct DriverOptions {
 }
 
 impl DriverOptions {
-    /// Options with copy/compute overlap enabled.
-    pub fn with_overlap(mut self) -> Self {
-        self.overlap = true;
-        self
-    }
-
-    /// Options with a staging window of `k` tasks.
-    pub fn with_prefetch_tasks(mut self, k: usize) -> Self {
-        self.prefetch_tasks = k;
-        self
-    }
-
     /// Options with per-task scheduling-overhead timing enabled.
     pub fn with_measure_overhead(mut self) -> Self {
         self.measure_overhead = true;
@@ -221,25 +212,15 @@ impl DriverOptions {
         self.topology_aware = true;
         self
     }
-
-    /// `config` with these options applied to its cost model.
-    pub fn apply(&self, config: &MachineConfig) -> MachineConfig {
-        let mut cfg = *config;
-        if self.overlap {
-            cfg.cost.async_copy = true;
-        }
-        cfg.cost.prefetch_tasks = self.prefetch_tasks;
-        cfg
-    }
 }
 
-/// The planning loop behind [`crate::Session::plan`] and the plan caches:
+/// The planning loop behind [`crate::Session::plan`] and the plan cache:
 /// run `scheduler` over `stream` against a [`SimMachine`] built from
-/// `config` (with `options` applied and `topology` routed), capture every
-/// placement into a [`SchedulePlan`] assembled in `arena`, and return the
-/// plan with the statistics of the run it just decided. The plan carries
-/// the stream's fingerprint, which the stream computes here unless a plan
-/// cache already asked for it to build its key.
+/// `config` (with `topology` routed), capture every placement into a
+/// [`SchedulePlan`], and return the plan with the statistics of the run it
+/// just decided. The plan carries the stream's fingerprint, which the
+/// stream computes here unless the plan cache already asked for it to
+/// build its key.
 ///
 /// Schedulers are online: each pair is placed against the residency and
 /// load the previous placements produced, so deciding and simulating are
@@ -247,24 +228,21 @@ impl DriverOptions {
 /// statistics observer, the scheduler sees the same [`MachineView`]
 /// either way, and the returned
 /// [`ExecStats`] equal those of replaying the plan with [`execute_plan`]
-/// bit for bit. The arena is reset on entry and left populated on return,
-/// ready for the next pass.
+/// bit for bit.
 pub(crate) fn plan_in(
     scheduler: &mut dyn Scheduler,
     stream: &TensorPairStream,
     config: &MachineConfig,
     options: DriverOptions,
-    arena: &mut PlanArena,
     topology: Option<&LinkTopology>,
 ) -> Result<(SchedulePlan, ExecStats), ScheduleError> {
-    let cfg = options.apply(config);
-    let mut machine = SimMachine::new(cfg);
+    let mut machine = SimMachine::new(*config);
     machine.set_topology(topology.cloned());
     scheduler.set_topology_aware(options.topology_aware && topology.is_some());
     // Pre-intern every tensor of the stream so the per-symbol SoA tables
     // are sized once instead of growing inside the hot loop.
     machine.reserve_stream(stream);
-    arena.reset();
+    let mut stages = Vec::with_capacity(stream.vectors().len());
     let mut overhead = 0.0;
     for vector in stream.vectors() {
         // bound selection (e.g. characteristics and regression inference)
@@ -277,6 +255,7 @@ pub(crate) fn plan_in(
             scheduler.begin_vector(vector, &machine);
         }
         let bounds = scheduler.stage_bounds();
+        let mut assignments = Vec::with_capacity(vector.tasks.len());
         for task in &vector.tasks {
             let gpu = if options.measure_overhead {
                 let t0 = Instant::now();
@@ -292,34 +271,36 @@ pub(crate) fn plan_in(
                     task: task.id,
                     source,
                 })?;
-            arena.push(Assignment { task: task.id, gpu });
+            assignments.push(Assignment { task: task.id, gpu });
         }
         machine.barrier();
-        arena.close_stage(bounds);
+        stages.push(PlanStage {
+            bounds,
+            assignments,
+        });
     }
-    let plan = arena.to_plan(
-        scheduler.name(),
-        cfg.num_gpus,
-        stream.fingerprint(),
-        overhead,
-    );
+    let plan = SchedulePlan {
+        scheduler: scheduler.name(),
+        num_gpus: config.num_gpus,
+        fingerprint: stream.fingerprint(),
+        overhead_secs: overhead,
+        stages,
+    };
     Ok((plan, machine.stats().clone()))
 }
 
 /// The statistics of `plan` on a fresh, unobserved and fault-free
-/// simulator for `config` (with `options` applied and `topology` routed) —
-/// what [`plan_in`] returns beside a plan it decides, computed for a plan
-/// that arrived without them. The plan is validated against `stream`
-/// first.
+/// simulator for `config` (with `topology` routed) — what [`plan_in`]
+/// returns beside a plan it decides, computed for a plan that arrived
+/// without them. The plan is validated against `stream` first.
 pub(crate) fn simulate(
     plan: &SchedulePlan,
     stream: &TensorPairStream,
     config: &MachineConfig,
-    options: DriverOptions,
     topology: Option<&LinkTopology>,
 ) -> Result<ExecStats, ScheduleError> {
     plan.validate_for(stream, config.num_gpus)?;
-    let mut machine = SimMachine::new(options.apply(config));
+    let mut machine = SimMachine::new(*config);
     machine.set_topology(topology.cloned());
     Ok(replay_validated(plan, stream, &mut machine)?.stats)
 }
@@ -474,16 +455,43 @@ mod tests {
     }
 
     #[test]
-    fn driver_options_apply_to_cost_model() {
-        let cfg = MachineConfig::mi100_like(2);
-        let applied = DriverOptions::default()
-            .with_overlap()
-            .with_prefetch_tasks(2)
-            .apply(&cfg);
-        assert!(applied.cost.async_copy);
-        assert_eq!(applied.cost.prefetch_tasks, 2);
-        // defaults leave the config untouched
-        assert_eq!(DriverOptions::default().apply(&cfg), cfg);
+    fn a_staging_window_on_the_machine_config_is_planned_and_simulated() {
+        // regression: the session overwrote the config's staging window
+        // with its own (unbounded) copy, so it planned and simulated a
+        // different machine than the one it was given, and keyed the same
+        // plan differently from the session that set the window itself
+        let stream = WorkloadSpec::new(64, 768)
+            .with_repeat_rate(0.0)
+            .with_vectors(3)
+            .with_seed(17)
+            .generate();
+        let base = MachineConfig::mi100_like(4);
+        let cfg = base.with_cost(base.cost.with_async_copy().with_prefetch_tasks(1));
+        let micco = || crate::micco::MiccoScheduler::new(ReuseBounds::new(0, 2, 0));
+        let session = Session::new(cfg);
+        let report = session.run(&mut micco(), &stream).unwrap();
+        let reference = run_schedule_on(&mut micco(), &stream, &mut SimMachine::new(cfg)).unwrap();
+        assert_eq!(report.stats, reference.stats);
+        assert_eq!(report.assignments, reference.assignments);
+        let unbounded = base.with_cost(base.cost.with_async_copy());
+        let mut machine = SimMachine::new(unbounded);
+        let unbounded = run_schedule_on(&mut micco(), &stream, &mut machine).unwrap();
+        assert!(
+            report.elapsed_secs() > unbounded.elapsed_secs(),
+            "the one-task window must throttle this copy-bound stream"
+        );
+        let key = |s: &Session| {
+            crate::plan::PlanCache::key_for_with_topology(
+                &micco(),
+                &stream,
+                s.config(),
+                *s.options(),
+                s.topology(),
+            )
+        };
+        let knobs = Session::new(base).overlap(true).prefetch_tasks(1);
+        assert_eq!(knobs.config(), &cfg);
+        assert_eq!(key(&session), key(&knobs));
     }
 
     #[test]

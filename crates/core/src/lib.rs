@@ -34,7 +34,6 @@
 //! * [`model::RegressionBounds`] — the pre-trained random-forest provider
 //!   that predicts per-vector optimal bounds from data characteristics.
 
-mod arena;
 pub mod baselines;
 pub mod bounds;
 pub mod config;

@@ -29,12 +29,11 @@
 //! not understand with [`PlanFormatError::UnsupportedVersion`] rather than
 //! misreading them.
 
-use micco_gpusim::{ExecStats, GpuId, LinkTopology, MachineConfig};
-use micco_workload::{FastIdMap, TaskId, TensorPairStream};
+use micco_gpusim::{GpuId, LinkTopology, MachineConfig};
+use micco_workload::{TaskId, TensorPairStream};
 
-use crate::arena::PlanArena;
 use crate::bounds::ReuseBounds;
-use crate::driver::{plan_in, Assignment, DriverOptions, ScheduleError, Scheduler};
+use crate::driver::{Assignment, DriverOptions, Scheduler};
 
 /// Plan format version written by [`SchedulePlan::to_text`].
 pub const PLAN_VERSION: u32 = 1;
@@ -682,113 +681,27 @@ impl PlanKey {
     }
 }
 
-/// In-memory plan cache: repeated streams skip scheduling entirely.
+/// The plan-cache key derivation. [`crate::DurablePlanCache`] is the plan
+/// cache; this type only names how a planning request becomes its
+/// [`PlanKey`].
 ///
-/// Keys combine the stream fingerprint with the scheduler name and the
-/// machine/driver configuration, so a cache may safely serve multiple
-/// schedulers and machine shapes at once. Any mutation of the stream —
-/// task order, tensor footprints, vector boundaries — changes the
-/// fingerprint and misses.
-///
-/// A plan the cache decided itself keeps the simulated statistics of its
-/// planning pass in the same entry, so the statistics are dropped with
-/// their plan and never outlive it; a plan [`Self::insert`]ed from outside
-/// carries none. The cache is single-threaded (`&mut self`); requests
-/// that share a cache across threads go through
-/// [`crate::DurablePlanCache`], which plans outside its lock.
-///
-/// # Examples
-///
-/// ```
-/// use micco_core::{PlanCache, RoundRobinScheduler};
-/// use micco_gpusim::MachineConfig;
-/// use micco_workload::WorkloadSpec;
-///
-/// let stream = WorkloadSpec::new(8, 64).with_vectors(2).generate();
-/// let cfg = MachineConfig::mi100_like(2);
-/// let mut cache = PlanCache::new();
-/// let opts = Default::default();
-/// for _ in 0..2 {
-///     cache
-///         .plan_for_with_topology(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
-///         .unwrap();
-/// }
-/// assert_eq!((cache.misses(), cache.hits()), (1, 1));
-/// ```
-#[derive(Default)]
-pub struct PlanCache {
-    plans: FastIdMap<u64, CachedPlan>,
-    arena: PlanArena,
-    hits: u64,
-    misses: u64,
-}
-
-/// One [`PlanCache`] or [`crate::DurablePlanCache`] entry: a plan and,
-/// when known, the statistics of simulating it under the request its key
-/// describes.
-pub(crate) struct CachedPlan {
-    pub(crate) plan: SchedulePlan,
-    pub(crate) stats: Option<ExecStats>,
-}
+/// Keys combine the stream fingerprint with the scheduler name, the
+/// machine configuration and the planning knobs, so one cache may safely
+/// serve multiple schedulers and machine shapes at once. Any mutation of
+/// the stream — task order, tensor footprints, vector boundaries — changes
+/// the fingerprint and so the key.
+#[derive(Debug)]
+pub struct PlanCache;
 
 impl PlanCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        PlanCache::default()
-    }
-
-    /// The plan for `(scheduler, stream, config, options, topology)` —
-    /// served from cache when the same request was planned before (the
-    /// scheduler is not invoked at all on a hit), decided by the planning
-    /// loop behind [`crate::Session::plan`] against the cache's reusable
-    /// arena otherwise. With a topology the plan is decided against a
-    /// topology-carrying simulator. The hit path performs **zero heap
-    /// allocations** (a test with a counting allocator pins this): the key
-    /// is accumulated through [`Scheduler::write_name`] rather than a
-    /// `name()` `String`, and the plan is looked up once by its interned
-    /// 64-bit key.
-    pub fn plan_for_with_topology(
-        &mut self,
-        scheduler: &mut dyn Scheduler,
-        stream: &TensorPairStream,
-        config: &MachineConfig,
-        options: DriverOptions,
-        topology: Option<&LinkTopology>,
-    ) -> Result<&SchedulePlan, ScheduleError> {
-        let key = Self::key_for_with_topology(scheduler, stream, config, options, topology);
-        // single probe: the entry is resolved once and either served or
-        // filled in place (the old contains_key → insert → get danced
-        // through the map three times)
-        match self.plans.entry(key.0) {
-            std::collections::hash_map::Entry::Occupied(entry) => {
-                self.hits += 1;
-                Ok(&entry.into_mut().plan)
-            }
-            std::collections::hash_map::Entry::Vacant(entry) => {
-                let (plan, stats) = plan_in(
-                    scheduler,
-                    stream,
-                    config,
-                    options,
-                    &mut self.arena,
-                    topology,
-                )?;
-                self.misses += 1;
-                let cached = entry.insert(CachedPlan {
-                    plan,
-                    stats: Some(stats),
-                });
-                Ok(&cached.plan)
-            }
-        }
-    }
-
-    /// The cache key [`Self::plan_for_with_topology`] would use for this
-    /// request — exposed so callers can probe with [`Self::get`] without
-    /// planning. Allocation-free for schedulers with an allocation-free
-    /// [`Scheduler::write_name`] (all schedulers in this crate). The
-    /// topology spec (and the `topology_aware` knob) is mixed in only when
-    /// a topology is present, so flat keys are byte-stable.
+    /// The key of the request `(scheduler, stream, config, options,
+    /// topology)` — what [`crate::DurablePlanCache`] stores its plan under,
+    /// and what [`crate::DurablePlanCache::lookup`] probes with, without
+    /// planning. Allocation-free once the stream has cached its fingerprint,
+    /// for schedulers with an allocation-free [`Scheduler::write_name`]
+    /// (all schedulers in this crate). The topology spec (and the
+    /// `topology_aware` knob) is mixed in only when a topology is present,
+    /// so flat keys are byte-stable.
     pub fn key_for_with_topology(
         scheduler: &dyn Scheduler,
         stream: &TensorPairStream,
@@ -814,8 +727,10 @@ impl PlanCache {
         h.mix(config.cost.shared_h2d_link as u64);
         h.mix(config.cost.prefetch_tasks as u64);
         h.mix(config.eviction as u64);
-        h.mix(options.overlap as u64);
-        h.mix(options.prefetch_tasks as u64);
+        // overlap and the staging window a second time, in the slots keys
+        // have always carried them in, so stored keys stay byte-stable
+        h.mix(config.cost.async_copy as u64);
+        h.mix(config.cost.prefetch_tasks as u64);
         if options.measure_overhead {
             // mixed only when set so non-measuring keys stay byte-stable;
             // without this a measuring request after a non-measuring one
@@ -830,52 +745,6 @@ impl PlanCache {
             h.mix_byte(byte);
         }
         PlanKey(h.0)
-    }
-
-    /// The cached plan under `key`, if any. Never plans and never touches
-    /// the hit/miss counters.
-    pub fn get(&self, key: PlanKey) -> Option<&SchedulePlan> {
-        self.plans.get(&key.0).map(|cached| &cached.plan)
-    }
-
-    /// The entry under `key`, if any. Counter-neutral.
-    #[cfg(test)]
-    pub(crate) fn get_mut(&mut self, key: PlanKey) -> Option<&mut CachedPlan> {
-        self.plans.get_mut(&key.0)
-    }
-
-    /// True when a plan is cached under `key`. Counter-neutral.
-    pub fn contains(&self, key: PlanKey) -> bool {
-        self.plans.contains_key(&key.0)
-    }
-
-    /// Insert an externally decided plan under `key` (hydration from a
-    /// durable store). Counter-neutral; a later
-    /// [`Self::plan_for_with_topology`] for the same request is a hit.
-    /// The entry carries no statistics: whatever the key held before —
-    /// plan and statistics alike — is replaced.
-    pub fn insert(&mut self, key: PlanKey, plan: SchedulePlan) {
-        self.plans.insert(key.0, CachedPlan { plan, stats: None });
-    }
-
-    /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cache misses (i.e. plans actually decided) so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Number of cached plans.
-    pub fn len(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// True when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.plans.is_empty()
     }
 }
 
@@ -1111,74 +980,6 @@ mod tests {
         assert!(e.to_string().contains("fingerprint"));
         let e = PlanFormatError::MissingField { field: "gpus" };
         assert!(e.to_string().contains("gpus"));
-    }
-
-    #[test]
-    fn measuring_request_misses_a_plan_cached_without_measurement() {
-        // regression: measure_overhead was omitted from the cache key, so
-        // a measuring caller was served the unmeasured plan and silently
-        // reported a scheduling overhead of zero
-        let (stream, _) = plan_fixture();
-        let cfg = MachineConfig::mi100_like(3);
-        let mut cache = PlanCache::new();
-        let mut sched = RoundRobinScheduler::new();
-        let plain = DriverOptions::default();
-        let measuring = DriverOptions::default().with_measure_overhead();
-
-        let mut plan_for = |cache: &mut PlanCache, opts| {
-            cache
-                .plan_for_with_topology(&mut sched, &stream, &cfg, opts, None)
-                .unwrap()
-                .overhead_secs
-        };
-        let unmeasured = plan_for(&mut cache, plain);
-        assert_eq!(unmeasured, 0.0);
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
-
-        let measured = plan_for(&mut cache, measuring);
-        assert!(
-            measured > 0.0,
-            "a measuring request must plan fresh and carry a real overhead"
-        );
-        assert_eq!((cache.hits(), cache.misses()), (0, 2));
-
-        // both variants are now cached; repeats hit their own entry
-        assert!(plan_for(&mut cache, measuring) > 0.0);
-        assert_eq!(plan_for(&mut cache, plain), 0.0);
-        assert_eq!((cache.hits(), cache.misses()), (2, 2));
-    }
-
-    #[test]
-    fn insert_replaces_a_plan_together_with_its_stats() {
-        let (stream, _) = plan_fixture();
-        let cfg = MachineConfig::mi100_like(3);
-        let opts = DriverOptions::default();
-        let mut cache = PlanCache::new();
-        let mut sched = RoundRobinScheduler::new();
-        let key = PlanCache::key_for_with_topology(&sched, &stream, &cfg, opts, None);
-        cache
-            .plan_for_with_topology(&mut sched, &stream, &cfg, opts, None)
-            .unwrap();
-        assert!(
-            cache.get_mut(key).unwrap().stats.is_some(),
-            "a decided plan keeps its planning pass's stats"
-        );
-        let other = Session::new(cfg)
-            .plan(
-                &mut crate::micco::MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-                &stream,
-            )
-            .unwrap()
-            .into_plan();
-        cache.insert(key, other.clone());
-        let entry = cache.get_mut(key).unwrap();
-        assert_eq!(entry.plan, other);
-        assert!(entry.stats.is_none(), "the old plan's stats went with it");
-        // a hit serves the inserted plan, still without stats
-        cache
-            .plan_for_with_topology(&mut sched, &stream, &cfg, opts, None)
-            .unwrap();
-        assert!(cache.get_mut(key).unwrap().stats.is_none());
     }
 
     #[test]

@@ -31,7 +31,7 @@ use micco_gpusim::{
 };
 use micco_workload::{ContractionTask, TensorId, TensorPairStream};
 
-use crate::driver::{Assignment, DriverOptions, ScheduleError, Scheduler};
+use crate::driver::{Assignment, ScheduleError, Scheduler};
 use crate::plan::{PlanStage, SchedulePlan};
 
 #[derive(Clone, Copy)]
@@ -387,16 +387,15 @@ impl MachineView for RefShadow {
 /// the reference the optimized [`crate::Session::plan`] must match byte
 /// for byte.
 ///
-/// Always reports `overhead_secs: 0.0` (`measure_overhead` is ignored;
-/// compare plans produced without it, as the equivalence tests do).
+/// Always reports `overhead_secs: 0.0` (it never measures; compare plans
+/// produced without [`crate::DriverOptions::measure_overhead`], as the
+/// equivalence tests do).
 pub fn plan_schedule_seed(
     scheduler: &mut dyn Scheduler,
     stream: &TensorPairStream,
     config: &MachineConfig,
-    options: DriverOptions,
 ) -> Result<SchedulePlan, ScheduleError> {
-    let cfg = options.apply(config);
-    let mut shadow = RefShadow::new(cfg);
+    let mut shadow = RefShadow::new(*config);
     let mut stages = Vec::with_capacity(stream.vectors().len());
     for vector in stream.vectors() {
         scheduler.begin_vector(vector, &shadow);
@@ -420,7 +419,7 @@ pub fn plan_schedule_seed(
     }
     Ok(SchedulePlan {
         scheduler: scheduler.name(),
-        num_gpus: cfg.num_gpus,
+        num_gpus: config.num_gpus,
         fingerprint: stream.fingerprint(),
         overhead_secs: 0.0,
         stages,
@@ -442,14 +441,11 @@ mod tests {
             .with_seed(7)
             .generate();
         let cfg = MachineConfig::mi100_like(3);
-        let opts = DriverOptions::default();
         let fast = Session::new(cfg)
-            .with_options(opts)
             .plan(&mut RoundRobinScheduler::new(), &stream)
             .unwrap()
             .into_plan();
-        let slow =
-            plan_schedule_seed(&mut RoundRobinScheduler::new(), &stream, &cfg, opts).unwrap();
+        let slow = plan_schedule_seed(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
         assert_eq!(fast, slow);
         assert_eq!(fast.to_text(), slow.to_text());
     }
@@ -458,13 +454,7 @@ mod tests {
     fn reference_surfaces_oom_like_the_fast_path() {
         let stream = WorkloadSpec::new(4, 512).with_vectors(1).generate();
         let cfg = MachineConfig::mi100_like(1).with_mem_bytes(1024);
-        let err = plan_schedule_seed(
-            &mut RoundRobinScheduler::new(),
-            &stream,
-            &cfg,
-            DriverOptions::default(),
-        )
-        .unwrap_err();
+        let err = plan_schedule_seed(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap_err();
         assert!(matches!(err, ScheduleError::Exec { .. }));
     }
 }

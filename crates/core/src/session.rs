@@ -1,5 +1,6 @@
 //! One front door for a scheduled run: [`Session`] bundles the machine
-//! shape ([`MachineConfig`]), the driver knobs ([`DriverOptions`]) and an
+//! ([`MachineConfig`], whose cost model carries copy/compute overlap and
+//! the staging window), the planning knobs ([`DriverOptions`]) and an
 //! optional telemetry sink ([`TraceSink`]) behind a fluent builder, so the
 //! decide/execute split reads as one sentence:
 //!
@@ -31,9 +32,8 @@
 //! and emits the run-level span that parents the observer's stage and task
 //! spans.
 
-use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use micco_gpusim::{ExecStats, FaultPlan, LinkTopology, MachineConfig, SimMachine};
 use micco_obs::{
@@ -41,19 +41,23 @@ use micco_obs::{
 };
 use micco_workload::TensorPairStream;
 
-use crate::arena::PlanArena;
 use crate::driver::{
     execute_plan, plan_in, DriverOptions, ScheduleError, ScheduleReport, Scheduler,
 };
 use crate::plan::SchedulePlan;
-use crate::store::{DurableError, DurablePlanCache, DurableStats, PlanSource};
+use crate::store::{DurableError, DurablePlanCache, PlanSource};
 
-/// A configured scheduling context: machine + driver options + telemetry.
+/// A configured scheduling context: machine + planning knobs + telemetry.
 ///
 /// See the [module docs](self) for the fluent flow. All builder methods
 /// take and return `self`, so a whole session can be assembled on one
 /// temporary; [`Session::plan`] borrows (`&self`) and clones the session
 /// into the returned [`Planned`], keeping the chain alive.
+///
+/// There are two ways to plan: [`Session::plan`] decides afresh, and
+/// [`Session::plan_with_cache`] goes through a shared
+/// [`DurablePlanCache`]. Every simulator the session builds, for planning
+/// or replay, runs its [`MachineConfig`] exactly as configured.
 #[derive(Clone)]
 pub struct Session {
     config: MachineConfig,
@@ -62,8 +66,6 @@ pub struct Session {
     sink: Option<Arc<dyn TraceSink>>,
     metrics: Option<Arc<MetricsRegistry>>,
     faults: Option<FaultPlan>,
-    retry: Option<(u32, Duration)>,
-    store: Option<PathBuf>,
 }
 
 impl std::fmt::Debug for Session {
@@ -75,8 +77,6 @@ impl std::fmt::Debug for Session {
             .field("sink", &self.sink.as_ref().map(|_| "dyn TraceSink"))
             .field("metrics", &self.metrics.as_ref().map(|_| "MetricsRegistry"))
             .field("faults", &self.faults)
-            .field("retry", &self.retry)
-            .field("store", &self.store)
             .finish()
     }
 }
@@ -91,8 +91,6 @@ impl Session {
             sink: None,
             metrics: None,
             faults: None,
-            retry: None,
-            store: None,
         }
     }
 
@@ -103,15 +101,18 @@ impl Session {
         self
     }
 
-    /// Toggle copy/compute overlap (the async-copy engine).
+    /// Toggle copy/compute overlap (the async-copy engine): sets
+    /// [`micco_gpusim::CostModel::async_copy`] on the session's machine.
     pub fn overlap(mut self, on: bool) -> Self {
-        self.options.overlap = on;
+        self.config.cost.async_copy = on;
         self
     }
 
-    /// Bound the DMA staging window to `k` tasks (`0` = unbounded).
+    /// Bound the DMA staging window to `k` tasks (`0` = unbounded): sets
+    /// [`micco_gpusim::CostModel::prefetch_tasks`] on the session's
+    /// machine.
     pub fn prefetch_tasks(mut self, k: usize) -> Self {
-        self.options.prefetch_tasks = k;
+        self.config.cost.prefetch_tasks = k;
         self
     }
 
@@ -168,24 +169,6 @@ impl Session {
         self
     }
 
-    /// Retry policy for fault-tolerant execution: up to `max_attempts`
-    /// tries per task with `base_delay` backoff. Recorded on the session
-    /// (see [`Session::retry_policy`]) for executors that honour it —
-    /// the simulator itself models retries through the fault plan.
-    pub fn retry(mut self, max_attempts: u32, base_delay: Duration) -> Self {
-        self.retry = Some((max_attempts, base_delay));
-        self
-    }
-
-    /// Route planning through the durable plan store at `dir`:
-    /// [`Session::plan_durable`] serves warm plans from the store's
-    /// write-ahead log (scheduler not invoked) and appends fresh
-    /// decisions before returning.
-    pub fn with_store(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.store = Some(dir.into());
-        self
-    }
-
     /// The machine shape this session simulates.
     pub fn config(&self) -> &MachineConfig {
         &self.config
@@ -206,17 +189,6 @@ impl Session {
         self.faults.as_ref()
     }
 
-    /// The retry policy, if one was set with [`Session::retry`].
-    pub fn retry_policy(&self) -> Option<(u32, Duration)> {
-        self.retry
-    }
-
-    /// The durable store directory, if one was set with
-    /// [`Session::with_store`].
-    pub fn store_dir(&self) -> Option<&std::path::Path> {
-        self.store.as_deref()
-    }
-
     /// Decide a schedule for `stream`. The planning pass steps a simulator,
     /// so the returned [`Planned`] carries the statistics of running the
     /// plan as well ([`Planned::simulated_stats`]). It owns a clone of this
@@ -227,13 +199,11 @@ impl Session {
         scheduler: &mut dyn Scheduler,
         stream: &TensorPairStream,
     ) -> Result<Planned, ScheduleError> {
-        let mut arena = PlanArena::with_capacity(stream.total_tasks(), stream.vectors().len());
         let (plan, stats) = plan_in(
             scheduler,
             stream,
             &self.config,
             self.options,
-            &mut arena,
             self.topology.as_ref(),
         )?;
         Ok(Planned {
@@ -244,37 +214,10 @@ impl Session {
         })
     }
 
-    /// [`Session::plan`] through the durable store configured with
-    /// [`Session::with_store`]: the store is opened, the plan is served
-    /// from memory/log when the key matches (scheduler not invoked) or
-    /// freshly decided and appended, and the store's hit/miss counters
-    /// are returned alongside the planned run.
-    ///
-    /// # Errors
-    /// [`DurableError::Plan`] wraps scheduling failures; other variants
-    /// are store I/O. Calling without a configured store is an error.
-    pub fn plan_durable(
-        &self,
-        scheduler: &mut dyn Scheduler,
-        stream: &TensorPairStream,
-    ) -> Result<(Planned, DurableStats), DurableError> {
-        let dir = self.store.clone().ok_or_else(|| {
-            DurableError::Store(micco_store::StoreError::Io {
-                path: PathBuf::new(),
-                source: std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    "plan_durable needs a store: Session::with_store(dir)",
-                ),
-            })
-        })?;
-        let cache = DurablePlanCache::open(dir)?;
-        let planned = self.plan_with_cache(&cache, scheduler, stream)?;
-        Ok((planned, cache.stats()))
-    }
-
     /// [`Session::plan`] against a caller-held [`DurablePlanCache`] — the
-    /// long-running form used by `micco serve`, where one cache outlives
-    /// many sessions and its counters accumulate across jobs. The cache is
+    /// form `micco serve`, the CLI's `--store` and [`crate::SessionConfig::run`]
+    /// use, where one cache can outlive many sessions and its counters
+    /// accumulate across jobs. The cache is
     /// shared by reference: concurrent calls plan different keys in
     /// parallel, and calls for one key wait for its single decision. The
     /// planned run carries the statistics the cache keeps beside the plan,
@@ -329,12 +272,10 @@ impl Session {
         Ok(report)
     }
 
-    /// Fresh simulator for this session: options applied, topology routed,
-    /// faults armed, and the telemetry observer attached when a sink is
-    /// configured.
+    /// Fresh simulator for this session: topology routed, faults armed,
+    /// and the telemetry observer attached when a sink is configured.
     fn machine(&self) -> SimMachine {
-        let cfg = self.options.apply(&self.config);
-        let mut machine = SimMachine::new(cfg);
+        let mut machine = SimMachine::new(self.config);
         machine.set_topology(self.topology.clone());
         if let Some(faults) = &self.faults {
             machine.set_faults(faults.clone());
@@ -477,18 +418,17 @@ mod tests {
     #[test]
     fn session_run_matches_the_classic_driver() {
         let stream = stream();
-        let cfg = MachineConfig::mi100_like(2);
-        let opts = DriverOptions::default()
-            .with_overlap()
-            .with_prefetch_tasks(2);
+        let base = MachineConfig::mi100_like(2);
+        let cfg = base.with_cost(base.cost.with_async_copy().with_prefetch_tasks(2));
         let classic = run_schedule_on(
             &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
             &stream,
-            &mut SimMachine::new(opts.apply(&cfg)),
+            &mut SimMachine::new(cfg),
         )
         .expect("fits");
-        let via_session = Session::new(cfg)
-            .with_options(opts)
+        let via_session = Session::new(base)
+            .overlap(true)
+            .prefetch_tasks(2)
             .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
             .expect("fits");
         assert_eq!(classic.assignments, via_session.assignments);
@@ -580,7 +520,7 @@ mod tests {
     }
 
     #[test]
-    fn faulted_session_injects_and_retry_policy_is_recorded() {
+    fn faulted_session_injects_and_replays() {
         let stream = stream();
         let cfg = MachineConfig::mi100_like(2);
         let clean = Session::new(cfg)
@@ -591,49 +531,13 @@ mod tests {
         // statistics its planning pass carried
         let faulted = Session::new(cfg)
             .with_faults(FaultPlan::none().with_kernel_fault(0, 1))
-            .retry(3, Duration::from_micros(10))
             .run(&mut RoundRobinScheduler::new(), &stream)
             .expect("retries through");
         assert_eq!(clean.assignments, faulted.assignments);
         assert_eq!(clean.stats.total_faults(), 0);
         assert_eq!(faulted.stats.total_faults(), 1);
         assert!(faulted.elapsed_secs() > clean.elapsed_secs());
-        let session = Session::new(cfg).retry(5, Duration::from_micros(7));
-        assert_eq!(session.retry_policy(), Some((5, Duration::from_micros(7))));
-        assert!(session.faults().is_none());
-    }
-
-    #[test]
-    fn durable_planning_replays_from_the_log_without_the_scheduler() {
-        let stream = stream();
-        let dir = std::env::temp_dir().join(format!(
-            "micco-session-store-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = MachineConfig::mi100_like(2);
-        let session = Session::new(cfg).with_store(&dir);
-        assert_eq!(session.store_dir(), Some(dir.as_path()));
-        // cold: the scheduler decides, the plan is appended
-        let (cold, stats) = session
-            .plan_durable(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
-            .expect("plans");
-        assert_eq!((stats.misses, stats.log_hits), (1, 0));
-        // warm (fresh cache over the same dir): served from the log
-        let (warm, stats) = session
-            .plan_durable(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
-            .expect("replays");
-        assert_eq!((stats.misses, stats.log_hits), (0, 1));
-        assert_eq!(cold.plan().to_text(), warm.plan().to_text());
-        // the planned run executes like any other
-        let report = warm.execute(&stream).expect("replays");
-        assert!(report.gflops() > 0.0);
-        // without a store the durable path refuses
-        assert!(Session::new(cfg)
-            .plan_durable(&mut RoundRobinScheduler::new(), &stream)
-            .is_err());
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(Session::new(cfg).faults().is_none());
     }
 
     #[test]

@@ -2,6 +2,10 @@
 //! write-ahead log behind it (`micco-store`), shared by concurrent
 //! requests.
 //!
+//! [`DurablePlanCache`] is the one plan cache: requests reach it through
+//! [`crate::Session::plan_with_cache`], and it stores each plan under the
+//! key [`crate::PlanCache::key_for_with_topology`] derives.
+//!
 //! The layering keeps each half simple:
 //!
 //! * `micco-store`'s [`PlanStore`] is payload-agnostic — bytes keyed by
@@ -53,12 +57,11 @@ use std::fmt;
 use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use micco_gpusim::{LinkTopology, MachineConfig};
+use micco_gpusim::{ExecStats, LinkTopology, MachineConfig};
 use micco_workload::{FastIdMap, FastIdSet, TensorPairStream};
 
-use crate::arena::PlanArena;
 use crate::driver::{plan_in, simulate, DriverOptions, ScheduleError, Scheduler};
-use crate::plan::{CachedPlan, PlanCache, PlanKey, SchedulePlan};
+use crate::plan::{PlanCache, PlanKey, SchedulePlan};
 use micco_store::{
     CompactReport, PlanStore, RecoveryReport, StoreError, StoreOptions, StoreStats, VerifyReport,
 };
@@ -133,14 +136,21 @@ pub enum PlanSource {
     Decided,
 }
 
-/// A [`PlanCache`]-style plan map with write-through persistence to a
+/// One [`DurablePlanCache`] entry: a plan and, when known, the statistics
+/// of simulating it under the request its key describes.
+pub(crate) struct CachedPlan {
+    pub(crate) plan: SchedulePlan,
+    pub(crate) stats: Option<ExecStats>,
+}
+
+/// The plan cache: a plan map with write-through persistence to a
 /// [`PlanStore`], shared by concurrent requests.
 ///
-/// Every plan decided through [`DurablePlanCache::plan_for_with_topology`]
-/// (which [`crate::Session::plan_with_cache`] calls) is appended to the
-/// write-ahead log before any request receives it; reopening the same
-/// directory warm-starts the cache, so repeated runs of the same workload
-/// skip the scheduler entirely (the log-hit counter proves it).
+/// Every plan decided through [`crate::Session::plan_with_cache`] is
+/// appended to the write-ahead log before any request receives it;
+/// reopening the same directory warm-starts the cache, so repeated runs of
+/// the same workload skip the scheduler entirely (the log-hit counter
+/// proves it). Keys come from [`PlanCache::key_for_with_topology`].
 ///
 /// # Thread safety
 ///
@@ -308,29 +318,14 @@ impl DurablePlanCache {
 
     /// The plan for `(scheduler, stream, config, options, topology)` —
     /// from memory, else from the log (parsed and byte-verified), else
-    /// freshly decided and durably appended before this call returns. Keys
-    /// follow [`PlanCache::key_for_with_topology`]. A plan served without
-    /// simulated statistics in memory (a log hit, or a persisted plan) is
-    /// replayed once under this request so later hits carry them.
-    pub fn plan_for_with_topology(
-        &self,
-        scheduler: &mut dyn Scheduler,
-        stream: &TensorPairStream,
-        config: &MachineConfig,
-        options: DriverOptions,
-        topology: Option<&LinkTopology>,
-    ) -> Result<SchedulePlan, DurableError> {
-        self.cached_for(scheduler, stream, config, options, topology)
-            .map(|(cached, _)| cached.plan.clone())
-    }
-
-    /// [`Self::plan_for_with_topology`] with the plan's simulated
-    /// statistics and the level that answered: on a miss the statistics
-    /// of the planning pass, and on a hit the ones cached beside the plan
-    /// — replayed once, by the key's flight, when the plan reached memory
-    /// without them. A replay that fails (a persisted plan that does not
-    /// fit the request) caches nothing, so executing the plan surfaces the
-    /// error.
+    /// freshly decided and durably appended before this call returns —
+    /// with its simulated statistics and the level that answered. Keys
+    /// follow [`PlanCache::key_for_with_topology`]. On a miss the
+    /// statistics are those of the planning pass, and on a hit the ones
+    /// cached beside the plan — replayed once, by the key's flight, when
+    /// the plan reached memory without them (a log hit, or a persisted
+    /// plan). A replay that fails (a persisted plan that does not fit the
+    /// request) caches nothing, so executing the plan surfaces the error.
     pub(crate) fn cached_for(
         &self,
         scheduler: &mut dyn Scheduler,
@@ -340,7 +335,7 @@ impl DurablePlanCache {
         topology: Option<&LinkTopology>,
     ) -> Result<(Arc<CachedPlan>, PlanSource), DurableError> {
         let key = PlanCache::key_for_with_topology(scheduler, stream, config, options, topology);
-        let replay = |plan: &SchedulePlan| simulate(plan, stream, config, options, topology);
+        let replay = |plan: &SchedulePlan| simulate(plan, stream, config, topology);
         let (flight, found) = match self.probe(key, true) {
             Probe::Hit(cached) => return Ok((cached, PlanSource::Memory)),
             Probe::Claimed(flight, found) => (flight, found),
@@ -380,12 +375,9 @@ impl DurablePlanCache {
             },
             Found::Nothing => {}
         }
-        // genuine miss: decide on a fresh arena, serialise, then write
-        // through to the log in the critical section that publishes it
-        let (plan, stats) = {
-            let mut arena = PlanArena::with_capacity(stream.total_tasks(), stream.vectors().len());
-            plan_in(scheduler, stream, config, options, &mut arena, topology)?
-        };
+        // genuine miss: decide, serialise, then write through to the log
+        // in the critical section that publishes it
+        let (plan, stats) = plan_in(scheduler, stream, config, options, topology)?;
         let text = plan.to_text();
         let cached = Arc::new(CachedPlan {
             plan,
@@ -565,6 +557,19 @@ mod tests {
         (stream, MachineConfig::mi100_like(2))
     }
 
+    /// The plan `cache` serves round-robin's request for `stream`.
+    fn served(
+        cache: &DurablePlanCache,
+        stream: &TensorPairStream,
+        cfg: &MachineConfig,
+        opts: DriverOptions,
+    ) -> SchedulePlan {
+        let (cached, _) = cache
+            .cached_for(&mut RoundRobinScheduler::new(), stream, cfg, opts, None)
+            .unwrap();
+        cached.plan.clone()
+    }
+
     /// Runs once, in a scheduler's first `assign`: may block, panic, or
     /// return a device to place the task on instead.
     type Hook<'a> = Box<dyn FnOnce() -> Option<GpuId> + Send + 'a>;
@@ -618,25 +623,19 @@ mod tests {
         let opts = DriverOptions::default();
         let first = {
             let cache = DurablePlanCache::open(&dir).unwrap();
-            let plan = cache
-                .plan_for_with_topology(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
-                .unwrap();
+            let plan = served(&cache, &stream, &cfg, opts);
             assert_eq!(
                 (cache.mem_hits(), cache.log_hits(), cache.misses()),
                 (0, 0, 1)
             );
             // second request in the same process: memory hit
-            cache
-                .plan_for_with_topology(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
-                .unwrap();
+            served(&cache, &stream, &cfg, opts);
             assert_eq!(cache.mem_hits(), 1);
             plan
         };
         // warm restart: log hit, and the replayed plan is bit-identical
         let cache = DurablePlanCache::open(&dir).unwrap();
-        let replayed = cache
-            .plan_for_with_topology(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
-            .unwrap();
+        let replayed = served(&cache, &stream, &cfg, opts);
         assert_eq!(replayed.to_text(), first.to_text());
         assert_eq!(replayed.digest(), first.digest());
         assert_eq!(
@@ -644,9 +643,7 @@ mod tests {
             (0, 1, 0)
         );
         // and the promotion sticks: next request is a memory hit
-        cache
-            .plan_for_with_topology(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
-            .unwrap();
+        served(&cache, &stream, &cfg, opts);
         assert_eq!(cache.mem_hits(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -665,9 +662,7 @@ mod tests {
         );
         {
             let cache = DurablePlanCache::open(&dir).unwrap();
-            cache
-                .plan_for_with_topology(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
-                .unwrap();
+            served(&cache, &stream, &cfg, opts);
         }
         // store a record that parses but is NOT the canonical serialisation
         // (trailing comment changes the bytes, not the parse)
@@ -679,9 +674,7 @@ mod tests {
                 .unwrap();
         }
         let cache = DurablePlanCache::open(&dir).unwrap();
-        let plan = cache
-            .plan_for_with_topology(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
-            .unwrap();
+        let plan = served(&cache, &stream, &cfg, opts);
         assert_eq!(plan.validate(&stream), Ok(()));
         assert_eq!(cache.rejected(), 1, "non-canonical record must be rejected");
         assert_eq!(cache.misses(), 1, "and the request replanned");
@@ -703,9 +696,7 @@ mod tests {
         );
         {
             let cache = DurablePlanCache::open(&dir).unwrap();
-            let plan = cache
-                .plan_for_with_topology(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
-                .unwrap();
+            let plan = served(&cache, &stream, &cfg, opts);
             cache.persist(base.with_node("node0"), &plan).unwrap();
             cache.persist(base.with_node("node1"), &plan).unwrap();
         }
@@ -758,6 +749,36 @@ mod tests {
     }
 
     #[test]
+    fn measuring_request_misses_a_plan_cached_without_measurement() {
+        // regression: measure_overhead was omitted from the cache key, so
+        // a measuring caller was served the unmeasured plan and silently
+        // reported a scheduling overhead of zero
+        let dir = tmp_dir("measuring");
+        let (stream, cfg) = fixture();
+        let cache = DurablePlanCache::open(&dir).unwrap();
+        let overhead = |measuring: bool| {
+            Session::new(cfg)
+                .measure_overhead(measuring)
+                .plan_with_cache(&cache, &mut RoundRobinScheduler::new(), &stream)
+                .unwrap()
+                .plan()
+                .overhead_secs
+        };
+        assert_eq!(overhead(false), 0.0);
+        assert_eq!((cache.mem_hits(), cache.misses()), (0, 1));
+        assert!(
+            overhead(true) > 0.0,
+            "a measuring request must plan fresh and carry a real overhead"
+        );
+        assert_eq!((cache.mem_hits(), cache.misses()), (0, 2));
+        // both variants are now cached; repeats hit their own entry
+        assert!(overhead(true) > 0.0);
+        assert_eq!(overhead(false), 0.0);
+        assert_eq!((cache.mem_hits(), cache.misses()), (2, 2));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn compact_keeps_every_plan_servable_and_stats_track() {
         let dir = tmp_dir("compact");
         let (stream, cfg) = fixture();
@@ -765,35 +786,15 @@ mod tests {
         let measuring = DriverOptions::default().with_measure_overhead();
         {
             let cache = DurablePlanCache::open(&dir).unwrap();
-            cache
-                .plan_for_with_topology(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
-                .unwrap();
-            cache
-                .plan_for_with_topology(
-                    &mut RoundRobinScheduler::new(),
-                    &stream,
-                    &cfg,
-                    measuring,
-                    None,
-                )
-                .unwrap();
+            served(&cache, &stream, &cfg, opts);
+            served(&cache, &stream, &cfg, measuring);
             let report = cache.compact().unwrap();
             assert_eq!(report.live_records, 2);
             assert!(cache.verify().unwrap().is_clean());
         }
         let cache = DurablePlanCache::open(&dir).unwrap();
-        cache
-            .plan_for_with_topology(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
-            .unwrap();
-        cache
-            .plan_for_with_topology(
-                &mut RoundRobinScheduler::new(),
-                &stream,
-                &cfg,
-                measuring,
-                None,
-            )
-            .unwrap();
+        served(&cache, &stream, &cfg, opts);
+        served(&cache, &stream, &cfg, measuring);
         let stats = cache.stats();
         assert_eq!((stats.log_hits, stats.misses), (2, 0));
         assert_eq!(stats.store.live_records, 2);
@@ -838,14 +839,8 @@ mod tests {
                             .with_vectors(3)
                             .with_seed(seed)
                             .generate();
-                        cache
-                            .plan_for_with_topology(
-                                &mut sched,
-                                &stream,
-                                cfg,
-                                Default::default(),
-                                None,
-                            )
+                        Session::new(*cfg)
+                            .plan_with_cache(cache, &mut sched, &stream)
                             .expect("plans");
                         met.load(Ordering::SeqCst) == 1
                     })

@@ -32,7 +32,9 @@ pub struct CostModel {
     /// Sec. VII): when on, each device has an independent DMA engine, so
     /// the transfers/allocations of the next contraction overlap with the
     /// current kernel; a kernel still waits for its own operands. Off by
-    /// default — the paper's evaluated system is synchronous.
+    /// default — the paper's evaluated system is synchronous. This field is
+    /// the only home of the overlap knob: the planner, every replay and the
+    /// plan-cache key read it from here (the CLI's `--overlap` sets it).
     pub async_copy: bool,
     /// Host-link contention: all devices share one host↔device
     /// interconnect, so concurrent H2D transfers serialise on it (each
@@ -46,7 +48,8 @@ pub struct CostModel {
     /// staging buffers: the transfer for task `i` cannot start before the
     /// kernel of task `i - k` has finished, because its buffer is still in
     /// use (`k = 2` is classic double buffering). Ignored when
-    /// `async_copy` is off.
+    /// `async_copy` is off. Like `async_copy`, this field is the knob's
+    /// only home (the CLI's `--prefetch-tasks` sets it).
     pub prefetch_tasks: usize,
 }
 

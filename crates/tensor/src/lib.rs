@@ -26,7 +26,8 @@ pub mod tensor3;
 pub use batched::{BatchedMatrix, BatchedTensor3};
 pub use complex::Complex64;
 pub use flops::{
-    contraction_bytes, contraction_flops, tensor_bytes, ContractionKind, COMPLEX_BYTES,
+    checked_contraction_bytes, checked_contraction_flops, contraction_bytes, contraction_flops,
+    tensor_bytes, ContractionKind, COMPLEX_BYTES,
 };
 pub use matrix::Matrix;
 pub use tensor3::Tensor3;

@@ -2,7 +2,10 @@
 
 use std::sync::OnceLock;
 
-use micco_tensor::{contraction_flops, tensor_bytes, ContractionKind};
+use micco_tensor::{
+    checked_contraction_bytes, checked_contraction_flops, contraction_flops, tensor_bytes,
+    ContractionKind,
+};
 
 /// Globally unique identity of a tensor (an original hadron-node payload or
 /// an intermediate produced by an earlier contraction).
@@ -64,13 +67,29 @@ impl ContractionTask {
         batch: usize,
         dim: usize,
     ) -> Self {
+        let bytes = tensor_bytes(kind, batch, dim);
         ContractionTask {
             id,
-            a: TensorDesc::new(a, kind, batch, dim),
-            b: TensorDesc::new(b, kind, batch, dim),
-            out: TensorDesc::new(out, kind, batch, dim),
+            a: TensorDesc { id: a, bytes },
+            b: TensorDesc { id: b, bytes },
+            out: TensorDesc { id: out, bytes },
             flops: contraction_flops(kind, batch, dim),
         }
+    }
+
+    /// Total flops and total bytes (both inputs and the output) of `count`
+    /// tasks built by [`Self::uniform`] with this shape, or `None` when
+    /// either total overflows `u64` — the check to make before generating a
+    /// stream from untrusted sizes.
+    pub fn checked_totals(
+        kind: ContractionKind,
+        batch: usize,
+        dim: usize,
+        count: u64,
+    ) -> Option<(u64, u64)> {
+        let flops = checked_contraction_flops(kind, batch, dim)?.checked_mul(count)?;
+        let bytes = checked_contraction_bytes(kind, batch, dim)?.checked_mul(count)?;
+        Some((flops, bytes))
     }
 
     /// Total input bytes of the task.
@@ -290,6 +309,22 @@ mod tests {
         let t = task(0, 1, 2, 100);
         assert_eq!(t.flops, 2 * 4u64.pow(3) * 8);
         assert_eq!(t.input_bytes(), 2 * t.a.bytes);
+    }
+
+    #[test]
+    fn checked_totals_match_a_generated_vector_and_catch_overflow() {
+        let v = Vector::new(vec![task(0, 1, 2, 100), task(1, 1, 3, 101)]);
+        let bytes: u64 = v.tasks.iter().map(|t| t.input_bytes() + t.out.bytes).sum();
+        assert_eq!(
+            ContractionTask::checked_totals(ContractionKind::Meson, 2, 4, 2),
+            Some((v.total_flops(), bytes))
+        );
+        let per_task = ContractionTask::checked_totals(ContractionKind::Meson, 4, 1 << 14, 1);
+        assert!(per_task.is_some());
+        assert_eq!(
+            ContractionTask::checked_totals(ContractionKind::Meson, 4, 1 << 14, 1 << 20),
+            None
+        );
     }
 
     #[test]

@@ -16,21 +16,29 @@
 #                                            # oversubscribed 2x, so both
 #                                            # planners evict
 #
+# The full point writes BENCH_planner.json and a smoke run writes
+# BENCH_planner_smoke.json (git-ignored), so a smoke run never overwrites
+# the committed report; --out PATH overrides either.
+#
 # Extra flags after the mode are forwarded to bench_planner.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT=BENCH_planner.json
+OUT=""
+SMOKE=0
 BASELINE=""
 ARGS=()
 while [ $# -gt 0 ]; do
   case "$1" in
-    --smoke) ARGS+=(--tasks 20000 --gpus 8); shift ;;
+    --smoke) SMOKE=1; ARGS+=(--tasks 20000 --gpus 8); shift ;;
     --baseline) BASELINE="$2"; shift 2 ;;
     --out) OUT="$2"; shift 2 ;;
     *) ARGS+=("$1"); shift ;;
   esac
 done
+if [ -z "$OUT" ]; then
+  if [ "$SMOKE" = 1 ]; then OUT=BENCH_planner_smoke.json; else OUT=BENCH_planner.json; fi
+fi
 
 echo "== building bench_planner (release) =="
 cargo build --release -p micco-bench --bin bench_planner

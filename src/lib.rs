@@ -111,8 +111,8 @@ pub mod prelude {
     };
     pub use micco_core::{
         execute_plan, Assignment, DriverOptions, DurablePlanCache, GrouteScheduler, MiccoScheduler,
-        PlanCache, Planned, ReuseBounds, RoundRobinScheduler, SchedulePlan, ScheduleReport,
-        Scheduler, Session, SessionConfig,
+        Planned, ReuseBounds, RoundRobinScheduler, SchedulePlan, ScheduleReport, Scheduler,
+        Session, SessionConfig,
     };
     pub use micco_gpusim::{
         CostModel, LinkSpec, LinkTopology, MachineConfig, ShadowMachine, SimMachine,

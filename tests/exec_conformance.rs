@@ -9,8 +9,8 @@
 use micco::exec::{execute_assignments, ExecOptions, TensorShape, TensorStore};
 use micco::gpusim::MachineConfig;
 use micco::sched::{
-    DriverOptions, GrouteScheduler, MiccoScheduler, ReuseBounds, RoundRobinScheduler,
-    ScheduleReport, Scheduler, Session,
+    GrouteScheduler, MiccoScheduler, ReuseBounds, RoundRobinScheduler, ScheduleReport, Scheduler,
+    Session,
 };
 use micco::workload::{TensorPairStream, WorkloadSpec};
 
@@ -122,11 +122,8 @@ fn overlap_changes_timing_only_never_placements_or_physics() {
         .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
         .expect("workload fits");
     let overlapped = Session::new(cfg)
-        .with_options(
-            DriverOptions::default()
-                .with_overlap()
-                .with_prefetch_tasks(2),
-        )
+        .overlap(true)
+        .prefetch_tasks(2)
         .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
         .expect("workload fits");
 

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use micco::exec::{execute_assignments, ExecOptions, TensorShape, TensorStore};
 use micco::gpusim::MachineConfig;
-use micco::sched::{DriverOptions, GrouteScheduler, MiccoScheduler, ReuseBounds, Session};
+use micco::sched::{GrouteScheduler, MiccoScheduler, ReuseBounds, Session};
 use micco::workload::{RepeatDistribution, WorkloadSpec};
 
 const SHAPE: TensorShape = TensorShape { batch: 2, dim: 8 };
@@ -78,21 +78,19 @@ proptest! {
     ) {
         let stream = spec.generate();
         let cfg = MachineConfig::mi100_like(3);
-        let opts = DriverOptions::default().with_overlap().with_prefetch_tasks(prefetch);
+        let overlapped = Session::new(cfg).overlap(true).prefetch_tasks(prefetch);
 
         let rr_sync = Session::new(cfg)
             .run(&mut micco::sched::RoundRobinScheduler::new(), &stream)
             .expect("fits");
-        let rr_over = Session::new(cfg)
-            .with_options(opts)
+        let rr_over = overlapped
             .run(&mut micco::sched::RoundRobinScheduler::new(), &stream)
             .expect("fits");
         prop_assert_eq!(&rr_sync.assignments, &rr_over.assignments);
         prop_assert!(rr_over.elapsed_secs() <= rr_sync.elapsed_secs() + 1e-12);
 
         let g_sync = Session::new(cfg).run(&mut GrouteScheduler::new(), &stream).expect("fits");
-        let g_over = Session::new(cfg)
-            .with_options(opts)
+        let g_over = overlapped
             .run(&mut GrouteScheduler::new(), &stream)
             .expect("fits");
         let exec_opts = ExecOptions::default();
@@ -144,9 +142,10 @@ proptest! {
     ) {
         let stream = spec.generate();
         let cfg = MachineConfig::mi100_like(3);
-        let mut opts = DriverOptions::default().with_prefetch_tasks(prefetch);
-        if overlap { opts = opts.with_overlap(); }
-        let r = Session::new(cfg).with_options(opts).run(&mut GrouteScheduler::new(), &stream)
+        let r = Session::new(cfg)
+            .overlap(overlap)
+            .prefetch_tasks(prefetch)
+            .run(&mut GrouteScheduler::new(), &stream)
             .expect("fits");
         for g in &r.stats.per_gpu {
             prop_assert!(g.overlap_secs >= 0.0);

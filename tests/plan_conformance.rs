@@ -17,7 +17,7 @@ use proptest::prelude::*;
 
 use micco::gpusim::{EvictionPolicy, GpuId, LinkTopology, MachineConfig, MachineView, SimMachine};
 use micco::sched::{
-    execute_plan, run_schedule_on, CodaScheduler, DriverOptions, DurablePlanCache, GrouteScheduler,
+    execute_plan, run_schedule_on, CodaScheduler, DurablePlanCache, GrouteScheduler,
     MiccoScheduler, PlanCache, PlanError, PlanSource, ReuseBounds, RoundRobinScheduler,
     ScheduleError, ScheduleReport, Scheduler, Session,
 };
@@ -117,43 +117,51 @@ impl<S: Scheduler> Scheduler for Counting<S> {
 #[test]
 fn cache_hit_serves_the_same_plan_with_zero_scheduler_invocations() {
     let stream = stream();
-    let cfg = MachineConfig::mi100_like(2);
-    let mut cache = PlanCache::new();
+    let session = Session::new(MachineConfig::mi100_like(2));
+    let dir = temp_store_dir("hit");
+    let cache = DurablePlanCache::open(&dir).expect("store opens");
     let mut sched = Counting {
         inner: MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
         assigns: 0,
     };
 
-    let first = cache
-        .plan_for_with_topology(&mut sched, &stream, &cfg, DriverOptions::default(), None)
-        .expect("fits")
-        .clone();
+    let first = session
+        .plan_with_cache(&cache, &mut sched, &stream)
+        .expect("fits");
     assert_eq!(sched.assigns, stream.total_tasks());
-    assert_eq!((cache.hits(), cache.misses()), (0, 1));
+    assert_eq!((cache.mem_hits(), cache.misses()), (0, 1));
+    assert_eq!(first.source(), PlanSource::Decided);
 
-    let second = cache
-        .plan_for_with_topology(&mut sched, &stream, &cfg, DriverOptions::default(), None)
-        .expect("cached")
-        .clone();
+    let second = session
+        .plan_with_cache(&cache, &mut sched, &stream)
+        .expect("cached");
     assert_eq!(
         sched.assigns,
         stream.total_tasks(),
         "a cache hit must not invoke the scheduler"
     );
-    assert_eq!((cache.hits(), cache.misses()), (1, 1));
-    assert_eq!(first, second, "hits serve the identical plan");
-    assert_eq!(cache.len(), 1);
+    assert_eq!((cache.mem_hits(), cache.misses()), (1, 1));
+    assert_eq!(second.source(), PlanSource::Memory);
+    assert_eq!(first.plan(), second.plan(), "hits serve the identical plan");
+    assert_eq!(cache.stats().store.live_records, 1);
+    drop(cache);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn any_stream_mutation_misses_the_cache() {
     let base = stream();
-    let cfg = MachineConfig::mi100_like(2);
-    let mut cache = PlanCache::new();
+    let session = Session::new(MachineConfig::mi100_like(2));
+    let dir = temp_store_dir("mutation");
+    let cache = DurablePlanCache::open(&dir).expect("store opens");
     let mut sched = RoundRobinScheduler::new();
-    cache
-        .plan_for_with_topology(&mut sched, &base, &cfg, DriverOptions::default(), None)
-        .expect("fits");
+    let mut source = |session: &Session, stream: &TensorPairStream| {
+        session
+            .plan_with_cache(&cache, &mut sched, stream)
+            .expect("fits")
+            .source()
+    };
+    assert_eq!(source(&session, &base), PlanSource::Decided);
 
     // Each mutation rebuilds the stream from a changed copy of its vectors.
     let mutate = |change: fn(&mut Vec<Vector>)| {
@@ -183,34 +191,23 @@ fn any_stream_mutation_misses_the_cache() {
             mutated.fingerprint(),
             "{label} mutation must change the fingerprint"
         );
-        cache
-            .plan_for_with_topology(&mut sched, mutated, &cfg, DriverOptions::default(), None)
-            .expect("fits");
+        assert_eq!(
+            source(&session, mutated),
+            PlanSource::Decided,
+            "{label} mutation must be re-planned"
+        );
     }
-    assert_eq!(
-        (cache.hits(), cache.misses()),
-        (0, 5),
-        "every mutated stream must be re-planned"
-    );
-    assert_eq!(cache.len(), 5);
 
-    // Different driver options also key separately (overlap changes what
+    // A different machine also keys separately (overlap changes what
     // load-aware schedulers observe)…
-    cache
-        .plan_for_with_topology(
-            &mut sched,
-            &base,
-            &cfg,
-            DriverOptions::default().with_overlap(),
-            None,
-        )
-        .expect("fits");
-    assert_eq!(cache.misses(), 6);
+    let overlapped = session.clone().overlap(true);
+    assert_eq!(source(&overlapped, &base), PlanSource::Decided);
     // …while the untouched original still hits.
-    cache
-        .plan_for_with_topology(&mut sched, &base, &cfg, DriverOptions::default(), None)
-        .expect("cached");
-    assert_eq!(cache.hits(), 1);
+    assert_eq!(source(&session, &base), PlanSource::Memory);
+    assert_eq!((cache.mem_hits(), cache.misses()), (1, 6));
+    assert_eq!(cache.stats().store.live_records, 6);
+    drop(cache);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 const POLICIES: [EvictionPolicy; 4] = [
@@ -233,20 +230,17 @@ fn sessions(stream: &TensorPairStream) -> Vec<Session> {
         .max()
         .unwrap_or(1);
     let topo = LinkTopology::parse("nvlink{gpus:8, island:4}").expect("valid spec");
-    let option_sets = [
-        DriverOptions::default(),
-        DriverOptions::default().with_overlap(),
-        DriverOptions::default()
-            .with_overlap()
-            .with_prefetch_tasks(2),
-    ];
+    // (overlap, staging window)
+    let copy_engines = [(false, 0), (true, 0), (true, 2)];
     let mut out = Vec::new();
     for policy in POLICIES {
         let cfg = MachineConfig::mi100_like(8)
             .with_mem_bytes(worst * 2 + 1)
             .with_eviction(policy);
-        for opts in option_sets {
-            let flat = Session::new(cfg).with_options(opts);
+        for (overlap, prefetch_tasks) in copy_engines {
+            let flat = Session::new(cfg)
+                .overlap(overlap)
+                .prefetch_tasks(prefetch_tasks);
             out.push(flat.clone());
             out.push(flat.clone().with_topology(topo.clone()));
             out.push(flat.with_topology(topo.clone()).topology_aware(true));
@@ -261,7 +255,7 @@ fn interleaved(
     scheduler: &mut dyn Scheduler,
     stream: &TensorPairStream,
 ) -> Result<ScheduleReport, ScheduleError> {
-    let mut machine = SimMachine::new(session.options().apply(session.config()));
+    let mut machine = SimMachine::new(*session.config());
     machine.set_topology(session.topology().cloned());
     scheduler.set_topology_aware(session.options().topology_aware && session.topology().is_some());
     run_schedule_on(scheduler, stream, &mut machine)

@@ -1,5 +1,5 @@
 //! Equivalence tests for the fast planner (interned IDs, SoA shadow state,
-//! arena-allocated plans) against the retained slow reference path
+//! holder bitsets) against the retained slow reference path
 //! (`plan_schedule_seed`, a frozen copy of the seed planner's map-based
 //! machine).
 //!
@@ -12,8 +12,8 @@ use proptest::prelude::*;
 
 use micco::gpusim::{EvictionPolicy, MachineConfig};
 use micco::sched::{
-    plan_schedule_seed, CodaScheduler, DriverOptions, GrouteScheduler, MiccoScheduler, Planned,
-    ReuseBounds, RoundRobinScheduler, Scheduler, Session,
+    plan_schedule_seed, CodaScheduler, GrouteScheduler, MiccoScheduler, Planned, ReuseBounds,
+    RoundRobinScheduler, Scheduler, Session,
 };
 use micco::tensor::ContractionKind;
 use micco::workload::{
@@ -78,12 +78,11 @@ fn assert_paths_agree(
     // divergence can only come from the machine model underneath.
     let mut fast_sched = scheduler_for(which, bounds);
     let mut slow_sched = scheduler_for(which, bounds);
-    let opts = DriverOptions::default(); // no overhead timing: both emit 0.0
+    // no overhead timing: both emit 0.0
     let fast = Session::new(*cfg)
-        .with_options(opts)
         .plan(&mut *fast_sched, stream)
         .map(Planned::into_plan);
-    let slow = plan_schedule_seed(&mut *slow_sched, stream, cfg, opts);
+    let slow = plan_schedule_seed(&mut *slow_sched, stream, cfg);
     // Collapse Ok plans to their serialized bytes and Err to the debug
     // repr: one comparison covers "same outcome" in every combination
     // (byte-identical plan text, or the same typed error).

@@ -254,6 +254,49 @@ fn warm_restart_serves_cached_plans_without_replanning() {
     let _ = std::fs::remove_dir_all(&store);
 }
 
+/// The daemon owns the plan store: a request body naming a `store` of its
+/// own is a bad request, is never admitted, and never reaches the path.
+#[test]
+fn a_per_job_store_is_refused_and_its_path_never_created() {
+    let scratch = std::env::temp_dir().join(format!(
+        "micco-serve-job-store-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&scratch);
+    let forbidden = scratch.join("must-not-exist");
+    let service = Service::start(
+        "127.0.0.1:0",
+        ServeConfig {
+            pool_gpus: 2,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let client = Client::new(service.addr());
+    let shared = service.scheduling().clone();
+    let submitted = || shared.metrics().snapshot().counter("serve.submitted");
+
+    let with_store = SessionConfig {
+        store: Some(forbidden.to_string_lossy().into_owned()),
+        ..job(2)
+    };
+    let err = client.submit("acme", None, &with_store).unwrap_err();
+    assert_eq!(err.status(), Some(400), "{err}");
+    assert!(err.to_string().contains("'store'"), "{err}");
+    assert_eq!(submitted(), 0, "a refused job is never admitted");
+    assert!(!forbidden.exists(), "the daemon created {forbidden:?}");
+    assert!(!scratch.exists(), "the daemon created {scratch:?}");
+
+    // the same job without a store of its own runs
+    let id = client.submit("acme", None, &job(2)).unwrap();
+    let rec = shared.wait_job(id, Duration::from_secs(30)).unwrap();
+    assert_eq!(rec.state, JobState::Done);
+    assert_eq!(submitted(), 1);
+    assert!(!scratch.exists());
+    service.shutdown();
+}
+
 /// The value of `name` in a `/metrics` text snapshot.
 fn metric(text: &str, name: &str) -> f64 {
     text.lines()

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 
 use micco::gpusim::MachineConfig;
-use micco::sched::{DurablePlanCache, MiccoScheduler, PlanCache, ReuseBounds};
+use micco::sched::{DurablePlanCache, MiccoScheduler, PlanCache, ReuseBounds, Session};
 use micco::store::fragment::encoded_len;
 use micco::store::{PlanStore, StoreOptions, FILE_HEADER_LEN};
 use micco::workload::WorkloadSpec;
@@ -208,7 +208,7 @@ proptest! {
         case in any::<u64>(),
     ) {
         let dir = scratch("plans", case);
-        let cfg = MachineConfig::mi100_like(2);
+        let session = Session::new(MachineConfig::mi100_like(2));
         let mut originals = Vec::new();
         {
             let cache = DurablePlanCache::open(&dir).expect("fresh store");
@@ -219,11 +219,12 @@ proptest! {
                     .generate();
                 let mut sched = MiccoScheduler::new(ReuseBounds::new(0, 2, 0));
                 let key = PlanCache::key_for_with_topology(
-                    &sched, &stream, &cfg, Default::default(), None,
+                    &sched, &stream, session.config(), *session.options(), None,
                 );
-                let plan = cache
-                    .plan_for_with_topology(&mut sched, &stream, &cfg, Default::default(), None)
-                    .expect("planning succeeds");
+                let plan = session
+                    .plan_with_cache(&cache, &mut sched, &stream)
+                    .expect("planning succeeds")
+                    .into_plan();
                 originals.push((key, stream, plan));
             }
         }
@@ -253,10 +254,10 @@ proptest! {
         // replanning the damaged requests still works and re-persists
         for (key, stream, plan) in &originals {
             let mut sched = MiccoScheduler::new(ReuseBounds::new(0, 2, 0));
-            let replanned = cache
-                .plan_for_with_topology(&mut sched, stream, &cfg, Default::default(), None)
+            let replanned = session
+                .plan_with_cache(&cache, &mut sched, stream)
                 .expect("replanning after damage succeeds");
-            prop_assert_eq!(replanned.fingerprint, plan.fingerprint,
+            prop_assert_eq!(replanned.plan().fingerprint, plan.fingerprint,
                 "replanned plan matches the original decision");
             prop_assert!(cache.lookup(*key).is_some(), "servable again");
         }

@@ -191,7 +191,7 @@ proptest! {
         };
         let plan = planned.into_plan();
         let one_shot = session.run(&mut *scheduler_for(which), &stream).expect("runs");
-        let mut machine = SimMachine::new(opts.apply(&cfg));
+        let mut machine = SimMachine::new(cfg);
         machine.set_topology(Some(topo.clone()));
         let report = execute_plan(&plan, &stream, &mut machine).expect("replays");
         prop_assert_eq!(&one_shot.assignments, &report.assignments);
