@@ -17,9 +17,8 @@ use micco_cluster::{
 use micco_core::model::RegressionBounds;
 use micco_core::tuner::{build_training_set, TrainingConfig};
 use micco_core::{
-    DurablePlanCache, GrouteScheduler, MiccoScheduler, PlanCache, PlanSource, Planned, RetryPolicy,
-    ReuseBounds, RoundRobinScheduler, SchedulePlan, ScheduleReport, Scheduler, Session,
-    SessionConfig,
+    DurablePlanCache, GrouteScheduler, PlanCache, PlanSource, Planned, RetryPolicy, ReuseBounds,
+    SchedulePlan, ScheduleReport, Session, SessionConfig,
 };
 use micco_exec::{execute_plan as execute_plan_real, ExecOptions, TensorStore};
 use micco_gpusim::{CostModel, MachineConfig};
@@ -74,9 +73,6 @@ or --config FILE in their place:
   exec        decide the request and compute its kernels on one worker
               thread per GPU (plan, then execute --backend real);
               --trace-out FILE / --trace-raw FILE as in execute
-  compare     run every scheduler on the request; --mappings
-  sweep       the configured scheduler against Groute across one parameter
-              --param rate|tensor-size|vector-size|gpus|oversub --values a,b,c
   redstar     a Table VI correlator preset on the configured machine
               --preset al_rhopi|f0d2|f0d4|nucleon_pipi|kk_pipi --scale paper|ci
   cluster     multi-node run (flat vs hierarchical) of the configured
@@ -125,7 +121,7 @@ CLI submits to the daemon unchanged and keys the durable store identically):
               --dims A,B,...
   machine     --gpus N --oversub F
   scheduler   --scheduler micco|micco-naive|groute|coda|rr --bounds A,B,C
-  driver      --overlap (alias --async-copy) --prefetch-tasks K
+  driver      --overlap --prefetch-tasks K
               --topology FILE|SPEC --topology-aware
   resilience  --inject-faults SPEC (deterministic chaos: kernel:T[*N],
               timeout:T[*N], lose:G@S, flake:G@S, comma-separated)
@@ -153,7 +149,7 @@ const CONFIG_VALUES: &str = "vector-size tensor-size rate dist vectors seed batc
                              retry store";
 
 /// SessionConfig flags that stand bare.
-const CONFIG_SWITCHES: &str = "overlap async-copy topology-aware steal prefetch";
+const CONFIG_SWITCHES: &str = "overlap topology-aware steal prefetch";
 
 /// A subcommand: its handler, whether it reads a [`SessionConfig`], and
 /// the flags it reads besides SessionConfig's — space-separated, those
@@ -200,8 +196,6 @@ fn grammar(name: &str) -> Option<Grammar> {
         ),
         "replay" => g(replay, true, "load save plan times", ""),
         "exec" => g(exec, true, "load save trace-out trace-raw", ""),
-        "compare" => g(compare, true, "load save", "mappings"),
-        "sweep" => g(sweep, true, "param values", ""),
         "redstar" => g(redstar, true, "preset scale", ""),
         "cluster" => g(cluster, true, "load save nodes gpus-per-node", ""),
         "load" => g(
@@ -335,9 +329,7 @@ fn config_from_flags(args: &Args) -> Result<SessionConfig, String> {
         return Err("--bounds needs exactly three comma-separated integers".into());
     }
     cfg.bounds = [bounds[0], bounds[1], bounds[2]];
-    // `--overlap` is the pipelined-execution spelling; `--async-copy` is
-    // kept as the original alias
-    cfg.overlap = args.flag("overlap") || args.flag("async-copy");
+    cfg.overlap = args.flag("overlap");
     cfg.prefetch_tasks = args
         .parse_or("prefetch-tasks", cfg.prefetch_tasks)
         .map_err(|e| e.to_string())?;
@@ -777,98 +769,6 @@ fn compute(
     Ok(())
 }
 
-/// Run every scheduler on the request.
-fn compare(args: &Args) -> Result<(), String> {
-    let (cfg, stream, session) = request(args)?;
-    let mut contenders: Vec<Box<dyn Scheduler>> = vec![
-        Box::new(RoundRobinScheduler::new()),
-        Box::new(GrouteScheduler::new()),
-        Box::new(micco_core::CodaScheduler::new()),
-        Box::new(MiccoScheduler::naive()),
-        Box::new(MiccoScheduler::new(ReuseBounds::from(cfg.bounds))),
-    ];
-    let mut baseline = None;
-    for s in contenders.iter_mut() {
-        let r = session
-            .run(s.as_mut(), &stream)
-            .map_err(|e| e.to_string())?;
-        let speedup = match &baseline {
-            None => {
-                baseline = Some(r.elapsed_secs());
-                1.0
-            }
-            Some(b) => b / r.elapsed_secs(),
-        };
-        print!(
-            "{:<24} {:>9.0} GFLOPS  {:>7.2}x vs rr",
-            r.scheduler,
-            r.gflops(),
-            speedup
-        );
-        if args.flag("mappings") {
-            let hist = micco_core::mapping_histogram(&stream, &r.assignments, session.config());
-            print!("  | {hist}");
-        }
-        println!();
-    }
-    Ok(())
-}
-
-/// The configured scheduler against Groute, one request per `--values`
-/// entry of `--param`.
-fn sweep(args: &Args) -> Result<(), String> {
-    let base = session_config_from_args(args, None)?;
-    let param = args.str_or("param", "rate");
-    let values: Vec<f64> = args
-        .parse_list_or(
-            "values",
-            match param.as_str() {
-                "rate" => vec![0.25, 0.5, 0.75, 1.0],
-                "tensor-size" => vec![128.0, 256.0, 384.0, 768.0],
-                "vector-size" => vec![8.0, 16.0, 32.0, 64.0],
-                "gpus" => vec![1.0, 2.0, 4.0, 8.0],
-                "oversub" => vec![1.25, 1.5, 1.75, 2.0],
-                other => return Err(format!("unknown sweep param '{other}'")),
-            },
-        )
-        .map_err(|e| e.to_string())?;
-
-    println!(
-        "{:<12} {:>12} {:>12} {:>10}",
-        param, "Groute GF", "MICCO GF", "speedup"
-    );
-    for v in values {
-        let mut cfg = base.clone();
-        match param.as_str() {
-            "rate" => cfg.rate = v,
-            "tensor-size" => cfg.tensor_size = v as usize,
-            "vector-size" => cfg.vector_size = v as usize,
-            "gpus" => cfg.gpus = v as usize,
-            "oversub" => cfg.oversub = v,
-            _ => unreachable!("validated above"),
-        }
-        cfg.validate()
-            .map_err(|e| format!("--param {param} {v}: {e}"))?;
-        let stream = cfg.stream().map_err(|e| e.to_string())?;
-        let session = cfg.session(&stream).map_err(|e| e.to_string())?;
-        let g = session
-            .run(&mut GrouteScheduler::new(), &stream)
-            .map_err(|e| e.to_string())?;
-        let mut sched = cfg.build_scheduler().map_err(|e| e.to_string())?;
-        let m = session
-            .run(sched.as_mut(), &stream)
-            .map_err(|e| e.to_string())?;
-        println!(
-            "{:<12} {:>12.0} {:>12.0} {:>9.2}x",
-            v,
-            g.gflops(),
-            m.gflops(),
-            m.speedup_over(&g)
-        );
-    }
-    Ok(())
-}
-
 /// A Table VI correlator preset: Groute against the configured scheduler
 /// on the configured machine.
 fn redstar(args: &Args) -> Result<(), String> {
@@ -1294,7 +1194,7 @@ fn info(_: &Args) -> Result<(), String> {
         c.alloc_latency_us, c.evict_latency_us
     );
     println!(
-        "  async copy        : {} (enable with --async-copy)",
+        "  async copy        : {} (enable with --overlap)",
         c.async_copy
     );
     println!("  device memory     : 32 GiB per GPU (MI100-like)");
@@ -1330,7 +1230,7 @@ mod tests {
 
     #[test]
     fn run_oversub_and_async() {
-        run("run --vector-size 8 --tensor-size 64 --vectors 2 --gpus 2 --oversub 1.5 --async-copy")
+        run("run --vector-size 8 --tensor-size 64 --vectors 2 --gpus 2 --oversub 1.5 --overlap")
             .unwrap();
     }
 
@@ -1343,16 +1243,6 @@ mod tests {
     #[test]
     fn redstar_ci_preset_runs() {
         run("redstar --preset al_rhopi --scale ci --gpus 2").unwrap();
-    }
-
-    #[test]
-    fn sweep_runs() {
-        run("sweep --param rate --values 0.25,0.75 --gpus 2 --vector-size 8 --tensor-size 64 --vectors 2")
-            .unwrap();
-        run("sweep --param gpus --values 1,2 --vector-size 8 --tensor-size 64 --vectors 2")
-            .unwrap();
-        // a swept value the request cannot take is rejected, not clamped
-        assert!(run("sweep --param rate --values 1.5 --vector-size 8 --vectors 1").is_err());
     }
 
     #[test]
@@ -1370,11 +1260,6 @@ mod tests {
     #[test]
     fn info_runs() {
         run("info").unwrap();
-    }
-
-    #[test]
-    fn compare_runs() {
-        run("compare --vector-size 4 --tensor-size 32 --vectors 2 --gpus 2 --mappings").unwrap();
     }
 
     #[test]
@@ -1792,11 +1677,11 @@ mod tests {
         assert!(run("run --dist sideways").is_err());
         assert!(run("run --scheduler alien").is_err());
         assert!(run("redstar --preset nope").is_err());
-        assert!(run("sweep --param nope").is_err());
         assert!(run("run --bounds 1,2").is_err());
         assert!(dispatch(&Args::default()).is_err());
-        // the duplicate subcommands are gone: `run` and `execute` cover them
-        for gone in ["synthetic", "trace"] {
+        // the duplicate subcommands are gone: `run` and `execute` cover
+        // them, and the bench binaries own the sweeps
+        for gone in ["synthetic", "trace", "compare", "sweep"] {
             let err = run(&format!("{gone} --gpus 2")).unwrap_err();
             assert!(err.contains("unknown command"), "{err}");
         }
@@ -1968,11 +1853,7 @@ mod tests {
         assert!(err.contains("--gpus") && err.contains("--config"), "{err}");
         run(&format!("run --config {}", path.display())).unwrap();
         // workload files still combine with a config document
-        run(&format!(
-            "compare --config {} --save /dev/null",
-            path.display()
-        ))
-        .unwrap();
+        run(&format!("run --config {} --save /dev/null", path.display())).unwrap();
         let _ = std::fs::remove_file(&path);
         // values and switches are checked: a value-taking flag given bare
         // no longer falls back to its default, a switch takes no value
@@ -1980,6 +1861,9 @@ mod tests {
         assert!(err.contains("--gpus needs a value"), "{err}");
         let err = run("run --vector-size 4 --vectors 2 --steal 3").unwrap_err();
         assert!(err.contains("--steal takes no value"), "{err}");
+        // `--overlap` is the one spelling of pipelined copies
+        let err = run("run --vector-size 4 --vectors 2 --async-copy").unwrap_err();
+        assert!(err.contains("--async-copy"), "{err}");
         // each command reads its own flags only
         let err = run("replay --out x.txt").unwrap_err();
         assert!(err.contains("--out"), "{err}");

@@ -10,13 +10,15 @@
 //! micco plan    --config request.json --out plan.txt
 //! micco execute --config request.json --plan plan.txt --backend real
 //! micco redstar --preset al_rhopi --scale ci --gpus 8
-//! micco sweep   --param rate --values 0.25,0.5,0.75,1.0 --gpus 8
 //! micco train   --samples 40 --seed 7
 //! micco cluster --nodes 2 --gpus-per-node 4
 //! micco info
 //! ```
 //!
-//! A flag the command does not read is an error that names it.
+//! A flag the command does not read is an error that names it. The
+//! paper's parameter sweeps are the `micco-bench` binaries (`fig7_overall`
+//! … `fig11_oversub`, `baselines_matrix`); one row of any of them is one
+//! `micco run`.
 
 mod args;
 mod commands;

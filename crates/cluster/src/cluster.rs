@@ -2,9 +2,7 @@
 
 use std::collections::HashSet;
 
-use micco_gpusim::{
-    ExecError, GpuId, LinkSpec, MachineConfig, MachineView, ShadowMachine, SimMachine,
-};
+use micco_gpusim::{ExecError, GpuId, LinkSpec, MachineConfig, MachineView, SimMachine};
 use micco_workload::{ContractionTask, TensorId, TensorPairStream};
 
 /// Index of a node within the cluster.
@@ -41,16 +39,6 @@ impl ClusterConfig {
             inter_gib_s: 23.0,
             inter_latency_us: 30.0,
         }
-    }
-
-    /// Replace the inter-node interconnect with a typed link spec — the
-    /// same [`LinkSpec`] the single-machine [`micco_gpusim::LinkTopology`]
-    /// uses for its IB tier, so a cluster config and a topology spec can
-    /// describe the identical network.
-    pub fn with_interconnect(mut self, spec: LinkSpec) -> Self {
-        self.inter_gib_s = spec.gib_s;
-        self.inter_latency_us = spec.latency_us;
-        self
     }
 
     /// The inter-node interconnect as a typed link spec.
@@ -115,76 +103,12 @@ impl ClusterReport {
     }
 }
 
-/// Node-machine operations the cluster drives, implemented both for the
-/// observing simulator ([`SimMachine`]) and the decide-only shadow
-/// ([`ShadowMachine`]). Because [`ClusterSim`] is generic over this trait,
-/// the network arithmetic of a planning pass and an execution pass is the
-/// *same code* — cluster plans replay bit-for-bit by construction.
-pub trait NodeMachine: MachineView {
-    /// Fresh idle machine for one node.
-    fn fresh(config: MachineConfig) -> Self
-    where
-        Self: Sized;
-    /// Run one contraction on a device of this node.
-    fn run(&mut self, task: &ContractionTask, gpu: GpuId) -> Result<(), ExecError>;
-    /// Charge extra memory-system seconds to a device (network fetches).
-    fn delay(&mut self, gpu: GpuId, secs: f64);
-    /// Move every device clock forward to `t`.
-    fn advance_clocks_to(&mut self, t: f64);
-    /// Stage barrier on this node.
-    fn stage_barrier(&mut self);
-    /// Latest device clock on this node.
-    fn latest_time(&self) -> f64;
-}
-
-impl NodeMachine for SimMachine {
-    fn fresh(config: MachineConfig) -> Self {
-        SimMachine::new(config)
-    }
-    fn run(&mut self, task: &ContractionTask, gpu: GpuId) -> Result<(), ExecError> {
-        self.execute(task, gpu)
-    }
-    fn delay(&mut self, gpu: GpuId, secs: f64) {
-        self.add_memory_delay(gpu, secs);
-    }
-    fn advance_clocks_to(&mut self, t: f64) {
-        self.advance_to(t);
-    }
-    fn stage_barrier(&mut self) {
-        self.barrier();
-    }
-    fn latest_time(&self) -> f64 {
-        self.max_device_time()
-    }
-}
-
-impl NodeMachine for ShadowMachine {
-    fn fresh(config: MachineConfig) -> Self {
-        ShadowMachine::new(config)
-    }
-    fn run(&mut self, task: &ContractionTask, gpu: GpuId) -> Result<(), ExecError> {
-        self.execute(task, gpu)
-    }
-    fn delay(&mut self, gpu: GpuId, secs: f64) {
-        self.add_memory_delay(gpu, secs);
-    }
-    fn advance_clocks_to(&mut self, t: f64) {
-        self.advance_to(t);
-    }
-    fn stage_barrier(&mut self) {
-        self.barrier();
-    }
-    fn latest_time(&self) -> f64 {
-        self.max_device_time()
-    }
-}
-
-/// The simulated cluster, generic over the per-node machine.
-///
-/// Use the [`SimCluster`] alias to execute (full stats) or the
-/// [`ShadowCluster`] alias to decide placements without observation —
-/// cluster schedulers only see the [`ClusterView`], which both provide
-/// identically.
+/// The simulated cluster: one [`SimMachine`] per node, joined by the
+/// configured interconnect. [`crate::plan_cluster_schedule`] steps one to
+/// decide a plan, [`crate::run_cluster_schedule`] returns that pass's
+/// report, and [`crate::execute_cluster_plan`] replays a saved plan on a
+/// fresh one — the same network arithmetic on the same machines. Cluster
+/// schedulers see only its [`ClusterView`].
 ///
 /// # Examples
 ///
@@ -206,28 +130,23 @@ impl NodeMachine for ShadowMachine {
 /// // original tensors are host-replicated: no network traffic yet
 /// assert_eq!(cluster.inter_transfers(), 0);
 /// ```
-pub struct ClusterSim<M: NodeMachine> {
+pub struct SimCluster {
     config: ClusterConfig,
-    machines: Vec<M>,
+    machines: Vec<SimMachine>,
     intermediates: HashSet<TensorId>,
     inter_transfers: u64,
     inter_bytes: u64,
     elapsed: f64,
 }
 
-/// The executing cluster: per-node [`SimMachine`]s with full statistics.
-pub type SimCluster = ClusterSim<SimMachine>;
-
-/// The decide-only cluster: per-node [`ShadowMachine`]s, no statistics —
-/// what [`crate::plan_cluster_schedule`] drives.
-pub type ShadowCluster = ClusterSim<ShadowMachine>;
-
-impl<M: NodeMachine> ClusterSim<M> {
+impl SimCluster {
     /// Build an idle cluster.
     pub fn new(config: ClusterConfig) -> Self {
-        ClusterSim {
+        SimCluster {
             config,
-            machines: (0..config.nodes).map(|_| M::fresh(config.node)).collect(),
+            machines: (0..config.nodes)
+                .map(|_| SimMachine::new(config.node))
+                .collect(),
             intermediates: HashSet::new(),
             inter_transfers: 0,
             inter_bytes: 0,
@@ -273,22 +192,26 @@ impl<M: NodeMachine> ClusterSim<M> {
                 // The data lives only on some remote node (or the host copy
                 // written back there): fetch it over the network first.
                 let secs = self.config.inter_secs(d.bytes);
-                self.machines[node.0].delay(gpu, secs);
+                self.machines[node.0].add_memory_delay(gpu, secs);
                 self.inter_transfers += 1;
                 self.inter_bytes += d.bytes;
             }
         }
-        self.machines[node.0].run(task, gpu)?;
+        self.machines[node.0].execute(task, gpu)?;
         self.intermediates.insert(task.out.id);
         Ok(())
     }
 
     /// Global stage barrier: all nodes synchronise to the slowest one.
     pub fn barrier(&mut self) {
-        let end = self.machines.iter().map(M::latest_time).fold(0.0, f64::max);
+        let end = self
+            .machines
+            .iter()
+            .map(SimMachine::max_device_time)
+            .fold(0.0, f64::max);
         for m in &mut self.machines {
-            m.advance_clocks_to(end);
-            m.stage_barrier();
+            m.advance_to(end);
+            m.barrier();
         }
         self.elapsed = end;
     }
@@ -301,9 +224,7 @@ impl<M: NodeMachine> ClusterSim<M> {
             .flat_map(|v| v.tasks.iter())
             .all(|t| t.a.bytes + t.b.bytes + t.out.bytes <= self.config.node.mem_bytes)
     }
-}
 
-impl SimCluster {
     /// Build the final report.
     pub fn report(&self, scheduler: String) -> ClusterReport {
         ClusterReport {
@@ -321,7 +242,7 @@ impl SimCluster {
     }
 }
 
-impl<M: NodeMachine> ClusterView for ClusterSim<M> {
+impl ClusterView for SimCluster {
     fn num_nodes(&self) -> usize {
         self.machines.len()
     }

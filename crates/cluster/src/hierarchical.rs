@@ -148,26 +148,18 @@ impl ClusterScheduler for HierarchicalScheduler {
 
 /// Drive a cluster scheduler over a stream on a fresh cluster.
 ///
-/// Since the plan-IR split this is a thin composition: decide the whole
-/// placement on a [`crate::ShadowCluster`] via
-/// [`crate::plan_cluster_schedule`], then replay the resulting
-/// [`crate::ClusterPlan`] on a fresh [`crate::SimCluster`] via
-/// [`crate::execute_cluster_plan`]. Results are identical to the old
-/// interleaved loop because both passes share the cluster's one
-/// state-transition function.
+/// One pass: the [`crate::SimCluster`] that
+/// [`crate::plan_cluster_schedule`] steps to decide the placement also
+/// reports it, so nothing is replayed. Replaying the decided
+/// [`crate::ClusterPlan`] with [`crate::execute_cluster_plan`] gives the
+/// same report.
 pub fn run_cluster_schedule(
     scheduler: &mut dyn ClusterScheduler,
     stream: &TensorPairStream,
     config: &ClusterConfig,
 ) -> Result<ClusterReport, micco_gpusim::ExecError> {
-    let plan = crate::plan::plan_cluster_schedule(scheduler, stream, config)?;
-    match crate::plan::execute_cluster_plan(&plan, stream, config) {
-        Ok(report) => Ok(report),
-        Err(crate::plan::ClusterError::Exec(e)) => Err(e),
-        Err(crate::plan::ClusterError::Plan(e)) => {
-            unreachable!("freshly decided plan failed validation: {e}")
-        }
-    }
+    let (plan, cluster) = crate::plan::decide(scheduler, stream, config)?;
+    Ok(cluster.report(plan.scheduler))
 }
 
 #[cfg(test)]

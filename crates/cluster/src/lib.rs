@@ -15,6 +15,11 @@
 //! producer-consumer locality the new scheduling currency, layered on top of
 //! the intra-node reuse/balance trade-off.
 //!
+//! One machine serves both passes: [`plan_cluster_schedule`] decides a
+//! [`ClusterPlan`] by stepping a [`SimCluster`], [`run_cluster_schedule`]
+//! returns that same pass's [`ClusterReport`], and
+//! [`execute_cluster_plan`] replays a saved plan on a fresh cluster.
+//!
 //! Two cluster schedulers are provided:
 //!
 //! * [`FlatClusterScheduler`] — treats the cluster as one flat pool of GPUs
@@ -32,10 +37,7 @@ pub mod plan;
 pub mod trace;
 
 pub use analysis::{analyze_cluster_plan, analyze_cluster_plan_with, ClusterAnalysis};
-pub use cluster::{
-    ClusterConfig, ClusterReport, ClusterSim, ClusterView, NodeId, NodeMachine, ShadowCluster,
-    SimCluster,
-};
+pub use cluster::{ClusterConfig, ClusterReport, ClusterView, NodeId, SimCluster};
 pub use hierarchical::{
     run_cluster_schedule, ClusterScheduler, FlatClusterScheduler, HierarchicalScheduler,
 };

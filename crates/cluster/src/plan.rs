@@ -1,6 +1,6 @@
-//! Cluster-level schedule plans: decide `(node, gpu)` placements against a
-//! [`ShadowCluster`], carry them as a validated artifact, and execute them
-//! later on a [`SimCluster`] — the multi-node face of the plan IR.
+//! Cluster-level schedule plans: decide `(node, gpu)` placements by
+//! stepping a [`SimCluster`], carry them as a validated artifact, and
+//! execute them later on a fresh one — the multi-node face of the plan IR.
 //!
 //! A [`ClusterPlan`] records the full cross-node placement in stream order
 //! (the order the network arithmetic depends on) and can project itself
@@ -14,7 +14,7 @@ use micco_core::{
 use micco_gpusim::{ExecError, GpuId};
 use micco_workload::{TaskId, TensorPairStream};
 
-use crate::cluster::{ClusterConfig, ClusterReport, NodeId, ShadowCluster, SimCluster};
+use crate::cluster::{ClusterConfig, ClusterReport, NodeId, SimCluster};
 use crate::hierarchical::ClusterScheduler;
 
 /// One task placed on a `(node, gpu)` pair.
@@ -311,9 +311,8 @@ impl From<ExecError> for ClusterError {
     }
 }
 
-/// Decide a full cluster placement without executing: drive `scheduler`
-/// over a [`ShadowCluster`] (whose [`crate::ClusterView`] matches the
-/// executing cluster's exactly) and record every `(node, gpu)` choice.
+/// Decide a full cluster placement: drive `scheduler` over a fresh
+/// [`SimCluster`] and record every `(node, gpu)` choice.
 ///
 /// # Errors
 ///
@@ -324,7 +323,18 @@ pub fn plan_cluster_schedule(
     stream: &TensorPairStream,
     config: &ClusterConfig,
 ) -> Result<ClusterPlan, ExecError> {
-    let mut cluster = ShadowCluster::new(*config);
+    decide(scheduler, stream, config).map(|(plan, _)| plan)
+}
+
+/// The planning pass behind [`plan_cluster_schedule`]: the plan, plus the
+/// cluster it was decided on, whose [`SimCluster::report`] is the
+/// placement's report without a replay.
+pub(crate) fn decide(
+    scheduler: &mut dyn ClusterScheduler,
+    stream: &TensorPairStream,
+    config: &ClusterConfig,
+) -> Result<(ClusterPlan, SimCluster), ExecError> {
+    let mut cluster = SimCluster::new(*config);
     let mut stages = Vec::with_capacity(stream.vectors().len());
     for vector in stream.vectors() {
         scheduler.begin_vector(vector, &cluster);
@@ -341,13 +351,14 @@ pub fn plan_cluster_schedule(
         cluster.barrier();
         stages.push(stage);
     }
-    Ok(ClusterPlan {
+    let plan = ClusterPlan {
         scheduler: scheduler.name(),
         num_nodes: config.nodes,
         gpus_per_node: config.node.num_gpus,
         fingerprint: stream.fingerprint(),
         stages,
-    })
+    };
+    Ok((plan, cluster))
 }
 
 /// Replay a validated [`ClusterPlan`] on a fresh [`SimCluster`], producing
@@ -545,37 +556,54 @@ mod tests {
     #[test]
     fn plan_then_execute_matches_interleaved_run() {
         let stream = stream();
-        let cfg = ClusterConfig::mi100_cluster(2, 4);
-        for fresh in 0..2 {
-            let (interleaved, planned) = if fresh == 0 {
-                (
-                    run_cluster_schedule(&mut FlatClusterScheduler::new(), &stream, &cfg).unwrap(),
-                    plan_cluster_schedule(&mut FlatClusterScheduler::new(), &stream, &cfg).unwrap(),
-                )
-            } else {
-                let bounds = ReuseBounds::new(0, 2, 0);
-                (
-                    run_cluster_schedule(
-                        &mut HierarchicalScheduler::new(2, 8, bounds),
-                        &stream,
-                        &cfg,
+        let roomy = ClusterConfig::mi100_cluster(2, 4);
+        // room for four tensors per device: the planning pass evicts
+        let tensor = stream.vectors()[0].tasks[0].a.bytes;
+        let tight = ClusterConfig {
+            node: roomy.node.with_mem_bytes(4 * tensor),
+            ..roomy
+        };
+        for cfg in [roomy, tight] {
+            for fresh in 0..2 {
+                let (interleaved, planned) = if fresh == 0 {
+                    (
+                        run_cluster_schedule(&mut FlatClusterScheduler::new(), &stream, &cfg)
+                            .unwrap(),
+                        plan_cluster_schedule(&mut FlatClusterScheduler::new(), &stream, &cfg)
+                            .unwrap(),
                     )
-                    .unwrap(),
-                    plan_cluster_schedule(
-                        &mut HierarchicalScheduler::new(2, 8, bounds),
-                        &stream,
-                        &cfg,
+                } else {
+                    let bounds = ReuseBounds::new(0, 2, 0);
+                    (
+                        run_cluster_schedule(
+                            &mut HierarchicalScheduler::new(2, 8, bounds),
+                            &stream,
+                            &cfg,
+                        )
+                        .unwrap(),
+                        plan_cluster_schedule(
+                            &mut HierarchicalScheduler::new(2, 8, bounds),
+                            &stream,
+                            &cfg,
+                        )
+                        .unwrap(),
                     )
-                    .unwrap(),
-                )
-            };
-            let executed = execute_cluster_plan(&planned, &stream, &cfg).unwrap();
-            assert_eq!(executed.scheduler, interleaved.scheduler);
-            assert_eq!(executed.elapsed_secs, interleaved.elapsed_secs);
-            assert_eq!(executed.total_flops, interleaved.total_flops);
-            assert_eq!(executed.inter_transfers, interleaved.inter_transfers);
-            assert_eq!(executed.inter_bytes, interleaved.inter_bytes);
-            assert_eq!(executed.evictions_per_node, interleaved.evictions_per_node);
+                };
+                let executed = execute_cluster_plan(&planned, &stream, &cfg).unwrap();
+                assert_eq!(executed.scheduler, interleaved.scheduler);
+                assert_eq!(executed.elapsed_secs, interleaved.elapsed_secs);
+                assert_eq!(executed.total_flops, interleaved.total_flops);
+                assert_eq!(executed.inter_transfers, interleaved.inter_transfers);
+                assert_eq!(executed.inter_bytes, interleaved.inter_bytes);
+                assert_eq!(executed.evictions_per_node, interleaved.evictions_per_node);
+                if cfg == tight {
+                    assert!(
+                        interleaved.evictions_per_node.iter().all(|&e| e > 0),
+                        "{:?}",
+                        interleaved.evictions_per_node
+                    );
+                }
+            }
         }
     }
 

@@ -1,14 +1,18 @@
 //! The stage-parallel execution engine.
 //!
-//! Two execution modes share the same checksum contract:
+//! One stage runner: each stage seeds one deque per worker with the tasks
+//! its device was assigned, in order, and each worker drains its own
+//! deque from the front. Whether an idle worker may then steal is the
+//! only thing that varies:
 //!
-//! - **static** (the default): each worker runs exactly the tasks its
-//!   device was assigned, in order — a faithful replay of the schedule.
-//! - **work stealing** ([`ExecOptions::steal`]): per-worker deques with
-//!   *reuse-aware* intra-stage stealing — an idle worker may only take a
-//!   victim's task when it already holds both operands (the tasks a
-//!   device could run without extra transfers), mirroring the
-//!   data-centric placement rule the schedulers optimise for.
+//! - **no stealing** (the default): each worker runs exactly its own
+//!   tasks, in order — a faithful replay of the schedule.
+//! - **work stealing** ([`ExecOptions::steal`], or any device loss in the
+//!   fault plan): *reuse-aware* intra-stage stealing — an idle worker may
+//!   only take a victim's task when it already holds both operands (the
+//!   tasks a device could run without extra transfers), mirroring the
+//!   data-centric placement rule the schedulers optimise for; a lost
+//!   worker's deque is drained by the survivors unconditionally.
 //!
 //! Either way the per-task outputs are identical, so the order-fixed
 //! checksum reduction is bit-identical across modes, schedulers, and
@@ -29,9 +33,10 @@
 //! With [`ExecOptions::with_trace`] the engine records wall-clock spans to
 //! a [`micco_obs::TraceSink`]: one process per worker with compute and
 //! copy tracks (kernel spans and operand staging), control-process stage
-//! spans, steal flow arrows, and fault/retry instants — the same span
-//! taxonomy the simulator's `SpanObserver` emits, so sim and real
-//! timelines render side by side in Perfetto.
+//! spans, fault/retry instants and, when stealing is on, queue push/pop
+//! instants and steal flow arrows — the same span taxonomy the
+//! simulator's `SpanObserver` emits, so sim and real timelines render
+//! side by side in Perfetto.
 
 use std::any::Any;
 use std::collections::{HashSet, VecDeque};
@@ -534,12 +539,13 @@ fn execute_unchecked(
         retry_events: &retry_events,
         tele: tele.as_ref(),
     };
-    // A device loss strands the victim's queue, so those runs go through
-    // the stealing path: survivors drain the lost workers' work.
+    // A device loss strands the victim's queue, so those runs steal:
+    // survivors drain the lost workers' work.
     let any_loss = (0..workers).any(|g| faults.loss_of(g).is_some());
-    let steal_mode = opts.steal || any_loss;
+    let steal = opts.steal || any_loss;
     // the modelled residency of each worker's device: operands and outputs
-    // of tasks it executed (persists across stages, like device memory)
+    // of tasks it executed (persists across stages, like device memory);
+    // only the steal gate reads it, so only stealing runs fill it
     let mut residents: Vec<HashSet<TensorId>> = vec![HashSet::new(); workers];
     // per-task traces, collected in global task order so the final
     // checksum reduction is order-fixed regardless of thread interleaving
@@ -580,35 +586,20 @@ fn execute_unchecked(
         for (w, b) in buckets.iter().enumerate() {
             per_worker_tasks[w] += b.len();
         }
-        let stage_traces = &mut traces[offset..offset + vector.len()];
-        if steal_mode {
-            run_stage_stealing(
-                vector,
-                &buckets,
-                &mut residents,
-                store,
-                stage_traces,
-                &steals,
-                &mut per_worker_executed,
-                &mut per_worker_busy_secs,
-                opts.prefetch,
-                &fx,
-                &lost,
-            )?;
-        } else {
-            run_stage_static(
-                vector,
-                &buckets,
-                store,
-                stage_traces,
-                &mut per_worker_busy_secs,
-                opts.prefetch,
-                &fx,
-            )?;
-            for (w, b) in buckets.iter().enumerate() {
-                per_worker_executed[w] += b.len();
-            }
-        }
+        run_stage(
+            vector,
+            &buckets,
+            &mut residents,
+            store,
+            &mut traces[offset..offset + vector.len()],
+            &steals,
+            &mut per_worker_executed,
+            &mut per_worker_busy_secs,
+            steal,
+            opts.prefetch,
+            &fx,
+            &lost,
+        )?;
         if let (Some(t), Some(start)) = (&tele, stage_start_us) {
             t.span(
                 CONTROL_PID,
@@ -775,81 +766,18 @@ fn run_task_faulty(
     Ok((tr, busy))
 }
 
-/// Static replay: one scoped thread per non-empty bucket; the scope join
-/// is the stage barrier. Every handle — workers and prefetcher — is
-/// joined explicitly, so a panicking thread surfaces as
-/// [`ExecError::WorkerFailed`] instead of unwinding through the scope.
-fn run_stage_static(
-    vector: &Vector,
-    buckets: &[Vec<usize>],
-    store: &TensorStore,
-    stage_traces: &mut [Complex64],
-    per_worker_busy_secs: &mut [f64],
-    prefetch: bool,
-    fx: &FaultCtx<'_>,
-) -> Result<(), ExecError> {
-    let trace_slices = split_by_buckets(stage_traces, buckets);
-    let scoped = crossbeam::thread::scope(|scope| -> Result<Vec<(usize, f64)>, ExecError> {
-        let prefetcher = prefetch.then(|| {
-            scope.spawn(move |_| {
-                for t in &vector.tasks {
-                    store.fetch(t.a.id);
-                    store.fetch(t.b.id);
-                }
-            })
-        });
-        let handles: Vec<_> = buckets
-            .iter()
-            .zip(trace_slices)
-            .enumerate()
-            .filter(|(_, (bucket, _))| !bucket.is_empty())
-            .map(|(w, (bucket, slots))| {
-                let h = scope.spawn(move |_| -> Result<f64, ExecError> {
-                    let mut busy = 0.0;
-                    for (&i, slot) in bucket.iter().zip(slots) {
-                        let (tr, b) = run_task_faulty(store, vector, i, w, fx)?;
-                        *slot = tr;
-                        busy += b;
-                    }
-                    Ok(busy)
-                });
-                (w, h)
-            })
-            .collect();
-        let mut busy_per: Vec<(usize, f64)> = Vec::new();
-        let mut first_err = None;
-        for (w, h) in handles {
-            match join_worker(w, h.join()) {
-                Ok(busy) => busy_per.push((w, busy)),
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        if let Some(h) = prefetcher {
-            if let Err(payload) = h.join() {
-                first_err.get_or_insert(panic_to_error(None, payload));
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(busy_per),
-        }
-    });
-    let busy_per = scoped.unwrap_or_else(|payload| Err(panic_to_error(None, payload)))?;
-    for (w, busy) in busy_per {
-        per_worker_busy_secs[w] += busy;
-    }
-    Ok(())
-}
-
-/// Work-stealing stage: per-worker deques; a worker drains its own queue
-/// from the front, then scans victims' queues from the back for tasks
-/// whose operands it already holds. Results come back through the join
+/// One stage on per-worker deques, seeded in assignment order; the scope
+/// join is the stage barrier. Each worker drains its own queue from the
+/// front. With `steal` on, every surviving worker spawns, and one whose
+/// queue is empty takes work through [`steal_one`]; with it off, only
+/// workers that have tasks spawn, each runs exactly its own, and the
+/// trace gets no queue instants. Results come back through the join
 /// handles tagged with their stage-local task index, so the caller writes
-/// them into the order-fixed trace array.
+/// them into the order-fixed trace array. Every handle — workers and
+/// prefetcher — is joined explicitly, so a panicking thread surfaces as
+/// [`ExecError::WorkerFailed`] instead of unwinding through the scope.
 #[allow(clippy::too_many_arguments)]
-fn run_stage_stealing(
+fn run_stage(
     vector: &Vector,
     buckets: &[Vec<usize>],
     residents: &mut [HashSet<TensorId>],
@@ -858,6 +786,7 @@ fn run_stage_stealing(
     steals: &AtomicUsize,
     per_worker_executed: &mut [usize],
     per_worker_busy_secs: &mut [f64],
+    steal: bool,
     prefetch: bool,
     fx: &FaultCtx<'_>,
     lost: &[bool],
@@ -869,7 +798,8 @@ fn run_stage_stealing(
         .collect();
     // queue-ordering events: one push per seeded task, so a trace reader
     // can replay the deque history against the pops recorded below
-    if let Some(t) = fx.tele {
+    let queue_tele = fx.tele.filter(|_| steal);
+    if let Some(t) = queue_tele {
         for (w, bucket) in buckets.iter().enumerate() {
             for &i in bucket {
                 t.instant(
@@ -896,7 +826,7 @@ fn run_stage_stealing(
         let handles: Vec<_> = residents
             .iter_mut()
             .enumerate()
-            .filter(|(w, _)| !lost[*w])
+            .filter(|(w, _)| !lost[*w] && (steal || !buckets[*w].is_empty()))
             .map(|(w, resident)| {
                 let queues = &queues;
                 let h = scope.spawn(move |_| -> Result<StageDone, ExecError> {
@@ -906,10 +836,11 @@ fn run_stage_stealing(
                         let own = queues[w].lock().pop_front();
                         let (i, stolen_from) = match own {
                             Some(i) => (i, None),
-                            None => match steal_one(queues, w, vector, resident, lost) {
+                            None if steal => match steal_one(queues, w, vector, resident, lost) {
                                 Some((victim, i)) => (i, Some(victim)),
                                 None => break,
                             },
+                            None => break,
                         };
                         if let Some(victim) = stolen_from {
                             steals.fetch_add(1, Ordering::Relaxed);
@@ -917,7 +848,7 @@ fn run_stage_stealing(
                                 t.steal_flow(victim, w, vector.tasks[i].id.0);
                             }
                         }
-                        if let Some(t) = fx.tele {
+                        if let Some(t) = queue_tele {
                             let args = match stolen_from {
                                 Some(v) => vec![("stolen_from".to_owned(), v.to_string())],
                                 None => Vec::new(),
@@ -931,10 +862,12 @@ fn run_stage_stealing(
                         }
                         let (tr, b) = run_task_faulty(store, vector, i, w, fx)?;
                         busy += b;
-                        let task = &vector.tasks[i];
-                        resident.insert(task.a.id);
-                        resident.insert(task.b.id);
-                        resident.insert(task.out.id);
+                        if steal {
+                            let task = &vector.tasks[i];
+                            resident.insert(task.a.id);
+                            resident.insert(task.b.id);
+                            resident.insert(task.out.id);
+                        }
                         done.push((i, tr));
                     }
                     Ok((done, busy))
@@ -1005,32 +938,6 @@ fn steal_one(
         }
     }
     None
-}
-
-/// Split `slice` into per-bucket mutable views: bucket `w` receives one
-/// `&mut Complex64` per entry, in order. Implemented with `split_first_mut`
-/// walking the slice once per bucket ordering — buckets index disjoint
-/// positions, so we hand out raw disjoint sub-borrows via sorting.
-fn split_by_buckets<'a>(
-    slice: &'a mut [Complex64],
-    buckets: &[Vec<usize>],
-) -> Vec<Vec<&'a mut Complex64>> {
-    // Decorate every slot with its bucket, then walk the slice once,
-    // routing each &mut to its bucket — safe disjoint splitting without
-    // unsafe code.
-    let mut owner: Vec<usize> = vec![usize::MAX; slice.len()];
-    for (w, bucket) in buckets.iter().enumerate() {
-        for &i in bucket {
-            owner[i] = w;
-        }
-    }
-    let mut out: Vec<Vec<&mut Complex64>> = (0..buckets.len()).map(|_| Vec::new()).collect();
-    for (slot, &w) in slice.iter_mut().zip(&owner) {
-        if w != usize::MAX {
-            out[w].push(slot);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1236,6 +1143,33 @@ mod tests {
         let out = exec(&stream, &assignments, 2, 5, &ExecOptions::default()).unwrap();
         assert_eq!(out.steals, 0);
         assert_eq!(out.per_worker_executed, out.per_worker_tasks);
+        // traced, steal-off: no deque history, no steal arrows, and every
+        // kernel span sits on the worker its task was assigned to
+        let recorder = Recorder::shared();
+        let opts = ExecOptions::default().with_trace(recorder.clone());
+        let traced = exec(&stream, &assignments, 2, 5, &opts).unwrap();
+        assert_eq!(traced.steals, 0);
+        let events = recorder.events();
+        assert!(!events
+            .iter()
+            .any(|e| matches!(e, TraceEvent::Instant { name, .. } if name.starts_with("queue "))));
+        assert!(!events.iter().any(|e| matches!(e, TraceEvent::Flow { .. })));
+        let mut spans = 0;
+        for e in &events {
+            if let TraceEvent::Span {
+                pid,
+                track: Track::Compute,
+                name,
+                ..
+            } = e
+            {
+                let task: u64 = name.strip_prefix("task ").unwrap().parse().unwrap();
+                let a = assignments.iter().find(|a| a.task.0 == task).unwrap();
+                assert_eq!(*pid as usize, a.gpu.0, "task {task} left its worker");
+                spans += 1;
+            }
+        }
+        assert_eq!(spans, stream.total_tasks());
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //!
 //! A multi-threaded CPU execution engine that *actually runs* a scheduled
 //! contraction stream with the real `micco-tensor` kernels — one worker
-//! thread per simulated device, a shared tensor store behind a
-//! `parking_lot::RwLock`, and `crossbeam` scoped threads with per-stage
-//! barriers mirroring the stage semantics of the simulator.
+//! thread per simulated device draining a per-stage deque of its assigned
+//! tasks (and, with stealing on, reuse-eligible tasks of its peers), a
+//! shared tensor store behind a `parking_lot::RwLock`, and `crossbeam`
+//! scoped threads with per-stage barriers mirroring the stage semantics
+//! of the simulator.
 //!
 //! The simulator (`micco-gpusim`) answers "how long would this placement
 //! take on the modelled hardware"; this crate answers "does the placement

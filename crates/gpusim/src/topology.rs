@@ -284,12 +284,6 @@ impl LinkTopology {
         self.pcie
     }
 
-    /// The IB class parameters. The cluster layer builds its inter-node
-    /// link from this.
-    pub fn ib_spec(&self) -> LinkSpec {
-        self.ib
-    }
-
     /// All physical links, in a stable order (link id = index).
     pub fn links(&self) -> &[Link] {
         &self.links

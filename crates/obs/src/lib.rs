@@ -61,7 +61,7 @@ pub mod span;
 pub mod textio;
 
 pub use json::{JsonError, ObjBuilder, Value};
-pub use metrics::{MetricsRegistry, MetricsSnapshot, ScopedMetrics};
+pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use observer::{SpanObserver, SECS_TO_US};
 pub use perfetto::{reconcile_with_stats, span_track_totals, to_perfetto_json};
 pub use sink::{NullSink, Recorder, TraceSink};

@@ -61,57 +61,6 @@ impl MetricsRegistry {
             gauges: inner.gauges.clone(),
         }
     }
-
-    /// A view that prefixes every metric name with `scope.` — the
-    /// per-tenant namespacing used by `micco serve` (e.g.
-    /// `tenant.acme.completed`). Scopes nest: `scoped("tenant").scoped("acme")`.
-    pub fn scoped(self: &std::sync::Arc<Self>, scope: &str) -> ScopedMetrics {
-        ScopedMetrics {
-            registry: std::sync::Arc::clone(self),
-            prefix: format!("{scope}."),
-        }
-    }
-}
-
-/// A namespaced view onto a shared [`MetricsRegistry`]: every operation
-/// prepends the scope prefix, so independent tenants write disjoint key
-/// ranges of one registry and a single snapshot covers them all.
-#[derive(Clone)]
-pub struct ScopedMetrics {
-    registry: std::sync::Arc<MetricsRegistry>,
-    prefix: String,
-}
-
-impl ScopedMetrics {
-    /// Increment counter `prefix.name` by 1.
-    pub fn inc(&self, name: &str) {
-        self.registry.add(&format!("{}{name}", self.prefix), 1);
-    }
-
-    /// Increment counter `prefix.name` by `by`.
-    pub fn add(&self, name: &str, by: u64) {
-        self.registry.add(&format!("{}{name}", self.prefix), by);
-    }
-
-    /// Accumulate onto gauge `prefix.name`.
-    pub fn add_gauge(&self, name: &str, by: f64) {
-        self.registry
-            .add_gauge(&format!("{}{name}", self.prefix), by);
-    }
-
-    /// Overwrite gauge `prefix.name`.
-    pub fn set_gauge(&self, name: &str, value: f64) {
-        self.registry
-            .set_gauge(&format!("{}{name}", self.prefix), value);
-    }
-
-    /// Nest a further scope under this one.
-    pub fn scoped(&self, scope: &str) -> ScopedMetrics {
-        ScopedMetrics {
-            registry: std::sync::Arc::clone(&self.registry),
-            prefix: format!("{}{scope}.", self.prefix),
-        }
-    }
 }
 
 /// An immutable copy of the registry contents, ready to render.
@@ -203,24 +152,6 @@ mod tests {
         let text = m.snapshot().to_text();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines, vec!["a 1", "b 1", "z 1"]);
-    }
-
-    #[test]
-    fn scoped_views_share_one_registry() {
-        let m = std::sync::Arc::new(MetricsRegistry::new());
-        let tenants = m.scoped("tenant");
-        let acme = tenants.scoped("acme");
-        let globex = tenants.scoped("globex");
-        acme.inc("completed");
-        acme.add("completed", 2);
-        globex.inc("completed");
-        acme.set_gauge("p99_ms", 12.5);
-        globex.add_gauge("busy_secs", 0.5);
-        let s = m.snapshot();
-        assert_eq!(s.counter("tenant.acme.completed"), 3);
-        assert_eq!(s.counter("tenant.globex.completed"), 1);
-        assert!((s.gauge("tenant.acme.p99_ms") - 12.5).abs() < 1e-12);
-        assert!((s.gauge("tenant.globex.busy_secs") - 0.5).abs() < 1e-12);
     }
 
     #[test]
