@@ -1,7 +1,7 @@
 //! The abstract interpreter: replay a plan symbolically and check MICCO's
 //! invariants.
 //!
-//! The semantic pass drives the same [`ShadowMachine`] state-transition
+//! The semantic pass drives the same [`SimMachine`] state-transition
 //! function that `micco_core::Session::plan` used to decide the plan, so
 //! the residency and occupancy state the checks observe at step *k* is
 //! bit-for-bit the state the scheduler saw when it made decision *k*. The
@@ -18,7 +18,7 @@ use micco_core::pattern::classify;
 use micco_core::{ReuseBounds, SchedulePlan};
 use micco_gpusim::{
     DeviceMemory, EvictionPolicy, ExecError, ExecObserver, GpuId, LinkTopology, MachineConfig,
-    ShadowMachine,
+    SimMachine,
 };
 use micco_workload::{ContractionTask, TensorId, TensorPairStream};
 
@@ -314,7 +314,7 @@ impl ExecObserver for Collector {
 }
 
 /// The semantic pass over raw placements (no plan text, no fingerprint):
-/// replays every stage through a fresh [`ShadowMachine`] built from `cfg`
+/// replays every stage through a fresh [`SimMachine`] built from `cfg`
 /// and checks capacity (`E001`), reuse bounds (`W101`), balance caps
 /// (`W102`), eviction thrash (`W201`), missed reuse (`W202`) and dead
 /// write-backs (`I301`). The cluster layer calls this once per node with
@@ -389,17 +389,7 @@ pub fn analyze_placements_with_topology(
             .is_some_and(|v| v.last().is_some_and(|&last| last > after))
     };
 
-    let mut shadow = ShadowMachine::new(*cfg);
-    if cfg.eviction == EvictionPolicy::Clairvoyant {
-        // Mirror what an oracle-armed decide/execute pair would see.
-        let vectors = stages
-            .iter()
-            .map(|s| {
-                micco_workload::Vector::new(s.placements.iter().map(|(t, _)| t.clone()).collect())
-            })
-            .collect();
-        shadow.set_oracle(&TensorPairStream::new(vectors));
-    }
+    let mut machine = replay_machine(stages, cfg);
 
     // (gpu, tensor) → global index of the most recent eviction.
     let mut evicted_at: HashMap<(usize, TensorId), u64> = HashMap::new();
@@ -421,7 +411,7 @@ pub fn analyze_placements_with_topology(
                 if let Some(bounds) = stage.bounds {
                     check_reuse_rules(
                         &mut report,
-                        &shadow,
+                        &machine,
                         task,
                         *gpu,
                         bounds,
@@ -435,10 +425,10 @@ pub fn analyze_placements_with_topology(
 
             // Pre-execution residency for the W204 route check: exactly
             // the holder sets the machine chooses its transfer source from.
-            let pre_holders = topo.map(|_| classify(task, &shadow));
+            let pre_holders = topo.map(|_| classify(task, &machine));
 
             let mut collector = Collector::default();
-            match shadow.execute_observed(task, *gpu, &mut collector) {
+            match machine.execute_observed(task, *gpu, &mut collector) {
                 Ok(()) => {}
                 Err(ExecError::OutOfMemory {
                     gpu: oom_gpu,
@@ -465,7 +455,7 @@ pub fn analyze_placements_with_topology(
                     // A failed task leaves already-staged operands pinned;
                     // unpin them so the rest of the replay sees the full
                     // eviction surface again.
-                    let mem: &mut DeviceMemory = shadow.memory_mut(oom_gpu);
+                    let mem: &mut DeviceMemory = machine.memory_mut(oom_gpu);
                     for id in [task.a.id, task.b.id, task.out.id] {
                         mem.set_pinned(id, false);
                     }
@@ -487,7 +477,7 @@ pub fn analyze_placements_with_topology(
                     );
                 }
                 Err(ExecError::DeviceLost { .. }) => {
-                    // The analysis shadow never arms a FaultPlan, so this
+                    // The analysis machine never arms a FaultPlan, so this
                     // arm is unreachable; skip the placement defensively.
                 }
             }
@@ -615,9 +605,24 @@ pub fn analyze_placements_with_topology(
 
             global += 1;
         }
-        shadow.barrier();
+        machine.barrier();
     }
     report
+}
+
+/// A fresh machine built from `cfg` to replay `stages` on. Under the
+/// clairvoyant policy its oracle is armed with the placements in order,
+/// mirroring what an oracle-armed planning pass would see.
+pub(crate) fn replay_machine(stages: &[PlacedStage], cfg: &MachineConfig) -> SimMachine {
+    let machine = SimMachine::new(*cfg);
+    if cfg.eviction != EvictionPolicy::Clairvoyant {
+        return machine;
+    }
+    let vectors = stages
+        .iter()
+        .map(|s| micco_workload::Vector::new(s.placements.iter().map(|(t, _)| t.clone()).collect()))
+        .collect();
+    machine.with_oracle(&TensorPairStream::new(vectors))
 }
 
 /// The `W101`/`W202` checks for one placement, against the pre-execution
@@ -637,7 +642,7 @@ pub fn analyze_placements_with_topology(
 #[allow(clippy::too_many_arguments)]
 fn check_reuse_rules(
     report: &mut Report,
-    shadow: &ShadowMachine,
+    machine: &SimMachine,
     task: &ContractionTask,
     gpu: GpuId,
     bounds: ReuseBounds,
@@ -648,7 +653,7 @@ fn check_reuse_rules(
 ) {
     let g = gpu.0;
     let available = |d: usize, bound: usize| slots[d] < bound.saturating_add(balance);
-    let class = classify(task, shadow);
+    let class = classify(task, machine);
 
     // W202: a holder step offered candidates the plan ignored.
     let step1: Vec<usize> = class

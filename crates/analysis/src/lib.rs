@@ -16,7 +16,7 @@
 //!
 //! * [`analyze_plan`] / [`analyze_plan_with`] — structural pass
 //!   (fingerprint, shape, device ranges) then a semantic replay of the
-//!   plan through the shared [`micco_gpusim::ShadowMachine`] transition
+//!   plan through the shared [`micco_gpusim::SimMachine`] transition
 //!   function, tracking per-GPU residency, occupancy under the configured
 //!   eviction policy, and per-stage load counts;
 //! * [`analyze_placements`] — the semantic pass over raw `(task, gpu)`

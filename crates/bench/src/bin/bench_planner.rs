@@ -1,7 +1,7 @@
 //! Planner throughput benchmark with a machine-readable report.
 //!
 //! Plans the same workload twice — once with the fast planner
-//! (`Session::plan`: interned IDs, SoA shadow state, holder bitsets) and
+//! (`Session::plan`: interned IDs, SoA machine state, holder bitsets) and
 //! once with the retained seed reference (`plan_schedule_seed`, the
 //! frozen map-based machine) — asserts the two plans are
 //! **byte-identical**, and writes `BENCH_planner.json` with tasks/sec for

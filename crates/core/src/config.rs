@@ -359,12 +359,15 @@ impl SessionConfig {
         // scheduler + bounds check by construction
         self.build_scheduler()?;
         // topology / faults specs must parse, and a topology must cover
-        // exactly the configured devices (the simulators assert on it)
-        if let Some(topo) = self.link_topology()? {
-            if topo.num_gpus() != self.gpus {
+        // exactly the configured devices (the simulators assert on it).
+        // Only the spec is checked: the session builds the link tables,
+        // which grow with the cube of the device count, so a daemon builds
+        // them only for a job whose device count it has admitted.
+        if let Some(spec) = self.topology_spec() {
+            let gpus = LinkTopology::check_spec(spec).map_err(topology_error)?;
+            if gpus != self.gpus {
                 return Err(ConfigError(format!(
-                    "'topology' covers {} GPUs but 'gpus' is {}",
-                    topo.num_gpus(),
+                    "'topology' covers {gpus} GPUs but 'gpus' is {}",
                     self.gpus
                 )));
             }
@@ -484,11 +487,16 @@ impl SessionConfig {
 
     /// The parsed link topology, `None` when flat.
     pub fn link_topology(&self) -> Result<Option<LinkTopology>, ConfigError> {
+        self.topology_spec()
+            .map(|spec| LinkTopology::parse(spec).map_err(topology_error))
+            .transpose()
+    }
+
+    /// The topology spec, `None` when flat.
+    fn topology_spec(&self) -> Option<&str> {
         match self.topology.as_deref() {
-            None | Some("flat") => Ok(None),
-            Some(spec) => LinkTopology::parse(spec.trim())
-                .map(Some)
-                .map_err(|e| ConfigError(format!("'topology': {e}"))),
+            None | Some("flat") => None,
+            Some(spec) => Some(spec.trim()),
         }
     }
 
@@ -534,6 +542,10 @@ impl SessionConfig {
         };
         Ok(planned.execute(&stream)?)
     }
+}
+
+fn topology_error(e: String) -> ConfigError {
+    ConfigError(format!("'topology': {e}"))
 }
 
 fn get_usize(v: &Value, key: &str, out: &mut usize) -> Result<(), ConfigError> {

@@ -25,7 +25,7 @@
 //! * [`GrouteScheduler`] — the earliest-available-device baseline the paper
 //!   compares against (reuse-oblivious load balancing);
 //! * [`Session`] — the one entry point that plans a stream (Alg. 1 + 2
-//!   against a shadow machine) and replays the plan on the simulator,
+//!   against the simulator) and replays the plan on it,
 //!   measuring both achieved GFLOPS and scheduling overhead; a
 //!   [`SessionConfig`] builds one from the same JSON/flag grammar the CLI
 //!   and the `micco serve` daemon read;

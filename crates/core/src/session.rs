@@ -125,7 +125,7 @@ impl Session {
     }
 
     /// Simulate transfers over an explicit link topology: both the
-    /// planning shadow and every execution machine route device-to-device
+    /// planning machine and every execution machine route device-to-device
     /// copies through `topology` and charge per-hop link time, so planned
     /// and executed timelines stay bit-identical. Panics on execution if
     /// the topology's GPU count differs from the machine config's.
@@ -278,7 +278,7 @@ impl Session {
         let mut machine = SimMachine::new(self.config);
         machine.set_topology(self.topology.clone());
         if let Some(faults) = &self.faults {
-            machine.set_faults(faults.clone());
+            machine = machine.with_faults(faults.clone());
         }
         if let Some(sink) = &self.sink {
             let mut obs = SpanObserver::new(Arc::clone(sink));

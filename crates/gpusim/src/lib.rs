@@ -26,19 +26,21 @@
 //! The scheduler sees the machine through [`MachineView`]: residency of
 //! tensors per device, per-device memory occupancy and compute load —
 //! the paper's `mapGPUTensor` / `mapGPUCom` / `mapGPUMem` structures.
+//!
+//! [`SimMachine`] is the one machine: planning, plan replay, and the plan
+//! linter's and certifier's replays all step its transition function, which
+//! counts [`ExecStats`] and reports every effect to an [`ExecObserver`].
 
 pub mod cost;
 pub mod fault;
 pub mod machine;
 pub mod memory;
-pub mod shadow;
 pub mod stats;
 pub mod topology;
 
 pub use cost::{CostModel, MachineConfig};
 pub use fault::{FaultKind, FaultPlan};
-pub use machine::{build_oracle, ExecError, GpuId, MachineView, SimMachine};
+pub use machine::{ExecError, ExecObserver, GpuId, MachineView, NullObserver, SimMachine};
 pub use memory::{AllocError, DeviceMemory, Evicted, EvictionPolicy, Provenance};
-pub use shadow::{ExecObserver, NullObserver, ShadowMachine};
 pub use stats::{ExecStats, GpuStats};
 pub use topology::{Link, LinkClass, LinkSpec, LinkTopology};

@@ -352,7 +352,26 @@ impl LinkTopology {
     ///   all of them — a single node);
     /// * `nv`/`pcie`/`ib` — link class parameters as `BW@LAT`, bandwidth
     ///   in GiB/s at latency in µs (defaults 200@1, 16@3, 23@30).
+    ///
+    /// Building the link list and the all-pairs route table costs
+    /// O(gpus³) time and O(gpus²) memory; [`LinkTopology::check_spec`]
+    /// validates a spec without paying it.
     pub fn parse(spec: &str) -> Result<LinkTopology, String> {
+        let mut topo = LinkTopology::parse_unbuilt(spec)?;
+        topo.rebuild();
+        Ok(topo)
+    }
+
+    /// Check a spec's grammar and geometry as [`LinkTopology::parse`] does,
+    /// without building its link tables, and return the device count it
+    /// covers — so a request can be validated against a machine before
+    /// anything sized by its device count is built.
+    pub fn check_spec(spec: &str) -> Result<usize, String> {
+        LinkTopology::parse_unbuilt(spec).map(|t| t.num_gpus)
+    }
+
+    /// A checked spec with empty link tables; [`Self::rebuild`] fills them.
+    fn parse_unbuilt(spec: &str) -> Result<LinkTopology, String> {
         let spec = spec.trim();
         let body = spec
             .strip_prefix("nvlink{")
@@ -373,28 +392,15 @@ impl LinkTopology {
                 .split_once(':')
                 .ok_or_else(|| format!("'{part}': expected key:value"))?;
             let value = value.trim();
+            let count = |what: &str| {
+                value
+                    .parse::<usize>()
+                    .map_err(|_| format!("'{value}': bad {what}"))
+            };
             match key.trim() {
-                "gpus" => {
-                    gpus = Some(
-                        value
-                            .parse::<usize>()
-                            .map_err(|_| format!("'{value}': bad gpu count"))?,
-                    );
-                }
-                "island" => {
-                    island = Some(
-                        value
-                            .parse::<usize>()
-                            .map_err(|_| format!("'{value}': bad island size"))?,
-                    );
-                }
-                "node" => {
-                    node = Some(
-                        value
-                            .parse::<usize>()
-                            .map_err(|_| format!("'{value}': bad node size"))?,
-                    );
-                }
+                "gpus" => gpus = Some(count("gpu count")?),
+                "island" => island = Some(count("island size")?),
+                "node" => node = Some(count("node size")?),
                 "nv" => nv = parse_link_spec(value)?,
                 "pcie" => pcie = parse_link_spec(value)?,
                 "ib" => ib = parse_link_spec(value)?,
@@ -418,11 +424,16 @@ impl LinkTopology {
         if !(nv.gib_s > 0.0 && pcie.gib_s > 0.0 && ib.gib_s > 0.0) {
             return Err("link bandwidth must be positive".to_owned());
         }
-        Ok(LinkTopology::nvlink(gpus, island)
-            .with_node_size(node)
-            .with_nvlink(nv)
-            .with_pcie(pcie)
-            .with_ib(ib))
+        Ok(LinkTopology {
+            num_gpus: gpus,
+            island_size: island,
+            node_size: node,
+            nv,
+            pcie,
+            ib,
+            links: Vec::new(),
+            routes: Vec::new(),
+        })
     }
 
     /// Rebuild the link list and route table from the current geometry.

@@ -49,7 +49,7 @@
 //! ## Decide once, execute later
 //!
 //! Scheduling decisions can be captured into a [`sched::SchedulePlan`]
-//! against a shadow machine, serialized, and replayed on a fresh machine —
+//! against the simulator, serialized, and replayed on a fresh machine —
 //! the assignments and statistics match the interleaved run exactly:
 //!
 //! ```
@@ -114,9 +114,7 @@ pub mod prelude {
         Planned, ReuseBounds, RoundRobinScheduler, SchedulePlan, ScheduleReport, Scheduler,
         Session, SessionConfig,
     };
-    pub use micco_gpusim::{
-        CostModel, LinkSpec, LinkTopology, MachineConfig, ShadowMachine, SimMachine,
-    };
+    pub use micco_gpusim::{CostModel, LinkSpec, LinkTopology, MachineConfig, SimMachine};
     pub use micco_obs::{MetricsRegistry, Recorder, SpanObserver, TraceSink};
     pub use micco_workload::{RepeatDistribution, TensorPairStream, Vector, WorkloadSpec};
 }

@@ -1,4 +1,4 @@
-//! Equivalence tests for the fast planner (interned IDs, SoA shadow state,
+//! Equivalence tests for the fast planner (interned IDs, SoA machine state,
 //! holder bitsets) against the retained slow reference path
 //! (`plan_schedule_seed`, a frozen copy of the seed planner's map-based
 //! machine).

@@ -297,6 +297,49 @@ fn a_per_job_store_is_refused_and_its_path_never_created() {
     service.shutdown();
 }
 
+/// Run `f` on a helper thread and fail unless it returns within 5 s, so a
+/// request that makes validation build tables sized by the request's own
+/// device count fails the test instead of hanging it.
+fn within_5s<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    // a receiver gone after a timeout has already failed the test
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    let out = rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("no answer within 5 s");
+    worker.join().expect("the helper thread finished");
+    out
+}
+
+#[test]
+fn a_huge_topology_fails_validation_without_building_its_links() {
+    let err = within_5s(|| {
+        SessionConfig::parse(r#"{"gpus": 8, "topology": "nvlink{gpus:100000}"}"#).unwrap_err()
+    });
+    assert!(err.to_string().contains("'topology'"), "{err}");
+}
+
+#[test]
+fn a_huge_topology_is_refused_by_the_pool_size_before_it_is_built() {
+    let service = Service::start(
+        "127.0.0.1:0",
+        ServeConfig {
+            pool_gpus: 2,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let client = Client::new(service.addr());
+    let body =
+        r#"{"tenant": "acme", "config": {"gpus": 100000, "topology": "nvlink{gpus:100000}"}}"#;
+    let (status, reply) = within_5s(move || client.request("POST", "/v1/jobs", body).unwrap());
+    assert_eq!(status, 400, "{reply}");
+    assert!(reply.contains("the pool has 2"), "{reply}");
+    service.shutdown();
+}
+
 /// The value of `name` in a `/metrics` text snapshot.
 fn metric(text: &str, name: &str) -> f64 {
     text.lines()
