@@ -654,9 +654,17 @@ fn run_task(store: &TensorStore, vector: &Vector, i: usize) -> Result<Complex64,
             cause: other.to_string(),
         },
     })?;
+    // Each element's trace read in place: its diagonal is every
+    // (n + 1)-th entry, summed from zero in ascending order as
+    // `Matrix::trace` does.
     let mut tr = Complex64::ZERO;
     for bi in 0..out.batch() {
-        tr += out.element(bi).trace();
+        tr += out
+            .slab(bi)
+            .iter()
+            .step_by(out.dim() + 1)
+            .copied()
+            .sum::<Complex64>();
     }
     store.insert(task.out.id, Arc::new(out));
     Ok(tr)

@@ -26,9 +26,9 @@ fn leaf(id: TensorId, batch: usize, dim: usize, seed: u64) -> BatchedMatrix {
     })
 }
 
-/// Concurrent tensor store. Leaves are generated on first touch (double-
-/// checked under the write lock so concurrent first touches agree);
-/// intermediates are inserted by the worker that computed them.
+/// Concurrent tensor store. Leaves are generated on first touch, outside
+/// the lock, and the first one stored wins, so concurrent first touches
+/// agree; intermediates are inserted by the worker that computed them.
 pub struct TensorStore {
     batch: usize,
     dim: usize,
@@ -52,12 +52,11 @@ impl TensorStore {
         if let Some(t) = self.map.read().get(&id) {
             return Arc::clone(t);
         }
-        let mut w = self.map.write();
-        // double-checked: another worker may have generated it meanwhile
-        Arc::clone(
-            w.entry(id)
-                .or_insert_with(|| Arc::new(leaf(id, self.batch, self.dim, self.seed))),
-        )
+        // Built before taking the write lock, which every other fetch, hits
+        // included, would otherwise wait behind. A worker that loses the
+        // race to store it drops its copy and returns the stored one.
+        let fresh = Arc::new(leaf(id, self.batch, self.dim, self.seed));
+        Arc::clone(self.map.write().entry(id).or_insert(fresh))
     }
 
     /// Register a computed intermediate. Re-registration must be identical
@@ -117,15 +116,25 @@ mod tests {
 
     #[test]
     fn concurrent_first_touch_agrees() {
-        let s = std::sync::Arc::new(TensorStore::new(2, 8, 3));
+        let s = Arc::new(TensorStore::new(2, 8, 3));
+        let start = Arc::new(std::sync::Barrier::new(8));
         let handles: Vec<_> = (0..8)
             .map(|_| {
-                let s = std::sync::Arc::clone(&s);
-                std::thread::spawn(move || s.fetch(TensorId(42)).frobenius_norm())
+                let s = Arc::clone(&s);
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    s.fetch(TensorId(42))
+                })
             })
             .collect();
-        let norms: Vec<f64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        assert!(norms.windows(2).all(|w| w[0] == w[1]));
+        let got: Vec<Arc<BatchedMatrix>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let stored = s.fetch(TensorId(42));
+        for t in &got {
+            assert_eq!(t.frobenius_norm(), stored.frobenius_norm());
+            // a thread that lost the race returns the stored leaf, not its own
+            assert!(Arc::ptr_eq(t, &stored));
+        }
         assert_eq!(s.len(), 1);
     }
 }

@@ -1,10 +1,11 @@
-//! Batched tensor payloads and rayon-parallel batched kernels.
+//! Batched tensor payloads and batched kernels.
 //!
 //! A hadron node carries a *batch* of identically-shaped tensors (one per
 //! dilution index combination). On a real GPU the batch is dispatched as a
 //! single batched GEMM / batched contraction (hipBLAS `gemmBatched`); here
-//! the batch dimension is the rayon parallelism axis, which mirrors how the
-//! device spreads batch elements across compute units.
+//! one call runs the batch elements one after another on the calling
+//! thread. The parallelism of a real execution comes from `micco-exec`,
+//! which runs one worker thread per simulated device.
 
 use rayon::prelude::*;
 
@@ -89,8 +90,10 @@ impl BatchedMatrix {
         self.data[base..base + self.n * self.n].copy_from_slice(m.as_slice());
     }
 
-    /// Batched GEMM: `C_b = A_b · B_b` for every batch element, parallel
-    /// over the batch dimension.
+    /// Batched GEMM: `C_b = A_b · B_b` for every batch element, one element
+    /// after another on the calling thread. Each element runs the
+    /// register-tiled kernel, with one scratch buffer for `B_b`'s planar
+    /// copy shared by the whole batch.
     pub fn matmul(&self, rhs: &BatchedMatrix) -> Result<BatchedMatrix, TensorError> {
         if self.n != rhs.n || self.batch != rhs.batch {
             return Err(TensorError::ShapeMismatch {
@@ -100,16 +103,20 @@ impl BatchedMatrix {
         }
         let n = self.n;
         let mut out = BatchedMatrix::zeros(self.batch, n);
-        out.data
-            .par_chunks_mut(n * n)
-            .zip(self.data.par_chunks(n * n))
-            .zip(rhs.data.par_chunks(n * n))
-            .for_each(|((o, a), b)| matmul_into(a, b, o, n));
+        let mut planes = vec![0.0; 2 * n * n];
+        for ((o, a), b) in out
+            .data
+            .chunks_exact_mut(n * n)
+            .zip(self.data.chunks_exact(n * n))
+            .zip(rhs.data.chunks_exact(n * n))
+        {
+            matmul_into(a, b, o, n, &mut planes);
+        }
         Ok(out)
     }
 
     /// `Σ_b tr(A_b · B_b)` — the final scalar of a fully-contracted meson
-    /// graph. Parallel reduction over the batch.
+    /// graph, summed over the batch in order.
     pub fn trace_inner(&self, rhs: &BatchedMatrix) -> Result<Complex64, TensorError> {
         if self.n != rhs.n || self.batch != rhs.batch {
             return Err(TensorError::ShapeMismatch {
@@ -211,8 +218,8 @@ impl BatchedTensor3 {
         Tensor3::from_fn(n, |i, j, k| self.data[base + (i * n + j) * n + k])
     }
 
-    /// Batched spectator contraction (see [`Tensor3::contract`]), parallel
-    /// over the batch dimension.
+    /// Batched spectator contraction (see [`Tensor3::contract`]), one
+    /// batch element after another.
     pub fn contract(&self, rhs: &BatchedTensor3) -> Result<BatchedTensor3, TensorError> {
         if self.n != rhs.n || self.batch != rhs.batch {
             return Err(TensorError::ShapeMismatch {

@@ -8,9 +8,10 @@
 //! tensors: a meson node is a batch of complex `n × n` matrices (one per
 //! dilution/spin combination), a baryon node is a batch of rank-3 tensors.
 //! Reducing a graph edge multiplies/contracts the tensors of the two incident
-//! nodes. This crate provides those kernels on the CPU (parallelised over the
-//! batch dimension with rayon) together with the flop/byte accounting used by
-//! the `micco-gpusim` cost model, so that the simulated GPU timing and the
+//! nodes. This crate provides those kernels on the CPU (one call runs on the
+//! calling thread; `micco-exec` supplies the parallelism with one worker per
+//! simulated device) together with the flop/byte accounting used by the
+//! `micco-gpusim` cost model, so that the simulated GPU timing and the
 //! actually-computed values share one source of truth.
 //!
 //! The kernels are *real* computations — integration tests use them to verify

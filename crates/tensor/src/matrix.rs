@@ -63,11 +63,8 @@ impl Matrix {
         &self.data
     }
 
-    /// Matrix product `self · rhs`.
-    ///
-    /// The kernel iterates `i, k, j` so the inner loop streams contiguous
-    /// rows of both `rhs` and the output (the classic cache-friendly
-    /// ordering; see the Rust Performance Book on iteration order).
+    /// Matrix product `self · rhs`, by the register-tiled kernel the
+    /// batched product uses (bitwise equal to the scalar `i, k, j` loop).
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix, TensorError> {
         if self.n != rhs.n {
             return Err(TensorError::ShapeMismatch {
@@ -77,7 +74,8 @@ impl Matrix {
         }
         let n = self.n;
         let mut out = Matrix::zeros(n);
-        matmul_into(&self.data, &rhs.data, &mut out.data, n);
+        let mut planes = vec![0.0; 2 * n * n];
+        matmul_into(&self.data, &rhs.data, &mut out.data, n, &mut planes);
         Ok(out)
     }
 
@@ -129,59 +127,119 @@ impl Matrix {
 /// caller when a fresh product is wanted). Shared by [`Matrix::matmul`] and
 /// the batched kernels so they cannot drift apart.
 ///
-/// Dispatches to a cache-blocked kernel for large matrices; both paths
-/// produce **bitwise identical** results because every output element's
-/// `k`-accumulation order is globally ascending either way.
-#[inline]
-pub(crate) fn matmul_into(a: &[Complex64], b: &[Complex64], out: &mut [Complex64], n: usize) {
+/// `planes` is scratch of length `2n²` that receives `b`'s real and
+/// imaginary parts as two row-major planes; a batched caller allocates it
+/// once and reuses it for every element. Each output element starts from
+/// its value in `out`, accumulates over `k` in ascending order and
+/// evaluates `re += ar·br − ai·bi; im += ar·bi + ai·br` exactly as
+/// [`Complex64::mul_add_assign`] does, so both kernel instances give the
+/// same bits as that scalar loop.
+pub(crate) fn matmul_into(
+    a: &[Complex64],
+    b: &[Complex64],
+    out: &mut [Complex64],
+    n: usize,
+    planes: &mut [f64],
+) {
     debug_assert_eq!(a.len(), n * n);
     debug_assert_eq!(b.len(), n * n);
     debug_assert_eq!(out.len(), n * n);
-    // A 256×256 complex matrix is 1 MiB — by 128 the B panel no longer
-    // fits alongside A and out in L2, so blocking starts paying.
-    if n >= 128 {
-        gemm_blocked(a, b, out, n);
-    } else {
-        gemm_naive(a, b, out, n);
+    let (bre, bim) = planes.split_at_mut(n * n);
+    for ((z, re), im) in b.iter().zip(bre.iter_mut()).zip(bim.iter_mut()) {
+        *re = z.re;
+        *im = z.im;
     }
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: `is_x86_feature_detected!` just found AVX2 on this CPU,
+        // the only requirement `gemm_avx2` places on its caller.
+        unsafe { gemm_avx2(a, bre, bim, out, n) };
+        return;
+    }
+    gemm_tiled(a, bre, bim, out, n);
 }
 
-/// The straightforward `i, k, j` kernel (inner loop streams rows of `b` and
-/// `out`).
-fn gemm_naive(a: &[Complex64], b: &[Complex64], out: &mut [Complex64], n: usize) {
-    for i in 0..n {
-        let arow = &a[i * n..(i + 1) * n];
-        let orow = &mut out[i * n..(i + 1) * n];
-        for (k, &aik) in arow.iter().enumerate() {
-            let brow = &b[k * n..(k + 1) * n];
-            for (o, &bkj) in orow.iter_mut().zip(brow) {
-                o.mul_add_assign(aik, bkj);
-            }
+/// Output rows per register tile.
+const MR: usize = 2;
+/// Output columns per register tile.
+const NR: usize = 8;
+
+/// The tiled kernel compiled with AVX2, which holds a 2×8 tile's
+/// accumulators in eight 256-bit registers.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_avx2(a: &[Complex64], bre: &[f64], bim: &[f64], out: &mut [Complex64], n: usize) {
+    gemm_tiled(a, bre, bim, out, n);
+}
+
+/// The one GEMM body: `MR × NR` tiles of `out`, then the rows and columns
+/// left over go through the same tile code one row or one column wide.
+/// Inlined into each caller, it is compiled once for the target's baseline
+/// instruction set (the portable instance) and once in `gemm_avx2`.
+#[inline(always)]
+fn gemm_tiled(a: &[Complex64], bre: &[f64], bim: &[f64], out: &mut [Complex64], n: usize) {
+    let full_rows = n - n % MR;
+    let full_cols = n - n % NR;
+    for i in (0..full_rows).step_by(MR) {
+        for j in (0..full_cols).step_by(NR) {
+            tile::<MR, NR>(a, bre, bim, out, n, i, j);
+        }
+        for j in full_cols..n {
+            tile::<MR, 1>(a, bre, bim, out, n, i, j);
+        }
+    }
+    for i in full_rows..n {
+        for j in (0..full_cols).step_by(NR) {
+            tile::<1, NR>(a, bre, bim, out, n, i, j);
+        }
+        for j in full_cols..n {
+            tile::<1, 1>(a, bre, bim, out, n, i, j);
         }
     }
 }
 
-/// Cache-blocked variant: `k` is panelled so the active slab of `b`
-/// (`KB × n` complex ≈ 64 KiB at n = 256) stays in L2 across all rows of
-/// `a`. Per output element the `k` order is still globally ascending, so
-/// results are bitwise identical to [`gemm_naive`] (floating-point addition
-/// order is preserved).
-fn gemm_blocked(a: &[Complex64], b: &[Complex64], out: &mut [Complex64], n: usize) {
-    const KB: usize = 16;
-    let mut kk = 0;
-    while kk < n {
-        let kend = (kk + KB).min(n);
-        for i in 0..n {
-            let arow = &a[i * n + kk..i * n + kend];
-            let orow = &mut out[i * n..(i + 1) * n];
-            for (k, &aik) in (kk..kend).zip(arow) {
-                let brow = &b[k * n..(k + 1) * n];
-                for (o, &bkj) in orow.iter_mut().zip(brow) {
-                    o.mul_add_assign(aik, bkj);
-                }
+/// One `R × C` tile of `out` at `(i, j)`, its accumulators in registers
+/// for the whole `k` loop. Each element's own operations are those of the
+/// scalar loop, in the same order; only independent elements run side by
+/// side.
+#[inline(always)]
+fn tile<const R: usize, const C: usize>(
+    a: &[Complex64],
+    bre: &[f64],
+    bim: &[f64],
+    out: &mut [Complex64],
+    n: usize,
+    i: usize,
+    j: usize,
+) {
+    let mut acc_re = [[0.0; C]; R];
+    let mut acc_im = [[0.0; C]; R];
+    for (r, (re, im)) in acc_re.iter_mut().zip(acc_im.iter_mut()).enumerate() {
+        for (c, z) in out[(i + r) * n + j..][..C].iter().enumerate() {
+            re[c] = z.re;
+            im[c] = z.im;
+        }
+    }
+    let arows: [&[Complex64]; R] = std::array::from_fn(|r| &a[(i + r) * n..][..n]);
+    for (k, (br, bi)) in bre.chunks_exact(n).zip(bim.chunks_exact(n)).enumerate() {
+        let br = &br[j..][..C];
+        let bi = &bi[j..][..C];
+        for ((re, im), arow) in acc_re.iter_mut().zip(acc_im.iter_mut()).zip(arows) {
+            let x = arow[k];
+            for c in 0..C {
+                re[c] += x.re * br[c] - x.im * bi[c];
+                im[c] += x.re * bi[c] + x.im * br[c];
             }
         }
-        kk = kend;
+    }
+    for (r, (re, im)) in acc_re.iter().zip(&acc_im).enumerate() {
+        for (c, z) in out[(i + r) * n + j..][..C].iter_mut().enumerate() {
+            *z = Complex64::new(re[c], im[c]);
+        }
     }
 }
 
@@ -262,9 +320,32 @@ mod tests {
         assert_eq!(a.max_abs_diff(&a), 0.0);
     }
 
+    /// The scalar `i, k, j` loop every kernel instance must equal bit for
+    /// bit.
+    fn gemm_naive(a: &[Complex64], b: &[Complex64], out: &mut [Complex64], n: usize) {
+        for i in 0..n {
+            let arow = &a[i * n..(i + 1) * n];
+            let orow = &mut out[i * n..(i + 1) * n];
+            for (k, &aik) in arow.iter().enumerate() {
+                let brow = &b[k * n..(k + 1) * n];
+                for (o, &bkj) in orow.iter_mut().zip(brow) {
+                    o.mul_add_assign(aik, bkj);
+                }
+            }
+        }
+    }
+
+    fn to_bits(m: &[Complex64]) -> Vec<(u64, u64)> {
+        m.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
     #[test]
-    fn blocked_gemm_is_bitwise_identical_to_naive() {
-        for n in [7usize, 16, 33, 128, 200] {
+    fn tiled_gemm_is_bitwise_identical_to_naive() {
+        // Sizes below, at and above the 2×8 tile, with and without the
+        // partial row and columns. `matmul_into` runs the AVX2 instance
+        // wherever this CPU has AVX2; `gemm_tiled` called here is the
+        // portable instance, so both are checked wherever both can run.
+        for n in [1usize, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 128, 200] {
             let a = Matrix::from_fn(n, |i, j| {
                 Complex64::new(
                     (i as f64 * 0.37 - j as f64 * 0.11).sin(),
@@ -277,14 +358,20 @@ mod tests {
                     (3.0 * i as f64 - j as f64).sin() * 0.25,
                 )
             });
-            let mut naive = vec![Complex64::ZERO; n * n];
-            let mut blocked = vec![Complex64::ZERO; n * n];
+            // A non-zero start checks that products accumulate into `out`.
+            let start = Matrix::from_fn(n, |i, j| Complex64::new(i as f64 * 0.5, -(j as f64)));
+            let mut naive = start.as_slice().to_vec();
             gemm_naive(a.as_slice(), b.as_slice(), &mut naive, n);
-            gemm_blocked(a.as_slice(), b.as_slice(), &mut blocked, n);
-            assert_eq!(
-                naive, blocked,
-                "n = {n}: float addition order must be preserved"
-            );
+
+            let mut planes = vec![0.0; 2 * n * n];
+            let mut dispatched = start.as_slice().to_vec();
+            matmul_into(a.as_slice(), b.as_slice(), &mut dispatched, n, &mut planes);
+            assert_eq!(to_bits(&dispatched), to_bits(&naive), "n = {n}: dispatched");
+
+            let (bre, bim) = planes.split_at(n * n);
+            let mut portable = start.as_slice().to_vec();
+            gemm_tiled(a.as_slice(), bre, bim, &mut portable, n);
+            assert_eq!(to_bits(&portable), to_bits(&naive), "n = {n}: portable");
         }
     }
 }

@@ -12,7 +12,7 @@ use micco::sched::{
     GrouteScheduler, MiccoScheduler, ReuseBounds, RoundRobinScheduler, ScheduleReport, Scheduler,
     Session,
 };
-use micco::workload::{TensorPairStream, WorkloadSpec};
+use micco::workload::{TensorId, TensorPairStream, WorkloadSpec};
 
 const WORKERS: usize = 3;
 const SHAPE: TensorShape = TensorShape { batch: 2, dim: 12 };
@@ -204,4 +204,73 @@ fn conformance_holds_across_worker_counts() {
         checksums.windows(2).all(|w| w[0] == w[1]),
         "checksum must not depend on the machine width: {checksums:?}"
     );
+}
+
+/// `to_bits()` of a complex value's real and imaginary parts.
+type Bits = (u64, u64);
+
+fn bits(c: micco::tensor::Complex64) -> Bits {
+    (c.re.to_bits(), c.im.to_bits())
+}
+
+#[test]
+fn real_executor_values_are_pinned_across_builds() {
+    // Every other checksum test compares two runs of one build. These
+    // constants come from the scalar `i, k, j` kernel that preceded the
+    // register-tiled one, so a kernel that moves a single rounding
+    // anywhere fails here. Dim 32 at batch 4 on 2 stealing
+    // workers is the real-verification benchmark's shape; dims 33 and 7
+    // leave a partial row and partial column tiles in every product.
+    let cases: [(usize, usize, Bits); 3] = [
+        (4, 32, (0xc043_6604_f2d5_ae5b, 0x402f_e1f8_ab5f_a6f6)),
+        (2, 33, (0xc030_4147_f6c9_e62b, 0xc03d_dfc9_2de3_cc74)),
+        (3, 7, (0x4018_4d3a_85fb_48ea, 0xc011_8f0a_6c89_b031)),
+    ];
+    for (batch, dim, want) in cases {
+        let stream = WorkloadSpec::new(24, dim)
+            .with_batch(batch)
+            .with_repeat_rate(0.5)
+            .with_vectors(2)
+            .with_seed(41)
+            .generate();
+        let report = Session::new(MachineConfig::mi100_like(2))
+            .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
+            .expect("workload fits");
+        let out = execute_assignments(
+            &stream,
+            &report.assignments,
+            2,
+            &TensorStore::new(batch, dim, 41),
+            &ExecOptions::default().with_steal(),
+        )
+        .expect("valid");
+        assert_eq!(bits(out.checksum), want, "batch {batch}, dim {dim}");
+    }
+
+    // The leaves every product starts from: first and last element of a
+    // few ids, one input and one output-range id among them.
+    let store = TensorStore::new(4, 32, 7771);
+    let leaves: [(u64, Bits, Bits); 3] = [
+        (
+            0,
+            (0x3fb4_9562_bee2_c988, 0xbfd3_4741_2d96_c2ce),
+            (0xbfd2_d389_a146_0524, 0x3fc0_cb71_ff41_e1d0),
+        ),
+        (
+            17,
+            (0x3fd7_fee4_8764_254a, 0xbfa1_cde3_cb4c_be30),
+            (0x3fde_e1d1_6db9_77d4, 0xbfd2_266e_d0d1_4d96),
+        ),
+        (
+            1 << 40,
+            (0xbfc8_8611_b428_89f4, 0x3fd6_cf5e_4f3e_da98),
+            (0x3fa4_2e7f_69cb_d4d0, 0x3fdf_2afa_6acc_51ac),
+        ),
+    ];
+    for (id, first, last) in leaves {
+        let leaf = store.fetch(TensorId(id));
+        let slab = leaf.slab(leaf.batch() - 1);
+        assert_eq!(bits(leaf.slab(0)[0]), first, "leaf {id}");
+        assert_eq!(bits(slab[slab.len() - 1]), last, "leaf {id}");
+    }
 }
