@@ -40,7 +40,7 @@ use micco_obs::{TraceEvent, Track};
 use micco_workload::{TensorId, TensorPairStream};
 
 use crate::diag::{Code, Diagnostic, Report};
-use crate::engine::PlacedStage;
+use crate::engine::{placed_stages, PlacedStage};
 
 /// How the certifier treats planned D2D transfers that never appear in
 /// the trace.
@@ -64,9 +64,6 @@ pub struct CertifyConfig {
     /// Slop (µs) tolerated on every timestamp comparison. Simulator
     /// traces are exact; wall-clock traces need a hair of float slack.
     pub eps_us: f64,
-    /// First device pid of the trace slice to certify (per-node cluster
-    /// projections offset their device pids by `node × gpus_per_node`).
-    pub pid_base: u32,
     /// Missing-transfer policy (see [`TransferStrictness`]).
     pub transfers: TransferStrictness,
 }
@@ -75,7 +72,6 @@ impl Default for CertifyConfig {
     fn default() -> Self {
         CertifyConfig {
             eps_us: 1e-3,
-            pid_base: 0,
             transfers: TransferStrictness::Auto,
         }
     }
@@ -91,72 +87,19 @@ struct TaskNode {
     operands: [u64; 2],
 }
 
-/// One planned device-to-device transfer with its routed hop count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlannedTransfer {
-    /// Task whose staging caused the transfer.
-    pub task: u64,
-    /// Source device.
-    pub src: usize,
-    /// Destination device.
-    pub dst: usize,
-    /// Tensor moved.
-    pub tensor: u64,
-    /// Hops on the routed path (`1` without a topology).
-    pub hops: usize,
-}
-
-/// The dependence DAG derived from a plan by symbolic replay.
-///
-/// Produced by [`plan_dag`]; the linearization check
-/// ([`certify_placements_with`]) validates a trace against it. The edge
-/// counts are exposed so callers (and DESIGN.md examples) can report the
-/// DAG's shape.
-pub struct PlanDag {
+/// The dependence DAG derived from a plan by symbolic replay: task nodes,
+/// producer→consumer edges, and the transfers the replay performed.
+/// [`certify_placements`] checks a trace against it.
+struct PlanDag {
     tasks: BTreeMap<u64, TaskNode>,
-    transfers: Vec<PlannedTransfer>,
+    /// Device-to-device transfers as `(src, dst, tensor)`, in replay order.
+    transfers: Vec<(usize, usize, u64)>,
     /// tensor → producers as `(task, stage)`, in replay order.
     producers: HashMap<u64, Vec<(u64, usize)>>,
-    num_stages: usize,
     num_gpus: usize,
-    war_edges: usize,
 }
 
 impl PlanDag {
-    /// Number of task nodes.
-    pub fn num_tasks(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// The planned transfers (producer→consumer data-movement edges).
-    pub fn transfers(&self) -> &[PlannedTransfer] {
-        &self.transfers
-    }
-
-    /// Number of WAR edges (each eviction during replay orders the
-    /// evicted tensor's past readers before the evicting task).
-    pub fn war_edges(&self) -> usize {
-        self.war_edges
-    }
-
-    /// Number of stage-barrier edges (stages are totally ordered).
-    pub fn barrier_edges(&self) -> usize {
-        self.num_stages.saturating_sub(1)
-    }
-
-    /// Number of cross-stage producer→consumer edges.
-    pub fn producer_edges(&self) -> usize {
-        self.tasks
-            .values()
-            .map(|node| {
-                node.operands
-                    .iter()
-                    .filter(|&&t| self.producer_before(t, node.stage).is_some())
-                    .count()
-            })
-            .sum()
-    }
-
     /// The most recent producer of `tensor` in a stage before `stage`.
     fn producer_before(&self, tensor: u64, stage: usize) -> Option<u64> {
         self.producers
@@ -185,25 +128,21 @@ impl ExecObserver for DagCollector {
 /// fresh [`micco_gpusim::SimMachine`] built from `cfg` — the same
 /// transition function the schedulers decided against, so the transfers
 /// recorded here are exactly the ones a faithful execution must perform.
-/// With a matching `topology`, each transfer also carries its routed hop
-/// count.
-pub fn plan_dag(
+/// A `topology` for `cfg`'s device count routes the replay's transfers.
+fn plan_dag(
     stages: &[PlacedStage],
     cfg: &MachineConfig,
     topology: Option<&LinkTopology>,
 ) -> PlanDag {
-    let topo = topology.filter(|t| t.num_gpus() == cfg.num_gpus);
     let mut dag = PlanDag {
         tasks: BTreeMap::new(),
         transfers: Vec::new(),
         producers: HashMap::new(),
-        num_stages: stages.len(),
         num_gpus: cfg.num_gpus,
-        war_edges: 0,
     };
 
     let mut machine = crate::engine::replay_machine(stages, cfg);
-    if let Some(t) = topo {
+    if let Some(t) = topology.filter(|t| t.num_gpus() == cfg.num_gpus) {
         machine.set_topology(Some(t.clone()));
     }
 
@@ -232,16 +171,7 @@ pub fn plan_dag(
                 }
                 Err(_) => {}
             }
-            for (src, dst, tensor) in collector.d2d {
-                let hops = topo.map_or(1, |t| t.route(src, dst).len());
-                dag.transfers.push(PlannedTransfer {
-                    task: task.id.0,
-                    src,
-                    dst,
-                    tensor,
-                    hops,
-                });
-            }
+            dag.transfers.extend(collector.d2d);
             dag.producers
                 .entry(task.out.id.0)
                 .or_default()
@@ -249,7 +179,6 @@ pub fn plan_dag(
         }
         machine.barrier();
     }
-    dag.war_edges = machine.stats().total_evictions() as usize;
     dag
 }
 
@@ -281,10 +210,9 @@ fn arg<'a>(args: &'a [(String, String)], key: &str) -> Option<&'a str> {
     args.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
 }
 
-fn ingest(events: &[TraceEvent], ccfg: &CertifyConfig, num_gpus: usize) -> TraceView {
+fn ingest(events: &[TraceEvent], num_gpus: usize) -> TraceView {
     let mut view = TraceView::default();
-    let lo = ccfg.pid_base;
-    let in_range = |pid: u32| pid >= lo && ((pid - lo) as usize) < num_gpus;
+    let in_range = |pid: u32| (pid as usize) < num_gpus;
     for e in events {
         match e {
             TraceEvent::Span {
@@ -296,15 +224,11 @@ fn ingest(events: &[TraceEvent], ccfg: &CertifyConfig, num_gpus: usize) -> Trace
                 args,
             } => {
                 if *track == Track::Link {
-                    // Hop spans belong to the node whose observer stamped
-                    // the flow id (its pid base is the id's high half).
                     if let Some(id) = arg(args, "flow").and_then(|v| v.parse::<u64>().ok()) {
-                        if (id >> 32) as u32 == lo {
-                            view.link_hops
-                                .entry(id)
-                                .or_default()
-                                .push((*start_us, *start_us + *dur_us));
-                        }
+                        view.link_hops
+                            .entry(id)
+                            .or_default()
+                            .push((*start_us, *start_us + *dur_us));
                     }
                     continue;
                 }
@@ -312,7 +236,7 @@ fn ingest(events: &[TraceEvent], ccfg: &CertifyConfig, num_gpus: usize) -> Trace
                     continue;
                 }
                 let span = TSpan {
-                    gpu: (*pid - lo) as usize,
+                    gpu: *pid as usize,
                     start: *start_us,
                     end: *start_us + *dur_us,
                 };
@@ -335,7 +259,7 @@ fn ingest(events: &[TraceEvent], ccfg: &CertifyConfig, num_gpus: usize) -> Trace
                 if !in_range(from.pid) || !in_range(to.pid) {
                     continue;
                 }
-                let (src, dst) = ((from.pid - lo) as usize, (to.pid - lo) as usize);
+                let (src, dst) = (from.pid as usize, to.pid as usize);
                 if let Some(tensor) = name.strip_prefix("d2d t").and_then(|t| t.parse().ok()) {
                     view.flows.push((*id, src, dst, tensor));
                 } else if let Some(task) = name
@@ -355,10 +279,10 @@ fn divergence(msg: String) -> Diagnostic {
     Diagnostic::new(Code::TracePlanDivergence, msg)
 }
 
-/// Certify `events` against the dependence DAG of raw placements — the
-/// core linearization check, shared by the plan-level entry point and
-/// the cluster layer's per-node projections.
-pub fn certify_placements_with(
+/// Certify `events` against the dependence DAG of placements that passed
+/// the structural gate — the linearization check behind
+/// [`certify_trace_with`].
+fn certify_placements(
     stages: &[PlacedStage],
     cfg: &MachineConfig,
     ccfg: &CertifyConfig,
@@ -367,7 +291,7 @@ pub fn certify_placements_with(
 ) -> Report {
     let mut report = Report::new();
     let dag = plan_dag(stages, cfg, topology);
-    let view = ingest(events, ccfg, dag.num_gpus);
+    let view = ingest(events, dag.num_gpus);
     let eps = ccfg.eps_us;
 
     // I302: chain of custody for every recorded steal.
@@ -541,8 +465,8 @@ pub fn certify_placements_with(
         TransferStrictness::Auto => !view.flows.is_empty(),
     };
     let mut planned: HashMap<(usize, usize, u64), usize> = HashMap::new();
-    for t in &dag.transfers {
-        *planned.entry((t.src, t.dst, t.tensor)).or_default() += 1;
+    for &t in &dag.transfers {
+        *planned.entry(t).or_default() += 1;
     }
     for &(_, src, dst, tensor) in &view.flows {
         match planned.get_mut(&(src, dst, tensor)) {
@@ -705,12 +629,12 @@ pub fn certify_trace(
 
 /// [`certify_trace`] with explicit tunables and an optional topology.
 ///
-/// Runs the same structural gates as [`crate::analyze_plan`] first
-/// (fingerprint, stage/assignment alignment) — a trace cannot be
-/// certified against a plan that does not describe the stream — then
-/// derives the DAG and checks the linearization. Like the static
-/// verifier, the semantic pass uses the plan's device geometry when it
-/// disagrees with the machine's.
+/// Runs the structural gate [`crate::analyze_plan`] runs first
+/// (`E004` fingerprint, `E003` stage/task alignment, `E002` devices
+/// outside the plan's geometry) — a trace cannot be certified against a
+/// plan that does not describe the stream — then derives the DAG and
+/// checks the linearization. Like the static verifier, the semantic pass
+/// uses the plan's device geometry when it disagrees with the machine's.
 pub fn certify_trace_with(
     plan: &SchedulePlan,
     stream: &TensorPairStream,
@@ -720,82 +644,12 @@ pub fn certify_trace_with(
     events: &[TraceEvent],
 ) -> Report {
     let mut report = Report::new();
-    let fp = stream.fingerprint();
-    if plan.fingerprint != fp {
-        report.push(
-            Diagnostic::new(
-                Code::FingerprintMismatch,
-                format!(
-                    "plan fingerprint {:#x} does not match stream fingerprint {fp:#x}",
-                    plan.fingerprint
-                ),
-            )
-            .at_line(4)
-            .with("plan", plan.fingerprint)
-            .with("stream", fp),
-        );
+    let Ok(stages) = placed_stages(plan, stream, &mut report) else {
         return report;
-    }
-    if plan.stages.len() != stream.vectors().len() {
-        report.push(Diagnostic::new(
-            Code::PlanStructureMismatch,
-            format!(
-                "plan has {} stages, stream has {} vectors",
-                plan.stages.len(),
-                stream.vectors().len()
-            ),
-        ));
-        return report;
-    }
-    for (s, (stage, vector)) in plan.stages.iter().zip(stream.vectors()).enumerate() {
-        if stage.assignments.len() != vector.tasks.len() {
-            report.push(
-                Diagnostic::new(
-                    Code::PlanStructureMismatch,
-                    format!(
-                        "stage {s}: plan assigns {} tasks, vector has {}",
-                        stage.assignments.len(),
-                        vector.tasks.len()
-                    ),
-                )
-                .at_stage(s),
-            );
-            return report;
-        }
-        for (i, (a, t)) in stage.assignments.iter().zip(&vector.tasks).enumerate() {
-            if a.task != t.id {
-                report.push(
-                    Diagnostic::new(
-                        Code::PlanStructureMismatch,
-                        format!(
-                            "stage {s} position {i}: plan assigns task {}, stream has task {}",
-                            a.task.0, t.id.0
-                        ),
-                    )
-                    .at(s, i),
-                );
-                return report;
-            }
-        }
-    }
-
+    };
     let mut machine_cfg = *cfg;
     machine_cfg.num_gpus = plan.num_gpus;
-    let stages: Vec<PlacedStage> = plan
-        .stages
-        .iter()
-        .zip(stream.vectors())
-        .map(|(st, v)| PlacedStage {
-            bounds: st.bounds,
-            placements: v
-                .tasks
-                .iter()
-                .cloned()
-                .zip(st.assignments.iter().map(|a| a.gpu))
-                .collect(),
-        })
-        .collect();
-    report.extend(certify_placements_with(
+    report.extend(certify_placements(
         &stages,
         &machine_cfg,
         ccfg,
@@ -900,33 +754,38 @@ mod tests {
     }
 
     #[test]
-    fn dag_shape_is_reported() {
-        let stream = stream(3);
+    fn out_of_range_device_is_e002_not_a_divergence() {
+        let stream = stream(7);
         let cfg = MachineConfig::mi100_like(2);
-        let plan = Session::new(cfg)
+        let mut plan = Session::new(cfg)
             .plan(&mut RoundRobinScheduler::new(), &stream)
             .unwrap()
             .into_plan();
-        let stages: Vec<PlacedStage> = plan
-            .stages
-            .iter()
-            .zip(stream.vectors())
-            .map(|(st, v)| PlacedStage {
-                bounds: st.bounds,
-                placements: v
-                    .tasks
-                    .iter()
-                    .cloned()
-                    .zip(st.assignments.iter().map(|a| a.gpu))
-                    .collect(),
-            })
-            .collect();
-        let dag = plan_dag(&stages, &cfg, None);
-        assert_eq!(
-            dag.num_tasks(),
-            stream.vectors().iter().map(|v| v.tasks.len()).sum()
-        );
-        assert_eq!(dag.barrier_edges(), stream.vectors().len() - 1);
+        let events = run_sim(&plan, &stream, &cfg, None);
+        plan.stages[1].assignments[0].gpu = GpuId(7);
+        let r = certify_trace(&plan, &stream, &cfg, &events);
+        let hits = r.with_code(Code::AssignmentOutOfRange);
+        assert_eq!(hits.len(), 1, "{}", r.render_text());
+        assert_eq!((hits[0].stage, hits[0].index), (Some(1), Some(0)));
+        assert_eq!(hits[0].gpu, Some(GpuId(7)));
+        assert!(!r.has(Code::TracePlanDivergence), "{}", r.render_text());
+    }
+
+    #[test]
+    fn every_misaligned_task_is_e003() {
+        let stream = stream(7);
+        let cfg = MachineConfig::mi100_like(2);
+        let mut plan = Session::new(cfg)
+            .plan(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap()
+            .into_plan();
+        plan.stages[0].assignments[0].task = micco_workload::TaskId(u64::MAX);
+        plan.stages[2].assignments[1].task = micco_workload::TaskId(u64::MAX - 1);
+        let r = certify_trace(&plan, &stream, &cfg, &[]);
+        let hits = r.with_code(Code::PlanStructureMismatch);
+        let at: Vec<_> = hits.iter().map(|d| (d.stage, d.index)).collect();
+        assert_eq!(at, [(Some(0), Some(0)), (Some(2), Some(1))]);
+        assert!(!r.has(Code::TracePlanDivergence));
     }
 
     #[test]

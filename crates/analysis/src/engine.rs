@@ -55,17 +55,17 @@ impl Default for AnalysisConfig {
 /// One stage of placements for [`analyze_placements`]: the bounds in
 /// effect (if any) and each task with its chosen device, in stream order.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PlacedStage {
+pub(crate) struct PlacedStage {
     /// Reuse bounds the stage was decided under (`None` for bound-free
     /// schedulers — disables the reuse/balance checks for the stage).
-    pub bounds: Option<ReuseBounds>,
+    pub(crate) bounds: Option<ReuseBounds>,
     /// `(task, device)` placements in execution order.
-    pub placements: Vec<(ContractionTask, GpuId)>,
+    pub(crate) placements: Vec<(ContractionTask, GpuId)>,
 }
 
 /// 1-based line of stage `s`'s `stage` marker in the canonical plan text
 /// produced by [`SchedulePlan::to_text`] (header block is 5 lines).
-pub fn stage_line(plan: &SchedulePlan, stage: usize) -> usize {
+fn stage_line(plan: &SchedulePlan, stage: usize) -> usize {
     let mut line = 5;
     for st in plan.stages.iter().take(stage) {
         line += 1 + st.assignments.len();
@@ -75,66 +75,30 @@ pub fn stage_line(plan: &SchedulePlan, stage: usize) -> usize {
 
 /// 1-based line of assignment `index` of stage `stage` in the canonical
 /// plan text.
-pub fn assignment_line(plan: &SchedulePlan, stage: usize, index: usize) -> usize {
+fn assignment_line(plan: &SchedulePlan, stage: usize, index: usize) -> usize {
     stage_line(plan, stage) + 1 + index
 }
 
-/// Analyze a plan against the stream and machine it is meant to run on,
-/// with default [`AnalysisConfig`].
-pub fn analyze_plan(plan: &SchedulePlan, stream: &TensorPairStream, cfg: &MachineConfig) -> Report {
-    analyze_plan_with(plan, stream, cfg, &AnalysisConfig::default())
+/// How far a plan got through [`placed_stages`] before it was refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Refused {
+    /// `E004`, or an `E003` on the stage count: nothing lines up.
+    Plan,
+    /// `E003`/`E002` within stages that line up with the stream's.
+    Placements,
 }
 
-/// [`analyze_plan`] with explicit tunables.
-///
-/// Runs a structural pass first (`E002`–`E005`); only a structurally
-/// clean plan is replayed semantically (`E001`, `W1xx`, `W2xx`, `I301`),
-/// since a plan that disagrees with the stream's shape has no meaningful
-/// replay. Diagnostics from the semantic pass are anchored to lines of
-/// the canonical plan text ([`assignment_line`]).
-pub fn analyze_plan_with(
+/// The structural gate the linter and the certifier share: `E004` when
+/// the plan was decided for another stream, `E003` for every stage or task
+/// that does not line up with the stream's, and `E002` for every placement
+/// outside the plan's own device geometry. A plan that passes comes back
+/// as its placements, to replay on a machine with the plan's device count;
+/// a plan that disagrees with the stream's shape has no meaningful replay.
+pub(crate) fn placed_stages(
     plan: &SchedulePlan,
     stream: &TensorPairStream,
-    cfg: &MachineConfig,
-    acfg: &AnalysisConfig,
-) -> Report {
-    analyze_plan_with_topology(plan, stream, cfg, acfg, None)
-}
-
-/// [`analyze_plan_with`] replaying transfers over an explicit link
-/// topology. Beyond the flat checks, every device-to-device fetch is
-/// routed symbolically and `MICCO-W204` fires when the machine's chosen
-/// source crosses an NVLink island although another device on the
-/// destination's own island also held the operand — the expensive hop was
-/// avoidable without changing the placement. With `topology: None` (or a
-/// single-island topology) this is exactly [`analyze_plan_with`].
-pub fn analyze_plan_with_topology(
-    plan: &SchedulePlan,
-    stream: &TensorPairStream,
-    cfg: &MachineConfig,
-    acfg: &AnalysisConfig,
-    topology: Option<&LinkTopology>,
-) -> Report {
-    let mut report = Report::new();
-
-    // Lineage check before the structural gates: a repaired plan carries a
-    // `+repair(lost=…)` marker in its scheduler line, and the degraded
-    // placement is worth flagging even when the plan is otherwise broken.
-    if plan.scheduler.contains("+repair(") {
-        report.push(
-            Diagnostic::new(
-                Code::DegradedPlacement,
-                format!(
-                    "plan was repaired onto surviving devices ({}); placements no longer \
-                     reflect the original scheduler's reuse/balance decisions",
-                    plan.scheduler
-                ),
-            )
-            .at_line(2)
-            .with("scheduler", &plan.scheduler),
-        );
-    }
-
+    report: &mut Report,
+) -> Result<Vec<PlacedStage>, Refused> {
     let fp = stream.fingerprint();
     if plan.fingerprint != fp {
         report.push(
@@ -149,7 +113,7 @@ pub fn analyze_plan_with_topology(
             .with("plan", plan.fingerprint)
             .with("stream", fp),
         );
-        return report;
+        return Err(Refused::Plan);
     }
     if plan.stages.len() != stream.vectors().len() {
         report.push(
@@ -164,7 +128,7 @@ pub fn analyze_plan_with_topology(
             .with("plan_stages", plan.stages.len())
             .with("stream_vectors", stream.vectors().len()),
         );
-        return report;
+        return Err(Refused::Plan);
     }
 
     let mut structural_ok = true;
@@ -225,7 +189,77 @@ pub fn analyze_plan_with_topology(
             }
         }
     }
+    if !structural_ok {
+        return Err(Refused::Placements);
+    }
+    Ok(plan
+        .stages
+        .iter()
+        .zip(stream.vectors())
+        .map(|(st, v)| PlacedStage {
+            bounds: st.bounds,
+            placements: v
+                .tasks
+                .iter()
+                .cloned()
+                .zip(st.assignments.iter().map(|a| a.gpu))
+                .collect(),
+        })
+        .collect())
+}
 
+/// Analyze a plan against the stream and machine it is meant to run on,
+/// with default [`AnalysisConfig`] and no link topology.
+pub fn analyze_plan(plan: &SchedulePlan, stream: &TensorPairStream, cfg: &MachineConfig) -> Report {
+    analyze_plan_with(plan, stream, cfg, &AnalysisConfig::default(), None)
+}
+
+/// [`analyze_plan`] with explicit tunables and an optional link topology.
+///
+/// Runs the structural gate first (`E002`–`E004`, plus `E005` when the
+/// plan's device count differs from the machine's); only a structurally
+/// clean plan is replayed semantically (`E001`, `W1xx`, `W2xx`, `I301`),
+/// on the plan's device geometry. Diagnostics from the semantic pass are
+/// anchored to lines of the canonical plan text.
+///
+/// With a topology, every device-to-device fetch is also routed
+/// symbolically, and `MICCO-W204` fires when the machine's chosen source
+/// crosses an NVLink island although another device on the destination's
+/// own island also held the operand — the expensive hop was avoidable
+/// without changing the placement. `topology: None`, a single-island
+/// topology or one for another device count leave the flat diagnostics
+/// exactly as they are.
+pub fn analyze_plan_with(
+    plan: &SchedulePlan,
+    stream: &TensorPairStream,
+    cfg: &MachineConfig,
+    acfg: &AnalysisConfig,
+    topology: Option<&LinkTopology>,
+) -> Report {
+    let mut report = Report::new();
+
+    // Lineage check before the structural gate: a repaired plan carries a
+    // `+repair(lost=…)` marker in its scheduler line, and the degraded
+    // placement is worth flagging even when the plan is otherwise broken.
+    if plan.scheduler.contains("+repair(") {
+        report.push(
+            Diagnostic::new(
+                Code::DegradedPlacement,
+                format!(
+                    "plan was repaired onto surviving devices ({}); placements no longer \
+                     reflect the original scheduler's reuse/balance decisions",
+                    plan.scheduler
+                ),
+            )
+            .at_line(2)
+            .with("scheduler", &plan.scheduler),
+        );
+    }
+
+    let placed = placed_stages(plan, stream, &mut report);
+    if matches!(placed, Err(Refused::Plan)) {
+        return report;
+    }
     let mut machine_cfg = *cfg;
     if plan.num_gpus != cfg.num_gpus {
         report.push(
@@ -242,26 +276,10 @@ pub fn analyze_plan_with_topology(
         );
         machine_cfg.num_gpus = plan.num_gpus;
     }
-
-    if !structural_ok {
+    let Ok(stages) = placed else {
         return report;
-    }
-
-    let stages: Vec<PlacedStage> = plan
-        .stages
-        .iter()
-        .zip(stream.vectors())
-        .map(|(st, v)| PlacedStage {
-            bounds: st.bounds,
-            placements: v
-                .tasks
-                .iter()
-                .cloned()
-                .zip(st.assignments.iter().map(|a| a.gpu))
-                .collect(),
-        })
-        .collect();
-    let mut semantic = analyze_placements_with_topology(&stages, &machine_cfg, acfg, topology);
+    };
+    let mut semantic = analyze_placements(&stages, &machine_cfg, acfg, topology);
     for d in &mut semantic.diagnostics {
         if let (Some(s), Some(i)) = (d.stage, d.index) {
             d.line = Some(assignment_line(plan, s, i));
@@ -313,29 +331,13 @@ impl ExecObserver for Collector {
     }
 }
 
-/// The semantic pass over raw placements (no plan text, no fingerprint):
+/// The semantic pass over placements that passed [`placed_stages`]:
 /// replays every stage through a fresh [`SimMachine`] built from `cfg`
-/// and checks capacity (`E001`), reuse bounds (`W101`), balance caps
-/// (`W102`), eviction thrash (`W201`), missed reuse (`W202`) and dead
-/// write-backs (`I301`). The cluster layer calls this once per node with
-/// its projected placements.
-///
-/// Placements targeting devices outside `cfg.num_gpus` are reported as
-/// `E002` and the replay is skipped (the machine state after an
-/// unexecutable placement is undefined).
-pub fn analyze_placements(
-    stages: &[PlacedStage],
-    cfg: &MachineConfig,
-    acfg: &AnalysisConfig,
-) -> Report {
-    analyze_placements_with_topology(stages, cfg, acfg, None)
-}
-
-/// [`analyze_placements`] with a link topology for the `W204` route check
-/// (see [`analyze_plan_with_topology`]). A topology whose device count
-/// differs from `cfg.num_gpus`, or with a single island, disables the
-/// route check — the flat diagnostics are unaffected either way.
-pub fn analyze_placements_with_topology(
+/// (whose device count is the plan's) and checks capacity (`E001`), reuse
+/// bounds (`W101`), balance caps (`W102`), avoidable cross-island fetches
+/// (`W204`, under a matching multi-island `topology`), eviction thrash
+/// (`W201`), missed reuse (`W202`) and dead write-backs (`I301`).
+pub(crate) fn analyze_placements(
     stages: &[PlacedStage],
     cfg: &MachineConfig,
     acfg: &AnalysisConfig,
@@ -343,35 +345,12 @@ pub fn analyze_placements_with_topology(
 ) -> Report {
     let mut report = Report::new();
     let num_gpus = cfg.num_gpus;
+    if num_gpus == 0 {
+        return report;
+    }
     // the route check only makes sense when the topology matches the
     // machine and actually has more than one island to cross
     let topo = topology.filter(|t| t.num_gpus() == num_gpus && !t.is_single_island());
-
-    let mut structural_ok = true;
-    for (s, stage) in stages.iter().enumerate() {
-        for (i, (task, gpu)) in stage.placements.iter().enumerate() {
-            if gpu.0 >= num_gpus {
-                report.push(
-                    Diagnostic::new(
-                        Code::AssignmentOutOfRange,
-                        format!(
-                            "stage {s} position {i}: task {} assigned to gpu {} but the machine has {num_gpus} devices",
-                            task.id.0, gpu.0
-                        ),
-                    )
-                    .at(s, i)
-                    .for_task(task.id)
-                    .on_gpu(*gpu)
-                    .with("gpu", gpu.0)
-                    .with("num_gpus", num_gpus),
-                );
-                structural_ok = false;
-            }
-        }
-    }
-    if !structural_ok || num_gpus == 0 {
-        return report;
-    }
 
     // Global next-use index (operand positions only), for W201 windows and
     // I301 dead write-backs.
@@ -461,8 +440,9 @@ pub fn analyze_placements_with_topology(
                     }
                 }
                 Err(ExecError::BadGpu { gpu: bad, num_gpus }) => {
-                    // Pre-screened above; keep a defensive report rather
-                    // than panicking if the screen and machine disagree.
+                    // Screened by the structural gate; keep a defensive
+                    // report rather than panicking if the gate and the
+                    // machine disagree.
                     report.push(
                         Diagnostic::new(
                             Code::AssignmentOutOfRange,
@@ -817,7 +797,7 @@ mod tests {
         // fit even on an empty device
         let cfg = small_cfg(1, 4 * MB);
         let stages = vec![stage_of(None, vec![(task(0, 1, 2, 3, 2 * MB), 0)])];
-        let r = analyze_placements(&stages, &cfg, &AnalysisConfig::default());
+        let r = analyze_placements(&stages, &cfg, &AnalysisConfig::default(), None);
         let hits = r.with_code(Code::CapacityExceeded);
         assert_eq!(hits.len(), 1);
         assert_eq!((hits[0].stage, hits[0].index), (Some(0), Some(0)));
@@ -834,20 +814,21 @@ mod tests {
             None,
             vec![(task(0, 1, 2, 3, 2 * MB), 0), (task(1, 10, 11, 12, MB), 0)],
         )];
-        let r = analyze_placements(&stages, &cfg, &AnalysisConfig::default());
+        let r = analyze_placements(&stages, &cfg, &AnalysisConfig::default(), None);
         assert_eq!(r.with_code(Code::CapacityExceeded).len(), 1);
     }
 
     #[test]
     fn out_of_range_yields_e002_and_skips_replay() {
-        let cfg = small_cfg(2, 4 * MB);
-        let stages = vec![stage_of(
-            None,
-            vec![
-                (task(0, 1, 2, 3, 2 * MB), 5), // out of range AND would OOM
-            ],
-        )];
-        let r = analyze_placements(&stages, &cfg, &AnalysisConfig::default());
+        let stream = WorkloadSpec::new(4, 32).with_vectors(1).generate();
+        let cfg = MachineConfig::mi100_like(2);
+        let mut plan = Session::new(cfg)
+            .plan(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap()
+            .into_plan();
+        plan.stages[0].assignments[0].gpu = GpuId(5);
+        // out of range AND every task would overflow this memory
+        let r = analyze_plan(&plan, &stream, &cfg.with_mem_bytes(1));
         assert!(r.has(Code::AssignmentOutOfRange));
         assert!(!r.has(Code::CapacityExceeded), "replay must be skipped");
         let d = &r.with_code(Code::AssignmentOutOfRange)[0];
@@ -864,7 +845,7 @@ mod tests {
             .map(|i| (task(i, 100 + 2 * i, 101 + 2 * i, 200 + i, MB), 0))
             .collect();
         let stages = vec![stage_of(bounds, placements)];
-        let r = analyze_placements(&stages, &cfg, &AnalysisConfig::default());
+        let r = analyze_placements(&stages, &cfg, &AnalysisConfig::default(), None);
         assert!(r.has(Code::ReuseBoundViolated), "{}", r.render_text());
         assert!(r.has(Code::BalanceCapExceeded), "{}", r.render_text());
         let w101 = &r.with_code(Code::ReuseBoundViolated)[0];
@@ -884,7 +865,7 @@ mod tests {
                 vec![(task(1, 1, 2, 4, MB), 1)],
             ),
         ];
-        let r = analyze_placements(&stages, &cfg, &AnalysisConfig::default());
+        let r = analyze_placements(&stages, &cfg, &AnalysisConfig::default(), None);
         let hits = r.with_code(Code::MissedReuse);
         assert_eq!(hits.len(), 1);
         assert_eq!((hits[0].stage, hits[0].index), (Some(1), Some(0)));
@@ -893,7 +874,7 @@ mod tests {
             stage_of(None, vec![(task(0, 1, 2, 3, MB), 0)]),
             stage_of(None, vec![(task(1, 1, 2, 4, MB), 1)]),
         ];
-        let r2 = analyze_placements(&stages_unbounded, &cfg, &AnalysisConfig::default());
+        let r2 = analyze_placements(&stages_unbounded, &cfg, &AnalysisConfig::default(), None);
         assert!(!r2.has(Code::MissedReuse));
     }
 
@@ -908,7 +889,7 @@ mod tests {
             placements.push((task(2 * round + 1, 3, 4, 101 + 2 * round, MB), 0));
         }
         let stages = vec![stage_of(None, placements)];
-        let r = analyze_placements(&stages, &cfg, &AnalysisConfig::default());
+        let r = analyze_placements(&stages, &cfg, &AnalysisConfig::default(), None);
         assert!(r.has(Code::EvictionThrash), "{}", r.render_text());
         // outputs (device-created, never operands) get written back on
         // eviction although nothing ever reads them again
@@ -918,7 +899,7 @@ mod tests {
             thrash_window: 0,
             ..AnalysisConfig::default()
         };
-        assert!(!analyze_placements(&stages, &cfg, &quiet).has(Code::EvictionThrash));
+        assert!(!analyze_placements(&stages, &cfg, &quiet, None).has(Code::EvictionThrash));
     }
 
     #[test]
@@ -991,7 +972,7 @@ mod tests {
             None,
             vec![(task(0, 1, 2, 100, MB), 0), (task(1, 1, 2, 101, MB), 0)],
         )];
-        let r = analyze_placements(&stages, &cfg, &AnalysisConfig::default());
+        let r = analyze_placements(&stages, &cfg, &AnalysisConfig::default(), None);
         assert!(!r.has(Code::CapacityExceeded));
     }
 
@@ -999,7 +980,7 @@ mod tests {
     fn empty_plan_is_clean() {
         let stages: Vec<PlacedStage> = Vec::new();
         let cfg = MachineConfig::mi100_like(2);
-        assert!(analyze_placements(&stages, &cfg, &AnalysisConfig::default()).is_clean());
+        assert!(analyze_placements(&stages, &cfg, &AnalysisConfig::default(), None).is_clean());
     }
 
     #[test]
@@ -1015,12 +996,7 @@ mod tests {
             stage_of(None, vec![(task(1, 1, 3, 101, MB), 3)]),
             stage_of(None, vec![(task(2, 1, 4, 102, MB), 2)]),
         ];
-        let r = analyze_placements_with_topology(
-            &stages,
-            &cfg,
-            &AnalysisConfig::default(),
-            Some(&topo),
-        );
+        let r = analyze_placements(&stages, &cfg, &AnalysisConfig::default(), Some(&topo));
         let hits = r.with_code(Code::CrossIslandTransfer);
         assert_eq!(hits.len(), 1, "{}", r.render_text());
         assert_eq!((hits[0].stage, hits[0].index), (Some(2), Some(0)));
@@ -1031,7 +1007,7 @@ mod tests {
             stage_of(None, vec![(task(0, 1, 2, 100, MB), 0)]),
             stage_of(None, vec![(task(1, 1, 4, 101, MB), 2)]),
         ];
-        let r2 = analyze_placements_with_topology(
+        let r2 = analyze_placements(
             &stages_unavoidable,
             &cfg,
             &AnalysisConfig::default(),
@@ -1039,7 +1015,7 @@ mod tests {
         );
         assert!(!r2.has(Code::CrossIslandTransfer), "{}", r2.render_text());
         // flat analysis of the triggering fixture stays clean
-        let r3 = analyze_placements(&stages, &cfg, &AnalysisConfig::default());
+        let r3 = analyze_placements(&stages, &cfg, &AnalysisConfig::default(), None);
         assert!(!r3.has(Code::CrossIslandTransfer));
     }
 
@@ -1052,21 +1028,11 @@ mod tests {
             stage_of(None, vec![(task(1, 1, 3, 101, MB), 3)]),
             stage_of(None, vec![(task(2, 1, 4, 102, MB), 2)]),
         ];
-        let r = analyze_placements_with_topology(
-            &stages,
-            &cfg,
-            &AnalysisConfig::default(),
-            Some(&one_island),
-        );
+        let r = analyze_placements(&stages, &cfg, &AnalysisConfig::default(), Some(&one_island));
         assert!(!r.has(Code::CrossIslandTransfer));
         // a topology for the wrong device count is ignored, not trusted
         let wrong = LinkTopology::nvlink(8, 2);
-        let r2 = analyze_placements_with_topology(
-            &stages,
-            &cfg,
-            &AnalysisConfig::default(),
-            Some(&wrong),
-        );
+        let r2 = analyze_placements(&stages, &cfg, &AnalysisConfig::default(), Some(&wrong));
         assert!(!r2.has(Code::CrossIslandTransfer));
     }
 

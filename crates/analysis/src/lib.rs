@@ -14,13 +14,15 @@
 //!
 //! The pieces:
 //!
-//! * [`analyze_plan`] / [`analyze_plan_with`] — structural pass
-//!   (fingerprint, shape, device ranges) then a semantic replay of the
-//!   plan through the shared [`micco_gpusim::SimMachine`] transition
+//! * [`analyze_plan`] / [`analyze_plan_with`] — the linter: a structural
+//!   gate (fingerprint, shape, device ranges) then a semantic replay of
+//!   the plan through the shared [`micco_gpusim::SimMachine`] transition
 //!   function, tracking per-GPU residency, occupancy under the configured
-//!   eviction policy, and per-stage load counts;
-//! * [`analyze_placements`] — the semantic pass over raw `(task, gpu)`
-//!   placements, reused by the cluster layer's per-node projections;
+//!   eviction policy, per-stage load counts and, with a link topology,
+//!   avoidable cross-island fetches;
+//! * [`certify_trace`] / [`certify_trace_with`] — the certifier: the same
+//!   structural gate, then a check that an executed trace is a
+//!   linearization of the plan's dependence DAG;
 //! * [`Code`] — the stable diagnostic registry (`MICCO-E001
 //!   capacity-exceeded` … `MICCO-I301 dead-transfer`, DESIGN.md §10);
 //! * [`Report`] — aggregation, severity thresholds (`--deny warnings`
@@ -48,17 +50,11 @@
 //! assert!(report.denies(Severity::Error));
 //! ```
 
-pub mod certify;
-pub mod diag;
-pub mod engine;
+mod certify;
+mod diag;
+mod engine;
 mod render;
 
-pub use certify::{
-    certify_placements_with, certify_trace, certify_trace_with, plan_dag, CertifyConfig, PlanDag,
-    PlannedTransfer, TransferStrictness,
-};
+pub use certify::{certify_trace, certify_trace_with, CertifyConfig, TransferStrictness};
 pub use diag::{Code, Diagnostic, Report, Severity};
-pub use engine::{
-    analyze_placements, analyze_placements_with_topology, analyze_plan, analyze_plan_with,
-    analyze_plan_with_topology, assignment_line, stage_line, AnalysisConfig, PlacedStage,
-};
+pub use engine::{analyze_plan, analyze_plan_with, AnalysisConfig};

@@ -8,8 +8,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use micco_analysis::{
-    analyze_plan_with_topology, certify_trace_with, AnalysisConfig, CertifyConfig, Code, Report,
-    Severity, TransferStrictness,
+    analyze_plan_with, certify_trace_with, AnalysisConfig, CertifyConfig, Code, Report, Severity,
+    TransferStrictness,
 };
 use micco_cluster::{
     run_cluster_schedule, ClusterConfig, FlatClusterScheduler, HierarchicalScheduler,
@@ -600,7 +600,7 @@ fn plan(args: &Args) -> Result<(), String> {
         plan.overhead_secs * 1e3
     );
     if args.flag("lint") {
-        let report = analyze_plan_with_topology(
+        let report = analyze_plan_with(
             &plan,
             &stream,
             session.config(),
@@ -623,7 +623,7 @@ fn lint(args: &Args) -> Result<(), String> {
     if mem_mib > 0 {
         machine = machine.with_mem_bytes(mem_mib << 20);
     }
-    let report = analyze_plan_with_topology(
+    let report = analyze_plan_with(
         &plan,
         &stream,
         &machine,
@@ -822,12 +822,18 @@ fn redstar(args: &Args) -> Result<(), String> {
 /// Multi-node run of the configured workload: flat against hierarchical
 /// scheduling (with the configured reuse bounds inside each node).
 fn cluster(args: &Args) -> Result<(), String> {
-    let cfg = session_config_from_args(args, None)?;
-    let stream = stream_for(args, &cfg)?;
     let nodes: usize = args.parse_or("nodes", 2).map_err(|e| e.to_string())?;
     let gpus: usize = args
         .parse_or("gpus-per-node", 4)
         .map_err(|e| e.to_string())?;
+    if nodes == 0 {
+        return Err("--nodes must be at least 1".into());
+    }
+    if gpus == 0 {
+        return Err("--gpus-per-node must be at least 1".into());
+    }
+    let cfg = session_config_from_args(args, None)?;
+    let stream = stream_for(args, &cfg)?;
     let cluster = ClusterConfig::mi100_cluster(nodes, gpus);
     let flat = run_cluster_schedule(&mut FlatClusterScheduler::new(), &stream, &cluster)
         .map_err(|e| e.to_string())?;
@@ -951,7 +957,6 @@ fn emit_report(report: &Report, args: &Args, artifact: &str) -> Result<(), Strin
 
 /// Parse the certifier tunables (`--eps-us`, `--transfers`).
 fn certify_config(args: &Args) -> Result<CertifyConfig, String> {
-    let defaults = CertifyConfig::default();
     let transfers = match args.str_or("transfers", "auto").as_str() {
         "auto" => TransferStrictness::Auto,
         "strict" => TransferStrictness::Strict,
@@ -964,10 +969,9 @@ fn certify_config(args: &Args) -> Result<CertifyConfig, String> {
     };
     Ok(CertifyConfig {
         eps_us: args
-            .parse_or("eps-us", defaults.eps_us)
+            .parse_or("eps-us", CertifyConfig::default().eps_us)
             .map_err(|e| e.to_string())?,
         transfers,
-        ..defaults
     })
 }
 
@@ -1684,6 +1688,14 @@ mod tests {
         for gone in ["synthetic", "trace", "compare", "sweep"] {
             let err = run(&format!("{gone} --gpus 2")).unwrap_err();
             assert!(err.contains("unknown command"), "{err}");
+        }
+        // a cluster needs a node and a device per node
+        for (flag, line) in [
+            ("--nodes", "cluster --nodes 0"),
+            ("--gpus-per-node", "cluster --gpus-per-node 0"),
+        ] {
+            let err = run(line).unwrap_err();
+            assert!(err.contains(flag), "{err}");
         }
     }
 

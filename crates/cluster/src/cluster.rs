@@ -60,21 +60,6 @@ impl ClusterConfig {
     }
 }
 
-/// Read-only view cluster schedulers work against.
-pub trait ClusterView {
-    /// Number of nodes.
-    fn num_nodes(&self) -> usize;
-    /// The node-local machine view.
-    fn node(&self, n: NodeId) -> &dyn MachineView;
-    /// Nodes holding a resident copy of `t` on some device.
-    fn nodes_holding(&self, t: TensorId) -> Vec<NodeId>;
-    /// Whether `t` is an intermediate produced by this run (only existing
-    /// where it was computed) rather than host-backed original data.
-    fn is_intermediate(&self, t: TensorId) -> bool;
-    /// Busy seconds of node `n` in the current stage (max over its GPUs).
-    fn node_stage_busy(&self, n: NodeId) -> f64;
-}
-
 /// Outcome of a cluster run.
 #[derive(Debug, Clone)]
 pub struct ClusterReport {
@@ -104,11 +89,9 @@ impl ClusterReport {
 }
 
 /// The simulated cluster: one [`SimMachine`] per node, joined by the
-/// configured interconnect. [`crate::plan_cluster_schedule`] steps one to
-/// decide a plan, [`crate::run_cluster_schedule`] returns that pass's
-/// report, and [`crate::execute_cluster_plan`] replays a saved plan on a
-/// fresh one — the same network arithmetic on the same machines. Cluster
-/// schedulers see only its [`ClusterView`].
+/// configured interconnect. [`crate::run_cluster_schedule`] steps a fresh
+/// one while a cluster scheduler places tasks against its read-only
+/// methods ([`SimCluster::node`], [`SimCluster::nodes_holding`], …).
 ///
 /// # Examples
 ///
@@ -172,6 +155,38 @@ impl SimCluster {
     /// Elapsed seconds up to the last barrier.
     pub fn elapsed_secs(&self) -> f64 {
         self.elapsed
+    }
+
+    /// Number of nodes.
+    pub fn num_nodes(&self) -> usize {
+        self.machines.len()
+    }
+
+    /// The machine of node `n`.
+    pub fn node(&self, n: NodeId) -> &SimMachine {
+        &self.machines[n.0]
+    }
+
+    /// Nodes holding a resident copy of `t` on some device.
+    pub fn nodes_holding(&self, t: TensorId) -> Vec<NodeId> {
+        (0..self.machines.len())
+            .filter(|&i| !self.machines[i].holders(t).is_empty())
+            .map(NodeId)
+            .collect()
+    }
+
+    /// Whether `t` is an intermediate produced by this run (only existing
+    /// where it was computed) rather than host-backed original data.
+    pub fn is_intermediate(&self, t: TensorId) -> bool {
+        self.intermediates.contains(&t)
+    }
+
+    /// Busy seconds of node `n` in the current stage (max over its GPUs).
+    pub fn node_stage_busy(&self, n: NodeId) -> f64 {
+        let m = &self.machines[n.0];
+        (0..m.num_gpus())
+            .map(|g| m.stage_busy_secs(GpuId(g)))
+            .fold(0.0, f64::max)
     }
 
     /// Execute `task` on `(node, gpu)`.
@@ -239,34 +254,6 @@ impl SimCluster {
                 .map(|m| m.stats().total_evictions())
                 .collect(),
         }
-    }
-}
-
-impl ClusterView for SimCluster {
-    fn num_nodes(&self) -> usize {
-        self.machines.len()
-    }
-
-    fn node(&self, n: NodeId) -> &dyn MachineView {
-        &self.machines[n.0]
-    }
-
-    fn nodes_holding(&self, t: TensorId) -> Vec<NodeId> {
-        (0..self.machines.len())
-            .filter(|&i| !self.machines[i].holders(t).is_empty())
-            .map(NodeId)
-            .collect()
-    }
-
-    fn is_intermediate(&self, t: TensorId) -> bool {
-        self.intermediates.contains(&t)
-    }
-
-    fn node_stage_busy(&self, n: NodeId) -> f64 {
-        let m = &self.machines[n.0];
-        (0..m.num_gpus())
-            .map(|g| m.stage_busy_secs(GpuId(g)))
-            .fold(0.0, f64::max)
     }
 }
 
@@ -357,7 +344,7 @@ mod tests {
     }
 
     #[test]
-    fn cluster_view_reports_holders_and_intermediates() {
+    fn cluster_reports_holders_and_intermediates() {
         let mut c = cluster(2, 1);
         c.execute(&task(0, 1, 2, 100), NodeId(0), GpuId(0)).unwrap();
         assert_eq!(c.nodes_holding(TensorId(1)), vec![NodeId(0)]);

@@ -2,19 +2,19 @@
 //! data-centric idea applied at node granularity, then within the node).
 
 use micco_core::{MiccoScheduler, ReuseBounds, Scheduler};
-use micco_gpusim::GpuId;
+use micco_gpusim::{ExecError, GpuId, MachineView};
 use micco_workload::{ContractionTask, TensorPairStream, Vector};
 
-use crate::cluster::{ClusterConfig, ClusterReport, ClusterView, NodeId};
+use crate::cluster::{ClusterConfig, ClusterReport, NodeId, SimCluster};
 
 /// A scheduler that places tasks onto `(node, gpu)` pairs.
 pub trait ClusterScheduler {
     /// Name for reports.
     fn name(&self) -> String;
     /// Called at each stage boundary.
-    fn begin_vector(&mut self, vector: &Vector, view: &dyn ClusterView);
+    fn begin_vector(&mut self, vector: &Vector, cluster: &SimCluster);
     /// Place one task.
-    fn assign(&mut self, task: &ContractionTask, view: &dyn ClusterView) -> (NodeId, GpuId);
+    fn assign(&mut self, task: &ContractionTask, cluster: &SimCluster) -> (NodeId, GpuId);
 }
 
 /// Node-oblivious baseline: earliest-available device across the whole
@@ -35,13 +35,13 @@ impl ClusterScheduler for FlatClusterScheduler {
         "flat-groute".to_owned()
     }
 
-    fn begin_vector(&mut self, _vector: &Vector, _view: &dyn ClusterView) {}
+    fn begin_vector(&mut self, _vector: &Vector, _cluster: &SimCluster) {}
 
-    fn assign(&mut self, _task: &ContractionTask, view: &dyn ClusterView) -> (NodeId, GpuId) {
+    fn assign(&mut self, _task: &ContractionTask, cluster: &SimCluster) -> (NodeId, GpuId) {
         let mut best = (NodeId(0), GpuId(0));
         let mut best_busy = f64::MAX;
-        for n in 0..view.num_nodes() {
-            let node = view.node(NodeId(n));
+        for n in 0..cluster.num_nodes() {
+            let node = cluster.node(NodeId(n));
             for g in 0..node.num_gpus() {
                 let busy = node.stage_busy_secs(GpuId(g));
                 if busy < best_busy {
@@ -87,24 +87,24 @@ impl ClusterScheduler for HierarchicalScheduler {
         format!("hierarchical-micco(node_bound={})", self.node_bound)
     }
 
-    fn begin_vector(&mut self, vector: &Vector, view: &dyn ClusterView) {
+    fn begin_vector(&mut self, vector: &Vector, cluster: &SimCluster) {
         for (i, s) in self.intra.iter_mut().enumerate() {
-            s.begin_vector(vector, view.node(NodeId(i)));
+            s.begin_vector(vector, cluster.node(NodeId(i)));
         }
         self.node_slots.iter_mut().for_each(|s| *s = 0);
         self.node_balance = vector
             .tensor_slots()
-            .div_ceil(view.num_nodes().max(1))
+            .div_ceil(cluster.num_nodes().max(1))
             .max(1);
     }
 
-    fn assign(&mut self, task: &ContractionTask, view: &dyn ClusterView) -> (NodeId, GpuId) {
+    fn assign(&mut self, task: &ContractionTask, cluster: &SimCluster) -> (NodeId, GpuId) {
         // Node-level data-centric step: candidate nodes holding an
         // intermediate operand, while under the node bound.
         let mut candidates: Vec<NodeId> = Vec::new();
         for d in [task.a.id, task.b.id] {
-            if view.is_intermediate(d) {
-                for n in view.nodes_holding(d) {
+            if cluster.is_intermediate(d) {
+                for n in cluster.nodes_holding(d) {
                     if self.node_slots[n.0] < self.node_bound + self.node_balance
                         && !candidates.contains(&n)
                     {
@@ -117,7 +117,7 @@ impl ClusterScheduler for HierarchicalScheduler {
         // least-loaded node.
         if candidates.is_empty() {
             candidates.extend(
-                (0..view.num_nodes())
+                (0..cluster.num_nodes())
                     .map(NodeId)
                     .filter(|n| self.node_slots[n.0] < self.node_bound + self.node_balance),
             );
@@ -125,8 +125,9 @@ impl ClusterScheduler for HierarchicalScheduler {
         let node = candidates
             .into_iter()
             .min_by(|a, b| {
-                view.node_stage_busy(*a)
-                    .total_cmp(&view.node_stage_busy(*b))
+                cluster
+                    .node_stage_busy(*a)
+                    .total_cmp(&cluster.node_stage_busy(*b))
                     .then(a.0.cmp(&b.0))
             })
             .unwrap_or_else(|| {
@@ -141,25 +142,34 @@ impl ClusterScheduler for HierarchicalScheduler {
             });
         self.node_slots[node.0] += 2;
         // Intra-node MICCO on the chosen node.
-        let gpu = self.intra[node.0].assign(task, view.node(node));
+        let gpu = self.intra[node.0].assign(task, cluster.node(node));
         (node, gpu)
     }
 }
 
-/// Drive a cluster scheduler over a stream on a fresh cluster.
+/// Drive a cluster scheduler over a stream on a fresh cluster: each task
+/// runs where the scheduler places it, and every stage ends in a global
+/// barrier.
 ///
-/// One pass: the [`crate::SimCluster`] that
-/// [`crate::plan_cluster_schedule`] steps to decide the placement also
-/// reports it, so nothing is replayed. Replaying the decided
-/// [`crate::ClusterPlan`] with [`crate::execute_cluster_plan`] gives the
-/// same report.
+/// # Errors
+///
+/// Propagates [`ExecError`] when a task cannot fit a node machine even
+/// with eviction.
 pub fn run_cluster_schedule(
     scheduler: &mut dyn ClusterScheduler,
     stream: &TensorPairStream,
     config: &ClusterConfig,
-) -> Result<ClusterReport, micco_gpusim::ExecError> {
-    let (plan, cluster) = crate::plan::decide(scheduler, stream, config)?;
-    Ok(cluster.report(plan.scheduler))
+) -> Result<ClusterReport, ExecError> {
+    let mut cluster = SimCluster::new(*config);
+    for vector in stream.vectors() {
+        scheduler.begin_vector(vector, &cluster);
+        for task in &vector.tasks {
+            let (node, gpu) = scheduler.assign(task, &cluster);
+            cluster.execute(task, node, gpu)?;
+        }
+        cluster.barrier();
+    }
+    Ok(cluster.report(scheduler.name()))
 }
 
 #[cfg(test)]
@@ -167,18 +177,12 @@ mod tests {
     use super::*;
     use micco_workload::{RepeatDistribution, WorkloadSpec};
 
-    fn chained_stream() -> TensorPairStream {
-        // vectors whose outputs feed later vectors: real producer-consumer
-        // chains so node locality matters
-        let base = WorkloadSpec::new(16, 256)
-            .with_repeat_rate(0.6)
-            .with_distribution(RepeatDistribution::Uniform)
-            .with_vectors(4)
-            .with_seed(9)
-            .generate();
+    /// `spec`'s stream with vectors whose outputs feed later vectors: real
+    /// producer-consumer chains so node locality matters.
+    fn chained(spec: WorkloadSpec) -> TensorPairStream {
         // rewrite 1/2 of the inputs of vector v>0 to reference outputs of
         // vector v-1 (round-robin), creating cross-stage intermediates
-        let mut vectors = base.into_vectors();
+        let mut vectors = spec.generate().into_vectors();
         for v in 1..vectors.len() {
             let prev_outs: Vec<_> = vectors[v - 1].tasks.iter().map(|t| t.out).collect();
             for (i, t) in vectors[v].tasks.iter_mut().enumerate() {
@@ -188,6 +192,16 @@ mod tests {
             }
         }
         TensorPairStream::new(vectors)
+    }
+
+    fn chained_stream() -> TensorPairStream {
+        chained(
+            WorkloadSpec::new(16, 256)
+                .with_repeat_rate(0.6)
+                .with_distribution(RepeatDistribution::Uniform)
+                .with_vectors(4)
+                .with_seed(9),
+        )
     }
 
     #[test]
@@ -230,6 +244,56 @@ mod tests {
         let mut hier = HierarchicalScheduler::new(1, 4, ReuseBounds::new(0, 2, 0));
         let r = run_cluster_schedule(&mut hier, &stream, &cfg).unwrap();
         assert_eq!(r.inter_transfers, 0, "one node, no network");
+    }
+
+    #[test]
+    fn run_cluster_schedule_is_pinned_bit_for_bit() {
+        let stream = chained(
+            WorkloadSpec::new(12, 192)
+                .with_repeat_rate(0.6)
+                .with_vectors(3)
+                .with_seed(5),
+        );
+        let roomy = ClusterConfig::mi100_cluster(2, 4);
+        // room for four tensors per device: every node evicts
+        let tensor = stream.vectors()[0].tasks[0].a.bytes;
+        let tight = ClusterConfig {
+            node: roomy.node.with_mem_bytes(4 * tensor),
+            ..roomy
+        };
+        // (elapsed bits, flops, network transfers, network bytes, evictions)
+        let pinned: [(u64, u64, u64, u64, [u64; 2]); 4] = [
+            (0x3f63901e05d0cd16, 8153726976, 1, 2359296, [0, 0]),
+            (0x3f61d07726d452de, 8153726976, 0, 0, [0, 0]),
+            (0x3f69e8dd21ff4a30, 8153726976, 3, 7077888, [40, 27]),
+            (0x3f691b9280f1480e, 8153726976, 1, 2359296, [35, 28]),
+        ];
+        let mut pinned = pinned.into_iter();
+        for cfg in [roomy, tight] {
+            let mut hier = HierarchicalScheduler::new(2, 8, ReuseBounds::new(0, 2, 0));
+            for r in [
+                run_cluster_schedule(&mut FlatClusterScheduler::new(), &stream, &cfg),
+                run_cluster_schedule(&mut hier, &stream, &cfg),
+            ] {
+                let r = r.unwrap();
+                let (bits, flops, transfers, bytes, evictions) = pinned.next().unwrap();
+                assert_eq!(
+                    (
+                        r.elapsed_secs.to_bits(),
+                        r.total_flops,
+                        r.inter_transfers,
+                        r.inter_bytes
+                    ),
+                    (bits, flops, transfers, bytes),
+                    "{}",
+                    r.scheduler
+                );
+                assert_eq!(r.evictions_per_node, evictions, "{}", r.scheduler);
+                if cfg == tight {
+                    assert!(r.evictions_per_node.iter().all(|&e| e > 0));
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //! producer-consumer locality the new scheduling currency, layered on top of
 //! the intra-node reuse/balance trade-off.
 //!
-//! One machine serves both passes: [`plan_cluster_schedule`] decides a
-//! [`ClusterPlan`] by stepping a [`SimCluster`], [`run_cluster_schedule`]
-//! returns that same pass's [`ClusterReport`], and
-//! [`execute_cluster_plan`] replays a saved plan on a fresh cluster.
+//! [`run_cluster_schedule`] drives a cluster scheduler over a stream on a
+//! fresh [`SimCluster`] and returns its [`ClusterReport`]. That one pass is
+//! what the `ext_cluster` exhibit, the CLI's `cluster` command and the
+//! `multi_node` example run.
 //!
 //! Two cluster schedulers are provided:
 //!
@@ -30,20 +30,10 @@
 //!   intermediates, gated by a node-level reuse bound) followed by the
 //!   standard intra-node MICCO heuristic on the chosen node.
 
-pub mod analysis;
 pub mod cluster;
 pub mod hierarchical;
-pub mod plan;
-pub mod trace;
 
-pub use analysis::{analyze_cluster_plan, analyze_cluster_plan_with, ClusterAnalysis};
-pub use cluster::{ClusterConfig, ClusterReport, ClusterView, NodeId, SimCluster};
+pub use cluster::{ClusterConfig, ClusterReport, NodeId, SimCluster};
 pub use hierarchical::{
     run_cluster_schedule, ClusterScheduler, FlatClusterScheduler, HierarchicalScheduler,
 };
-pub use plan::{
-    execute_cluster_plan, load_node_plans, persist_node_plans, plan_cluster_schedule,
-    repair_cluster_plan, ClusterAssignment, ClusterError, ClusterPlan, ClusterPlanError,
-    ClusterRepairError,
-};
-pub use trace::{certify_cluster_trace, trace_cluster_plan};

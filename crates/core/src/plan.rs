@@ -666,19 +666,6 @@ impl PlanKey {
     pub fn from_raw(raw: u64) -> PlanKey {
         PlanKey(raw)
     }
-
-    /// Derive a node-qualified key: folds the node name into the key so a
-    /// cluster's per-node projection plans persist under distinct keys in
-    /// one shared store. `with_node("")` still differs from the bare key
-    /// (a length tag is mixed first).
-    pub fn with_node(self, node: &str) -> PlanKey {
-        let mut h = Fnv(self.0);
-        h.mix(node.len() as u64);
-        for b in node.bytes() {
-            h.mix_byte(b);
-        }
-        PlanKey(h.0)
-    }
 }
 
 /// The plan-cache key derivation. [`crate::DurablePlanCache`] is the plan
@@ -995,7 +982,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_key_raw_roundtrip_and_node_qualification() {
+    fn plan_key_raw_roundtrip() {
         let (stream, _) = plan_fixture();
         let cfg = MachineConfig::mi100_like(3);
         let key = PlanCache::key_for_with_topology(
@@ -1006,11 +993,5 @@ mod tests {
             None,
         );
         assert_eq!(PlanKey::from_raw(key.raw()), key);
-        let a = key.with_node("node-a");
-        let b = key.with_node("node-b");
-        assert_ne!(a, b);
-        assert_ne!(a, key);
-        assert_ne!(key.with_node(""), key, "empty node name still qualifies");
-        assert_eq!(key.with_node("node-a"), a, "node qualification is stable");
     }
 }

@@ -463,7 +463,7 @@ mod tests {
             .expect("fits");
         let events = recorder.events();
         // per-device span totals reconstruct the simulator's accounting
-        reconcile_with_stats(&events, &report.stats, 0, 1e-9).expect("spans match stats");
+        reconcile_with_stats(&events, &report.stats, 1e-9).expect("spans match stats");
         // the run span parents the timeline and reports the overheads
         let run_span = events
             .iter()

@@ -28,9 +28,9 @@
 //! Log hits promote the plan into memory, so a request pays the parse
 //! cost at most once per process lifetime. A fresh decision keeps the
 //! simulated statistics of its planning pass beside the plan in memory; a
-//! plan that reaches memory without them (promoted from the log, or
-//! [`DurablePlanCache::persist`]ed) is replayed once under the first
-//! request that asks for it, and the statistics are kept from then on.
+//! plan that reaches memory without them (promoted from the log by
+//! [`DurablePlanCache::lookup`]) is replayed once under the first request
+//! that asks for it, and the statistics are kept from then on.
 //! Statistics are never written to or read from the log: the record format
 //! is the plan text alone.
 //!
@@ -205,6 +205,7 @@ struct Inner {
     plans: FastIdMap<u64, Arc<CachedPlan>>,
     store: PlanStore,
     /// Keys whose decision, promotion or replay runs outside the lock.
+    /// Only the request holding a key's claim writes that key's entry.
     in_flight: FastIdSet<u64>,
     mem_hits: u64,
     log_hits: u64,
@@ -323,9 +324,9 @@ impl DurablePlanCache {
     /// follow [`PlanCache::key_for_with_topology`]. On a miss the
     /// statistics are those of the planning pass, and on a hit the ones
     /// cached beside the plan — replayed once, by the key's flight, when
-    /// the plan reached memory without them (a log hit, or a persisted
-    /// plan). A replay that fails (a persisted plan that does not fit the
-    /// request) caches nothing, so executing the plan surfaces the error.
+    /// the plan reached memory without them (a log hit). A replay that
+    /// fails (a logged plan that does not fit the request) caches nothing,
+    /// so executing the plan surfaces the error.
     pub(crate) fn cached_for(
         &self,
         scheduler: &mut dyn Scheduler,
@@ -348,13 +349,7 @@ impl DurablePlanCache {
                 });
                 flight.land(|inner| {
                     inner.mem_hits += 1;
-                    // the report belongs to the plan it was computed from:
-                    // a plan persisted over the key meanwhile keeps none
-                    if let Some(entry) = inner.plans.get_mut(&key.raw()) {
-                        if Arc::ptr_eq(entry, &old) {
-                            *entry = Arc::clone(&cached);
-                        }
-                    }
+                    inner.plans.insert(key.raw(), Arc::clone(&cached));
                 });
                 return Ok((cached, PlanSource::Memory));
             }
@@ -364,10 +359,7 @@ impl DurablePlanCache {
                     let cached = Arc::new(CachedPlan { plan, stats });
                     flight.land(|inner| {
                         inner.log_hits += 1;
-                        inner
-                            .plans
-                            .entry(key.raw())
-                            .or_insert_with(|| Arc::clone(&cached));
+                        inner.plans.insert(key.raw(), Arc::clone(&cached));
                     });
                     return Ok((cached, PlanSource::Log));
                 }
@@ -451,25 +443,9 @@ impl DurablePlanCache {
         });
         flight.land(|inner| {
             inner.log_hits += 1;
-            inner.plans.entry(key.raw()).or_insert(cached);
+            inner.plans.insert(key.raw(), cached);
         });
         Some(plan)
-    }
-
-    /// Durably persist an externally decided plan under `key` (e.g. a
-    /// cluster node projection under a node-qualified key) and make it
-    /// servable from memory. Log and memory change in one critical
-    /// section, so the last writer of a key wins in both.
-    pub fn persist(&self, key: PlanKey, plan: &SchedulePlan) -> Result<(), DurableError> {
-        let text = plan.to_text();
-        let cached = Arc::new(CachedPlan {
-            plan: plan.clone(),
-            stats: None,
-        });
-        let mut inner = self.lock();
-        inner.store.put(key.raw(), text.as_bytes())?;
-        inner.plans.insert(key.raw(), cached);
-        Ok(())
     }
 
     /// Requests served from the in-memory cache.
@@ -533,8 +509,6 @@ impl DurablePlanCache {
 mod tests {
     use super::*;
     use crate::baselines::RoundRobinScheduler;
-    use crate::bounds::ReuseBounds;
-    use crate::micco::MiccoScheduler;
     use crate::session::Session;
     use micco_gpusim::{ExecError, GpuId, MachineView};
     use micco_workload::{ContractionTask, Vector, WorkloadSpec};
@@ -683,34 +657,8 @@ mod tests {
     }
 
     #[test]
-    fn persist_and_lookup_under_node_qualified_keys() {
-        let dir = tmp_dir("nodes");
-        let (stream, cfg) = fixture();
-        let opts = DriverOptions::default();
-        let base = PlanCache::key_for_with_topology(
-            &RoundRobinScheduler::new(),
-            &stream,
-            &cfg,
-            opts,
-            None,
-        );
-        {
-            let cache = DurablePlanCache::open(&dir).unwrap();
-            let plan = served(&cache, &stream, &cfg, opts);
-            cache.persist(base.with_node("node0"), &plan).unwrap();
-            cache.persist(base.with_node("node1"), &plan).unwrap();
-        }
-        let cache = DurablePlanCache::open(&dir).unwrap();
-        assert!(cache.lookup(base.with_node("node0")).is_some());
-        assert!(cache.lookup(base.with_node("node1")).is_some());
-        assert!(cache.lookup(base.with_node("node2")).is_none());
-        assert_eq!(cache.log_hits(), 2);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn persist_over_a_decided_key_drops_the_old_plans_stats() {
-        let dir = tmp_dir("persist-stats");
+    fn lookup_serves_logged_plans_without_planning() {
+        let dir = tmp_dir("lookup");
         let (stream, cfg) = fixture();
         let opts = DriverOptions::default();
         let key = PlanCache::key_for_with_topology(
@@ -720,31 +668,53 @@ mod tests {
             opts,
             None,
         );
+        let decided = {
+            let cache = DurablePlanCache::open(&dir).unwrap();
+            served(&cache, &stream, &cfg, opts)
+        };
         let cache = DurablePlanCache::open(&dir).unwrap();
-        let (decided, _) = cache
-            .cached_for(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
-            .unwrap();
-        let old_stats = decided
-            .stats
-            .clone()
-            .expect("a miss carries its planning pass's stats");
-        let other = crate::Session::new(cfg)
-            .plan(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
-            .unwrap()
-            .into_plan();
-        cache.persist(key, &other).unwrap();
+        assert_eq!(cache.lookup(key), Some(decided));
+        assert!(cache.lookup(PlanKey::from_raw(key.raw() ^ 1)).is_none());
+        assert_eq!((cache.log_hits(), cache.misses()), (1, 0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_looked_up_plan_is_replayed_once_for_its_stats() {
+        let dir = tmp_dir("lookup-stats");
+        let (stream, cfg) = fixture();
+        let opts = DriverOptions::default();
+        let key = PlanCache::key_for_with_topology(
+            &RoundRobinScheduler::new(),
+            &stream,
+            &cfg,
+            opts,
+            None,
+        );
+        {
+            let cache = DurablePlanCache::open(&dir).unwrap();
+            served(&cache, &stream, &cfg, opts);
+        }
+        let cache = DurablePlanCache::open(&dir).unwrap();
+        let plan = cache.lookup(key).expect("logged");
         assert!(cache.lock().plans[&key.raw()].stats.is_none());
-        // the next request replays the persisted plan once and keeps that
+        // the next planning request replays the promoted plan once and
+        // keeps its statistics from then on
         let (served, source) = cache
             .cached_for(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
             .unwrap();
-        assert_eq!(served.plan, other);
-        assert_eq!(source, PlanSource::Memory);
-        let replayed = crate::Session::new(cfg).replay(&other, &stream).unwrap();
+        assert_eq!((&served.plan, source), (&plan, PlanSource::Memory));
+        let replayed = Session::new(cfg).replay(&plan, &stream).unwrap();
         assert_eq!(served.stats.as_ref(), Some(&replayed.stats));
-        assert_ne!(served.stats.as_ref(), Some(&old_stats));
         assert!(Arc::ptr_eq(&cache.lock().plans[&key.raw()], &served));
-        assert_eq!((cache.misses(), cache.mem_hits()), (1, 1));
+        let (again, _) = cache
+            .cached_for(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, None)
+            .unwrap();
+        assert!(Arc::ptr_eq(&again, &served));
+        assert_eq!(
+            (cache.log_hits(), cache.mem_hits(), cache.misses()),
+            (1, 2, 0)
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

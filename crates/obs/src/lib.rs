@@ -11,7 +11,7 @@
 //! ```text
 //!  SimMachine ──ExecObserver hooks──▶ SpanObserver ─┐
 //!  micco-exec workers ──wall-clock records──────────┼─▶ TraceSink (Recorder)
-//!  Session / cluster projection ──run, stage spans──┘        │
+//!  Session ──run spans──────────────────────────────┘        │
 //!                                                  ┌─────────┴─────────┐
 //!                                            MetricsRegistry    to_perfetto_json
 //! ```
@@ -45,7 +45,7 @@
 //!     machine.barrier();
 //! }
 //! // per-device span totals reconstruct the simulator's accounting
-//! reconcile_with_stats(&recorder.events(), machine.stats(), 0, 1e-9).unwrap();
+//! reconcile_with_stats(&recorder.events(), machine.stats(), 1e-9).unwrap();
 //! let json = recorder.to_perfetto_json();
 //! assert!(json.contains("\"traceEvents\""));
 //! ```

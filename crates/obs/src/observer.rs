@@ -22,22 +22,16 @@ pub const SECS_TO_US: f64 = 1e6;
 /// on the sink as a compute-track span (plus a copy-track span for its
 /// staging), stages appear as control spans, D2D transfers as flow
 /// arrows, and counters/gauges accumulate in the [`MetricsRegistry`].
-///
-/// For multi-node projections, give each node's observer a distinct
-/// `pid_base` (e.g. `node × gpus_per_node`) and a label prefix so device
-/// processes stay distinguishable in one merged timeline.
+/// Device `g` is trace process `g`.
 pub struct SpanObserver {
     sink: Arc<dyn TraceSink>,
     metrics: Arc<MetricsRegistry>,
-    pid_base: u32,
-    label_prefix: String,
     /// Latest absolute device time seen per local gpu index (µs) — the
     /// anchor for instants and flow endpoints, which fire between timed
     /// hooks.
     dev_time_us: Vec<f64>,
     labeled: HashSet<u32>,
     next_flow: u64,
-    emit_stage_spans: bool,
     /// The task whose timed spans are currently being emitted, set by the
     /// `kernel` hook and cleared at `task_done`. Staging-side hooks
     /// (source charges, prefetch copies) fire *before* `kernel`, so only
@@ -47,40 +41,22 @@ pub struct SpanObserver {
 }
 
 impl SpanObserver {
-    /// Observer writing to `sink` with device pids starting at 0.
+    /// Observer writing to `sink`.
     pub fn new(sink: Arc<dyn TraceSink>) -> Self {
         SpanObserver {
             sink,
             metrics: Arc::new(MetricsRegistry::new()),
-            pid_base: 0,
-            label_prefix: String::new(),
             dev_time_us: Vec::new(),
             labeled: HashSet::new(),
             next_flow: 0,
-            emit_stage_spans: true,
             current: None,
         }
-    }
-
-    /// Offset device pids by `base` and prefix their process labels (for
-    /// per-node projections of a cluster run).
-    pub fn with_pid_base(mut self, base: u32, label_prefix: &str) -> Self {
-        self.pid_base = base;
-        self.label_prefix = label_prefix.to_owned();
-        self
     }
 
     /// Share an existing metrics registry instead of the observer's own
     /// (so several observers — or the real executor — aggregate into one).
     pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
         self.metrics = metrics;
-        self
-    }
-
-    /// Suppress the control-process stage spans (used when several node
-    /// observers share one sink and the caller emits stages itself).
-    pub fn without_stage_spans(mut self) -> Self {
-        self.emit_stage_spans = false;
         self
     }
 
@@ -91,7 +67,7 @@ impl SpanObserver {
     }
 
     fn pid(&self, gpu: GpuId) -> u32 {
-        self.pid_base + gpu.0 as u32
+        gpu.0 as u32
     }
 
     fn ensure_labeled(&mut self, gpu: GpuId) {
@@ -99,7 +75,7 @@ impl SpanObserver {
         if self.labeled.insert(pid) {
             self.sink.record(TraceEvent::ProcessLabel {
                 pid,
-                label: format!("{}{gpu}", self.label_prefix),
+                label: gpu.to_string(),
             });
         }
     }
@@ -150,7 +126,7 @@ impl ExecObserver for SpanObserver {
         self.metrics.add("d2d_bytes", bytes);
         self.ensure_labeled(src);
         self.ensure_labeled(dst);
-        let id = (u64::from(self.pid_base) << 32) | self.next_flow;
+        let id = self.next_flow;
         self.next_flow += 1;
         let from_ts = self.now_us(src);
         // per-device clocks drift within a stage, but a flow is a
@@ -285,13 +261,13 @@ impl ExecObserver for SpanObserver {
         if self.labeled.insert(pid) {
             self.sink.record(TraceEvent::ProcessLabel {
                 pid,
-                label: format!("{}link{link} {class} g{a}-g{b}", self.label_prefix),
+                label: format!("link{link} {class} g{a}-g{b}"),
             });
         }
         // Hops for one routed transfer fire just before its `d2d` flow is
         // recorded, so the id the *next* flow will take ties every hop
         // span to the transfer that caused it.
-        let flow = (u64::from(self.pid_base) << 32) | self.next_flow;
+        let flow = self.next_flow;
         self.sink.record(TraceEvent::Span {
             pid,
             track: Track::Link,
@@ -308,9 +284,6 @@ impl ExecObserver for SpanObserver {
 
     fn stage_done(&mut self, stage: usize, start: f64, end: f64) {
         self.metrics.inc("stages");
-        if !self.emit_stage_spans {
-            return;
-        }
         self.sink.record(TraceEvent::Span {
             pid: CONTROL_PID,
             track: Track::Control,
@@ -361,7 +334,7 @@ mod tests {
         for async_copy in [false, true] {
             let (recorder, stats) = run_traced(async_copy);
             let events = recorder.events();
-            reconcile_with_stats(&events, &stats, 0, 1e-9)
+            reconcile_with_stats(&events, &stats, 1e-9)
                 .unwrap_or_else(|e| panic!("async={async_copy}: {e}"));
             // control process carries one span per stage
             let totals = span_track_totals(&events);
@@ -443,21 +416,6 @@ mod tests {
         let total_busy: f64 = machine.link_busy_secs().iter().sum();
         assert!((total_span - total_busy).abs() < 1e-9);
         // device spans still reconcile with stats despite the extra lanes
-        reconcile_with_stats(&events, machine.stats(), 0, 1e-9).unwrap();
-    }
-
-    #[test]
-    fn pid_base_offsets_processes() {
-        let recorder = Recorder::shared();
-        let mut obs = SpanObserver::new(recorder.clone()).with_pid_base(8, "node2/");
-        obs.kernel_timed(GpuId(1), TaskId(0), 0.0, 1.0);
-        let events = recorder.events();
-        assert!(events.iter().any(|e| matches!(
-            e,
-            TraceEvent::ProcessLabel { pid: 9, label } if label == "node2/gpu1"
-        )));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Span { pid: 9, .. })));
+        reconcile_with_stats(&events, machine.stats(), 1e-9).unwrap();
     }
 }

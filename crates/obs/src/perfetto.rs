@@ -191,18 +191,17 @@ pub fn span_track_totals(events: &[TraceEvent]) -> BTreeMap<(u32, Track), f64> {
 
 /// Check that the timeline's per-device span totals reconstruct the
 /// simulator's accounting: for each device `g`, the compute-track spans of
-/// pid `pid_base + g` must sum to `stats.per_gpu[g].compute_secs` and the
+/// pid `g` must sum to `stats.per_gpu[g].compute_secs` and the
 /// copy-track spans to `stats.per_gpu[g].memory_secs`, within `tol`
 /// seconds. Returns a description of the first mismatch.
 pub fn reconcile_with_stats(
     events: &[TraceEvent],
     stats: &ExecStats,
-    pid_base: u32,
     tol: f64,
 ) -> Result<(), String> {
     let totals = span_track_totals(events);
     for (g, s) in stats.per_gpu.iter().enumerate() {
-        let pid = pid_base + g as u32;
+        let pid = g as u32;
         let compute = totals.get(&(pid, Track::Compute)).copied().unwrap_or(0.0);
         let copy = totals.get(&(pid, Track::Copy)).copied().unwrap_or(0.0);
         if (compute - s.compute_secs).abs() > tol {
@@ -306,9 +305,9 @@ mod tests {
         stats.per_gpu[0].compute_secs = 1.0;
         stats.per_gpu[0].memory_secs = 0.0;
         let good = vec![span(0, Track::Compute, "t", 0.0, 1e6)];
-        assert!(reconcile_with_stats(&good, &stats, 0, 1e-9).is_ok());
+        assert!(reconcile_with_stats(&good, &stats, 1e-9).is_ok());
         let bad = vec![span(0, Track::Compute, "t", 0.0, 2e6)];
-        let err = reconcile_with_stats(&bad, &stats, 0, 1e-9).unwrap_err();
+        let err = reconcile_with_stats(&bad, &stats, 1e-9).unwrap_err();
         assert!(err.contains("compute spans"), "{err}");
     }
 }

@@ -106,8 +106,8 @@ pub use micco_workload as workload;
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
     pub use micco_analysis::{
-        analyze_plan, analyze_plan_with, analyze_plan_with_topology, AnalysisConfig,
-        Code as LintCode, Report as LintReport, Severity as LintSeverity,
+        analyze_plan, analyze_plan_with, AnalysisConfig, Code as LintCode, Report as LintReport,
+        Severity as LintSeverity,
     };
     pub use micco_core::{
         execute_plan, Assignment, DriverOptions, DurablePlanCache, GrouteScheduler, MiccoScheduler,

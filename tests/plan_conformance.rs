@@ -21,6 +21,7 @@ use micco::sched::{
     MiccoScheduler, PlanCache, PlanError, PlanSource, ReuseBounds, RoundRobinScheduler,
     ScheduleError, ScheduleReport, Scheduler, Session,
 };
+use micco::store::PlanStore;
 use micco::workload::{
     ContractionTask, RepeatDistribution, TensorPairStream, Vector, WorkloadSpec,
 };
@@ -389,19 +390,19 @@ fn a_plan_persisted_under_the_wrong_key_fails_validation_and_returns_no_result()
         "{err:?}"
     );
     let dir = temp_store_dir("wrong-key");
-    for reopen in [false, true] {
-        let cache = DurablePlanCache::open(&dir).expect("store opens");
-        if !reopen {
-            // a fresh decision first, so the key held a report before
-            session
-                .plan_with_cache(&cache, &mut RoundRobinScheduler::new(), &a)
-                .expect("plans");
-            cache.persist(key_a, &for_b).expect("persists");
-        }
-        // from memory, then (reopened) from the log
+    // b's plan logged under a's key, as a store written by another
+    // request shape would hold it
+    PlanStore::open(&dir)
+        .expect("store opens")
+        .put(key_a.raw(), for_b.to_text().as_bytes())
+        .expect("writes");
+    let cache = DurablePlanCache::open(&dir).expect("store opens");
+    // first from the log, then from memory
+    for level in [PlanSource::Log, PlanSource::Memory] {
         let planned = session
             .plan_with_cache(&cache, &mut RoundRobinScheduler::new(), &a)
             .expect("served");
+        assert_eq!(planned.source(), level);
         assert_eq!(planned.plan(), &for_b);
         assert_eq!(
             planned.simulated_stats(),

@@ -123,7 +123,7 @@ fn sim_session_spans_reconcile_with_gpu_stats() {
         let events = recorder.events();
         // the acceptance criterion: per-GPU compute/copy span sums equal
         // the simulator's busy/copy totals
-        reconcile_with_stats(&events, &report.stats, 0, 1e-9)
+        reconcile_with_stats(&events, &report.stats, 1e-9)
             .unwrap_or_else(|e| panic!("overlap={overlap}: {e}"));
         // and the run span covers the report's elapsed time
         let (start, end) = run_span(&events);

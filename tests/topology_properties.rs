@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 
-use micco::analysis::{analyze_plan_with, analyze_plan_with_topology, AnalysisConfig};
+use micco::analysis::{analyze_plan_with, AnalysisConfig};
 use micco::analysis::{Code, Severity};
 use micco::gpusim::GpuId;
 use micco::gpusim::{LinkSpec, LinkTopology, MachineConfig, SimMachine};
@@ -162,9 +162,9 @@ proptest! {
         };
         let plan = planned.into_plan();
         let acfg = AnalysisConfig::default();
-        let with_topo = analyze_plan_with_topology(&plan, &stream, &cfg, &acfg, Some(&topo));
+        let with_topo = analyze_plan_with(&plan, &stream, &cfg, &acfg, Some(&topo));
         prop_assert!(!with_topo.has(Code::CrossIslandTransfer), "{}", with_topo.render_text());
-        let flat = analyze_plan_with(&plan, &stream, &cfg, &acfg);
+        let flat = analyze_plan_with(&plan, &stream, &cfg, &acfg, None);
         prop_assert_eq!(flat, with_topo);
     }
 
@@ -202,7 +202,7 @@ proptest! {
             "planned and executed timelines must agree bit-for-bit"
         );
         let acfg = AnalysisConfig::default();
-        let lint = analyze_plan_with_topology(&plan, &stream, &cfg, &acfg, Some(&topo));
+        let lint = analyze_plan_with(&plan, &stream, &cfg, &acfg, Some(&topo));
         prop_assert!(!lint.denies(Severity::Error), "{}", lint.render_text());
     }
 }
