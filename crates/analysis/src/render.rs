@@ -9,20 +9,10 @@
 
 use crate::diag::{Code, Diagnostic, Report};
 
-/// Escape a string for embedding in a JSON string literal.
-fn esc(s: &str) -> String {
+/// `s` as a JSON string literal (with the quotes).
+fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    micco_obs::json::write_string(s, &mut out);
     out
 }
 
@@ -30,7 +20,7 @@ fn payload_object(d: &Diagnostic) -> String {
     let fields: Vec<String> = d
         .payload
         .iter()
-        .map(|(k, v)| format!("\"{}\":\"{}\"", esc(k), esc(v)))
+        .map(|(k, v)| format!("{}:{}", json_string(k), json_string(v)))
         .collect();
     format!("{{{}}}", fields.join(","))
 }
@@ -61,7 +51,7 @@ impl Report {
             if let Some(l) = d.line {
                 fields.push(format!("\"line\":{l}"));
             }
-            fields.push(format!("\"message\":\"{}\"", esc(&d.message)));
+            fields.push(format!("\"message\":{}", json_string(&d.message)));
             fields.push(format!("\"payload\":{}", payload_object(d)));
             diags.push(format!("{{{}}}", fields.join(",")));
         }
@@ -82,10 +72,10 @@ impl Report {
             .iter()
             .map(|c| {
                 format!(
-                    "{{\"id\":\"{}\",\"name\":\"{}\",\"shortDescription\":{{\"text\":\"{}\"}},\"defaultConfiguration\":{{\"level\":\"{}\"}}}}",
+                    "{{\"id\":\"{}\",\"name\":\"{}\",\"shortDescription\":{{\"text\":{}}},\"defaultConfiguration\":{{\"level\":\"{}\"}}}}",
                     c.id(),
                     c.slug(),
-                    esc(c.summary()),
+                    json_string(c.summary()),
                     c.severity().sarif_level()
                 )
             })
@@ -104,12 +94,12 @@ impl Report {
                     format!("\"ruleId\":\"{}\"", d.code.id()),
                     format!("\"ruleIndex\":{}", rule_index(d.code)),
                     format!("\"level\":\"{}\"", d.severity().sarif_level()),
-                    format!("\"message\":{{\"text\":\"{}\"}}", esc(&d.message)),
+                    format!("\"message\":{{\"text\":{}}}", json_string(&d.message)),
                 ];
                 if let Some(line) = d.line {
                     fields.push(format!(
-                        "\"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":\"{}\"}},\"region\":{{\"startLine\":{line}}}}}}}]",
-                        esc(artifact)
+                        "\"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":{}}},\"region\":{{\"startLine\":{line}}}}}}}]",
+                        json_string(artifact)
                     ));
                 }
                 let mut props = Vec::new();

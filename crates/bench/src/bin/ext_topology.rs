@@ -20,7 +20,7 @@ use micco_core::{
     execute_plan, CodaScheduler, DriverOptions, GrouteScheduler, MiccoScheduler, ReuseBounds,
     RoundRobinScheduler, Scheduler, Session,
 };
-use micco_gpusim::{LinkSpec, LinkTopology, MachineConfig, SimMachine};
+use micco_gpusim::{LinkTopology, MachineConfig, SimMachine};
 use micco_workload::{RepeatDistribution, TensorPairStream, WorkloadSpec};
 
 const GPUS: usize = 8;
@@ -121,9 +121,10 @@ fn main() {
     let mut points = Vec::new();
     for island in [2usize, 4] {
         for pcie_gib_s in [64.0f64, 16.0, 4.0] {
-            let topo = LinkTopology::nvlink(GPUS, island)
-                .with_nvlink(LinkSpec::new(NV_GIB_S, 1.0))
-                .with_pcie(LinkSpec::new(pcie_gib_s, 3.0));
+            let topo = LinkTopology::parse(&format!(
+                "nvlink{{gpus:{GPUS}, island:{island}, nv:{NV_GIB_S}@1, pcie:{pcie_gib_s}@3}}"
+            ))
+            .expect("valid spec");
             for mut sched in schedulers() {
                 for (mode, opts) in [
                     ("routed", DriverOptions::default()),

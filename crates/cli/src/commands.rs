@@ -75,8 +75,6 @@ or --config FILE in their place:
               --trace-out FILE / --trace-raw FILE as in execute
   redstar     a Table VI correlator preset on the configured machine
               --preset al_rhopi|f0d2|f0d4|nucleon_pipi|kk_pipi --scale paper|ci
-  cluster     multi-node run (flat vs hierarchical) of the configured
-              workload and bounds: --nodes N --gpus-per-node N
   load        open-loop load generator against a running daemon; every job
               submits the request (its seed also seeds the arrival clocks)
               --addr HOST:PORT --duration SECS --drain SECS --jobs-per-sec F
@@ -85,6 +83,10 @@ or --config FILE in their place:
               per-tenant p50/p99 latency and jobs/sec
 
 other commands:
+  cluster     multi-node run (flat vs hierarchical) --nodes N
+              --gpus-per-node N; reads only the workload flags
+              (--vector-size ... --dims, --save/--load FILE) and
+              --bounds A,B,C of the request flags below
   serve       run the multi-tenant scheduling daemon (JSON over HTTP)
               --addr HOST:PORT (default 127.0.0.1:7070, port 0 = ephemeral)
               --pool-gpus N --max-queue N --mem-headroom F
@@ -197,7 +199,13 @@ fn grammar(name: &str) -> Option<Grammar> {
         "replay" => g(replay, true, "load save plan times", ""),
         "exec" => g(exec, true, "load save trace-out trace-raw", ""),
         "redstar" => g(redstar, true, "preset scale", ""),
-        "cluster" => g(cluster, true, "load save nodes gpus-per-node", ""),
+        "cluster" => g(
+            cluster,
+            false,
+            "load save nodes gpus-per-node vector-size tensor-size rate dist vectors seed \
+             batch dims bounds",
+            "",
+        ),
         "load" => g(
             load_cmd,
             true,
@@ -837,7 +845,7 @@ fn cluster(args: &Args) -> Result<(), String> {
     let cluster = ClusterConfig::mi100_cluster(nodes, gpus);
     let flat = run_cluster_schedule(&mut FlatClusterScheduler::new(), &stream, &cluster)
         .map_err(|e| e.to_string())?;
-    let mut hier = HierarchicalScheduler::new(nodes, 16, ReuseBounds::from(cfg.bounds));
+    let mut hier = HierarchicalScheduler::new(16, ReuseBounds::from(cfg.bounds));
     let h = run_cluster_schedule(&mut hier, &stream, &cluster).map_err(|e| e.to_string())?;
     for r in [&flat, &h] {
         println!(
@@ -1883,6 +1891,13 @@ mod tests {
         assert!(err.contains("--gpus"), "{err}");
         let err = run("info --verbose").unwrap_err();
         assert!(err.contains("--verbose"), "{err}");
+        // `cluster` reads the workload and bounds, not machine or scheduler flags
+        let cluster = "cluster --nodes 2 --gpus-per-node 2 --vectors 2";
+        for flag in ["--gpus 3", "--scheduler groute", "--overlap"] {
+            let err = run(&format!("{cluster} {flag}")).unwrap_err();
+            let name = flag.split(' ').next().unwrap();
+            assert_eq!(err, format!("unknown flag {name}"));
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::collections::HashSet;
 
 use micco_gpusim::{ExecError, GpuId, LinkSpec, MachineConfig, MachineView, SimMachine};
-use micco_workload::{ContractionTask, TensorId, TensorPairStream};
+use micco_workload::{ContractionTask, TensorId};
 
 /// Index of a node within the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -44,11 +44,6 @@ impl ClusterConfig {
     /// The inter-node interconnect as a typed link spec.
     pub fn interconnect(&self) -> LinkSpec {
         LinkSpec::new(self.inter_gib_s, self.inter_latency_us)
-    }
-
-    /// Total GPUs in the cluster.
-    pub fn total_gpus(&self) -> usize {
-        self.nodes * self.node.num_gpus
     }
 
     /// Seconds for an inter-node transfer of `bytes` (network only; the
@@ -137,11 +132,6 @@ impl SimCluster {
         }
     }
 
-    /// The cluster's configuration.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.config
-    }
-
     /// Inter-node transfers so far.
     pub fn inter_transfers(&self) -> u64 {
         self.inter_transfers
@@ -150,11 +140,6 @@ impl SimCluster {
     /// Inter-node bytes moved so far.
     pub fn inter_bytes(&self) -> u64 {
         self.inter_bytes
-    }
-
-    /// Elapsed seconds up to the last barrier.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.elapsed
     }
 
     /// Number of nodes.
@@ -231,15 +216,6 @@ impl SimCluster {
         self.elapsed = end;
     }
 
-    /// Validate a workload fits the per-node machines.
-    pub fn fits(&self, stream: &TensorPairStream) -> bool {
-        stream
-            .vectors()
-            .iter()
-            .flat_map(|v| v.tasks.iter())
-            .all(|t| t.a.bytes + t.b.bytes + t.out.bytes <= self.config.node.mem_bytes)
-    }
-
     /// Build the final report.
     pub fn report(&self, scheduler: String) -> ClusterReport {
         ClusterReport {
@@ -290,7 +266,6 @@ mod tests {
     #[test]
     fn config_totals() {
         let c = ClusterConfig::mi100_cluster(4, 2);
-        assert_eq!(c.total_gpus(), 8);
         assert!(c.inter_secs(1 << 30) > 0.04); // ≥ bytes/bandwidth
     }
 
@@ -366,20 +341,5 @@ mod tests {
         assert!(r.gflops() > 0.0);
         assert_eq!(r.evictions_per_node, vec![0, 0]);
         assert_eq!(r.scheduler, "agg");
-    }
-
-    #[test]
-    fn fits_checks_per_node_memory() {
-        let small = SimCluster::new(ClusterConfig {
-            nodes: 1,
-            node: MachineConfig::mi100_like(1).with_mem_bytes(MB),
-            inter_gib_s: 10.0,
-            inter_latency_us: 1.0,
-        });
-        let stream = micco_workload::TensorPairStream::new(vec![micco_workload::Vector::new(
-            vec![task(0, 1, 2, 100)],
-        )]);
-        assert!(!small.fits(&stream));
-        assert!(cluster(1, 1).fits(&stream));
     }
 }

@@ -60,6 +60,9 @@ impl ClusterScheduler for FlatClusterScheduler {
 /// then the standard intra-node MICCO heuristic on the chosen node.
 pub struct HierarchicalScheduler {
     node_bound: usize,
+    intra_bounds: ReuseBounds,
+    /// One intra-node MICCO per node of the cluster being scheduled,
+    /// built at its first vector.
     intra: Vec<MiccoScheduler>,
     /// Tensor slots assigned per node in the current vector.
     node_slots: Vec<usize>,
@@ -69,14 +72,13 @@ pub struct HierarchicalScheduler {
 impl HierarchicalScheduler {
     /// Build with a node-level reuse bound (slots a node may exceed its
     /// balanced share by when chasing intermediate locality) and intra-node
-    /// MICCO bounds.
-    pub fn new(nodes: usize, node_bound: usize, intra_bounds: ReuseBounds) -> Self {
+    /// MICCO bounds. The node count comes from the cluster it schedules.
+    pub fn new(node_bound: usize, intra_bounds: ReuseBounds) -> Self {
         HierarchicalScheduler {
             node_bound,
-            intra: (0..nodes)
-                .map(|i| MiccoScheduler::new(intra_bounds).with_seed(0xC1_0500 + i as u64))
-                .collect(),
-            node_slots: vec![0; nodes],
+            intra_bounds,
+            intra: Vec::new(),
+            node_slots: Vec::new(),
             node_balance: 1,
         }
     }
@@ -88,14 +90,18 @@ impl ClusterScheduler for HierarchicalScheduler {
     }
 
     fn begin_vector(&mut self, vector: &Vector, cluster: &SimCluster) {
+        let nodes = cluster.num_nodes();
+        if self.intra.len() != nodes {
+            self.intra = (0..nodes)
+                .map(|i| MiccoScheduler::new(self.intra_bounds).with_seed(0xC1_0500 + i as u64))
+                .collect();
+        }
         for (i, s) in self.intra.iter_mut().enumerate() {
             s.begin_vector(vector, cluster.node(NodeId(i)));
         }
-        self.node_slots.iter_mut().for_each(|s| *s = 0);
-        self.node_balance = vector
-            .tensor_slots()
-            .div_ceil(cluster.num_nodes().max(1))
-            .max(1);
+        self.node_slots.clear();
+        self.node_slots.resize(nodes, 0);
+        self.node_balance = vector.tensor_slots().div_ceil(nodes.max(1)).max(1);
     }
 
     fn assign(&mut self, task: &ContractionTask, cluster: &SimCluster) -> (NodeId, GpuId) {
@@ -218,7 +224,7 @@ mod tests {
         let stream = chained_stream();
         let cfg = ClusterConfig::mi100_cluster(2, 4);
         let flat = run_cluster_schedule(&mut FlatClusterScheduler::new(), &stream, &cfg).unwrap();
-        let mut hier = HierarchicalScheduler::new(2, 8, ReuseBounds::new(0, 2, 0));
+        let mut hier = HierarchicalScheduler::new(8, ReuseBounds::new(0, 2, 0));
         let h = run_cluster_schedule(&mut hier, &stream, &cfg).unwrap();
         assert!(
             h.inter_transfers < flat.inter_transfers,
@@ -241,9 +247,22 @@ mod tests {
     fn single_node_cluster_matches_flat_semantics() {
         let stream = chained_stream();
         let cfg = ClusterConfig::mi100_cluster(1, 4);
-        let mut hier = HierarchicalScheduler::new(1, 4, ReuseBounds::new(0, 2, 0));
+        let mut hier = HierarchicalScheduler::new(4, ReuseBounds::new(0, 2, 0));
         let r = run_cluster_schedule(&mut hier, &stream, &cfg).unwrap();
         assert_eq!(r.inter_transfers, 0, "one node, no network");
+    }
+
+    #[test]
+    fn the_node_count_comes_from_the_cluster() {
+        // one scheduler value, sized by each cluster it is run on
+        let stream = chained_stream();
+        let mut hier = HierarchicalScheduler::new(8, ReuseBounds::new(0, 2, 0));
+        for nodes in [3, 2] {
+            let cfg = ClusterConfig::mi100_cluster(nodes, 2);
+            let r = run_cluster_schedule(&mut hier, &stream, &cfg).unwrap();
+            assert_eq!(r.total_flops, stream.total_flops(), "{nodes} nodes");
+            assert_eq!(r.evictions_per_node.len(), nodes);
+        }
     }
 
     #[test]
@@ -270,7 +289,7 @@ mod tests {
         ];
         let mut pinned = pinned.into_iter();
         for cfg in [roomy, tight] {
-            let mut hier = HierarchicalScheduler::new(2, 8, ReuseBounds::new(0, 2, 0));
+            let mut hier = HierarchicalScheduler::new(8, ReuseBounds::new(0, 2, 0));
             for r in [
                 run_cluster_schedule(&mut FlatClusterScheduler::new(), &stream, &cfg),
                 run_cluster_schedule(&mut hier, &stream, &cfg),
@@ -299,7 +318,7 @@ mod tests {
     #[test]
     fn names() {
         assert_eq!(FlatClusterScheduler::new().name(), "flat-groute");
-        let h = HierarchicalScheduler::new(2, 4, ReuseBounds::naive());
+        let h = HierarchicalScheduler::new(4, ReuseBounds::naive());
         assert!(h.name().contains("hierarchical"));
     }
 }

@@ -56,7 +56,7 @@ proptest! {
         let stream = chained(&s.generate());
         let cfg = ClusterConfig::mi100_cluster(nodes, 2);
         let flat = run_cluster_schedule(&mut FlatClusterScheduler::new(), &stream, &cfg).unwrap();
-        let mut hier = HierarchicalScheduler::new(nodes, 8, ReuseBounds::new(0, 2, 0));
+        let mut hier = HierarchicalScheduler::new(8, ReuseBounds::new(0, 2, 0));
         let h = run_cluster_schedule(&mut hier, &stream, &cfg).unwrap();
         prop_assert_eq!(flat.total_flops, stream.total_flops());
         prop_assert_eq!(h.total_flops, stream.total_flops());
@@ -78,7 +78,7 @@ proptest! {
         let stream = chained(&s.generate());
         let cfg = ClusterConfig::mi100_cluster(2, 2);
         let run = || {
-            let mut hier = HierarchicalScheduler::new(2, 8, ReuseBounds::new(0, 2, 0));
+            let mut hier = HierarchicalScheduler::new(8, ReuseBounds::new(0, 2, 0));
             let r = run_cluster_schedule(&mut hier, &stream, &cfg).unwrap();
             (r.elapsed_secs.to_bits(), r.inter_transfers)
         };
@@ -91,7 +91,7 @@ proptest! {
         let stream = s.generate();
         let cfg = ClusterConfig::mi100_cluster(nodes, gpus);
         let cluster = micco_cluster::SimCluster::new(cfg);
-        let mut sched = HierarchicalScheduler::new(nodes, 4, ReuseBounds::naive());
+        let mut sched = HierarchicalScheduler::new(4, ReuseBounds::naive());
         for v in stream.vectors() {
             sched.begin_vector(v, &cluster);
             for t in &v.tasks {

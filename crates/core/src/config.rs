@@ -92,7 +92,8 @@ pub struct SessionConfig {
     /// Simulated GPU count.
     pub gpus: usize,
     /// Memory oversubscription factor (0 = off): per-GPU memory is sized
-    /// to `working_set * oversub / gpus`.
+    /// to `working_set / oversub / gpus`, so the working set is `oversub`
+    /// times the aggregate memory (`2` halves it).
     pub oversub: f64,
     // -- scheduler --
     /// Scheduler name: `micco` | `micco-naive` | `groute` | `coda` | `rr`.

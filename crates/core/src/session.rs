@@ -496,8 +496,7 @@ mod tests {
         let flat = Session::new(cfg)
             .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
             .expect("fits");
-        let one_island =
-            LinkTopology::nvlink(4, 4).with_nvlink(micco_gpusim::LinkSpec::new(25.0, 10.0));
+        let one_island = LinkTopology::parse("nvlink{gpus:4, island:4, nv:25@10}").expect("spec");
         let routed = Session::new(cfg)
             .with_topology(one_island)
             .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)

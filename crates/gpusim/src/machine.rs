@@ -2266,12 +2266,11 @@ mod tests {
     /// the default-off topology path rests on.
     #[test]
     fn single_island_topology_matches_flat_bit_for_bit() {
-        use crate::topology::{LinkSpec, LinkTopology};
+        use crate::topology::LinkTopology;
         let cfg = MachineConfig::mi100_like(4);
-        let topo = LinkTopology::nvlink(4, 4).with_nvlink(LinkSpec::new(
-            cfg.cost.d2d_gib_s,
-            cfg.cost.transfer_latency_us,
-        ));
+        let (bw, lat) = (cfg.cost.d2d_gib_s, cfg.cost.transfer_latency_us);
+        let topo = LinkTopology::parse(&format!("nvlink{{gpus:4, island:4, nv:{bw}@{lat}}}"))
+            .expect("valid spec");
         let stream = WorkloadSpec::new(16, 128)
             .with_repeat_rate(0.7)
             .with_vectors(3)
@@ -2298,15 +2297,14 @@ mod tests {
     /// Cross-island peer copies are routed, charged per hop, and counted.
     #[test]
     fn topology_routes_charge_links_and_count_crossings() {
-        use crate::topology::{LinkSpec, LinkTopology};
+        use crate::topology::LinkTopology;
         let cfg = MachineConfig::mi100_like(4);
         // 2 islands of 2; PCIe much slower than the flat d2d charge
-        let topo = LinkTopology::nvlink(4, 2)
-            .with_nvlink(LinkSpec::new(
-                cfg.cost.d2d_gib_s,
-                cfg.cost.transfer_latency_us,
-            ))
-            .with_pcie(LinkSpec::new(4.0, 10.0));
+        let (bw, lat) = (cfg.cost.d2d_gib_s, cfg.cost.transfer_latency_us);
+        let topo = LinkTopology::parse(&format!(
+            "nvlink{{gpus:4, island:2, nv:{bw}@{lat}, pcie:4@10}}"
+        ))
+        .expect("valid spec");
         let bytes = 1u64 << 28;
         let run = |topo: Option<LinkTopology>, dst: usize| {
             let mut m = SimMachine::new(cfg);

@@ -175,44 +175,6 @@ impl LinkTopology {
         t
     }
 
-    /// Group islands into nodes of `node_size` consecutive gpu ids
-    /// (inter-node traffic crosses IB).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `node_size` is not a positive multiple of the island
-    /// size.
-    pub fn with_node_size(mut self, node_size: usize) -> Self {
-        assert!(
-            node_size >= self.island_size && node_size.is_multiple_of(self.island_size),
-            "node size must be a positive multiple of the island size"
-        );
-        self.node_size = node_size;
-        self.rebuild();
-        self
-    }
-
-    /// Override the NVLink class parameters.
-    pub fn with_nvlink(mut self, spec: LinkSpec) -> Self {
-        self.nv = spec;
-        self.rebuild();
-        self
-    }
-
-    /// Override the PCIe class parameters.
-    pub fn with_pcie(mut self, spec: LinkSpec) -> Self {
-        self.pcie = spec;
-        self.rebuild();
-        self
-    }
-
-    /// Override the IB class parameters.
-    pub fn with_ib(mut self, spec: LinkSpec) -> Self {
-        self.ib = spec;
-        self.rebuild();
-        self
-    }
-
     /// Number of devices the topology covers.
     pub fn num_gpus(&self) -> usize {
         self.num_gpus
@@ -582,8 +544,9 @@ mod tests {
     #[test]
     fn flat_single_island_matches_d2d_cost_bit_for_bit() {
         let cost = crate::CostModel::mi100_like();
-        let topo = LinkTopology::nvlink(4, 4)
-            .with_nvlink(LinkSpec::new(cost.d2d_gib_s, cost.transfer_latency_us));
+        let (bw, lat) = (cost.d2d_gib_s, cost.transfer_latency_us);
+        let topo = LinkTopology::parse(&format!("nvlink{{gpus:4, island:4, nv:{bw}@{lat}}}"))
+            .expect("valid spec");
         for bytes in [0u64, 1, 1 << 10, 1 << 20, (1 << 30) + 7] {
             for (a, b) in [(0usize, 1usize), (2, 3), (3, 0)] {
                 assert_eq!(
@@ -597,7 +560,7 @@ mod tests {
 
     #[test]
     fn hierarchy_routes_through_leaders() {
-        let topo = LinkTopology::nvlink(8, 2).with_node_size(4);
+        let topo = LinkTopology::parse("nvlink{gpus:8, island:2, node:4}").expect("valid spec");
         // same island: one NVLink hop
         assert_eq!(topo.route(0, 1).len(), 1);
         assert_eq!(topo.link(topo.route(0, 1)[0]).class, LinkClass::NvLink);
@@ -625,7 +588,7 @@ mod tests {
 
     #[test]
     fn routes_are_symmetric_and_triangle_holds() {
-        let topo = LinkTopology::nvlink(8, 2).with_node_size(4);
+        let topo = LinkTopology::parse("nvlink{gpus:8, island:2, node:4}").expect("valid spec");
         let bytes = (1u64 << 26) + 3;
         for a in 0..8 {
             for b in 0..8 {
@@ -642,7 +605,7 @@ mod tests {
 
     #[test]
     fn island_and_node_accounting() {
-        let topo = LinkTopology::nvlink(8, 2).with_node_size(4);
+        let topo = LinkTopology::parse("nvlink{gpus:8, island:2, node:4}").expect("valid spec");
         assert_eq!(topo.num_islands(), 4);
         assert_eq!(topo.num_nodes(), 2);
         assert!(topo.same_island(0, 1) && !topo.same_island(1, 2));
@@ -654,11 +617,11 @@ mod tests {
 
     #[test]
     fn spec_round_trips() {
-        let topo = LinkTopology::nvlink(8, 2)
-            .with_node_size(4)
-            .with_nvlink(LinkSpec::new(150.0, 1.5))
-            .with_pcie(LinkSpec::new(12.0, 4.0))
-            .with_ib(LinkSpec::new(23.0, 30.0));
+        let topo = LinkTopology::parse(
+            "nvlink{gpus:8, island:2, node:4, nv:150@1.5, pcie:12@4, ib:23@30}",
+        )
+        .expect("valid spec");
+        assert_eq!(topo.nvlink_spec(), LinkSpec::new(150.0, 1.5));
         let spec = topo.to_spec();
         let again = LinkTopology::parse(&spec).expect("own spec parses");
         assert_eq!(again, topo);

@@ -235,7 +235,11 @@ fn write_num(n: f64) -> String {
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Append `s` to `out` as a JSON string literal, quotes included: `"`
+/// and `\` escaped, `\n`/`\r`/`\t` by name, other control characters as
+/// `\u00XX`, everything else verbatim. The one JSON string escaper in the
+/// workspace.
+pub fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -19,24 +19,10 @@ use micco_gpusim::ExecStats;
 
 use crate::span::{TraceEvent, Track, CONTROL_PID};
 
-/// Escape `s` as a JSON string literal (with the quotes).
+/// `s` as a JSON string literal (with the quotes).
 pub(crate) fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    crate::json::write_string(s, &mut out);
     out
 }
 

@@ -141,8 +141,7 @@ pub fn handle(req: &Request, shared: &Arc<Scheduling>) -> Response {
                         .build();
                     Response::json(202, body.to_json())
                 }
-                Err(msg) if msg.starts_with("unknown") => Response::json(404, error_body(&msg)),
-                Err(msg) => Response::json(409, error_body(&msg)),
+                Err(e) => Response::json(e.status(), error_body(&e.to_string())),
             },
             Some((id, Some("result"))) if method == "GET" => match shared.job(id) {
                 Some(job) if job.state.is_terminal() => {

@@ -36,7 +36,9 @@ pub use http::{Request, Response, MAX_BODY_BYTES};
 pub use sched::{
     admission_victim, estimated_bytes, pick_next, Candidate, Priority, TenantSpec, TenantState,
 };
-pub use service::{JobRecord, JobResult, JobState, Scheduling, ServeConfig, SubmitError};
+pub use service::{
+    CancelError, JobRecord, JobResult, JobState, Scheduling, ServeConfig, SubmitError,
+};
 
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;

@@ -14,6 +14,8 @@
 //! (jobs with injected faults replay). Running jobs hold GPUs out of the
 //! shared pool; `time_scale` optionally converts simulated seconds into
 //! wall-clock hold time so the pool exhibits real contention.
+//! Every job-state change and `serve.*`/`tenant.*` metric update is made
+//! by one of `Pool`'s lifecycle methods, under the pool mutex.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -152,8 +154,6 @@ pub struct JobRecord {
     pub state: JobState,
     /// GPUs the job occupies while running.
     pub gpus: usize,
-    /// Admission order (fair-share FIFO tie-break).
-    pub seq: u64,
     /// Dispatch order (None until dispatched).
     pub dispatch_seq: Option<u64>,
     /// Milliseconds spent queued before dispatch.
@@ -216,6 +216,34 @@ impl std::fmt::Display for SubmitError {
     }
 }
 
+/// Why a cancel was refused.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CancelError {
+    /// No job has this id (HTTP 404).
+    Unknown(u64),
+    /// The job already settled, in the given state (HTTP 409).
+    Terminal(u64, JobState),
+}
+
+impl CancelError {
+    /// The HTTP status this error maps to.
+    pub fn status(&self) -> u16 {
+        match self {
+            CancelError::Unknown(_) => 404,
+            CancelError::Terminal(..) => 409,
+        }
+    }
+}
+
+impl std::fmt::Display for CancelError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CancelError::Unknown(id) => write!(f, "unknown job {id}"),
+            CancelError::Terminal(id, state) => write!(f, "job {id} is already {}", state.as_str()),
+        }
+    }
+}
+
 /// An admitted job waiting for dispatch; it owns its config until then.
 struct Queued {
     id: u64,
@@ -225,32 +253,249 @@ struct Queued {
 /// A dispatched job, handed to its executor thread.
 struct Dispatched {
     id: u64,
-    tenant: String,
-    gpus: usize,
     config: SessionConfig,
     cancel: Arc<AtomicBool>,
 }
 
+/// The job table, queue, tenants and GPU holds behind the pool mutex.
+/// Its methods are the job lifecycle, each called under the mutex with
+/// its caller's `now`: they alone write a job's state, bump a `serve.*`
+/// or `tenant.*` counter, or set a `serve.*` gauge.
 struct Pool {
+    config: ServeConfig,
     /// Every admitted job, at index `id - 1`: ids are dense from 1 and
     /// never reused.
     jobs: Vec<JobRecord>,
     queue: Vec<Queued>,
     tenants: BTreeMap<String, TenantState>,
-    free_gpus: usize,
-    /// The running jobs' cancel flags, each dropped as its job settles.
-    running: BTreeMap<u64, Arc<AtomicBool>>,
+    /// Each running job's GPU count and cancel flag, dropped as it
+    /// settles; the free GPUs are the pool less these holds.
+    running: BTreeMap<u64, (usize, Arc<AtomicBool>)>,
     next_dispatch: u64,
     shutdown: bool,
+    metrics: Arc<MetricsRegistry>,
 }
 
 impl Pool {
+    fn new(config: ServeConfig, metrics: Arc<MetricsRegistry>) -> Pool {
+        let tenants = config
+            .tenants
+            .iter()
+            .map(|spec| (spec.name.clone(), TenantState::new(spec.clone())));
+        metrics.set_gauge("serve.pool_gpus", config.pool_gpus as f64);
+        let pool = Pool {
+            tenants: tenants.collect(),
+            config,
+            jobs: Vec::new(),
+            queue: Vec::new(),
+            running: BTreeMap::new(),
+            next_dispatch: 0,
+            shutdown: false,
+            metrics,
+        };
+        pool.publish_gauges();
+        pool
+    }
+
     fn job(&self, id: u64) -> Option<&JobRecord> {
         self.jobs.get(usize::try_from(id).ok()?.checked_sub(1)?)
     }
 
-    fn job_mut(&mut self, id: u64) -> Option<&mut JobRecord> {
-        self.jobs.get_mut(usize::try_from(id).ok()?.checked_sub(1)?)
+    fn free_gpus(&self) -> usize {
+        self.config.pool_gpus - self.running.values().map(|(gpus, _)| gpus).sum::<usize>()
+    }
+
+    /// Bump `serve.{name}` and `tenant.<tenant>.{tenant_name}`.
+    fn count(&self, name: &str, tenant: &str, tenant_name: &str) {
+        self.metrics.inc(&format!("serve.{name}"));
+        self.metrics.inc(&format!("tenant.{tenant}.{tenant_name}"));
+    }
+
+    fn publish_gauges(&self) {
+        let m = &self.metrics;
+        m.set_gauge("serve.queue_depth", self.queue.len() as f64);
+        m.set_gauge("serve.running", self.running.len() as f64);
+        m.set_gauge("serve.free_gpus", self.free_gpus() as f64);
+    }
+
+    /// The queued jobs as the dispatch and admission policies see them.
+    fn candidates(&self) -> Vec<Candidate> {
+        let free = self.free_gpus();
+        self.queue
+            .iter()
+            .map(|q| {
+                let j = &self.jobs[q.id as usize - 1];
+                Candidate {
+                    priority: j.priority,
+                    vtime: self.tenants.get(&j.tenant).map_or(0.0, |t| t.vtime),
+                    seq: j.id,
+                    fits: j.gpus <= free,
+                }
+            })
+            .collect()
+    }
+
+    /// Admission control, then enqueue: the memory gate, then the queue
+    /// bound, passed only by preempting a queued job of strictly lower
+    /// priority. Returns the new id and whether a job was preempted.
+    fn admit(
+        &mut self,
+        tenant: &str,
+        priority: Option<Priority>,
+        config: SessionConfig,
+        now: Instant,
+    ) -> Result<(u64, bool), SubmitError> {
+        if self.shutdown {
+            return Err(SubmitError::ShuttingDown);
+        }
+        let pool_bytes = (self.config.pool_gpus as u64 * POOL_GPU_MEM_BYTES) as f64;
+        let limit = (pool_bytes * self.config.mem_headroom) as u64;
+        let estimated = estimated_bytes(&config);
+        if estimated > limit {
+            self.count("rejected_memory", tenant, "rejected");
+            return Err(SubmitError::MemoryExceeded { estimated, limit });
+        }
+        let priority = priority
+            .or_else(|| self.tenants.get(tenant).map(|t| t.spec.priority))
+            .unwrap_or(self.config.default_priority);
+        let depth = self.config.max_queue;
+        let preempted = self.queue.len() >= depth;
+        if preempted {
+            let Some(idx) = admission_victim(&self.candidates(), priority) else {
+                self.count("rejected_queue", tenant, "rejected");
+                return Err(SubmitError::QueueFull { depth });
+            };
+            let victim = self.queue.remove(idx).id;
+            let error = "preempted from the queue by a higher-priority submission";
+            self.settle(victim, JobState::Preempted, Some(error.into()), None, now);
+        }
+        if !self.tenants.contains_key(tenant) {
+            // fairness: a brand-new tenant starts at the minimum live
+            // vtime, not 0 — otherwise reconnecting under a fresh name
+            // would jump the share queue
+            let floor = self.tenants.values().map(|t| t.vtime).reduce(f64::min);
+            let mut state = TenantState::new(TenantSpec {
+                name: tenant.to_owned(),
+                priority: self.config.default_priority,
+                weight: self.config.default_weight,
+            });
+            state.vtime = floor.unwrap_or(0.0);
+            self.tenants.insert(tenant.to_owned(), state);
+        }
+        let id = self.jobs.len() as u64 + 1;
+        self.jobs.push(JobRecord {
+            id,
+            tenant: tenant.to_owned(),
+            priority,
+            submitted_at: now,
+            state: JobState::Queued,
+            gpus: config.gpus,
+            dispatch_seq: None,
+            wait_ms: None,
+            total_ms: None,
+            result: None,
+            error: None,
+        });
+        self.queue.push(Queued { id, config });
+        self.count("submitted", tenant, "submitted");
+        self.publish_gauges();
+        Ok((id, preempted))
+    }
+
+    /// Dequeue the next runnable job, if one fits: mark it Running and
+    /// hold its GPUs.
+    fn dispatch(&mut self, now: Instant) -> Option<Dispatched> {
+        let idx = pick_next(&self.candidates())?;
+        let Queued { id, config } = self.queue.remove(idx);
+        let j = &mut self.jobs[id as usize - 1];
+        j.state = JobState::Running;
+        j.dispatch_seq = Some(self.next_dispatch);
+        j.wait_ms = Some(ms_between(j.submitted_at, now));
+        self.next_dispatch += 1;
+        let cancel = Arc::new(AtomicBool::new(false));
+        self.running.insert(id, (j.gpus, Arc::clone(&cancel)));
+        self.publish_gauges();
+        Some(Dispatched { id, config, cancel })
+    }
+
+    /// Cancel a job: a queued one settles now, a running one is flagged
+    /// and settles at its next checkpoint. Returns the state after the
+    /// call.
+    fn cancel(&mut self, id: u64, now: Instant) -> Result<JobState, CancelError> {
+        let state = self.job(id).ok_or(CancelError::Unknown(id))?.state.clone();
+        match state {
+            JobState::Queued => {
+                self.queue.retain(|q| q.id != id);
+                self.settle(id, JobState::Canceled, None, None, now);
+                self.publish_gauges();
+                Ok(JobState::Canceled)
+            }
+            JobState::Running => {
+                if let Some((_, cancel)) = self.running.get(&id) {
+                    cancel.store(true, Ordering::SeqCst);
+                }
+                Ok(JobState::Running)
+            }
+            state => Err(CancelError::Terminal(id, state)),
+        }
+    }
+
+    /// Release a running job's GPUs and settle it with its outcome. Fair
+    /// share charges the tenant simulated GPU-seconds, for Done jobs only.
+    fn finish(&mut self, id: u64, outcome: RunOutcome, now: Instant) {
+        self.running.remove(&id);
+        let (state, error, result) = match outcome {
+            RunOutcome::Done(result) => (JobState::Done, None, Some(result)),
+            RunOutcome::Failed(msg) => (JobState::Failed, Some(msg), None),
+            RunOutcome::Canceled => (JobState::Canceled, None, None),
+        };
+        let j = &self.jobs[id as usize - 1];
+        if let (Some(r), Some(t)) = (&result, self.tenants.get_mut(&j.tenant)) {
+            t.charge(r.sim_elapsed_ms / 1e3 * j.gpus as f64);
+        }
+        self.settle(id, state, error, result, now);
+        self.publish_gauges();
+    }
+
+    /// Refuse all further submissions and cancel every queued job, which
+    /// will never run.
+    fn shutdown(&mut self, now: Instant) {
+        self.shutdown = true;
+        for q in std::mem::take(&mut self.queue) {
+            let error = Some("service shut down".into());
+            self.settle(q.id, JobState::Canceled, error, None, now);
+        }
+        self.publish_gauges();
+    }
+
+    /// Move job `id` to the terminal `state` and count it, daemon-wide
+    /// and for its tenant, so `serve.submitted == completed + failed +
+    /// canceled + preempted` once nothing is queued or running.
+    fn settle(
+        &mut self,
+        id: u64,
+        state: JobState,
+        error: Option<String>,
+        result: Option<JobResult>,
+        now: Instant,
+    ) {
+        let name = match state {
+            JobState::Done => "completed",
+            JobState::Failed => "failed",
+            JobState::Canceled => "canceled",
+            JobState::Preempted => "preempted",
+            JobState::Queued | JobState::Running => unreachable!("settle to a terminal state"),
+        };
+        let j = &mut self.jobs[id as usize - 1];
+        j.state = state;
+        j.total_ms = Some(ms_between(j.submitted_at, now));
+        j.error = error;
+        j.result = result;
+        let j = &self.jobs[id as usize - 1];
+        self.count(name, &j.tenant, name);
+        if j.result.as_ref().is_some_and(|r| r.warm) {
+            self.metrics.inc(&format!("tenant.{}.warm_hits", j.tenant));
+        }
     }
 }
 
@@ -261,7 +506,9 @@ fn ms_between(since: Instant, now: Instant) -> f64 {
 
 /// The shared heart of the daemon: the job table and pool accounting
 /// behind one mutex, the plan cache (which guards itself), and a metrics
-/// registry. HTTP handlers and executor threads all talk to this.
+/// registry. HTTP handlers and executor threads all talk to this; each
+/// call validates, runs one `Pool` method under the mutex, then
+/// notifies and spawns.
 pub struct Scheduling {
     config: ServeConfig,
     pool: Mutex<Pool>,
@@ -280,22 +527,8 @@ impl Scheduling {
             Some(dir) => Some(DurablePlanCache::open(dir).map_err(|e| format!("open store: {e}"))?),
             None => None,
         };
-        let mut tenants = BTreeMap::new();
-        for spec in &config.tenants {
-            tenants.insert(spec.name.clone(), TenantState::new(spec.clone()));
-        }
-        let pool = Pool {
-            jobs: Vec::new(),
-            queue: Vec::new(),
-            tenants,
-            free_gpus: config.pool_gpus,
-            running: BTreeMap::new(),
-            next_dispatch: 0,
-            shutdown: false,
-        };
         let metrics = Arc::new(MetricsRegistry::new());
-        metrics.set_gauge("serve.pool_gpus", config.pool_gpus as f64);
-        metrics.set_gauge("serve.free_gpus", config.pool_gpus as f64);
+        let pool = Pool::new(config.clone(), Arc::clone(&metrics));
         if cache.is_some() {
             for source in [PlanSource::Memory, PlanSource::Log, PlanSource::Decided] {
                 metrics.set_gauge(plan_cache_gauge(source), 0.0);
@@ -327,10 +560,6 @@ impl Scheduling {
         &self.metrics
     }
 
-    fn tenant_metric(&self, tenant: &str, name: &str) {
-        self.metrics.inc(&format!("tenant.{tenant}.{name}"));
-    }
-
     /// Submit a job: admission control, then enqueue. Returns the job id.
     pub fn submit(
         self: &Arc<Self>,
@@ -357,102 +586,12 @@ impl Scheduling {
                 "per-job 'store' is not allowed: the daemon owns the plan store".into(),
             ));
         }
-        let limit = ((self.config.pool_gpus as u64 * POOL_GPU_MEM_BYTES) as f64
-            * self.config.mem_headroom) as u64;
-        let estimated = estimated_bytes(&config);
-        if estimated > limit {
-            self.metrics.inc("serve.rejected_memory");
-            self.tenant_metric(tenant, "rejected");
-            return Err(SubmitError::MemoryExceeded { estimated, limit });
+        let (id, preempted) = self
+            .lock_pool()
+            .admit(tenant, priority, config, Instant::now())?;
+        if preempted {
+            self.done_cv.notify_all();
         }
-
-        let mut pool = self.lock_pool();
-        if pool.shutdown {
-            return Err(SubmitError::ShuttingDown);
-        }
-        let priority = priority
-            .or_else(|| pool.tenants.get(tenant).map(|t| t.spec.priority))
-            .unwrap_or(self.config.default_priority);
-        // admission queue bound, with priority preemption of queued work
-        if pool.queue.len() >= self.config.max_queue {
-            let queued: Vec<Candidate> = pool
-                .queue
-                .iter()
-                .map(|q| {
-                    let j = pool.job(q.id).expect("queued jobs have records");
-                    Candidate {
-                        priority: j.priority,
-                        vtime: 0.0,
-                        seq: j.seq,
-                        fits: true,
-                    }
-                })
-                .collect();
-            match admission_victim(&queued, priority) {
-                Some(idx) => {
-                    let victim = pool.queue.remove(idx).id;
-                    let now = Instant::now();
-                    if let Some(j) = pool.job_mut(victim) {
-                        j.state = JobState::Preempted;
-                        j.error =
-                            Some("preempted from the queue by a higher-priority submission".into());
-                        j.total_ms = Some(ms_between(j.submitted_at, now));
-                        self.metrics.inc("serve.preempted");
-                        self.tenant_metric(&j.tenant, "preempted");
-                    }
-                    self.done_cv.notify_all();
-                }
-                None => {
-                    drop(pool);
-                    self.metrics.inc("serve.rejected_queue");
-                    self.tenant_metric(tenant, "rejected");
-                    return Err(SubmitError::QueueFull {
-                        depth: self.config.max_queue,
-                    });
-                }
-            }
-        }
-        // admit
-        let seq = pool.jobs.len() as u64;
-        let id = seq + 1;
-        if !pool.tenants.contains_key(tenant) {
-            let mut spec = TenantSpec::new(tenant);
-            spec.priority = self.config.default_priority;
-            spec.weight = self.config.default_weight;
-            // fairness: a brand-new tenant starts at the minimum live
-            // vtime, not 0 — otherwise reconnecting under a fresh name
-            // would jump the share queue
-            let floor = pool
-                .tenants
-                .values()
-                .map(|t| t.vtime)
-                .fold(f64::INFINITY, f64::min);
-            let mut state = TenantState::new(spec);
-            if floor.is_finite() {
-                state.vtime = floor;
-            }
-            pool.tenants.insert(tenant.to_owned(), state);
-        }
-        pool.jobs.push(JobRecord {
-            id,
-            tenant: tenant.to_owned(),
-            priority,
-            submitted_at: Instant::now(),
-            state: JobState::Queued,
-            gpus: config.gpus,
-            seq,
-            dispatch_seq: None,
-            wait_ms: None,
-            total_ms: None,
-            result: None,
-            error: None,
-        });
-        pool.queue.push(Queued { id, config });
-        self.metrics.inc("serve.submitted");
-        self.tenant_metric(tenant, "submitted");
-        self.metrics
-            .set_gauge("serve.queue_depth", pool.queue.len() as f64);
-        drop(pool);
         self.dispatch_cv.notify_all();
         Ok(id)
     }
@@ -469,70 +608,23 @@ impl Scheduling {
 
     /// Cancel a job. Queued jobs cancel immediately; running jobs are
     /// flagged and cancel at the next phase boundary. Returns the state
-    /// after the call, or `Err` when the id is unknown or already
-    /// terminal.
-    pub fn cancel(&self, id: u64) -> Result<JobState, String> {
-        let mut pool = self.lock_pool();
-        let Some(state) = pool.job(id).map(|j| j.state.clone()) else {
-            return Err(format!("unknown job {id}"));
-        };
-        match state {
-            JobState::Queued => {
-                pool.queue.retain(|q| q.id != id);
-                let now = Instant::now();
-                if let Some(j) = pool.job_mut(id) {
-                    j.state = JobState::Canceled;
-                    j.total_ms = Some(ms_between(j.submitted_at, now));
-                    self.tenant_metric(&j.tenant, "canceled");
-                }
-                self.metrics.inc("serve.canceled");
-                self.metrics
-                    .set_gauge("serve.queue_depth", pool.queue.len() as f64);
-                self.done_cv.notify_all();
-                Ok(JobState::Canceled)
-            }
-            JobState::Running => {
-                if let Some(flag) = pool.running.get(&id) {
-                    flag.store(true, Ordering::SeqCst);
-                }
-                Ok(JobState::Running)
-            }
-            terminal => Err(format!("job {id} is already {}", terminal.as_str())),
+    /// after the call.
+    pub fn cancel(&self, id: u64) -> Result<JobState, CancelError> {
+        let state = self.lock_pool().cancel(id, Instant::now())?;
+        if state == JobState::Canceled {
+            self.done_cv.notify_all();
         }
+        Ok(state)
     }
 
-    /// Block until every submitted job is terminal, or `timeout` elapses.
-    /// Returns `true` when the table drained.
-    pub fn wait_idle(&self, timeout: Duration) -> bool {
+    /// Wait on `done_cv` until `settled` returns a value or `timeout`
+    /// elapses.
+    fn wait_for<T>(&self, timeout: Duration, settled: impl Fn(&Pool) -> Option<T>) -> Option<T> {
         let deadline = Instant::now() + timeout;
         let mut pool = self.lock_pool();
         loop {
-            let busy = pool.jobs.iter().any(|j| !j.state.is_terminal());
-            if !busy {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            pool = self
-                .done_cv
-                .wait_timeout(pool, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
-    }
-
-    /// Block until job `id` is terminal, or `timeout` elapses. Returns
-    /// the final record when it settled in time.
-    pub fn wait_job(&self, id: u64, timeout: Duration) -> Option<JobRecord> {
-        let deadline = Instant::now() + timeout;
-        let mut pool = self.lock_pool();
-        loop {
-            match pool.job(id) {
-                None => return None,
-                Some(j) if j.state.is_terminal() => return Some(j.clone()),
-                Some(_) => {}
+            if let Some(value) = settled(&pool) {
+                return Some(value);
             }
             let now = Instant::now();
             if now >= deadline {
@@ -546,78 +638,47 @@ impl Scheduling {
         }
     }
 
+    /// Block until every submitted job is terminal, or `timeout` elapses.
+    /// Returns `true` when the table drained.
+    pub fn wait_idle(&self, timeout: Duration) -> bool {
+        let idle = |pool: &Pool| (pool.queue.is_empty() && pool.running.is_empty()).then_some(());
+        self.wait_for(timeout, idle).is_some()
+    }
+
+    /// Block until job `id` is terminal, or `timeout` elapses. Returns
+    /// the final record when it settled in time.
+    pub fn wait_job(&self, id: u64, timeout: Duration) -> Option<JobRecord> {
+        self.wait_for(timeout, |pool| match pool.job(id) {
+            None => Some(None),
+            Some(j) if j.state.is_terminal() => Some(Some(j.clone())),
+            Some(_) => None,
+        })
+        .flatten()
+    }
+
     /// The dispatcher loop: runs until shutdown, picking jobs off the
     /// admission queue whenever pool resources allow and spawning an
     /// executor thread per dispatched job.
     pub(crate) fn dispatcher(self: &Arc<Self>) {
         loop {
-            let dispatched = {
-                let mut pool = self.lock_pool();
-                if pool.shutdown {
-                    return;
-                }
-                match self.try_dispatch(&mut pool) {
-                    Some(job) => Some(job),
-                    None => {
-                        drop(
-                            self.dispatch_cv
-                                .wait(pool)
-                                .unwrap_or_else(PoisonError::into_inner),
-                        );
-                        None
-                    }
-                }
-            };
-            if let Some(job) = dispatched {
-                let shared = Arc::clone(self);
-                // one detached executor thread per running job; bounded
-                // by the pool (a job dispatches only when GPUs free up)
-                std::thread::spawn(move || shared.execute_job(job));
+            let mut pool = self.lock_pool();
+            if pool.shutdown {
+                return;
             }
+            let Some(job) = pool.dispatch(Instant::now()) else {
+                drop(
+                    self.dispatch_cv
+                        .wait(pool)
+                        .unwrap_or_else(PoisonError::into_inner),
+                );
+                continue;
+            };
+            drop(pool);
+            let shared = Arc::clone(self);
+            // one detached executor thread per running job; bounded by
+            // the pool (a job dispatches only when GPUs free up)
+            std::thread::spawn(move || shared.execute_job(job));
         }
-    }
-
-    /// Pick and dequeue the next runnable job under the lock; marks it
-    /// Running, reserves its GPUs and arms its cancel flag.
-    fn try_dispatch(&self, pool: &mut Pool) -> Option<Dispatched> {
-        let candidates: Vec<Candidate> = pool
-            .queue
-            .iter()
-            .map(|q| {
-                let j = pool.job(q.id).expect("queued jobs have records");
-                Candidate {
-                    priority: j.priority,
-                    vtime: pool.tenants.get(&j.tenant).map(|t| t.vtime).unwrap_or(0.0),
-                    seq: j.seq,
-                    fits: j.gpus <= pool.free_gpus,
-                }
-            })
-            .collect();
-        let idx = pick_next(&candidates)?;
-        let Queued { id, config } = pool.queue.remove(idx);
-        let dispatch_seq = pool.next_dispatch;
-        pool.next_dispatch += 1;
-        let now = Instant::now();
-        let j = pool.job_mut(id)?;
-        j.state = JobState::Running;
-        j.dispatch_seq = Some(dispatch_seq);
-        j.wait_ms = Some(ms_between(j.submitted_at, now));
-        let job = Dispatched {
-            id,
-            tenant: j.tenant.clone(),
-            gpus: j.gpus,
-            config,
-            cancel: Arc::new(AtomicBool::new(false)),
-        };
-        pool.running.insert(id, Arc::clone(&job.cancel));
-        pool.free_gpus -= job.gpus;
-        self.metrics
-            .set_gauge("serve.free_gpus", pool.free_gpus as f64);
-        self.metrics
-            .set_gauge("serve.running", pool.running.len() as f64);
-        self.metrics
-            .set_gauge("serve.queue_depth", pool.queue.len() as f64);
-        Some(job)
     }
 
     /// Run one dispatched job end to end: plan (through the shared
@@ -625,46 +686,7 @@ impl Scheduling {
     /// optionally hold the GPUs for scaled wall time, then release.
     fn execute_job(self: &Arc<Self>, job: Dispatched) {
         let outcome = self.run_job(&job.config, &job.cancel);
-        let mut pool = self.lock_pool();
-        pool.free_gpus += job.gpus;
-        pool.running.remove(&job.id);
-        let now = Instant::now();
-        // fair share: charge simulated GPU-seconds to the tenant
-        if let RunOutcome::Done(result) = &outcome {
-            if let Some(t) = pool.tenants.get_mut(&job.tenant) {
-                t.charge(result.sim_elapsed_ms / 1e3 * job.gpus as f64);
-            }
-        }
-        if let Some(j) = pool.job_mut(job.id) {
-            j.total_ms = Some(ms_between(j.submitted_at, now));
-            match outcome {
-                RunOutcome::Done(result) => {
-                    if result.warm {
-                        self.tenant_metric(&job.tenant, "warm_hits");
-                    }
-                    j.state = JobState::Done;
-                    j.result = Some(result);
-                    self.metrics.inc("serve.completed");
-                    self.tenant_metric(&job.tenant, "completed");
-                }
-                RunOutcome::Failed(msg) => {
-                    j.state = JobState::Failed;
-                    j.error = Some(msg);
-                    self.metrics.inc("serve.failed");
-                    self.tenant_metric(&job.tenant, "failed");
-                }
-                RunOutcome::Canceled => {
-                    j.state = JobState::Canceled;
-                    self.metrics.inc("serve.canceled");
-                    self.tenant_metric(&job.tenant, "canceled");
-                }
-            }
-        }
-        self.metrics
-            .set_gauge("serve.free_gpus", pool.free_gpus as f64);
-        self.metrics
-            .set_gauge("serve.running", pool.running.len() as f64);
-        drop(pool);
+        self.lock_pool().finish(job.id, outcome, Instant::now());
         self.dispatch_cv.notify_all();
         self.done_cv.notify_all();
     }
@@ -751,45 +773,17 @@ impl Scheduling {
         self.lock_pool().shutdown
     }
 
-    /// Flip the shutdown flag and wake everything.
+    /// Flip the shutdown flag, cancel queued jobs and wake everything.
     pub(crate) fn begin_shutdown(&self) {
-        let mut pool = self.lock_pool();
-        pool.shutdown = true;
-        // queued jobs will never run: cancel them, counted like any
-        // other cancel so the job closure still holds
-        let queued = std::mem::take(&mut pool.queue);
-        let now = Instant::now();
-        for q in queued {
-            if let Some(j) = pool.job_mut(q.id) {
-                j.state = JobState::Canceled;
-                j.error = Some("service shut down".into());
-                j.total_ms = Some(ms_between(j.submitted_at, now));
-                self.metrics.inc("serve.canceled");
-                self.tenant_metric(&j.tenant, "canceled");
-            }
-        }
-        self.metrics.set_gauge("serve.queue_depth", 0.0);
-        drop(pool);
+        self.lock_pool().shutdown(Instant::now());
         self.dispatch_cv.notify_all();
         self.done_cv.notify_all();
     }
 
     /// Wait for running jobs to finish (used by shutdown).
     pub(crate) fn drain_running(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut pool = self.lock_pool();
-        while !pool.running.is_empty() {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            pool = self
-                .done_cv
-                .wait_timeout(pool, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
-        true
+        self.wait_for(timeout, |pool| pool.running.is_empty().then_some(()))
+            .is_some()
     }
 
     /// The durable cache's `(mem_hits, log_hits, misses)` counters, when
@@ -1038,5 +1032,388 @@ mod tests {
         // unknown id
         assert!(s.cancel(9999).is_err());
         s.begin_shutdown();
+    }
+
+    /// One step of the lifecycle model test, driven straight at `Pool`.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// A submission from tenant `t{tenant}` (`t0` is declared high);
+        /// a `huge` one exceeds the pool's memory.
+        Admit {
+            tenant: usize,
+            priority: Option<Priority>,
+            gpus: usize,
+            huge: bool,
+        },
+        Dispatch,
+        /// Finish the `pick`-th running job (mod their count): 0 done,
+        /// 1 failed, 2 canceled.
+        Finish {
+            pick: usize,
+            outcome: u8,
+            sim_ms: f64,
+            warm: bool,
+        },
+        /// Cancel any id, unknown ones included.
+        Cancel(u64),
+        Shutdown,
+    }
+
+    fn step() -> impl proptest::strategy::Strategy<Value = Step> {
+        use proptest::prelude::*;
+        (
+            0u32..100,
+            0usize..3,
+            0usize..4,
+            1usize..=8,
+            0u64..24,
+            0u8..3,
+            any::<bool>(),
+        )
+            .prop_map(|(kind, tenant, p, gpus, n, outcome, warm)| match kind {
+                0..=34 => Step::Admit {
+                    tenant,
+                    priority: [None, Some(Priority::Low), Some(Priority::Normal)]
+                        .get(p)
+                        .copied()
+                        .unwrap_or(Some(Priority::High)),
+                    gpus,
+                    huge: n == 0,
+                },
+                35..=59 => Step::Dispatch,
+                60..=79 => Step::Finish {
+                    pick: n as usize,
+                    outcome,
+                    sim_ms: 1.0 + n as f64,
+                    warm,
+                },
+                80..=97 => Step::Cancel(n),
+                _ => Step::Shutdown,
+            })
+    }
+
+    /// What a terminal record holds; it must never change again.
+    type Settled = (JobState, Option<f64>, Option<String>, Option<JobResult>);
+
+    /// Invariants that hold after every step, read from the records
+    /// rather than from the pool's own bookkeeping.
+    fn check_pool(
+        pool: &Pool,
+        settled: &mut BTreeMap<u64, Settled>,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        use proptest::prelude::*;
+        let snap = pool.metrics.snapshot();
+        let in_state = |tenant: Option<&str>, state: JobState| {
+            pool.jobs
+                .iter()
+                .filter(|j| j.state == state && tenant.is_none_or(|t| j.tenant == t))
+                .count() as u64
+        };
+        // closure, daemon-wide and per tenant
+        let scopes = std::iter::once(("serve".to_owned(), None)).chain(
+            pool.tenants
+                .keys()
+                .map(|t| (format!("tenant.{t}"), Some(t.as_str()))),
+        );
+        for (scope, tenant) in scopes {
+            let n = |name: &str| snap.counter(&format!("{scope}.{name}"));
+            prop_assert_eq!(
+                n("submitted"),
+                n("completed")
+                    + n("failed")
+                    + n("canceled")
+                    + n("preempted")
+                    + in_state(tenant, JobState::Queued)
+                    + in_state(tenant, JobState::Running),
+                "closure of {}",
+                scope
+            );
+        }
+        // gauges
+        let held: usize = pool
+            .jobs
+            .iter()
+            .filter(|j| j.state == JobState::Running)
+            .map(|j| j.gpus)
+            .sum();
+        prop_assert_eq!(
+            snap.gauge("serve.queue_depth"),
+            in_state(None, JobState::Queued) as f64,
+            "queue_depth gauge"
+        );
+        prop_assert_eq!(
+            snap.gauge("serve.running"),
+            in_state(None, JobState::Running) as f64,
+            "running gauge"
+        );
+        prop_assert_eq!(
+            snap.gauge("serve.free_gpus") as usize + held,
+            pool.config.pool_gpus,
+            "free_gpus gauge plus held GPUs"
+        );
+        prop_assert_eq!(
+            pool.free_gpus() + held,
+            pool.config.pool_gpus,
+            "free plus held GPUs"
+        );
+        // records
+        for j in &pool.jobs {
+            let queued = pool.queue.iter().any(|q| q.id == j.id);
+            prop_assert_eq!(j.state == JobState::Queued, queued, "job {} queued", j.id);
+            let running = pool.running.contains_key(&j.id);
+            prop_assert_eq!(
+                j.state == JobState::Running,
+                running,
+                "job {} running",
+                j.id
+            );
+            let now = (
+                j.state.clone(),
+                j.total_ms,
+                j.error.clone(),
+                j.result.clone(),
+            );
+            match settled.get(&j.id) {
+                Some(then) => prop_assert_eq!(&now, then, "terminal job {} changed", j.id),
+                None if j.state.is_terminal() => {
+                    settled.insert(j.id, now);
+                }
+                None => {}
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn pool_lifecycle_matches_the_model(
+            pool_gpus in 1usize..=4,
+            max_queue in 1usize..=4,
+            steps in proptest::collection::vec(step(), 1..80),
+        ) {
+            use proptest::prelude::*;
+            let config = ServeConfig {
+                pool_gpus,
+                max_queue,
+                tenants: vec![TenantSpec {
+                    name: "t0".into(),
+                    priority: Priority::High,
+                    weight: 2,
+                }],
+                ..ServeConfig::default()
+            };
+            let metrics = Arc::new(MetricsRegistry::new());
+            let mut pool = Pool::new(config, Arc::clone(&metrics));
+            let base = Instant::now();
+            let mut settled = BTreeMap::new();
+            let mut shut = false;
+            for (i, step) in steps.iter().enumerate() {
+                let now = base + Duration::from_millis(i as u64 + 1);
+                let before = metrics.snapshot();
+                let delta = |name: &str| metrics.snapshot().counter(name) - before.counter(name);
+                let vtimes: BTreeMap<String, f64> =
+                    pool.tenants.iter().map(|(n, t)| (n.clone(), t.vtime)).collect();
+                let vtime = |j: &JobRecord| vtimes.get(&j.tenant).copied().unwrap_or(0.0);
+                let queued: Vec<JobRecord> = pool
+                    .queue
+                    .iter()
+                    .filter_map(|q| pool.job(q.id).cloned())
+                    .collect();
+                let mut charged = None;
+                match step {
+                    Step::Admit {
+                        tenant,
+                        priority,
+                        gpus,
+                        huge,
+                    } => {
+                        let tenant = format!("t{tenant}");
+                        let config = SessionConfig {
+                            gpus: (gpus - 1) % pool_gpus + 1,
+                            vectors: if *huge { 4096 } else { 10 },
+                            ..SessionConfig::default()
+                        };
+                        let incoming = priority
+                            .or_else(|| pool.tenants.get(&tenant).map(|t| t.spec.priority))
+                            .unwrap_or(Priority::Normal);
+                        let victim = queued
+                            .iter()
+                            .min_by(|a, b| a.priority.cmp(&b.priority).then(b.id.cmp(&a.id)))
+                            .filter(|v| queued.len() >= max_queue && v.priority < incoming)
+                            .map(|v| v.id);
+                        let next = pool.jobs.len() as u64 + 1;
+                        let admitted = pool.admit(&tenant, *priority, config, now);
+                        if shut {
+                            prop_assert_eq!(admitted, Err(SubmitError::ShuttingDown));
+                            prop_assert_eq!(
+                                &metrics.snapshot().counters,
+                                &before.counters,
+                                "a refused submission moved a counter"
+                            );
+                        } else if *huge {
+                            prop_assert!(
+                                matches!(admitted, Err(SubmitError::MemoryExceeded { .. })),
+                                "step {}: {:?}",
+                                i,
+                                admitted
+                            );
+                            prop_assert_eq!(delta("serve.rejected_memory"), 1);
+                            prop_assert_eq!(delta(&format!("tenant.{tenant}.rejected")), 1);
+                        } else if queued.len() < max_queue {
+                            prop_assert_eq!(admitted, Ok((next, false)), "step {}", i);
+                        } else if let Some(victim) = victim {
+                            prop_assert_eq!(admitted, Ok((next, true)), "step {}", i);
+                            let v = pool.job(victim).expect("victim record");
+                            prop_assert_eq!(
+                                &v.state,
+                                &JobState::Preempted,
+                                "a full queue preempts the latest-arrived job of the \
+                                 lowest class, job {}",
+                                victim
+                            );
+                            prop_assert!(v.error.as_deref().unwrap_or("").contains("preempted"));
+                        } else {
+                            prop_assert_eq!(
+                                admitted,
+                                Err(SubmitError::QueueFull { depth: max_queue }),
+                                "step {}",
+                                i
+                            );
+                            prop_assert_eq!(delta("serve.rejected_queue"), 1);
+                            prop_assert_eq!(delta(&format!("tenant.{tenant}.rejected")), 1);
+                        }
+                    }
+                    Step::Dispatch => {
+                        let held: usize = pool
+                            .jobs
+                            .iter()
+                            .filter(|j| j.state == JobState::Running)
+                            .map(|j| j.gpus)
+                            .sum();
+                        let fitting: Vec<&JobRecord> =
+                            queued.iter().filter(|j| j.gpus + held <= pool_gpus).collect();
+                        let got = pool.dispatch(now).map(|d| d.id);
+                        let Some(id) = got else {
+                            prop_assert!(
+                                fitting.is_empty(),
+                                "dispatch returned nothing while job {} fits",
+                                fitting[0].id
+                            );
+                            continue;
+                        };
+                        let j = pool.job(id).expect("dispatched record").clone();
+                        prop_assert!(fitting.iter().any(|f| f.id == id), "job {} does not fit", id);
+                        for f in &fitting {
+                            prop_assert!(
+                                f.priority <= j.priority,
+                                "dispatch passed over fitting job {} of higher priority for {}",
+                                f.id,
+                                id
+                            );
+                        }
+                        let expected = fitting
+                            .iter()
+                            .min_by(|a, b| {
+                                b.priority
+                                    .cmp(&a.priority)
+                                    .then(vtime(a).total_cmp(&vtime(b)))
+                                    .then(a.id.cmp(&b.id))
+                            })
+                            .map(|f| f.id);
+                        prop_assert_eq!(got, expected, "fair share, then FIFO");
+                        prop_assert_eq!(j.wait_ms, Some(ms_between(j.submitted_at, now)));
+                    }
+                    Step::Finish { pick, outcome, sim_ms, warm } => {
+                        let running: Vec<u64> = pool
+                            .jobs
+                            .iter()
+                            .filter(|j| j.state == JobState::Running)
+                            .map(|j| j.id)
+                            .collect();
+                        if running.is_empty() {
+                            continue;
+                        }
+                        let id = running[pick % running.len()];
+                        let tenant = pool.job(id).expect("running record").tenant.clone();
+                        let (outcome, state) = match outcome {
+                            0 => (
+                                RunOutcome::Done(JobResult {
+                                    scheduler: "micco".into(),
+                                    gflops: 1.0,
+                                    sim_elapsed_ms: *sim_ms,
+                                    plan_stages: 1,
+                                    plan_tasks: 1,
+                                    warm: *warm,
+                                    plan_ms: 0.0,
+                                    exec_ms: 0.0,
+                                }),
+                                JobState::Done,
+                            ),
+                            1 => (RunOutcome::Failed("boom".into()), JobState::Failed),
+                            _ => (RunOutcome::Canceled, JobState::Canceled),
+                        };
+                        pool.finish(id, outcome, now);
+                        prop_assert_eq!(&pool.job(id).expect("record").state, &state);
+                        let warm_hit = state == JobState::Done && *warm;
+                        prop_assert_eq!(
+                            delta(&format!("tenant.{tenant}.warm_hits")),
+                            u64::from(warm_hit)
+                        );
+                        if state == JobState::Done {
+                            prop_assert!(
+                                pool.tenants[&tenant].vtime > vtimes[&tenant],
+                                "a Done job charges its tenant"
+                            );
+                            charged = Some(tenant);
+                        }
+                    }
+                    Step::Cancel(id) => {
+                        let state = pool.job(*id).map(|j| j.state.clone());
+                        let got = pool.cancel(*id, now);
+                        match state {
+                            None => prop_assert_eq!(got, Err(CancelError::Unknown(*id))),
+                            Some(JobState::Queued) => {
+                                prop_assert_eq!(got, Ok(JobState::Canceled));
+                            }
+                            Some(JobState::Running) => {
+                                prop_assert_eq!(got, Ok(JobState::Running));
+                                prop_assert!(pool.running[id].1.load(Ordering::SeqCst));
+                            }
+                            Some(state) => {
+                                prop_assert_eq!(got, Err(CancelError::Terminal(*id, state)));
+                            }
+                        }
+                    }
+                    Step::Shutdown => {
+                        pool.shutdown(now);
+                        shut = true;
+                        for q in &queued {
+                            let j = pool.job(q.id).expect("record");
+                            prop_assert_eq!(
+                                (&j.state, j.error.as_deref()),
+                                (&JobState::Canceled, Some("service shut down")),
+                                "queued job {} at shutdown",
+                                q.id
+                            );
+                        }
+                    }
+                }
+                // fair share: vtime only grows, and only a Done job charges it
+                for (tenant, &then) in &vtimes {
+                    let now = pool.tenants[tenant].vtime;
+                    prop_assert!(now >= then, "tenant {} vtime fell", tenant);
+                    prop_assert!(
+                        now == then || charged.as_deref() == Some(tenant.as_str()),
+                        "tenant {} charged by {:?}",
+                        tenant,
+                        step
+                    );
+                }
+                check_pool(&pool, &mut settled)
+                    .map_err(|e| TestCaseError::fail(format!("after step {i} {step:?}: {e:?}")))?;
+            }
+        }
     }
 }

@@ -153,19 +153,6 @@ impl WorkloadSpec {
         self
     }
 
-    /// Set the system kind (meson/baryon).
-    pub fn with_kind(mut self, kind: ContractionKind) -> Self {
-        self.kind = kind;
-        self
-    }
-
-    /// Set the Gaussian hot-set width (fraction of pool size).
-    pub fn with_gaussian_sigma_frac(mut self, frac: f64) -> Self {
-        assert!(frac > 0.0, "sigma fraction must be positive");
-        self.gaussian_sigma_frac = frac;
-        self
-    }
-
     /// Enable heterogeneous mode: per-vector tensor sizes drawn from
     /// `dims`.
     pub fn with_dim_choices(mut self, dims: Vec<usize>) -> Self {

@@ -50,7 +50,7 @@ fn main() {
         let cfg = ClusterConfig::mi100_cluster(nodes, gpus);
         let flat =
             run_cluster_schedule(&mut FlatClusterScheduler::new(), &stream, &cfg).expect("fits");
-        let mut hier = HierarchicalScheduler::new(nodes, 16, ReuseBounds::new(0, 2, 0));
+        let mut hier = HierarchicalScheduler::new(16, ReuseBounds::new(0, 2, 0));
         let h = run_cluster_schedule(&mut hier, &stream, &cfg).expect("fits");
         for r in [&flat, &h] {
             println!(

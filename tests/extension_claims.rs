@@ -60,7 +60,7 @@ fn hierarchical_cluster_cuts_network_traffic() {
     let stream = TensorPairStream::new(vectors);
     let cfg = ClusterConfig::mi100_cluster(2, 4);
     let flat = run_cluster_schedule(&mut FlatClusterScheduler::new(), &stream, &cfg).unwrap();
-    let mut hier = HierarchicalScheduler::new(2, 16, ReuseBounds::new(0, 2, 0));
+    let mut hier = HierarchicalScheduler::new(16, ReuseBounds::new(0, 2, 0));
     let h = run_cluster_schedule(&mut hier, &stream, &cfg).unwrap();
     assert!(
         flat.inter_transfers > 0,

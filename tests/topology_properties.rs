@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use micco::analysis::{analyze_plan_with, AnalysisConfig};
 use micco::analysis::{Code, Severity};
 use micco::gpusim::GpuId;
-use micco::gpusim::{LinkSpec, LinkTopology, MachineConfig, SimMachine};
+use micco::gpusim::{LinkTopology, MachineConfig, SimMachine};
 use micco::sched::{execute_plan, repair_plan, repair_plan_with, SchedulePlan, Session};
 use micco::sched::{
     DriverOptions, GrouteScheduler, MiccoScheduler, ReuseBounds, RoundRobinScheduler, Scheduler,
@@ -23,14 +23,15 @@ fn topology_strategy() -> impl Strategy<Value = LinkTopology> {
         |(gpus, pick, gib_s, latency_us)| {
             let divisors: Vec<usize> = (1..=gpus).filter(|d| gpus % d == 0).collect();
             let island = divisors[pick as usize % divisors.len()];
-            let mut topo = LinkTopology::nvlink(gpus, island);
             // node tier: a multiple of the island size that divides gpus
             let nodes: Vec<usize> = (1..=gpus)
                 .filter(|d| gpus % d == 0 && d % island == 0)
                 .collect();
             let node = nodes[(pick as usize / 7) % nodes.len()];
-            topo = topo.with_node_size(node);
-            topo.with_pcie(LinkSpec::new(gib_s, latency_us))
+            LinkTopology::parse(&format!(
+                "nvlink{{gpus:{gpus}, island:{island}, node:{node}, pcie:{gib_s}@{latency_us}}}"
+            ))
+            .expect("valid spec")
         },
     )
 }
@@ -122,8 +123,9 @@ proptest! {
     ) {
         let stream = spec.generate();
         let cfg = MachineConfig::mi100_like(gpus);
-        let topo = LinkTopology::nvlink(gpus, gpus)
-            .with_nvlink(LinkSpec::new(cfg.cost.d2d_gib_s, cfg.cost.transfer_latency_us));
+        let (bw, lat) = (cfg.cost.d2d_gib_s, cfg.cost.transfer_latency_us);
+        let topo = LinkTopology::parse(&format!("nvlink{{gpus:{gpus}, island:{gpus}, nv:{bw}@{lat}}}"))
+            .expect("valid spec");
         let opts = DriverOptions::default();
         let flat = Session::new(cfg).with_options(opts).run(&mut *scheduler_for(which), &stream);
         let routed = Session::new(cfg)
@@ -154,8 +156,10 @@ proptest! {
     ) {
         let stream = spec.generate();
         let cfg = MachineConfig::mi100_like(gpus);
-        let topo = LinkTopology::nvlink(gpus, gpus)
-            .with_nvlink(LinkSpec::new(gib_s, latency_us));
+        let topo = LinkTopology::parse(&format!(
+            "nvlink{{gpus:{gpus}, island:{gpus}, nv:{gib_s}@{latency_us}}}"
+        ))
+        .expect("valid spec");
         let session = Session::new(cfg).with_topology(topo.clone());
         let Ok(planned) = session.plan(&mut *scheduler_for(which), &stream) else {
             return Ok(());
