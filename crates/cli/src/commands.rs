@@ -231,18 +231,34 @@ fn lists(list: &str, key: &str) -> bool {
     list.split_whitespace().any(|k| k == key)
 }
 
+/// Why a command line failed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Failure {
+    /// The line breaks the grammar: no or an unknown command, an
+    /// unexpected sub-action, or a flag the command does not take (or
+    /// takes otherwise). The usage text belongs after it.
+    Usage(String),
+    /// The command ran and failed: a lint or certify verdict, a plan that
+    /// does not fit its workload, an unreadable file.
+    Command(String),
+}
+
 /// Dispatch a parsed command line.
-pub fn dispatch(args: &Args) -> Result<(), String> {
-    let name = args.command.as_deref().ok_or("no command given")?;
-    let grammar = grammar(name).ok_or_else(|| format!("unknown command '{name}'"))?;
+pub fn dispatch(args: &Args) -> Result<(), Failure> {
+    let name = args
+        .command
+        .as_deref()
+        .ok_or_else(|| Failure::Usage("no command given".into()))?;
+    let grammar =
+        grammar(name).ok_or_else(|| Failure::Usage(format!("unknown command '{name}'")))?;
     // only `store` takes a sub-action (`store stats` etc.)
     if let Some(sub) = &args.subaction {
         if name != "store" {
-            return Err(format!("unexpected argument '{sub}'"));
+            return Err(Failure::Usage(format!("unexpected argument '{sub}'")));
         }
     }
-    check_flags(args, &grammar)?;
-    (grammar.run)(args)
+    check_flags(args, &grammar).map_err(Failure::Usage)?;
+    (grammar.run)(args).map_err(Failure::Command)
 }
 
 /// Reject every flag `grammar` does not read, a value-taking flag given
@@ -1222,7 +1238,7 @@ mod tests {
 
     fn run(cmd: &str) -> Result<(), String> {
         let args = Args::parse(cmd.split_whitespace().map(String::from)).unwrap();
-        dispatch(&args)
+        dispatch(&args).map_err(|(Failure::Usage(msg) | Failure::Command(msg))| msg)
     }
 
     #[test]
@@ -1349,7 +1365,7 @@ mod tests {
         ))
         .unwrap();
         let text = std::fs::read_to_string(&plan_path).unwrap();
-        assert!(text.starts_with("micco-plan v1"));
+        assert!(text.starts_with("micco-plan v2"));
         // sim backend replays the plan on the simulator
         run(&format!("execute {wl} --plan {}", plan_path.display())).unwrap();
         // real backend computes actual kernels from the same plan
@@ -1681,6 +1697,37 @@ mod tests {
     fn heterogeneous_dims_flag() {
         run("run --vector-size 4 --vectors 3 --gpus 2 --dims 32,64").unwrap();
         assert!(run("run --dims 32,x --gpus 2").is_err());
+    }
+
+    /// The usage text follows a grammar error only: a command that ran
+    /// and failed reports its own message.
+    #[test]
+    fn grammar_errors_are_told_apart_from_command_failures() {
+        let failure = |cmd: &str| {
+            let args = Args::parse(cmd.split_whitespace().map(String::from)).unwrap();
+            dispatch(&args).unwrap_err()
+        };
+        assert_eq!(
+            dispatch(&Args::default()),
+            Err(Failure::Usage("no command given".into()))
+        );
+        for (cmd, msg) in [
+            ("bogus", "unknown command 'bogus'"),
+            ("run extra", "unexpected argument 'extra'"),
+            ("lint --bogus", "unknown flag --bogus"),
+            ("lint --plan", "--plan needs a value"),
+            ("plan --lint yes", "--lint takes no value"),
+        ] {
+            assert_eq!(failure(cmd), Failure::Usage(msg.into()), "{cmd}");
+        }
+        assert!(matches!(
+            failure("run --dist sideways"),
+            Failure::Command(_)
+        ));
+        assert!(matches!(
+            failure("lint --plan /nonexistent/micco-plan.txt"),
+            Failure::Command(_)
+        ));
     }
 
     #[test]

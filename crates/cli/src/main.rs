@@ -30,16 +30,23 @@ fn main() -> ExitCode {
     let parsed = match args::Args::parse(raw) {
         Ok(a) => a,
         Err(e) => {
+            // a stray positional breaks the grammar as an unknown flag does
             eprintln!("error: {e}");
+            eprintln!();
+            eprintln!("{}", commands::USAGE);
             return ExitCode::FAILURE;
         }
     };
     match commands::dispatch(&parsed) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(commands::Failure::Usage(e)) => {
             eprintln!("error: {e}");
             eprintln!();
             eprintln!("{}", commands::USAGE);
+            ExitCode::FAILURE
+        }
+        Err(commands::Failure::Command(e)) => {
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }

@@ -797,14 +797,14 @@ mod tests {
         // every on-disk store is keyed by these bytes: a drift makes every
         // stored plan unreachable
         let cases = [
-            (SessionConfig::default(), "12015009cd6028de"),
+            (SessionConfig::default(), "232c41041d4ad6cf"),
             (
                 SessionConfig {
                     overlap: true,
                     prefetch_tasks: 2,
                     ..SessionConfig::default()
                 },
-                "7ee4cd8d4321b39e",
+                "77d0f7772893428f",
             ),
             (
                 SessionConfig {
@@ -812,21 +812,21 @@ mod tests {
                     topology_aware: true,
                     ..SessionConfig::default()
                 },
-                "e78c6b2c08346dfa",
+                "e2dbf32dfbb60d45",
             ),
             (
                 SessionConfig {
                     oversub: 2.0,
                     ..SessionConfig::default()
                 },
-                "e30de2fa3df60342",
+                "622f9541a7c173df",
             ),
             (
                 SessionConfig {
                     scheduler: "groute".into(),
                     ..SessionConfig::default()
                 },
-                "7274ad98183d99cc",
+                "df628b01e450f643",
             ),
         ];
         let keys: Vec<String> = cases.iter().map(|(cfg, _)| key_hex(cfg)).collect();

@@ -13,7 +13,7 @@
 //! no-dependency idiom as `micco-workload`'s stream format):
 //!
 //! ```text
-//! micco-plan v1
+//! micco-plan v2
 //! scheduler micco[fixed(0,2,0)]
 //! gpus 4
 //! fingerprint 9322391459459612643
@@ -36,7 +36,7 @@ use crate::bounds::ReuseBounds;
 use crate::driver::{Assignment, DriverOptions, Scheduler};
 
 /// Plan format version written by [`SchedulePlan::to_text`].
-pub const PLAN_VERSION: u32 = 1;
+pub const PLAN_VERSION: u32 = 2;
 
 const HEADER_PREFIX: &str = "micco-plan v";
 
@@ -773,15 +773,19 @@ mod tests {
 
     #[test]
     fn unsupported_version_rejected() {
-        let text = "micco-plan v2\nscheduler x\ngpus 1\nfingerprint 0\n";
-        assert_eq!(
-            SchedulePlan::from_text(text),
-            Err(PlanFormatError::UnsupportedVersion { found: 2 })
-        );
-        assert!(SchedulePlan::from_text(text)
-            .unwrap_err()
-            .to_string()
-            .contains("not supported"));
+        // v1 plans carry the FNV-1a stream fingerprint, which no stream
+        // hashes to any more
+        for found in [1, 3] {
+            let text = format!("micco-plan v{found}\nscheduler x\ngpus 1\nfingerprint 0\n");
+            assert_eq!(
+                SchedulePlan::from_text(&text),
+                Err(PlanFormatError::UnsupportedVersion { found })
+            );
+            assert_eq!(
+                SchedulePlan::from_text(&text).unwrap_err().to_string(),
+                format!("plan format v{found} is not supported (this build reads v2)")
+            );
+        }
     }
 
     #[test]
@@ -799,7 +803,7 @@ mod tests {
 
     #[test]
     fn assign_outside_stage_rejected() {
-        let text = "micco-plan v1\nscheduler x\ngpus 1\nfingerprint 0\nassign 0 0\n";
+        let text = "micco-plan v2\nscheduler x\ngpus 1\nfingerprint 0\nassign 0 0\n";
         assert!(matches!(
             SchedulePlan::from_text(text),
             Err(PlanFormatError::AssignOutsideStage { line: 5 })
@@ -808,7 +812,7 @@ mod tests {
 
     #[test]
     fn missing_fields_rejected() {
-        let text = "micco-plan v1\ngpus 1\nfingerprint 0\n";
+        let text = "micco-plan v2\ngpus 1\nfingerprint 0\n";
         assert_eq!(
             SchedulePlan::from_text(text),
             Err(PlanFormatError::MissingField { field: "scheduler" })
@@ -817,7 +821,7 @@ mod tests {
 
     #[test]
     fn malformed_lines_rejected_with_position() {
-        let text = "micco-plan v1\nscheduler x\ngpus one\n";
+        let text = "micco-plan v2\nscheduler x\ngpus one\n";
         match SchedulePlan::from_text(text) {
             Err(PlanFormatError::BadLine { line, reason }) => {
                 assert_eq!(line, 3);
@@ -825,7 +829,7 @@ mod tests {
             }
             other => panic!("expected BadLine, got {other:?}"),
         }
-        let text = "micco-plan v1\nscheduler x\ngpus 1\nfingerprint 0\nwat\n";
+        let text = "micco-plan v2\nscheduler x\ngpus 1\nfingerprint 0\nwat\n";
         assert!(matches!(
             SchedulePlan::from_text(text),
             Err(PlanFormatError::BadLine { line: 5, .. })
@@ -834,7 +838,7 @@ mod tests {
 
     #[test]
     fn comments_and_blank_lines_ignored() {
-        let text = "micco-plan v1\n# comment\n\nscheduler rr\ngpus 2\nfingerprint 7\noverhead 0\nstage\nassign 0 1\n";
+        let text = "micco-plan v2\n# comment\n\nscheduler rr\ngpus 2\nfingerprint 7\noverhead 0\nstage\nassign 0 1\n";
         let plan = SchedulePlan::from_text(text).unwrap();
         assert_eq!(plan.scheduler, "rr");
         assert_eq!(plan.total_tasks(), 1);

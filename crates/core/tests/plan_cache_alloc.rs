@@ -1,11 +1,12 @@
 //! Allocation accounting for the plan-cache key.
 //!
 //! This test binary installs a counting `#[global_allocator]` and asserts
-//! that `PlanCache::key_for_with_topology` performs **zero** heap
-//! allocations on a stream that has already cached its fingerprint: the
-//! scheduler name is hashed borrow-wise through `Scheduler::write_name` (no
-//! `String` name, no owned key struct). Every `DurablePlanCache` request
-//! derives its key before it probes the cache.
+//! that hashing a fresh stream's fingerprint performs **zero** heap
+//! allocations, and so does `PlanCache::key_for_with_topology` on a stream
+//! that has cached its fingerprint: the scheduler name is hashed
+//! borrow-wise through `Scheduler::write_name` (no `String` name, no owned
+//! key struct). Every `DurablePlanCache` request derives its key before it
+//! probes the cache.
 //!
 //! Kept in its own integration-test binary because a global allocator is
 //! process-wide.
@@ -60,8 +61,18 @@ fn assert_key_allocates_zero(sched: &dyn Scheduler, label: &str) {
     let cfg = MachineConfig::mi100_like(3);
     let opts = DriverOptions::default().with_measure_overhead();
 
-    // The first key hashes the stream and caches its fingerprint (not
-    // under test).
+    // Hashing the fresh stream allocates nothing either: its words go
+    // straight into the hash's lanes.
+    let before = alloc_count();
+    let fingerprint = stream.fingerprint();
+    let allocs = alloc_count() - before;
+    assert_eq!(
+        allocs, 0,
+        "{label}: fingerprinting a fresh stream allocated {allocs} times (expected 0)"
+    );
+    assert_eq!(stream.fingerprint(), fingerprint);
+
+    // The first key of the stream is not under test.
     let key = PlanCache::key_for_with_topology(sched, &stream, &cfg, opts, None);
 
     let before = alloc_count();

@@ -2,6 +2,7 @@
 //!
 //! * [`crc32`] — CRC-32/ISO-HDLC (the zlib polynomial), the per-record
 //!   integrity check. Catches torn writes and bit rot in header or payload.
+//!   [`crc32_update`] extends a CRC over more bytes.
 //! * [`fnv1a`] — 64-bit FNV-1a, byte-compatible with
 //!   `SchedulePlan::digest()` in `micco-core`: the store verifies on load
 //!   that a record's payload still hashes to the digest it was written
@@ -34,7 +35,16 @@ const fn build_crc_table() -> [u32; 256] {
 /// CRC-32/ISO-HDLC over `bytes` (init `0xFFFF_FFFF`, final xor, reflected
 /// — the same parameters as zlib's `crc32`).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
+    crc32_update(0, bytes)
+}
+
+/// Extend `crc`, the CRC-32 of some bytes `a`, to the CRC-32 of
+/// `a ‖ bytes`, as zlib's `crc32(crc, buf, len)` does: so
+/// `crc32_update(crc32(a), b) == crc32(a ‖ b)`, and `crc` 0 starts from no
+/// bytes. A record's CRC covers its header then its payload without
+/// copying the two into one buffer.
+pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    let mut crc = !crc;
     for &b in bytes {
         crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
     }
@@ -69,6 +79,30 @@ mod tests {
     }
 
     #[test]
+    fn incremental_crc_equals_one_shot_at_every_split() {
+        for input in [
+            &b"123456789"[..],
+            b"",
+            b"The quick brown fox jumps over the lazy dog",
+        ] {
+            assert_eq!(crc32_update(0, input), crc32(input));
+            for split in 0..=input.len() {
+                let (head, tail) = input.split_at(split);
+                assert_eq!(
+                    crc32_update(crc32(head), tail),
+                    crc32(input),
+                    "split {split}"
+                );
+            }
+        }
+        assert_eq!(crc32_update(crc32(b"1234"), b"56789"), 0xCBF4_3926);
+        assert_eq!(
+            crc32_update(crc32(b"The quick brown fox "), b"jumps over the lazy dog"),
+            0x414F_A339
+        );
+    }
+
+    #[test]
     fn fnv1a_matches_known_vectors() {
         // standard 64-bit FNV-1a test vectors
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
@@ -78,7 +112,7 @@ mod tests {
 
     #[test]
     fn single_bit_flip_changes_both() {
-        let a = b"micco-plan v1\nscheduler rr\n".to_vec();
+        let a = b"micco-plan v2\nscheduler rr\n".to_vec();
         let mut b = a.clone();
         b[7] ^= 0x01;
         assert_ne!(crc32(&a), crc32(&b));

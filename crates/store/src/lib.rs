@@ -35,12 +35,12 @@
 //!
 //! let dir = std::env::temp_dir().join(format!("micco-store-doc-{}", std::process::id()));
 //! let mut store = PlanStore::open(&dir)?;
-//! store.put(42, b"micco-plan v1\n...")?;
+//! store.put(42, b"micco-plan v2\n...")?;
 //! drop(store);
 //!
 //! // warm restart: the record is replayed from the log
 //! let store = PlanStore::open(&dir)?;
-//! assert_eq!(store.get(42), Some(&b"micco-plan v1\n..."[..]));
+//! assert_eq!(store.get(42), Some(&b"micco-plan v2\n..."[..]));
 //! # std::fs::remove_dir_all(&dir).ok();
 //! # Ok::<(), micco_store::StoreError>(())
 //! ```

@@ -421,14 +421,13 @@ impl PlanStore {
             source: std::io::Error::other("rotate left no active fragment"),
         })?;
         let path = self.dir.clone();
-        let written = fragment::append(&mut active.file, key, payload, self.options.sync)
+        let appended = fragment::append(&mut active.file, key, payload, self.options.sync)
             .map_err(|e| StoreError::io(&path, e))?;
-        active.bytes += written;
-        let digest = crate::checksum::fnv1a(payload);
+        active.bytes += appended.bytes;
         self.index.insert(
             key,
             Stored {
-                digest,
+                digest: appended.digest,
                 payload: payload.to_vec(),
             },
         );

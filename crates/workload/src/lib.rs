@@ -25,6 +25,7 @@ pub mod intern;
 pub mod serialize;
 pub mod stats;
 pub mod task;
+mod xxh64;
 
 pub use characteristics::DataCharacteristics;
 pub use generator::{RepeatDistribution, WorkloadSpec};

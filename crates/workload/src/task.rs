@@ -7,6 +7,8 @@ use micco_tensor::{
     ContractionKind,
 };
 
+use crate::xxh64::WordHasher;
+
 /// Globally unique identity of a tensor (an original hadron-node payload or
 /// an intermediate produced by an earlier contraction).
 ///
@@ -241,43 +243,41 @@ impl TensorPairStream {
             .unwrap_or(0)
     }
 
-    /// Content hash of the whole stream (64-bit FNV-1a over every task
-    /// field plus the stage boundaries). Any change to the stream — task
-    /// order, tensor identity or footprint, flops, vector count — changes
-    /// the fingerprint; equal streams always fingerprint equal. Schedule
-    /// plans carry this value so a plan can be checked against the stream
-    /// it is replayed on, and plan caches key on it.
+    /// Content hash of the whole stream: XXH64 (seed 0) over every task
+    /// field plus the stage boundaries. The hashed bytes are, per vector, a
+    /// `u64::MAX` stage marker and the task count, then each task's id,
+    /// operand ids and byte sizes, output id and bytes, and flops — every
+    /// value a little-endian `u64`. Any change to the stream — task order,
+    /// tensor identity or footprint, flops, vector count — changes the
+    /// fingerprint; equal streams always fingerprint equal. Schedule plans
+    /// carry this value so a plan can be checked against the stream it is
+    /// replayed on, and plan caches key on it.
     ///
-    /// The hash is computed on the first call and cached in the stream
-    /// (clones keep it), so every later call is a load. Streams that
-    /// nothing keys or validates never pay for it.
+    /// The words go straight into XXH64's four independent lanes, with no
+    /// byte buffer and no allocation. The hash is computed on the first
+    /// call and cached in the stream (clones keep it), so every later call
+    /// is a load. Streams that nothing keys or validates never pay for it.
     pub fn fingerprint(&self) -> u64 {
         *self.fingerprint.get_or_init(|| {
-            const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-            const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-            let mut h = FNV_OFFSET;
-            let mut mix = |value: u64| {
-                for byte in value.to_le_bytes() {
-                    h ^= byte as u64;
-                    h = h.wrapping_mul(FNV_PRIME);
-                }
-            };
+            let mut h = WordHasher::new();
             for v in &self.vectors {
                 // a stage marker keeps [t0 | t1] distinct from [t0, t1]
-                mix(u64::MAX);
-                mix(v.tasks.len() as u64);
-                for t in &v.tasks {
-                    mix(t.id.0);
-                    mix(t.a.id.0);
-                    mix(t.a.bytes);
-                    mix(t.b.id.0);
-                    mix(t.b.bytes);
-                    mix(t.out.id.0);
-                    mix(t.out.bytes);
-                    mix(t.flops);
-                }
+                h.word(u64::MAX);
+                h.word(v.tasks.len() as u64);
+                h.blocks(v.tasks.iter().map(|t| {
+                    [
+                        t.id.0,
+                        t.a.id.0,
+                        t.a.bytes,
+                        t.b.id.0,
+                        t.b.bytes,
+                        t.out.id.0,
+                        t.out.bytes,
+                        t.flops,
+                    ]
+                }));
             }
-            h
+            h.finish()
         })
     }
 }

@@ -51,35 +51,94 @@ fn spec() -> impl Strategy<Value = WorkloadSpec> {
         )
 }
 
-/// The stream fingerprint as first defined: 64-bit FNV-1a over a stage
-/// marker and task count per vector, then every field of every task.
-/// Store keys and the golden plan corpus depend on this exact value.
-fn reference_fingerprint(vectors: &[Vector]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut mix = |value: u64| {
-        for byte in value.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(FNV_PRIME);
+/// XXH64 (seed 0) of `input`, written byte slice by byte slice from the
+/// spec (<https://github.com/Cyan4973/xxHash/blob/dev/doc/xxhash_spec.md>).
+fn xxh64(input: &[u8]) -> u64 {
+    const P1: u64 = 0x9E37_79B1_85EB_CA87;
+    const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+    const P3: u64 = 0x1656_67B1_9E37_79F9;
+    const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+    const P5: u64 = 0x27D4_EB2F_1656_67C5;
+    fn round(acc: u64, lane: u64) -> u64 {
+        acc.wrapping_add(lane.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
+    }
+    fn merge(acc: u64, lane: u64) -> u64 {
+        (acc ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
+    }
+    let u64_at = |b: &[u8]| u64::from_le_bytes(b[..8].try_into().expect("8 bytes"));
+    let mut rest = input;
+    let mut acc = if input.len() >= 32 {
+        let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        while rest.len() >= 32 {
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                *lane = round(*lane, u64_at(&rest[8 * i..]));
+            }
+            rest = &rest[32..];
         }
+        let mut acc = lanes[0]
+            .rotate_left(1)
+            .wrapping_add(lanes[1].rotate_left(7))
+            .wrapping_add(lanes[2].rotate_left(12))
+            .wrapping_add(lanes[3].rotate_left(18));
+        for lane in lanes {
+            acc = merge(acc, lane);
+        }
+        acc
+    } else {
+        P5
     };
+    acc = acc.wrapping_add(input.len() as u64);
+    while rest.len() >= 8 {
+        acc = (acc ^ round(0, u64_at(rest)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+        rest = &rest[8..];
+    }
+    if rest.len() >= 4 {
+        let lane = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as u64;
+        acc = (acc ^ lane.wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+        rest = &rest[4..];
+    }
+    for &byte in rest {
+        acc = (acc ^ (byte as u64).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+    acc ^= acc >> 33;
+    acc = acc.wrapping_mul(P2);
+    acc ^= acc >> 29;
+    acc = acc.wrapping_mul(P3);
+    acc ^ (acc >> 32)
+}
+
+/// The stream fingerprint's definition: XXH64 of a stage marker and task
+/// count per vector, then every field of every task, each a little-endian
+/// `u64`. Store keys and the golden plan corpus depend on this exact value.
+fn reference_fingerprint(vectors: &[Vector]) -> u64 {
+    let mut bytes = Vec::new();
+    let mut put = |value: u64| bytes.extend_from_slice(&value.to_le_bytes());
     for v in vectors {
         // a stage marker keeps [t0 | t1] distinct from [t0, t1]
-        mix(u64::MAX);
-        mix(v.tasks.len() as u64);
+        put(u64::MAX);
+        put(v.tasks.len() as u64);
         for t in &v.tasks {
-            mix(t.id.0);
-            mix(t.a.id.0);
-            mix(t.a.bytes);
-            mix(t.b.id.0);
-            mix(t.b.bytes);
-            mix(t.out.id.0);
-            mix(t.out.bytes);
-            mix(t.flops);
+            put(t.id.0);
+            put(t.a.id.0);
+            put(t.a.bytes);
+            put(t.b.id.0);
+            put(t.b.bytes);
+            put(t.out.id.0);
+            put(t.out.bytes);
+            put(t.flops);
         }
     }
-    h
+    xxh64(&bytes)
 }
 
 /// `stream` with `change` applied to a copy of its vectors.
@@ -195,7 +254,7 @@ proptest! {
         }
     }
 
-    /// A generated stream's fingerprint is the reference FNV-1a of its
+    /// A generated stream's fingerprint is the reference XXH64 of its
     /// vectors, and a text round trip (a fresh stream that has computed
     /// nothing yet) fingerprints the same.
     #[test]
@@ -260,14 +319,27 @@ proptest! {
     }
 }
 
+/// The reference is XXH64: it reproduces the spec's published vectors,
+/// the last of which (39 bytes) runs the stripe loop and every tail step.
 #[test]
-fn the_empty_stream_is_the_default_and_hashes_to_the_fnv_offset() {
+fn the_reference_hash_reproduces_the_published_xxh64_vectors() {
+    assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
+    assert_eq!(xxh64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+    assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
+    assert_eq!(
+        xxh64(b"Nobody inspects the spammish repetition"),
+        0xfbce_a83c_8a37_8bf1
+    );
+}
+
+#[test]
+fn the_empty_stream_is_the_default_and_hashes_to_xxh64_of_nothing() {
     let empty = TensorPairStream::new(vec![]);
     assert_eq!(TensorPairStream::default(), empty);
-    assert_eq!(empty.fingerprint(), 0xcbf2_9ce4_8422_2325);
+    assert_eq!(empty.fingerprint(), 0xef46_db37_51d8_e999);
     assert_eq!(
         TensorPairStream::default().fingerprint(),
-        0xcbf2_9ce4_8422_2325
+        0xef46_db37_51d8_e999
     );
-    assert_eq!(reference_fingerprint(&[]), 0xcbf2_9ce4_8422_2325);
+    assert_eq!(reference_fingerprint(&[]), 0xef46_db37_51d8_e999);
 }
