@@ -50,8 +50,8 @@ use parking_lot::Mutex;
 use micco_core::{Assignment, PlanError, SchedulePlan};
 use micco_gpusim::FaultPlan;
 use micco_obs::{FlowPoint, TraceEvent, TraceSink, Track, CONTROL_PID};
-use micco_tensor::{Complex64, TensorError};
-use micco_workload::{TensorId, TensorPairStream, Vector};
+use micco_tensor::{BatchedMatrix, Complex64, TensorError};
+use micco_workload::{ContractionTask, TensorId, TensorPairStream, Vector};
 
 use crate::store::TensorStore;
 
@@ -77,7 +77,10 @@ pub struct ExecOptions {
     /// Overlap operand staging with compute: a per-stage prefetch thread
     /// warms the tensor store with the stage's operands while workers
     /// crunch — the execution-engine analogue of the simulator's
-    /// asynchronous copy engine.
+    /// asynchronous copy engine. It builds only tensors that some task
+    /// still reads: one the workers have finished with, and the store has
+    /// dropped, is skipped, so a lagging prefetcher never rebuilds it and
+    /// keeps it until the end.
     pub prefetch: bool,
     /// Maximum attempts per kernel under transient faults. `0` and `1`
     /// both mean "no retry": the first transient failure is final.
@@ -552,10 +555,12 @@ fn execute_unchecked(
     let mut traces: Vec<Complex64> = vec![Complex64::ZERO; stream.total_tasks()];
     let mut offset = 0usize;
 
+    store.count_uses(stream);
     for (stage, vector) in stream.vectors().iter().enumerate() {
         let stage_start_us = tele.as_ref().map(|t| t.now_us());
         let lost: Vec<bool> = (0..workers).map(|w| faults.is_lost(w, stage)).collect();
         if lost.iter().all(|&l| l) {
+            store.abandon();
             return Err(ExecError::AllWorkersLost { stage });
         }
         for (w, &l) in lost.iter().enumerate() {
@@ -599,7 +604,8 @@ fn execute_unchecked(
             opts.prefetch,
             &fx,
             &lost,
-        )?;
+        )
+        .inspect_err(|_| store.abandon())?;
         if let (Some(t), Some(start)) = (&tele, stage_start_us) {
             t.span(
                 CONTROL_PID,
@@ -635,14 +641,15 @@ fn execute_unchecked(
     })
 }
 
-/// Run one task's kernel: fetch operands, contract, register the output,
-/// and return the per-task trace (computed sequentially per batch element —
-/// no cross-thread reduction ⇒ bitwise determinism).
-fn run_task(store: &TensorStore, vector: &Vector, i: usize) -> Result<Complex64, ExecError> {
-    let task = &vector.tasks[i];
-    let a = store.fetch(task.a.id);
-    let b = store.fetch(task.b.id);
-    let out = a.matmul(&b).map_err(|e| match e {
+/// Run one task's kernel on its staged operands and return the per-task
+/// trace (computed sequentially per batch element — no cross-thread
+/// reduction ⇒ bitwise determinism) with the output.
+fn run_task(
+    task: &ContractionTask,
+    a: &BatchedMatrix,
+    b: &BatchedMatrix,
+) -> Result<(Complex64, BatchedMatrix), ExecError> {
+    let out = a.matmul(b).map_err(|e| match e {
         TensorError::ShapeMismatch { lhs, rhs } => ExecError::ShapeMismatch {
             task: task.id.0,
             lhs,
@@ -666,18 +673,21 @@ fn run_task(store: &TensorStore, vector: &Vector, i: usize) -> Result<Complex64,
             .copied()
             .sum::<Complex64>();
     }
-    store.insert(task.out.id, Arc::new(out));
-    Ok(tr)
+    Ok((tr, out))
 }
 
 /// [`run_task`] under the fault plan and the telemetry layer. A transfer
 /// timeout re-stages the operands once per charged retry; a transient
 /// kernel fault burns attempts from the retry budget (with exponential
 /// backoff) before its deterministic success — or exhausts the budget into
-/// a typed [`ExecError::WorkerFailed`]. Returns the per-task trace plus
-/// the wall-clock seconds spent inside the kernel (the duration of the
-/// compute span it records when tracing is on — span sums and busy sums
-/// agree exactly by construction).
+/// a typed [`ExecError::WorkerFailed`]. Both operands are staged before
+/// the kernel clock starts, traced or not, so the busy seconds are the
+/// same measurement in both modes; tracing only adds the copy span.
+/// Returns the per-task trace plus the wall-clock seconds spent inside the
+/// kernel (the duration of the compute span it records when tracing is on
+/// — span sums and busy sums agree exactly by construction). The output
+/// and the operands then go back to the store, which keeps what later
+/// tasks read.
 fn run_task_faulty(
     store: &TensorStore,
     vector: &Vector,
@@ -737,13 +747,11 @@ fn run_task_faulty(
             fx.backoff(attempt);
         }
     }
-    // operand staging: with tracing on, warm the store explicitly so the
-    // fetch cost lands on the worker's copy track (the fetches are cached,
-    // so the kernel's own fetches below are then free)
-    if let Some(t) = fx.tele {
-        let cs = t.now_us();
-        store.fetch(task.a.id);
-        store.fetch(task.b.id);
+    // operand staging, outside the kernel clock
+    let cs = fx.tele.map(|t| t.now_us());
+    let a = store.fetch(task.a.id);
+    let b = store.fetch(task.b.id);
+    if let (Some(t), Some(cs)) = (fx.tele, cs) {
         let ce = t.now_us();
         if ce > cs {
             // the `task` arg ties the transfer span to its consumer — the
@@ -760,7 +768,7 @@ fn run_task_faulty(
     }
     let span_start_us = fx.tele.map(|t| t.now_us());
     let k0 = Instant::now();
-    let tr = run_task(store, vector, i)?;
+    let (tr, out) = run_task(task, &a, &b)?;
     let busy = k0.elapsed().as_secs_f64();
     if let (Some(t), Some(start)) = (fx.tele, span_start_us) {
         t.span(
@@ -771,6 +779,8 @@ fn run_task_faulty(
             busy * 1e6,
         );
     }
+    drop((a, b));
+    store.retire(task, out);
     Ok((tr, busy))
 }
 
@@ -824,8 +834,8 @@ fn run_stage(
         let prefetcher = prefetch.then(|| {
             scope.spawn(move |_| {
                 for t in &vector.tasks {
-                    store.fetch(t.a.id);
-                    store.fetch(t.b.id);
+                    store.warm(t.a.id);
+                    store.warm(t.b.id);
                 }
             })
         });
@@ -1336,29 +1346,21 @@ mod tests {
     #[test]
     fn shape_mismatch_is_a_typed_error() {
         use micco_workload::{ContractionTask, TaskId, TensorDesc};
-        let store = TensorStore::new(2, 4, 1);
-        // pre-register operand b with a different dim than the store default
-        store.insert(
-            TensorId(8),
-            Arc::new(micco_tensor::BatchedMatrix::identity(2, 6)),
-        );
-        let vector = Vector::new(vec![ContractionTask {
+        let desc = |id: u64| TensorDesc {
+            id: TensorId(id),
+            bytes: 1,
+        };
+        let task = ContractionTask {
             id: TaskId(0),
-            a: TensorDesc {
-                id: TensorId(7),
-                bytes: 1,
-            },
-            b: TensorDesc {
-                id: TensorId(8),
-                bytes: 1,
-            },
-            out: TensorDesc {
-                id: TensorId(9),
-                bytes: 1,
-            },
+            a: desc(7),
+            b: desc(8),
+            out: desc(9),
             flops: 0,
-        }]);
-        let err = run_task(&store, &vector, 0).unwrap_err();
+        };
+        // operand b with a different dim than operand a
+        let a = BatchedMatrix::identity(2, 4);
+        let b = BatchedMatrix::identity(2, 6);
+        let err = run_task(&task, &a, &b).unwrap_err();
         assert!(matches!(err, ExecError::ShapeMismatch { task: 0, .. }));
         assert!(err.to_string().contains("shape mismatch"));
     }
@@ -1633,6 +1635,121 @@ mod tests {
         // tracing never perturbs the physics
         let untr = exec(&stream, &assignments, 2, 5, &ExecOptions::default()).unwrap();
         assert_eq!(out.checksum, untr.checksum);
+    }
+
+    #[test]
+    fn a_failed_execution_leaves_the_store_empty() {
+        // `tests/exec_conformance.rs` checks every successful path; a run
+        // that stops part-way drops what it still held, too
+        let stream = stream();
+        let assignments = assignments_for(&mut RoundRobinScheduler::new(), &stream, 2);
+        let t1 = stream.vectors()[1].tasks[1].id.0;
+        for faults in [
+            FaultPlan::none().with_kernel_fault(t1, 1),
+            FaultPlan::none()
+                .with_device_loss(0, 1, true)
+                .with_device_loss(1, 1, true),
+        ] {
+            let store = store(5);
+            let opts = ExecOptions::default().with_faults(faults);
+            assert!(execute_assignments(&stream, &assignments, 2, &store, &opts).is_err());
+            assert!(store.is_empty(), "{opts:?}: {} tensors left", store.len());
+        }
+    }
+
+    /// Reads which of a fixed set of tensors the store holds each time a
+    /// stage ends (the engine records a stage's span after its barrier).
+    struct StageProbe {
+        store: Arc<TensorStore>,
+        ids: Vec<TensorId>,
+        seen: Mutex<Vec<Vec<bool>>>,
+    }
+
+    impl TraceSink for StageProbe {
+        fn record(&self, event: TraceEvent) {
+            if let TraceEvent::Span { pid, track, .. } = event {
+                if pid == CONTROL_PID && track == Track::Control {
+                    let held = self.ids.iter().map(|&id| self.store.contains(id)).collect();
+                    self.seen.lock().push(held);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_tensor_read_in_stages_0_and_2_survives_stage_1() {
+        use micco_workload::{ContractionTask, TaskId, TensorDesc};
+        let desc = |id: u64| TensorDesc {
+            id: TensorId(id),
+            bytes: 1,
+        };
+        let task = |id: u64, a: u64, b: u64, out: u64| ContractionTask {
+            id: TaskId(id),
+            a: desc(a),
+            b: desc(b),
+            out: desc(out),
+            flops: 0,
+        };
+        // leaf 1 is read in stages 0 and 2; output 100 is read in stage 1
+        let stream = TensorPairStream::new(vec![
+            Vector::new(vec![task(0, 1, 2, 100)]),
+            Vector::new(vec![task(1, 100, 3, 101)]),
+            Vector::new(vec![task(2, 1, 4, 102)]),
+        ]);
+        let assignments: Vec<Assignment> = (0..3)
+            .map(|t| Assignment {
+                task: TaskId(t),
+                gpu: micco_gpusim::GpuId(t as usize % 2),
+            })
+            .collect();
+        let store = Arc::new(store(3));
+        let ids = [1, 2, 100, 3, 101, 4, 102].map(TensorId).to_vec();
+        let probe = Arc::new(StageProbe {
+            store: Arc::clone(&store),
+            ids,
+            seen: Mutex::new(Vec::new()),
+        });
+        let opts = ExecOptions::default().with_trace(probe.clone());
+        execute_assignments(&stream, &assignments, 2, &store, &opts).unwrap();
+        let t = true;
+        let f = false;
+        assert_eq!(
+            *probe.seen.lock(),
+            vec![
+                // ids:  1  2  100 3  101 4  102
+                vec![t, f, t, f, f, f, f], // after stage 0
+                vec![t, f, f, f, f, f, f], // after stage 1: leaf 1 waits for stage 2
+                vec![f, f, f, f, f, f, f], // after stage 2
+            ]
+        );
+        assert!(store.is_empty());
+    }
+
+    #[test]
+    fn traced_and_untraced_runs_stage_operands_alike() {
+        // Both modes stage the operands before the kernel clock starts;
+        // static mode fixes the worker of every task, so the two runs
+        // must agree task for task.
+        let stream = stream();
+        let assignments = assignments_for(&mut RoundRobinScheduler::new(), &stream, 2);
+        let untraced_store = store(5);
+        let untraced = execute_assignments(
+            &stream,
+            &assignments,
+            2,
+            &untraced_store,
+            &ExecOptions::default(),
+        )
+        .unwrap();
+        let traced_store = store(5);
+        let recorder = Recorder::shared();
+        let opts = ExecOptions::default().with_trace(recorder.clone());
+        let traced = execute_assignments(&stream, &assignments, 2, &traced_store, &opts).unwrap();
+        assert!(!recorder.events().is_empty());
+        assert_eq!(traced.per_worker_executed, untraced.per_worker_executed);
+        assert_eq!(traced.per_worker_executed, traced.per_worker_tasks);
+        assert_eq!(traced.checksum, untraced.checksum);
+        assert!(untraced_store.is_empty() && traced_store.is_empty());
     }
 
     #[test]

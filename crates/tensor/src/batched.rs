@@ -60,6 +60,17 @@ impl BatchedMatrix {
         BatchedMatrix { batch, n, data }
     }
 
+    /// Take `data`, batch element after batch element, each row-major, as
+    /// a batch of `n × n` matrices.
+    ///
+    /// # Panics
+    ///
+    /// When `data.len() != batch · n²`.
+    pub fn from_vec(batch: usize, n: usize, data: Vec<Complex64>) -> Self {
+        assert_eq!(data.len(), batch * n * n, "from_vec length mismatch");
+        BatchedMatrix { batch, n, data }
+    }
+
     /// Number of batch elements.
     #[inline]
     pub fn batch(&self) -> usize {
@@ -380,6 +391,13 @@ mod tests {
         let b = BatchedTensor3::zeros(2, 4);
         assert!(a.contract(&b).is_err());
         assert!(a.inner(&b).is_err());
+    }
+
+    #[test]
+    fn from_vec_matches_from_fn() {
+        let a = sample_bm(3, 4, 0.2);
+        let data: Vec<Complex64> = (0..3).flat_map(|b| a.slab(b).to_vec()).collect();
+        assert_eq!(BatchedMatrix::from_vec(3, 4, data), a);
     }
 
     #[test]

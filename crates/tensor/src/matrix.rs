@@ -132,7 +132,7 @@ impl Matrix {
 /// once and reuses it for every element. Each output element starts from
 /// its value in `out`, accumulates over `k` in ascending order and
 /// evaluates `re += ar·br − ai·bi; im += ar·bi + ai·br` exactly as
-/// [`Complex64::mul_add_assign`] does, so both kernel instances give the
+/// [`Complex64::mul_add_assign`] does, so every kernel instance gives the
 /// same bits as that scalar loop.
 pub(crate) fn matmul_into(
     a: &[Complex64],
@@ -150,36 +150,48 @@ pub(crate) fn matmul_into(
         *im = z.im;
     }
     #[cfg(target_arch = "x86_64")]
-    if std::is_x86_feature_detected!("avx2") {
-        // SAFETY: `is_x86_feature_detected!` just found AVX2 on this CPU,
-        // the only requirement `gemm_avx2` places on its caller.
-        unsafe { gemm_avx2(a, bre, bim, out, n) };
-        return;
+    {
+        if std::is_x86_feature_detected!("avx512f") {
+            // SAFETY: `is_x86_feature_detected!` just found AVX-512F on
+            // this CPU, the only feature `gemm_avx512` is compiled for.
+            unsafe { gemm_avx512(a, bre, bim, out, n) };
+            return;
+        }
+        if std::is_x86_feature_detected!("avx2") {
+            // SAFETY: as above, for AVX2 and `gemm_avx2`.
+            unsafe { gemm_avx2(a, bre, bim, out, n) };
+            return;
+        }
     }
     gemm_tiled(a, bre, bim, out, n);
 }
 
 /// Output rows per register tile.
-const MR: usize = 2;
+const MR: usize = 4;
 /// Output columns per register tile.
 const NR: usize = 8;
 
-/// The tiled kernel compiled with AVX2, which holds a 2×8 tile's
-/// accumulators in eight 256-bit registers.
-///
-/// # Safety
-///
-/// The CPU must support AVX2.
+/// The tiled kernel compiled with AVX-512F, which holds a 4×8 tile's
+/// accumulators in eight of its 32 512-bit registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn gemm_avx512(a: &[Complex64], bre: &[f64], bim: &[f64], out: &mut [Complex64], n: usize) {
+    gemm_tiled(a, bre, bim, out, n);
+}
+
+/// The tiled kernel compiled with AVX2, which holds a 4×8 tile's
+/// accumulators in sixteen 256-bit registers.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn gemm_avx2(a: &[Complex64], bre: &[f64], bim: &[f64], out: &mut [Complex64], n: usize) {
+fn gemm_avx2(a: &[Complex64], bre: &[f64], bim: &[f64], out: &mut [Complex64], n: usize) {
     gemm_tiled(a, bre, bim, out, n);
 }
 
 /// The one GEMM body: `MR × NR` tiles of `out`, then the rows and columns
 /// left over go through the same tile code one row or one column wide.
 /// Inlined into each caller, it is compiled once for the target's baseline
-/// instruction set (the portable instance) and once in `gemm_avx2`.
+/// instruction set (the portable instance), once in `gemm_avx2` and once
+/// in `gemm_avx512`, all with the same tile.
 #[inline(always)]
 fn gemm_tiled(a: &[Complex64], bre: &[f64], bim: &[f64], out: &mut [Complex64], n: usize) {
     let full_rows = n - n % MR;
@@ -341,10 +353,9 @@ mod tests {
 
     #[test]
     fn tiled_gemm_is_bitwise_identical_to_naive() {
-        // Sizes below, at and above the 2×8 tile, with and without the
-        // partial row and columns. `matmul_into` runs the AVX2 instance
-        // wherever this CPU has AVX2; `gemm_tiled` called here is the
-        // portable instance, so both are checked wherever both can run.
+        // Sizes below, at and above the 4×8 tile, with and without the
+        // partial rows and columns. Each instance this CPU can run is
+        // called directly, since dispatch reaches only the widest one.
         for n in [1usize, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 128, 200] {
             let a = Matrix::from_fn(n, |i, j| {
                 Complex64::new(
@@ -369,9 +380,30 @@ mod tests {
             assert_eq!(to_bits(&dispatched), to_bits(&naive), "n = {n}: dispatched");
 
             let (bre, bim) = planes.split_at(n * n);
-            let mut portable = start.as_slice().to_vec();
-            gemm_tiled(a.as_slice(), bre, bim, &mut portable, n);
-            assert_eq!(to_bits(&portable), to_bits(&naive), "n = {n}: portable");
+            let run = |kernel: &dyn Fn(&mut [Complex64])| {
+                let mut got = start.as_slice().to_vec();
+                kernel(&mut got);
+                to_bits(&got)
+            };
+            let want = to_bits(&naive);
+            assert_eq!(
+                run(&|o| gemm_tiled(a.as_slice(), bre, bim, o, n)),
+                want,
+                "n = {n}: portable"
+            );
+            #[cfg(target_arch = "x86_64")]
+            {
+                if std::is_x86_feature_detected!("avx2") {
+                    // SAFETY: the CPU has AVX2.
+                    let got = run(&|o| unsafe { gemm_avx2(a.as_slice(), bre, bim, o, n) });
+                    assert_eq!(got, want, "n = {n}: avx2");
+                }
+                if std::is_x86_feature_detected!("avx512f") {
+                    // SAFETY: the CPU has AVX-512F.
+                    let got = run(&|o| unsafe { gemm_avx512(a.as_slice(), bre, bim, o, n) });
+                    assert_eq!(got, want, "n = {n}: avx512");
+                }
+            }
         }
     }
 }

@@ -6,7 +6,7 @@
 //! simulator ran with copy/compute overlap, or whether the executor stole
 //! work between workers.
 
-use micco::exec::{execute_assignments, ExecOptions, TensorShape, TensorStore};
+use micco::exec::{execute_assignments, ExecOptions, FaultPlan, TensorShape, TensorStore};
 use micco::gpusim::MachineConfig;
 use micco::sched::{
     GrouteScheduler, MiccoScheduler, ReuseBounds, RoundRobinScheduler, ScheduleReport, Scheduler,
@@ -213,29 +213,38 @@ fn bits(c: micco::tensor::Complex64) -> Bits {
     (c.re.to_bits(), c.im.to_bits())
 }
 
+/// Checksum bits of the pinned workloads `(batch, dim, bits)`. They come
+/// from the scalar `i, k, j` kernel that preceded the register-tiled one,
+/// so a kernel that moves a single rounding anywhere fails here. Dim 32
+/// at batch 4 on 2 workers is the real-verification benchmark's shape;
+/// dims 33 and 7 leave a partial row and partial column tiles in every
+/// product.
+const PINNED: [(usize, usize, Bits); 3] = [
+    (4, 32, (0xc043_6604_f2d5_ae5b, 0x402f_e1f8_ab5f_a6f6)),
+    (2, 33, (0xc030_4147_f6c9_e62b, 0xc03d_dfc9_2de3_cc74)),
+    (3, 7, (0x4018_4d3a_85fb_48ea, 0xc011_8f0a_6c89_b031)),
+];
+
+/// A pinned workload and its 2-GPU MICCO placement.
+fn pinned_case(batch: usize, dim: usize) -> (TensorPairStream, ScheduleReport) {
+    let stream = WorkloadSpec::new(24, dim)
+        .with_batch(batch)
+        .with_repeat_rate(0.5)
+        .with_vectors(2)
+        .with_seed(41)
+        .generate();
+    let report = Session::new(MachineConfig::mi100_like(2))
+        .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
+        .expect("workload fits");
+    (stream, report)
+}
+
 #[test]
 fn real_executor_values_are_pinned_across_builds() {
-    // Every other checksum test compares two runs of one build. These
-    // constants come from the scalar `i, k, j` kernel that preceded the
-    // register-tiled one, so a kernel that moves a single rounding
-    // anywhere fails here. Dim 32 at batch 4 on 2 stealing
-    // workers is the real-verification benchmark's shape; dims 33 and 7
-    // leave a partial row and partial column tiles in every product.
-    let cases: [(usize, usize, Bits); 3] = [
-        (4, 32, (0xc043_6604_f2d5_ae5b, 0x402f_e1f8_ab5f_a6f6)),
-        (2, 33, (0xc030_4147_f6c9_e62b, 0xc03d_dfc9_2de3_cc74)),
-        (3, 7, (0x4018_4d3a_85fb_48ea, 0xc011_8f0a_6c89_b031)),
-    ];
-    for (batch, dim, want) in cases {
-        let stream = WorkloadSpec::new(24, dim)
-            .with_batch(batch)
-            .with_repeat_rate(0.5)
-            .with_vectors(2)
-            .with_seed(41)
-            .generate();
-        let report = Session::new(MachineConfig::mi100_like(2))
-            .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
-            .expect("workload fits");
+    // Every other checksum test compares two runs of one build; these
+    // constants come from an earlier kernel (see `PINNED`).
+    for (batch, dim, want) in PINNED {
+        let (stream, report) = pinned_case(batch, dim);
         let out = execute_assignments(
             &stream,
             &report.assignments,
@@ -272,5 +281,44 @@ fn real_executor_values_are_pinned_across_builds() {
         let slab = leaf.slab(leaf.batch() - 1);
         assert_eq!(bits(leaf.slab(0)[0]), first, "leaf {id}");
         assert_eq!(bits(slab[slab.len() - 1]), last, "leaf {id}");
+    }
+}
+
+#[test]
+fn every_execution_path_keeps_the_pins_and_empties_the_store() {
+    // The store drops each tensor after its last use. Whatever order the
+    // workers, a thief or a lagging prefetcher touch tensors in, every
+    // path must still see every operand it reads and end with an empty
+    // store.
+    for (batch, dim, want) in PINNED {
+        let (stream, report) = pinned_case(batch, dim);
+        let first = stream.vectors()[0].tasks[0].id.0;
+        let last = stream.vectors()[1].tasks[0].id.0;
+        let faults = FaultPlan::none()
+            .with_transfer_timeout(first, 2)
+            .with_kernel_fault(last, 1)
+            .with_device_loss(1, 1, true);
+        for opts in [
+            ExecOptions::default(),
+            ExecOptions::default().with_steal(),
+            ExecOptions::default().with_steal().with_prefetch(),
+            ExecOptions::default()
+                .retry(2, std::time::Duration::ZERO)
+                .with_faults(faults),
+        ] {
+            let store = TensorStore::new(batch, dim, 41);
+            let out =
+                execute_assignments(&stream, &report.assignments, 2, &store, &opts).expect("valid");
+            assert_eq!(
+                bits(out.checksum),
+                want,
+                "batch {batch}, dim {dim}, {opts:?}"
+            );
+            assert!(
+                store.is_empty(),
+                "batch {batch}, dim {dim}, {opts:?}: {} left",
+                store.len()
+            );
+        }
     }
 }
