@@ -35,7 +35,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use micco_core::SchedulePlan;
-use micco_gpusim::{DeviceMemory, ExecError, ExecObserver, GpuId, LinkTopology, MachineConfig};
+use micco_gpusim::{ExecObserver, GpuId, LinkTopology, MachineConfig};
 use micco_obs::{TraceEvent, Track};
 use micco_workload::{TensorId, TensorPairStream};
 
@@ -159,18 +159,9 @@ fn plan_dag(
                 },
             );
             let mut collector = DagCollector::default();
-            match machine.execute_observed(task, *gpu, &mut collector) {
-                Ok(()) => {}
-                Err(ExecError::OutOfMemory { gpu: oom_gpu, .. }) => {
-                    // Unexecutable placements are the static verifier's
-                    // E001; the DAG keeps what was staged and moves on.
-                    let mem: &mut DeviceMemory = machine.memory_mut(oom_gpu);
-                    for id in [task.a.id, task.b.id, task.out.id] {
-                        mem.set_pinned(id, false);
-                    }
-                }
-                Err(_) => {}
-            }
+            // An unexecutable placement is the static verifier's E001; the
+            // DAG keeps what was staged and moves on.
+            let _ = machine.execute_observed(task, *gpu, &mut collector);
             dag.transfers.extend(collector.d2d);
             dag.producers
                 .entry(task.out.id.0)

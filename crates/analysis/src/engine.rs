@@ -17,8 +17,7 @@ use std::collections::HashMap;
 use micco_core::pattern::classify;
 use micco_core::{ReuseBounds, SchedulePlan};
 use micco_gpusim::{
-    DeviceMemory, EvictionPolicy, ExecError, ExecObserver, GpuId, LinkTopology, MachineConfig,
-    SimMachine,
+    EvictionPolicy, ExecError, ExecObserver, GpuId, LinkTopology, MachineConfig, SimMachine,
 };
 use micco_workload::{ContractionTask, TensorId, TensorPairStream};
 
@@ -431,13 +430,6 @@ pub(crate) fn analyze_placements(
                         .with("requested", requested)
                         .with("capacity", capacity),
                     );
-                    // A failed task leaves already-staged operands pinned;
-                    // unpin them so the rest of the replay sees the full
-                    // eviction surface again.
-                    let mem: &mut DeviceMemory = machine.memory_mut(oom_gpu);
-                    for id in [task.a.id, task.b.id, task.out.id] {
-                        mem.set_pinned(id, false);
-                    }
                 }
                 Err(ExecError::BadGpu { gpu: bad, num_gpus }) => {
                     // Screened by the structural gate; keep a defensive

@@ -1,19 +1,21 @@
 //! Planner throughput benchmark with a machine-readable report.
 //!
 //! Plans the same workload twice — once with the fast planner
-//! (`Session::plan`: interned IDs, SoA machine state, holder bitsets) and
-//! once with the retained seed reference (`plan_schedule_seed`, the
-//! frozen map-based machine) — asserts the two plans are
-//! **byte-identical**, and writes `BENCH_planner.json` with tasks/sec for
-//! both paths, the speedup, the planning pass's eviction count, and peak
-//! RSS.
+//! (`Session::plan`: interned IDs, SoA machine state, a per-symbol
+//! residency index) and once with the retained seed reference
+//! (`plan_schedule_seed`, the frozen map-based machine) — asserts the two
+//! plans are **byte-identical**, and writes `BENCH_planner.json` with
+//! tasks/sec for both paths, the speedup, the planning pass's eviction
+//! count, and peak RSS.
 //!
 //! Usage:
 //!   bench_planner [--tasks N] [--gpus G] [--oversub F] [--out PATH] [--skip-seed]
 //!
 //! Defaults are the full acceptance point (1,000,000 tasks on 64 GPUs);
 //! CI smoke runs use `--tasks 20000 --gpus 8`, once as is and once with
-//! `--oversub 2`. `--oversub F` sizes device memory so the stream's
+//! `--oversub 2`, plus `--tasks 100000 --gpus 64 --skip-seed`, whose peak
+//! RSS would show per-symbol state that grew with the device count.
+//! `--oversub F` sizes device memory so the stream's
 //! working set oversubscribes it `F`-fold, so both planners pick eviction
 //! victims (the seed reference by its frozen map scan); the default 0
 //! keeps the full 32 GiB per device. `--skip-seed` omits the slow

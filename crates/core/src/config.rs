@@ -354,8 +354,13 @@ impl SessionConfig {
         }
         self.distribution()?;
         self.check_stream_totals()?;
-        if self.oversub < 0.0 {
-            return Err(ConfigError("'oversub' must be non-negative".into()));
+        // JSON maps an overflowing number such as 1e999 to infinity, which
+        // would size every device to 1 B
+        if !(self.oversub.is_finite() && self.oversub >= 0.0) {
+            return Err(ConfigError(format!(
+                "'oversub' must be finite and non-negative, got {}",
+                self.oversub
+            )));
         }
         // scheduler + bounds check by construction
         self.build_scheduler()?;
@@ -871,6 +876,25 @@ mod tests {
         // the total flops fit (2^58 tasks of 32), the total bytes do not
         let err = rejected(r#"{"tensor_size": 1, "vector_size": 536870912, "vectors": 536870912}"#);
         assert!(err.contains("'tensor_size'"), "{err}");
+    }
+
+    #[test]
+    fn a_non_finite_or_negative_oversub_is_rejected() {
+        let err = rejected(r#"{"oversub": 1e999}"#);
+        assert_eq!(
+            err,
+            "config error: 'oversub' must be finite and non-negative, got inf"
+        );
+        let err = rejected(r#"{"oversub": -1e999}"#);
+        assert!(err.contains("'oversub'"), "{err}");
+        let err = rejected(r#"{"oversub": -0.5}"#);
+        assert!(err.contains("'oversub'"), "{err}");
+        let nan = SessionConfig {
+            oversub: f64::NAN,
+            ..SessionConfig::default()
+        };
+        assert!(nan.validate().is_err(), "NaN must not pass");
+        assert!(SessionConfig::parse(r#"{"oversub": 3.0}"#).is_ok());
     }
 
     #[test]

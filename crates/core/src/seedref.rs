@@ -2,7 +2,7 @@
 //! original decide-phase machine.
 //!
 //! The optimized planner ([`crate::Session::plan`]) interns tensor
-//! ids, keeps residency in bit-packed SoA vectors, and reuses scratch
+//! ids, keeps residency in SoA vectors indexed by symbol, and reuses scratch
 //! buffers across tasks. Every one of those transformations is claimed to
 //! be *decision-equivalent*: the same scheduler over the same stream must
 //! produce the same plan, bit for bit. This module keeps the claim

@@ -35,6 +35,7 @@ pub mod cost;
 pub mod fault;
 pub mod machine;
 pub mod memory;
+mod residency;
 pub mod stats;
 pub mod topology;
 

@@ -29,16 +29,20 @@
 //!
 //! ## Interned residency index
 //!
-//! Cross-device queries (`holds`, `holders`, peer selection) dominate
-//! planning cost at high GPU counts. The machine therefore interns every
-//! tensor id it touches into a dense [`TensorSym`] and mirrors residency in
-//! a bit-packed symbol × device matrix: `holds` is one bit test and
-//! `holders` walks set bits in ascending device order — the same order a
-//! per-device map scan produces, so consumers (including peer-preference
-//! tie-breaking) see identical answers. [`DeviceMemory`] remains the source
-//! of truth for occupancy, pinning and victim metadata; the bit index is
-//! updated at the only places residency changes (allocation and eviction
-//! inside the transition function).
+//! Residency queries (`holds`, `holders`, peer selection, and each step's
+//! touch and allocation) dominate planning cost. The machine therefore
+//! interns every tensor id it touches into a dense [`TensorSym`] — by array
+//! index for ids in the generator's and graph lowering's dense runs — and
+//! keeps one residency record per symbol: the (device, slot) of up to two
+//! copies inline, later copies in a small overflow map. `holds` reads one
+//! record, a step finds each operand's slot in its device's
+//! [`DeviceMemory`] without hashing, and `holders` comes out in ascending
+//! device order — the order a per-device map scan produces, so consumers
+//! (including peer-preference tie-breaking) see identical answers. The
+//! record grows with symbols plus resident copies, not with symbols ×
+//! devices. [`DeviceMemory`] remains the source of truth for occupancy and
+//! victim metadata; the record is updated at the only places residency
+//! changes (allocation and eviction inside the transition function).
 
 use micco_workload::{
     ContractionTask, TaskId, TensorId, TensorInterner, TensorPairStream, TensorSym,
@@ -47,6 +51,7 @@ use micco_workload::{
 use crate::cost::MachineConfig;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::memory::{AllocError, DeviceMemory, Evicted, Provenance};
+use crate::residency::Residency;
 use crate::stats::ExecStats;
 use crate::topology::LinkTopology;
 
@@ -409,11 +414,8 @@ pub struct SimMachine {
     observer: Option<Box<dyn ExecObserver + Send>>,
     /// Tensor id ↔ dense symbol table, grown on first touch.
     interner: TensorInterner,
-    /// Bit-packed residency matrix: `stride` words per symbol, bit `g` of
-    /// word `g / 64` set when device `g` holds the tensor.
-    holder_words: Vec<u64>,
-    /// Words per symbol row (`num_gpus.div_ceil(64)`).
-    stride: usize,
+    /// Symbol → (device, slot) of every resident copy.
+    residency: Residency,
     /// Provenance override, symbol-indexed: tensors that have been written
     /// back to the host keep a host copy, so later evictions of re-fetched
     /// copies are cheap.
@@ -464,13 +466,12 @@ impl SimMachine {
             })
             .collect();
         SimMachine {
-            stride: config.num_gpus.div_ceil(64).max(1),
             stats: ExecStats::new(config.num_gpus),
             observer: None,
             config,
             gpus,
             interner: TensorInterner::new(),
-            holder_words: Vec::new(),
+            residency: Residency::default(),
             host_copies: Vec::new(),
             oracle: None,
             task_counter: 0,
@@ -608,41 +609,8 @@ impl SimMachine {
 
     fn grow_tables(&mut self) {
         let n = self.interner.len();
-        self.holder_words.resize(n * self.stride, 0);
+        self.residency.grow(n);
         self.host_copies.resize(n, false);
-    }
-
-    #[inline]
-    fn holds_sym(&self, g: usize, s: TensorSym) -> bool {
-        self.holder_words[s.index() * self.stride + g / 64] & (1u64 << (g % 64)) != 0
-    }
-
-    #[inline]
-    fn set_holder(&mut self, g: usize, s: TensorSym) {
-        self.holder_words[s.index() * self.stride + g / 64] |= 1u64 << (g % 64);
-    }
-
-    #[inline]
-    fn clear_holder(&mut self, g: usize, s: TensorSym) {
-        self.holder_words[s.index() * self.stride + g / 64] &= !(1u64 << (g % 64));
-    }
-
-    /// Lowest-numbered device holding `s` other than `exclude` — the same
-    /// peer a `holders().find(|g| g != gpu)` scan would choose.
-    #[inline]
-    fn first_holder_excluding(&self, s: TensorSym, exclude: usize) -> Option<GpuId> {
-        let base = s.index() * self.stride;
-        for w in 0..self.stride {
-            let mut word = self.holder_words[base + w];
-            while word != 0 {
-                let g = w * 64 + word.trailing_zeros() as usize;
-                if g != exclude {
-                    return Some(GpuId(g));
-                }
-                word &= word - 1;
-            }
-        }
-        None
     }
 
     /// Execute `task` on device `gpu`, advancing its clock and counting
@@ -704,27 +672,30 @@ impl SimMachine {
         let sout = self.sym_for(task.out.id);
         let mut mem_secs = 0.0;
 
-        // Stage both inputs, pinning them for the duration of the task.
-        for (d, s) in [(task.a, sa), (task.b, sb)] {
-            if self.holds_sym(gpu.0, s) {
-                self.gpus[gpu.0].mem.touch(d.id);
-                self.gpus[gpu.0].mem.set_pinned(d.id, true);
+        // Stage both inputs. Each operand's slot pins it for the rest of
+        // the task: no later allocation of the task may evict it.
+        let mut operand_slots = [0u32; 2];
+        for (i, (d, s)) in [(task.a, sa), (task.b, sb)].into_iter().enumerate() {
+            if let Some(slot) = self.residency.slot(s, gpu.0) {
+                self.gpus[gpu.0].mem.touch(slot);
+                operand_slots[i] = slot;
                 self.stats.per_gpu[gpu.0].reuse_hits += 1;
                 obs.reuse_hit(gpu, d.id);
                 continue;
             }
             // Source selection: prefer a peer copy (faster link) else host.
-            let peer = self.first_holder_excluding(s, gpu.0);
+            let peer = self.residency.first_holder_excluding(s, gpu.0);
             mem_secs += self.config.cost.alloc_secs(d.bytes);
             self.stats.per_gpu[gpu.0].allocs += 1;
             obs.alloc(gpu);
             let base = evicted.len();
-            self.gpus[gpu.0]
+            let slot = self.gpus[gpu.0]
                 .mem
-                .allocate_into(d.id, d.bytes, Provenance::HostBacked, evicted)
+                .allocate_into(d, s, Provenance::HostBacked, &operand_slots[..i], evicted)
                 .map_err(|source| ExecError::OutOfMemory { gpu, source })?;
-            self.set_holder(gpu.0, s);
+            operand_slots[i] = slot;
             mem_secs += self.charge_evictions(gpu, &evicted[base..], obs);
+            self.residency.insert(s, gpu.0, slot);
             match peer {
                 Some(src) => {
                     // Routed machines charge the sum of per-hop link times
@@ -832,25 +803,25 @@ impl SimMachine {
         // Allocate the output. A recompute of an intermediate that is still
         // resident (e.g. replaying a stream on a warm machine) overwrites
         // in place — no new allocation.
-        if self.holds_sym(gpu.0, sout) {
-            self.gpus[gpu.0].mem.touch(task.out.id);
-            self.gpus[gpu.0].mem.set_pinned(task.out.id, true);
+        if let Some(slot) = self.residency.slot(sout, gpu.0) {
+            self.gpus[gpu.0].mem.touch(slot);
         } else {
             mem_secs += self.config.cost.alloc_secs(task.out.bytes);
             self.stats.per_gpu[gpu.0].allocs += 1;
             obs.alloc(gpu);
             let base = evicted.len();
-            self.gpus[gpu.0]
+            let slot = self.gpus[gpu.0]
                 .mem
                 .allocate_into(
-                    task.out.id,
-                    task.out.bytes,
+                    task.out,
+                    sout,
                     Provenance::DeviceCreated,
+                    &operand_slots,
                     evicted,
                 )
                 .map_err(|source| ExecError::OutOfMemory { gpu, source })?;
-            self.set_holder(gpu.0, sout);
             mem_secs += self.charge_evictions(gpu, &evicted[base..], obs);
+            self.residency.insert(sout, gpu.0, slot);
         }
 
         // Kernel. Injected transient kernel faults charge one full extra
@@ -869,31 +840,15 @@ impl SimMachine {
         }
         obs.kernel(gpu, task.id, compute_secs);
 
-        // Unpin the working set.
-        for id in [task.a.id, task.b.id, task.out.id] {
-            self.gpus[gpu.0].mem.set_pinned(id, false);
-        }
-
         // Clairvoyant oracle: advance each touched tensor's use cursor past
         // the current position and feed the next use to every device
-        // holding a copy (`set_next_use` is a no-op on non-holders, so
-        // walking the holder bits is decision-equivalent to feeding every
-        // device).
-        if self.oracle.is_some() {
+        // holding a copy (non-holders have nothing to feed).
+        if let Some(oracle) = self.oracle.as_mut() {
             let now = self.task_counter;
-            for (id, s) in [(task.a.id, sa), (task.b.id, sb), (task.out.id, sout)] {
-                let next = match self.oracle.as_mut() {
-                    Some(o) => o.advance(s, now),
-                    None => u64::MAX,
-                };
-                let row = s.index() * self.stride;
-                for w in 0..self.stride {
-                    let mut word = self.holder_words[row + w];
-                    while word != 0 {
-                        let g = w * 64 + word.trailing_zeros() as usize;
-                        self.gpus[g].mem.set_next_use(id, next);
-                        word &= word - 1;
-                    }
+            for s in [sa, sb, sout] {
+                let next = oracle.advance(s, now);
+                for (g, slot) in self.residency.copies(s) {
+                    self.gpus[g].mem.set_next_use(slot, next);
                 }
             }
             self.task_counter += 1;
@@ -947,8 +902,8 @@ impl SimMachine {
     ) -> f64 {
         let mut secs = 0.0;
         for ev in evicted {
-            let s = self.interner.get(ev.id).expect("evicted tensor interned");
-            self.clear_holder(gpu.0, s);
+            let s = ev.sym;
+            self.residency.remove(s, gpu.0);
             // A write-back is only paid the first time device-created data
             // leaves a device; afterwards the host holds a copy.
             let writeback = ev.writeback && !self.host_copies[s.index()];
@@ -1048,9 +1003,8 @@ impl SimMachine {
         self.gpus[g.0].mem.resident_count()
     }
 
-    /// Read-only access to device `g`'s memory map (residency, occupancy,
-    /// pinning). Offline analyzers use this to inspect the residency state
-    /// the replay produced.
+    /// Read-only access to device `g`'s memory map (residency and
+    /// occupancy), to inspect the residency state a replay produced.
     ///
     /// # Panics
     ///
@@ -1058,24 +1012,6 @@ impl SimMachine {
     /// [`MachineView::num_gpus`].
     pub fn memory(&self, g: GpuId) -> &DeviceMemory {
         &self.gpus[g.0].mem
-    }
-
-    /// Mutable access to device `g`'s memory map. An analyzer that keeps
-    /// replaying after an [`ExecError::OutOfMemory`] uses this to unpin the
-    /// operands the failed task left staged, restoring the pre-task
-    /// eviction surface.
-    ///
-    /// Pinning, touching and next-use feeds are fair game; do **not** add
-    /// or remove residency through this handle — the machine mirrors
-    /// residency in its interned holder index, which only the transition
-    /// function keeps in sync.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `g` is out of range; guard with
-    /// [`MachineView::num_gpus`].
-    pub fn memory_mut(&mut self, g: GpuId) -> &mut DeviceMemory {
-        &mut self.gpus[g.0].mem
     }
 }
 
@@ -1097,10 +1033,9 @@ impl MachineView for SimMachine {
     }
 
     fn holds(&self, g: GpuId, t: TensorId) -> bool {
-        match self.interner.get(t) {
-            Some(s) => self.holds_sym(g.0, s),
-            None => false,
-        }
+        self.interner
+            .get(t)
+            .is_some_and(|s| self.residency.slot(s, g.0).is_some())
     }
 
     fn holders(&self, t: TensorId) -> Vec<GpuId> {
@@ -1110,17 +1045,9 @@ impl MachineView for SimMachine {
     }
 
     fn holders_into(&self, t: TensorId, out: &mut Vec<GpuId>) {
-        out.clear();
-        let Some(s) = self.interner.get(t) else {
-            return;
-        };
-        let base = s.index() * self.stride;
-        for w in 0..self.stride {
-            let mut word = self.holder_words[base + w];
-            while word != 0 {
-                out.push(GpuId(w * 64 + word.trailing_zeros() as usize));
-                word &= word - 1;
-            }
+        match self.interner.get(t) {
+            Some(s) => self.residency.holders_into(s, out),
+            None => out.clear(),
         }
     }
 
@@ -1149,7 +1076,7 @@ mod tests {
     use super::*;
     use crate::cost::CostModel;
     use crate::memory::EvictionPolicy;
-    use micco_workload::{TensorDesc, WorkloadSpec};
+    use micco_workload::{TensorDesc, WorkloadSpec, OUTPUT_ID_BASE};
     use std::collections::{HashMap, VecDeque};
     use std::sync::{Arc, Mutex};
 
@@ -2071,37 +1998,53 @@ mod tests {
         assert_eq!((c.fault, c.retry, c.device_lost), (2, 3, 1));
     }
 
-    /// The bit-packed holder index agrees with the per-device memory maps
-    /// after heavy eviction churn, and `holders` stays ascending.
+    /// The residency index agrees with the per-device memories after heavy
+    /// eviction churn — through third and later holders, sparse ids and
+    /// ids in both dense runs — and `holders` stays ascending.
     #[test]
     fn holder_index_matches_memory_under_eviction_churn() {
         let cfg = MachineConfig {
             num_gpus: 4,
-            mem_bytes: 3 * (1 << 20) + (1 << 16),
+            mem_bytes: 24 * (1 << 20) + (1 << 16),
             cost: crate::CostModel::mi100_like(),
             eviction: crate::memory::EvictionPolicy::Lru,
         };
         let mut m = SimMachine::new(cfg);
-        for i in 0..200u64 {
-            let t = task(i, i % 17, (i * 7) % 23, 1000 + i, 1 << 20, 0);
+        // inputs 0..17 and u64::MAX - 0..23; outputs in the output run and
+        // far past it
+        let input = |n: u64| if n.is_multiple_of(2) { n } else { u64::MAX - n };
+        let output = |i: u64| {
+            if i.is_multiple_of(3) {
+                OUTPUT_ID_BASE + i
+            } else {
+                OUTPUT_ID_BASE + (1 << 32) + i
+            }
+        };
+        let mut third_holders = 0;
+        for i in 0..400u64 {
+            let t = task(i, input(i % 17), input((i * 7) % 23), output(i), 1 << 20, 0);
             m.execute(&t, GpuId((i % 4) as usize)).unwrap();
+            third_holders += usize::from(m.holders(t.a.id).len() >= 3);
             if i % 10 == 9 {
                 m.barrier();
             }
         }
-        for id in (0..17).chain(1000..1200).map(TensorId) {
+        assert!(third_holders > 0, "no tensor reached a third holder");
+        assert!(m.stats().total_evictions() > 100, "too little churn");
+        let resident: Vec<std::collections::HashSet<TensorId>> = (0..4)
+            .map(|g| m.memory(GpuId(g)).resident_ids().collect())
+            .collect();
+        let ids = (0..23).map(input).chain((0..400).map(output)).map(TensorId);
+        for id in ids {
             let holders = m.holders(id);
             let expected: Vec<GpuId> = (0..4)
-                .filter(|&g| m.memory(GpuId(g)).holds(id))
+                .filter(|&g| resident[g].contains(&id))
                 .map(GpuId)
                 .collect();
             assert_eq!(holders, expected, "tensor {id:?}");
             for g in (0..4).map(GpuId) {
-                assert_eq!(m.holds(g, id), m.memory(g).holds(id));
+                assert_eq!(m.holds(g, id), resident[g.0].contains(&id));
             }
-            let mut sorted = holders.clone();
-            sorted.sort_unstable();
-            assert_eq!(holders, sorted, "holders must come out ascending");
         }
     }
 

@@ -1,23 +1,27 @@
 //! Per-device memory manager with pluggable eviction.
 //!
 //! Tracks which tensors are resident on one device, enforces the capacity
-//! limit, and selects eviction victims under pressure. Tensors pinned by the
+//! limit, and selects eviction victims under pressure. The operands of the
 //! in-flight contraction are never evicted (a kernel's operands must stay
-//! mapped), so a device whose capacity cannot hold a single task's working
-//! set reports [`AllocError::WontFit`].
+//! mapped): the caller names them as the allocation's pinned slots, so a
+//! device whose capacity cannot hold a single task's working set reports
+//! [`AllocError::WontFit`].
 //!
 //! Internally the resident set is a struct-of-arrays: parallel vectors of
-//! per-tensor fields kept dense by swap-removal, plus a fast-hash id→slot
-//! index. An intrusive doubly-linked list threads the slots in victim
-//! order — `last_use` order under LRU, `allocated_at` order otherwise —
-//! so LRU and FIFO victims are the first unpinned slot from its head, in
-//! O(1) per victim while at most a few tensors are pinned. LargestFirst
-//! and Clairvoyant scan the dense arrays for their extremum. The scan's
-//! keys end in the tensor id, so its victim is unique, independent of slot
-//! order and bit-identical to the original map-based implementation; in
-//! debug builds it checks every list victim too.
+//! per-tensor fields, one *slot* per resident tensor. A slot keeps its
+//! index for as long as its tensor stays resident, and a freed slot is
+//! reused by a later allocation, so the caller can keep each tensor's slot
+//! in its own index: the memory keeps no id→slot map and every operation
+//! after the allocation takes the slot. An intrusive doubly-linked list
+//! threads the resident slots in victim order — `last_use` order under
+//! LRU, `allocated_at` order otherwise — so LRU and FIFO victims are the
+//! first unpinned slot from its head, in O(1) per victim. LargestFirst and
+//! Clairvoyant scan the slots for their extremum. The scan's keys end in
+//! the tensor id, so its victim is unique, independent of slot order and
+//! bit-identical to the original map-based implementation; in debug builds
+//! it checks every list victim too.
 
-use micco_workload::{FastIdMap, TensorId};
+use micco_workload::{TensorDesc, TensorId, TensorSym};
 
 /// Where a resident tensor's bits came from — decides eviction cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,11 +52,13 @@ pub enum EvictionPolicy {
     Clairvoyant,
 }
 
-/// A tensor evicted by [`DeviceMemory::allocate`].
+/// A tensor evicted by [`DeviceMemory::allocate_into`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Evicted {
     /// Which tensor was displaced.
     pub id: TensorId,
+    /// Its symbol, as given to the allocation.
+    pub sym: TensorSym,
     /// Its footprint.
     pub bytes: u64,
     /// Whether the eviction pays a write-back (device-created data).
@@ -84,42 +90,47 @@ impl std::fmt::Display for AllocError {
 
 impl std::error::Error for AllocError {}
 
-/// End of the victim list (no slot).
+/// End of a slot list (no slot).
 const NIL: u32 = u32::MAX;
+
+/// The symbol of a free slot (interners never hand out `u32::MAX`).
+const VACANT: TensorSym = TensorSym(u32::MAX);
 
 /// Memory state of one simulated device.
 ///
-/// Resident-tensor state lives in parallel dense vectors (one slot per
-/// resident tensor); `slot_of` maps id → slot and slots stay dense via
-/// swap-removal on eviction/discard.
+/// Resident-tensor state lives in parallel vectors, one slot per resident
+/// tensor. [`DeviceMemory::allocate_into`] returns the new tensor's slot,
+/// which stays its slot until it is evicted or discarded; free slots are
+/// chained through `next` and reused first.
 #[derive(Debug, Clone)]
 pub struct DeviceMemory {
     capacity: u64,
     used: u64,
     policy: EvictionPolicy,
-    slot_of: FastIdMap<TensorId, u32>,
+    /// Resident tensors.
+    resident: usize,
     ids: Vec<TensorId>,
+    /// Symbol per slot; [`VACANT`] marks a free slot.
+    syms: Vec<TensorSym>,
     bytes: Vec<u64>,
     last_use: Vec<u64>,
     allocated_at: Vec<u64>,
     /// Global task index of the next use (Clairvoyant only; `u64::MAX`
     /// means never used again).
     next_use: Vec<u64>,
-    pinned: Vec<bool>,
     provenance: Vec<Provenance>,
-    /// Bytes of currently pinned tensors, maintained incrementally so the
-    /// per-allocation evictable-capacity check (`used - pinned_bytes`) is
-    /// O(1) instead of a scan over every resident tensor.
-    pinned_bytes: u64,
     /// Victim list links, one per slot. Every touch and allocation takes a
     /// fresh clock tick, so appending at `tail` (or moving a slot there on
-    /// an LRU touch) keeps the list sorted by the scan's key.
+    /// an LRU touch) keeps the list sorted by the scan's key. A free slot
+    /// is off the list, and its `next` chains the free slots instead.
     prev: Vec<u32>,
     next: Vec<u32>,
     /// Oldest slot (first victim candidate), or [`NIL`] when empty.
     head: u32,
     /// Newest slot, or [`NIL`] when empty.
     tail: u32,
+    /// First free slot, or [`NIL`] when every slot is resident.
+    free_slot: u32,
     clock: u64,
 }
 
@@ -130,19 +141,19 @@ impl DeviceMemory {
             capacity,
             used: 0,
             policy,
-            slot_of: FastIdMap::default(),
+            resident: 0,
             ids: Vec::new(),
+            syms: Vec::new(),
             bytes: Vec::new(),
             last_use: Vec::new(),
             allocated_at: Vec::new(),
             next_use: Vec::new(),
-            pinned: Vec::new(),
             provenance: Vec::new(),
-            pinned_bytes: 0,
             prev: Vec::new(),
             next: Vec::new(),
             head: NIL,
             tail: NIL,
+            free_slot: NIL,
             clock: 0,
         }
     }
@@ -164,92 +175,58 @@ impl DeviceMemory {
 
     /// Number of resident tensors.
     pub fn resident_count(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Whether `id` is resident.
-    #[inline]
-    pub fn holds(&self, id: TensorId) -> bool {
-        self.slot_of.contains_key(&id)
+        self.resident
     }
 
     /// Iterate over resident tensor ids (arbitrary order).
     pub fn resident_ids(&self) -> impl Iterator<Item = TensorId> + '_ {
-        self.ids.iter().copied()
+        self.ids
+            .iter()
+            .zip(&self.syms)
+            .filter(|&(_, &s)| s != VACANT)
+            .map(|(&id, _)| id)
     }
 
-    /// Record a use of a resident tensor (refreshes LRU position). For an
-    /// absent id it only ticks the device clock, as the seed's did.
-    pub fn touch(&mut self, id: TensorId) {
-        self.clock += 1;
-        if let Some(&s) = self.slot_of.get(&id) {
-            self.last_use[s as usize] = self.clock;
-            if self.policy == EvictionPolicy::Lru && s != self.tail {
-                self.unlink(s);
-                self.link_tail(s);
-            }
-        }
-    }
-
-    /// Pin/unpin a resident tensor (pinned tensors are never victims).
-    pub fn set_pinned(&mut self, id: TensorId, pinned: bool) {
-        if let Some(&s) = self.slot_of.get(&id) {
-            let slot = s as usize;
-            if self.pinned[slot] != pinned {
-                if pinned {
-                    self.pinned_bytes += self.bytes[slot];
-                } else {
-                    self.pinned_bytes -= self.bytes[slot];
-                }
-                self.pinned[slot] = pinned;
-            }
-        }
-    }
-
-    /// Feed the clairvoyant policy a tensor's next-use position
-    /// (`u64::MAX` = never again). No-op for absent tensors.
-    pub fn set_next_use(&mut self, id: TensorId, next_use: u64) {
-        if let Some(&s) = self.slot_of.get(&id) {
-            self.next_use[s as usize] = next_use;
-        }
-    }
-
-    /// Allocate `bytes` for tensor `id`, evicting victims if needed.
-    /// Returns the evicted tensors (possibly empty). The new tensor is
-    /// pinned on arrival; the caller unpins after the task completes.
+    /// Record a use of the tensor in `slot` (refreshes its LRU position).
     ///
-    /// Allocating an already-resident tensor is a logic error upstream and
-    /// panics in debug builds; in release it is treated as a touch.
-    pub fn allocate(
-        &mut self,
-        id: TensorId,
-        bytes: u64,
-        provenance: Provenance,
-    ) -> Result<Vec<Evicted>, AllocError> {
-        let mut evicted = Vec::new();
-        self.allocate_into(id, bytes, provenance, &mut evicted)?;
-        Ok(evicted)
+    /// # Panics
+    ///
+    /// Panics (in debug builds) when `slot` is not resident.
+    pub fn touch(&mut self, slot: u32) {
+        debug_assert!(self.is_resident(slot), "touch of free slot {slot}");
+        self.clock += 1;
+        self.last_use[slot as usize] = self.clock;
+        if self.policy == EvictionPolicy::Lru && slot != self.tail {
+            self.unlink(slot);
+            self.link_tail(slot);
+        }
     }
 
-    /// [`DeviceMemory::allocate`], but appending victims to a caller-owned
-    /// buffer instead of returning a fresh `Vec` — the allocation-free form
-    /// the planner hot loop uses.
+    /// Feed the clairvoyant policy the next-use position of the tensor in
+    /// `slot` (`u64::MAX` = never again).
+    pub fn set_next_use(&mut self, slot: u32, next_use: u64) {
+        debug_assert!(self.is_resident(slot), "next use of free slot {slot}");
+        self.next_use[slot as usize] = next_use;
+    }
+
+    /// Allocate room for `tensor` (with symbol `sym`, which the caller
+    /// knows is not resident here), evicting victims if needed, and return
+    /// its slot. Victims are appended to `evicted`; the slots in `pinned`
+    /// — the in-flight task's operands — are never chosen.
     pub fn allocate_into(
         &mut self,
-        id: TensorId,
-        bytes: u64,
+        tensor: TensorDesc,
+        sym: TensorSym,
         provenance: Provenance,
+        pinned: &[u32],
         evicted: &mut Vec<Evicted>,
-    ) -> Result<(), AllocError> {
+    ) -> Result<u32, AllocError> {
         debug_assert!(
-            !self.holds(id),
-            "allocate called for resident tensor {id:?}"
+            sym != VACANT && !self.syms.contains(&sym),
+            "{sym:?} already resident"
         );
-        if self.holds(id) {
-            self.touch(id);
-            return Ok(());
-        }
-        let evictable = self.used - self.pinned_bytes;
+        let bytes = tensor.bytes;
+        let evictable = self.used - self.pinned_bytes(pinned);
         if bytes > self.free() + evictable || bytes > self.capacity {
             return Err(AllocError::WontFit {
                 requested: bytes,
@@ -257,79 +234,88 @@ impl DeviceMemory {
             });
         }
         while self.free() < bytes {
-            let victim = self.pick_victim().expect("evictable bytes were sufficient");
+            let victim = self
+                .pick_victim(pinned)
+                .expect("evictable bytes were sufficient");
             evicted.push(self.remove_slot(victim));
         }
         self.clock += 1;
-        let slot = u32::try_from(self.ids.len()).expect("resident set exceeds u32 slots");
-        self.slot_of.insert(id, slot);
-        self.ids.push(id);
-        self.bytes.push(bytes);
-        self.last_use.push(self.clock);
-        self.allocated_at.push(self.clock);
-        self.next_use.push(u64::MAX);
-        self.pinned.push(true);
-        self.provenance.push(provenance);
-        self.prev.push(NIL);
-        self.next.push(NIL);
+        let slot = match self.free_slot {
+            NIL => {
+                let slot = u32::try_from(self.syms.len())
+                    .ok()
+                    .filter(|&s| s != NIL)
+                    .expect("resident set exceeds u32 slots");
+                self.ids.push(tensor.id);
+                self.syms.push(sym);
+                self.bytes.push(bytes);
+                self.last_use.push(self.clock);
+                self.allocated_at.push(self.clock);
+                self.next_use.push(u64::MAX);
+                self.provenance.push(provenance);
+                self.prev.push(NIL);
+                self.next.push(NIL);
+                slot
+            }
+            slot => {
+                let s = slot as usize;
+                self.free_slot = self.next[s];
+                self.ids[s] = tensor.id;
+                self.syms[s] = sym;
+                self.bytes[s] = bytes;
+                self.last_use[s] = self.clock;
+                self.allocated_at[s] = self.clock;
+                self.next_use[s] = u64::MAX;
+                self.provenance[s] = provenance;
+                slot
+            }
+        };
         self.link_tail(slot);
         self.used += bytes;
-        self.pinned_bytes += bytes;
-        Ok(())
+        self.resident += 1;
+        Ok(slot)
     }
 
-    /// Drop a resident tensor without cost accounting (used by tests and by
-    /// the machine when invalidating stale copies).
-    pub fn discard(&mut self, id: TensorId) -> bool {
-        if let Some(&s) = self.slot_of.get(&id) {
-            self.remove_slot(s as usize);
-            true
-        } else {
-            false
+    /// Drop the tensor in `slot` without cost accounting; false when the
+    /// slot holds nothing.
+    pub fn discard(&mut self, slot: u32) -> bool {
+        if !self.is_resident(slot) {
+            return false;
         }
+        self.remove_slot(slot as usize);
+        true
     }
 
-    /// Swap-remove the tensor in `slot`, keeping slots dense and the
-    /// id→slot index consistent.
+    fn is_resident(&self, slot: u32) -> bool {
+        self.syms.get(slot as usize).is_some_and(|&s| s != VACANT)
+    }
+
+    /// Bytes held by the distinct slots in `pinned`.
+    fn pinned_bytes(&self, pinned: &[u32]) -> u64 {
+        let mut total = 0;
+        for (i, &p) in pinned.iter().enumerate() {
+            debug_assert!(self.is_resident(p), "pinned free slot {p}");
+            if !pinned[..i].contains(&p) {
+                total += self.bytes[p as usize];
+            }
+        }
+        total
+    }
+
+    /// Free `slot`, taking it off the victim list and onto the free list.
     fn remove_slot(&mut self, slot: usize) -> Evicted {
-        let id = self.ids[slot];
         let out = Evicted {
-            id,
+            id: self.ids[slot],
+            sym: self.syms[slot],
             bytes: self.bytes[slot],
             writeback: self.provenance[slot] == Provenance::DeviceCreated,
         };
         self.used -= self.bytes[slot];
-        if self.pinned[slot] {
-            // only `discard` can remove a pinned tensor; victims are
-            // filtered to unpinned slots
-            self.pinned_bytes -= self.bytes[slot];
-        }
+        self.resident -= 1;
         self.unlink(slot as u32);
-        self.slot_of.remove(&id);
-        self.ids.swap_remove(slot);
-        self.bytes.swap_remove(slot);
-        self.last_use.swap_remove(slot);
-        self.allocated_at.swap_remove(slot);
-        self.next_use.swap_remove(slot);
-        self.pinned.swap_remove(slot);
-        self.provenance.swap_remove(slot);
-        self.prev.swap_remove(slot);
-        self.next.swap_remove(slot);
-        if slot < self.ids.len() {
-            // the former last slot's tensor now lives in `slot`: repoint
-            // its index entry and its list neighbours (none of which is
-            // the unlinked victim)
-            let s = slot as u32;
-            self.slot_of.insert(self.ids[slot], s);
-            match self.prev[slot] {
-                NIL => self.head = s,
-                p => self.next[p as usize] = s,
-            }
-            match self.next[slot] {
-                NIL => self.tail = s,
-                n => self.prev[n as usize] = s,
-            }
-        }
+        self.syms[slot] = VACANT;
+        self.next[slot] = self.free_slot;
+        self.free_slot = slot as u32;
         out
     }
 
@@ -362,22 +348,22 @@ impl DeviceMemory {
     /// Slot of the eviction victim under the active policy: the first
     /// unpinned slot of the victim list for LRU and FIFO, the scan's
     /// extremum otherwise.
-    fn pick_victim(&self) -> Option<usize> {
+    fn pick_victim(&self, pinned: &[u32]) -> Option<usize> {
         match self.policy {
             EvictionPolicy::Lru | EvictionPolicy::Fifo => {
                 let mut s = self.head;
-                while s != NIL && self.pinned[s as usize] {
+                while s != NIL && pinned.contains(&s) {
                     s = self.next[s as usize];
                 }
                 let victim = (s != NIL).then_some(s as usize);
                 debug_assert_eq!(
                     victim,
-                    self.scan_victim(),
+                    self.scan_victim(pinned),
                     "victim list diverged from the scan"
                 );
                 victim
             }
-            EvictionPolicy::LargestFirst | EvictionPolicy::Clairvoyant => self.scan_victim(),
+            EvictionPolicy::LargestFirst | EvictionPolicy::Clairvoyant => self.scan_victim(pinned),
         }
     }
 
@@ -387,8 +373,9 @@ impl DeviceMemory {
     /// extremum is unique and the scan order over slots cannot change the
     /// outcome — this must match the original `HashMap`-iteration
     /// implementation victim-for-victim.
-    fn scan_victim(&self) -> Option<usize> {
-        let candidates = (0..self.ids.len()).filter(|&s| !self.pinned[s]);
+    fn scan_victim(&self, pinned: &[u32]) -> Option<usize> {
+        let candidates = (0..self.syms.len())
+            .filter(|&s| self.syms[s] != VACANT && !pinned.contains(&(s as u32)));
 
         match self.policy {
             EvictionPolicy::Lru => candidates.min_by_key(|&s| (self.last_use[s], self.ids[s].0)),
@@ -412,74 +399,155 @@ impl DeviceMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
-    fn tid(n: u64) -> TensorId {
-        TensorId(n)
+    /// A device addressed by id: the test keeps the id→slot index the
+    /// machine would keep, with each tensor's symbol equal to its id.
+    struct Dev {
+        m: DeviceMemory,
+        slots: HashMap<u64, u32>,
     }
 
-    fn mem(cap: u64, policy: EvictionPolicy) -> DeviceMemory {
-        DeviceMemory::new(cap, policy)
+    fn mem(cap: u64, policy: EvictionPolicy) -> Dev {
+        Dev {
+            m: DeviceMemory::new(cap, policy),
+            slots: HashMap::new(),
+        }
     }
 
-    /// Allocate and immediately unpin (most tests want evictable tensors).
-    fn alloc_unpinned(m: &mut DeviceMemory, id: u64, bytes: u64) -> Vec<Evicted> {
-        let ev = m.allocate(tid(id), bytes, Provenance::HostBacked).unwrap();
-        m.set_pinned(tid(id), false);
-        ev
+    fn ev(id: u64, bytes: u64, writeback: bool) -> Evicted {
+        Evicted {
+            id: TensorId(id),
+            sym: TensorSym(id as u32),
+            bytes,
+            writeback,
+        }
+    }
+
+    impl Dev {
+        /// Allocate `id` with the resident tensors `pinned` held in place.
+        fn alloc(
+            &mut self,
+            id: u64,
+            bytes: u64,
+            provenance: Provenance,
+            pinned: &[u64],
+        ) -> Result<Vec<Evicted>, AllocError> {
+            assert!(!self.holds(id), "test allocates resident {id}");
+            let pins: Vec<u32> = pinned.iter().map(|p| self.slots[p]).collect();
+            let mut evicted = Vec::new();
+            let desc = TensorDesc {
+                id: TensorId(id),
+                bytes,
+            };
+            let slot = self.m.allocate_into(
+                desc,
+                TensorSym(id as u32),
+                provenance,
+                &pins,
+                &mut evicted,
+            )?;
+            for e in &evicted {
+                self.slots.remove(&e.id.0).expect("victim was indexed");
+            }
+            self.slots.insert(id, slot);
+            Ok(evicted)
+        }
+
+        fn alloc_host(&mut self, id: u64, bytes: u64) -> Vec<Evicted> {
+            self.alloc(id, bytes, Provenance::HostBacked, &[]).unwrap()
+        }
+
+        fn holds(&self, id: u64) -> bool {
+            self.slots.contains_key(&id)
+        }
+
+        fn touch(&mut self, id: u64) {
+            self.m.touch(self.slots[&id]);
+        }
+
+        fn set_next_use(&mut self, id: u64, next_use: u64) {
+            self.m.set_next_use(self.slots[&id], next_use);
+        }
+
+        fn discard(&mut self, id: u64) -> bool {
+            match self.slots.remove(&id) {
+                Some(slot) => self.m.discard(slot),
+                None => false,
+            }
+        }
+
+        /// Ids in victim-list order, head first, after checking the list:
+        /// every resident slot once, links mutually consistent, keys
+        /// strictly increasing (`last_use` under LRU, `allocated_at`
+        /// otherwise), and the index pointing at each id's slot.
+        fn victim_order(&self) -> Vec<u64> {
+            let m = &self.m;
+            let key = |s: usize| match m.policy {
+                EvictionPolicy::Lru => m.last_use[s],
+                _ => m.allocated_at[s],
+            };
+            let mut order = Vec::new();
+            let (mut prev, mut s) = (NIL, m.head);
+            while s != NIL {
+                assert!(order.len() < m.resident, "cycle in the victim list");
+                assert_eq!(m.prev[s as usize], prev, "broken back link");
+                if prev != NIL {
+                    assert!(key(prev as usize) < key(s as usize), "list out of order");
+                }
+                let id = m.ids[s as usize].0;
+                assert_eq!(self.slots.get(&id), Some(&s), "slot of {id} moved");
+                order.push(id);
+                (prev, s) = (s, m.next[s as usize]);
+            }
+            assert_eq!(m.tail, prev);
+            assert_eq!(order.len(), m.resident, "slots missing from the list");
+            assert_eq!(order.len(), self.slots.len());
+            order
+        }
     }
 
     #[test]
     fn basic_accounting() {
-        let mut m = mem(100, EvictionPolicy::Lru);
-        assert_eq!(m.free(), 100);
-        alloc_unpinned(&mut m, 1, 40);
-        assert_eq!(m.used(), 40);
-        assert!(m.holds(tid(1)));
-        assert_eq!(m.resident_count(), 1);
-        assert!(m.discard(tid(1)));
-        assert_eq!(m.used(), 0);
-        assert!(!m.discard(tid(1)));
+        let mut d = mem(100, EvictionPolicy::Lru);
+        assert_eq!(d.m.free(), 100);
+        d.alloc_host(1, 40);
+        assert_eq!(d.m.used(), 40);
+        assert_eq!(d.m.resident_count(), 1);
+        assert!(d.discard(1));
+        assert_eq!(d.m.used(), 0);
+        assert!(!d.discard(1));
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let mut m = mem(100, EvictionPolicy::Lru);
-        alloc_unpinned(&mut m, 1, 40);
-        alloc_unpinned(&mut m, 2, 40);
-        m.touch(tid(1)); // tensor 2 is now LRU
-        let ev = alloc_unpinned(&mut m, 3, 40);
-        assert_eq!(ev.len(), 1);
-        assert_eq!(ev[0].id, tid(2));
-        assert!(m.holds(tid(1)) && m.holds(tid(3)) && !m.holds(tid(2)));
+        let mut d = mem(100, EvictionPolicy::Lru);
+        d.alloc_host(1, 40);
+        d.alloc_host(2, 40);
+        d.touch(1); // tensor 2 is now LRU
+        let evicted = d.alloc_host(3, 40);
+        assert_eq!(evicted, [ev(2, 40, false)]);
+        assert!(d.holds(1) && d.holds(3) && !d.holds(2));
     }
 
     #[test]
     fn fifo_evicts_oldest_allocation() {
-        let mut m = mem(100, EvictionPolicy::Fifo);
-        alloc_unpinned(&mut m, 1, 40);
-        alloc_unpinned(&mut m, 2, 40);
-        m.touch(tid(1)); // FIFO ignores use recency
-        let ev = alloc_unpinned(&mut m, 3, 40);
-        assert_eq!(ev[0].id, tid(1));
+        let mut d = mem(100, EvictionPolicy::Fifo);
+        d.alloc_host(1, 40);
+        d.alloc_host(2, 40);
+        d.touch(1); // FIFO ignores use recency
+        assert_eq!(d.alloc_host(3, 40)[0].id, TensorId(1));
     }
 
     #[test]
     fn largest_first_minimises_victim_count() {
-        let mut m = mem(100, EvictionPolicy::LargestFirst);
-        alloc_unpinned(&mut m, 1, 60);
-        alloc_unpinned(&mut m, 2, 10);
-        alloc_unpinned(&mut m, 3, 10);
-        let ev = alloc_unpinned(&mut m, 4, 80);
+        let mut d = mem(100, EvictionPolicy::LargestFirst);
+        d.alloc_host(1, 60);
+        d.alloc_host(2, 10);
+        d.alloc_host(3, 10);
         // evicting the single 60 B tensor frees enough; smaller-first LRU
         // would have needed two victims
-        assert_eq!(
-            ev,
-            vec![Evicted {
-                id: tid(1),
-                bytes: 60,
-                writeback: false
-            }]
-        );
+        assert_eq!(d.alloc_host(4, 80), [ev(1, 60, false)]);
     }
 
     #[test]
@@ -490,302 +558,267 @@ mod tests {
             EvictionPolicy::LargestFirst,
             EvictionPolicy::Clairvoyant,
         ] {
-            let mut m = mem(100, policy);
-            m.allocate(tid(1), 50, Provenance::HostBacked).unwrap(); // stays pinned
-            alloc_unpinned(&mut m, 2, 40);
-            let ev = alloc_unpinned(&mut m, 3, 40);
+            let mut d = mem(100, policy);
+            d.alloc_host(1, 50);
+            d.alloc_host(2, 40);
+            let evicted = d.alloc(3, 40, Provenance::HostBacked, &[1]).unwrap();
             assert_eq!(
-                ev[0].id,
-                tid(2),
+                evicted[0].id,
+                TensorId(2),
                 "{policy:?}: pinned tensor 1 must not be evicted"
             );
-            assert!(m.holds(tid(1)));
+            assert!(d.holds(1));
             // the pinned head stays linked; victims skip it
-            assert_eq!(victim_order(&m), [1, 3], "{policy:?}");
+            assert_eq!(d.victim_order(), [1, 3], "{policy:?}");
         }
     }
 
     #[test]
     fn wont_fit_when_pinned_blocks() {
-        let mut m = mem(100, EvictionPolicy::Lru);
-        m.allocate(tid(1), 80, Provenance::HostBacked).unwrap(); // pinned
-        let err = m.allocate(tid(2), 40, Provenance::HostBacked).unwrap_err();
+        let mut d = mem(100, EvictionPolicy::Lru);
+        d.alloc_host(1, 80);
         assert_eq!(
-            err,
-            AllocError::WontFit {
+            d.alloc(2, 40, Provenance::HostBacked, &[1]),
+            Err(AllocError::WontFit {
                 requested: 40,
                 capacity: 100
-            }
+            })
         );
+        // the same request evicts tensor 1 once nothing pins it
+        assert_eq!(d.alloc_host(2, 40), [ev(1, 80, false)]);
     }
 
     #[test]
     fn wont_fit_when_larger_than_capacity() {
-        let mut m = mem(100, EvictionPolicy::Lru);
-        assert!(m.allocate(tid(1), 101, Provenance::HostBacked).is_err());
+        let mut d = mem(100, EvictionPolicy::Lru);
+        assert!(d.alloc(1, 101, Provenance::HostBacked, &[]).is_err());
     }
 
     #[test]
     fn writeback_flag_tracks_provenance() {
-        let mut m = mem(100, EvictionPolicy::Lru);
-        m.allocate(tid(1), 50, Provenance::DeviceCreated).unwrap();
-        m.set_pinned(tid(1), false);
-        m.allocate(tid(2), 50, Provenance::HostBacked).unwrap();
-        m.set_pinned(tid(2), false);
-        let ev = alloc_unpinned(&mut m, 3, 100);
-        assert_eq!(ev.len(), 2);
-        let by_id: std::collections::HashMap<_, _> =
-            ev.iter().map(|e| (e.id, e.writeback)).collect();
-        assert!(by_id[&tid(1)]);
-        assert!(!by_id[&tid(2)]);
+        let mut d = mem(100, EvictionPolicy::Lru);
+        d.alloc(1, 50, Provenance::DeviceCreated, &[]).unwrap();
+        d.alloc_host(2, 50);
+        assert_eq!(d.alloc_host(3, 100), [ev(1, 50, true), ev(2, 50, false)]);
     }
 
     #[test]
     fn multiple_evictions_until_fit() {
-        let mut m = mem(100, EvictionPolicy::Lru);
+        let mut d = mem(100, EvictionPolicy::Lru);
         for i in 0..10 {
-            alloc_unpinned(&mut m, i, 10);
+            d.alloc_host(i, 10);
         }
-        let ev = alloc_unpinned(&mut m, 99, 35);
-        assert_eq!(ev.len(), 4); // 4 × 10 B victims to free 35 B
-        assert_eq!(m.used(), 60 + 35);
+        assert_eq!(d.alloc_host(99, 35).len(), 4); // 4 × 10 B victims to free 35 B
+        assert_eq!(d.m.used(), 60 + 35);
     }
 
     #[test]
     fn exact_fit_no_eviction() {
-        let mut m = mem(100, EvictionPolicy::Lru);
-        alloc_unpinned(&mut m, 1, 60);
-        let ev = alloc_unpinned(&mut m, 2, 40);
-        assert!(ev.is_empty());
-        assert_eq!(m.free(), 0);
+        let mut d = mem(100, EvictionPolicy::Lru);
+        d.alloc_host(1, 60);
+        assert!(d.alloc_host(2, 40).is_empty());
+        assert_eq!(d.m.free(), 0);
     }
 
     #[test]
     fn capacity_invariant_holds_under_churn() {
-        let mut m = mem(1000, EvictionPolicy::Lru);
+        let mut d = mem(1000, EvictionPolicy::Lru);
         for i in 0..200u64 {
             let bytes = 37 + (i * 13) % 113;
-            alloc_unpinned(&mut m, i, bytes);
-            assert!(m.used() <= m.capacity(), "iteration {i}");
-            if i % 3 == 0 {
-                m.touch(tid(i / 2));
+            d.alloc_host(i, bytes);
+            assert!(d.m.used() <= d.m.capacity(), "iteration {i}");
+            if i % 3 == 0 && d.holds(i / 2) {
+                d.touch(i / 2);
             }
         }
+        d.victim_order();
     }
 
     #[test]
     fn resident_ids_iterates_all() {
-        let mut m = mem(100, EvictionPolicy::Lru);
-        alloc_unpinned(&mut m, 1, 10);
-        alloc_unpinned(&mut m, 2, 10);
-        let mut ids: Vec<u64> = m.resident_ids().map(|t| t.0).collect();
+        let mut d = mem(100, EvictionPolicy::Lru);
+        d.alloc_host(1, 10);
+        d.alloc_host(2, 10);
+        d.alloc_host(3, 10);
+        assert!(d.discard(2));
+        let mut ids: Vec<u64> = d.m.resident_ids().map(|t| t.0).collect();
         ids.sort_unstable();
-        assert_eq!(ids, vec![1, 2]);
+        assert_eq!(ids, vec![1, 3]);
     }
 
     #[test]
     fn all_pinned_device_rejects_any_allocation() {
-        let mut m = mem(100, EvictionPolicy::Lru);
-        m.allocate(tid(1), 60, Provenance::HostBacked).unwrap(); // pinned
-        m.allocate(tid(2), 40, Provenance::DeviceCreated).unwrap(); // pinned
-                                                                    // fully pinned and fully occupied: nothing can be evicted
-        let err = m.allocate(tid(3), 1, Provenance::HostBacked).unwrap_err();
+        let mut d = mem(100, EvictionPolicy::Lru);
+        d.alloc_host(1, 60);
+        d.alloc(2, 40, Provenance::DeviceCreated, &[1]).unwrap();
+        // fully pinned and fully occupied: nothing can be evicted
         assert_eq!(
-            err,
-            AllocError::WontFit {
+            d.alloc(3, 1, Provenance::HostBacked, &[1, 2]),
+            Err(AllocError::WontFit {
                 requested: 1,
                 capacity: 100
-            }
+            })
         );
-        assert_eq!(m.resident_count(), 2, "failed alloc must not evict");
-        assert_eq!(m.used(), 100);
-        // unpinning one makes the same request succeed
-        m.set_pinned(tid(2), false);
-        let ev = m.allocate(tid(3), 1, Provenance::HostBacked).unwrap();
-        assert_eq!(ev[0].id, tid(2));
-        assert!(ev[0].writeback, "device-created victim pays a write-back");
+        assert_eq!(d.m.resident_count(), 2, "failed alloc must not evict");
+        assert_eq!(d.m.used(), 100);
+        // pinning only one makes the same request succeed
+        let evicted = d.alloc(3, 1, Provenance::HostBacked, &[1]).unwrap();
+        assert_eq!(
+            evicted,
+            [ev(2, 40, true)],
+            "device-created victim pays a write-back"
+        );
+    }
+
+    #[test]
+    fn a_slot_pinned_twice_counts_once() {
+        // a task whose operands are one tensor pins its slot twice: the
+        // evictable bytes are still everything but that one tensor
+        let mut d = mem(100, EvictionPolicy::Lru);
+        d.alloc_host(1, 30);
+        d.alloc_host(2, 30);
+        assert!(d.alloc(3, 71, Provenance::HostBacked, &[1, 1]).is_err());
+        assert_eq!(
+            d.alloc(3, 70, Provenance::HostBacked, &[1, 1]).unwrap(),
+            [ev(2, 30, false)]
+        );
     }
 
     #[test]
     fn zero_capacity_device_rejects_everything_but_stays_consistent() {
-        let mut m = mem(0, EvictionPolicy::Lru);
-        assert_eq!((m.capacity(), m.free(), m.used()), (0, 0, 0));
+        let mut d = mem(0, EvictionPolicy::Lru);
+        assert_eq!((d.m.capacity(), d.m.free(), d.m.used()), (0, 0, 0));
         for bytes in [1u64, 100] {
             assert_eq!(
-                m.allocate(tid(1), bytes, Provenance::HostBacked),
+                d.alloc(1, bytes, Provenance::HostBacked, &[]),
                 Err(AllocError::WontFit {
                     requested: bytes,
                     capacity: 0
                 })
             );
         }
-        assert_eq!(m.resident_count(), 0);
-        assert!(!m.discard(tid(1)));
+        assert_eq!(d.m.resident_count(), 0);
+        assert!(!d.m.discard(0), "no slot exists yet");
         // zero-byte allocations are degenerate but must not corrupt state
-        assert!(m.allocate(tid(2), 0, Provenance::HostBacked).is_ok());
-        assert!(m.holds(tid(2)));
-        assert_eq!(m.used(), 0);
+        assert!(d.alloc(2, 0, Provenance::HostBacked, &[]).is_ok());
+        assert!(d.holds(2));
+        assert_eq!(d.m.used(), 0);
     }
 
     #[test]
     fn clairvoyant_prefers_furthest_next_use() {
-        let mut m = mem(100, EvictionPolicy::Clairvoyant);
-        alloc_unpinned(&mut m, 1, 40);
-        alloc_unpinned(&mut m, 2, 40);
-        m.set_next_use(tid(1), 5);
-        m.set_next_use(tid(2), 50); // used furthest in the future
-        let ev = alloc_unpinned(&mut m, 3, 40);
-        assert_eq!(ev[0].id, tid(2));
+        let mut d = mem(100, EvictionPolicy::Clairvoyant);
+        d.alloc_host(1, 40);
+        d.alloc_host(2, 40);
+        d.set_next_use(1, 5);
+        d.set_next_use(2, 50); // used furthest in the future
+        assert_eq!(d.alloc_host(3, 40)[0].id, TensorId(2));
         // a never-again tensor (the default MAX) loses to any finite use
-        m.set_next_use(tid(1), 5);
-        let ev = alloc_unpinned(&mut m, 4, 40);
-        assert_eq!(ev[0].id, tid(3), "tensor 3 has next_use = MAX");
+        d.set_next_use(1, 5);
+        assert_eq!(
+            d.alloc_host(4, 40)[0].id,
+            TensorId(3),
+            "tensor 3 has next_use = MAX"
+        );
     }
 
     #[test]
     fn set_next_use_is_policy_neutral_for_non_clairvoyant() {
         // feeding oracle positions must not perturb LRU/FIFO ordering
         for policy in [EvictionPolicy::Lru, EvictionPolicy::Fifo] {
-            let mut m = mem(100, policy);
-            alloc_unpinned(&mut m, 1, 40);
-            alloc_unpinned(&mut m, 2, 40);
-            m.touch(tid(1)); // tensor 2 is LRU; tensor 1 is FIFO-oldest
-            m.set_next_use(tid(1), 1000);
-            m.set_next_use(tid(2), 1);
-            let ev = alloc_unpinned(&mut m, 3, 40);
+            let mut d = mem(100, policy);
+            d.alloc_host(1, 40);
+            d.alloc_host(2, 40);
+            d.touch(1); // tensor 2 is LRU; tensor 1 is FIFO-oldest
+            d.set_next_use(1, 1000);
+            d.set_next_use(2, 1);
             let expected = match policy {
-                EvictionPolicy::Lru => tid(2),
-                _ => tid(1),
+                EvictionPolicy::Lru => TensorId(2),
+                _ => TensorId(1),
             };
-            assert_eq!(ev[0].id, expected, "{policy:?}");
+            assert_eq!(d.alloc_host(3, 40)[0].id, expected, "{policy:?}");
         }
-        // no-op on absent tensors
-        let mut m = mem(10, EvictionPolicy::Clairvoyant);
-        m.set_next_use(tid(9), 3);
-        assert_eq!(m.resident_count(), 0);
     }
 
     #[test]
-    fn discard_non_resident_is_a_clean_no_op() {
-        let mut m = mem(100, EvictionPolicy::Lru);
-        alloc_unpinned(&mut m, 1, 40);
-        assert!(!m.discard(tid(2)), "absent id");
-        assert_eq!((m.used(), m.resident_count()), (40, 1));
-        assert!(m.discard(tid(1)));
-        assert!(!m.discard(tid(1)), "double discard");
-        assert_eq!((m.used(), m.resident_count()), (0, 0));
+    fn discard_of_a_free_slot_is_a_clean_no_op() {
+        let mut d = mem(100, EvictionPolicy::Lru);
+        d.alloc_host(1, 40);
+        let slot = d.slots[&1];
+        assert!(!d.m.discard(slot + 1), "slot past the end");
+        assert_eq!((d.m.used(), d.m.resident_count()), (40, 1));
+        assert!(d.m.discard(slot));
+        assert!(!d.m.discard(slot), "double discard");
+        assert_eq!((d.m.used(), d.m.resident_count()), (0, 0));
     }
 
     #[test]
-    fn slot_index_survives_swap_removal_churn() {
-        // interleaved discards + allocations exercise the moved-tail fixup
-        let mut m = mem(1_000, EvictionPolicy::Lru);
+    fn slots_stay_put_and_free_slots_are_reused() {
+        // interleaved discards + allocations: every resident tensor keeps
+        // its slot, and new tensors fill the freed slots before growing
+        let mut d = mem(1_000, EvictionPolicy::Lru);
         for i in 0..20 {
-            alloc_unpinned(&mut m, i, 10);
+            d.alloc_host(i, 10);
         }
+        let before: Vec<u32> = (0..20).map(|i| d.slots[&i]).collect();
         for i in (0..20).step_by(2) {
-            assert!(m.discard(tid(i)));
+            assert!(d.discard(i));
         }
-        assert_eq!(m.resident_count(), 10);
-        for i in 0..20u64 {
-            assert_eq!(m.holds(tid(i)), i % 2 == 1, "tensor {i}");
+        assert_eq!(d.m.resident_count(), 10);
+        for i in (1..20).step_by(2) {
+            assert_eq!(d.slots[&i], before[i as usize], "tensor {i} moved");
         }
-        // odd tensors must still be touchable / pinnable at their new slots
-        m.touch(tid(19));
-        m.set_pinned(tid(19), true);
-        for i in 20..29 {
-            alloc_unpinned(&mut m, i, 100);
+        for i in 20..30 {
+            d.alloc_host(i, 10);
         }
-        assert!(m.holds(tid(19)), "pinned tensor survives heavy pressure");
-        assert!(m.used() <= m.capacity());
-    }
-
-    #[test]
-    fn pinned_accounting_survives_pin_unpin_discard_churn() {
-        // the evictable capacity check is `used - pinned_bytes`; drive the
-        // counter through every mutation path and confirm WontFit behaviour
-        // still matches a from-scratch recount
-        let mut m = mem(100, EvictionPolicy::Lru);
-        alloc_unpinned(&mut m, 1, 30);
-        m.allocate(tid(2), 30, Provenance::DeviceCreated).unwrap(); // pinned
-        m.set_pinned(tid(2), true); // redundant pin: must not double-count
-        m.set_pinned(tid(1), false); // redundant unpin
-                                     // 30 B evictable + 40 B free: a 70 B request fits, 71 B does not
-        assert!(m.allocate(tid(3), 71, Provenance::HostBacked).is_err());
-        let ev = m.allocate(tid(3), 70, Provenance::HostBacked).unwrap();
-        assert_eq!(
-            ev,
-            vec![Evicted {
-                id: tid(1),
-                bytes: 30,
-                writeback: false
-            }]
-        );
-        // discarding a *pinned* tensor must release its pinned bytes
-        assert!(m.discard(tid(2)));
-        m.set_pinned(tid(3), false);
-        assert!(m.allocate(tid(4), 100, Provenance::HostBacked).is_ok());
-        assert_eq!(m.used(), 100);
-    }
-
-    /// Ids in victim-list order, head first, after checking the list:
-    /// every slot once, links mutually consistent, and keys strictly
-    /// increasing (`last_use` under LRU, `allocated_at` otherwise).
-    fn victim_order(m: &DeviceMemory) -> Vec<u64> {
-        let key = |s: usize| match m.policy {
-            EvictionPolicy::Lru => m.last_use[s],
-            _ => m.allocated_at[s],
-        };
-        let mut order = Vec::new();
-        let (mut prev, mut s) = (NIL, m.head);
-        while s != NIL {
-            assert!(order.len() < m.ids.len(), "cycle in the victim list");
-            assert_eq!(m.prev[s as usize], prev, "broken back link");
-            if prev != NIL {
-                assert!(key(prev as usize) < key(s as usize), "list out of order");
-            }
-            order.push(m.ids[s as usize].0);
-            (prev, s) = (s, m.next[s as usize]);
+        assert_eq!(d.m.syms.len(), 20, "freed slots were reused");
+        d.victim_order();
+        // odd tensors must still be touchable at their slots, and pinning
+        // one keeps it through heavy pressure
+        d.touch(19);
+        for i in 30..39 {
+            d.alloc(i, 100, Provenance::HostBacked, &[19]).unwrap();
         }
-        assert_eq!(m.tail, prev);
-        assert_eq!(order.len(), m.ids.len(), "slots missing from the list");
-        order
+        assert!(d.holds(19), "pinned tensor survives heavy pressure");
+        assert!(d.m.used() <= d.m.capacity());
+        d.victim_order();
     }
 
     #[test]
     fn victim_list_survives_removing_head_tail_middle_and_only_slot() {
         for policy in [EvictionPolicy::Lru, EvictionPolicy::Fifo] {
-            let mut m = mem(1_000, policy);
+            let mut d = mem(1_000, policy);
             for i in 1..=5 {
-                alloc_unpinned(&mut m, i, 10);
+                d.alloc_host(i, 10);
             }
-            m.touch(tid(2));
-            m.touch(tid(42)); // absent: ticks the clock, links nothing
+            d.touch(2);
             let mut expect = match policy {
                 EvictionPolicy::Lru => vec![1, 3, 4, 5, 2],
                 _ => vec![1, 2, 3, 4, 5],
             };
-            assert_eq!(victim_order(&m), expect, "{policy:?}");
-            // the head, then the tail, then a middle slot; each removal
-            // swap-moves the last slot into the hole
+            assert_eq!(d.victim_order(), expect, "{policy:?}");
+            // the head, then the tail, then a middle slot
             for at in [0, 3, 1] {
                 let id = expect.remove(at);
-                assert!(m.discard(tid(id)));
-                assert_eq!(victim_order(&m), expect, "{policy:?} without {id}");
+                assert!(d.discard(id));
+                assert_eq!(d.victim_order(), expect, "{policy:?} without {id}");
             }
             // an eviction takes the head
-            let ev = alloc_unpinned(&mut m, 6, 985);
-            assert_eq!(ev.iter().map(|e| e.id.0).collect::<Vec<_>>(), [expect[0]]);
+            let evicted = d.alloc_host(6, 985);
+            assert_eq!(
+                evicted.iter().map(|e| e.id.0).collect::<Vec<_>>(),
+                [expect[0]]
+            );
             expect = vec![expect[1], 6];
-            assert_eq!(victim_order(&m), expect, "{policy:?}");
+            assert_eq!(d.victim_order(), expect, "{policy:?}");
             // down to the only slot, then empty, then refilled
-            assert!(m.discard(tid(expect[0])));
-            assert_eq!(victim_order(&m), [6]);
-            assert!(m.discard(tid(6)));
-            assert_eq!((m.head, m.tail), (NIL, NIL));
-            assert!(victim_order(&m).is_empty());
-            alloc_unpinned(&mut m, 7, 10);
-            assert_eq!(victim_order(&m), [7]);
+            assert!(d.discard(expect[0]));
+            assert_eq!(d.victim_order(), [6]);
+            assert!(d.discard(6));
+            assert_eq!((d.m.head, d.m.tail), (NIL, NIL));
+            assert!(d.victim_order().is_empty());
+            d.alloc_host(7, 10);
+            assert_eq!(d.victim_order(), [7]);
         }
     }
 

@@ -6,27 +6,25 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use micco_gpusim::{
-    DeviceMemory, EvictionPolicy, GpuId, MachineConfig, MachineView, Provenance, SimMachine,
+    AllocError, DeviceMemory, Evicted, EvictionPolicy, GpuId, MachineConfig, MachineView,
+    Provenance, SimMachine,
 };
-use micco_workload::{ContractionTask, TaskId, TensorDesc, TensorId};
+use micco_workload::{ContractionTask, TaskId, TensorDesc, TensorId, TensorSym};
 
 #[derive(Debug, Clone)]
 enum MemOp {
+    /// Allocate `id` unless it is resident (then touch it), holding the
+    /// resident ones of `pins` in place.
     Alloc {
         id: u64,
         bytes: u64,
         device_created: bool,
+        pins: [u64; 2],
     },
     Touch {
         id: u64,
     },
     Discard {
-        id: u64,
-    },
-    Unpin {
-        id: u64,
-    },
-    Pin {
         id: u64,
     },
     SetNextUse {
@@ -35,17 +33,25 @@ enum MemOp {
     },
 }
 
-fn mem_op() -> impl Strategy<Value = MemOp> {
-    prop_oneof![
-        (0u64..40, 1u64..50, any::<bool>()).prop_map(|(id, bytes, device_created)| MemOp::Alloc {
+fn alloc_op() -> impl Strategy<Value = MemOp> {
+    (0u64..40, 1u64..50, any::<bool>(), 0u64..40, 0u64..40).prop_map(
+        |(id, bytes, device_created, p, q)| MemOp::Alloc {
             id,
             bytes,
-            device_created
-        }),
+            device_created,
+            pins: [p, q],
+        },
+    )
+}
+
+fn mem_op() -> impl Strategy<Value = MemOp> {
+    // allocations are half the ops, so pressure builds up
+    prop_oneof![
+        alloc_op(),
+        alloc_op(),
+        alloc_op(),
         (0u64..40).prop_map(|id| MemOp::Touch { id }),
         (0u64..40).prop_map(|id| MemOp::Discard { id }),
-        (0u64..40).prop_map(|id| MemOp::Unpin { id }),
-        (0u64..40).prop_map(|id| MemOp::Pin { id }),
         (0u64..40, prop_oneof![0u64..64, Just(u64::MAX)])
             .prop_map(|(id, next_use)| MemOp::SetNextUse { id, next_use }),
     ]
@@ -60,13 +66,97 @@ fn policy() -> impl Strategy<Value = EvictionPolicy> {
     ]
 }
 
+/// A [`DeviceMemory`] addressed by id: the harness keeps the id → slot
+/// index a machine keeps, with each tensor's symbol equal to its id, and
+/// checks that slots never move while their tensor is resident.
+struct Indexed {
+    m: DeviceMemory,
+    slots: HashMap<u64, u32>,
+}
+
+impl Indexed {
+    fn new(capacity: u64, policy: EvictionPolicy) -> Self {
+        Indexed {
+            m: DeviceMemory::new(capacity, policy),
+            slots: HashMap::new(),
+        }
+    }
+
+    fn holds(&self, id: u64) -> bool {
+        self.slots.contains_key(&id)
+    }
+
+    fn allocate(
+        &mut self,
+        id: u64,
+        bytes: u64,
+        device_created: bool,
+        pins: &[u64],
+    ) -> Result<Vec<Evicted>, AllocError> {
+        let provenance = if device_created {
+            Provenance::DeviceCreated
+        } else {
+            Provenance::HostBacked
+        };
+        let pinned: Vec<u32> = pins.iter().map(|p| self.slots[p]).collect();
+        let mut evicted = Vec::new();
+        let desc = TensorDesc {
+            id: TensorId(id),
+            bytes,
+        };
+        let slot = self.m.allocate_into(
+            desc,
+            TensorSym(id as u32),
+            provenance,
+            &pinned,
+            &mut evicted,
+        )?;
+        for e in &evicted {
+            assert_eq!(e.sym, TensorSym(e.id.0 as u32), "victim carries its symbol");
+            self.slots.remove(&e.id.0).expect("victim was resident");
+        }
+        assert!(
+            !self.slots.values().any(|&s| s == slot),
+            "slot {slot} handed out twice"
+        );
+        self.slots.insert(id, slot);
+        Ok(evicted)
+    }
+
+    fn touch(&mut self, id: u64) {
+        if let Some(&slot) = self.slots.get(&id) {
+            self.m.touch(slot);
+        }
+    }
+
+    fn discard(&mut self, id: u64) -> bool {
+        match self.slots.remove(&id) {
+            Some(slot) => {
+                assert!(self.m.discard(slot));
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn set_next_use(&mut self, id: u64, next_use: u64) {
+        if let Some(&slot) = self.slots.get(&id) {
+            self.m.set_next_use(slot, next_use);
+        }
+    }
+
+    /// The resident ids among `pins`.
+    fn resident_pins(&self, pins: [u64; 2]) -> Vec<u64> {
+        pins.into_iter().filter(|p| self.holds(*p)).collect()
+    }
+}
+
 /// One resident tensor of [`RefMemory`].
 struct RefEntry {
     bytes: u64,
     last_use: u64,
     allocated_at: u64,
     next_use: u64,
-    pinned: bool,
     device_created: bool,
 }
 
@@ -93,8 +183,8 @@ impl RefMemory {
     }
 
     fn touch(&mut self, id: u64) {
-        self.clock += 1;
         if let Some(e) = self.resident.get_mut(&id) {
+            self.clock += 1;
             e.last_use = self.clock;
         }
     }
@@ -110,18 +200,19 @@ impl RefMemory {
     }
 
     /// The evicted `(id, bytes, writeback)` triples, or `None` when the
-    /// tensor cannot fit even after evicting every unpinned tensor.
+    /// tensor cannot fit even after evicting every tensor not in `pinned`.
     fn allocate(
         &mut self,
         id: u64,
         bytes: u64,
         device_created: bool,
+        pinned: &[u64],
     ) -> Option<Vec<(u64, u64, bool)>> {
         let evictable: u64 = self
             .resident
-            .values()
-            .filter(|e| !e.pinned)
-            .map(|e| e.bytes)
+            .iter()
+            .filter(|(id, _)| !pinned.contains(id))
+            .map(|(_, e)| e.bytes)
             .sum();
         let free = self.capacity - self.used;
         if bytes > free + evictable || bytes > self.capacity {
@@ -129,7 +220,9 @@ impl RefMemory {
         }
         let mut evicted = Vec::new();
         while self.capacity - self.used < bytes {
-            let victim = self.victim().expect("evictable bytes were sufficient");
+            let victim = self
+                .victim(pinned)
+                .expect("evictable bytes were sufficient");
             let e = self.resident.remove(&victim).expect("victim is resident");
             self.used -= e.bytes;
             evicted.push((victim, e.bytes, e.device_created));
@@ -142,7 +235,6 @@ impl RefMemory {
                 last_use: self.clock,
                 allocated_at: self.clock,
                 next_use: u64::MAX,
-                pinned: true,
                 device_created,
             },
         );
@@ -150,8 +242,8 @@ impl RefMemory {
         Some(evicted)
     }
 
-    fn victim(&self) -> Option<u64> {
-        let unpinned = self.resident.iter().filter(|(_, e)| !e.pinned);
+    fn victim(&self, pinned: &[u64]) -> Option<u64> {
+        let unpinned = self.resident.iter().filter(|(id, _)| !pinned.contains(id));
         let victim = match self.policy {
             EvictionPolicy::Lru => unpinned.min_by_key(|&(&id, e)| (e.last_use, id)),
             EvictionPolicy::Fifo => unpinned.min_by_key(|&(&id, e)| (e.allocated_at, id)),
@@ -178,100 +270,90 @@ proptest! {
         policy in policy(),
         capacity in 50u64..200,
     ) {
-        let mut m = DeviceMemory::new(capacity, policy);
-        let mut resident_bytes: std::collections::HashMap<TensorId, u64> =
-            std::collections::HashMap::new();
+        let mut m = Indexed::new(capacity, policy);
+        let mut resident_bytes: HashMap<u64, u64> = HashMap::new();
         for op in ops {
             match op {
-                MemOp::Alloc { id, bytes, device_created } => {
-                    let id = TensorId(id);
+                MemOp::Alloc { id, bytes, device_created, pins } => {
                     if m.holds(id) {
                         m.touch(id);
                         continue;
                     }
-                    let prov = if device_created {
-                        Provenance::DeviceCreated
-                    } else {
-                        Provenance::HostBacked
-                    };
-                    if let Ok(evicted) = m.allocate(id, bytes, prov) {
+                    let pins = m.resident_pins(pins);
+                    if let Ok(evicted) = m.allocate(id, bytes, device_created, &pins) {
                         for ev in &evicted {
-                            let removed = resident_bytes.remove(&ev.id);
+                            prop_assert!(!pins.contains(&ev.id.0), "evicted a pinned tensor");
+                            let removed = resident_bytes.remove(&ev.id.0);
                             prop_assert_eq!(removed, Some(ev.bytes), "evicted ghost tensor");
                         }
                         resident_bytes.insert(id, bytes);
-                        // allocations arrive pinned; unpin later via op
                     }
                 }
-                MemOp::Touch { id } => m.touch(TensorId(id)),
+                MemOp::Touch { id } => m.touch(id),
                 MemOp::Discard { id } => {
-                    let id = TensorId(id);
                     let did = m.discard(id);
                     prop_assert_eq!(did, resident_bytes.remove(&id).is_some());
                 }
-                MemOp::Unpin { id } => m.set_pinned(TensorId(id), false),
-                MemOp::Pin { id } => m.set_pinned(TensorId(id), true),
-                MemOp::SetNextUse { id, next_use } => m.set_next_use(TensorId(id), next_use),
+                MemOp::SetNextUse { id, next_use } => m.set_next_use(id, next_use),
             }
-            prop_assert!(m.used() <= m.capacity(), "over capacity");
+            prop_assert!(m.m.used() <= m.m.capacity(), "over capacity");
             let expect: u64 = resident_bytes.values().sum();
-            prop_assert_eq!(m.used(), expect, "byte accounting drifted");
-            prop_assert_eq!(m.resident_count(), resident_bytes.len());
+            prop_assert_eq!(m.m.used(), expect, "byte accounting drifted");
+            prop_assert_eq!(m.m.resident_count(), resident_bytes.len());
+            let mut ids: Vec<u64> = m.m.resident_ids().map(|t| t.0).collect();
+            ids.sort_unstable();
+            let mut want: Vec<u64> = resident_bytes.keys().copied().collect();
+            want.sort_unstable();
+            prop_assert_eq!(ids, want);
         }
     }
 
     /// Every allocation evicts exactly the victims, in order, that the
-    /// reference model's full scan picks, under touches of absent ids,
-    /// pin churn, discards of pinned tensors and swap-removal.
+    /// reference model's full scan picks, under pins of zero, one or two
+    /// (possibly equal) tensors, discards and free-slot reuse.
     #[test]
     fn allocate_evicts_the_reference_victims(
         ops in proptest::collection::vec(mem_op(), 1..200),
         policy in policy(),
         capacity in 50u64..200,
     ) {
-        let mut m = DeviceMemory::new(capacity, policy);
+        let mut m = Indexed::new(capacity, policy);
         let mut r = RefMemory::new(capacity, policy);
         for op in ops {
             match op {
-                MemOp::Alloc { id, bytes, device_created } => {
-                    if m.holds(TensorId(id)) {
-                        m.touch(TensorId(id));
+                MemOp::Alloc { id, bytes, device_created, pins } => {
+                    if m.holds(id) {
+                        m.touch(id);
                         r.touch(id);
                         continue;
                     }
-                    let prov = if device_created {
-                        Provenance::DeviceCreated
-                    } else {
-                        Provenance::HostBacked
-                    };
-                    let got = m.allocate(TensorId(id), bytes, prov).ok().map(|ev| {
+                    let pins = m.resident_pins(pins);
+                    let got = m.allocate(id, bytes, device_created, &pins).ok().map(|ev| {
                         ev.iter().map(|e| (e.id.0, e.bytes, e.writeback)).collect::<Vec<_>>()
                     });
-                    prop_assert_eq!(got, r.allocate(id, bytes, device_created), "allocate {}", id);
+                    prop_assert_eq!(
+                        got,
+                        r.allocate(id, bytes, device_created, &pins),
+                        "allocate {}",
+                        id
+                    );
                 }
                 MemOp::Touch { id } => {
-                    m.touch(TensorId(id));
+                    m.touch(id);
                     r.touch(id);
                 }
                 MemOp::Discard { id } => {
-                    prop_assert_eq!(m.discard(TensorId(id)), r.discard(id));
-                }
-                MemOp::Unpin { id } | MemOp::Pin { id } => {
-                    let pinned = matches!(op, MemOp::Pin { .. });
-                    m.set_pinned(TensorId(id), pinned);
-                    if let Some(e) = r.resident.get_mut(&id) {
-                        e.pinned = pinned;
-                    }
+                    prop_assert_eq!(m.discard(id), r.discard(id));
                 }
                 MemOp::SetNextUse { id, next_use } => {
-                    m.set_next_use(TensorId(id), next_use);
+                    m.set_next_use(id, next_use);
                     if let Some(e) = r.resident.get_mut(&id) {
                         e.next_use = next_use;
                     }
                 }
             }
-            prop_assert_eq!(m.used(), r.used);
-            prop_assert_eq!(m.resident_count(), r.resident.len());
+            prop_assert_eq!(m.m.used(), r.used);
+            prop_assert_eq!(m.m.resident_count(), r.resident.len());
         }
     }
 

@@ -268,6 +268,29 @@ mod tests {
         }
     }
 
+    /// A graph-lowered stream's working set equals the sort-and-dedup sum
+    /// that `unique_bytes` once computed: lowering gives each id one size.
+    #[test]
+    fn working_set_matches_a_sort_and_dedup_of_the_lowered_stream() {
+        for spec in [
+            crate::presets::f0d2(crate::PresetScale::Ci),
+            crate::presets::nucleon_pipi(crate::PresetScale::Ci),
+        ] {
+            let p = build_correlator(&spec);
+            let mut descs: Vec<_> = p
+                .stream
+                .vectors()
+                .iter()
+                .flat_map(|v| v.tasks.iter().flat_map(|t| [t.a, t.b, t.out]))
+                .collect();
+            descs.sort_unstable_by_key(|d| d.id);
+            descs.dedup_by_key(|d| d.id);
+            let sorted: u64 = descs.iter().map(|d| d.bytes).sum();
+            assert!(sorted > 0);
+            assert_eq!(p.working_set_bytes, sorted, "{}", spec.name);
+        }
+    }
+
     #[test]
     fn builds_graphs_per_time_slice_and_combo() {
         let p = build_correlator(&tiny_spec(2, vec![0]));

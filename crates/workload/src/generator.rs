@@ -17,6 +17,12 @@ use micco_tensor::ContractionKind;
 
 use crate::task::{ContractionTask, TaskId, TensorId, TensorPairStream, Vector};
 
+/// First output id of a generated stream. [`WorkloadSpec::generate`]
+/// numbers input tensors densely from 0 and outputs densely from here, so
+/// the two runs never meet; [`crate::TensorInterner`] resolves ids in
+/// either run by array index.
+pub const OUTPUT_ID_BASE: u64 = 1 << 40;
+
 /// How repeated tensor slots pick their referent from the pool of previously
 /// emitted tensors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -183,7 +189,7 @@ impl WorkloadSpec {
         let mut next_task: u64 = 0;
         // Output ids live in a disjoint range so streams stay valid even if
         // callers later feed outputs back in as inputs.
-        let mut next_output: u64 = 1 << 40;
+        let mut next_output = OUTPUT_ID_BASE;
 
         let mut fresh = |pool: &mut Vec<TensorId>, next_tensor: &mut u64| {
             let id = TensorId(*next_tensor);
@@ -426,8 +432,8 @@ mod tests {
         for v in s.vectors() {
             for t in &v.tasks {
                 assert!(outs.insert(t.out.id), "duplicate output id {:?}", t.out.id);
-                assert!(t.out.id.0 >= 1 << 40);
-                assert!(t.a.id.0 < 1 << 40);
+                assert!(t.out.id.0 >= OUTPUT_ID_BASE);
+                assert!(t.a.id.0 < OUTPUT_ID_BASE);
             }
         }
     }

@@ -16,8 +16,8 @@
 //!   repeated rate, and the Uniform/Gaussian repeated-data distribution;
 //! * [`DataCharacteristics`]: the per-vector features fed to the regression
 //!   model (Table I);
-//! * [`TensorInterner`]: sparse tensor ids → dense `u32` symbols, so
-//!   planners can keep per-tensor state in flat vectors instead of maps.
+//! * [`TensorInterner`]: tensor ids → dense `u32` symbols, so planners
+//!   can keep per-tensor state in flat vectors instead of maps.
 
 pub mod characteristics;
 pub mod generator;
@@ -28,7 +28,7 @@ pub mod task;
 mod xxh64;
 
 pub use characteristics::DataCharacteristics;
-pub use generator::{RepeatDistribution, WorkloadSpec};
+pub use generator::{RepeatDistribution, WorkloadSpec, OUTPUT_ID_BASE};
 pub use intern::{FastIdHasher, FastIdMap, FastIdSet, TensorInterner, TensorSym};
 pub use serialize::{from_text, to_text, StreamFormatError};
 pub use stats::StreamStats;

@@ -7,6 +7,7 @@ use micco_tensor::{
     ContractionKind,
 };
 
+use crate::intern::TensorInterner;
 use crate::xxh64::WordHasher;
 
 /// Globally unique identity of a tensor (an original hadron-node payload or
@@ -223,15 +224,24 @@ impl TensorPairStream {
     /// Working-set bytes if every distinct tensor in the stream (inputs and
     /// outputs) were resident at once. Used to size oversubscribed machines
     /// (Fig. 11).
+    ///
+    /// Each distinct id counts once, at its size where it first appears in
+    /// stream order (a task's `a`, then `b`, then `out`). Generated and
+    /// graph-lowered streams give every id a single size, so for them that
+    /// is simply the sum of the distinct tensors' sizes.
     pub fn unique_bytes(&self) -> u64 {
-        let mut ids: Vec<TensorDesc> = self
-            .vectors
-            .iter()
-            .flat_map(|v| v.tasks.iter().flat_map(|t| [t.a, t.b, t.out]))
-            .collect();
-        ids.sort_unstable_by_key(|d| d.id);
-        ids.dedup_by_key(|d| d.id);
-        ids.iter().map(|d| d.bytes).sum()
+        let mut seen = TensorInterner::new();
+        let mut bytes = 0;
+        for t in self.vectors.iter().flat_map(|v| &v.tasks) {
+            for d in [t.a, t.b, t.out] {
+                let known = seen.len();
+                seen.intern(d.id);
+                if seen.len() > known {
+                    bytes += d.bytes;
+                }
+            }
+        }
+        bytes
     }
 
     /// Largest single-vector working set in bytes (peak concurrent demand).
@@ -357,6 +367,60 @@ mod tests {
         assert_eq!(s.unique_bytes(), 6 * per);
         assert_eq!(s.peak_vector_bytes(), s.vectors()[1].unique_bytes());
         assert_eq!(s.total_flops(), 3 * 2 * 4u64.pow(3) * 8);
+    }
+
+    /// The sort-based `unique_bytes` the one-pass version replaced.
+    fn unique_bytes_by_sort(stream: &TensorPairStream) -> u64 {
+        let mut ids: Vec<TensorDesc> = stream
+            .vectors()
+            .iter()
+            .flat_map(|v| v.tasks.iter().flat_map(|t| [t.a, t.b, t.out]))
+            .collect();
+        ids.sort_unstable_by_key(|d| d.id);
+        ids.dedup_by_key(|d| d.id);
+        ids.iter().map(|d| d.bytes).sum()
+    }
+
+    #[test]
+    fn unique_bytes_matches_the_sort_on_generated_streams() {
+        use crate::{RepeatDistribution, WorkloadSpec};
+        for dist in [
+            RepeatDistribution::Uniform,
+            RepeatDistribution::Gaussian,
+            RepeatDistribution::Zipf,
+        ] {
+            for seed in 0..4 {
+                let spec = WorkloadSpec::new(24, 16)
+                    .with_repeat_rate(0.25 * seed as f64)
+                    .with_distribution(dist)
+                    .with_vectors(6)
+                    .with_seed(seed);
+                for spec in [spec.clone(), spec.with_dim_choices(vec![4, 16, 32])] {
+                    let s = spec.generate();
+                    assert_eq!(
+                        s.unique_bytes(),
+                        unique_bytes_by_sort(&s),
+                        "{dist:?} {seed}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unique_bytes_counts_a_resized_id_at_its_first_size() {
+        let mut first = task(0, 1, 2, 100);
+        first.a.bytes = 10;
+        let mut later = task(1, 1, 2, 101);
+        later.a.bytes = 1_000;
+        let s = TensorPairStream::new(vec![Vector::new(vec![first.clone(), later])]);
+        let (b, out) = (first.b.bytes, first.out.bytes);
+        assert_eq!(s.unique_bytes(), 10 + b + 2 * out);
+        // an id first seen as an output keeps that size as a later input
+        let mut reuse = task(2, 100, 2, 102);
+        reuse.a.bytes = 7;
+        let s = TensorPairStream::new(vec![Vector::new(vec![first]), Vector::new(vec![reuse])]);
+        assert_eq!(s.unique_bytes(), 10 + b + 2 * out);
     }
 
     #[test]

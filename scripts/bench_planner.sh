@@ -11,10 +11,14 @@
 #   scripts/bench_planner.sh --smoke         # CI point: 20k tasks, 8 GPUs
 #   scripts/bench_planner.sh --smoke --baseline OLD.json
 #                                            # also fail on >20% slowdown
+#                                            # or >25% more peak RSS
 #   scripts/bench_planner.sh --smoke --oversub 2
 #                                            # CI's second point: memory
 #                                            # oversubscribed 2x, so both
 #                                            # planners evict
+#   scripts/bench_planner.sh --tasks 100000 --gpus 64 --skip-seed \
+#       --out BENCH_planner_64gpu_smoke.json # CI's third point: 64 GPUs,
+#                                            # gated on peak RSS too
 #
 # The full point writes BENCH_planner.json and a smoke run writes
 # BENCH_planner_smoke.json (git-ignored), so a smoke run never overwrites
@@ -44,7 +48,7 @@ echo "== building bench_planner (release) =="
 cargo build --release -p micco-bench --bin bench_planner
 
 echo "== running =="
-./target/release/bench_planner --out "$OUT" "${ARGS[@]:-}"
+./target/release/bench_planner --out "$OUT" ${ARGS[@]+"${ARGS[@]}"}
 
 echo "== checking schema =="
 python3 scripts/check_bench_schema.py "$OUT"

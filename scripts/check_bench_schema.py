@@ -81,7 +81,9 @@ Stdlib-only structural checks, dispatched on the report's `bench` field.
 With `--compare BASELINE.json` the current report additionally fails if
 throughput dropped more than 20% below the baseline: planner reports
 gate fast_tasks_per_sec (same tasks/gpus/oversub point required), serve
-reports gate throughput_jobs_per_sec (same pool_gpus required).
+reports gate throughput_jobs_per_sec (same pool_gpus required). A planner
+report also fails if its peak_rss_bytes exceeds the baseline's by more
+than 25%; that check is skipped when either value is null.
 
 Usage:
   check_bench_schema.py REPORT.json [REPORT2.json ...]
@@ -95,6 +97,7 @@ import math
 import sys
 
 MAX_REGRESSION = 0.20  # fail if fast throughput drops >20% vs baseline
+MAX_RSS_GROWTH = 0.25  # fail if a planner's peak RSS grows >25% vs baseline
 
 
 def fail(path, msg):
@@ -603,6 +606,22 @@ def compare(current, cur_path, baseline, base_path):
         cur_path,
         f"planner throughput regressed {100 * (1 - ratio):.1f}% vs {base_path} "
         f"(limit {100 * MAX_REGRESSION:.0f}%)",
+    )
+    cur_rss = current.get("peak_rss_bytes")
+    base_rss = baseline.get("peak_rss_bytes")
+    if cur_rss is None or base_rss is None:
+        print("peak RSS: not reported on both sides, gate skipped")
+        return
+    growth = cur_rss / base_rss
+    print(
+        f"peak RSS: {cur_rss / 2**20:.1f} MiB vs baseline "
+        f"{base_rss / 2**20:.1f} MiB ({growth:.2f}x)"
+    )
+    require(
+        growth <= 1.0 + MAX_RSS_GROWTH,
+        cur_path,
+        f"planner peak RSS grew {100 * (growth - 1):.1f}% vs {base_path} "
+        f"(limit {100 * MAX_RSS_GROWTH:.0f}%)",
     )
 
 

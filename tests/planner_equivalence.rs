@@ -1,16 +1,19 @@
 //! Equivalence tests for the fast planner (interned IDs, SoA machine state,
-//! holder bitsets) against the retained slow reference path
+//! a per-symbol residency index) against the retained slow reference path
 //! (`plan_schedule_seed`, a frozen copy of the seed planner's map-based
 //! machine).
 //!
 //! The contract is strict: for the same scheduler, stream, and machine
 //! config, the fast path must produce a **byte-identical** serialized plan
 //! and an equal content digest — across all four schedulers, every eviction
-//! policy, oversubscribed memory, and degenerate streams.
+//! policy, oversubscribed memory, degenerate streams, and streams whose
+//! tensor ids are sparse rather than the generator's dense runs.
+
+use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 
-use micco::gpusim::{EvictionPolicy, MachineConfig};
+use micco::gpusim::{EvictionPolicy, GpuId, MachineConfig, MachineView, SimMachine};
 use micco::sched::{
     plan_schedule_seed, CodaScheduler, GrouteScheduler, MiccoScheduler, Planned, ReuseBounds,
     RoundRobinScheduler, Scheduler, Session,
@@ -18,6 +21,7 @@ use micco::sched::{
 use micco::tensor::ContractionKind;
 use micco::workload::{
     ContractionTask, RepeatDistribution, TaskId, TensorId, TensorPairStream, Vector, WorkloadSpec,
+    OUTPUT_ID_BASE,
 };
 
 /// Strategy: a modest random workload (same shape as plan_properties.rs).
@@ -134,21 +138,144 @@ proptest! {
         policy in 0usize..4,
     ) {
         let stream = spec.generate();
-        // Size memory to just over two tasks' full working sets (a + b +
-        // out): enough that no single task ever WontFits, tight enough
-        // that residency churns.
-        let worst = stream
-            .vectors()
-            .iter()
-            .flat_map(|v| v.tasks.iter())
-            .map(|t| t.a.bytes + t.b.bytes + t.out.bytes)
-            .max()
-            .unwrap_or(1);
-        let cfg = MachineConfig::mi100_like(gpus)
-            .with_mem_bytes(worst * 2 + 1)
-            .with_eviction(policy_for(policy));
-        assert_paths_agree(which, bounds, &stream, &cfg);
+        assert_paths_agree(which, bounds, &stream, &machine(&stream, gpus, policy, true));
     }
+
+    /// The same contract after relabelling every tensor id to a sparse
+    /// value, so the fast planner's interner hashes ids instead of
+    /// indexing its dense runs.
+    #[test]
+    fn fast_planner_matches_reference_on_sparse_ids(
+        spec in spec_strategy(),
+        which in 0usize..4,
+        bounds in (0u8..4, 0u8..4, 0u8..4),
+        gpus in 1usize..5,
+        policy in 0usize..4,
+        pressure in any::<bool>(),
+        relabel in any::<u64>(),
+    ) {
+        let stream = sparsify(&spec.generate(), relabel);
+        assert_paths_agree(which, bounds, &stream, &machine(&stream, gpus, policy, pressure));
+    }
+}
+
+/// Memory for `gpus` devices under `policy`: ample, or (`pressure`) just
+/// over two tasks' full working sets (a + b + out), so that no single task
+/// ever fails to fit but residency churns.
+fn machine(stream: &TensorPairStream, gpus: usize, policy: usize, pressure: bool) -> MachineConfig {
+    let cfg = MachineConfig::mi100_like(gpus).with_eviction(policy_for(policy));
+    if !pressure {
+        return cfg;
+    }
+    let worst = stream
+        .vectors()
+        .iter()
+        .flat_map(|v| v.tasks.iter())
+        .map(|t| t.a.bytes + t.b.bytes + t.out.bytes)
+        .max()
+        .unwrap_or(1);
+    cfg.with_mem_bytes(worst * 2 + 1)
+}
+
+// ---------------------------------------------------------------------------
+// Sparse tensor ids
+// ---------------------------------------------------------------------------
+
+/// `stream` with its tensor ids relabelled through a random injective map
+/// (seeded by `seed`) onto sparse values: `u64::MAX`, `2⁴⁰ − 1`, ids at
+/// either dense run's reach (the interner admits an id to a run's array
+/// only below twice its interned count plus 1024, so these land on both
+/// sides of that bound), and random 64-bit values. Task ids, sizes and
+/// flops are unchanged.
+fn sparsify(stream: &TensorPairStream, seed: u64) -> TensorPairStream {
+    let mut state = seed;
+    let mut next = move || {
+        // splitmix64
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let mut labels: HashMap<TensorId, TensorId> = HashMap::new();
+    let mut used: HashSet<u64> = HashSet::new();
+    let mut relabel = |id: TensorId| -> TensorId {
+        let distinct = labels.len() as u64;
+        *labels.entry(id).or_insert_with(|| loop {
+            // the run's reach when this id is interned as the next symbol
+            let reach = 2 * (distinct + 1) + 1024;
+            let candidate = match (distinct, next() % 4) {
+                (0, _) => u64::MAX,
+                (1, _) => OUTPUT_ID_BASE - 1,
+                (_, 0) => reach - 1 + next() % 3,
+                (_, 1) => OUTPUT_ID_BASE + reach - 1 + next() % 3,
+                _ => next(),
+            };
+            if used.insert(candidate) {
+                break TensorId(candidate);
+            }
+        })
+    };
+    let vectors = stream
+        .vectors()
+        .iter()
+        .map(|v| {
+            Vector::new(
+                v.tasks
+                    .iter()
+                    .map(|t| {
+                        let mut t = t.clone();
+                        t.a.id = relabel(t.a.id);
+                        t.b.id = relabel(t.b.id);
+                        t.out.id = relabel(t.out.id);
+                        t
+                    })
+                    .collect(),
+            )
+        })
+        .collect();
+    TensorPairStream::new(vectors)
+}
+
+/// Hot tensors on 4 GPUs: every scheduler × policy, with and without
+/// eviction pressure, on sparse ids. The MICCO plans are replayed to show
+/// that some tensor really reached a third holder, so the residency
+/// index's overflow path is compared too.
+#[test]
+fn sparse_ids_with_three_or_more_holders_match_on_4_gpus() {
+    let stream = sparsify(
+        &WorkloadSpec::new(24, 64)
+            .with_repeat_rate(0.9)
+            .with_distribution(RepeatDistribution::Gaussian)
+            .with_vectors(6)
+            .with_seed(11)
+            .generate(),
+        0xdecaf,
+    );
+    let mut widest = 0;
+    for pressure in [false, true] {
+        for which in 0..4 {
+            for policy in 0..4 {
+                let cfg = machine(&stream, 4, policy, pressure);
+                assert_paths_agree(which, (0, 2, 0), &stream, &cfg);
+                let plan = Session::new(cfg)
+                    .plan(&mut *scheduler_for(which, (0, 2, 0)), &stream)
+                    .expect("plans")
+                    .into_plan();
+                let mut m = SimMachine::new(cfg);
+                let tasks = stream.vectors().iter().flat_map(|v| &v.tasks);
+                for (t, a) in tasks.zip(plan.flat_assignments()) {
+                    m.execute(t, a.gpu).expect("replays");
+                    widest = widest.max(m.holders(t.a.id).len().max(m.holders(t.b.id).len()));
+                }
+                assert!((0..4).all(|g| m.mem_used(GpuId(g)) <= cfg.mem_bytes));
+            }
+        }
+    }
+    assert!(
+        widest >= 3,
+        "no tensor reached a third holder (widest {widest})"
+    );
 }
 
 // ---------------------------------------------------------------------------

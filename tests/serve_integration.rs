@@ -340,6 +340,32 @@ fn a_huge_topology_is_refused_by_the_pool_size_before_it_is_built() {
     service.shutdown();
 }
 
+#[test]
+fn a_non_finite_oversub_is_refused_before_admission() {
+    // 1e999 parses to infinity, which used to pass validation and fail the
+    // admitted job in planning with every device sized to 1 B
+    let service = Service::start(
+        "127.0.0.1:0",
+        ServeConfig {
+            pool_gpus: 2,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let client = Client::new(service.addr());
+    let body = r#"{"tenant": "acme", "config": {"gpus": 2, "oversub": 1e999}}"#;
+    let (status, reply) = client.request("POST", "/v1/jobs", body).unwrap();
+    assert_eq!(status, 400, "{reply}");
+    assert!(reply.contains("'oversub'"), "{reply}");
+    let submitted = service
+        .scheduling()
+        .metrics()
+        .snapshot()
+        .counter("serve.submitted");
+    assert_eq!(submitted, 0, "a refused job is never admitted");
+    service.shutdown();
+}
+
 /// The value of `name` in a `/metrics` text snapshot.
 fn metric(text: &str, name: &str) -> f64 {
     text.lines()
