@@ -119,7 +119,7 @@ struct DagCollector {
 }
 
 impl ExecObserver for DagCollector {
-    fn d2d(&mut self, src: GpuId, dst: GpuId, tensor: TensorId, _bytes: u64) {
+    fn d2d(&mut self, src: GpuId, dst: GpuId, tensor: TensorId) {
         self.d2d.push((src.0, dst.0, tensor.0));
     }
 }

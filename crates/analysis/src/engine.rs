@@ -312,11 +312,11 @@ struct Collector {
 }
 
 impl ExecObserver for Collector {
-    fn h2d(&mut self, gpu: GpuId, tensor: TensorId, _bytes: u64) {
+    fn h2d(&mut self, gpu: GpuId, tensor: TensorId) {
         self.events.push(MemEvent::Fetch { gpu: gpu.0, tensor });
     }
 
-    fn d2d(&mut self, src: GpuId, dst: GpuId, tensor: TensorId, _bytes: u64) {
+    fn d2d(&mut self, src: GpuId, dst: GpuId, tensor: TensorId) {
         self.events.push(MemEvent::Fetch { gpu: dst.0, tensor });
         self.d2d.push((src.0, dst.0, tensor));
     }

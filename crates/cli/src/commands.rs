@@ -23,7 +23,7 @@ use micco_core::{
 use micco_exec::{execute_plan as execute_plan_real, ExecOptions, TensorStore};
 use micco_gpusim::{CostModel, MachineConfig};
 use micco_load::{run_open_loop, TenantLoad};
-use micco_obs::{parse_trace_text, Recorder};
+use micco_obs::{from_perfetto_json, Recorder};
 use micco_redstar::{al_rhopi, build_correlator, f0d2, f0d4, kk_pipi, nucleon_pipi, PresetScale};
 use micco_serve::{Priority, ServeConfig, Service, TenantSpec};
 use micco_store::PlanStore;
@@ -38,13 +38,12 @@ usage: micco <command> [options]
 commands that read a request take the SessionConfig flags listed below,
 or --config FILE in their place:
   run         decide and simulate the request through the Session API
-              --trace-out FILE records spans and metrics as Perfetto-
-              loadable JSON; --trace-raw FILE writes the lossless
-              micco-trace v1 text (the format `certify` reads back);
-              --mappings prints the Fig. 4 mapping histogram; with
-              --store DIR the decision goes through a durable
-              write-ahead-logged plan cache, and a warm restart replays the
-              plan from the log without invoking the scheduler
+              --trace-out FILE records spans as Perfetto-loadable JSON
+              (the file `certify` reads back); --mappings prints the
+              Fig. 4 mapping histogram; with --store DIR the decision
+              goes through a durable write-ahead-logged plan cache, and a
+              warm restart replays the plan from the log without invoking
+              the scheduler
   plan        decide a schedule without executing and write the plan IR
               --out FILE; --lint runs the static verifier on the freshly
               decided plan (--format/--deny/--thrash-window as in lint);
@@ -58,21 +57,21 @@ or --config FILE in their place:
               comma-separated with levels (e.g. --deny error,MICCO-W205);
               a --topology adds the W204 cross-island route check
   certify     prove an executed trace is a linearization of its plan
-              --plan FILE --trace FILE (micco-trace v1 text as written by
-              --trace-raw) --transfers auto|strict|lenient --eps-us F plus
+              --plan FILE --trace FILE (the Perfetto JSON written by
+              --trace-out) --transfers auto|strict|lenient --eps-us F plus
               the --format/--deny options of lint; a --topology adds
               per-hop link-route checks
   execute     execute a previously written plan on the rebuilt workload
               --plan FILE --backend sim|real; sim replays on the simulator,
               real computes kernels on one worker per planned GPU;
-              --trace-out FILE writes Perfetto JSON for either backend and
-              --trace-raw FILE the lossless micco-trace v1 text; without
-              --plan, --store DIR fetches the plan the same request keyed
+              --trace-out FILE writes Perfetto JSON for either backend;
+              without --plan, --store DIR fetches the plan the same
+              request keyed
   replay      re-execute a plan several times and verify determinism
               --plan FILE (or --store DIR) --times N
   exec        decide the request and compute its kernels on one worker
               thread per GPU (plan, then execute --backend real);
-              --trace-out FILE / --trace-raw FILE as in execute
+              --trace-out FILE as in execute
   redstar     a Table VI correlator preset on the configured machine
               --preset al_rhopi|f0d2|f0d4|nucleon_pipi|kk_pipi --scale paper|ci
   load        open-loop load generator against a running daemon; every job
@@ -171,7 +170,7 @@ fn grammar(name: &str) -> Option<Grammar> {
         switches,
     };
     Some(match name {
-        "run" => g(run_cmd, true, "load save trace-out trace-raw", "mappings"),
+        "run" => g(run_cmd, true, "load save trace-out", "mappings"),
         "plan" => g(
             plan,
             true,
@@ -190,14 +189,9 @@ fn grammar(name: &str) -> Option<Grammar> {
             "load save plan trace transfers eps-us format deny",
             "",
         ),
-        "execute" => g(
-            execute,
-            true,
-            "load save plan backend trace-out trace-raw",
-            "",
-        ),
+        "execute" => g(execute, true, "load save plan backend trace-out", ""),
         "replay" => g(replay, true, "load save plan times", ""),
-        "exec" => g(exec, true, "load save trace-out trace-raw", ""),
+        "exec" => g(exec, true, "load save trace-out", ""),
         "redstar" => g(redstar, true, "preset scale", ""),
         "cluster" => g(
             cluster,
@@ -528,40 +522,30 @@ fn fetch_plan_from_store(
     Ok(plan)
 }
 
-/// Fresh recorder when `--trace-out FILE` or `--trace-raw FILE` was
-/// given, `None` otherwise.
+/// Fresh recorder when `--trace-out FILE` was given, `None` otherwise.
 fn trace_recorder(args: &Args) -> Option<Arc<Recorder>> {
-    (args.get("trace-out").is_some() || args.get("trace-raw").is_some()).then(Recorder::shared)
+    args.get("trace-out").is_some().then(Recorder::shared)
 }
 
 /// `session` recording into `recorder`, when there is one.
 fn traced(session: Session, recorder: &Option<Arc<Recorder>>) -> Session {
     match recorder {
-        Some(r) => session.trace(r.clone()).metrics(r.metrics()),
+        Some(r) => session.trace(r.clone()),
         None => session,
     }
 }
 
-/// Honour `--trace-out FILE` (Perfetto JSON) and `--trace-raw FILE`
-/// (lossless `micco-trace v1` text, the input format of `certify`).
-fn write_trace_files(recorder: &Option<Arc<Recorder>>, args: &Args) -> Result<(), String> {
-    let Some(recorder) = recorder else {
+/// Honour `--trace-out FILE`: the Perfetto JSON the viewer loads and
+/// `certify` reads back.
+fn write_trace_file(recorder: &Option<Arc<Recorder>>, args: &Args) -> Result<(), String> {
+    let (Some(recorder), Some(path)) = (recorder, args.get("trace-out")) else {
         return Ok(());
     };
-    if let Some(path) = args.get("trace-out") {
-        std::fs::write(path, recorder.to_perfetto_json()).map_err(|e| format!("{path}: {e}"))?;
-        println!(
-            "wrote {} trace event(s) to {path} (open in Perfetto / chrome://tracing)",
-            recorder.len()
-        );
-    }
-    if let Some(path) = args.get("trace-raw") {
-        std::fs::write(path, recorder.to_trace_text()).map_err(|e| format!("{path}: {e}"))?;
-        println!(
-            "wrote {} trace event(s) to {path} (micco-trace v1 text)",
-            recorder.len()
-        );
-    }
+    std::fs::write(path, recorder.to_perfetto_json()).map_err(|e| format!("{path}: {e}"))?;
+    println!(
+        "wrote {} trace event(s) to {path} (open in Perfetto / chrome://tracing)",
+        recorder.len()
+    );
     Ok(())
 }
 
@@ -579,7 +563,7 @@ fn run_cmd(args: &Args) -> Result<(), String> {
         let hist = micco_core::mapping_histogram(&stream, &report.assignments, session.config());
         println!("  Fig. 4 mappings: {hist}");
     }
-    write_trace_files(&recorder, args)
+    write_trace_file(&recorder, args)
 }
 
 fn print_report(r: &ScheduleReport) {
@@ -658,16 +642,17 @@ fn lint(args: &Args) -> Result<(), String> {
 }
 
 /// Prove an executed trace is a linearization of its plan: rebuild the
-/// dependence DAG by symbolic replay, ingest the `micco-trace v1` text
-/// from `--trace FILE`, and report every happens-before violation through
-/// the same `--format`/`--deny` pipeline as `lint`.
+/// dependence DAG by symbolic replay, read the Perfetto JSON that
+/// `--trace-out` wrote from `--trace FILE`, and report every
+/// happens-before violation through the same `--format`/`--deny`
+/// pipeline as `lint`.
 fn certify(args: &Args) -> Result<(), String> {
     args.get("plan").ok_or("certify needs --plan FILE")?;
     let trace_path = args
         .get("trace")
-        .ok_or("certify needs --trace FILE (micco-trace v1 text, written by --trace-raw)")?;
+        .ok_or("certify needs --trace FILE (the Perfetto JSON written by --trace-out)")?;
     let text = std::fs::read_to_string(trace_path).map_err(|e| format!("{trace_path}: {e}"))?;
-    let events = parse_trace_text(&text).map_err(|e| format!("{trace_path}: {e}"))?;
+    let events = from_perfetto_json(&text).map_err(|e| format!("{trace_path}: {e}"))?;
     let (_, stream, session, plan) = planned_request(args)?;
     let report = certify_trace_with(
         &plan,
@@ -696,7 +681,7 @@ fn execute(args: &Args) -> Result<(), String> {
         "real" => compute(&cfg, &stream, &plan, &recorder)?,
         other => return Err(format!("unknown backend '{other}' (sim|real)")),
     }
-    write_trace_files(&recorder, args)
+    write_trace_file(&recorder, args)
 }
 
 /// Replay a plan `--times N` times on fresh simulators and verify the
@@ -738,7 +723,7 @@ fn exec(args: &Args) -> Result<(), String> {
     let plan = decide(&cfg, &session, &stream)?.into_plan();
     let recorder = trace_recorder(args);
     compute(&cfg, &stream, &plan, &recorder)?;
-    write_trace_files(&recorder, args)
+    write_trace_file(&recorder, args)
 }
 
 /// Compute `plan`'s kernels with the real executor on one worker per
@@ -1487,8 +1472,8 @@ mod tests {
         let dir = std::env::temp_dir();
         let pid = std::process::id();
         let plan_path = dir.join(format!("micco-cli-cert-plan-{pid}.txt"));
-        let trace_path = dir.join(format!("micco-cli-cert-trace-{pid}.txt"));
-        let bad_path = dir.join(format!("micco-cli-cert-bad-{pid}.txt"));
+        let trace_path = dir.join(format!("micco-cli-cert-trace-{pid}.json"));
+        let bad_path = dir.join(format!("micco-cli-cert-bad-{pid}.json"));
         let (p, t, b) = (
             plan_path.display(),
             trace_path.display(),
@@ -1496,9 +1481,9 @@ mod tests {
         );
         let wl = "--vector-size 4 --tensor-size 16 --batch 2 --vectors 2 --seed 3";
         run(&format!("plan {wl} --gpus 2 --out {p}")).unwrap();
-        // sim backend: the lossless text trace certifies clean even under
-        // the strictest gates (every severity denied, strict transfers)
-        run(&format!("execute {wl} --plan {p} --trace-raw {t}")).unwrap();
+        // sim backend: the Perfetto trace certifies clean even under the
+        // strictest gates (every severity denied, strict transfers)
+        run(&format!("execute {wl} --plan {p} --trace-out {t}")).unwrap();
         for format in ["text", "json", "sarif"] {
             run(&format!(
                 "certify {wl} --plan {p} --trace {t} --format {format} \
@@ -1506,13 +1491,18 @@ mod tests {
             ))
             .unwrap();
         }
-        // drop the first compute span: certification must fail with E006
+        // drop the first compute span (one event per line; every line but
+        // the last event's ends in a comma, so the rest stays valid JSON):
+        // certification must fail with E006
         let text = std::fs::read_to_string(&trace_path).unwrap();
         let mut dropped = false;
         let mutated: Vec<&str> = text
             .lines()
             .filter(|l| {
-                let is_compute = l.starts_with("span\t") && l.contains("\ttask ");
+                let is_compute = l.contains("\"ph\":\"X\"")
+                    && l.contains("\"tid\":0,")
+                    && l.contains("\"name\":\"task ")
+                    && l.ends_with(',');
                 if is_compute && !dropped {
                     dropped = true;
                     return false;
@@ -1537,7 +1527,7 @@ mod tests {
         .unwrap();
         // real backend wall-clock traces certify clean too
         run(&format!(
-            "execute {wl} --plan {p} --backend real --trace-raw {t}"
+            "execute {wl} --plan {p} --backend real --trace-out {t}"
         ))
         .unwrap();
         run(&format!("certify {wl} --plan {p} --trace {t} --deny warn")).unwrap();
@@ -1563,23 +1553,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_raw_writes_lossless_text() {
-        let dir = std::env::temp_dir();
-        let pid = std::process::id();
-        let raw = dir.join(format!("micco-cli-raw-{pid}.txt"));
-        run(&format!(
-            "run --vector-size 4 --tensor-size 32 --vectors 2 --gpus 2 --trace-raw {}",
-            raw.display()
-        ))
-        .unwrap();
-        let text = std::fs::read_to_string(&raw).unwrap();
-        assert!(text.starts_with(micco_obs::TRACE_TEXT_HEADER));
-        let events = parse_trace_text(&text).unwrap();
-        assert!(!events.is_empty(), "raw export round-trips");
-        let _ = std::fs::remove_file(raw);
-    }
-
-    #[test]
     fn run_with_trace_out_writes_perfetto_json() {
         let out = std::env::temp_dir().join(format!("micco-cli-run-{}.json", std::process::id()));
         run(&format!(
@@ -1592,6 +1565,8 @@ mod tests {
         assert!(text.starts_with('{'), "perfetto export is an object");
         assert!(text.contains("traceEvents"));
         assert!(text.contains("\"run "), "run span is recorded");
+        let events = from_perfetto_json(&text).unwrap();
+        assert!(!events.is_empty(), "the trace file reads back");
         let _ = std::fs::remove_file(out);
         // without --trace-out the command still runs (no file written)
         run("run --vector-size 4 --tensor-size 32 --vectors 1 --gpus 2").unwrap();

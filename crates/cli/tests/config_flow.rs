@@ -37,7 +37,7 @@ fn one_config_file_drives_plan_lint_execute_certify_and_replay() {
     let dir = std::env::temp_dir().join(format!("micco-config-flow-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
-    let (config, plan, trace) = (path("request.json"), path("plan.txt"), path("trace.txt"));
+    let (config, plan, trace) = (path("request.json"), path("plan.txt"), path("trace.json"));
     // non-default tensor size, batch and seed shape the workload and the
     // real kernels; steal reaches the real executor
     std::fs::write(
@@ -57,7 +57,7 @@ fn one_config_file_drives_plan_lint_execute_certify_and_replay() {
         &config,
         "--plan",
         &plan,
-        "--trace-raw",
+        "--trace-out",
         &trace,
     ]);
     ok(&[

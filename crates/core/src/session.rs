@@ -36,9 +36,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use micco_gpusim::{ExecStats, FaultPlan, LinkTopology, MachineConfig, SimMachine};
-use micco_obs::{
-    MetricsRegistry, SpanObserver, TraceEvent, TraceSink, Track, CONTROL_PID, SECS_TO_US,
-};
+use micco_obs::{SpanObserver, TraceEvent, TraceSink, Track, CONTROL_PID, SECS_TO_US};
 use micco_workload::TensorPairStream;
 
 use crate::driver::{
@@ -64,7 +62,6 @@ pub struct Session {
     options: DriverOptions,
     topology: Option<LinkTopology>,
     sink: Option<Arc<dyn TraceSink>>,
-    metrics: Option<Arc<MetricsRegistry>>,
     faults: Option<FaultPlan>,
 }
 
@@ -75,7 +72,6 @@ impl std::fmt::Debug for Session {
             .field("options", &self.options)
             .field("topology", &self.topology)
             .field("sink", &self.sink.as_ref().map(|_| "dyn TraceSink"))
-            .field("metrics", &self.metrics.as_ref().map(|_| "MetricsRegistry"))
             .field("faults", &self.faults)
             .finish()
     }
@@ -89,7 +85,6 @@ impl Session {
             options: DriverOptions::default(),
             topology: None,
             sink: None,
-            metrics: None,
             faults: None,
         }
     }
@@ -150,13 +145,6 @@ impl Session {
     /// on the simulator and emit a run-level control span.
     pub fn trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
         self.sink = Some(sink);
-        self
-    }
-
-    /// Aggregate observer metrics into `registry` instead of a private
-    /// one (lets several sessions — or the real executor — share totals).
-    pub fn metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.metrics = Some(registry);
         self
     }
 
@@ -281,11 +269,7 @@ impl Session {
             machine = machine.with_faults(faults.clone());
         }
         if let Some(sink) = &self.sink {
-            let mut obs = SpanObserver::new(Arc::clone(sink));
-            if let Some(metrics) = &self.metrics {
-                obs = obs.with_metrics(Arc::clone(metrics));
-            }
-            machine.set_observer(Box::new(obs));
+            machine.set_observer(Box::new(SpanObserver::new(Arc::clone(sink))));
         }
         machine
     }
@@ -456,7 +440,6 @@ mod tests {
         let recorder = Recorder::shared();
         let session = Session::new(MachineConfig::mi100_like(2))
             .trace(recorder.clone())
-            .metrics(recorder.metrics())
             .measure_overhead(true);
         let report = session
             .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
@@ -480,9 +463,6 @@ mod tests {
             .expect("session emits a run span");
         assert!((run_span.0 - report.elapsed_secs() * SECS_TO_US).abs() < 1e-9);
         assert!(run_span.1.iter().any(|(k, _)| k == "execution_overhead_ms"));
-        // metrics aggregate through the shared registry
-        let snap = recorder.metrics_snapshot();
-        assert_eq!(snap.counter("tasks"), report.stats.total_tasks());
         // the execute-phase overhead was actually measured
         assert!(report.execution_overhead_secs > 0.0);
     }

@@ -29,7 +29,9 @@
 //!
 //! [`SimMachine`] is the one machine: planning, plan replay, and the plan
 //! linter's and certifier's replays all step its transition function, which
-//! counts [`ExecStats`] and reports every effect to an [`ExecObserver`].
+//! counts [`ExecStats`] and reports what a trace or an analysis needs to
+//! see (transfers, evictions, engine intervals, faults) to an
+//! [`ExecObserver`].
 
 pub mod cost;
 pub mod fault;

@@ -158,23 +158,20 @@ pub trait MachineView {
 }
 
 /// Observation hooks called by the machine's transition function at the
-/// exact points it counts its statistics. All methods default to no-ops.
+/// points that change what a trace or an analysis sees. All methods
+/// default to no-ops. The machine's counts and totals are its
+/// [`ExecStats`]; the hooks carry what the stats do not (which tensor
+/// moved, when an engine was busy), not a second copy of the tally.
 ///
 /// Telemetry attaches one to a machine ([`SimMachine::set_observer`]);
 /// offline tools like the `micco-analysis` plan linter pass their own to
 /// [`SimMachine::execute_observed`] and watch every transfer and eviction
 /// of a replay.
 pub trait ExecObserver {
-    /// An operand of the task was already resident on the executing device.
-    fn reuse_hit(&mut self, _gpu: GpuId, _tensor: TensorId) {}
-    /// A buffer was allocated on `gpu` (operand staging or output).
-    fn alloc(&mut self, _gpu: GpuId) {}
-    /// `bytes` of `tensor` were copied host → `gpu`.
-    fn h2d(&mut self, _gpu: GpuId, _tensor: TensorId, _bytes: u64) {}
-    /// `bytes` of `tensor` were copied peer `src` → `dst`.
-    fn d2d(&mut self, _src: GpuId, _dst: GpuId, _tensor: TensorId, _bytes: u64) {}
-    /// A peer copy occupied `src`'s memory controller for `secs`.
-    fn source_charge(&mut self, _src: GpuId, _secs: f64) {}
+    /// `tensor` was copied host → `gpu`.
+    fn h2d(&mut self, _gpu: GpuId, _tensor: TensorId) {}
+    /// `tensor` was copied peer `src` → `dst`.
+    fn d2d(&mut self, _src: GpuId, _dst: GpuId, _tensor: TensorId) {}
     /// One hop of a routed peer copy occupied physical link `link`
     /// (endpoints `a`–`b`, class `"nv"`/`"pcie"`/`"ib"`) over
     /// `[start, end)` in absolute simulated seconds. Only fired on
@@ -195,10 +192,12 @@ pub trait ExecObserver {
     /// `tensor` was evicted from `gpu` (`writeback` when device-created
     /// data had to be written back to the host).
     fn evict(&mut self, _gpu: GpuId, _tensor: TensorId, _writeback: bool, _bytes: u64) {}
-    /// The contraction kernel of `task` ran for `secs` on `gpu`.
-    fn kernel(&mut self, _gpu: GpuId, _task: TaskId, _secs: f64) {}
-    /// The task finished; totals for the whole execute call.
-    fn task_done(&mut self, _gpu: GpuId, _flops: u64, _compute_secs: f64, _mem_secs: f64) {}
+    /// The contraction kernel of `task` is about to be timed on `gpu`.
+    /// Fired after the task's operands are staged and before its own
+    /// [`Self::copy_timed`] interval.
+    fn kernel(&mut self, _gpu: GpuId, _task: TaskId) {}
+    /// The task the last [`Self::kernel`] named finished.
+    fn task_done(&mut self) {}
     /// An injected fault from the machine's [`FaultPlan`] fired on `task`.
     fn fault(&mut self, _gpu: GpuId, _task: TaskId, _kind: FaultKind) {}
     /// Attempt `attempt` (1-based) of `task` re-ran after a transient fault.
@@ -680,14 +679,12 @@ impl SimMachine {
                 self.gpus[gpu.0].mem.touch(slot);
                 operand_slots[i] = slot;
                 self.stats.per_gpu[gpu.0].reuse_hits += 1;
-                obs.reuse_hit(gpu, d.id);
                 continue;
             }
             // Source selection: prefer a peer copy (faster link) else host.
             let peer = self.residency.first_holder_excluding(s, gpu.0);
             mem_secs += self.config.cost.alloc_secs(d.bytes);
             self.stats.per_gpu[gpu.0].allocs += 1;
-            obs.alloc(gpu);
             let base = evicted.len();
             let slot = self.gpus[gpu.0]
                 .mem
@@ -751,7 +748,6 @@ impl SimMachine {
                                 self.gpus[src.0].compute_time.max(self.gpus[src.0].dma_time);
                         }
                         self.stats.per_gpu[src.0].memory_secs += secs;
-                        obs.source_charge(src, secs);
                         if ce > cs {
                             obs.copy_timed(src, cs, ce);
                         }
@@ -759,7 +755,7 @@ impl SimMachine {
                     let s = &mut self.stats.per_gpu[gpu.0];
                     s.d2d_count += 1;
                     s.d2d_bytes += d.bytes;
-                    obs.d2d(src, gpu, d.id, d.bytes);
+                    obs.d2d(src, gpu, d.id);
                 }
                 None => {
                     let secs = self.config.cost.h2d_secs(d.bytes);
@@ -780,7 +776,7 @@ impl SimMachine {
                     let s = &mut self.stats.per_gpu[gpu.0];
                     s.h2d_count += 1;
                     s.h2d_bytes += d.bytes;
-                    obs.h2d(gpu, d.id, d.bytes);
+                    obs.h2d(gpu, d.id);
                 }
             }
         }
@@ -808,7 +804,6 @@ impl SimMachine {
         } else {
             mem_secs += self.config.cost.alloc_secs(task.out.bytes);
             self.stats.per_gpu[gpu.0].allocs += 1;
-            obs.alloc(gpu);
             let base = evicted.len();
             let slot = self.gpus[gpu.0]
                 .mem
@@ -838,7 +833,7 @@ impl SimMachine {
             }
             compute_secs *= 1.0 + f64::from(kernel_failures);
         }
-        obs.kernel(gpu, task.id, compute_secs);
+        obs.kernel(gpu, task.id);
 
         // Clairvoyant oracle: advance each touched tensor's use cursor past
         // the current position and feed the next use to every device
@@ -890,7 +885,7 @@ impl SimMachine {
         s.flops += task.flops;
         s.compute_secs += compute_secs;
         s.memory_secs += mem_secs;
-        obs.task_done(gpu, task.flops, compute_secs, mem_secs);
+        obs.task_done();
         Ok(())
     }
 
@@ -1869,11 +1864,8 @@ mod tests {
 
         #[derive(Default)]
         struct Counts {
-            reuse_hit: u64,
-            alloc: u64,
             h2d: u64,
             d2d: u64,
-            source_charge: u64,
             link_hop: u64,
             evict: u64,
             writeback_evict: u64,
@@ -1887,20 +1879,11 @@ mod tests {
         }
         struct Counter(Arc<Mutex<Counts>>);
         impl ExecObserver for Counter {
-            fn reuse_hit(&mut self, _gpu: GpuId, _tensor: TensorId) {
-                self.0.lock().unwrap().reuse_hit += 1;
-            }
-            fn alloc(&mut self, _gpu: GpuId) {
-                self.0.lock().unwrap().alloc += 1;
-            }
-            fn h2d(&mut self, _gpu: GpuId, _tensor: TensorId, _bytes: u64) {
+            fn h2d(&mut self, _gpu: GpuId, _tensor: TensorId) {
                 self.0.lock().unwrap().h2d += 1;
             }
-            fn d2d(&mut self, _src: GpuId, _dst: GpuId, _tensor: TensorId, _bytes: u64) {
+            fn d2d(&mut self, _src: GpuId, _dst: GpuId, _tensor: TensorId) {
                 self.0.lock().unwrap().d2d += 1;
-            }
-            fn source_charge(&mut self, _src: GpuId, _secs: f64) {
-                self.0.lock().unwrap().source_charge += 1;
             }
             fn link_hop(
                 &mut self,
@@ -1919,7 +1902,7 @@ mod tests {
                 c.evict += 1;
                 c.writeback_evict += u64::from(writeback);
             }
-            fn kernel(&mut self, _gpu: GpuId, _task: TaskId, _secs: f64) {
+            fn kernel(&mut self, _gpu: GpuId, _task: TaskId) {
                 self.0.lock().unwrap().kernel += 1;
             }
             fn kernel_timed(&mut self, _gpu: GpuId, _task: TaskId, _start: f64, _end: f64) {
@@ -1928,7 +1911,7 @@ mod tests {
             fn copy_timed(&mut self, _gpu: GpuId, _start: f64, _end: f64) {
                 self.0.lock().unwrap().copy_timed += 1;
             }
-            fn task_done(&mut self, _gpu: GpuId, _flops: u64, _compute: f64, _mem: f64) {
+            fn task_done(&mut self) {
                 self.0.lock().unwrap().task_done += 1;
             }
             fn fault(&mut self, _gpu: GpuId, _task: TaskId, _kind: FaultKind) {
@@ -1981,8 +1964,6 @@ mod tests {
 
         let s = m.stats();
         let c = counts.lock().unwrap();
-        assert_eq!(c.reuse_hit, s.total_reuse_hits());
-        assert_eq!(c.alloc, s.per_gpu.iter().map(|g| g.allocs).sum::<u64>());
         assert_eq!(c.h2d, s.total_h2d());
         assert_eq!(c.d2d, s.total_d2d());
         assert_eq!(c.evict, s.total_evictions());
@@ -1991,7 +1972,6 @@ mod tests {
         assert_eq!(c.kernel_timed, s.total_tasks());
         assert_eq!(c.fault, s.total_faults());
         assert_eq!(c.retry, s.total_retries());
-        assert!(c.source_charge > 0, "no source charge reached the observer");
         assert!(c.link_hop > 0, "no link hop reached the observer");
         assert!(c.copy_timed > 0, "no copy span reached the observer");
         assert!(c.writeback_evict > 0, "no write-back eviction was observed");
@@ -2359,20 +2339,11 @@ mod tests {
     }
 
     impl ExecObserver for HookLog {
-        fn reuse_hit(&mut self, gpu: GpuId, tensor: TensorId) {
-            self.push(format!("reuse_hit {gpu} {tensor:?}"));
+        fn h2d(&mut self, gpu: GpuId, tensor: TensorId) {
+            self.push(format!("h2d {gpu} {tensor:?}"));
         }
-        fn alloc(&mut self, gpu: GpuId) {
-            self.push(format!("alloc {gpu}"));
-        }
-        fn h2d(&mut self, gpu: GpuId, tensor: TensorId, bytes: u64) {
-            self.push(format!("h2d {gpu} {tensor:?} {bytes}"));
-        }
-        fn d2d(&mut self, src: GpuId, dst: GpuId, tensor: TensorId, bytes: u64) {
-            self.push(format!("d2d {src} {dst} {tensor:?} {bytes}"));
-        }
-        fn source_charge(&mut self, src: GpuId, secs: f64) {
-            self.push(format!("source_charge {src} {secs:?}"));
+        fn d2d(&mut self, src: GpuId, dst: GpuId, tensor: TensorId) {
+            self.push(format!("d2d {src} {dst} {tensor:?}"));
         }
         fn link_hop(
             &mut self,
@@ -2391,13 +2362,11 @@ mod tests {
         fn evict(&mut self, gpu: GpuId, tensor: TensorId, writeback: bool, bytes: u64) {
             self.push(format!("evict {gpu} {tensor:?} {writeback} {bytes}"));
         }
-        fn kernel(&mut self, gpu: GpuId, task: TaskId, secs: f64) {
-            self.push(format!("kernel {gpu} {task:?} {secs:?}"));
+        fn kernel(&mut self, gpu: GpuId, task: TaskId) {
+            self.push(format!("kernel {gpu} {task:?}"));
         }
-        fn task_done(&mut self, gpu: GpuId, flops: u64, compute_secs: f64, mem_secs: f64) {
-            self.push(format!(
-                "task_done {gpu} {flops} {compute_secs:?} {mem_secs:?}"
-            ));
+        fn task_done(&mut self) {
+            self.push("task_done".to_owned());
         }
         fn fault(&mut self, gpu: GpuId, task: TaskId, kind: crate::fault::FaultKind) {
             self.push(format!("fault {gpu} {task:?} {kind:?}"));
@@ -2545,12 +2514,21 @@ mod tests {
                 assert_eq!(float_bits(a.stats()), float_bits(b.stats()));
             }
             // the stream really exercised every path it claims to
-            for hook in ["evict", "link_hop", "source_charge", "d2d", "retry"] {
+            for hook in ["evict", "link_hop", "d2d", "retry"] {
                 assert!(
                     seen.iter().any(|h| h.starts_with(hook)),
                     "no {hook} hook fired"
                 );
             }
+            // a peer copy charged its source: the source's copy interval
+            // is reported right before the transfer itself
+            let device = |h: &str| h.split(' ').nth(1).map(str::to_owned);
+            assert!(
+                seen.windows(2).any(|w| w[0].starts_with("copy_timed")
+                    && w[1].starts_with("d2d")
+                    && device(&w[0]) == device(&w[1])),
+                "no peer copy charged its source"
+            );
             for kind in ["TransferTimeout", "TransientKernel"] {
                 assert!(
                     seen.iter()

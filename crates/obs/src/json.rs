@@ -2,8 +2,9 @@
 //!
 //! One JSON grammar is shared by the whole stack: `SessionConfig`
 //! round-trips through it, `micco serve` decodes submission bodies and
-//! encodes API responses with it, and the load generator reads daemon
-//! replies through it. The parser accepts standard RFC 8259 JSON
+//! encodes API responses with it, the load generator reads daemon
+//! replies through it, and `from_perfetto_json` reads trace files with
+//! it. The parser accepts standard RFC 8259 JSON
 //! (objects, arrays, strings with escapes, numbers, booleans, null);
 //! the writer emits deterministic output — object keys keep insertion
 //! order, floats render via the shortest round-trippable `{}` format.
@@ -50,6 +51,7 @@ impl Value {
     /// garbage is an error.
     pub fn parse(input: &str) -> Result<Value, JsonError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -260,6 +262,7 @@ pub fn write_string(s: &str, out: &mut String) {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -391,13 +394,13 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.err("unterminated string"))?;
+                    // Consume one UTF-8 scalar (`pos` is always on a char
+                    // boundary; `get` makes that a checked fact).
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid utf-8"))?;
                     if (c as u32) < 0x20 {
                         return Err(self.err("control character in string"));
                     }

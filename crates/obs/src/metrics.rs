@@ -1,10 +1,13 @@
-//! A small counter/gauge registry with text and JSON snapshots.
+//! A small counter/gauge registry with text and JSON snapshots: the
+//! daemon's `serve.*` and `tenant.*` metrics, which `micco serve` exports
+//! on `/metrics`.
 //!
-//! Counters are monotonically increasing integers (reuse hits, H2D/D2D
-//! bytes, evictions, steal counts); gauges are floats that can also
-//! accumulate (busy seconds, queue depths). Both are keyed by flat string
-//! names — `BTreeMap`-backed so snapshots are deterministically ordered,
-//! which keeps golden fixtures stable.
+//! Counters are monotonically increasing integers (submitted, completed
+//! and rejected jobs); gauges are floats that can also be set or
+//! accumulate (queue depth, free GPUs). Both are keyed by flat string
+//! names — `BTreeMap`-backed so snapshots are deterministically ordered.
+//! A simulated run is not counted here: its totals are its
+//! `micco_gpusim::ExecStats`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -1,6 +1,8 @@
 //! The bridge from the simulator's observation hooks to telemetry:
 //! [`SpanObserver`] implements [`micco_gpusim::ExecObserver`] and renders
-//! every hook into spans, instants, flows, and metrics.
+//! the hooks into spans, instants and flows. The counts and totals of a
+//! run are the machine's `ExecStats`; the observer keeps no tally of its
+//! own.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -8,24 +10,22 @@ use std::sync::Arc;
 use micco_gpusim::{ExecObserver, FaultKind, GpuId};
 use micco_workload::{TaskId, TensorId};
 
-use crate::metrics::MetricsRegistry;
 use crate::sink::TraceSink;
 use crate::span::{FlowPoint, TraceEvent, Track, CONTROL_PID, LINK_PID_BASE};
 
 /// Simulated seconds → exported microseconds.
 pub const SECS_TO_US: f64 = 1e6;
 
-/// Turns [`ExecObserver`] hooks into [`TraceEvent`]s and metrics.
+/// Turns [`ExecObserver`] hooks into [`TraceEvent`]s.
 ///
 /// Attach one to a [`micco_gpusim::SimMachine`] via
 /// `machine.set_observer(Box::new(obs))`; every executed task then lands
 /// on the sink as a compute-track span (plus a copy-track span for its
 /// staging), stages appear as control spans, D2D transfers as flow
-/// arrows, and counters/gauges accumulate in the [`MetricsRegistry`].
-/// Device `g` is trace process `g`.
+/// arrows, and evictions and faults as instants. Device `g` is trace
+/// process `g`.
 pub struct SpanObserver {
     sink: Arc<dyn TraceSink>,
-    metrics: Arc<MetricsRegistry>,
     /// Latest absolute device time seen per local gpu index (µs) — the
     /// anchor for instants and flow endpoints, which fire between timed
     /// hooks.
@@ -34,7 +34,7 @@ pub struct SpanObserver {
     next_flow: u64,
     /// The task whose timed spans are currently being emitted, set by the
     /// `kernel` hook and cleared at `task_done`. Staging-side hooks
-    /// (source charges, prefetch copies) fire *before* `kernel`, so only
+    /// (a peer copy's source side) fire *before* `kernel`, so only
     /// the task's own destination copy span gets a `task` annotation —
     /// the happens-before certifier keys on exactly that.
     current: Option<(GpuId, TaskId)>,
@@ -45,25 +45,11 @@ impl SpanObserver {
     pub fn new(sink: Arc<dyn TraceSink>) -> Self {
         SpanObserver {
             sink,
-            metrics: Arc::new(MetricsRegistry::new()),
             dev_time_us: Vec::new(),
             labeled: HashSet::new(),
             next_flow: 0,
             current: None,
         }
-    }
-
-    /// Share an existing metrics registry instead of the observer's own
-    /// (so several observers — or the real executor — aggregate into one).
-    pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
-        self.metrics = metrics;
-        self
-    }
-
-    /// Handle to the registry this observer feeds. Grab it before boxing
-    /// the observer into a machine.
-    pub fn metrics(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.metrics)
     }
 
     fn pid(&self, gpu: GpuId) -> u32 {
@@ -108,22 +94,7 @@ impl SpanObserver {
 }
 
 impl ExecObserver for SpanObserver {
-    fn reuse_hit(&mut self, _gpu: GpuId, _tensor: TensorId) {
-        self.metrics.inc("reuse_hits");
-    }
-
-    fn alloc(&mut self, _gpu: GpuId) {
-        self.metrics.inc("allocs");
-    }
-
-    fn h2d(&mut self, _gpu: GpuId, _tensor: TensorId, bytes: u64) {
-        self.metrics.inc("h2d_count");
-        self.metrics.add("h2d_bytes", bytes);
-    }
-
-    fn d2d(&mut self, src: GpuId, dst: GpuId, tensor: TensorId, bytes: u64) {
-        self.metrics.inc("d2d_count");
-        self.metrics.add("d2d_bytes", bytes);
+    fn d2d(&mut self, src: GpuId, dst: GpuId, tensor: TensorId) {
         self.ensure_labeled(src);
         self.ensure_labeled(dst);
         let id = self.next_flow;
@@ -146,18 +117,9 @@ impl ExecObserver for SpanObserver {
                 ts_us: to_ts,
             },
         });
-        let _ = bytes;
-    }
-
-    fn source_charge(&mut self, _src: GpuId, secs: f64) {
-        self.metrics.add_gauge("source_charge_secs", secs);
     }
 
     fn evict(&mut self, gpu: GpuId, tensor: TensorId, writeback: bool, bytes: u64) {
-        self.metrics.inc("evictions");
-        if writeback {
-            self.metrics.add("writeback_bytes", bytes);
-        }
         self.instant(
             gpu,
             Track::Copy,
@@ -169,20 +131,15 @@ impl ExecObserver for SpanObserver {
         );
     }
 
-    fn kernel(&mut self, gpu: GpuId, task: TaskId, _secs: f64) {
-        self.metrics.inc("kernels");
+    fn kernel(&mut self, gpu: GpuId, task: TaskId) {
         self.current = Some((gpu, task));
     }
 
-    fn task_done(&mut self, _gpu: GpuId, _flops: u64, compute_secs: f64, mem_secs: f64) {
+    fn task_done(&mut self) {
         self.current = None;
-        self.metrics.inc("tasks");
-        self.metrics.add_gauge("compute_secs", compute_secs);
-        self.metrics.add_gauge("memory_secs", mem_secs);
     }
 
     fn fault(&mut self, gpu: GpuId, task: TaskId, kind: FaultKind) {
-        self.metrics.inc("faults");
         self.instant(
             gpu,
             Track::Compute,
@@ -192,7 +149,6 @@ impl ExecObserver for SpanObserver {
     }
 
     fn retry(&mut self, gpu: GpuId, task: TaskId, attempt: u32) {
-        self.metrics.inc("retries");
         self.instant(
             gpu,
             Track::Compute,
@@ -202,7 +158,6 @@ impl ExecObserver for SpanObserver {
     }
 
     fn device_lost(&mut self, gpu: GpuId, stage: usize, permanent: bool) {
-        self.metrics.inc("device_lost");
         self.instant(
             gpu,
             Track::Compute,
@@ -213,7 +168,6 @@ impl ExecObserver for SpanObserver {
 
     fn copy_timed(&mut self, gpu: GpuId, start: f64, end: f64) {
         self.ensure_labeled(gpu);
-        self.metrics.add_gauge("copy_span_secs", end - start);
         let args = match self.current {
             Some((g, task)) if g == gpu => vec![("task".to_owned(), task.0.to_string())],
             _ => Vec::new(),
@@ -231,7 +185,6 @@ impl ExecObserver for SpanObserver {
 
     fn kernel_timed(&mut self, gpu: GpuId, task: TaskId, start: f64, end: f64) {
         self.ensure_labeled(gpu);
-        self.metrics.add_gauge("compute_span_secs", end - start);
         if end > start {
             self.sink.record(TraceEvent::Span {
                 pid: self.pid(gpu),
@@ -255,8 +208,6 @@ impl ExecObserver for SpanObserver {
         start: f64,
         end: f64,
     ) {
-        self.metrics.inc("link_hops");
-        self.metrics.add("link_bytes", bytes);
         let pid = LINK_PID_BASE + link as u32;
         if self.labeled.insert(pid) {
             self.sink.record(TraceEvent::ProcessLabel {
@@ -283,7 +234,6 @@ impl ExecObserver for SpanObserver {
     }
 
     fn stage_done(&mut self, stage: usize, start: f64, end: f64) {
-        self.metrics.inc("stages");
         self.sink.record(TraceEvent::Span {
             pid: CONTROL_PID,
             track: Track::Control,
@@ -314,7 +264,7 @@ mod tests {
             cfg.cost = cfg.cost.with_async_copy();
         }
         let recorder = Recorder::shared();
-        let obs = SpanObserver::new(recorder.clone()).with_metrics(recorder.metrics());
+        let obs = SpanObserver::new(recorder.clone());
         let mut machine = SimMachine::new(cfg).with_observer(Box::new(obs));
         let mut i = 0usize;
         for v in stream.vectors() {
@@ -343,20 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_match_stats_aggregates() {
-        let (recorder, stats) = run_traced(false);
-        let snap = recorder.metrics_snapshot();
-        assert_eq!(snap.counter("tasks"), stats.total_tasks());
-        assert_eq!(snap.counter("reuse_hits"), stats.total_reuse_hits());
-        assert_eq!(snap.counter("h2d_count"), stats.total_h2d());
-        assert_eq!(snap.counter("evictions"), stats.total_evictions());
-        let compute: f64 = stats.per_gpu.iter().map(|g| g.compute_secs).sum();
-        assert!((snap.gauge("compute_secs") - compute).abs() < 1e-9);
-        let memory: f64 = stats.per_gpu.iter().map(|g| g.memory_secs).sum();
-        assert!((snap.gauge("copy_span_secs") - memory).abs() < 1e-9);
-    }
-
-    #[test]
     fn link_hops_render_as_link_lane_spans() {
         use micco_gpusim::LinkTopology;
         let stream = WorkloadSpec::new(10, 64)
@@ -366,7 +302,7 @@ mod tests {
             .generate();
         let cfg = MachineConfig::mi100_like(4);
         let recorder = Recorder::shared();
-        let obs = SpanObserver::new(recorder.clone()).with_metrics(recorder.metrics());
+        let obs = SpanObserver::new(recorder.clone());
         let mut machine = SimMachine::new(cfg)
             .with_topology(LinkTopology::nvlink(4, 2))
             .with_observer(Box::new(obs));

@@ -5,7 +5,6 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::span::TraceEvent;
 
 /// A destination for [`TraceEvent`]s. Implementations must be `Send +
@@ -31,13 +30,12 @@ impl TraceSink for NullSink {
     fn record(&self, _event: TraceEvent) {}
 }
 
-/// The standard in-memory sink: an append log of events plus a
-/// [`MetricsRegistry`], shareable behind an `Arc` across sim observers,
-/// real-executor workers, and the driver at once.
+/// The standard in-memory sink: an append log of events, shareable
+/// behind an `Arc` across sim observers, real-executor workers, and the
+/// driver at once.
 #[derive(Default)]
 pub struct Recorder {
     events: Mutex<Vec<TraceEvent>>,
-    metrics: Arc<MetricsRegistry>,
 }
 
 impl Recorder {
@@ -66,28 +64,11 @@ impl Recorder {
         self.events.lock().is_empty()
     }
 
-    /// Handle to the metrics registry fed by observers wired to this
-    /// recorder.
-    pub fn metrics(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.metrics)
-    }
-
-    /// Snapshot of the metrics registry.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
-    }
-
     /// Render everything recorded so far as Perfetto-loadable
-    /// Chrome-trace JSON (see [`crate::perfetto::to_perfetto_json`]).
+    /// Chrome-trace JSON (see [`crate::perfetto::to_perfetto_json`]) —
+    /// also the file `micco certify` reads back.
     pub fn to_perfetto_json(&self) -> String {
         crate::perfetto::to_perfetto_json(&self.events())
-    }
-
-    /// Render everything recorded so far in the lossless `micco-trace v1`
-    /// text format (see [`crate::textio::write_trace_text`]) — the
-    /// round-trippable input the certifier consumes.
-    pub fn to_trace_text(&self) -> String {
-        crate::textio::write_trace_text(&self.events())
     }
 }
 

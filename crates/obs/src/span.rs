@@ -38,6 +38,15 @@ pub enum Track {
 }
 
 impl Track {
+    /// Every track, in [`Track::tid`] order.
+    pub const ALL: [Track; 5] = [
+        Track::Compute,
+        Track::Copy,
+        Track::Control,
+        Track::Run,
+        Track::Link,
+    ];
+
     /// The Chrome-trace thread id this track renders on.
     pub fn tid(self) -> u32 {
         match self {
@@ -144,17 +153,8 @@ mod tests {
 
     #[test]
     fn tracks_map_to_distinct_tids() {
-        let tids: std::collections::HashSet<u32> = [
-            Track::Compute,
-            Track::Copy,
-            Track::Control,
-            Track::Run,
-            Track::Link,
-        ]
-        .into_iter()
-        .map(Track::tid)
-        .collect();
-        assert_eq!(tids.len(), 5);
+        let tids: Vec<u32> = Track::ALL.into_iter().map(Track::tid).collect();
+        assert_eq!(tids, [0, 1, 2, 3, 4]);
     }
 
     #[test]

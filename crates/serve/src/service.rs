@@ -752,7 +752,8 @@ impl Scheduling {
                 if cancel.load(Ordering::SeqCst) {
                     return RunOutcome::Canceled;
                 }
-                std::thread::sleep(step.min(hold - t0.elapsed()));
+                // the hold can run out between the check and here
+                std::thread::sleep(step.min(hold.saturating_sub(t0.elapsed())));
             }
         }
         let plan = planned.plan();

@@ -20,7 +20,8 @@
 //! * [`exec`] — multi-threaded CPU execution engine (real kernels)
 //! * [`store`] — crash-safe write-ahead-logged plan store (durable cache)
 //! * [`analysis`] — static plan verifier / lint engine over the plan IR
-//! * [`obs`] — telemetry: spans, metrics, Chrome-trace/Perfetto export
+//! * [`obs`] — telemetry: spans, the Chrome-trace/Perfetto export and its
+//!   reader, and the daemon's metrics registry
 //!
 //! ## Quickstart
 //!

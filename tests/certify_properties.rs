@@ -2,20 +2,23 @@
 //!
 //! Golden-path matrix: traces from all four schedulers × {sim, real}
 //! backends × {flat, nvlink} topologies certify clean against their
-//! plans, and survive a lossless round-trip through the `micco-trace v1`
-//! text format. Mutation suite: reordering, dropping, or forging events
+//! plans, and survive a round trip through the Perfetto JSON that
+//! `micco certify` reads — as do oversubscribed and fault-injected
+//! traces — with the same certification report. Mutation suite: reordering, dropping, or forging events
 //! in a clean trace is detected with exactly the expected diagnostic
 //! code — `MICCO-E006` for plan divergence, `MICCO-W205` for a kernel
 //! overtaking its own input transfer, `MICCO-W206` for spans leaking
 //! across a stage barrier — with zero false positives on the unmutated
 //! originals.
 
+use std::time::Duration;
+
 use micco::analysis::{
     certify_trace, certify_trace_with, CertifyConfig, Code, Report, Severity, TransferStrictness,
 };
-use micco::exec::{ExecOptions, TensorStore};
+use micco::exec::{ExecOptions, FaultPlan, TensorStore};
 use micco::gpusim::{LinkTopology, MachineConfig};
-use micco::obs::{parse_trace_text, write_trace_text, FlowPoint, Recorder, TraceEvent, Track};
+use micco::obs::{from_perfetto_json, to_perfetto_json, FlowPoint, Recorder, TraceEvent, Track};
 use micco::sched::{
     CodaScheduler, GrouteScheduler, MiccoScheduler, ReuseBounds, RoundRobinScheduler, SchedulePlan,
     Scheduler, Session,
@@ -80,26 +83,75 @@ fn sim_trace(
     stream: &TensorPairStream,
     topo: Option<&LinkTopology>,
 ) -> Vec<TraceEvent> {
-    let recorder = Recorder::shared();
-    let mut session = Session::new(MachineConfig::mi100_like(GPUS)).trace(recorder.clone());
+    let mut session = Session::new(MachineConfig::mi100_like(GPUS));
     if let Some(t) = topo {
         session = session.with_topology(t.clone());
     }
-    session.replay(plan, stream).expect("replay succeeds");
+    traced_replay(session, plan, stream)
+}
+
+/// Replay `plan` through `session` with a recorder attached.
+fn traced_replay(
+    session: Session,
+    plan: &SchedulePlan,
+    stream: &TensorPairStream,
+) -> Vec<TraceEvent> {
+    let recorder = Recorder::shared();
+    session
+        .trace(recorder.clone())
+        .replay(plan, stream)
+        .expect("replay succeeds");
     recorder.events()
 }
 
-/// Execute `plan` with real kernels on worker threads and return the
-/// wall-clock timeline.
-fn real_trace(plan: &SchedulePlan, stream: &TensorPairStream, steal: bool) -> Vec<TraceEvent> {
+/// Execute `plan` with real kernels on worker threads under `opts` and
+/// return the wall-clock timeline.
+fn real_trace(
+    plan: &SchedulePlan,
+    stream: &TensorPairStream,
+    opts: ExecOptions,
+) -> Vec<TraceEvent> {
     let recorder = Recorder::shared();
-    let mut opts = ExecOptions::default().with_trace(recorder.clone());
-    if steal {
-        opts = opts.with_steal();
-    }
+    let opts = opts.with_trace(recorder.clone());
     micco::exec::execute_plan(stream, plan, &TensorStore::new(BATCH, DIM, 11), &opts)
         .expect("execution succeeds");
     recorder.events()
+}
+
+/// `events` as a Perfetto round trip gives them back: process labels set
+/// aside (the export writes one per used pid, ahead of the rest) and
+/// args in key order.
+fn canonical(events: &[TraceEvent]) -> Vec<TraceEvent> {
+    let mut out: Vec<TraceEvent> = events
+        .iter()
+        .filter(|e| !matches!(e, TraceEvent::ProcessLabel { .. }))
+        .cloned()
+        .collect();
+    for e in &mut out {
+        if let TraceEvent::Span { args, .. } | TraceEvent::Instant { args, .. } = e {
+            args.sort_by(|a, b| a.0.cmp(&b.0));
+        }
+    }
+    out
+}
+
+/// Export `events` as the trace file, read it back, and require the same
+/// events and the same certification report under `ccfg`.
+fn assert_round_trip(
+    what: &str,
+    plan: &SchedulePlan,
+    stream: &TensorPairStream,
+    cfg: &MachineConfig,
+    ccfg: &CertifyConfig,
+    topo: Option<&LinkTopology>,
+    events: &[TraceEvent],
+) {
+    let read = from_perfetto_json(&to_perfetto_json(events)).expect("the export reads back");
+    assert_eq!(canonical(&read), canonical(events), "{what}: round trip");
+    let report = |events: &[TraceEvent]| {
+        certify_trace_with(plan, stream, cfg, ccfg, topo, events).render_text()
+    };
+    assert_eq!(report(&read), report(events), "{what}: certification");
 }
 
 /// Assert the report carries `code` and nothing else at warning severity
@@ -159,18 +211,18 @@ fn all_schedulers_backends_and_topologies_certify_clean() {
                 report.render_text()
             );
 
-            // the text format round-trips the events losslessly, and the
-            // re-imported trace certifies identically
-            let reimported = parse_trace_text(&write_trace_text(&events)).expect("parses back");
-            assert_eq!(
-                reimported, events,
-                "{sched_name}/sim/{topo_name} round-trip"
-            );
+            // the trace file gives the events back, and the re-imported
+            // trace certifies identically
+            let what = format!("{sched_name}/sim/{topo_name}");
+            assert_round_trip(&what, &plan, &stream, &cfg, &ccfg, topo.as_ref(), &events);
 
             // real backend: wall-clock trace, no transfer flows (auto →
             // lenient); steals may occur but only yield I302 provenance
-            for steal in [false, true] {
-                let events = real_trace(&plan, &stream, steal);
+            for (steal, opts) in [
+                (false, ExecOptions::default()),
+                (true, ExecOptions::default().with_steal()),
+            ] {
+                let events = real_trace(&plan, &stream, opts);
                 let report = certify_trace(&plan, &stream, &cfg, &events);
                 assert_eq!(
                     report.errors() + report.warnings(),
@@ -178,8 +230,64 @@ fn all_schedulers_backends_and_topologies_certify_clean() {
                     "{sched_name}/real/{topo_name} (steal={steal}) flagged:\n{}",
                     report.render_text()
                 );
+                let what = format!("{sched_name}/real/{topo_name} (steal={steal})");
+                let auto = CertifyConfig::default();
+                assert_round_trip(&what, &plan, &stream, &cfg, &auto, None, &events);
             }
         }
+    }
+}
+
+/// The trace file carries what the flat matrix does not: eviction
+/// instants of an oversubscribed machine, the fault and retry instants of
+/// an injected fault plan on both backends, and the steal flows of a
+/// faulted real run. Each reads back to its events and certifies alike.
+#[test]
+fn oversubscribed_and_faulted_traces_round_trip() {
+    let stream = stream();
+    let auto = CertifyConfig::default();
+
+    // 2× oversubscribed: the working set is twice the machine's memory
+    let tight = MachineConfig::mi100_like(GPUS).with_oversubscription(stream.unique_bytes(), 2.0);
+    let plan = plan_for(&mut GrouteScheduler::new(), &stream, &tight, None);
+    let events = traced_replay(Session::new(tight), &plan, &stream);
+    let evictions = events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::Instant { name, .. } if name.starts_with("evict")))
+        .count();
+    assert!(evictions > 0, "an oversubscribed replay evicts");
+    assert_round_trip("sim/oversub", &plan, &stream, &tight, &auto, None, &events);
+
+    // injected kernel faults and transfer timeouts, simulated and real
+    let cfg = MachineConfig::mi100_like(GPUS);
+    let plan = plan_for(&mut RoundRobinScheduler::new(), &stream, &cfg, None);
+    let faults = FaultPlan::parse("kernel:3*2,timeout:5*1").expect("valid spec");
+    let events = traced_replay(
+        Session::new(cfg).with_faults(faults.clone()),
+        &plan,
+        &stream,
+    );
+    let is_fault =
+        |e: &TraceEvent| matches!(e, TraceEvent::Instant { name, .. } if name.starts_with("fault"));
+    assert!(
+        events.iter().any(is_fault),
+        "the sim trace shows the faults"
+    );
+    assert_round_trip("sim/faults", &plan, &stream, &cfg, &auto, None, &events);
+    for steal in [false, true] {
+        let mut opts = ExecOptions::default()
+            .with_faults(faults.clone())
+            .retry(3, Duration::ZERO);
+        if steal {
+            opts = opts.with_steal();
+        }
+        let events = real_trace(&plan, &stream, opts);
+        assert!(
+            events.iter().any(is_fault),
+            "the real trace shows the faults"
+        );
+        let what = format!("real/faults (steal={steal})");
+        assert_round_trip(&what, &plan, &stream, &cfg, &auto, None, &events);
     }
 }
 

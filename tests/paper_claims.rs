@@ -170,15 +170,52 @@ fn tab5_overhead_is_small() {
     );
 }
 
-/// Table VI: MICCO wins on every Redstar-shaped real-function stream.
+/// Table VI: MICCO wins on Redstar-shaped real-function streams — on the
+/// CI-scale miniatures, and at the exhibit's scale on al_rhopi and f0d4.
+/// f0d2 at the exhibit's scale is a tie, the known deviation this test
+/// states rather than hides.
 #[test]
 fn tab6_redstar_wins() {
-    use micco::redstar::{al_rhopi, build_correlator, f0d2, PresetScale};
+    use micco::redstar::{al_rhopi, build_correlator, f0d2, f0d4, PresetScale};
     for build in [al_rhopi, f0d2] {
         let program = build_correlator(&build(PresetScale::Ci));
         let cfg = MachineConfig::mi100_like(8);
         let speedup = micco_vs_groute(&program.stream, &cfg);
         assert!(speedup > 0.97, "{}: {speedup:.3}", program.name);
+    }
+
+    // The exhibit's inputs (`tab6_redstar`): paper-scale presets on eight
+    // GPUs whose memory is sized to twice the per-vector peak, MICCO
+    // (0,2,0) against Groute.
+    for (build, tie) in [
+        (al_rhopi as fn(PresetScale) -> _, false),
+        (f0d2, true),
+        (f0d4, false),
+    ] {
+        let program = build_correlator(&build(PresetScale::Paper));
+        let cfg = MachineConfig::mi100_like(8)
+            .with_oversubscription(program.stream.peak_vector_bytes() * 2, 1.0);
+        let groute = Session::new(cfg)
+            .run(&mut GrouteScheduler::new(), &program.stream)
+            .unwrap();
+        let micco = Session::new(cfg)
+            .run(
+                &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
+                &program.stream,
+            )
+            .unwrap();
+        let speedup = groute.elapsed_secs() / micco.elapsed_secs();
+        if tie {
+            assert!(
+                (0.95..=1.05).contains(&speedup),
+                "{}: {speedup:.3}x left the 0.95-1.05x tie that EXPERIMENTS.md \
+                 states as known deviation 6 (Table VI's f0d2 is a tie); if the \
+                 balance fallback changed, restate the deviation",
+                program.name
+            );
+        } else {
+            assert!(speedup >= 1.1, "{}: {speedup:.3}x", program.name);
+        }
     }
 }
 

@@ -5,11 +5,11 @@
 //! restarts over a shared durable plan store, and exact per-job plan-cache
 //! accounting while jobs plan concurrently.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use micco_core::SessionConfig;
 use micco_load::Client;
-use micco_serve::{JobState, Priority, ServeConfig, Service, TenantSpec};
+use micco_serve::{JobState, Priority, Scheduling, ServeConfig, Service, TenantSpec};
 
 /// A job that needs `gpus` devices; sized so simulated time is tiny and
 /// the wall-clock hold comes from the daemon's `time_scale`.
@@ -34,6 +34,21 @@ fn blocker_job() -> SessionConfig {
         vectors: 12,
         gpus: 2,
         ..SessionConfig::default()
+    }
+}
+
+/// Wait, with a bound, until the daemon reports job `id` running. A
+/// submission is answered as soon as the job is admitted; the dispatcher
+/// thread starts it later, so a test that needs the blocker holding the
+/// pool must wait for it.
+fn wait_running(shared: &Scheduling, id: u64) {
+    let t0 = Instant::now();
+    while shared.job(id).map(|r| r.state) != Some(JobState::Running) {
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "job {id} never started running"
+        );
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -66,6 +81,7 @@ fn weighted_fair_share_orders_concurrent_tenants() {
 
     // pin the slot, then queue 4 jobs per tenant back-to-back
     let blocker = client.submit("boot", None, &blocker_job()).unwrap();
+    wait_running(&shared, blocker);
     let mut ids = Vec::new();
     for _ in 0..4 {
         ids.push(("heavy", client.submit("heavy", None, &job(2)).unwrap()));
@@ -121,6 +137,7 @@ fn admission_queue_preempts_by_priority() {
 
     // one job runs, two low-priority jobs fill the whole queue
     let running = client.submit("t", Some("normal"), &blocker_job()).unwrap();
+    wait_running(&shared, running);
     let low_a = client.submit("t", Some("low"), &job(2)).unwrap();
     let low_b = client.submit("t", Some("low"), &job(2)).unwrap();
 
@@ -184,6 +201,7 @@ fn cancel_semantics_over_http() {
     let shared = service.scheduling().clone();
 
     let running = client.submit("t", None, &blocker_job()).unwrap();
+    wait_running(&shared, running);
     let queued = client.submit("t", None, &job(2)).unwrap();
 
     // a queued job cancels instantly and never dispatches

@@ -2,10 +2,13 @@
 //!
 //! 1. A golden Perfetto-JSON fixture pins the exporter's output for the
 //!    checked-in golden workload/plan pair (regenerate with
-//!    `MICCO_BLESS=1 cargo test --test telemetry`).
+//!    `MICCO_BLESS=1 cargo test --test telemetry`), and the reader gives
+//!    it back byte for byte after a re-export.
 //! 2. Property tests: traced runs produce well-nested spans
-//!    (run ⊇ stages ⊇ device activity), per-lane non-overlap, and metric
-//!    totals that equal the simulator's `GpuStats` aggregates.
+//!    (run ⊇ stages ⊇ device activity) and per-lane non-overlap, and the
+//!    trace reader survives hostile bytes: flipped, dropped, duplicated
+//!    and spliced bytes of the golden fixture and of a generated trace
+//!    give a typed error or events that survive their own round trip.
 //! 3. Acceptance: per-GPU compute/copy span sums reconcile with the
 //!    simulator's busy/copy accounting on the sim backend, and per-worker
 //!    compute span sums reconcile with `per_worker_busy_secs` on the real
@@ -21,7 +24,8 @@ use proptest::prelude::*;
 use micco::exec::{execute_assignments, ExecOptions, TensorShape, TensorStore};
 use micco::gpusim::MachineConfig;
 use micco::obs::{
-    reconcile_with_stats, span_track_totals, Recorder, TraceEvent, Track, CONTROL_PID,
+    from_perfetto_json, reconcile_with_stats, span_track_totals, to_perfetto_json, Recorder,
+    TraceEvent, Track, CONTROL_PID,
 };
 use micco::sched::{
     MiccoScheduler, ReuseBounds, RoundRobinScheduler, SchedulePlan, ScheduleReport, Session,
@@ -36,7 +40,6 @@ fn traced_run(spec: &WorkloadSpec, gpus: usize, overlap: bool) -> (Arc<Recorder>
     let report = Session::new(MachineConfig::mi100_like(gpus))
         .overlap(overlap)
         .trace(recorder.clone())
-        .metrics(recorder.metrics())
         .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
         .expect("workload fits the machine");
     (recorder, report)
@@ -93,7 +96,6 @@ fn golden_perfetto_trace_is_stable() {
     // function of the (deterministic) simulated timeline
     Session::new(MachineConfig::mi100_like(plan.num_gpus))
         .trace(recorder.clone())
-        .metrics(recorder.metrics())
         .replay(&plan, &stream)
         .expect("fixture plan replays");
     let json = recorder.to_perfetto_json();
@@ -110,6 +112,71 @@ fn golden_perfetto_trace_is_stable() {
         "perfetto export drifted from tests/fixtures/golden_trace.json; \
          regenerate with MICCO_BLESS=1 if the change is intentional"
     );
+}
+
+fn golden_trace() -> String {
+    let root = env!("CARGO_MANIFEST_DIR");
+    std::fs::read_to_string(format!("{root}/tests/fixtures/golden_trace.json"))
+        .expect("golden trace fixture")
+}
+
+/// The reader inverts the exporter on the fixture: reading it and
+/// exporting again gives the same bytes.
+#[test]
+fn golden_trace_reads_back_and_reexports_byte_for_byte() {
+    let golden = golden_trace();
+    let events = from_perfetto_json(&golden).expect("the fixture reads back");
+    assert!(events.iter().any(|e| matches!(e, TraceEvent::Flow { .. })));
+    assert_eq!(to_perfetto_json(&events), golden);
+}
+
+/// `events` without their process labels, which the export rewrites as
+/// one label per used pid ahead of everything else.
+fn without_labels(events: &[TraceEvent]) -> Vec<TraceEvent> {
+    events
+        .iter()
+        .filter(|e| !matches!(e, TraceEvent::ProcessLabel { .. }))
+        .cloned()
+        .collect()
+}
+
+/// Apply one edit `(kind, at, what, len)` to `bytes`. Kinds 0–3 edit
+/// bytes: flip a bit, drop a run, duplicate a run in place, or splice a
+/// copy of a run in elsewhere. Kinds 4–6 drop, duplicate or splice whole
+/// lines (the export writes one event per line), which keeps the JSON
+/// intact more often and so reaches the reader's own checks. Positions
+/// wrap around the current length.
+fn mutate(bytes: &mut Vec<u8>, (kind, at, what, len): (u8, u64, u64, usize)) {
+    let n = bytes.len();
+    if n == 0 {
+        return;
+    }
+    let (at, end, to) = if kind < 4 {
+        let at = (at % n as u64) as usize;
+        (at, (at + len).min(n), (what % (n as u64 + 1)) as usize)
+    } else {
+        let starts: Vec<usize> = std::iter::once(0)
+            .chain((0..n).filter(|&i| bytes[i] == b'\n').map(|i| i + 1))
+            .collect();
+        let first = (at % starts.len() as u64) as usize;
+        let end = starts.get(first + 1 + len % 3).copied().unwrap_or(n);
+        let to = starts[(what % starts.len() as u64) as usize];
+        (starts[first], end, to)
+    };
+    match kind {
+        0 => bytes[at] ^= 1 << (what % 8),
+        1 | 4 => {
+            bytes.drain(at..end);
+        }
+        2 | 5 => {
+            let run = bytes[at..end].to_vec();
+            bytes.splice(end..end, run);
+        }
+        _ => {
+            let run = bytes[at..end].to_vec();
+            bytes.splice(to..to, run);
+        }
+    }
 }
 
 #[test]
@@ -298,30 +365,36 @@ proptest! {
             }
         }
     }
+}
 
-    /// The metrics registry's totals equal the simulator's `GpuStats`
-    /// aggregates — two independent accountings of the same run.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Hostile bytes never panic the trace reader: a mutated golden
+    /// fixture or generated trace reads as a typed error or as events, and
+    /// whatever it accepts reads back to the same events after its own
+    /// export.
     #[test]
-    fn metric_totals_equal_gpu_stats(
+    fn trace_reader_survives_byte_mutations(
         spec in spec_strategy(),
         gpus in 1usize..4,
-        overlap in any::<bool>(),
+        golden in any::<bool>(),
+        edits in proptest::collection::vec((0u8..7, any::<u64>(), any::<u64>(), 1usize..48), 1..4),
     ) {
-        let (recorder, report) = traced_run(&spec, gpus, overlap);
-        let snap = recorder.metrics_snapshot();
-        let stats = &report.stats;
-        prop_assert_eq!(snap.counter("tasks"), stats.total_tasks());
-        prop_assert_eq!(snap.counter("h2d_count"), stats.total_h2d());
-        prop_assert_eq!(snap.counter("d2d_count"), stats.total_d2d());
-        prop_assert_eq!(snap.counter("reuse_hits"), stats.total_reuse_hits());
-        prop_assert_eq!(snap.counter("evictions"), stats.total_evictions());
-        prop_assert_eq!(snap.counter("stages"), spec.num_vectors as u64);
-        let compute: f64 = stats.per_gpu.iter().map(|g| g.compute_secs).sum();
-        let memory: f64 = stats.per_gpu.iter().map(|g| g.memory_secs).sum();
-        prop_assert!((snap.gauge("compute_secs") - compute).abs() < 1e-9);
-        // copy_span_secs accumulates the timed copy spans, the same
-        // quantity the stats book as memory time (memory_secs the gauge is
-        // per-task charged time, which overlap legitimately hides)
-        prop_assert!((snap.gauge("copy_span_secs") - memory).abs() < 1e-9);
+        let source = if golden {
+            golden_trace()
+        } else {
+            traced_run(&spec, gpus, true).0.to_perfetto_json()
+        };
+        let mut bytes = source.into_bytes();
+        for edit in edits {
+            mutate(&mut bytes, edit);
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        if let Ok(events) = from_perfetto_json(&text) {
+            let again = from_perfetto_json(&to_perfetto_json(&events));
+            prop_assert!(again.is_ok(), "own export rejected: {:?}", again.err());
+            prop_assert_eq!(without_labels(&again.unwrap()), without_labels(&events));
+        }
     }
 }
