@@ -62,9 +62,7 @@ use micco_workload::{FastIdMap, FastIdSet, TensorPairStream};
 
 use crate::driver::{plan_in, simulate, DriverOptions, ScheduleError, Scheduler};
 use crate::plan::{PlanCache, PlanKey, SchedulePlan};
-use micco_store::{
-    CompactReport, PlanStore, RecoveryReport, StoreError, StoreOptions, StoreStats, VerifyReport,
-};
+use micco_store::{CompactReport, PlanStore, RecoveryReport, StoreError, StoreStats, VerifyReport};
 
 /// Failure of a durable-cache operation: planning itself failed, or the
 /// underlying store did.
@@ -280,22 +278,8 @@ impl DurablePlanCache {
     /// Propagates the store's I/O and manifest errors; torn or corrupt
     /// records are not errors (see [`DurablePlanCache::recovery`]).
     pub fn open(dir: impl AsRef<Path>) -> Result<DurablePlanCache, DurableError> {
-        Ok(DurablePlanCache::from_store(PlanStore::open(dir)?))
-    }
-
-    /// [`DurablePlanCache::open`] with explicit [`StoreOptions`].
-    pub fn open_with(
-        dir: impl AsRef<Path>,
-        options: StoreOptions,
-    ) -> Result<DurablePlanCache, DurableError> {
-        Ok(DurablePlanCache::from_store(PlanStore::open_with(
-            dir, options,
-        )?))
-    }
-
-    /// Wrap an already opened [`PlanStore`].
-    pub fn from_store(store: PlanStore) -> DurablePlanCache {
-        DurablePlanCache {
+        let store = PlanStore::open(dir)?;
+        Ok(DurablePlanCache {
             recovery: *store.recovery(),
             inner: Mutex::new(Inner {
                 plans: FastIdMap::default(),
@@ -307,7 +291,7 @@ impl DurablePlanCache {
                 rejected: 0,
             }),
             landed: Condvar::new(),
-        }
+        })
     }
 
     /// Lock the guarded state, recovering from a poisoned mutex: every

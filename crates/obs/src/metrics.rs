@@ -1,6 +1,6 @@
-//! A small counter/gauge registry with text and JSON snapshots: the
-//! daemon's `serve.*` and `tenant.*` metrics, which `micco serve` exports
-//! on `/metrics`.
+//! A small counter/gauge registry with text snapshots: the daemon's
+//! `serve.*` and `tenant.*` metrics, which `micco serve` exports on
+//! `/metrics`.
 //!
 //! Counters are monotonically increasing integers (submitted, completed
 //! and rejected jobs); gauges are floats that can also be set or
@@ -97,32 +97,6 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    /// The snapshot as a two-section JSON object
-    /// (`{"counters":{...},"gauges":{...}}`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{v}", crate::perfetto::json_string(k));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{}:{}",
-                crate::perfetto::json_string(k),
-                crate::perfetto::json_f64(*v)
-            );
-        }
-        out.push_str("}}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -155,17 +129,5 @@ mod tests {
         let text = m.snapshot().to_text();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines, vec!["a 1", "b 1", "z 1"]);
-    }
-
-    #[test]
-    fn json_snapshot_shape() {
-        let m = MetricsRegistry::new();
-        m.add("steals", 7);
-        m.add_gauge("busy", 0.25);
-        let json = m.snapshot().to_json();
-        assert_eq!(
-            json,
-            "{\"counters\":{\"steals\":7},\"gauges\":{\"busy\":0.25}}"
-        );
     }
 }

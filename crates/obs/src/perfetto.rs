@@ -30,14 +30,14 @@ use crate::json::{JsonError, Value};
 use crate::span::{FlowPoint, TraceEvent, Track, CONTROL_PID};
 
 /// `s` as a JSON string literal (with the quotes).
-pub(crate) fn json_string(s: &str) -> String {
+fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     crate::json::write_string(s, &mut out);
     out
 }
 
 /// Render `v` as a JSON number (non-finite values become 0).
-pub(crate) fn json_f64(v: f64) -> String {
+fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {

@@ -1,5 +1,6 @@
 //! A deliberately small HTTP/1.1 server on `std::net` — thread per
-//! connection, `Connection: close` semantics, bounded request bodies.
+//! connection, `Connection: close` semantics, a bounded request head
+//! and body.
 //!
 //! The build environment has no async runtime or HTTP crate, so the
 //! daemon speaks just enough of the protocol for its JSON API: request
@@ -9,14 +10,13 @@
 //! trivially correct (no pipelining, no partial reads across requests).
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
 
 /// Maximum accepted request body, bytes. Submission bodies are small
 /// JSON documents; anything larger is a client bug (or abuse).
 pub const MAX_BODY_BYTES: usize = 1 << 20;
 
-/// Maximum accepted header section, bytes.
-const MAX_HEADER_BYTES: usize = 64 * 1024;
+/// Maximum accepted request head (request line and headers), bytes.
+const MAX_HEADER_BYTES: u64 = 64 * 1024;
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone)]
@@ -34,10 +34,12 @@ pub struct Request {
 impl Request {
     /// Read one request from the stream. Returns `None` on a clean EOF
     /// before any bytes (client connected and left).
-    pub fn read_from(stream: &mut TcpStream) -> Result<Option<Request>, String> {
+    pub fn read_from(stream: impl Read) -> Result<Option<Request>, String> {
         let mut reader = BufReader::new(stream);
+        // the request line and the headers share one budget
+        let mut head = (&mut reader).take(MAX_HEADER_BYTES);
         let mut line = String::new();
-        let n = reader
+        let n = head
             .read_line(&mut line)
             .map_err(|e| format!("read request line: {e}"))?;
         if n == 0 {
@@ -58,18 +60,15 @@ impl Request {
         };
         // headers: we only care about Content-Length
         let mut content_length = 0usize;
-        let mut header_bytes = 0usize;
         loop {
             let mut h = String::new();
-            let n = reader
-                .read_line(&mut h)
+            head.read_line(&mut h)
                 .map_err(|e| format!("read header: {e}"))?;
-            if n == 0 {
-                return Err("connection closed mid-headers".into());
+            if !h.ends_with('\n') && head.limit() == 0 {
+                return Err("request head too large".into());
             }
-            header_bytes += n;
-            if header_bytes > MAX_HEADER_BYTES {
-                return Err("header section too large".into());
+            if h.is_empty() {
+                return Err("connection closed mid-headers".into());
             }
             let h = h.trim_end();
             if h.is_empty() {
@@ -139,7 +138,7 @@ impl Response {
 
     /// Serialize and write to the stream (best effort — the client may
     /// already be gone, which is not the server's problem).
-    pub fn write_to(&self, stream: &mut TcpStream) {
+    pub fn write_to(&self, mut stream: impl Write) {
         let reason = match self.status {
             200 => "OK",
             201 => "Created",
@@ -170,29 +169,17 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpListener, TcpStream};
 
-    fn round_trip(raw: &str) -> Result<Option<Request>, String> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let raw = raw.to_owned();
-        let client = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(raw.as_bytes()).unwrap();
-        });
-        let (mut stream, _) = listener.accept().unwrap();
-        let req = Request::read_from(&mut stream);
-        client.join().unwrap();
-        req
+    fn parse(raw: &str) -> Result<Option<Request>, String> {
+        Request::read_from(raw.as_bytes())
     }
 
     #[test]
     fn parses_a_post_with_body() {
-        let req = round_trip(
-            "POST /v1/jobs?x=1 HTTP/1.1\r\nHost: h\r\nContent-Length: 7\r\n\r\n{\"a\":1}",
-        )
-        .unwrap()
-        .unwrap();
+        let req =
+            parse("POST /v1/jobs?x=1 HTTP/1.1\r\nHost: h\r\nContent-Length: 7\r\n\r\n{\"a\":1}")
+                .unwrap()
+                .unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/v1/jobs");
         assert_eq!(req.query, "x=1");
@@ -201,9 +188,7 @@ mod tests {
 
     #[test]
     fn parses_a_bare_get() {
-        let req = round_trip("GET /metrics HTTP/1.1\r\n\r\n")
-            .unwrap()
-            .unwrap();
+        let req = parse("GET /metrics HTTP/1.1\r\n\r\n").unwrap().unwrap();
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/metrics");
         assert!(req.body.is_empty());
@@ -215,11 +200,96 @@ mod tests {
             "POST /v1/jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY_BYTES + 1
         );
-        assert!(round_trip(&raw).is_err());
+        assert!(parse(&raw).is_err());
     }
 
     #[test]
     fn clean_eof_is_none() {
-        assert!(round_trip("").unwrap().is_none());
+        assert!(parse("").unwrap().is_none());
+    }
+
+    /// A reader that counts the bytes taken from it.
+    struct Counted<R> {
+        inner: R,
+        read: u64,
+    }
+
+    impl<R: Read> Read for Counted<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.read += n as u64;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn an_endless_head_is_refused_within_its_budget() {
+        // a request line, a target and a header value that never end
+        for prefix in ["", "GET /", "GET / HTTP/1.1\r\nHost: "] {
+            let inner = prefix.as_bytes().chain(std::io::repeat(b'a'));
+            let mut endless = Counted { inner, read: 0 };
+            assert!(Request::read_from(&mut endless).is_err(), "{prefix:?}");
+            // the reader buffers at most 8 KiB beyond what it parsed
+            assert!(
+                endless.read <= MAX_HEADER_BYTES + 8 * 1024,
+                "{}",
+                endless.read
+            );
+        }
+        // short headers share the one budget
+        let many = format!("GET / HTTP/1.1\r\n{}\r\n", "X: y\r\n".repeat(20_000));
+        assert_eq!(parse(&many).unwrap_err(), "request head too large");
+    }
+
+    /// Flip a bit (kind 0), drop a run (1), duplicate a run in place (2)
+    /// or splice a copy of a run in elsewhere (3): the byte edits of
+    /// `tests/telemetry.rs::trace_reader_survives_byte_mutations`.
+    /// Positions wrap around the current length.
+    fn mutate(bytes: &mut Vec<u8>, (kind, at, what, len): (u8, u64, u64, usize)) {
+        let n = bytes.len() as u64;
+        if n == 0 {
+            return;
+        }
+        let at = (at % n) as usize;
+        let end = (at + len).min(bytes.len());
+        let run = bytes[at..end].to_vec();
+        match kind {
+            0 => bytes[at] ^= 1 << (what % 8),
+            1 => drop(bytes.drain(at..end)),
+            2 => drop(bytes.splice(end..end, run)),
+            _ => {
+                let to = (what % (n + 1)) as usize;
+                drop(bytes.splice(to..to, run));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// Mutated valid requests never panic the parser, and whatever it
+        /// accepts carries a body within `MAX_BODY_BYTES`.
+        #[test]
+        fn mutated_requests_never_panic_or_overrun_the_body_bound(
+            pick in 0usize..4,
+            edits in proptest::collection::vec(
+                (0u8..4, proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>(), 1usize..48),
+                1..5,
+            ),
+        ) {
+            let valid = [
+                "POST /v1/jobs HTTP/1.1\r\nHost: h\r\nContent-Length: 34\r\n\r\n{\"tenant\":\"a\",\"config\":{\"gpus\":2}}",
+                "GET /v1/jobs/12/result?verbose=1 HTTP/1.1\r\nHost: h\r\n\r\n",
+                "POST /v1/jobs/3/cancel HTTP/1.1\r\ncontent-length: 0\r\n\r\n",
+                "GET /metrics HTTP/1.1\r\n\r\n",
+            ];
+            let mut bytes = valid[pick].as_bytes().to_vec();
+            for edit in edits {
+                mutate(&mut bytes, edit);
+            }
+            if let Ok(Some(req)) = Request::read_from(&bytes[..]) {
+                proptest::prop_assert!(req.body.len() <= MAX_BODY_BYTES);
+            }
+        }
     }
 }
